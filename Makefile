@@ -36,6 +36,7 @@ ci:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	go test -short -race ./...
 	go test -race ./internal/transport/
+	go -C bench vet ./... && go -C bench test ./...
 
 # Mirror of CI's chaos + fuzz smoke: seeded fault-injection runs over every
 # registry algorithm, then a short coverage-guided pass over both fuzz

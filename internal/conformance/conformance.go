@@ -1123,11 +1123,6 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 				}); err != nil {
 					return err
 				}
-				if rp.Workers > 0 {
-					if _, err := n.StartReceiver(); err != nil {
-						return err
-					}
-				}
 				for oi, ospec := range man {
 					for _, so := range scripts[oi] {
 						if so.Node != id {
@@ -1137,6 +1132,16 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 						if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
 							return err
 						}
+					}
+				}
+				// The receiver starts only once this peer's script has run, as
+				// the legacy leg steps only after it: an effector's Prepare reads
+				// the local state (cseq positions, assume preconditions), so a
+				// remote frame applied mid-script would change what the script
+				// issues and the legs could not match byte for byte.
+				if rp.Workers > 0 {
+					if _, err := n.StartReceiver(); err != nil {
+						return err
 					}
 				}
 				for _, obj := range n.Objects() {

@@ -185,8 +185,9 @@ func fakePeer(t *testing.T, network, address string, id uint64) net.Conn {
 }
 
 // listenNode0 opens node 0's endpoint of a 2-node unix group in the
-// background and returns it once the fake node 1 can dial.
-func listenNode0(t *testing.T) (string, <-chan *Stream) {
+// background and returns it once the fake node 1 can dial. opts apply after
+// the default 5 s receive timeout.
+func listenNode0(t *testing.T, opts ...StreamOption) (string, <-chan *Stream) {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := []string{
@@ -195,7 +196,7 @@ func listenNode0(t *testing.T) (string, <-chan *Stream) {
 	}
 	ch := make(chan *Stream, 1)
 	go func() {
-		st, err := Listen(0, addrs, WithRecvTimeout(5*time.Second))
+		st, err := Listen(0, addrs, append([]StreamOption{WithRecvTimeout(5 * time.Second)}, opts...)...)
 		if err != nil {
 			t.Error(err)
 			close(ch)
@@ -204,6 +205,67 @@ func listenNode0(t *testing.T) (string, <-chan *Stream) {
 		ch <- st
 	}()
 	return filepath.Join(dir, "n0.sock"), ch
+}
+
+// TestStreamRecvTimeout covers the receive deadline on both receive paths
+// (Recv, and the pipeline's recvPipe): a wait with nothing in flight fails
+// with ErrTimeout once the short WithRecvTimeout elapses, and a wait that a
+// frame satisfies leaves the next wait its whole timeout.
+func TestStreamRecvTimeout(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	for _, piped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("piped=%v", piped), func(t *testing.T) {
+			opts := []StreamOption{WithRecvTimeout(timeout)}
+			if piped {
+				opts = append(opts, WithReceiver(RecvPolicy{Workers: 1}))
+			}
+			path, ch := listenNode0(t, opts...)
+			conn := fakePeer(t, "unix", path, 1)
+			st, ok := <-ch
+			if !ok {
+				t.Fatal("listen failed")
+			}
+			defer st.Close()
+			defer conn.Close()
+			recv := func() (Frame, error) {
+				if !piped {
+					f, _, err := st.Recv(true)
+					return f, err
+				}
+				f, release, _, err := st.recvPipe(true)
+				if release != nil {
+					release()
+				}
+				return f, err
+			}
+			// Two waits in a row, each satisfied by a frame sent 60% of the
+			// timeout into it: a deadline carried over from the first wait
+			// would expire during the second.
+			for mid := model.MsgID(1); mid <= 2; mid++ {
+				wire := wireContainer(EncodeBatch([]Frame{{Kind: KindEffector, MID: mid, From: 1, Payload: []byte("x")}}))
+				send := time.AfterFunc(timeout*6/10, func() {
+					if _, err := conn.Write(wire); err != nil {
+						t.Error(err)
+					}
+				})
+				f, err := recv()
+				send.Stop()
+				if err != nil {
+					t.Fatalf("wait %d: %v", mid, err)
+				}
+				if f.MID != mid {
+					t.Fatalf("wait %d received mid %s", mid, f.MID)
+				}
+			}
+			start := time.Now()
+			if _, err := recv(); !errors.Is(err, ErrTimeout) {
+				t.Fatalf("idle wait: err=%v, want ErrTimeout", err)
+			}
+			if waited := time.Since(start); waited < timeout {
+				t.Fatalf("idle wait gave up after %s, before the %s timeout", waited, timeout)
+			}
+		})
+	}
 }
 
 // wireContainer length-prefixes a batch container as one wire write.

@@ -3,7 +3,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/model"
@@ -28,13 +28,27 @@ func (f Frame) Append(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(f.Obj))
 	b = codec.AppendUvarint(b, uint64(f.MID))
 	b = codec.AppendUvarint(b, uint64(f.From))
-	deps := append([]model.MsgID(nil), f.Deps...)
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	deps := f.Deps
+	if !strictlySorted(deps) {
+		// Only hand-built frames get here: a Peer's deps are already sorted.
+		deps = slices.Clone(deps)
+		slices.Sort(deps)
+	}
 	b = codec.AppendUvarint(b, uint64(len(deps)))
 	for _, d := range deps {
 		b = codec.AppendUvarint(b, uint64(d))
 	}
 	return codec.AppendBytes(b, f.Payload)
+}
+
+// strictlySorted reports whether deps ascend with no repeats.
+func strictlySorted(deps []model.MsgID) bool {
+	for i := 1; i < len(deps); i++ {
+		if deps[i] <= deps[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // Decode parses one inner frame encoding, requiring every byte to be

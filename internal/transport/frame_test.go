@@ -37,6 +37,25 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameAppendSortedDeps checks that strictly sorted deps — every frame a
+// Peer builds — encode without a copy or a sort, while unsorted deps still
+// encode canonically and leave the caller's slice untouched.
+func TestFrameAppendSortedDeps(t *testing.T) {
+	sorted := Frame{Kind: KindEffector, MID: 9, From: 1, Deps: []model.MsgID{2, 4, 7}, Payload: []byte("p")}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { buf = sorted.Append(buf[:0]) }); allocs != 0 {
+		t.Fatalf("Append of sorted deps allocated %v times, want 0", allocs)
+	}
+	unsorted := sorted
+	unsorted.Deps = []model.MsgID{7, 2, 4}
+	if !bytes.Equal(unsorted.Append(nil), sorted.Append(nil)) {
+		t.Fatal("unsorted deps did not encode canonically")
+	}
+	if unsorted.Deps[0] != 7 {
+		t.Fatalf("Append sorted the caller's deps in place: %v", unsorted.Deps)
+	}
+}
+
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	f := Frame{Kind: KindEffector, MID: 5, From: 1, Deps: []model.MsgID{2, 3}, Payload: []byte("hello world")}
 	wire := EncodeWire(f)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -47,6 +48,10 @@ type Peer struct {
 
 	state   crdt.State
 	applied map[model.MsgID]bool
+	// front is the causal frontier of applied: front[o] is the highest mid
+	// from origin o applied here (0 for none). Causal frames carry it as
+	// their deps — at most N mids however long the history.
+	front []model.MsgID
 	// held buffers effector frames whose dependencies are not yet applied
 	// (causal delivery only).
 	held map[model.MsgID]Frame
@@ -60,15 +65,19 @@ type Peer struct {
 	skipped  int // operations rejected by their assume precondition
 
 	// Snapshot serving/compaction side (WithSnapshotPolicy). log retains
-	// every applied effector frame not yet folded into the checkpoint; acks
-	// tracks, per peer, the frames that peer is known to have applied (its
-	// own broadcasts plus everything in the deps it puts on the wire) — the
-	// input to the compaction frontier.
+	// every applied effector frame not yet folded into the checkpoint. The
+	// acknowledgements — what each peer is known to have applied, from its
+	// own broadcasts plus the deps it puts on the wire — are the input to
+	// the compaction frontier. A causal object keeps them as per-origin
+	// watermarks (ackFront[q][o]: q applied every origin-o mid up to it); a
+	// non-causal one, whose applied sets need not be per-origin prefixes,
+	// keeps the acknowledged mid set (acks).
 	snapServe    bool
 	pol          SnapshotPolicy
 	log          []Frame
 	ck           *Checkpoint
 	acks         map[model.NodeID]map[model.MsgID]bool
+	ackFront     map[model.NodeID][]model.MsgID
 	served       map[model.NodeID]bool
 	sinceCompact int
 
@@ -97,6 +106,7 @@ func WithSnapshotPolicy(pol SnapshotPolicy) PeerOption {
 		p.snapServe = true
 		p.pol = pol
 		p.acks = map[model.NodeID]map[model.MsgID]bool{}
+		p.ackFront = map[model.NodeID][]model.MsgID{}
 		p.served = map[model.NodeID]bool{}
 	}
 }
@@ -126,6 +136,7 @@ func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool
 		t: t, obj: obj, dec: dec, causal: causal,
 		state:   obj.Init(),
 		applied: map[model.MsgID]bool{},
+		front:   make([]model.MsgID, t.N()),
 		held:    map[model.MsgID]Frame{},
 		done:    map[model.NodeID]int{},
 	}
@@ -189,6 +200,24 @@ func (p *Peer) observe(mid model.MsgID) {
 	}
 }
 
+// origin returns the replica that allocated mid: (mid-1) mod N, by the
+// Lamport layout. Only positive mids have one; a corrupt peer may send
+// others, which callers skip.
+func (p *Peer) origin(mid model.MsgID) int { return int(mid-1) % p.t.N() }
+
+// raise lifts the per-origin watermark w to mid at mid's origin.
+func (p *Peer) raise(w []model.MsgID, mid model.MsgID) {
+	if mid > 0 && mid > w[p.origin(mid)] {
+		w[p.origin(mid)] = mid
+	}
+}
+
+// markApplied records mid as applied, advancing the causal frontier.
+func (p *Peer) markApplied(mid model.MsgID) {
+	p.applied[mid] = true
+	p.raise(p.front, mid)
+}
+
 // Invoke runs op's two-phase execution at this replica: Prepare over the
 // local state, atomic local application, and broadcast of the effector frame
 // (identity effectors are not broadcast). It returns crdt.ErrAssume
@@ -219,7 +248,7 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	}
 	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload, Deps: p.wireDeps()}
 	p.state = eff.Apply(p.state)
-	p.applied[mid] = true
+	p.markApplied(mid)
 	p.issued++
 	if p.snapServe {
 		p.log = append(p.log, f)
@@ -230,15 +259,33 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	return ret, p.t.Broadcast(f)
 }
 
-// wireDeps returns the dependency list a frame should carry: the applied set
-// when causal delivery needs it, or when the mesh runs the snapshot protocol
-// — there the deps double as acknowledgements that drive the compaction
-// frontier, so serving peers and catch-up joiners always attach them.
+// wireDeps returns the dependency list a frame should carry. A causal object
+// sends its causal frontier: every origin's frames chain through that
+// origin's previous one, so a receiver that has applied each frontier mid
+// has applied the sender's whole causal past. A non-causal object sends its
+// applied set, and only when the mesh runs the snapshot protocol — there the
+// deps are acknowledgements that drive the compaction frontier, so serving
+// peers and catch-up joiners always attach them.
 func (p *Peer) wireDeps() []model.MsgID {
-	if p.causal || p.snapServe || p.catchUp {
+	switch {
+	case p.causal:
+		return p.frontier()
+	case p.snapServe || p.catchUp:
 		return p.visible()
 	}
 	return nil
+}
+
+// frontier returns the causal frontier as a sorted dependency list.
+func (p *Peer) frontier() []model.MsgID {
+	deps := make([]model.MsgID, 0, len(p.front))
+	for _, mid := range p.front {
+		if mid != 0 {
+			deps = append(deps, mid)
+		}
+	}
+	slices.Sort(deps)
+	return deps
 }
 
 // visible returns the applied set as a sorted dependency list.
@@ -359,9 +406,26 @@ func (p *Peer) handleEffector(f Frame) error {
 
 // ack records what frame f proves its sender has applied: its own broadcast
 // plus every dependency it attached. Acknowledgements are monotone facts
-// about the sender's applied set, the input to the compaction frontier.
+// about the sender's applied set, the input to the compaction frontier. A
+// causal sender's applied set holds a prefix of every origin's frames, so
+// its highest acknowledged mid per origin stands for all that origin's
+// frames below it — whether the deps are a frontier or a full applied set.
 func (p *Peer) ack(f Frame) {
 	if !p.snapServe {
+		return
+	}
+	if p.causal {
+		w := p.ackFront[f.From]
+		if w == nil {
+			w = make([]model.MsgID, p.t.N())
+			p.ackFront[f.From] = w
+		}
+		if f.Kind == KindEffector {
+			p.raise(w, f.MID)
+		}
+		for _, d := range f.Deps {
+			p.raise(w, d)
+		}
 		return
 	}
 	set := p.acks[f.From]
@@ -375,6 +439,15 @@ func (p *Peer) ack(f Frame) {
 	for _, d := range f.Deps {
 		set[d] = true
 	}
+}
+
+// acked reports whether peer q is known to have applied the log frame mid.
+func (p *Peer) acked(q model.NodeID, mid model.MsgID) bool {
+	if p.causal {
+		w := p.ackFront[q]
+		return w != nil && mid > 0 && mid <= w[p.origin(mid)]
+	}
+	return p.acks[q][mid]
 }
 
 // depsMet reports whether every causal dependency of f has been applied.
@@ -395,7 +468,7 @@ func (p *Peer) apply(f Frame) error {
 		return fmt.Errorf("transport: frame %s from %s: %w", f.MID, f.From, err)
 	}
 	p.state = eff.Apply(p.state)
-	p.applied[f.MID] = true
+	p.markApplied(f.MID)
 	p.remote++
 	if p.snapServe {
 		// The compaction log outlives the handler call: detach the payload
@@ -608,7 +681,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		for _, mid := range snap.Covered {
 			p.observe(mid)
 			if !p.applied[mid] {
-				p.applied[mid] = true
+				p.markApplied(mid)
 				p.remote++
 				p.snapStats.InstallCovered++
 			}
@@ -684,7 +757,7 @@ func (p *Peer) compact() error {
 			if q == p.t.Self() {
 				continue
 			}
-			if !p.acks[q][f.MID] {
+			if !p.acked(q, f.MID) {
 				acked = false
 				break
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -151,6 +152,94 @@ func TestPeerCausalHoldBack(t *testing.T) {
 	}
 	if !bytes.Equal(follower.CanonicalState(), origin.CanonicalState()) {
 		t.Fatal("follower did not converge to the origin state")
+	}
+}
+
+// TestPeerCausalHoldBackTransitive extends the hold-back case to three peers
+// and a dependency implied only transitively: origin 0 issues four adds,
+// node 1 applies them and removes the first, and node 1's frame names only
+// origin 0's last mid — a causal frame carries at most N deps, its causal
+// frontier. Delivered in reverse, every frame must be held until its whole
+// causal past has applied, then all release in mid order and converge
+// byte-identically. A frame carrying the full applied set, as older peers
+// send, must be accepted the same way: the wire layout is unchanged.
+func TestPeerCausalHoldBackTransitive(t *testing.T) {
+	alg, ok := registry.ByName("aw-set")
+	if !ok {
+		t.Fatal("aw-set not registered")
+	}
+	const n = 3
+	m := transport.NewMem(n)
+	origin := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), true)
+	relay := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), true)
+	for i := 1; i <= 4; i++ {
+		if _, err := origin.Invoke(model.Op{Name: spec.OpAdd, Arg: model.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pumpDrain(t, relay)
+	if _, err := relay.Invoke(model.Op{Name: spec.OpRemove, Arg: model.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	pumpDrain(t, origin)
+	var frames []transport.Frame
+	ep := m.Endpoint(2)
+	for {
+		f, ok, err := ep.Recv(false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if len(f.Deps) > n {
+			t.Fatalf("frame %s carries %d deps %v, more than the %d origins", f.MID, len(f.Deps), f.Deps, n)
+		}
+		frames = append(frames, f)
+	}
+	if len(frames) != 5 {
+		t.Fatalf("queued %d frames for node 2, want 5", len(frames))
+	}
+	// Origin 0's mids are 1, 4, 7, 10; node 1's remove names only 10.
+	rmv := frames[4]
+	if want := []model.MsgID{10}; !reflect.DeepEqual(rmv.Deps, want) {
+		t.Fatalf("node 1's frame %s carries deps %v, want its frontier %v", rmv.MID, rmv.Deps, want)
+	}
+	legacy := rmv
+	legacy.Deps = []model.MsgID{1, 4, 7, 10}
+	legacy, err := transport.DecodeWire(transport.EncodeWire(legacy))
+	if err != nil {
+		t.Fatalf("full-set deps no longer fit the wire format: %v", err)
+	}
+
+	for _, last := range []transport.Frame{rmv, legacy} {
+		byPayload := map[string]model.MsgID{}
+		for _, f := range frames {
+			byPayload[string(f.Payload)] = f.MID
+		}
+		var order []model.MsgID
+		dec := func(b []byte) (crdt.Effector, error) {
+			order = append(order, byPayload[string(b)])
+			return alg.DecodeEffector(b)
+		}
+		follower := transport.NewPeer(alg.New(), dec, transport.NewMem(n).Endpoint(2), true)
+		reversed := []transport.Frame{last, frames[3], frames[2], frames[1], frames[0]}
+		for i, f := range reversed {
+			if err := follower.Handle(f); err != nil {
+				t.Fatalf("deps %v: handle %s: %v", last.Deps, f.MID, err)
+			}
+			if i < len(reversed)-1 && follower.Applied() != 0 {
+				t.Fatalf("deps %v: frame %s applied before its causal past", last.Deps, f.MID)
+			}
+		}
+		if want := []model.MsgID{1, 4, 7, 10, rmv.MID}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("deps %v: released in order %v, want mid order %v", last.Deps, order, want)
+		}
+		for _, p := range []*transport.Peer{origin, relay} {
+			if !bytes.Equal(follower.CanonicalState(), p.CanonicalState()) {
+				t.Fatalf("deps %v: follower diverged from the peer that applied in causal order", last.Deps)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/crdts/registry"
+	"repro/internal/model"
 	"repro/internal/transport"
 )
 
@@ -54,6 +55,12 @@ func FuzzSnapshotInstall(f *testing.F) {
 		Suffix: []transport.Frame{{
 			Kind: transport.KindEffector, Obj: 2, MID: 3, From: 0, Payload: []byte("eff"),
 		}},
+	}))
+	// Covered mid 0 names no origin: installing it must leave the causal
+	// frontier alone.
+	f.Add(transport.EncodeSnapshot(transport.Snapshot{
+		Covered: []model.MsgID{0, 4},
+		State:   alg.New().Init().AppendBinary(nil),
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := transport.NewMem(2)

@@ -312,9 +312,64 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 					if got := server.LogLen(); got >= total {
 						t.Fatalf("retained log %d not bounded below the %d applied frames", got, total)
 					}
+					// Causal legs acknowledge through per-origin watermarks
+					// of the frontier deps; both early peers still truncate.
+					for i, p := range early {
+						if st := p.SnapshotStats(); st.LogTruncated == 0 {
+							t.Fatalf("early peer %d never truncated its log: %+v", i, st)
+						}
+					}
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotAckWatermark pins the acknowledgement rule for a causal
+// object: a peer's frame acknowledges, per origin, every mid up to the
+// highest one it names, named or not. An origin-0 mid above node 1's
+// origin-0 watermark is not acknowledged, so compaction keeps it until a
+// later frame raises the watermark past it.
+func TestSnapshotAckWatermark(t *testing.T) {
+	alg, ok := registry.ByName("aw-set")
+	if !ok {
+		t.Fatal("aw-set not registered")
+	}
+	m := transport.NewMem(2)
+	server := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), true,
+		transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1}))
+	q := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), true)
+	add := func(p *transport.Peer, v int64) {
+		t.Helper()
+		if _, err := p.Invoke(model.Op{Name: spec.OpAdd, Arg: model.Int(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func(p *transport.Peer) {
+		t.Helper()
+		if ok, err := p.Step(false); err != nil || !ok {
+			t.Fatalf("step: ok=%v err=%v", ok, err)
+		}
+	}
+	add(server, 1) // mid 1
+	add(server, 2) // mid 3
+	step(q)
+	step(q)
+	add(server, 3) // mid 5, not yet seen by q
+	add(q, 4)      // mid 6, deps [3]: q's origin-0 watermark is 3
+	step(server)
+	// Mids 1 and 3 sit at or below the watermark and 6 is q's own; 5 is
+	// above it.
+	if st := server.SnapshotStats(); st.LogTruncated != 3 || st.LogRetained != 1 {
+		t.Fatalf("stats %+v, want 3 truncated and mid 5 retained", st)
+	}
+	step(q)
+	if err := q.Done(); err != nil {
+		t.Fatal(err)
+	}
+	step(server) // the done frame's deps [5 6] raise the watermark to 5
+	if st := server.SnapshotStats(); st.LogTruncated != 4 || st.LogRetained != 0 {
+		t.Fatalf("stats %+v, want all 4 frames truncated", st)
 	}
 }
 

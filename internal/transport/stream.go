@@ -1111,6 +1111,8 @@ func (s *Stream) Recv(wait bool) (Frame, bool, error) {
 	if s.pframes != nil {
 		return Frame{}, false, fmt.Errorf("transport: Recv on an endpoint whose receive side is owned by the pipeline (WithReceiver)")
 	}
+	var timeout recvTimer
+	defer timeout.stop()
 	for {
 		select {
 		case f := <-s.frames:
@@ -1148,9 +1150,31 @@ func (s *Stream) Recv(wait bool) (Frame, bool, error) {
 			continue // a peer hung up: re-evaluate exhaustion
 		case <-s.closed:
 			return Frame{}, false, ErrClosed
-		case <-time.After(s.recvTimeout):
+		case <-timeout.after(s.recvTimeout):
 			return Frame{}, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
 		}
+	}
+}
+
+// recvTimer is a blocking receive's deadline. It is armed on the first wait
+// and stopped when the receive returns: under the module's go 1.22 timer
+// semantics an unstopped timer stays live until it fires, so a fresh
+// time.After per wait would pin one timer per received container for the
+// whole receive timeout.
+type recvTimer struct{ t *time.Timer }
+
+// after arms the timer on first use and returns its channel. Later waits of
+// the same receive share the deadline.
+func (r *recvTimer) after(d time.Duration) <-chan time.Time {
+	if r.t == nil {
+		r.t = time.NewTimer(d)
+	}
+	return r.t.C
+}
+
+func (r *recvTimer) stop() {
+	if r.t != nil {
+		r.t.Stop()
 	}
 }
 
@@ -1159,6 +1183,8 @@ func (s *Stream) Recv(wait bool) (Frame, bool, error) {
 // hook. Exhaustion and closure surface as the shared sentinels so the
 // dispatcher can tell a clean drain from a failure.
 func (s *Stream) recvPipe(wait bool) (Frame, func(), bool, error) {
+	var timeout recvTimer
+	defer timeout.stop()
 	for {
 		select {
 		case pf := <-s.pframes:
@@ -1194,7 +1220,7 @@ func (s *Stream) recvPipe(wait bool) (Frame, func(), bool, error) {
 			continue // a peer hung up: re-evaluate exhaustion
 		case <-s.closed:
 			return s.closeDrain()
-		case <-time.After(s.recvTimeout):
+		case <-timeout.after(s.recvTimeout):
 			return Frame{}, nil, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
 		}
 	}
