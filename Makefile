@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport transport-loc repro examples fmt vet
 
 all: build vet test
 
@@ -37,6 +37,12 @@ ci:
 	go test -short -race ./...
 	go test -race ./internal/transport/
 	go -C bench vet ./... && go -C bench test ./...
+	@$(MAKE) --no-print-directory transport-loc
+
+# The transport's size, a number ROADMAP.md tracks: non-test Go lines in
+# internal/transport.
+transport-loc:
+	@echo "internal/transport non-test lines: $$(find internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)"
 
 # Mirror of CI's chaos + fuzz smoke: seeded fault-injection runs over every
 # registry algorithm, then a short coverage-guided pass over both fuzz

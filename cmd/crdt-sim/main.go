@@ -160,7 +160,7 @@ func main() {
 		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (manifest object ids 1..N)")
 		mixed   = flag.Bool("mixed", false, "socket transports: with -objects, cycle the objects through different algorithms and print a product reassembled from the first two")
 
-		recvWorkers = flag.Int("recv-workers", 0, "socket transports: apply received frames on N parallel per-object shards with bounded queues (0 = legacy pull loop)")
+		recvWorkers = flag.Int("recv-workers", 0, "socket transports: apply received frames on N parallel per-object shards with bounded queues (0 = the pull loop)")
 	)
 	flag.Parse()
 	fail := func(format string, args ...any) {
@@ -492,13 +492,11 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 		fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
 			node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes,
 			ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-		if ts.Sched.Enabled {
-			if err := ts.SchedBalance(); err != nil {
-				fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-				return 1
-			}
-			fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
+		if err := ts.SchedBalance(); err != nil {
+			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
+			return 1
 		}
+		fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	}
 	if catchUp || snapEvery > 0 || len(late) > 0 {
 		ss := p.SnapshotStats()
@@ -680,12 +678,10 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 		return fail("per-object frame counters (sent %d, recv %d) do not sum to the per-peer totals (sent %d, recv %d)",
 			sentObj, recvObj, sent.Frames, recv.Frames)
 	}
-	if ts.Sched.Enabled {
-		if err := ts.SchedBalance(); err != nil {
-			return fail("%v", err)
-		}
-		fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
+	if err := ts.SchedBalance(); err != nil {
+		return fail("%v", err)
 	}
+	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	if mixed {
 		p1, _ := n.Peer(man[0].ID)
 		p2, _ := n.Peer(man[1].ID)

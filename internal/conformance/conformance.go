@@ -597,7 +597,7 @@ func batchedChecks(alg registry.Algorithm, cfg Config) error {
 			peers := make([]*transport.Peer, nodes)
 			for i := range peers {
 				peers[i] = transport.NewPeer(alg.New(), alg.DecodeEffector,
-					m.BatchedEndpoint(model.NodeID(i), policies[i]), alg.NeedsCausal)
+					m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), alg.NeedsCausal)
 			}
 			sched := rand.New(rand.NewSource(seed))
 			for _, so := range script {
@@ -875,7 +875,7 @@ func socketSnapshotChecks(alg registry.Algorithm, cfg Config) error {
 // a three-node mesh. The item runs over write-batching Mem endpoints with a
 // different flush policy per node, then three times over a live unix-socket
 // mesh whose third peer is a late joiner that snapshot-catches-up on every
-// object through the one shared socket pair: with the legacy pull loop, with
+// object through the one shared socket pair: with the pull loop, with
 // the receive pipeline on a single apply shard, and with the pipeline on
 // four shards applying distinct objects concurrently. All three socket legs
 // must converge to byte-identical canonical states — object sharding
@@ -984,7 +984,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		m := transport.NewMem(nodes)
 		ns := make([]*transport.Node, nodes)
 		for i := range ns {
-			n, err := transport.NewNode(m.BatchedEndpoint(model.NodeID(i), policies[i]), man)
+			n, err := transport.NewNode(m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), man)
 			if err != nil {
 				return err
 			}
@@ -1042,11 +1042,13 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 	}
 
 	// Legs 2-4: live unix-socket mesh with a late joiner catching up on every
-	// object over the one shared socket pair per process pair. rp selects the
-	// receive side: the zero policy is the legacy pull loop, Workers >= 1 the
-	// parallel pipeline. Returns the per-node per-object canonical states so
-	// the pipeline legs can be checked byte-identical against the legacy one.
-	unixLeg := func(rp transport.RecvPolicy) ([][][]byte, error) {
+	// object over the one shared socket pair per process pair. workers
+	// selects the receive side: 0 is the pull loop, >= 1 the parallel
+	// pipeline on that many shards. Returns the per-node per-object canonical
+	// states so the pipeline legs can be checked byte-identical against the
+	// pull-loop leg.
+	unixLeg := func(workers int) ([][][]byte, error) {
+		rp := transport.RecvPolicy{Workers: workers}
 		dir, err := os.MkdirTemp("", "crdt-multiobj-*")
 		if err != nil {
 			return nil, err
@@ -1106,7 +1108,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 					transport.WithRecvTimeout(5 * time.Second), transport.WithLateJoiners(joiner),
 					transport.WithManifest(man), transport.WithBatching(transport.BatchPolicy{MaxFrames: 4}),
 				}
-				if rp.Workers > 0 {
+				if workers > 0 {
 					sopts = append(sopts, transport.WithReceiver(rp))
 				}
 				st, err := transport.Listen(id, addrs, sopts...)
@@ -1135,11 +1137,11 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 					}
 				}
 				// The receiver starts only once this peer's script has run, as
-				// the legacy leg steps only after it: an effector's Prepare reads
+				// the pull-loop leg steps only after it: an effector's Prepare reads
 				// the local state (cseq positions, assume preconditions), so a
 				// remote frame applied mid-script would change what the script
 				// issues and the legs could not match byte for byte.
-				if rp.Workers > 0 {
+				if workers > 0 {
 					if _, err := n.StartReceiver(); err != nil {
 						return err
 					}
@@ -1208,7 +1210,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 					transport.WithRecvTimeout(5 * time.Second), transport.AsLateJoiner(),
 					transport.WithManifest(man),
 				}
-				if rp.Workers > 0 {
+				if workers > 0 {
 					sopts = append(sopts, transport.WithReceiver(rp))
 				}
 				st, err := transport.Listen(joiner, addrs, sopts...)
@@ -1225,7 +1227,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 				}); err != nil {
 					return err
 				}
-				if rp.Workers > 0 {
+				if workers > 0 {
 					if _, err := n.StartReceiver(); err != nil {
 						return err
 					}
@@ -1300,22 +1302,22 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 	if err := memLeg(); err != nil {
 		return fmt.Errorf("mem leg: %w", err)
 	}
-	legacy, err := unixLeg(transport.RecvPolicy{})
+	pulled, err := unixLeg(0)
 	if err != nil {
-		return fmt.Errorf("unix leg (legacy pull loop): %w", err)
+		return fmt.Errorf("unix leg (pull loop): %w", err)
 	}
 	// The pipeline legs rerun the same scripts; concurrency across objects
 	// must not change any object's outcome, so every canonical state has to
-	// match the legacy leg's byte for byte.
+	// match the pull-loop leg's byte for byte.
 	for _, workers := range []int{1, 4} {
-		piped, err := unixLeg(transport.RecvPolicy{Workers: workers})
+		piped, err := unixLeg(workers)
 		if err != nil {
 			return fmt.Errorf("unix leg (pipeline workers=%d): %w", workers, err)
 		}
 		for id := range piped {
 			for oi, ospec := range man {
-				if !bytes.Equal(piped[id][oi], legacy[id][oi]) {
-					return fmt.Errorf("unix leg (pipeline workers=%d): node %d object %d (%s) canonical state diverges from the legacy pull-loop leg",
+				if !bytes.Equal(piped[id][oi], pulled[id][oi]) {
+					return fmt.Errorf("unix leg (pipeline workers=%d): node %d object %d (%s) canonical state diverges from the pull-loop leg",
 						workers, id, ospec.ID, ospec.Kind)
 				}
 			}
@@ -1330,7 +1332,7 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 // with per-object max-delay overrides. Two legs:
 //
 // The Mem leg runs three nodes with a different scheduler policy each (8:1
-// weighted chunked, evenly weighted, and an unscheduled FIFO control) under
+// weighted chunked, evenly weighted, and default weights) under
 // cap-forced flushes, and requires byte-identical per-object convergence, the
 // per-object frame counters summing to the per-peer wire totals, the
 // scheduler's queued == drained + depth ledger balancing on every node, and a
@@ -1418,7 +1420,7 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 	}
 
 	// Leg 1: deterministic weighted Mem mesh. Scheduling policies differ per
-	// node — chunked 8:1, evenly weighted, and a FIFO control — so the DRR
+	// node — chunked 8:1, evenly weighted, and default weights — so the DRR
 	// drain order genuinely reorders frames relative to arrival, yet a rerun
 	// must reproduce every byte of state and every stats counter.
 	memLeg := func() ([][][]byte, []transport.Stats, error) {
@@ -1430,12 +1432,13 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 		schedPols := [nodes]transport.SchedPolicy{
 			{Weights: map[transport.ObjID]int{chatty: 1, quiet: 8}, ChunkFrames: 2},
 			{Weights: map[transport.ObjID]int{chatty: 2, quiet: 2}, ChunkFrames: 1},
-			{}, // unscheduled FIFO control
+			{}, // default weights
 		}
 		m := transport.NewMem(nodes)
 		ns := make([]*transport.Node, nodes)
 		for i := range ns {
-			n, err := transport.NewNode(m.SchedEndpoint(model.NodeID(i), batch[i], schedPols[i]), man)
+			n, err := transport.NewNode(m.Endpoint(model.NodeID(i),
+				transport.WithBatching(batch[i]), transport.WithScheduler(schedPols[i])), man)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1506,10 +1509,6 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 	}
 	if queued == 0 {
 		return fmt.Errorf("mem leg: no node queued a single frame — the scripts exercised nothing")
-	}
-	if !stats[0].Sched.Enabled || stats[2].Sched.Enabled {
-		return fmt.Errorf("mem leg: scheduler enablement mis-reported (node 0: %v, node 2: %v)",
-			stats[0].Sched.Enabled, stats[2].Sched.Enabled)
 	}
 	rerunStates, rerunStats, err := memLeg()
 	if err != nil {
@@ -1658,9 +1657,6 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 			if conns[id] != nodes-1 {
 				return fmt.Errorf("node %d holds %d connections for %d peers — objects must share one socket pair per process pair",
 					id, conns[id], nodes-1)
-			}
-			if !wire[id].Sched.Enabled {
-				return fmt.Errorf("node %d: scheduler not enabled despite WithScheduler", id)
 			}
 			if err := checkStats(id, wire[id]); err != nil {
 				return err

@@ -207,10 +207,10 @@ func listenNode0(t *testing.T, opts ...StreamOption) (string, <-chan *Stream) {
 	return filepath.Join(dir, "n0.sock"), ch
 }
 
-// TestStreamRecvTimeout covers the receive deadline on both receive paths
-// (Recv, and the pipeline's recvPipe): a wait with nothing in flight fails
-// with ErrTimeout once the short WithRecvTimeout elapses, and a wait that a
-// frame satisfies leaves the next wait its whole timeout.
+// TestStreamRecvTimeout covers the receive deadline on both consumers of the
+// receive queue (Recv, and the pipeline's recvPipe): a wait with nothing in
+// flight fails with ErrTimeout once the short WithRecvTimeout elapses, and a
+// wait that a frame satisfies leaves the next wait its whole timeout.
 func TestStreamRecvTimeout(t *testing.T) {
 	const timeout = 400 * time.Millisecond
 	for _, piped := range []bool{false, true} {
@@ -232,11 +232,9 @@ func TestStreamRecvTimeout(t *testing.T) {
 					f, _, err := st.Recv(true)
 					return f, err
 				}
-				f, release, _, err := st.recvPipe(true)
-				if release != nil {
-					release()
-				}
-				return f, err
+				pf, _, err := st.recvPipe(true)
+				pf.release()
+				return pf.f, err
 			}
 			// Two waits in a row, each satisfied by a frame sent 60% of the
 			// timeout into it: a deadline carried over from the first wait
@@ -333,6 +331,56 @@ func TestStreamShortReadMidBatch(t *testing.T) {
 	}
 	if errors.Is(err, ErrTimeout) {
 		t.Fatalf("short read surfaced as a timeout, want a receive error: %v", err)
+	}
+}
+
+// TestStreamCloseDrainLedgerOnRecv pins the close-drain handshake on the pull
+// path: a peer sends one container of more frames than the receive queue
+// holds while nothing reads, so the receive loop blocks mid-container. After
+// Close, draining through Recv until ErrClosed must return exactly the frames
+// the wire ledger still counts received — the blocked loop retracts what it
+// never handed over.
+func TestStreamCloseDrainLedgerOnRecv(t *testing.T) {
+	path, ch := listenNode0(t)
+	conn := fakePeer(t, "unix", path, 1)
+	defer conn.Close()
+	st, ok := <-ch
+	if !ok {
+		t.Fatal("listen failed")
+	}
+	defer st.Close()
+	const sent = 100
+	frames := make([]Frame, sent)
+	for i := range frames {
+		frames[i] = Frame{Kind: KindEffector, MID: model.MsgID(i + 1), From: 1, Payload: []byte{byte(i)}}
+	}
+	if _, err := conn.Write(wireContainer(EncodeBatch(frames))); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(st.pframes) < cap(st.pframes) || st.Stats().TotalRecv().Frames != sent {
+		if time.Now().After(deadline) {
+			t.Fatalf("receive loop never blocked: queue %d/%d, received %d", len(st.pframes), cap(st.pframes), st.Stats().TotalRecv().Frames)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	st.Close()
+	served := 0
+	for {
+		f, ok, err := st.Recv(true)
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil || !ok {
+			t.Fatalf("drain after close: ok=%v err=%v", ok, err)
+		}
+		if f.MID != model.MsgID(served+1) {
+			t.Fatalf("drain served mid %s, want %d", f.MID, served+1)
+		}
+		served++
+	}
+	if got := st.Stats().TotalRecv().Frames; served != got || served != cap(st.pframes) {
+		t.Fatalf("Recv served %d frames after Close, the ledger counts %d received, the queue held %d", served, got, cap(st.pframes))
 	}
 }
 
@@ -475,7 +523,7 @@ func TestStreamFlushTriggers(t *testing.T) {
 func TestMemBatchedEndpointDeterminism(t *testing.T) {
 	run := func() ([]model.MsgID, Stats) {
 		m := NewMem(2)
-		ep := m.BatchedEndpoint(0, BatchPolicy{MaxFrames: 3}).(*memEndpoint)
+		ep := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 3})).(*memEndpoint)
 		for i := 1; i <= 7; i++ {
 			if err := ep.Broadcast(Frame{Kind: KindEffector, MID: model.MsgID(i), From: 0, Payload: []byte{byte(i)}}); err != nil {
 				t.Fatal(err)

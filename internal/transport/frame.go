@@ -182,7 +182,11 @@ func (e *BatchError) Unwrap() error { return e.First }
 // returned in order. Structural corruption — a count or length prefix that
 // no longer locates the frame boundaries, or trailing bytes — fails with an
 // ordinary error wrapping codec.ErrCorrupt and voids the whole batch.
-func DecodeBatch(b []byte) ([]Frame, error) {
+func DecodeBatch(b []byte) ([]Frame, error) { return appendBatch(nil, b) }
+
+// appendBatch is DecodeBatch appending the decoded frames to frames, so a
+// receive loop can reuse one slice across containers.
+func appendBatch(frames []Frame, b []byte) ([]Frame, error) {
 	count, rest, err := codec.DecodeUvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: batch count: %v", codec.ErrCorrupt, err)
@@ -192,7 +196,7 @@ func DecodeBatch(b []byte) ([]Frame, error) {
 	if count > uint64(len(rest)/9)+1 {
 		return nil, fmt.Errorf("%w: batch count %d exceeds what %d bytes can hold", codec.ErrCorrupt, count, len(rest))
 	}
-	frames := make([]Frame, 0, count)
+	frames = slices.Grow(frames, int(count))
 	var bad *BatchError
 	reject := func(i uint64, err error) {
 		if bad == nil {

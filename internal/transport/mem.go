@@ -256,79 +256,51 @@ func (m *Mem) Clone() *Mem {
 	return cp
 }
 
-// Endpoint returns node id's Transport view of the network: Broadcast queues
-// one clean copy per peer at the current tick, and Recv consumes the ready
-// frame with the smallest (arrival tick, MsgID) — a deterministic in-order
-// schedule, so the replica layer built for sockets can be unit-tested
-// reproducibly. The view shares the network's clock and queues; a waiting
-// Recv advances the virtual clock to the next arrival instead of blocking.
-func (m *Mem) Endpoint(id model.NodeID) Transport {
-	return m.BatchedEndpoint(id, BatchPolicy{})
-}
-
-// BatchedEndpoint returns node id's view with a write-batching policy: the
-// same flush triggers and Stats accounting the socket Stream keeps, minus
-// the delay timer (Mem runs on a virtual clock, so a pending batch waits
-// for a cap or an explicit Flush). Flushed frames all arrive at the flush
-// tick, in broadcast order — fully deterministic, so batched executions
-// replay byte-for-byte like unbatched ones. Each call creates a fresh view
-// with its own pending batch and counters.
-func (m *Mem) BatchedEndpoint(id model.NodeID, p BatchPolicy) Transport {
-	return m.SchedEndpoint(id, p, SchedPolicy{})
-}
-
-// SchedEndpoint returns node id's batched view with a per-object delivery
-// scheduler: flushes drain the per-object send queues into batch containers
-// by deficit-weighted round-robin, exactly as the socket Stream does under
-// WithScheduler — and fully deterministically, since the round-robin ring
-// order depends only on the broadcast sequence. Mem runs on a virtual clock,
-// so the per-object MaxDelay overrides (like BatchPolicy.MaxDelay) do not
-// apply: pending frames wait for a cap or an explicit Flush. The zero
-// SchedPolicy keeps the shared arrival-order drain.
-func (m *Mem) SchedEndpoint(id model.NodeID, p BatchPolicy, sp SchedPolicy) Transport {
-	return m.RecvEndpoint(id, p, sp, RecvPolicy{})
-}
-
-// RecvEndpoint returns node id's scheduled view with a receive pipeline
-// policy on top. Mem stays deterministic by construction: whatever Workers
-// asks for, the policy clamps to a single apply shard, so a Receiver over the
-// endpoint applies frames in the virtual clock's deterministic (arrival tick,
-// object, mid) order and reruns stay byte-identical. Mem endpoints are not
-// goroutine-safe — drive the phases sequentially (broadcast, then let the
-// pipeline drain) rather than concurrently.
-func (m *Mem) RecvEndpoint(id model.NodeID, p BatchPolicy, sp SchedPolicy, rp RecvPolicy) Transport {
+// Endpoint returns node id's Transport view of the network, configured by
+// the options a socket Stream takes. Broadcast queues one clean copy per
+// peer, and Recv consumes the ready frame with the smallest (arrival tick,
+// object, mid) — a deterministic in-order schedule, so the replica layer
+// built for sockets can be unit-tested reproducibly. The view shares the
+// network's clock and queues; a waiting Recv advances the virtual clock to
+// the next arrival instead of blocking. Each call creates a fresh view with
+// its own pending batch and counters.
+//
+// Mem honours the options that shape what a flush sends, never when a timer
+// sends it — the clock is virtual, so a pending batch waits for a cap, an
+// explicit Flush, or Close:
+//
+//   - WithBatching: the socket Stream's cap triggers and Stats accounting;
+//     BatchPolicy.MaxDelay does not apply. Flushed frames all arrive at the
+//     flush tick, so batched executions replay byte-for-byte.
+//   - WithScheduler: flushes drain the per-object queues by deficit-weighted
+//     round-robin, a pure function of the broadcast sequence; the
+//     SchedPolicy.MaxDelay overrides do not apply.
+//   - WithReceiver: the QueueFrames of Node.StartReceiver's pipeline, which
+//     on Mem always runs one deterministic shard. Mem endpoints are not
+//     goroutine-safe: drive the phases sequentially (broadcast, then let the
+//     pipeline drain).
+//
+// The socket-only options — WithRecvTimeout, WithManifest, WithLateJoiners
+// and AsLateJoiner — do nothing on Mem.
+func (m *Mem) Endpoint(id model.NodeID, opts ...StreamOption) Transport {
 	if int(id) < 0 || int(id) >= m.n {
 		panic(fmt.Sprintf("transport: no such node %s", id))
 	}
-	rp = rp.normalized()
-	if rp.enabled() {
-		rp.Workers = 1 // one deterministic shard, whatever was asked
-	}
-	e := &memEndpoint{m: m, self: id, policy: p.normalized(), sq: newSched(sp, false), recvPol: rp}
+	e := &memEndpoint{endpointConfig: newEndpointConfig(opts), m: m, self: id}
+	e.sq = newSched(e.schedPol, false)
 	e.stats.Sent = make([]PeerIO, m.n)
 	e.stats.Recv = make([]PeerIO, m.n)
-	e.stats.Sched.Enabled = e.sq.drr
 	return e
 }
 
 type memEndpoint struct {
-	m    *Mem
-	self model.NodeID
+	endpointConfig
 
-	policy  BatchPolicy
-	sq      *sched
-	recvPol RecvPolicy
-	stats   Stats
+	m     *Mem
+	self  model.NodeID
+	sq    *sched
+	stats Stats
 }
-
-// recvPolicy exposes the installed pipeline policy (the recvPolicied hook
-// Node.StartReceiver reads). Always single-shard on Mem.
-func (e *memEndpoint) recvPolicy() RecvPolicy { return e.recvPol }
-
-// serialRecv marks Mem endpoints as single-shard for NewReceiver: Mem is
-// deterministic by construction and not goroutine-safe, so the pipeline
-// applies on one shard whatever Workers asks for.
-func (e *memEndpoint) serialRecv() {}
 
 func (e *memEndpoint) Self() model.NodeID { return e.self }
 func (e *memEndpoint) N() int             { return e.m.n }
@@ -337,13 +309,9 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	// Byte accounting mirrors the socket wire: the nested checksummed
 	// envelope the frame would cost in a batch container.
 	e.sq.enqueue(schedItem{obj: f.Obj, frame: f, wire: len(EncodeWire(f))})
-	e.stats.FramesQueued++
-	e.stats.Sched.noteQueued(f.Obj)
-	switch {
-	case e.sq.pendN >= e.policy.MaxFrames:
-		return e.flush(trigFrames, f.Obj)
-	case e.policy.MaxBytes > 0 && e.sq.pendBytes >= e.policy.MaxBytes:
-		return e.flush(trigBytes, f.Obj)
+	e.stats.noteQueued(f.Obj)
+	if trigger, full := e.sq.capTrigger(e.policy); full {
+		return e.flush(trigger, f.Obj)
 	}
 	return nil
 }
@@ -357,44 +325,27 @@ func (e *memEndpoint) flush(trigger int, cause ObjID) error {
 	if e.sq.pendN == 0 {
 		return nil
 	}
-	switch trigger {
-	case trigFrames:
-		e.stats.Flushes.Frames++
-		e.stats.Sched.noteCapFlush(cause)
-	case trigBytes:
-		e.stats.Flushes.Bytes++
-		e.stats.Sched.noteCapFlush(cause)
-	case trigExplicit:
-		e.stats.Flushes.Explicit++
-	case trigClose:
-		e.stats.Flushes.Close++
-	}
-	for e.sq.pendN > 0 {
+	e.stats.noteFlush(trigger, cause)
+	for {
 		items := e.sq.drainChunk(e.sq.pol.ChunkFrames, 0)
 		if len(items) == 0 {
-			break
+			return nil
 		}
-		bytes := 0
 		objs := make([]ObjID, len(items))
 		for i, it := range items {
-			bytes += it.wire
 			objs[i] = it.obj
-			for dst := 0; dst < e.m.n; dst++ {
-				if model.NodeID(dst) == e.self {
-					continue
-				}
-				e.m.Put(model.NodeID(dst), &Queued{Frame: it.frame, Copies: 1, ReadyAt: e.m.now})
-			}
 			e.stats.Sched.noteDrained(it.obj, 0, false)
 		}
-		for dst := 0; dst < e.m.n; dst++ {
-			if model.NodeID(dst) == e.self {
+		for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
+			if dst == e.self {
 				continue
 			}
-			e.stats.noteSent(model.NodeID(dst), 1, bytes, objs)
+			for _, it := range items {
+				e.m.Put(dst, &Queued{Frame: it.frame, Copies: 1, ReadyAt: e.m.now})
+			}
+			e.stats.noteSent(dst, 1, e.sq.outBytes, objs)
 		}
 	}
-	return nil
 }
 
 // Send queues one frame for exactly one peer (the Unicaster interface): the

@@ -107,8 +107,8 @@ func (n *Node) route(f Frame) error {
 
 // StartReceiver starts the parallel receive pipeline over the shared
 // endpoint: inbound frames dispatch to per-object apply shards under the
-// endpoint's RecvPolicy (WithReceiver on streams, Mem.RecvEndpoint — where
-// the policy clamps to one deterministic shard). Register every object first;
+// RecvPolicy the endpoint was built WithReceiver, one shard without it (and
+// always one deterministic shard on Mem). Register every object first;
 // afterwards the pipeline owns the receive side (Step refuses) and the
 // Await/AwaitCatchUp/RunToQuiescence loops wait on applied frames instead of
 // pumping. On a Mem endpoint start the receiver only once local invoking is
@@ -118,14 +118,14 @@ func (n *Node) StartReceiver() (*Receiver, error) {
 	if n.pipe != nil {
 		return nil, fmt.Errorf("transport: receiver already started")
 	}
-	rp, ok := n.t.(recvPolicied)
-	if !ok || !rp.recvPolicy().enabled() {
-		return nil, fmt.Errorf("transport: endpoint has no receive pipeline policy (WithReceiver on streams, Mem.RecvEndpoint)")
-	}
 	if len(n.peers) == 0 {
 		return nil, fmt.Errorf("transport: register every object before starting the receiver")
 	}
-	n.pipe = NewReceiver(n.t, rp.recvPolicy(), n.route)
+	var pol RecvPolicy
+	if rp, ok := n.t.(recvPolicied); ok {
+		pol = rp.recvPolicy()
+	}
+	n.pipe = NewReceiver(n.t, pol, n.route)
 	return n.pipe, nil
 }
 
@@ -167,6 +167,15 @@ func (n *Node) CatchUp() error {
 	return nil
 }
 
+// wait blocks until pred holds, whatever owns the receive side: with the
+// pipeline started it waits on applied frames, otherwise it pumps Step.
+func (n *Node) wait(deadline time.Duration, pred func() bool, onTimeout, onDrain func() error) error {
+	if n.pipe != nil {
+		return n.pipe.await(deadline, pred, onTimeout, onDrain)
+	}
+	return pullUntil(deadline, pred, n.Step, onTimeout, onDrain)
+}
+
 // AwaitCatchUp pumps the shared endpoint until every requested catch-up has
 // resolved or the deadline passes. Responses for different objects arrive
 // interleaved with live traffic; routing handles both.
@@ -182,33 +191,14 @@ func (n *Node) AwaitCatchUp(deadline time.Duration) error {
 		}
 		return out
 	}
-	if n.pipe != nil {
-		return n.pipe.await(deadline,
-			func() bool { return len(stuck()) == 0 },
-			func() error {
-				return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, stuck(), deadline)
-			},
-			func() error {
-				return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", stuck())
-			})
-	}
-	limit := time.Now().Add(deadline)
-	for {
-		pending := stuck()
-		if len(pending) == 0 {
-			return nil
-		}
-		if time.Now().After(limit) {
-			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, pending, deadline)
-		}
-		ok, err := n.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", pending)
-		}
-	}
+	return n.wait(deadline,
+		func() bool { return len(stuck()) == 0 },
+		func() error {
+			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, stuck(), deadline)
+		},
+		func() error {
+			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", stuck())
+		})
 }
 
 // Quiesced reports whether every registered object is stable from this
@@ -229,61 +219,27 @@ func (n *Node) RunToQuiescence(deadline time.Duration) error {
 	if err := n.Flush(); err != nil {
 		return err
 	}
-	if n.pipe != nil {
-		return n.pipe.await(deadline, n.Quiesced,
-			func() error {
-				return fmt.Errorf("transport: %w: %d of %d objects not quiescent after %s",
-					ErrTimeout, n.unquiesced(), len(n.peers), deadline)
-			},
-			func() error {
-				return fmt.Errorf("transport: network drained but %d of %d objects not quiescent", n.unquiesced(), len(n.peers))
-			})
-	}
-	limit := time.Now().Add(deadline)
-	for !n.Quiesced() {
-		if time.Now().After(limit) {
+	return n.wait(deadline, n.Quiesced,
+		func() error {
 			return fmt.Errorf("transport: %w: %d of %d objects not quiescent after %s",
 				ErrTimeout, n.unquiesced(), len(n.peers), deadline)
-		}
-		ok, err := n.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
+		},
+		func() error {
 			return fmt.Errorf("transport: network drained but %d of %d objects not quiescent", n.unquiesced(), len(n.peers))
-		}
-	}
-	return nil
+		})
 }
 
-// Await blocks until pred holds, whatever owns the receive side: with the
-// pipeline started it waits on applied frames, otherwise it pumps Step like
-// the other loops. Use it for mesh-level conditions the built-in loops do not
-// cover (a hold-open barrier waiting for a late joiner's first frames, say).
+// Await blocks until pred holds, whatever owns the receive side. Use it for
+// mesh-level conditions the built-in loops do not cover (a hold-open barrier
+// waiting for a late joiner's first frames, say).
 func (n *Node) Await(deadline time.Duration, pred func() bool) error {
-	onTimeout := func() error {
-		return fmt.Errorf("transport: %w: awaited condition not met after %s", ErrTimeout, deadline)
-	}
-	onDrain := func() error {
-		return fmt.Errorf("transport: network drained before the awaited condition was met")
-	}
-	if n.pipe != nil {
-		return n.pipe.await(deadline, pred, onTimeout, onDrain)
-	}
-	limit := time.Now().Add(deadline)
-	for !pred() {
-		if time.Now().After(limit) {
-			return onTimeout()
-		}
-		ok, err := n.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return onDrain()
-		}
-	}
-	return nil
+	return n.wait(deadline, pred,
+		func() error {
+			return fmt.Errorf("transport: %w: awaited condition not met after %s", ErrTimeout, deadline)
+		},
+		func() error {
+			return fmt.Errorf("transport: network drained before the awaited condition was met")
+		})
 }
 
 func (n *Node) unquiesced() int {

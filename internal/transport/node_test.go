@@ -54,7 +54,7 @@ func TestNodeMultiplexMem(t *testing.T) {
 	}
 	ns := make([]*transport.Node, nodes)
 	for i := 0; i < nodes; i++ {
-		n, err := transport.NewNode(m.BatchedEndpoint(model.NodeID(i), policies[i]), man)
+		n, err := transport.NewNode(m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), man)
 		if err != nil {
 			t.Fatal(err)
 		}

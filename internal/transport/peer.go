@@ -393,8 +393,8 @@ func (p *Peer) handleEffector(f Frame) error {
 	}
 	if p.syncing || (p.causal && !p.depsMet(f)) {
 		// The frame is stored past this handler call, so it must own its
-		// payload bytes — in pipeline mode they alias a pooled receive buffer
-		// that is reclaimed once the handler returns.
+		// payload bytes — under a Receiver they alias a pooled receive
+		// buffer that is reclaimed once the handler returns.
 		p.held[f.MID] = f.Retain()
 		return nil
 	}
@@ -583,20 +583,13 @@ func (p *Peer) syncingNow() bool {
 // codec.ErrCorrupt; the peer is still usable afterwards — it has fallen back
 // to converging by full replay.
 func (p *Peer) AwaitCatchUp(deadline time.Duration) error {
-	limit := time.Now().Add(deadline)
-	for p.syncingNow() {
-		if time.Now().After(limit) {
+	return pullUntil(deadline, func() bool { return !p.syncingNow() }, p.Step,
+		func() error {
 			return fmt.Errorf("transport: %w: no snapshot response after %s", ErrTimeout, deadline)
-		}
-		ok, err := p.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
+		},
+		func() error {
 			return fmt.Errorf("transport: network drained while awaiting a snapshot response")
-		}
-	}
-	return nil
+		})
 }
 
 // serveSnapshot answers one snapshot request: the checkpoint's covered set
@@ -875,25 +868,15 @@ func (p *Peer) RunToQuiescence(deadline time.Duration) error {
 	if err := p.Flush(); err != nil {
 		return err
 	}
-	limit := time.Now().Add(deadline)
-	for !p.Quiesced() {
-		if time.Now().After(limit) {
+	return pullUntil(deadline, p.Quiesced, p.Step,
+		func() error {
 			done, applied, held := p.progress()
 			return fmt.Errorf("transport: %w: not quiescent after %s (done %d/%d peers, applied %d, held %d)",
 				ErrTimeout, deadline, done, p.t.N()-1, applied, held)
-		}
-		ok, err := p.Step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			// A blocking Recv that reports no frame without an error means
-			// the transport is drained for good (the deterministic Mem
-			// endpoint at quiescence) — waiting longer cannot help.
+		},
+		func() error {
 			done, applied, held := p.progress()
 			return fmt.Errorf("transport: network drained but peer not quiescent (done %d/%d peers, applied %d, held %d)",
 				done, p.t.N()-1, applied, held)
-		}
-	}
-	return nil
+		})
 }

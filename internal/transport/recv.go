@@ -16,14 +16,11 @@ import (
 // worker pool where every object ID is pinned to exactly one shard, so
 // per-object FIFO delivery (and with it causal hold-back, dedup, and snapshot
 // catch-up, all of which are per-object state) is untouched while distinct
-// objects apply concurrently.
-//
-// The zero policy disables the pipeline: frames are pulled and applied by the
-// caller's own Recv/Step loop, the exact legacy single-threaded behavior.
+// objects apply concurrently. The zero policy runs one shard.
 type RecvPolicy struct {
 	// Workers is the number of apply shards (goroutines). Each object is
 	// pinned to shard obj mod Workers, so one object's frames always apply on
-	// one goroutine in arrival order. Workers < 1 disables the pipeline.
+	// one goroutine in arrival order. Workers < 1 means one shard.
 	Workers int
 	// QueueFrames bounds each shard's apply queue. A full queue blocks the
 	// dispatcher, which stops draining the endpoint — backpressure propagates
@@ -32,11 +29,11 @@ type RecvPolicy struct {
 	QueueFrames int
 }
 
-// normalized clamps the policy to its documented contract: Workers < 1 stays
-// disabled (the legacy pull path), QueueFrames < 1 takes the default.
+// normalized clamps the policy to its documented contract: Workers < 1
+// becomes one shard, QueueFrames < 1 takes the default.
 func (p RecvPolicy) normalized() RecvPolicy {
 	if p.Workers < 1 {
-		p.Workers = 0
+		p.Workers = 1
 	}
 	if p.QueueFrames < 1 {
 		p.QueueFrames = 64
@@ -44,37 +41,27 @@ func (p RecvPolicy) normalized() RecvPolicy {
 	return p
 }
 
-// enabled reports whether the policy asks for the pipeline at all.
-func (p RecvPolicy) enabled() bool { return p.Workers >= 1 }
-
-// recvPolicied is implemented by endpoints that carry a receive policy
-// (Stream via WithReceiver, Mem endpoints via RecvEndpoint). Node's
-// StartReceiver reads the policy from the endpoint so the pipeline shape is
-// configured where the endpoint is built, like every other transport policy.
+// recvPolicied is implemented by the endpoints that embed endpointConfig
+// (Stream and Mem endpoints). Node's StartReceiver reads the policy from the
+// endpoint so the pipeline shape is configured where the endpoint is built,
+// like every other transport policy.
 type recvPolicied interface {
 	recvPolicy() RecvPolicy
 }
 
 // pipeFrame is one decoded frame travelling through the pipeline together
-// with the release hook of the pooled container buffer its payload borrows
-// from (nil when the payload owns its bytes).
+// with the pooled container its payload borrows from (nil when the payload
+// owns its bytes).
 type pipeFrame struct {
-	f       Frame
-	release func()
+	f   Frame
+	buf *rxBuf
 }
 
-// pipeSource is implemented by endpoints whose receive loop hands the
-// pipeline zero-copy frames with buffer-release hooks (the socket Stream).
-// Endpoints without it are drained through plain Recv.
-type pipeSource interface {
-	recvPipe(wait bool) (Frame, func(), bool, error)
-}
-
-// serialRecv marks endpoints that must apply on a single shard (Mem, which is
-// deterministic by construction and not goroutine-safe): NewReceiver clamps
-// Workers to 1 over them, whatever the policy asks for.
-type serialRecv interface {
-	serialRecv()
+// release drops the frame's reference to its container, if it has one.
+func (pf pipeFrame) release() {
+	if pf.buf != nil {
+		pf.buf.release()
+	}
 }
 
 // RecvShard is one apply shard's ledger.
@@ -134,7 +121,8 @@ func (s RecvStats) Balance(recvFrames int) error {
 // and each shard's worker applies frames in arrival order through the
 // handler. Build one with NewReceiver (custom handler) or Node.StartReceiver
 // (frames routed to the registered replicas). The pipeline owns the
-// endpoint's receive side: Recv/Step must not be called while it runs.
+// endpoint's receive side: a Stream's Recv refuses once it is claimed, and
+// Recv/Step must not be called on other endpoints while it runs.
 //
 // The pipeline stops when the endpoint is exhausted (every peer hung up) or
 // closed, or when the handler returns an error; Done is closed once every
@@ -159,18 +147,20 @@ type Receiver struct {
 	maxQueue   []atomic.Int64
 }
 
-// NewReceiver starts the pipeline: pol.Workers shard workers plus the
-// dispatcher. handle is called for every received frame, on the shard its
-// object is pinned to; a frame's payload may borrow from a pooled receive
-// buffer, so a handler that retains it past the call must copy it (Peer does,
-// via Frame.Retain).
+// NewReceiver claims t's receive side and starts the pipeline: pol.Workers
+// shard workers plus the dispatcher. handle is called for every received
+// frame, on the shard its object is pinned to; a frame's payload may borrow
+// from a pooled receive buffer, so a handler that retains it past the call
+// must copy it (Peer does, via Frame.Retain).
 func NewReceiver(t Transport, pol RecvPolicy, handle func(Frame) error) *Receiver {
 	pol = pol.normalized()
-	if !pol.enabled() {
+	if _, mem := t.(*memEndpoint); mem {
+		// Mem is deterministic by construction and not goroutine-safe: one
+		// shard applies in its virtual clock's order, whatever was asked.
 		pol.Workers = 1
 	}
-	if _, serial := t.(serialRecv); serial {
-		pol.Workers = 1 // one deterministic shard, whatever was asked
+	if st, ok := t.(*Stream); ok {
+		st.claimed.Store(true) // Recv refuses from now on
 	}
 	r := &Receiver{
 		t: t, pol: pol, handle: handle,
@@ -206,19 +196,17 @@ func (r *Receiver) pump() {
 			close(ch)
 		}
 	}()
-	src, zeroCopy := r.t.(pipeSource)
+	// A Stream hands over pooled zero-copy frames; any other endpoint's
+	// frames own their bytes.
+	recv := func(wait bool) (pipeFrame, bool, error) {
+		f, ok, err := r.t.Recv(wait)
+		return pipeFrame{f: f}, ok, err
+	}
+	if st, ok := r.t.(*Stream); ok {
+		recv = st.recvPipe
+	}
 	for {
-		var (
-			f       Frame
-			release func()
-			ok      bool
-			err     error
-		)
-		if zeroCopy {
-			f, release, ok, err = src.recvPipe(true)
-		} else {
-			f, ok, err = r.t.Recv(true)
-		}
+		pf, ok, err := recv(true)
 		if err != nil {
 			switch {
 			case errors.Is(err, ErrTimeout):
@@ -235,21 +223,21 @@ func (r *Receiver) pump() {
 			r.stop(nil)
 			return
 		}
-		if release != nil && f.Kind != KindEffector {
+		if pf.buf != nil && pf.f.Kind != KindEffector {
 			// Non-effector payloads can outlive the handler call (a decoded
 			// snapshot state, the suffix frames nested in it): detach them
 			// from the pooled container buffer. They are rare — snapshots and
 			// done announcements — so the copy does not show on the hot path.
-			f.Payload = append([]byte(nil), f.Payload...)
-			release()
-			release = nil
+			pf.f = pf.f.Retain()
+			pf.release()
+			pf.buf = nil
 		}
-		shard := int(uint64(f.Obj) % uint64(len(r.shards)))
+		shard := int(uint64(pf.f.Obj) % uint64(len(r.shards)))
 		r.dispatched[shard].Add(1)
 		if d := int64(len(r.shards[shard])) + 1; d > r.maxQueue[shard].Load() {
 			r.maxQueue[shard].Store(d)
 		}
-		r.shards[shard] <- pipeFrame{f: f, release: release}
+		r.shards[shard] <- pf
 	}
 }
 
@@ -267,9 +255,7 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 	haveObj := false
 	for pf := range r.shards[i] {
 		if r.broken.Load() {
-			if pf.release != nil {
-				pf.release()
-			}
+			pf.release()
 			continue
 		}
 		if !haveObj || pf.f.Obj != lastObj {
@@ -278,9 +264,7 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 				pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10))))
 		}
 		err := r.handle(pf.f)
-		if pf.release != nil {
-			pf.release()
-		}
+		pf.release()
 		if err != nil {
 			r.stop(err)
 		} else {
@@ -340,7 +324,8 @@ func (r *Receiver) Stats() RecvStats {
 
 // await blocks until pred holds, waking on every applied frame. onTimeout and
 // onDrain render the caller's failure messages: the deadline passing, and the
-// pipeline draining for good with pred still false.
+// pipeline draining for good with pred still false. pullUntil is its twin
+// for a receive side nobody else drains.
 func (r *Receiver) await(deadline time.Duration, pred func() bool, onTimeout, onDrain func() error) error {
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
@@ -367,4 +352,25 @@ func (r *Receiver) await(deadline time.Duration, pred func() bool, onTimeout, on
 			return onTimeout()
 		}
 	}
+}
+
+// pullUntil pumps step until pred holds: the await of a receive side the
+// caller drains itself (Node.Step, Peer.Step). A step error returns as is, the
+// deadline passing renders onTimeout, and a blocking step that reports no
+// frame — a deterministic endpoint drained for good — renders onDrain.
+func pullUntil(deadline time.Duration, pred func() bool, step func(wait bool) (bool, error), onTimeout, onDrain func() error) error {
+	limit := time.Now().Add(deadline)
+	for !pred() {
+		if time.Now().After(limit) {
+			return onTimeout()
+		}
+		ok, err := step(true)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return onDrain()
+		}
+	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/crdt"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/transport"
 )
 
@@ -74,11 +76,6 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 	defer ends[0].Close()
 	defer ends[1].Close()
 
-	// The pipeline owns the receive side: a stray Recv must refuse loudly.
-	if _, _, err := ends[1].Recv(false); err == nil || !strings.Contains(err.Error(), "pipeline") {
-		t.Fatalf("Recv on a pipelined endpoint: err = %v, want pipeline refusal", err)
-	}
-
 	var mu sync.Mutex
 	seq := make(map[transport.ObjID][]model.MsgID)
 	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: shards, QueueFrames: 16}, func(f transport.Frame) error {
@@ -92,6 +89,10 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 		mu.Unlock()
 		return nil
 	})
+	// The Receiver owns the receive side now: a stray Recv must refuse loudly.
+	if _, _, err := ends[1].Recv(false); err == nil || !strings.Contains(err.Error(), "pipeline") {
+		t.Fatalf("Recv on an endpoint a Receiver drains: err = %v, want pipeline refusal", err)
+	}
 
 	for i := 0; i < total; i++ {
 		mid := model.MsgID(i + 1)
@@ -243,8 +244,8 @@ func TestReceiverBackpressureMem(t *testing.T) {
 	run := func() ([]string, transport.RecvStats, int) {
 		const perObj = 20
 		m := transport.NewMem(2)
-		e0 := m.RecvEndpoint(0, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{})
-		e1 := m.RecvEndpoint(1, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{Workers: 4, QueueFrames: 4})
+		e0 := m.Endpoint(0)
+		e1 := m.Endpoint(1, transport.WithReceiver(transport.RecvPolicy{Workers: 4, QueueFrames: 4}))
 		for i := 0; i < perObj; i++ {
 			for o := transport.ObjID(0); o < 2; o++ {
 				f := transport.Frame{
@@ -410,34 +411,138 @@ func TestNodePipelineMeshConverges(t *testing.T) {
 	}
 }
 
-// TestStartReceiverRequiresPolicy pins the gating: no RecvPolicy on the
-// endpoint (or a zero policy) means no pipeline, and the legacy pull path
-// stays the only receive side.
-func TestStartReceiverRequiresPolicy(t *testing.T) {
-	m := transport.NewMem(2)
-	n, err := transport.NewNode(m.Endpoint(0), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestStartReceiverDefaultsToOneShard pins the single receive path: a Stream
+// built without WithReceiver feeds the same receive queue as one built with
+// it, so Node.StartReceiver runs one shard over it and applies every frame.
+func TestStartReceiverDefaultsToOneShard(t *testing.T) {
+	const ops = 5
+	addrs := testMeshAddrs(t, 2)
+	ends := listenMesh(t, addrs, [][]transport.StreamOption{
+		{transport.WithRecvTimeout(5 * time.Second)},
+		{transport.WithRecvTimeout(5 * time.Second)},
+	})
 	alg := algFor(t, "counter")
-	if _, err := n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
-		t.Fatal(err)
+	ns := make([]*transport.Node, 2)
+	for i, st := range ends {
+		n, err := transport.NewNode(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		if _, err := n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
+			t.Fatal(err)
+		}
+		ns[i] = n
 	}
-	if _, err := n.StartReceiver(); err == nil {
-		t.Fatal("StartReceiver without a receive policy did not refuse")
-	}
-	zero, err := transport.NewNode(m.RecvEndpoint(1, transport.BatchPolicy{}, transport.SchedPolicy{}, transport.RecvPolicy{}), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zero.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zero.StartReceiver(); err == nil {
-		t.Fatal("StartReceiver with the zero policy did not refuse")
-	}
-	if n.Receiver() != nil {
+	if ns[1].Receiver() != nil {
 		t.Fatal("Receiver() non-nil before StartReceiver")
+	}
+	r, err := ns[1].StartReceiver()
+	if err != nil {
+		t.Fatalf("StartReceiver without WithReceiver: %v", err)
+	}
+	if w := r.Stats().Workers; w != 1 {
+		t.Fatalf("StartReceiver without WithReceiver ran %d shards, want 1", w)
+	}
+	p0, _ := ns[0].Peer(0)
+	for i := 0; i < ops; i++ {
+		if _, err := p0.Invoke(model.Op{Name: spec.OpInc, Arg: model.Int(int64(i + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p0.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ns[1].RunToQuiescence(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p1, _ := ns[1].Peer(0)
+	if got := p1.Applied(); got != ops {
+		t.Fatalf("applied %d of %d effectors", got, ops)
+	}
+	if !bytes.Equal(p1.CanonicalState(), p0.CanonicalState()) {
+		t.Fatal("receiver's state differs from the sender's")
+	}
+	ends[1].Close()
+	select {
+	case <-r.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("pipeline did not stop after Close")
+	}
+	if err := r.Stats().Balance(ends[1].Stats().TotalRecv().Frames); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNewReceiverWithoutPolicy drives NewReceiver directly over a Stream
+// built without WithReceiver: it must apply every frame the peer sent before
+// hanging up, in order, with a balanced ledger.
+func TestNewReceiverWithoutPolicy(t *testing.T) {
+	addrs := testMeshAddrs(t, 2)
+	ends := listenMesh(t, addrs, [][]transport.StreamOption{{}, {}})
+	defer ends[1].Close()
+	var mu sync.Mutex
+	var mids []model.MsgID
+	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: 1}, func(f transport.Frame) error {
+		mu.Lock()
+		mids = append(mids, f.MID)
+		mu.Unlock()
+		return nil
+	})
+	for mid := model.MsgID(1); mid <= 3; mid++ {
+		if err := ends[0].Broadcast(transport.Frame{Kind: transport.KindEffector, MID: mid, From: 0, Payload: []byte{byte(mid)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ends[0].Close() // clean hangup: the pipeline drains and reports done
+	select {
+	case <-r.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("pipeline did not drain after the sender hung up")
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []model.MsgID{1, 2, 3}; fmt.Sprint(mids) != fmt.Sprint(want) {
+		t.Fatalf("applied mids %v, want %v", mids, want)
+	}
+	if err := r.Stats().Balance(ends[1].Stats().TotalRecv().Frames); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestListenFailureLeaksNoGoroutine fails Listen in each of its validation
+// steps — a bad address, an invalid manifest, a misdeclared late joiner — and
+// requires every failed call to leave no goroutine behind.
+func TestListenFailureLeaksNoGoroutine(t *testing.T) {
+	good := testMeshAddrs(t, 2)
+	for _, c := range []struct {
+		name  string
+		addrs []string
+		opts  []transport.StreamOption
+	}{
+		{"bad address", []string{good[0], "nonsense"}, nil},
+		{"invalid manifest", good, []transport.StreamOption{transport.WithManifest(transport.Manifest{{ID: 1, Kind: "counter"}})}},
+		{"misdeclared late joiner", good, []transport.StreamOption{transport.WithLateJoiners(5)}},
+	} {
+		opts := append([]transport.StreamOption{transport.WithReceiver(transport.RecvPolicy{Workers: 2})}, c.opts...)
+		before := runtime.NumGoroutine()
+		for i := 0; i < 20; i++ {
+			st, err := transport.Listen(0, c.addrs, opts...)
+			if err == nil {
+				st.Close()
+				t.Fatalf("%s: Listen succeeded", c.name)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after 20 failed Listens, %d before", c.name, runtime.NumGoroutine(), before)
+			}
+			runtime.Gosched()
+		}
 	}
 }
 

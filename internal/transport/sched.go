@@ -3,21 +3,21 @@ package transport
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
 // SchedPolicy configures the per-object delivery scheduler of a batching
-// endpoint. Without one, queued broadcasts drain in arrival order (one shared
-// FIFO — the historical behaviour). With one, every object gets its own send
-// queue and a flush drains the queues into batch containers by
-// deficit-weighted round-robin:
+// endpoint. Every object gets its own send queue, and a flush drains the
+// queues into batch containers by deficit-weighted round-robin:
 //
 //   - Weights biases the drain: each round-robin visit grants an object a
 //     deficit of Weights[obj] frames (DefaultWeight for objects not listed,
 //     minimum 1), so an object with weight 8 lands roughly 8 frames in a
 //     container for every 1 frame of a weight-1 competitor. Within one
 //     object, frames stay in FIFO order; across flushes, deficits reset once
-//     a queue drains empty.
+//     a queue drains empty. The zero policy weighs every object 1, and with
+//     a single object the drain is the arrival order.
 //   - MaxDelay overrides the shared BatchPolicy.MaxDelay per object: a quiet
 //     object's first queued frame arms its own flush deadline, and when that
 //     deadline fires only that object's queue is drained — the chatty
@@ -25,9 +25,9 @@ import (
 //     Mem transport there are no timers, so (like BatchPolicy.MaxDelay) the
 //     overrides do not apply there.
 //   - ChunkFrames caps the frames packed into one wire container during a
-//     drain (0 = the whole backlog in one container, the historical
-//     behaviour). Smaller chunks put the weighted order on the wire sooner:
-//     the first containers of a drain carry the high-weight objects' frames.
+//     drain (0 = the whole backlog in one container). Smaller chunks put the
+//     weighted order on the wire sooner: the first containers of a drain
+//     carry the high-weight objects' frames.
 //
 // The wire format is untouched — scheduling only reorders which frames land
 // in which container on the send side.
@@ -36,12 +36,6 @@ type SchedPolicy struct {
 	MaxDelay      map[ObjID]time.Duration
 	DefaultWeight int
 	ChunkFrames   int
-}
-
-// enabled reports whether the policy asks for scheduling at all. The zero
-// value keeps the shared-FIFO drain.
-func (p SchedPolicy) enabled() bool {
-	return len(p.Weights) > 0 || len(p.MaxDelay) > 0 || p.DefaultWeight > 0 || p.ChunkFrames > 0
 }
 
 // normalized clamps the policy to its documented contract: weights below 1
@@ -122,61 +116,62 @@ type objQueue struct {
 
 func (q *objQueue) pending() int { return len(q.items) - q.head }
 
-// sched is the pending-broadcast store of a batching endpoint: either one
-// shared FIFO (no SchedPolicy — the historical drain order) or per-object
+// sched is the pending-broadcast store of a batching endpoint: per-object
 // queues drained by deficit-weighted round-robin. It is not safe for
 // concurrent use; the owning endpoint serializes access (Stream under its
 // mutex, Mem endpoints single-threaded).
 type sched struct {
 	pol    SchedPolicy
-	drr    bool // per-object queues + DRR drain (a SchedPolicy is installed)
 	sample bool // stamp enqueue times for the delay histogram
 
-	// Shared-FIFO storage (drr == false).
-	fifo     []schedItem
-	fifoHead int
-
-	// Per-object storage (drr == true): ring holds the non-empty queues in
-	// first-activation order, rr the persistent round-robin pointer.
+	// ring holds the non-empty queues in first-activation order, rr the
+	// persistent round-robin pointer.
 	queues map[ObjID]*objQueue
 	ring   []*objQueue
 	rr     int
 
 	pendN     int
 	pendBytes int
+
+	// out is the container a drain fills, reused by every drain: its items
+	// are valid until the next one. outBytes sums their cost.
+	out      []schedItem
+	outBytes int
 }
 
 func newSched(pol SchedPolicy, sample bool) *sched {
-	enabled := pol.enabled()
-	s := &sched{pol: pol.normalized(), drr: enabled, sample: sample && enabled}
-	if enabled {
-		s.queues = map[ObjID]*objQueue{}
-	}
-	return s
+	return &sched{pol: pol.normalized(), sample: sample, queues: map[ObjID]*objQueue{}}
 }
 
-// enqueue appends one item to its queue.
+// enqueue appends one item to its object's queue.
 func (s *sched) enqueue(it schedItem) {
-	if !s.drr {
-		s.fifo = append(s.fifo, it)
-	} else {
-		q := s.queues[it.obj]
-		if q == nil {
-			q = &objQueue{id: it.obj}
-			s.queues[it.obj] = q
-		}
-		if !q.active {
-			q.active = true
-			s.ring = append(s.ring, q)
-		}
-		q.items = append(q.items, it)
+	q := s.queues[it.obj]
+	if q == nil {
+		q = &objQueue{id: it.obj}
+		s.queues[it.obj] = q
 	}
+	if !q.active {
+		q.active = true
+		s.ring = append(s.ring, q)
+	}
+	q.items = append(q.items, it)
 	s.pendN++
 	s.pendBytes += it.wire
 }
 
-// objPending returns one object's queued frame count (DRR mode only; the
-// shared FIFO does not track per-object membership).
+// capTrigger reports the flush trigger whose cap the pending backlog has
+// reached under p, if any: the frame cap first, then the byte cap.
+func (s *sched) capTrigger(p BatchPolicy) (int, bool) {
+	switch {
+	case s.pendN >= p.MaxFrames:
+		return trigFrames, true
+	case p.MaxBytes > 0 && s.pendBytes >= p.MaxBytes:
+		return trigBytes, true
+	}
+	return 0, false
+}
+
+// objPending returns one object's queued frame count.
 func (s *sched) objPending(id ObjID) int {
 	if q := s.queues[id]; q != nil {
 		return q.pending()
@@ -214,40 +209,35 @@ func fits(n, bytes, wire, limitFrames, limitBytes int) bool {
 	return limitBytes <= 0 || bytes+wire <= limitBytes
 }
 
-// drainChunk removes and returns the next container's worth of items:
-// arrival order on the shared FIFO, deficit-weighted round-robin across the
-// per-object queues. limitFrames caps the frames per container (0 = all),
-// limitBytes the summed item cost (0 = no cap; a single oversized item still
-// ships alone). Returns nil when nothing is pending.
+// startDrain empties the drain scratch for the next container.
+func (s *sched) startDrain() {
+	clear(s.out)
+	s.out, s.outBytes = s.out[:0], 0
+}
+
+// take moves q's head item into the container being drained, unless the
+// container is full: limitFrames caps its frames (0 = all), limitBytes its
+// summed item cost (0 = no cap; a single oversized item still ships alone).
+func (s *sched) take(q *objQueue, limitFrames, limitBytes int) bool {
+	it := q.items[q.head]
+	if !fits(len(s.out), s.outBytes, it.wire, limitFrames, limitBytes) {
+		return false
+	}
+	q.items[q.head] = schedItem{}
+	q.head++
+	s.out = append(s.out, it)
+	s.outBytes += it.wire
+	s.pendN--
+	s.pendBytes -= it.wire
+	return true
+}
+
+// drainChunk removes and returns the next container's worth of items (see
+// take for the limits) by deficit-weighted round-robin across the
+// per-object queues. The items are valid until the next drain; none are
+// returned when nothing is pending.
 func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
-	if s.pendN == 0 {
-		return nil
-	}
-	max := s.pendN
-	if limitFrames > 0 && limitFrames < max {
-		max = limitFrames
-	}
-	out := make([]schedItem, 0, max)
-	bytes := 0
-	if !s.drr {
-		for s.fifoHead < len(s.fifo) {
-			it := s.fifo[s.fifoHead]
-			if !fits(len(out), bytes, it.wire, limitFrames, limitBytes) {
-				break
-			}
-			s.fifo[s.fifoHead] = schedItem{}
-			s.fifoHead++
-			out = append(out, it)
-			bytes += it.wire
-			s.pendN--
-			s.pendBytes -= it.wire
-		}
-		if s.fifoHead == len(s.fifo) {
-			s.fifo = s.fifo[:0]
-			s.fifoHead = 0
-		}
-		return out
-	}
+	s.startDrain()
 	for s.pendN > 0 && len(s.ring) > 0 {
 		q := s.ring[s.rr]
 		if q.pending() == 0 {
@@ -257,20 +247,13 @@ func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
 		if q.deficit <= 0 {
 			q.deficit += s.pol.weight(q.id)
 		}
-		for q.deficit > 0 && q.head < len(q.items) {
-			it := q.items[q.head]
-			if !fits(len(out), bytes, it.wire, limitFrames, limitBytes) {
+		for q.deficit > 0 && q.pending() > 0 {
+			if !s.take(q, limitFrames, limitBytes) {
 				// Container full mid-service: keep the remaining deficit and
 				// the pointer here so the next container resumes this queue.
-				return out
+				return s.out
 			}
-			q.items[q.head] = schedItem{}
-			q.head++
 			q.deficit--
-			out = append(out, it)
-			bytes += it.wire
-			s.pendN--
-			s.pendBytes -= it.wire
 		}
 		if q.pending() == 0 {
 			s.deactivate(s.rr)
@@ -278,44 +261,23 @@ func (s *sched) drainChunk(limitFrames, limitBytes int) []schedItem {
 			s.rr = (s.rr + 1) % len(s.ring)
 		}
 	}
-	return out
+	return s.out
 }
 
 // drainObj removes and returns up to one container's worth of items from a
-// single object's queue — the per-object max-delay flush path. Only
-// meaningful in DRR mode.
+// single object's queue — the per-object max-delay flush path.
 func (s *sched) drainObj(id ObjID, limitFrames, limitBytes int) []schedItem {
+	s.startDrain()
 	q := s.queues[id]
-	if q == nil || q.pending() == 0 {
-		return nil
+	if q == nil {
+		return s.out
 	}
-	max := q.pending()
-	if limitFrames > 0 && limitFrames < max {
-		max = limitFrames
-	}
-	out := make([]schedItem, 0, max)
-	bytes := 0
-	for q.head < len(q.items) {
-		it := q.items[q.head]
-		if !fits(len(out), bytes, it.wire, limitFrames, limitBytes) {
-			break
-		}
-		q.items[q.head] = schedItem{}
-		q.head++
-		out = append(out, it)
-		bytes += it.wire
-		s.pendN--
-		s.pendBytes -= it.wire
+	for q.pending() > 0 && s.take(q, limitFrames, limitBytes) {
 	}
 	if q.pending() == 0 && q.active {
-		for i, rq := range s.ring {
-			if rq == q {
-				s.deactivate(i)
-				break
-			}
-		}
+		s.deactivate(slices.Index(s.ring, q))
 	}
-	return out
+	return s.out
 }
 
 // ---- Scheduler stats ----------------------------------------------------
@@ -363,7 +325,7 @@ type SchedObj struct {
 	// object's max-delay deadline (the per-object QoS override, or the
 	// shared MaxDelay without one).
 	CapFlushes, DeadlineFlushes int
-	// Delay histogram (socket endpoints with a SchedPolicy only): the
+	// Delay histogram (socket endpoints built WithScheduler only): the
 	// enqueue→wire latency of each drained frame, in ~12.5%-resolution
 	// power-of-two buckets.
 	DelaySamples int
@@ -402,11 +364,7 @@ func (o *SchedObj) DelayQuantile(q float64) time.Duration {
 }
 
 // SchedStats is the per-object scheduler section of an endpoint's Stats.
-// Enabled reports whether a SchedPolicy is installed (DRR drain and deadline
-// overrides active); the ledger itself is kept either way, so the balance
-// invariants hold on unscheduled endpoints too.
 type SchedStats struct {
-	Enabled bool
 	Objects map[ObjID]*SchedObj
 }
 

@@ -72,23 +72,38 @@ func TestSchedDrainByteSplit(t *testing.T) {
 	}
 }
 
-// TestSchedFIFOFallback pins the compatibility mode: without a SchedPolicy
-// the drain is the arrival order across objects, one container when no chunk
-// limit applies.
-func TestSchedFIFOFallback(t *testing.T) {
-	s := newSched(SchedPolicy{}, false)
-	if s.drr {
-		t.Fatal("zero policy enabled DRR")
-	}
-	for i, obj := range []ObjID{3, 1, 2, 1, 3} {
-		s.enqueue(item(obj, 10+i))
-	}
-	got := drainObjs(s.drainChunk(0, 0))
-	if want := []ObjID{3, 1, 2, 1, 3}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("FIFO drain order %v, want %v", got, want)
-	}
-	if s.pendN != 0 {
-		t.Fatalf("pendN = %d after drain", s.pendN)
+// TestSchedOneObjectArrivalOrder pins the single-object drain: with one
+// object the round-robin has nothing to interleave, so under any weight the
+// frames leave in arrival order, in one container when no chunk limit
+// applies, and across containers when one does.
+func TestSchedOneObjectArrivalOrder(t *testing.T) {
+	for _, pol := range []SchedPolicy{{}, {Weights: map[ObjID]int{7: 3}}} {
+		s := newSched(pol, false)
+		for i := 0; i < 5; i++ {
+			s.enqueue(item(7, 10+i))
+		}
+		var wires []int
+		for _, it := range s.drainChunk(0, 0) {
+			wires = append(wires, it.wire)
+		}
+		if want := []int{10, 11, 12, 13, 14}; !reflect.DeepEqual(wires, want) {
+			t.Fatalf("%+v: drain order %v, want arrival order %v", pol, wires, want)
+		}
+		if s.pendN != 0 || s.pendBytes != 0 {
+			t.Fatalf("%+v: pendN = %d, pendBytes = %d after a full drain", pol, s.pendN, s.pendBytes)
+		}
+		for i := 0; i < 5; i++ {
+			s.enqueue(item(7, 20+i))
+		}
+		wires = wires[:0]
+		for s.pendN > 0 {
+			for _, it := range s.drainChunk(2, 0) {
+				wires = append(wires, it.wire)
+			}
+		}
+		if want := []int{20, 21, 22, 23, 24}; !reflect.DeepEqual(wires, want) {
+			t.Fatalf("%+v: chunked drain order %v, want arrival order %v", pol, wires, want)
+		}
 	}
 }
 
@@ -272,6 +287,45 @@ func TestStreamQuietDeadlineOverride(t *testing.T) {
 	}
 }
 
+// TestStreamSharedDeadlineFlushesBacklog pins the shared deadline rule under
+// a scheduler: with weights but no per-object override, the first due
+// BatchPolicy.MaxDelay deadline flushes the whole backlog — both objects'
+// frames leave in exactly one delay flush, in one container.
+func TestStreamSharedDeadlineFlushesBacklog(t *testing.T) {
+	sender, receiver := schedPair(t,
+		BatchPolicy{MaxFrames: 1000, MaxDelay: 100 * time.Millisecond},
+		SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}},
+	)
+	defer sender.Close()
+	defer receiver.Close()
+	objs := []ObjID{1, 2, 1, 2}
+	for i, obj := range objs {
+		if err := sender.Broadcast(Frame{Kind: KindEffector, Obj: obj, MID: model.MsgID(i + 1), From: 0, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range objs {
+		if _, ok, err := receiver.Recv(true); err != nil || !ok {
+			t.Fatalf("recv: ok=%v err=%v", ok, err)
+		}
+	}
+	// The sender settles its ledger just after the write the receiver saw.
+	st := sender.Stats()
+	for deadline := time.Now().Add(5 * time.Second); st.Sent[1].Frames < len(objs) && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		st = sender.Stats()
+	}
+	if st.Flushes.Delay != 1 || st.Flushes.Total() != 1 {
+		t.Fatalf("flushes %+v, want exactly one delay flush", st.Flushes)
+	}
+	if st.Sent[1].Frames != len(objs) || st.Sent[1].Batches != 1 {
+		t.Fatalf("sent %+v, want %d frames in one container", st.Sent[1], len(objs))
+	}
+	if err := st.SchedBalance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMemSchedulerDeterminism runs the same broadcast schedule twice through
 // scheduled Mem endpoints and requires byte-identical outcomes: delivery
 // order, flush counters, per-peer and per-object IO, and the scheduler
@@ -280,7 +334,7 @@ func TestStreamQuietDeadlineOverride(t *testing.T) {
 func TestMemSchedulerDeterminism(t *testing.T) {
 	run := func() (order []string, st Stats) {
 		m := NewMem(2)
-		e := m.SchedEndpoint(0, BatchPolicy{MaxFrames: 4}, SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}, ChunkFrames: 2})
+		e := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 4}), WithScheduler(SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}, ChunkFrames: 2}))
 		r := m.Endpoint(1)
 		mids := map[ObjID]model.MsgID{}
 		send := func(obj ObjID) {

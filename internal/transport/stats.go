@@ -66,6 +66,16 @@ func (f FlushStats) Total() int {
 	return f.Frames + f.Bytes + f.Delay + f.Explicit + f.Close
 }
 
+// Flush triggers. trigClose doubles as the hangup drain: Close flushes the
+// pending batch before the connections go down.
+const (
+	trigFrames = iota
+	trigBytes
+	trigDelay
+	trigExplicit
+	trigClose
+)
+
 // PeerIO counts one direction of traffic with one peer.
 type PeerIO struct {
 	// Frames is the number of transport frames moved, Batches the number of
@@ -108,9 +118,36 @@ type Stats struct {
 	// single-object group). Nil until the first frame moves.
 	Objects map[ObjID]ObjIO
 	// Sched is the per-object delivery scheduler ledger: queue depths, drain
-	// counts, flush-trigger attribution, and (on scheduled socket endpoints)
-	// the enqueue→wire delay histogram. See SchedStats.
+	// counts, flush-trigger attribution, and (on socket endpoints built
+	// WithScheduler) the enqueue→wire delay histogram. See SchedStats.
 	Sched SchedStats
+}
+
+// noteQueued records one broadcast accepted into obj's send queue.
+func (s *Stats) noteQueued(obj ObjID) {
+	s.FramesQueued++
+	s.Sched.noteQueued(obj)
+}
+
+// noteFlush counts one flush under its trigger, however many containers it
+// takes. A cap trigger is attributed to the object whose enqueue crossed the
+// cap, a delay trigger to the object whose deadline fired.
+func (s *Stats) noteFlush(trigger int, cause ObjID) {
+	switch trigger {
+	case trigFrames:
+		s.Flushes.Frames++
+		s.Sched.noteCapFlush(cause)
+	case trigBytes:
+		s.Flushes.Bytes++
+		s.Sched.noteCapFlush(cause)
+	case trigDelay:
+		s.Flushes.Delay++
+		s.Sched.noteDeadlineFlush(cause)
+	case trigExplicit:
+		s.Flushes.Explicit++
+	case trigClose:
+		s.Flushes.Close++
+	}
 }
 
 // noteSent records one container write to peer carrying the listed frames'

@@ -47,15 +47,8 @@ func TestBatchPolicyNormalized(t *testing.T) {
 
 // TestSchedPolicyNormalized pins the scheduler policy contract: sub-1 weights
 // fall back to DefaultWeight (itself clamped to ≥ 1), non-positive max-delay
-// overrides are dropped, and a negative chunk size means no chunking. The
-// zero value stays disabled.
+// overrides are dropped, and a negative chunk size means no chunking.
 func TestSchedPolicyNormalized(t *testing.T) {
-	if (SchedPolicy{}).enabled() {
-		t.Fatal("zero SchedPolicy reports enabled")
-	}
-	if !(SchedPolicy{Weights: map[ObjID]int{1: 2}}).enabled() {
-		t.Fatal("weighted SchedPolicy reports disabled")
-	}
 	p := SchedPolicy{
 		Weights:       map[ObjID]int{1: 0, 2: -4, 3: 7},
 		MaxDelay:      map[ObjID]time.Duration{1: -time.Second, 2: 0, 3: 3 * time.Millisecond},

@@ -32,23 +32,19 @@ import (
 // queued broadcasts coalesce so one syscall and one length prefix amortize
 // across the whole batch.
 type Stream struct {
+	endpointConfig
+
 	self  model.NodeID
 	addrs []streamAddr
 	ln    net.Listener
 
-	// RecvTimeout bounds one blocking Recv (default 30s); DialTimeout bounds
-	// the whole mesh setup (default 15s). Both are set via options.
-	recvTimeout time.Duration
-
-	mu    sync.Mutex // guards conns' write side and the pending queues
+	mu    sync.Mutex // guards conns' write side, the pending queues and closing
 	conns []net.Conn // indexed by peer node ID; nil at self
 
-	// Pending broadcasts: per-object send queues (or one shared FIFO without
-	// a SchedPolicy) drained into batch containers by flushAllLocked /
-	// flushObjLocked. deadlines holds each object's armed flush deadline and
-	// flushTimer fires at the earliest of them (timerAt). Guarded by mu.
-	policy     BatchPolicy
-	schedPol   SchedPolicy
+	// Pending broadcasts: per-object send queues drained into batch
+	// containers by flushAllLocked / flushObjLocked. deadlines holds each
+	// object's armed flush deadline and flushTimer fires at the earliest of
+	// them (timerAt). Guarded by mu.
 	sq         *sched
 	deadlines  map[ObjID]time.Time
 	flushTimer *time.Timer
@@ -60,38 +56,32 @@ type Stream struct {
 	wbuf       []byte
 	objScratch []ObjID
 
-	// man is the object manifest this endpoint exchanges and validates
-	// during every handshake; manEnc is its canonical encoding (what
-	// actually travels and is byte-compared).
-	man    Manifest
+	// manEnc is the manifest's canonical encoding: what actually travels in
+	// every handshake and is byte-compared.
 	manEnc []byte
 
 	statsMu sync.Mutex
 	stats   Stats
 
-	// Late-join bookkeeping: late marks peers Listen neither dials nor waits
-	// for (a background acceptor admits them whenever they arrive); joiner
-	// marks this endpoint as one of those late peers, dialing everyone.
-	late        map[model.NodeID]bool
-	joiner      bool
 	startupDone chan struct{}
 
-	frames chan Frame
 	errs   chan error
-	closed chan struct{}
+	closed chan struct{} // closed under mu, so admit and Close never race
 	once   sync.Once
 	wg     sync.WaitGroup
 
-	// Receive pipeline (WithReceiver): when the policy is enabled the receive
-	// loops decode into pooled buffers and push zero-copy frames with release
-	// hooks onto pframes instead of copying into the legacy frames channel;
-	// Recv is then owned by the pipeline's dispatcher (recvPipe). recvWG and
+	// Receive queue: every receive loop decodes its containers into pooled
+	// buffers and pushes the zero-copy frames onto pframes, which recvPipe
+	// serves to Recv or to a Receiver's dispatcher; claimed marks the
+	// endpoint drained by a Receiver, after which Recv refuses. pframes holds
+	// 64 frames, the default depth of a shard queue: when it is full the
+	// receive loops block, the backpressure that reaches the sender. recvWG and
 	// recvsDone implement the close-drain handshake: recvPipe keeps consuming
 	// after Close until every receive loop has exited (each having handed over
-	// or retracted its in-flight batch), so the dispatched ledger matches the
-	// wire ledger exactly and no frame is stranded in pframes.
-	recvPol   RecvPolicy
+	// or retracted its in-flight batch), so the served frames match the wire
+	// ledger exactly and no frame is stranded in pframes.
 	pframes   chan pipeFrame
+	claimed   atomic.Bool
 	recvWG    sync.WaitGroup
 	recvsDone chan struct{}
 
@@ -126,44 +116,79 @@ func parseAddr(s string) (streamAddr, error) {
 	}
 }
 
-// StreamOption configures Listen.
-type StreamOption func(*Stream)
+// endpointConfig is the option set Listen and Mem.Endpoint share; Stream and
+// Mem endpoints both embed it.
+type endpointConfig struct {
+	recvTimeout time.Duration
+	policy      BatchPolicy
+	schedPol    SchedPolicy
+	// scheduled marks WithScheduler: only then does a socket endpoint sample
+	// enqueue→wire delays, which costs two clock reads per frame.
+	scheduled bool
+	recvPol   RecvPolicy
+	// man is the object manifest this endpoint exchanges and validates
+	// during every handshake.
+	man Manifest
+	// Late-join bookkeeping: late marks peers Listen neither dials nor waits
+	// for (a background acceptor admits them whenever they arrive); joiner
+	// marks this endpoint as one of those late peers, dialing everyone.
+	late   map[model.NodeID]bool
+	joiner bool
+}
+
+// newEndpointConfig applies opts over the defaults (a 30s receive timeout,
+// no batching, equal weights, one receive shard) and normalizes the
+// policies.
+func newEndpointConfig(opts []StreamOption) endpointConfig {
+	c := endpointConfig{recvTimeout: 30 * time.Second}
+	for _, o := range opts {
+		o(&c)
+	}
+	c.policy = c.policy.normalized()
+	c.schedPol = c.schedPol.normalized()
+	c.recvPol = c.recvPol.normalized()
+	return c
+}
+
+// StreamOption configures Listen and Mem.Endpoint (see Mem.Endpoint for the
+// options that do nothing there).
+type StreamOption func(*endpointConfig)
 
 // WithRecvTimeout bounds each blocking Recv.
 func WithRecvTimeout(d time.Duration) StreamOption {
-	return func(s *Stream) { s.recvTimeout = d }
+	return func(c *endpointConfig) { c.recvTimeout = d }
 }
 
 // WithBatching installs a write-batching policy: broadcasts queue and
 // coalesce into one batch container per flush (see BatchPolicy for the
 // flush triggers). The default policy flushes every frame immediately.
 func WithBatching(p BatchPolicy) StreamOption {
-	return func(s *Stream) { s.policy = p.normalized() }
+	return func(c *endpointConfig) { c.policy = p }
 }
 
-// WithScheduler installs a per-object delivery scheduler: each object's
-// broadcasts queue separately, flushes drain the queues into batch containers
-// by deficit-weighted round-robin, and per-object MaxDelay overrides can
-// force an object's frames onto the wire earlier than the shared
-// BatchPolicy.MaxDelay — without flushing anyone else's pending batch. See
-// SchedPolicy. Without the option, queued broadcasts drain in arrival order.
+// WithScheduler sets the per-object delivery scheduler's weights, chunking
+// and deadline overrides (see SchedPolicy): flushes drain the per-object
+// queues into batch containers by deficit-weighted round-robin, and
+// per-object MaxDelay overrides can force an object's frames onto the wire
+// earlier than the shared BatchPolicy.MaxDelay — without flushing anyone
+// else's pending batch. Without the option every object weighs 1. The option
+// also turns on the enqueue→wire delay histogram of socket endpoints.
 func WithScheduler(p SchedPolicy) StreamOption {
-	return func(s *Stream) { s.schedPol = p.normalized() }
+	return func(c *endpointConfig) { c.schedPol, c.scheduled = p, true }
 }
 
-// WithReceiver installs a parallel receive pipeline policy (see RecvPolicy):
-// the receive loops decode batch containers into pooled buffers, and
-// Node.StartReceiver (or NewReceiver directly) dispatches the frames to
-// per-object apply shards. With the pipeline enabled Recv is owned by the
-// dispatcher and must not be called by anyone else. The zero policy leaves
-// the legacy pull path untouched.
+// WithReceiver sets the shard layout (see RecvPolicy) of the receive
+// pipeline Node.StartReceiver starts over this endpoint; without it the
+// pipeline runs one shard. Nothing else depends on it: the receive loops
+// always decode into pooled buffers, and Recv serves them until a Receiver
+// claims the endpoint.
 func WithReceiver(p RecvPolicy) StreamOption {
-	return func(s *Stream) { s.recvPol = p.normalized() }
+	return func(c *endpointConfig) { c.recvPol = p }
 }
 
-// recvPolicy exposes the installed pipeline policy (the recvPolicied hook
+// recvPolicy exposes the pipeline's shard layout (the recvPolicied hook
 // Node.StartReceiver reads).
-func (s *Stream) recvPolicy() RecvPolicy { return s.recvPol }
+func (c *endpointConfig) recvPolicy() RecvPolicy { return c.recvPol }
 
 // WithManifest declares the object manifest of a multiplexed mesh: every
 // handshake carries the manifest's canonical encoding, and both ends require
@@ -172,7 +197,7 @@ func (s *Stream) recvPolicy() RecvPolicy { return s.recvPol }
 // option the endpoint runs the empty manifest (a single-object group), which
 // only matches peers equally without one.
 func WithManifest(m Manifest) StreamOption {
-	return func(s *Stream) { s.man = m.Sorted() }
+	return func(c *endpointConfig) { c.man = m.Sorted() }
 }
 
 // WithLateJoiners declares peers expected to join after the mesh starts:
@@ -181,12 +206,12 @@ func WithManifest(m Manifest) StreamOption {
 // before a late peer's admission simply never reach it; the snapshot
 // catch-up protocol (Peer.CatchUp) is how it recovers that history.
 func WithLateJoiners(ids ...model.NodeID) StreamOption {
-	return func(s *Stream) {
-		if s.late == nil {
-			s.late = map[model.NodeID]bool{}
+	return func(c *endpointConfig) {
+		if c.late == nil {
+			c.late = map[model.NodeID]bool{}
 		}
 		for _, id := range ids {
-			s.late[id] = true
+			c.late[id] = true
 		}
 	}
 }
@@ -196,7 +221,7 @@ func WithLateJoiners(ids ...model.NodeID) StreamOption {
 // — the mesh is already up, so everyone is dialable. The running peers must
 // have declared this node with WithLateJoiners.
 func AsLateJoiner() StreamOption {
-	return func(s *Stream) { s.joiner = true }
+	return func(c *endpointConfig) { c.joiner = true }
 }
 
 // handshake magic: distinguishes a peer of this protocol from a stray
@@ -228,33 +253,20 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		return nil, fmt.Errorf("transport: a replication group needs at least 2 addresses, got %d", len(addrs))
 	}
 	s := &Stream{
-		self:        self,
-		recvTimeout: 30 * time.Second,
-		policy:      BatchPolicy{MaxFrames: 1},
-		conns:       make([]net.Conn, len(addrs)),
-		frames:      make(chan Frame, 64),
-		errs:        make(chan error, len(addrs)),
-		closed:      make(chan struct{}),
-		startupDone: make(chan struct{}),
-		hungCh:      make(chan struct{}, len(addrs)),
+		endpointConfig: newEndpointConfig(opts),
+		self:           self,
+		conns:          make([]net.Conn, len(addrs)),
+		deadlines:      map[ObjID]time.Time{},
+		errs:           make(chan error, len(addrs)),
+		closed:         make(chan struct{}),
+		startupDone:    make(chan struct{}),
+		pframes:        make(chan pipeFrame, 64),
+		recvsDone:      make(chan struct{}),
+		hungCh:         make(chan struct{}, len(addrs)),
 	}
+	s.sq = newSched(s.schedPol, s.scheduled)
 	s.stats.Sent = make([]PeerIO, len(addrs))
 	s.stats.Recv = make([]PeerIO, len(addrs))
-	for _, o := range opts {
-		o(s)
-	}
-	s.sq = newSched(s.schedPol, true)
-	s.stats.Sched.Enabled = s.sq.drr
-	s.deadlines = map[ObjID]time.Time{}
-	if s.recvPol.enabled() {
-		s.pframes = make(chan pipeFrame, 64)
-		s.recvsDone = make(chan struct{})
-		go func() {
-			<-s.closed
-			s.recvWG.Wait()
-			close(s.recvsDone)
-		}()
-	}
 	if err := s.man.Validate(); err != nil {
 		return nil, err
 	}
@@ -282,6 +294,15 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		return nil, fmt.Errorf("transport: listen %s: %w", s.addrs[self], err)
 	}
 	s.ln = ln
+	// Every failure from here on goes through Close, which also ends the
+	// close-drain goroutine.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		<-s.closed
+		s.recvWG.Wait()
+		close(s.recvsDone)
+	}()
 	const dialTimeout = 15 * time.Second
 	deadline := time.Now().Add(dialTimeout)
 	// Accept connections in the background while dialing: higher-numbered
@@ -416,9 +437,11 @@ func (s *Stream) admit(peer model.NodeID, c net.Conn) bool {
 		return false
 	}
 	s.conns[peer] = c
-	s.mu.Unlock()
+	// Registered under mu: Close closes the endpoint under mu too, so the
+	// close-drain handshake never starts waiting before this loop counts.
 	s.wg.Add(1)
 	s.recvWG.Add(1)
+	s.mu.Unlock()
 	go s.recvLoop(peer, c)
 	return true
 }
@@ -459,7 +482,7 @@ func (s *Stream) hangup() {
 
 // allHungUp reports whether every peer connection has ended cleanly. Each
 // hangup is recorded only after that connection's frames were all handed to
-// the frame queue, so allHungUp implies no more frames will ever arrive.
+// the receive queue, so allHungUp implies no more frames will ever arrive.
 func (s *Stream) allHungUp() bool {
 	s.hungMu.Lock()
 	defer s.hungMu.Unlock()
@@ -594,11 +617,10 @@ func (b oneByteReader) ReadByte() (byte, error) {
 // against a corrupted length prefix allocating unboundedly).
 const maxWireFrame = 16 << 20
 
-// bufPool recycles the transport's scratch buffers: broadcast envelope
-// encodings on the send side and, in pipeline mode, whole batch containers on
-// the receive side (released once every frame decoded from the container has
-// been applied). Pointers to slices, so a Get/Put cycle does not allocate a
-// slice header.
+// bufPool recycles the send side's scratch buffers: broadcast envelope
+// encodings, handed back once the envelope has been copied into a wire
+// container. Pointers to slices, so a Get/Put cycle does not allocate a slice
+// header.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // poolGet returns a pooled buffer of length 0 and capacity ≥ n.
@@ -618,36 +640,57 @@ func poolPut(bp *[]byte, grown []byte) {
 	bufPool.Put(bp)
 }
 
-// recvLoop reads batch containers from one peer connection and feeds their
-// frames into the shared channel. A nested frame rejected by its own
-// checksum is dropped and counted (FramesRejected) while the rest of the
-// batch still delivers; structural corruption of the container ends the
-// connection with an error.
+// rxBuf is one received batch container: the frames decoded from it alias
+// buf, and refs counts those not yet released. The last release returns the
+// container to rxPool. Recv never releases, so a container served through it
+// is left to the garbage collector and its frames stay valid.
+type rxBuf struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+var rxPool = sync.Pool{New: func() any { return new(rxBuf) }}
+
+// rxGet returns a pooled container buffer of length n.
+func rxGet(n int) *rxBuf {
+	rb := rxPool.Get().(*rxBuf)
+	if cap(rb.buf) < n {
+		rb.buf = make([]byte, n)
+	}
+	rb.buf = rb.buf[:n]
+	return rb
+}
+
+// release drops one frame's reference to the container.
+func (rb *rxBuf) release() {
+	if rb.refs.Add(-1) == 0 {
+		rxPool.Put(rb)
+	}
+}
+
+// recvLoop reads batch containers from one peer connection into pooled
+// buffers and feeds their zero-copy frames into the receive queue. A nested
+// frame rejected by its own checksum is dropped and counted
+// (FramesRejected) while the rest of the batch still delivers; structural
+// corruption of the container ends the connection with an error.
 func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 	defer s.wg.Done()
 	defer s.recvWG.Done()
-	pipelined := s.pframes != nil
 	br := bufio.NewReader(c)
+	// Per-container scratch: every frame is handed over by value before the
+	// next container is read.
+	var frames []Frame
+	var objs []ObjID
 	for {
 		n, err := binary.ReadUvarint(br)
 		if err == nil && n > maxWireFrame {
 			err = fmt.Errorf("%w: %d-byte batch container exceeds the %d cap", codec.ErrCorrupt, n, maxWireFrame)
 		}
-		var frames []Frame
-		var bp *[]byte // pooled container buffer (pipeline mode only)
+		var rb *rxBuf
 		if err == nil {
-			var buf []byte
-			if pipelined {
-				// Zero-copy decode: read the container into a pooled buffer and
-				// let the decoded frames alias it; the buffer goes back to the
-				// pool once every frame's apply has released it.
-				bp = poolGet(int(n))
-				buf = (*bp)[:n]
-			} else {
-				buf = make([]byte, n)
-			}
-			if _, err = io.ReadFull(br, buf); err == nil {
-				frames, err = DecodeBatch(buf)
+			rb = rxGet(int(n))
+			if _, err = io.ReadFull(br, rb.buf); err == nil {
+				frames, err = appendBatch(frames[:0], rb.buf)
 			}
 		}
 		var bad *BatchError
@@ -660,8 +703,8 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 			err = nil
 		}
 		if err != nil {
-			if bp != nil {
-				poolPut(bp, *bp)
+			if rb != nil {
+				rxPool.Put(rb)
 			}
 			select {
 			case <-s.closed:
@@ -685,46 +728,29 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 			}
 			return
 		}
-		objs := make([]ObjID, len(frames))
-		for i, f := range frames {
-			objs[i] = f.Obj
+		objs = objs[:0]
+		for _, f := range frames {
+			objs = append(objs, f.Obj)
 		}
 		s.statsMu.Lock()
 		s.stats.noteRecv(peer, 1, uvarintLen(n)+int(n), objs)
 		s.statsMu.Unlock()
-		if pipelined {
-			if len(frames) == 0 {
-				poolPut(bp, *bp)
-				continue
-			}
-			// One reference per decoded frame: the container buffer is
-			// recycled when the last frame's handler releases it.
-			refs := int32(len(frames))
-			release := func() {
-				if atomic.AddInt32(&refs, -1) == 0 {
-					poolPut(bp, *bp)
-				}
-			}
-			for i, f := range frames {
-				select {
-				case s.pframes <- pipeFrame{f: f, release: release}:
-				case <-s.closed:
-					// Closing: the dispatcher keeps draining until every
-					// receive loop exits, so anything not handed over now
-					// will never be dispatched — retract it from the wire
-					// ledger (Balance audits received == dispatched).
-					s.statsMu.Lock()
-					s.stats.noteRecvDropped(peer, objs[i:])
-					s.statsMu.Unlock()
-					return
-				}
-			}
+		if len(frames) == 0 {
+			rxPool.Put(rb)
 			continue
 		}
-		for _, f := range frames {
+		rb.refs.Store(int32(len(frames)))
+		for i, f := range frames {
 			select {
-			case s.frames <- f:
+			case s.pframes <- pipeFrame{f: f, buf: rb}:
 			case <-s.closed:
+				// Closing: recvPipe keeps draining until every receive loop
+				// exits, so anything not handed over now will never be
+				// served — retract it from the wire ledger (Balance audits
+				// received == dispatched).
+				s.statsMu.Lock()
+				s.stats.noteRecvDropped(peer, objs[i:])
+				s.statsMu.Unlock()
 				return
 			}
 		}
@@ -747,56 +773,52 @@ func (s *Stream) Self() model.NodeID { return s.self }
 // N returns the replication group size.
 func (s *Stream) N() int { return len(s.addrs) }
 
-// Broadcast queues one frame for every peer: encoded once into its object's
-// send queue (or the shared FIFO without a SchedPolicy), drained when a
-// policy trigger fires (frame cap, byte cap, the object's flush deadline, an
-// explicit Flush, or Close). With the default policy the frame flushes
-// immediately, one container per frame.
-func (s *Stream) Broadcast(f Frame) error {
+// closedLocked reports whether Close has run. Called with mu held.
+func (s *Stream) closedLocked() bool {
 	select {
 	case <-s.closed:
-		return ErrClosed
+		return true
 	default:
+		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Encode through pooled scratch: the inner encoding is transient (returned
-	// immediately), the envelope lives in the queue until its container is
-	// written, which hands the buffer back (see writeContainerLocked).
+}
+
+// encodeItem encodes f's nested envelope into pooled scratch: the inner
+// encoding is transient, the envelope lives in its send queue until the
+// container builder copies it out and hands the buffer back.
+func encodeItem(f Frame) schedItem {
 	ip := poolGet(0)
 	inner := f.Append((*ip)[:0])
 	ep := poolGet(len(inner) + 2*binary.MaxVarintLen64)
 	env := codec.AppendFrame((*ep)[:0], inner)
 	poolPut(ip, inner)
-	it := schedItem{obj: f.Obj, env: env, pool: ep, wire: len(env)}
+	return schedItem{obj: f.Obj, env: env, pool: ep, wire: len(env)}
+}
+
+// Broadcast queues one frame for every peer: encoded once into its object's
+// send queue, drained when a policy trigger fires (frame cap, byte cap, a
+// flush deadline, an explicit Flush, or Close). With the default policy the
+// frame flushes immediately, one container per frame.
+func (s *Stream) Broadcast(f Frame) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closedLocked() {
+		return ErrClosed
+	}
+	it := encodeItem(f)
 	if s.sq.sample {
 		it.at = time.Now()
 	}
 	s.sq.enqueue(it)
 	s.statsMu.Lock()
-	s.stats.FramesQueued++
-	s.stats.Sched.noteQueued(f.Obj)
+	s.stats.noteQueued(f.Obj)
 	s.statsMu.Unlock()
-	switch {
-	case s.sq.pendN >= s.policy.MaxFrames:
-		return s.flushAllLocked(trigFrames, f.Obj)
-	case s.policy.MaxBytes > 0 && s.sq.pendBytes >= s.policy.MaxBytes:
-		return s.flushAllLocked(trigBytes, f.Obj)
-	default:
-		s.armDeadlineLocked(f.Obj)
+	if trigger, full := s.sq.capTrigger(s.policy); full {
+		return s.flushAllLocked(trigger, f.Obj)
 	}
+	s.armDeadlineLocked(f.Obj)
 	return nil
 }
-
-// Flush triggers. trigClose doubles as the hangup drain: Close flushes the
-// pending batch before the connections go down.
-const (
-	trigFrames = iota
-	trigBytes
-	trigDelay
-	trigExplicit
-	trigClose
-)
 
 // armDeadlineLocked arms obj's flush deadline if it has none yet: the
 // per-object MaxDelay override when set, the shared policy delay otherwise.
@@ -839,47 +861,30 @@ func (s *Stream) stopTimerLocked() {
 	s.timerAt = time.Time{}
 }
 
-// onDeadline is the flush-timer callback: it drains every object whose
-// deadline has passed — only that object's queue under a SchedPolicy, so the
-// other objects keep batching — then re-arms for the earliest remaining
-// deadline. A cap-triggered flush in between leaves it nothing to do.
+// onDeadline is the flush-timer callback. A due per-object MaxDelay override
+// drains only its own object's queue, so the other objects keep batching; a
+// due shared BatchPolicy.MaxDelay deadline flushes the whole backlog. It then
+// re-arms for the earliest deadline still pending. A cap-triggered flush in
+// between leaves it nothing to do.
 func (s *Stream) onDeadline() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	select {
-	case <-s.closed:
+	if s.closedLocked() {
 		return
-	default:
 	}
 	s.timerAt = time.Time{}
 	now := time.Now()
-	if !s.sq.drr {
-		// Shared FIFO: a due deadline flushes the whole pending batch, the
-		// historical MaxDelay behaviour.
-		for obj, dl := range s.deadlines {
-			if !dl.After(now) {
-				if s.sq.pendN > 0 {
-					s.flushAllLocked(trigDelay, obj)
-				}
-				break
-			}
+	// Flushes delete the deadlines they serve, which a range tolerates.
+	for obj, dl := range s.deadlines {
+		if dl.After(now) {
+			continue
 		}
-	} else {
-		for {
-			fired := false
-			for obj, dl := range s.deadlines {
-				if !dl.After(now) {
-					s.flushObjLocked(obj)
-					fired = true
-					break
-				}
-			}
-			if !fired {
-				break
-			}
+		if _, own := s.sq.pol.MaxDelay[obj]; own {
+			s.flushObjLocked(obj)
+		} else {
+			s.flushAllLocked(trigDelay, obj)
 		}
 	}
-	// Re-arm for the earliest deadline still pending.
 	var next time.Time
 	for _, dl := range s.deadlines {
 		if next.IsZero() || dl.Before(next) {
@@ -891,107 +896,74 @@ func (s *Stream) onDeadline() {
 	}
 }
 
-// containerLimits returns the per-container frame and byte caps of a drain:
-// ChunkFrames segments a scheduled drain so the weighted order reaches the
-// wire container by container; the byte cap keeps every container within
-// what a receiver accepts (the jumbo-snapshot guard).
-func (s *Stream) containerLimits() (frames, bytes int) {
-	return s.sq.pol.ChunkFrames, maxWireFrame - 2*binary.MaxVarintLen64
-}
-
-// flushAllLocked drains every pending queue to every peer connection,
-// counting the trigger once however many containers the backlog needs. A cap
-// trigger is attributed to the object whose enqueue crossed it, a delay
-// trigger to the object whose deadline fired. Called with mu held.
+// flushAllLocked drains every pending queue to every peer connection and
+// disarms every deadline, counting the trigger once however many containers
+// the backlog needs. Called with mu held.
 func (s *Stream) flushAllLocked(trigger int, cause ObjID) error {
+	s.stopTimerLocked()
+	clear(s.deadlines)
 	if s.sq.pendN == 0 {
 		return nil
 	}
-	s.stopTimerLocked()
-	for obj := range s.deadlines {
-		delete(s.deadlines, obj)
-	}
 	s.statsMu.Lock()
-	switch trigger {
-	case trigFrames:
-		s.stats.Flushes.Frames++
-		s.stats.Sched.noteCapFlush(cause)
-	case trigBytes:
-		s.stats.Flushes.Bytes++
-		s.stats.Sched.noteCapFlush(cause)
-	case trigDelay:
-		s.stats.Flushes.Delay++
-		s.stats.Sched.noteDeadlineFlush(cause)
-	case trigExplicit:
-		s.stats.Flushes.Explicit++
-	case trigClose:
-		s.stats.Flushes.Close++
-	}
+	s.stats.noteFlush(trigger, cause)
 	s.statsMu.Unlock()
-	limitF, limitB := s.containerLimits()
-	var firstErr error
-	for s.sq.pendN > 0 {
-		items := s.sq.drainChunk(limitF, limitB)
-		if len(items) == 0 {
-			break
-		}
-		if err := s.writeContainerLocked(items); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return s.writeDrainLocked(func(frames, bytes int) []schedItem { return s.sq.drainChunk(frames, bytes) })
 }
 
 // flushObjLocked drains one object's queue to every peer connection — the
 // per-object max-delay override path: the other objects' frames stay queued
-// under the shared policy. Called with mu held, DRR mode only.
+// under the shared policy. Called with mu held.
 func (s *Stream) flushObjLocked(obj ObjID) error {
 	delete(s.deadlines, obj)
 	if s.sq.objPending(obj) == 0 {
 		return nil
 	}
 	s.statsMu.Lock()
-	s.stats.Flushes.Delay++
-	s.stats.Sched.noteDeadlineFlush(obj)
+	s.stats.noteFlush(trigDelay, obj)
 	s.statsMu.Unlock()
-	limitF, limitB := s.containerLimits()
+	return s.writeDrainLocked(func(frames, bytes int) []schedItem { return s.sq.drainObj(obj, frames, bytes) })
+}
+
+// writeDrainLocked writes containers drained by next until it returns none.
+// ChunkFrames segments the drain so the weighted order reaches the wire
+// container by container; the byte cap keeps every container within what a
+// receiver accepts (the jumbo-snapshot guard). Called with mu held.
+func (s *Stream) writeDrainLocked(next func(frames, bytes int) []schedItem) error {
 	var firstErr error
-	for s.sq.objPending(obj) > 0 {
-		items := s.sq.drainObj(obj, limitF, limitB)
+	for {
+		items := next(s.sq.pol.ChunkFrames, maxWireFrame-2*binary.MaxVarintLen64)
 		if len(items) == 0 {
-			break
+			return firstErr
 		}
 		if err := s.writeContainerLocked(items); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return firstErr
 }
 
-// writeContainerLocked writes one batch container (uvarint count + the
-// items' nested envelopes, length-prefixed) to every peer connection and
-// settles the ledgers: per-peer/per-object IO, drained counts, and the
-// enqueue→wire delay samples. Called with mu held.
-func (s *Stream) writeContainerLocked(items []schedItem) error {
+// containerLocked assembles items into one length-prefixed batch container
+// (uvarint count + the items' nested envelopes) in the reusable write buffer
+// and recycles the items' envelope buffers. It returns the wire image and
+// the items' objects, both valid until the next call. Called with mu held.
+func (s *Stream) containerLocked(items []schedItem) (wire []byte, objs []ObjID) {
 	size := 0
 	for _, it := range items {
 		size += it.wire
 	}
-	// Build the wire image in the reusable write buffer: MaxVarintLen64 bytes
-	// reserved up front, the container body appended after them, then the
-	// length varint right-aligned against the body — one buffer, no copy of
-	// the assembled body.
+	// MaxVarintLen64 bytes reserved up front, the container body appended
+	// after them, then the length varint right-aligned against the body —
+	// one buffer, no copy of the assembled body.
 	const pfx = binary.MaxVarintLen64
 	wb := s.wbuf
 	if need := pfx + pfx + size; cap(wb) < need {
 		wb = make([]byte, pfx, need)
 	}
 	body := codec.AppendUvarint(wb[:pfx], uint64(len(items)))
-	for _, it := range items {
-		body = append(body, it.env...)
-	}
 	for i := range items {
-		if it := &items[i]; it.pool != nil {
+		it := &items[i]
+		body = append(body, it.env...)
+		if it.pool != nil {
 			poolPut(it.pool, it.env)
 			it.pool = nil
 		}
@@ -1000,13 +972,20 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 	ln := binary.PutUvarint(lenBuf[:], uint64(len(body)-pfx))
 	start := pfx - ln
 	copy(body[start:pfx], lenBuf[:ln])
-	buf := body[start:]
 	s.wbuf = body[:pfx]
-	objs := s.objScratch[:0]
+	objs = s.objScratch[:0]
 	for _, it := range items {
 		objs = append(objs, it.obj)
 	}
 	s.objScratch = objs[:0]
+	return body[start:], objs
+}
+
+// writeContainerLocked writes one batch container of drained items to every
+// peer connection and settles the ledgers: per-peer/per-object IO, drained
+// counts, and the enqueue→wire delay samples. Called with mu held.
+func (s *Stream) writeContainerLocked(items []schedItem) error {
+	buf, objs := s.containerLocked(items)
 	// Write to every healthy conn before reporting a failure: aborting on the
 	// first dead peer would silently starve the remaining ones of frames they
 	// were promised.
@@ -1031,13 +1010,10 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 	}
 	s.statsMu.Lock()
 	for _, it := range items {
-		sampled := s.sq.sample && !it.at.IsZero()
+		sampled := !it.at.IsZero()
 		var delay time.Duration
 		if sampled {
-			delay = now.Sub(it.at)
-			if delay < 0 {
-				delay = 0
-			}
+			delay = max(now.Sub(it.at), 0)
 		}
 		s.stats.Sched.noteDrained(it.obj, delay, sampled)
 	}
@@ -1050,13 +1026,11 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 // flushed first so the unicast cannot overtake broadcasts queued before it
 // on the same connection.
 func (s *Stream) Send(to model.NodeID, f Frame) error {
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closedLocked() {
+		return ErrClosed
+	}
 	if int(to) < 0 || int(to) >= len(s.addrs) || to == s.self {
 		return fmt.Errorf("transport: cannot unicast to node %s", to)
 	}
@@ -1067,26 +1041,24 @@ func (s *Stream) Send(to model.NodeID, f Frame) error {
 	if err := s.flushAllLocked(trigExplicit, 0); err != nil {
 		return err
 	}
-	body := EncodeBatch([]Frame{f})
-	buf := append(binary.AppendUvarint(make([]byte, 0, len(body)+binary.MaxVarintLen64), uint64(len(body))), body...)
+	items := [1]schedItem{encodeItem(f)}
+	buf, objs := s.containerLocked(items[:])
 	if _, err := c.Write(buf); err != nil {
 		return fmt.Errorf("transport: sending to node %s: %w", to, err)
 	}
 	s.statsMu.Lock()
-	s.stats.noteSent(to, 1, len(buf), []ObjID{f.Obj})
+	s.stats.noteSent(to, 1, len(buf), objs)
 	s.statsMu.Unlock()
 	return nil
 }
 
 // Flush forces the pending batch down to every peer.
 func (s *Stream) Flush() error {
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closedLocked() {
+		return ErrClosed
+	}
 	return s.flushAllLocked(trigExplicit, 0)
 }
 
@@ -1101,59 +1073,17 @@ func (s *Stream) Stats() Stats {
 // for a single-object group).
 func (s *Stream) Manifest() Manifest { return s.man }
 
-// Recv returns the next frame received from any peer. Buffered frames are
-// always served first — a peer that finished and hung up has already pushed
-// everything it sent, so its hangup never hides frames. With wait=true Recv
-// blocks up to the receive timeout; a decode failure surfaces as the error
-// recorded by the receive loop, and once every peer has hung up and the
-// queue is drained it reports exhaustion.
+// Recv returns the next frame received from any peer, under recvPipe's
+// rules. The frame's payload aliases its received container, which Recv
+// leaves to the garbage collector instead of the buffer pool, so the frame
+// stays valid for as long as the caller keeps it. Recv refuses once a
+// Receiver drains the endpoint.
 func (s *Stream) Recv(wait bool) (Frame, bool, error) {
-	if s.pframes != nil {
-		return Frame{}, false, fmt.Errorf("transport: Recv on an endpoint whose receive side is owned by the pipeline (WithReceiver)")
+	if s.claimed.Load() {
+		return Frame{}, false, fmt.Errorf("transport: Recv on an endpoint whose receive side is owned by the pipeline (NewReceiver)")
 	}
-	var timeout recvTimer
-	defer timeout.stop()
-	for {
-		select {
-		case f := <-s.frames:
-			return f, true, nil
-		default:
-		}
-		if s.allHungUp() {
-			// No connection can produce more frames; drain once more (a
-			// frame may have landed between the checks), then report.
-			select {
-			case f := <-s.frames:
-				return f, true, nil
-			default:
-				return Frame{}, false, ErrExhausted
-			}
-		}
-		if !wait {
-			select {
-			case f := <-s.frames:
-				return f, true, nil
-			case err := <-s.errs:
-				return Frame{}, false, err
-			case <-s.closed:
-				return Frame{}, false, ErrClosed
-			default:
-				return Frame{}, false, nil
-			}
-		}
-		select {
-		case f := <-s.frames:
-			return f, true, nil
-		case err := <-s.errs:
-			return Frame{}, false, err
-		case <-s.hungCh:
-			continue // a peer hung up: re-evaluate exhaustion
-		case <-s.closed:
-			return Frame{}, false, ErrClosed
-		case <-timeout.after(s.recvTimeout):
-			return Frame{}, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
-		}
-	}
+	pf, ok, err := s.recvPipe(wait)
+	return pf.f, ok, err
 }
 
 // recvTimer is a blocking receive's deadline. It is armed on the first wait
@@ -1178,50 +1108,56 @@ func (r *recvTimer) stop() {
 	}
 }
 
-// recvPipe is Recv's pipeline-mode twin (the pipeSource hook): it hands the
-// dispatcher the next zero-copy frame together with its pooled-buffer release
-// hook. Exhaustion and closure surface as the shared sentinels so the
-// dispatcher can tell a clean drain from a failure.
-func (s *Stream) recvPipe(wait bool) (Frame, func(), bool, error) {
+// recvPipe returns the next zero-copy frame from the receive queue: what a
+// Receiver's dispatcher drains, and Recv underneath. Buffered frames are always served
+// first — a peer that finished and hung up has already pushed everything it
+// sent, so its hangup never hides frames. With wait=true it blocks up to the
+// receive timeout; a decode failure surfaces as the error recorded by the
+// receive loop, and once every peer has hung up and the queue is drained it
+// reports ErrExhausted. After Close it keeps serving until every receive
+// loop has exited, then reports ErrClosed.
+func (s *Stream) recvPipe(wait bool) (pipeFrame, bool, error) {
 	var timeout recvTimer
 	defer timeout.stop()
 	for {
 		select {
 		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
+			return pf, true, nil
 		default:
 		}
 		if s.allHungUp() {
+			// No connection can produce more frames; drain once more (a
+			// frame may have landed between the checks), then report.
 			select {
 			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
+				return pf, true, nil
 			default:
-				return Frame{}, nil, false, ErrExhausted
+				return pipeFrame{}, false, ErrExhausted
 			}
 		}
 		if !wait {
 			select {
 			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
+				return pf, true, nil
 			case err := <-s.errs:
-				return Frame{}, nil, false, err
+				return pipeFrame{}, false, err
 			case <-s.closed:
 				return s.closeDrain()
 			default:
-				return Frame{}, nil, false, nil
+				return pipeFrame{}, false, nil
 			}
 		}
 		select {
 		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
+			return pf, true, nil
 		case err := <-s.errs:
-			return Frame{}, nil, false, err
+			return pipeFrame{}, false, err
 		case <-s.hungCh:
 			continue // a peer hung up: re-evaluate exhaustion
 		case <-s.closed:
 			return s.closeDrain()
 		case <-timeout.after(s.recvTimeout):
-			return Frame{}, nil, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
+			return pipeFrame{}, false, fmt.Errorf("transport: %w after %s", ErrTimeout, s.recvTimeout)
 		}
 	}
 }
@@ -1230,20 +1166,18 @@ func (s *Stream) recvPipe(wait bool) (Frame, func(), bool, error) {
 // blocked mid-batch can finish handing over (or retract) their frames, and
 // report ErrClosed only once every loop has exited and the queue is empty.
 // Returning on the close signal alone would race frames a loop pushed
-// between the dispatcher's last look at the queue and its own closed check,
-// stranding them counted-but-undispatched.
-func (s *Stream) closeDrain() (Frame, func(), bool, error) {
-	for {
+// between the consumer's last look at the queue and its own closed check,
+// stranding them counted-but-unserved.
+func (s *Stream) closeDrain() (pipeFrame, bool, error) {
+	select {
+	case pf := <-s.pframes:
+		return pf, true, nil
+	case <-s.recvsDone:
 		select {
 		case pf := <-s.pframes:
-			return pf.f, pf.release, true, nil
-		case <-s.recvsDone:
-			select {
-			case pf := <-s.pframes:
-				return pf.f, pf.release, true, nil
-			default:
-				return Frame{}, nil, false, ErrClosed
-			}
+			return pf, true, nil
+		default:
+			return pipeFrame{}, false, ErrClosed
 		}
 	}
 }
@@ -1256,9 +1190,8 @@ func (s *Stream) Close() error {
 	s.once.Do(func() {
 		s.mu.Lock()
 		s.flushAllLocked(trigClose, 0)
-		s.stopTimerLocked()
-		s.mu.Unlock()
 		close(s.closed)
+		s.mu.Unlock()
 		if s.ln != nil {
 			s.ln.Close()
 		}
