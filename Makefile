@@ -36,6 +36,7 @@ ci:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping (CI runs it)"; fi
 	go test -short -race ./...
 	go test -race ./internal/transport/
+	go test -race ./internal/conformance/
 	go -C bench vet ./... && go -C bench test ./...
 	@$(MAKE) --no-print-directory transport-loc
 

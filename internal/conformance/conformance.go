@@ -50,6 +50,9 @@
 //  13. contextual refinement on a client program (the Abstraction Theorem's
 //     client-facing guarantee), when a client is supplied.
 //
+// Items 8–11 are built from legs: runs of the replica layer over a
+// three-node mesh, each run by runMem or runUnix (leg.go).
+//
 // A nil error from Run means the algorithm passed every applicable check.
 package conformance
 
@@ -57,12 +60,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -563,394 +561,116 @@ func snapshotResyncScenario(alg registry.Algorithm) error {
 }
 
 // batchedChecks runs the batched-transport battery item: each seed's script
-// replicates across transport.Peer replicas on a shared deterministic Mem,
-// but through write-batching endpoints with a different flush policy per
-// node — a tight frame cap, a byte cap, and no batching at all. At
-// quiescence every replica must hold the byte-identical canonical state
-// (batching must not change replication semantics), an identical rerun must
-// reproduce the exact states and transport stats (batched executions stay
-// deterministic), and the counters must balance: every queued frame reaches
-// every peer, and a capped policy actually coalesces (fewer flushes than
-// frames) rather than degenerating to frame-at-a-time writes.
+// replicates over write-batching Mem endpoints with a different flush policy
+// per node — a tight frame cap, a byte cap, and no batching at all. Batching
+// is wire plumbing and must never change replication semantics, so the leg
+// owes everything a Mem leg does (byte-identical states, balanced counters,
+// a lossless flush, byte-for-byte replay), and the capped policy must
+// actually coalesce (fewer flushes than frames) rather than degenerate to
+// frame-at-a-time writes.
 func batchedChecks(alg registry.Algorithm, cfg Config) error {
-	const nodes = 3
-	ops := cfg.Steps / 4
-	if ops < 6 {
-		ops = 6
-	}
-	if ops > 12 {
-		ops = 12
-	}
-	seeds := cfg.Seeds
-	if seeds > 3 {
-		seeds = 3
-	}
-	policies := [nodes]transport.BatchPolicy{
-		{MaxFrames: 2},
-		{MaxFrames: 64, MaxBytes: 96},
-		{}, // unbatched control
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), nodes, ops, seed, alg.NeedsCausal)
-		run := func() ([][]byte, []transport.Stats, error) {
-			m := transport.NewMem(nodes)
-			peers := make([]*transport.Peer, nodes)
-			for i := range peers {
-				peers[i] = transport.NewPeer(alg.New(), alg.DecodeEffector,
-					m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), alg.NeedsCausal)
-			}
-			sched := rand.New(rand.NewSource(seed))
-			for _, so := range script {
-				if _, err := peers[so.Node].Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-					return nil, nil, fmt.Errorf("invoke %v at %s: %w", so.Op, so.Node, err)
-				}
-				// Vary visibility: random peers make receive progress between
-				// invocations, from the same seeded source both runs share.
-				for k := sched.Intn(3); k > 0; k-- {
-					if _, err := peers[sched.Intn(nodes)].Step(false); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-			for _, p := range peers {
-				if err := p.Done(); err != nil {
-					return nil, nil, err
-				}
-			}
-			states := make([][]byte, nodes)
-			stats := make([]transport.Stats, nodes)
-			for i, p := range peers {
-				if err := p.RunToQuiescence(5 * time.Second); err != nil {
-					return nil, nil, fmt.Errorf("peer %d: %w", i, err)
-				}
-				states[i] = p.CanonicalState()
-				st, ok := p.TransportStats()
-				if !ok {
-					return nil, nil, fmt.Errorf("peer %d: batched endpoint reports no stats", i)
-				}
-				stats[i] = st
-			}
-			return states, stats, nil
+	for seed := int64(1); seed <= int64(min(cfg.Seeds, 3)); seed++ {
+		l, err := newLeg(alg, nil, seed, min(max(cfg.Steps/4, 6), 12))
+		if err != nil {
+			return err
 		}
-		states, stats, err := run()
+		l.seed, l.opts = seed, mixedBatching
+		r, err := runMem(l)
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", seed, err)
 		}
-		for i := 1; i < nodes; i++ {
-			if !bytes.Equal(states[i], states[0]) {
-				return fmt.Errorf("seed %d: batched peer %d's canonical state differs from peer 0's", seed, i)
-			}
-		}
-		for i, st := range stats {
-			if got, want := st.TotalSent().Frames, st.FramesQueued*(nodes-1); got != want {
-				return fmt.Errorf("seed %d: peer %d flushed %d per-peer frames for %d queued — a pending batch was lost",
-					seed, i, got, want)
-			}
-		}
-		// The tight frame cap on peer 0 must have coalesced: with ≥2 frames
+		// The tight frame cap on node 0 must have coalesced: with ≥2 frames
 		// queued, at least one flush carried more than one frame.
-		if st := stats[0]; st.FramesQueued >= 2 && st.Flushes.Total() >= st.FramesQueued {
+		if st := r[0].stats; st.FramesQueued >= 2 && st.Flushes.Total() >= st.FramesQueued {
 			return fmt.Errorf("seed %d: capped policy never coalesced (%d flushes for %d frames)",
 				seed, st.Flushes.Total(), st.FramesQueued)
-		}
-		states2, stats2, err := run()
-		if err != nil {
-			return fmt.Errorf("seed %d rerun: %w", seed, err)
-		}
-		for i := range states {
-			if !bytes.Equal(states[i], states2[i]) {
-				return fmt.Errorf("seed %d: batched run is not deterministic — peer %d's state differs on rerun", seed, i)
-			}
-		}
-		if !reflect.DeepEqual(stats, stats2) {
-			return fmt.Errorf("seed %d: batched run is not deterministic — transport stats differ on rerun", seed)
 		}
 	}
 	return nil
 }
 
-// socketSnapshotChecks runs the socket snapshot catch-up battery item: two
-// peers of a three-node unix-socket mesh replicate their script share,
-// exchange Dones (running their final pre-join compaction), and only then is
-// the third peer admitted — a late joiner that catches up through the
-// transport's snapshot protocol before replicating its own share. The mesh
-// runs three times: compacting (SnapshotPolicy Every=3, so the joiner is
-// served a stable checkpoint plus the retained suffix), full-replay (Every=0,
-// the whole log ships as suffix), and the compacting leg again. All runs must
-// reach one byte-identical canonical state on every peer: state transfer is
-// observationally equivalent to full log replay, deterministically so.
-//
-// The cross-leg comparison is sound because every peer invokes its whole
-// share before making any receive progress: each effector then depends only
-// on its node's own prior ops, so all legs generate the identical effector
-// set and the converged canonical encodings must match byte for byte.
-//
-// Compaction assertions are gated on each early peer having issued at least
-// one effectful frame: connection FIFO puts a peer's effectors before its
-// Done, so the Done-triggered compaction at the other early peer then always
-// finds them acknowledged and truncates — and both served checkpoints are
-// non-empty, so the joiner installs covered frames whichever peer answers
-// first.
+// mixedBatching gives each Mem node a different flush policy: a tight frame
+// cap, a byte cap, and no batching at all.
+var mixedBatching = [legNodes][]transport.StreamOption{
+	{transport.WithBatching(transport.BatchPolicy{MaxFrames: 2})},
+	{transport.WithBatching(transport.BatchPolicy{MaxFrames: 64, MaxBytes: 96})},
+	{}, // unbatched control
+}
+
+// socketSnapshotChecks runs the socket snapshot catch-up battery item: on a
+// three-node unix mesh, two early nodes replicate their script share and
+// exchange Dones (running their final pre-join compaction) before the third
+// joins late and catches up through the transport's snapshot protocol. The
+// leg runs three times: full-replay (Every=0, the whole log ships as
+// suffix), compacting (Every=3, the joiner is served a stable checkpoint
+// plus the retained suffix, and the early nodes must have truncated their
+// logs), and compacting again. All three must reach the same byte-identical
+// states: state transfer is observationally equivalent to full log replay,
+// deterministically so.
 func socketSnapshotChecks(alg registry.Algorithm, cfg Config) error {
 	if alg.DecodeState == nil {
 		return fmt.Errorf("algorithm bundle registers no state decoder")
 	}
-	const nodes = 3
-	ops := cfg.Steps / 4
-	if ops < 6 {
-		ops = 6
+	l, err := newLeg(alg, nil, 5, min(max(cfg.Steps/4, 6), 12))
+	if err != nil {
+		return err
 	}
-	if ops > 12 {
-		ops = 12
-	}
-	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), nodes, ops, 5, alg.NeedsCausal)
-	joiner := model.NodeID(nodes - 1)
-
-	run := func(every int) (states [][]byte, stats []transport.SnapStats, issued []int, err error) {
-		dir, err := os.MkdirTemp("", "crdt-snap-*")
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		defer os.RemoveAll(dir)
-		addrs := make([]string, nodes)
-		for i := range addrs {
-			addrs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("n%d.sock", i))
-		}
-		states = make([][]byte, nodes)
-		stats = make([]transport.SnapStats, nodes)
-		issued = make([]int, nodes)
-		errs := make([]error, nodes)
-		// Each early peer reports in once before the join — nil after its
-		// pre-join compaction, or its failure, which aborts the join instead
-		// of deadlocking it. The buffer leaves room for a second, post-join
-		// failure report per peer.
-		ready := make(chan error, 2*(nodes-1))
-		var wg sync.WaitGroup
-		early := func(id model.NodeID) {
-			defer wg.Done()
-			reported := false
-			err := func() error {
-				st, err := transport.Listen(id, addrs,
-					transport.WithRecvTimeout(5*time.Second), transport.WithLateJoiners(joiner))
-				if err != nil {
-					return err
-				}
-				defer st.Close()
-				p := transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-					transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: every}))
-				for _, so := range script {
-					if so.Node != id {
-						continue
-					}
-					if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-						return err
-					}
-				}
-				if err := p.Done(); err != nil {
-					return err
-				}
-				// Hold the join until this peer has the other early peer's
-				// Done: its final pre-join compaction has run by then.
-				for p.DonePeers() < 1 {
-					if _, err := p.Step(true); err != nil {
-						return err
-					}
-				}
-				reported = true
-				ready <- nil
-				if err := p.RunToQuiescence(10 * time.Second); err != nil {
-					return err
-				}
-				states[id] = p.CanonicalState()
-				stats[id] = p.SnapshotStats()
-				issued[id] = p.Issued()
-				return nil
-			}()
-			if err != nil {
-				errs[id] = err
-				if !reported {
-					ready <- err
-				}
-			}
-		}
-		wg.Add(nodes)
-		for i := 0; i < int(joiner); i++ {
-			go early(model.NodeID(i))
-		}
-		go func() {
-			defer wg.Done()
-			errs[joiner] = func() error {
-				for i := 0; i < nodes-1; i++ {
-					if err := <-ready; err != nil {
-						return fmt.Errorf("early peer failed before the join: %w", err)
-					}
-				}
-				st, err := transport.Listen(joiner, addrs,
-					transport.WithRecvTimeout(5*time.Second), transport.AsLateJoiner())
-				if err != nil {
-					return err
-				}
-				defer st.Close()
-				p := transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-					transport.WithCatchUp(alg.DecodeState))
-				if err := p.CatchUp(); err != nil {
-					return err
-				}
-				if err := p.AwaitCatchUp(10 * time.Second); err != nil {
-					return err
-				}
-				for _, so := range script {
-					if so.Node != joiner {
-						continue
-					}
-					if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-						return err
-					}
-				}
-				if err := p.Done(); err != nil {
-					return err
-				}
-				if err := p.RunToQuiescence(10 * time.Second); err != nil {
-					return err
-				}
-				states[joiner] = p.CanonicalState()
-				stats[joiner] = p.SnapshotStats()
-				issued[joiner] = p.Issued()
-				return nil
-			}()
-		}()
-		wg.Wait()
-		for id, err := range errs {
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("peer %d: %w", id, err)
-			}
-		}
-		for id, s := range states {
-			if !bytes.Equal(s, states[0]) {
-				return nil, nil, nil, fmt.Errorf("peer %d's canonical state differs from peer 0's", id)
-			}
-		}
-		return states, stats, issued, nil
-	}
-
-	base, _, _, err := run(0)
+	l.joiner = true
+	base, err := runUnix(l)
 	if err != nil {
 		return fmt.Errorf("full-replay leg: %w", err)
 	}
-	snap, stats, issued, err := run(3)
+	l.every = 3
+	snap, err := runUnix(l)
 	if err != nil {
 		return fmt.Errorf("compacting leg: %w", err)
 	}
-	if !bytes.Equal(snap[0], base[0]) {
-		return fmt.Errorf("snapshot catch-up and full log replay converged to different canonical states")
+	if err := l.diff(&snap, &base); err != nil {
+		return fmt.Errorf("snapshot catch-up and full log replay converged to different canonical states: %w", err)
 	}
-	js := stats[joiner]
-	if !js.Installed || js.FellBack {
-		return fmt.Errorf("joiner never installed a snapshot response: %+v", js)
-	}
-	if issued[0] > 0 && issued[1] > 0 {
-		if js.InstallCovered == 0 {
-			return fmt.Errorf("compacting leg installed no covered frames: %+v", js)
-		}
-		for id := 0; id < nodes-1; id++ {
-			if es := stats[id]; es.Checkpoints == 0 || es.LogTruncated == 0 {
-				return fmt.Errorf("early peer %d never compacted its log: %+v", id, es)
-			}
-		}
-	}
-	rerun, _, _, err := run(3)
+	rerun, err := runUnix(l)
 	if err != nil {
 		return fmt.Errorf("compacting rerun: %w", err)
 	}
-	if !bytes.Equal(rerun[0], snap[0]) {
-		return fmt.Errorf("compacting leg is not deterministic: rerun converged to a different canonical state")
+	if err := l.diff(&rerun, &snap); err != nil {
+		return fmt.Errorf("compacting leg is not deterministic: rerun converged to a different canonical state: %w", err)
 	}
 	return nil
 }
 
-// multiObjectChecks runs the multi-object mesh battery item: four replicated
-// objects of mixed algorithms — the algorithm under test, a second standalone
-// algorithm, and two components a product object reassembles at read time —
-// share one transport endpoint per node through the transport.Node demux, on
-// a three-node mesh. The item runs over write-batching Mem endpoints with a
-// different flush policy per node, then three times over a live unix-socket
-// mesh whose third peer is a late joiner that snapshot-catches-up on every
-// object through the one shared socket pair: with the pull loop, with
-// the receive pipeline on a single apply shard, and with the pipeline on
-// four shards applying distinct objects concurrently. All three socket legs
-// must converge to byte-identical canonical states — object sharding
-// reorders apply across objects only, never within one, so the quiescent
-// states cannot differ.
-//
-// Every leg requires byte-identical per-object canonical states on every
-// node, the read-time product reassembled from its independently replicated
-// components byte-equal everywhere, and the stats balance invariant: the
-// per-object frame counters sum exactly to the per-peer wire totals, because
-// one helper updates both views of the same frame. The socket legs
-// additionally require exactly one connection per process pair (objects
-// multiply the traffic, not the sockets), a per-object snapshot install for
-// the joiner (no fallback), a balanced receive-pipeline ledger on every
-// pipelined node (received == dispatched == applied), and — when both early
-// peers issued frames for an object — a compacted broadcast log for that
-// object on both of them.
+// multiObjectChecks runs the multi-object mesh battery item: four objects of
+// mixed algorithms — the bundle under test, a standalone companion of
+// another kind, and two components a product reassembles at read time —
+// share one endpoint per node through the transport.Node demux. The item
+// runs a Mem leg under the mixed flush policies, then three unix legs whose
+// third node snapshot-catches-up on every object through the one shared
+// socket pair: with the pull loop, with the receive pipeline on one apply
+// shard, and with it on four shards applying distinct objects concurrently.
+// Object sharding reorders apply across objects only, never within one, so
+// the pipeline legs must match the pull-loop leg byte for byte. On every
+// leg the product reassembled from its independently replicated components
+// must be byte-equal on every node.
 func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 	if alg.DecodeState == nil {
 		return fmt.Errorf("algorithm bundle registers no state decoder")
 	}
-	const nodes = 3
-	joiner := model.NodeID(nodes - 1)
-	ops := cfg.Steps / 8
-	if ops < 4 {
-		ops = 4
-	}
-	if ops > 8 {
-		ops = 8
-	}
-	// Mixed algorithms: the algorithm under test plus a standalone companion
-	// of a different kind, and the two product components.
 	companion := "counter"
 	if alg.Name == companion {
 		companion = "lww-register"
 	}
-	kinds := []string{alg.Name, companion, "counter", "g-set"}
-	man := transport.Manifest{
-		{ID: 1, Name: "subject", Kind: kinds[0]},
-		{ID: 2, Name: "companion", Kind: kinds[1]},
-		{ID: 3, Name: "cart.qty", Kind: kinds[2]},
-		{ID: 4, Name: "cart.items", Kind: kinds[3]},
+	l, err := newLeg(alg, transport.Manifest{
+		{ID: 1, Name: "subject", Kind: alg.Name},
+		{ID: 2, Name: "companion", Kind: companion},
+		{ID: 3, Name: "cart.qty", Kind: "counter"},
+		{ID: 4, Name: "cart.items", Kind: "g-set"},
+	}, 20, min(max(cfg.Steps/8, 4), 8))
+	if err != nil {
+		return err
 	}
-	algs := make([]registry.Algorithm, len(man))
-	scripts := make([]sim.Script, len(man))
-	for oi, ospec := range man {
-		a, ok := registry.ByName(ospec.Kind)
-		if !ok {
-			return fmt.Errorf("object %d: no algorithm %q in the registry", ospec.ID, ospec.Kind)
-		}
-		algs[oi] = a
-		scripts[oi] = sim.GenScript(a.New(), a.Abs, sim.GenFunc(a.GenOp), nodes, ops, 20+int64(oi), a.NeedsCausal)
-	}
-	register := func(n *transport.Node, opts func(oi int) []transport.PeerOption) error {
-		for oi, ospec := range man {
-			if _, err := n.Register(ospec.ID, algs[oi].New(), algs[oi].DecodeEffector, algs[oi].NeedsCausal, opts(oi)...); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// checkConverged asserts the per-object and reassembled-product
-	// convergence shared by both legs; states is indexed [node][object].
-	checkConverged := func(states [][][]byte) error {
-		for oi, ospec := range man {
-			for id := 1; id < nodes; id++ {
-				if !bytes.Equal(states[id][oi], states[0][oi]) {
-					return fmt.Errorf("object %d (%s): node %d's canonical state differs from node 0's", ospec.ID, ospec.Kind, id)
-				}
-			}
-		}
+	product := func(r *legRun) error {
 		var cart0 []byte
-		for id := 0; id < nodes; id++ {
-			cart := codec.AppendBytes(nil, states[id][2])
-			cart = codec.AppendBytes(cart, states[id][3])
+		for id, nr := range r {
+			cart := codec.AppendBytes(codec.AppendBytes(nil, nr.states[2]), nr.states[3])
 			if id == 0 {
 				cart0 = cart
 			} else if !bytes.Equal(cart, cart0) {
@@ -959,718 +679,154 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		}
 		return nil
 	}
-	// checkBalance asserts the object-sum == per-peer-total stats invariant.
-	checkBalance := func(id int, st transport.Stats) error {
-		var sent, recv int
-		for _, io := range st.Objects {
-			sent += io.SentFrames
-			recv += io.RecvFrames
-		}
-		if sent != st.TotalSent().Frames || recv != st.TotalRecv().Frames {
-			return fmt.Errorf("node %d: per-object frame counters (sent %d, recv %d) do not sum to the per-peer totals (sent %d, recv %d)",
-				id, sent, recv, st.TotalSent().Frames, st.TotalRecv().Frames)
-		}
-		return nil
+	l.seed, l.opts = 21, mixedBatching
+	mem, err := runMem(l)
+	if err == nil {
+		err = product(&mem)
 	}
-
-	// Leg 1: shared-memory mesh, mixed flush policies, every object's
-	// operations interleaved through the shared batched endpoints.
-	memLeg := func() error {
-		policies := [nodes]transport.BatchPolicy{
-			{MaxFrames: 2},
-			{MaxFrames: 64, MaxBytes: 96},
-			{}, // unbatched control
-		}
-		m := transport.NewMem(nodes)
-		ns := make([]*transport.Node, nodes)
-		for i := range ns {
-			n, err := transport.NewNode(m.Endpoint(model.NodeID(i), transport.WithBatching(policies[i])), man)
-			if err != nil {
-				return err
-			}
-			if err := register(n, func(int) []transport.PeerOption { return nil }); err != nil {
-				return err
-			}
-			ns[i] = n
-		}
-		sched := rand.New(rand.NewSource(21))
-		for so := 0; so < ops; so++ {
-			for oi, ospec := range man {
-				if so >= len(scripts[oi]) {
-					continue
-				}
-				sop := scripts[oi][so]
-				p, _ := ns[sop.Node].Peer(ospec.ID)
-				if _, err := p.Invoke(sop.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-					return fmt.Errorf("object %d: invoke %v at %s: %w", ospec.ID, sop.Op, sop.Node, err)
-				}
-				for k := sched.Intn(3); k > 0; k-- {
-					if _, err := ns[sched.Intn(nodes)].Step(false); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		for _, n := range ns {
-			for _, id := range n.Objects() {
-				p, _ := n.Peer(id)
-				if err := p.Done(); err != nil {
-					return err
-				}
-			}
-		}
-		states := make([][][]byte, nodes)
-		for i, n := range ns {
-			if err := n.RunToQuiescence(5 * time.Second); err != nil {
-				return fmt.Errorf("node %d: %w", i, err)
-			}
-			states[i] = make([][]byte, len(man))
-			for oi, ospec := range man {
-				p, _ := n.Peer(ospec.ID)
-				states[i][oi] = p.CanonicalState()
-			}
-		}
-		if err := checkConverged(states); err != nil {
-			return err
-		}
-		for i, n := range ns {
-			if err := checkBalance(i, n.Transport().(transport.StatsReporter).Stats()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// Legs 2-4: live unix-socket mesh with a late joiner catching up on every
-	// object over the one shared socket pair per process pair. workers
-	// selects the receive side: 0 is the pull loop, >= 1 the parallel
-	// pipeline on that many shards. Returns the per-node per-object canonical
-	// states so the pipeline legs can be checked byte-identical against the
-	// pull-loop leg.
-	unixLeg := func(workers int) ([][][]byte, error) {
-		rp := transport.RecvPolicy{Workers: workers}
-		dir, err := os.MkdirTemp("", "crdt-multiobj-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		addrs := make([]string, nodes)
-		for i := range addrs {
-			addrs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("n%d.sock", i))
-		}
-		states := make([][][]byte, nodes)
-		snaps := make([][]transport.SnapStats, nodes)
-		issued := make([][]int, nodes)
-		wire := make([]transport.Stats, nodes)
-		conns := make([]int, nodes)
-		errs := make([]error, nodes)
-		ready := make(chan error, 2*(nodes-1))
-		record := func(id model.NodeID, st *transport.Stream, n *transport.Node) {
-			states[id] = make([][]byte, len(man))
-			snaps[id] = make([]transport.SnapStats, len(man))
-			issued[id] = make([]int, len(man))
-			for oi, ospec := range man {
-				p, _ := n.Peer(ospec.ID)
-				states[id][oi] = p.CanonicalState()
-				snaps[id][oi] = p.SnapshotStats()
-				issued[id][oi] = p.Issued()
-			}
-			wire[id] = st.Stats()
-			conns[id] = len(st.ConnectedPeers())
-		}
-		// checkPipeline closes the endpoint (idempotent — the deferred Close
-		// becomes a no-op), waits for the pump to drain the frame queue and
-		// stop, and only then audits the ledger: every frame the wire counted
-		// received must have been dispatched to exactly one shard and applied.
-		// Sampling before the pipeline stops would race in-flight frames.
-		checkPipeline := func(n *transport.Node, st *transport.Stream) error {
-			r := n.Receiver()
-			if r == nil {
-				return nil
-			}
-			st.Close()
-			select {
-			case <-r.Done():
-			case <-time.After(10 * time.Second):
-				return errors.New("receive pipeline did not stop after Close")
-			}
-			if err := r.Err(); err != nil {
-				return fmt.Errorf("receive pipeline: %w", err)
-			}
-			return r.Stats().Balance(st.Stats().TotalRecv().Frames)
-		}
-		var wg sync.WaitGroup
-		early := func(id model.NodeID) {
-			defer wg.Done()
-			reported := false
-			err := func() error {
-				sopts := []transport.StreamOption{
-					transport.WithRecvTimeout(5 * time.Second), transport.WithLateJoiners(joiner),
-					transport.WithManifest(man), transport.WithBatching(transport.BatchPolicy{MaxFrames: 4}),
-				}
-				if workers > 0 {
-					sopts = append(sopts, transport.WithReceiver(rp))
-				}
-				st, err := transport.Listen(id, addrs, sopts...)
-				if err != nil {
-					return err
-				}
-				defer st.Close()
-				n, err := transport.NewNode(st, man)
-				if err != nil {
-					return err
-				}
-				if err := register(n, func(int) []transport.PeerOption {
-					return []transport.PeerOption{transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 3})}
-				}); err != nil {
-					return err
-				}
-				for oi, ospec := range man {
-					for _, so := range scripts[oi] {
-						if so.Node != id {
-							continue
-						}
-						p, _ := n.Peer(ospec.ID)
-						if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-							return err
-						}
-					}
-				}
-				// The receiver starts only once this peer's script has run, as
-				// the pull-loop leg steps only after it: an effector's Prepare reads
-				// the local state (cseq positions, assume preconditions), so a
-				// remote frame applied mid-script would change what the script
-				// issues and the legs could not match byte for byte.
-				if workers > 0 {
-					if _, err := n.StartReceiver(); err != nil {
-						return err
-					}
-				}
-				for _, obj := range n.Objects() {
-					p, _ := n.Peer(obj)
-					if err := p.Done(); err != nil {
-						return err
-					}
-				}
-				// Hold the join until every object has the other early peer's
-				// Done: each object's final pre-join compaction has run then.
-				// With the pipeline the shards apply in the background, so wait
-				// on the predicate; without it, pull frames ourselves.
-				doneEverywhere := func() bool {
-					for _, obj := range n.Objects() {
-						p, _ := n.Peer(obj)
-						if p.DonePeers() < 1 {
-							return false
-						}
-					}
-					return true
-				}
-				if n.Receiver() != nil {
-					if err := n.Await(10*time.Second, doneEverywhere); err != nil {
-						return err
-					}
-				} else {
-					for !doneEverywhere() {
-						if _, err := n.Step(true); err != nil {
-							return err
-						}
-					}
-				}
-				reported = true
-				ready <- nil
-				if err := n.RunToQuiescence(10 * time.Second); err != nil {
-					return err
-				}
-				if err := checkPipeline(n, st); err != nil {
-					return err
-				}
-				record(id, st, n)
-				return nil
-			}()
-			if err != nil {
-				errs[id] = err
-				if !reported {
-					ready <- err
-				}
-			}
-		}
-		wg.Add(nodes)
-		for i := 0; i < int(joiner); i++ {
-			go early(model.NodeID(i))
-		}
-		go func() {
-			defer wg.Done()
-			errs[joiner] = func() error {
-				for i := 0; i < nodes-1; i++ {
-					if err := <-ready; err != nil {
-						return fmt.Errorf("early peer failed before the join: %w", err)
-					}
-				}
-				sopts := []transport.StreamOption{
-					transport.WithRecvTimeout(5 * time.Second), transport.AsLateJoiner(),
-					transport.WithManifest(man),
-				}
-				if workers > 0 {
-					sopts = append(sopts, transport.WithReceiver(rp))
-				}
-				st, err := transport.Listen(joiner, addrs, sopts...)
-				if err != nil {
-					return err
-				}
-				defer st.Close()
-				n, err := transport.NewNode(st, man)
-				if err != nil {
-					return err
-				}
-				if err := register(n, func(oi int) []transport.PeerOption {
-					return []transport.PeerOption{transport.WithCatchUp(algs[oi].DecodeState)}
-				}); err != nil {
-					return err
-				}
-				if workers > 0 {
-					if _, err := n.StartReceiver(); err != nil {
-						return err
-					}
-				}
-				if err := n.CatchUp(); err != nil {
-					return err
-				}
-				if err := n.AwaitCatchUp(10 * time.Second); err != nil {
-					return err
-				}
-				for oi, ospec := range man {
-					for _, so := range scripts[oi] {
-						if so.Node != joiner {
-							continue
-						}
-						p, _ := n.Peer(ospec.ID)
-						if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-							return err
-						}
-					}
-				}
-				for _, obj := range n.Objects() {
-					p, _ := n.Peer(obj)
-					if err := p.Done(); err != nil {
-						return err
-					}
-				}
-				if err := n.RunToQuiescence(10 * time.Second); err != nil {
-					return err
-				}
-				if err := checkPipeline(n, st); err != nil {
-					return err
-				}
-				record(joiner, st, n)
-				return nil
-			}()
-		}()
-		wg.Wait()
-		for id, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("peer %d: %w", id, err)
-			}
-		}
-		if err := checkConverged(states); err != nil {
-			return nil, err
-		}
-		for id := 0; id < nodes; id++ {
-			if conns[id] != nodes-1 {
-				return nil, fmt.Errorf("node %d holds %d connections for %d peers — objects must share one socket pair per process pair",
-					id, conns[id], nodes-1)
-			}
-			if err := checkBalance(id, wire[id]); err != nil {
-				return nil, err
-			}
-		}
-		for oi, ospec := range man {
-			js := snaps[joiner][oi]
-			if !js.Installed || js.FellBack {
-				return nil, fmt.Errorf("object %d (%s): joiner never installed a snapshot response: %+v", ospec.ID, ospec.Kind, js)
-			}
-			if issued[0][oi] > 0 && issued[1][oi] > 0 {
-				for id := 0; id < nodes-1; id++ {
-					if es := snaps[id][oi]; es.Checkpoints == 0 || es.LogTruncated == 0 {
-						return nil, fmt.Errorf("object %d (%s): early peer %d never compacted its log: %+v", ospec.ID, ospec.Kind, id, es)
-					}
-				}
-			}
-		}
-		return states, nil
-	}
-
-	if err := memLeg(); err != nil {
+	if err != nil {
 		return fmt.Errorf("mem leg: %w", err)
 	}
-	pulled, err := unixLeg(0)
-	if err != nil {
-		return fmt.Errorf("unix leg (pull loop): %w", err)
-	}
-	// The pipeline legs rerun the same scripts; concurrency across objects
-	// must not change any object's outcome, so every canonical state has to
-	// match the pull-loop leg's byte for byte.
-	for _, workers := range []int{1, 4} {
-		piped, err := unixLeg(workers)
-		if err != nil {
-			return fmt.Errorf("unix leg (pipeline workers=%d): %w", workers, err)
+	early := []transport.StreamOption{transport.WithBatching(transport.BatchPolicy{MaxFrames: 4})}
+	l.opts = [legNodes][]transport.StreamOption{early, early}
+	l.joiner, l.every = true, 3
+	var pulled legRun
+	for _, workers := range []int{0, 1, 4} {
+		name := "pull loop"
+		if workers > 0 {
+			name = fmt.Sprintf("pipeline workers=%d", workers)
 		}
-		for id := range piped {
-			for oi, ospec := range man {
-				if !bytes.Equal(piped[id][oi], pulled[id][oi]) {
-					return fmt.Errorf("unix leg (pipeline workers=%d): node %d object %d (%s) canonical state diverges from the pull-loop leg",
-						workers, id, ospec.ID, ospec.Kind)
-				}
-			}
+		l.workers = workers
+		r, err := runUnix(l)
+		if err == nil {
+			err = product(&r)
+		}
+		if err != nil {
+			return fmt.Errorf("unix leg (%s): %w", name, err)
+		}
+		if workers == 0 {
+			pulled = r
+		} else if err := l.diff(&r, &pulled); err != nil {
+			return fmt.Errorf("unix leg (%s): canonical state diverges from the pull-loop leg: %w", name, err)
 		}
 	}
 	return nil
 }
 
 // fairnessChecks runs the per-object fairness battery item: a chatty object
-// (the algorithm under test) and a quiet companion share scheduled transport
-// endpoints — per-object send queues drained by deficit-weighted round-robin,
-// with per-object max-delay overrides. Two legs:
+// (the bundle under test) and a quiet companion share scheduled endpoints —
+// per-object send queues drained by deficit-weighted round-robin, with
+// per-object max-delay overrides. Two legs:
 //
-// The Mem leg runs three nodes with a different scheduler policy each (8:1
-// weighted chunked, evenly weighted, and default weights) under
-// cap-forced flushes, and requires byte-identical per-object convergence, the
-// per-object frame counters summing to the per-peer wire totals, the
-// scheduler's queued == drained + depth ledger balancing on every node, and a
-// rerun reproducing both the states and the full stats snapshot byte-for-byte
-// — weighted scheduling must not cost the deterministic-replay guarantee.
+// The Mem leg runs a different scheduler policy per node (8:1 weighted
+// chunked, evenly weighted, and default weights) under cap-forced flushes,
+// so the drain order genuinely reorders frames relative to arrival — and
+// weighted scheduling must not cost a Mem leg's deterministic replay.
 //
-// The unix leg runs a live three-node socket mesh whose shared batch policy
-// never flushes on its own (huge frame cap, no shared delay): each node first
-// invokes its chatty ops — which must sit in the chatty send queue — then its
-// quiet ops, whose 10ms max-delay override must force exactly the quiet queue
-// onto the wire (deadline-flush attribution on the quiet object, chatty
-// backlog depth unchanged) while the chatty frames keep waiting for the
-// explicit end-of-run flush. Afterwards both objects must converge
-// byte-identically, every peer's scheduler ledger and per-object counters
-// must balance, and the mesh must still hold one socket pair per process
-// pair.
+// The unix leg's shared batch policy never flushes on its own (huge frame
+// cap, no shared delay): each node first invokes its chatty share, whose
+// frames must sit in the chatty send queue, then its quiet share, whose
+// 10ms max-delay override must force exactly the quiet queue onto the wire
+// (deadline-flush attribution on the quiet object, chatty backlog depth
+// unchanged) while the chatty frames keep waiting for the end-of-run flush.
 func fairnessChecks(alg registry.Algorithm, cfg Config) error {
-	const (
-		nodes  = 3
-		chatty = transport.ObjID(1)
-		quiet  = transport.ObjID(2)
-	)
-	chattyOps := cfg.Steps / 4
-	if chattyOps < 8 {
-		chattyOps = 8
-	}
-	if chattyOps > 12 {
-		chattyOps = 12
-	}
-	const quietOps = 4
+	const chatty, quiet = transport.ObjID(1), transport.ObjID(2)
 	companion := "counter"
 	if alg.Name == companion {
 		companion = "lww-register"
 	}
-	man := transport.Manifest{
+	l, err := newLeg(alg, transport.Manifest{
 		{ID: chatty, Name: "chatty", Kind: alg.Name},
 		{ID: quiet, Name: "quiet", Kind: companion},
+	}, 30, min(max(cfg.Steps/4, 8), 12), 4)
+	if err != nil {
+		return err
 	}
-	algs := make([]registry.Algorithm, len(man))
-	scripts := make([]sim.Script, len(man))
-	opsFor := []int{chattyOps, quietOps}
-	for oi, ospec := range man {
-		a, ok := registry.ByName(ospec.Kind)
-		if !ok {
-			return fmt.Errorf("object %d: no algorithm %q in the registry", ospec.ID, ospec.Kind)
-		}
-		algs[oi] = a
-		scripts[oi] = sim.GenScript(a.New(), a.Abs, sim.GenFunc(a.GenOp), nodes, opsFor[oi], 30+int64(oi), a.NeedsCausal)
+	scheduled := func(b transport.BatchPolicy, s transport.SchedPolicy) []transport.StreamOption {
+		return []transport.StreamOption{transport.WithBatching(b), transport.WithScheduler(s)}
 	}
-	register := func(n *transport.Node) error {
-		for oi, ospec := range man {
-			if _, err := n.Register(ospec.ID, algs[oi].New(), algs[oi].DecodeEffector, algs[oi].NeedsCausal); err != nil {
-				return err
-			}
-		}
-		return nil
+	l.seed = 33
+	l.opts = [legNodes][]transport.StreamOption{
+		scheduled(transport.BatchPolicy{MaxFrames: 3},
+			transport.SchedPolicy{Weights: map[transport.ObjID]int{chatty: 1, quiet: 8}, ChunkFrames: 2}),
+		scheduled(transport.BatchPolicy{MaxFrames: 64, MaxBytes: 96},
+			transport.SchedPolicy{Weights: map[transport.ObjID]int{chatty: 2, quiet: 2}, ChunkFrames: 1}),
+		scheduled(transport.BatchPolicy{MaxFrames: 2}, transport.SchedPolicy{}), // default weights
 	}
-	checkConverged := func(states [][][]byte) error {
-		for oi, ospec := range man {
-			for id := 1; id < nodes; id++ {
-				if !bytes.Equal(states[id][oi], states[0][oi]) {
-					return fmt.Errorf("object %d (%s): node %d's canonical state differs from node 0's", ospec.ID, ospec.Kind, id)
-				}
-			}
-		}
-		return nil
-	}
-	// checkStats asserts both balance invariants a scheduled endpoint owes:
-	// per-object frame counters summing to the per-peer wire totals, and the
-	// scheduler's own queued == drained + depth ledger.
-	checkStats := func(id int, st transport.Stats) error {
-		var sent, recv int
-		for _, io := range st.Objects {
-			sent += io.SentFrames
-			recv += io.RecvFrames
-		}
-		if sent != st.TotalSent().Frames || recv != st.TotalRecv().Frames {
-			return fmt.Errorf("node %d: per-object frame counters (sent %d, recv %d) do not sum to the per-peer totals (sent %d, recv %d)",
-				id, sent, recv, st.TotalSent().Frames, st.TotalRecv().Frames)
-		}
-		if err := st.SchedBalance(); err != nil {
-			return fmt.Errorf("node %d: %w", id, err)
-		}
-		return nil
-	}
-
-	// Leg 1: deterministic weighted Mem mesh. Scheduling policies differ per
-	// node — chunked 8:1, evenly weighted, and default weights — so the DRR
-	// drain order genuinely reorders frames relative to arrival, yet a rerun
-	// must reproduce every byte of state and every stats counter.
-	memLeg := func() ([][][]byte, []transport.Stats, error) {
-		batch := [nodes]transport.BatchPolicy{
-			{MaxFrames: 3},
-			{MaxFrames: 64, MaxBytes: 96},
-			{MaxFrames: 2},
-		}
-		schedPols := [nodes]transport.SchedPolicy{
-			{Weights: map[transport.ObjID]int{chatty: 1, quiet: 8}, ChunkFrames: 2},
-			{Weights: map[transport.ObjID]int{chatty: 2, quiet: 2}, ChunkFrames: 1},
-			{}, // default weights
-		}
-		m := transport.NewMem(nodes)
-		ns := make([]*transport.Node, nodes)
-		for i := range ns {
-			n, err := transport.NewNode(m.Endpoint(model.NodeID(i),
-				transport.WithBatching(batch[i]), transport.WithScheduler(schedPols[i])), man)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := register(n); err != nil {
-				return nil, nil, err
-			}
-			ns[i] = n
-		}
-		sched := rand.New(rand.NewSource(33))
-		steps := chattyOps
-		if quietOps > steps {
-			steps = quietOps
-		}
-		for so := 0; so < steps; so++ {
-			for oi, ospec := range man {
-				if so >= len(scripts[oi]) {
-					continue
-				}
-				sop := scripts[oi][so]
-				p, _ := ns[sop.Node].Peer(ospec.ID)
-				if _, err := p.Invoke(sop.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-					return nil, nil, fmt.Errorf("object %d: invoke %v at %s: %w", ospec.ID, sop.Op, sop.Node, err)
-				}
-				for k := sched.Intn(3); k > 0; k-- {
-					if _, err := ns[sched.Intn(nodes)].Step(false); err != nil {
-						return nil, nil, err
-					}
-				}
-			}
-		}
-		for _, n := range ns {
-			for _, id := range n.Objects() {
-				p, _ := n.Peer(id)
-				if err := p.Done(); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		states := make([][][]byte, nodes)
-		stats := make([]transport.Stats, nodes)
-		for i, n := range ns {
-			if err := n.RunToQuiescence(5 * time.Second); err != nil {
-				return nil, nil, fmt.Errorf("node %d: %w", i, err)
-			}
-			states[i] = make([][]byte, len(man))
-			for oi, ospec := range man {
-				p, _ := n.Peer(ospec.ID)
-				states[i][oi] = p.CanonicalState()
-			}
-			stats[i] = n.Transport().(transport.StatsReporter).Stats()
-		}
-		return states, stats, nil
-	}
-
-	states, stats, err := memLeg()
+	mem, err := runMem(l)
 	if err != nil {
 		return fmt.Errorf("mem leg: %w", err)
 	}
-	if err := checkConverged(states); err != nil {
-		return fmt.Errorf("mem leg: %w", err)
-	}
 	queued := 0
-	for i, st := range stats {
-		if err := checkStats(i, st); err != nil {
-			return fmt.Errorf("mem leg: %w", err)
-		}
-		queued += st.FramesQueued
+	for _, nr := range mem {
+		queued += nr.stats.FramesQueued
 	}
 	if queued == 0 {
 		return fmt.Errorf("mem leg: no node queued a single frame — the scripts exercised nothing")
 	}
-	rerunStates, rerunStats, err := memLeg()
-	if err != nil {
-		return fmt.Errorf("mem rerun: %w", err)
-	}
-	if !reflect.DeepEqual(rerunStates, states) {
-		return fmt.Errorf("mem leg is not deterministic: rerun converged to different canonical states")
-	}
-	if !reflect.DeepEqual(rerunStats, stats) {
-		return fmt.Errorf("mem leg is not deterministic: rerun produced a different stats snapshot")
-	}
 
-	// Leg 2: live unix-socket mesh. The shared batch policy never flushes on
-	// its own; only the quiet object's max-delay override may put frames on
-	// the wire before the end-of-run flush.
-	unixLeg := func() error {
-		dir, err := os.MkdirTemp("", "crdt-fairness-*")
-		if err != nil {
-			return err
+	shared := scheduled(transport.BatchPolicy{MaxFrames: 1 << 20}, transport.SchedPolicy{
+		Weights:     map[transport.ObjID]int{chatty: 1, quiet: 8},
+		MaxDelay:    map[transport.ObjID]time.Duration{quiet: 10 * time.Millisecond},
+		ChunkFrames: 4,
+	})
+	l.opts = [legNodes][]transport.StreamOption{shared, shared, shared}
+	sched := func(n *transport.Node) map[transport.ObjID]*transport.SchedObj {
+		return n.Transport().(transport.StatsReporter).Stats().Sched.Objects
+	}
+	depth := func(o *transport.SchedObj) int {
+		if o == nil {
+			return 0
 		}
-		defer os.RemoveAll(dir)
-		addrs := make([]string, nodes)
-		for i := range addrs {
-			addrs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("n%d.sock", i))
+		return o.Depth
+	}
+	var chattyDepth [legNodes]int
+	l.afterShare = func(id model.NodeID, oi int, n *transport.Node) error {
+		p, _ := n.Peer(l.objs[oi].spec.ID)
+		issued := p.Issued()
+		if oi == 0 {
+			// Chatty first: its frames must sit in the chatty send queue
+			// (nothing in the shared policy can flush them).
+			chattyDepth[id] = depth(sched(n)[chatty])
+			if issued > 0 && chattyDepth[id] != issued {
+				return fmt.Errorf("chatty backlog depth %d after %d issued effectors — the shared policy flushed what only the scheduler may",
+					chattyDepth[id], issued)
+			}
+			return nil
 		}
-		batch := transport.BatchPolicy{MaxFrames: 1 << 20}
-		schedPol := transport.SchedPolicy{
-			Weights:     map[transport.ObjID]int{chatty: 1, quiet: 8},
-			MaxDelay:    map[transport.ObjID]time.Duration{quiet: 10 * time.Millisecond},
-			ChunkFrames: 4,
+		// Quiet next: its 10ms max-delay override must drain exactly the
+		// quiet queue, leaving the chatty backlog untouched.
+		if issued == 0 {
+			return nil
 		}
-		wstates := make([][][]byte, nodes)
-		wire := make([]transport.Stats, nodes)
-		conns := make([]int, nodes)
-		quietIssued := make([]int, nodes)
-		errs := make([]error, nodes)
-		var wg sync.WaitGroup
-		runNode := func(id model.NodeID) {
-			defer wg.Done()
-			errs[id] = func() error {
-				st, err := transport.Listen(id, addrs,
-					transport.WithRecvTimeout(5*time.Second), transport.WithManifest(man),
-					transport.WithBatching(batch), transport.WithScheduler(schedPol))
-				if err != nil {
-					return err
-				}
-				defer st.Close()
-				n, err := transport.NewNode(st, man)
-				if err != nil {
-					return err
-				}
-				if err := register(n); err != nil {
-					return err
-				}
-				invoke := func(oi int, ospec transport.ObjectSpec) error {
-					for _, so := range scripts[oi] {
-						if so.Node != id {
-							continue
-						}
-						p, _ := n.Peer(ospec.ID)
-						if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-							return err
-						}
-					}
-					return nil
-				}
-				// Chatty first: its frames must sit in the chatty send queue
-				// (nothing in the shared policy can flush them).
-				if err := invoke(0, man[0]); err != nil {
-					return err
-				}
-				chattyDepth := 0
-				if co := st.Stats().Sched.Objects[chatty]; co != nil {
-					chattyDepth = co.Depth
-				}
-				cp, _ := n.Peer(chatty)
-				if cp.Issued() > 0 && chattyDepth != cp.Issued() {
-					return fmt.Errorf("chatty backlog depth %d after %d issued effectors — the shared policy flushed what only the scheduler may",
-						chattyDepth, cp.Issued())
-				}
-				// Quiet next: its 10ms max-delay override must drain exactly
-				// the quiet queue, leaving the chatty backlog untouched.
-				if err := invoke(1, man[1]); err != nil {
-					return err
-				}
-				qp, _ := n.Peer(quiet)
-				quietIssued[id] = qp.Issued()
-				if quietIssued[id] > 0 {
-					deadline := time.Now().Add(5 * time.Second)
-					for {
-						q := st.Stats().Sched.Objects[quiet]
-						if q != nil && q.Depth == 0 && q.Drained >= quietIssued[id] && q.DeadlineFlushes >= 1 {
-							break
-						}
-						if time.Now().After(deadline) {
-							return fmt.Errorf("quiet object's max-delay override never flushed its queue: %+v", q)
-						}
-						time.Sleep(2 * time.Millisecond)
-					}
-					after := st.Stats()
-					if co := after.Sched.Objects[chatty]; chattyDepth > 0 && (co == nil || co.Depth != chattyDepth) {
-						got := 0
-						if co != nil {
-							got = co.Depth
-						}
-						return fmt.Errorf("chatty backlog depth changed from %d to %d while only the quiet deadline fired", chattyDepth, got)
-					}
-					if q := after.Sched.Objects[quiet]; q.DelaySamples > 0 && q.DelayMax > 5*time.Second {
-						return fmt.Errorf("quiet enqueue→wire delay %s wildly exceeds the 10ms override", q.DelayMax)
-					}
-				}
-				for _, obj := range n.Objects() {
-					p, _ := n.Peer(obj)
-					if err := p.Done(); err != nil {
-						return err
-					}
-				}
-				if err := n.RunToQuiescence(10 * time.Second); err != nil {
-					return err
-				}
-				wstates[id] = make([][]byte, len(man))
-				for oi, ospec := range man {
-					p, _ := n.Peer(ospec.ID)
-					wstates[id][oi] = p.CanonicalState()
-				}
-				wire[id] = st.Stats()
-				conns[id] = len(st.ConnectedPeers())
-				return nil
-			}()
-		}
-		wg.Add(nodes)
-		for i := 0; i < nodes; i++ {
-			go runNode(model.NodeID(i))
-		}
-		wg.Wait()
-		for id, err := range errs {
-			if err != nil {
-				return fmt.Errorf("peer %d: %w", id, err)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			q := sched(n)[quiet]
+			if q != nil && q.Depth == 0 && q.Drained >= issued && q.DeadlineFlushes >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("quiet object's max-delay override never flushed its queue: %+v", q)
 			}
 		}
-		if err := checkConverged(wstates); err != nil {
-			return err
+		after := sched(n)
+		if d := depth(after[chatty]); chattyDepth[id] > 0 && d != chattyDepth[id] {
+			return fmt.Errorf("chatty backlog depth changed from %d to %d while only the quiet deadline fired", chattyDepth[id], d)
 		}
-		totalQuiet := 0
-		for id := 0; id < nodes; id++ {
-			if conns[id] != nodes-1 {
-				return fmt.Errorf("node %d holds %d connections for %d peers — objects must share one socket pair per process pair",
-					id, conns[id], nodes-1)
-			}
-			if err := checkStats(id, wire[id]); err != nil {
-				return err
-			}
-			totalQuiet += quietIssued[id]
-		}
-		if totalQuiet == 0 {
-			return fmt.Errorf("no node issued a quiet effector — the override path went unexercised")
+		if q := after[quiet]; q.DelaySamples > 0 && q.DelayMax > 5*time.Second {
+			return fmt.Errorf("quiet enqueue→wire delay %s wildly exceeds the 10ms override", q.DelayMax)
 		}
 		return nil
 	}
-
-	if err := unixLeg(); err != nil {
+	r, err := runUnix(l)
+	if err != nil {
 		return fmt.Errorf("unix leg: %w", err)
+	}
+	quietIssued := 0
+	for _, nr := range r {
+		quietIssued += nr.issued[1]
+	}
+	if quietIssued == 0 {
+		return fmt.Errorf("unix leg: no node issued a quiet effector — the override path went unexercised")
 	}
 	return nil
 }

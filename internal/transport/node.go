@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/codec"
@@ -221,11 +222,10 @@ func (n *Node) RunToQuiescence(deadline time.Duration) error {
 	}
 	return n.wait(deadline, n.Quiesced,
 		func() error {
-			return fmt.Errorf("transport: %w: %d of %d objects not quiescent after %s",
-				ErrTimeout, n.unquiesced(), len(n.peers), deadline)
+			return fmt.Errorf("transport: %w: %s after %s", ErrTimeout, n.unquiesced(), deadline)
 		},
 		func() error {
-			return fmt.Errorf("transport: network drained but %d of %d objects not quiescent", n.unquiesced(), len(n.peers))
+			return fmt.Errorf("transport: network drained but %s", n.unquiesced())
 		})
 }
 
@@ -242,14 +242,16 @@ func (n *Node) Await(deadline time.Duration, pred func() bool) error {
 		})
 }
 
-func (n *Node) unquiesced() int {
-	c := 0
-	for _, p := range n.peers {
-		if !p.Quiesced() {
-			c++
+// unquiesced renders how many objects are not quiescent and names each, in
+// registration order, with its peer's progress.
+func (n *Node) unquiesced() string {
+	var stuck []string
+	for _, id := range n.order {
+		if p := n.peers[id]; !p.Quiesced() {
+			stuck = append(stuck, fmt.Sprintf("object %d %s", id, p.progress()))
 		}
 	}
-	return c
+	return fmt.Sprintf("%d of %d objects not quiescent: %s", len(stuck), len(n.peers), strings.Join(stuck, ", "))
 }
 
 // Close closes the shared endpoint (flushing any pending batch first, per

@@ -14,6 +14,7 @@ import (
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/spec"
 	"repro/internal/transport"
 )
 
@@ -314,5 +315,73 @@ func TestNodeAwaitCatchUpNamesPendingObjects(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "[5 7]") {
 		t.Fatalf("timeout error does not name the pending objects in order: %v", err)
+	}
+}
+
+// TestNodeQuiescenceErrorNamesStuckObjects: a node that cannot quiesce must
+// name each stuck object — in registration order, with its peer's progress —
+// and only those. Node 2 never announces Done for object 2, so node 0 can
+// quiesce object 1 but is left one Done short on object 2.
+func TestNodeQuiescenceErrorNamesStuckObjects(t *testing.T) {
+	const nodes = 3
+	man := transport.Manifest{
+		{ID: 1, Name: "accounts", Kind: "counter"},
+		{ID: 2, Name: "visits", Kind: "counter"},
+	}
+	alg := algFor(t, "counter")
+	m := transport.NewMem(nodes)
+	ns := make([]*transport.Node, nodes)
+	for i := range ns {
+		n, err := transport.NewNode(m.Endpoint(model.NodeID(i)), man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Registration order 2, 1: the error must follow it, not the IDs.
+		for _, id := range []transport.ObjID{2, 1} {
+			if _, err := n.Register(id, alg.New(), alg.DecodeEffector, alg.NeedsCausal); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ns[i] = n
+	}
+	p, _ := ns[1].Peer(2)
+	if _, err := p.Invoke(model.Op{Name: spec.OpInc, Arg: model.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range ns {
+		for _, id := range n.Objects() {
+			if i == 2 && id == 2 {
+				continue
+			}
+			p, _ := n.Peer(id)
+			if err := p.Done(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// A deadline already past fires before node 0 pumps a frame: both
+	// objects are stuck, named in registration order.
+	err := ns[0].RunToQuiescence(-time.Nanosecond)
+	if !errors.Is(err, transport.ErrTimeout) {
+		t.Fatalf("err = %v, want transport.ErrTimeout", err)
+	}
+	want := "2 of 2 objects not quiescent: object 2 (done 0/2 peers, applied 0, held 0), object 1 (done 0/2 peers, applied 0, held 0)"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("timeout error = %v\nwant it to contain %q", err, want)
+	}
+
+	// Pumping drains the network with object 1 quiescent and object 2
+	// missing node 2's Done.
+	err = ns[0].RunToQuiescence(time.Second)
+	if err == nil {
+		t.Fatal("node 0 quiesced without node 2's Done on object 2")
+	}
+	want = "1 of 2 objects not quiescent: object 2 (done 1/2 peers, applied 1, held 0)"
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("drain error = %v\nwant it to contain %q", err, want)
+	}
+	if strings.Contains(err.Error(), "object 1") {
+		t.Fatalf("drain error names the quiescent object 1: %v", err)
 	}
 }

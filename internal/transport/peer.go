@@ -838,11 +838,11 @@ func (p *Peer) DonePeers() int {
 	return len(p.done)
 }
 
-// progress snapshots the quiescence-relevant counters for diagnostics.
-func (p *Peer) progress() (done, applied, held int) {
+// progress renders the quiescence-relevant counters for diagnostics.
+func (p *Peer) progress() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.done), p.remote, len(p.held)
+	return fmt.Sprintf("(done %d/%d peers, applied %d, held %d)", len(p.done), p.t.N()-1, p.remote, len(p.held))
 }
 
 // Quiesced reports whether the object is stable from this peer's view:
@@ -870,13 +870,9 @@ func (p *Peer) RunToQuiescence(deadline time.Duration) error {
 	}
 	return pullUntil(deadline, p.Quiesced, p.Step,
 		func() error {
-			done, applied, held := p.progress()
-			return fmt.Errorf("transport: %w: not quiescent after %s (done %d/%d peers, applied %d, held %d)",
-				ErrTimeout, deadline, done, p.t.N()-1, applied, held)
+			return fmt.Errorf("transport: %w: not quiescent after %s %s", ErrTimeout, deadline, p.progress())
 		},
 		func() error {
-			done, applied, held := p.progress()
-			return fmt.Errorf("transport: network drained but peer not quiescent (done %d/%d peers, applied %d, held %d)",
-				done, p.t.N()-1, applied, held)
+			return fmt.Errorf("transport: network drained but peer not quiescent %s", p.progress())
 		})
 }
