@@ -374,9 +374,10 @@ func finishReceiver(node int, n *transport.Node, st *transport.Stream) int {
 // joiners declared (or as a -catch-up joiner itself) it runs the snapshot
 // protocol: early peers serve checkpoint-plus-suffix responses and compact
 // their logs every snapEvery applied frames; the joiner installs the first
-// response before playing its share. With recvWorkers > 0 the receive side
-// runs as the parallel pipeline (the single object pins to one shard, so
-// delivery order is unchanged) instead of the interleaved Step calls.
+// response before playing its share. The object is object 0 of a Node
+// without a manifest. With recvWorkers > 0 the receive side runs as the
+// parallel pipeline (the single object pins to one shard, so delivery order
+// is unchanged) instead of the interleaved Step calls.
 func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, recvWorkers int) int {
 	if len(addrList) < 2 {
 		fmt.Fprintf(os.Stderr, "crdt-sim: -addrs lists %d address(es); a mesh needs at least 2\n", len(addrList))
@@ -417,36 +418,24 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 	if catchUp {
 		popts = append(popts, transport.WithCatchUp(alg.DecodeState))
 	}
-	// Pipeline mode wraps the single object in a Node demux: the object's
-	// frames carry the default object id 0, and StartReceiver owns the
-	// receive side the rest of the run.
-	var n *transport.Node
+	n, err := transport.NewNode(st, nil)
 	var p *transport.Peer
-	if recvWorkers > 0 {
-		n, err = transport.NewNode(st, nil)
-		if err == nil {
-			p, err = n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, popts...)
-		}
-		if err == nil {
-			_, err = n.StartReceiver()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-			return 1
-		}
-	} else {
-		p = transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal, popts...)
+	if err == nil {
+		p, err = n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, popts...)
+	}
+	if err == nil && recvWorkers > 0 {
+		_, err = n.StartReceiver()
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
+		return 1
 	}
 	if catchUp {
 		if err := p.CatchUp(); err != nil {
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 			return 1
 		}
-		await := p.AwaitCatchUp
-		if n != nil {
-			await = n.AwaitCatchUp
-		}
-		if err := await(60 * time.Second); err != nil {
+		if err := n.AwaitCatchUp(60 * time.Second); err != nil {
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: catch-up: %v\n", node, err)
 			return 1
 		}
@@ -459,10 +448,10 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: invoke %v: %v\n", node, so.Op, err)
 			return 1
 		}
-		if n == nil {
+		if recvWorkers == 0 {
 			// Interleave receive progress so peers observe each other
 			// mid-script (the pipeline applies continuously on its own).
-			if _, err := p.Step(false); err != nil {
+			if _, err := n.Step(false); err != nil {
 				fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 				return 1
 			}
@@ -472,32 +461,27 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 		return 1
 	}
-	quiesce := p.RunToQuiescence
-	if n != nil {
-		quiesce = n.RunToQuiescence
-	}
-	if err := quiesce(60 * time.Second); err != nil {
+	if err := n.RunToQuiescence(60 * time.Second); err != nil {
 		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 		return 1
 	}
-	if n != nil {
+	if recvWorkers > 0 {
 		if code := finishReceiver(node, n, st); code != 0 {
 			return code
 		}
 	}
 	fmt.Printf("node %d: quiescent over %s (issued %d, applied %d remote), φ(state) = %s\n",
 		node, network, p.Issued(), p.Applied(), alg.Abs(p.State()))
-	if ts, ok := p.TransportStats(); ok {
-		sent, recv := ts.TotalSent(), ts.TotalRecv()
-		fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
-			node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes,
-			ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-		if err := ts.SchedBalance(); err != nil {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-			return 1
-		}
-		fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
+	ts := st.Stats()
+	sent, recv := ts.TotalSent(), ts.TotalRecv()
+	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
+		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes,
+		ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
+	if err := ts.SchedBalance(); err != nil {
+		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
+		return 1
 	}
+	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	if catchUp || snapEvery > 0 || len(late) > 0 {
 		ss := p.SnapshotStats()
 		fmt.Printf("node %d: snapshots: checkpoints=%d truncated=%d retained=%d served=%d installed=%t covered=%d suffix=%d fellback=%t\n",

@@ -772,7 +772,7 @@ func fairnessChecks(alg registry.Algorithm, cfg Config) error {
 	})
 	l.opts = [legNodes][]transport.StreamOption{shared, shared, shared}
 	sched := func(n *transport.Node) map[transport.ObjID]*transport.SchedObj {
-		return n.Transport().(transport.StatsReporter).Stats().Sched.Objects
+		return n.Transport().Stats().Sched.Objects
 	}
 	depth := func(o *transport.SchedObj) int {
 		if o == nil {

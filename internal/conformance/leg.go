@@ -109,10 +109,8 @@ func (r *legRun) record(id model.NodeID, l *leg, n *transport.Node) {
 		nr.snaps = append(nr.snaps, p.SnapshotStats())
 		nr.issued = append(nr.issued, p.Issued())
 	}
-	nr.stats = n.Transport().(transport.StatsReporter).Stats()
-	if pl, ok := n.Transport().(transport.PeerLister); ok {
-		nr.conns = len(pl.ConnectedPeers())
-	}
+	nr.stats = n.Transport().Stats()
+	nr.conns = len(n.Transport().ConnectedPeers())
 }
 
 // check asserts what every leg owes on every node, whichever runner ran it:

@@ -571,3 +571,86 @@ func TestMemBatchedEndpointDeterminism(t *testing.T) {
 		t.Fatalf("sent = %+v, want 7 frames in 3 batches", st1.Sent[1])
 	}
 }
+
+// TestMemEndpointClosed holds Mem endpoints to the Transport contract a
+// Stream keeps: Close drains the pending batch once, closing again is a
+// no-op, and every other operation then fails with ErrClosed.
+func TestMemEndpointClosed(t *testing.T) {
+	m := NewMem(2)
+	ep := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 8}))
+	f := Frame{Kind: KindEffector, MID: 1, From: 0, Payload: []byte{1}}
+	if err := ep.Broadcast(f); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := ep.Close(); err != nil {
+			t.Fatalf("close %d: %v", i+1, err)
+		}
+	}
+	if got := m.PendingTo(1); got != 1 {
+		t.Fatalf("pending after close = %d, want the drained frame alone", got)
+	}
+	f.MID = 3
+	for name, op := range map[string]func() error{
+		"Broadcast": func() error { return ep.Broadcast(f) },
+		"Send":      func() error { return ep.Send(1, f) },
+		"Flush":     ep.Flush,
+		"Recv":      func() error { _, _, err := ep.Recv(true); return err },
+	} {
+		if err := op(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: err = %v, want ErrClosed", name, err)
+		}
+	}
+	if got := m.PendingTo(1); got != 1 {
+		t.Fatalf("pending = %d after refused operations, want 1", got)
+	}
+}
+
+// TestMemByteLedgersBalance: a Mem endpoint charges each received frame the
+// nested envelope its sender was charged, so on a drained mesh the bytes
+// sent and received sum to the same total. Batch counts differ by design: a
+// flush is one container per peer, and Mem receives frame by frame.
+func TestMemByteLedgersBalance(t *testing.T) {
+	m := NewMem(3)
+	eps := []Transport{
+		m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 3})),
+		m.Endpoint(1),
+		m.Endpoint(2),
+	}
+	for i := 1; i <= 7; i++ {
+		if err := eps[0].Broadcast(Frame{Kind: KindEffector, MID: model.MsgID(3 * i), From: 0, Deps: []model.MsgID{2}, Payload: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eps[1].Broadcast(Frame{Kind: KindDone, MID: 2, From: 1, Payload: []byte{0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps[2].Send(0, Frame{Kind: KindSnapshot, MID: 6, From: 2, Payload: []byte("state")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eps[0].Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var sent, recv PeerIO
+	for _, ep := range eps {
+		for {
+			_, ok, err := ep.Recv(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+		}
+	}
+	for _, ep := range eps {
+		st := ep.Stats()
+		sent, recv = sent.add(st.TotalSent()), recv.add(st.TotalRecv())
+	}
+	if sent.Frames != 7*2+2+1 || recv.Frames != sent.Frames {
+		t.Fatalf("frames sent %d, received %d, want 17 each", sent.Frames, recv.Frames)
+	}
+	if sent.Bytes == 0 || recv.Bytes != sent.Bytes {
+		t.Fatalf("drained mesh sent %d B but received %d B", sent.Bytes, recv.Bytes)
+	}
+}

@@ -296,16 +296,32 @@ func (m *Mem) Endpoint(id model.NodeID, opts ...StreamOption) Transport {
 type memEndpoint struct {
 	endpointConfig
 
-	m     *Mem
-	self  model.NodeID
-	sq    *sched
-	stats Stats
+	m      *Mem
+	self   model.NodeID
+	sq     *sched
+	stats  Stats
+	closed bool
 }
 
 func (e *memEndpoint) Self() model.NodeID { return e.self }
 func (e *memEndpoint) N() int             { return e.m.n }
 
+// ConnectedPeers lists every other node: a Mem link is never torn down
+// (partitions gate delivery, not membership).
+func (e *memEndpoint) ConnectedPeers() []model.NodeID {
+	out := make([]model.NodeID, 0, e.m.n-1)
+	for id := model.NodeID(0); int(id) < e.m.n; id++ {
+		if id != e.self {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 func (e *memEndpoint) Broadcast(f Frame) error {
+	if e.closed {
+		return ErrClosed
+	}
 	// Byte accounting mirrors the socket wire: the nested checksummed
 	// envelope the frame would cost in a batch container.
 	e.sq.enqueue(schedItem{obj: f.Obj, frame: f, wire: len(EncodeWire(f))})
@@ -348,10 +364,13 @@ func (e *memEndpoint) flush(trigger int, cause ObjID) error {
 	}
 }
 
-// Send queues one frame for exactly one peer (the Unicaster interface): the
-// snapshot protocol's response channel. The pending broadcast batch is
-// flushed first so the unicast cannot overtake broadcasts queued before it.
+// Send queues one frame for exactly one peer: the snapshot protocol's
+// response channel. The pending broadcast batch is flushed first so the
+// unicast cannot overtake broadcasts queued before it.
 func (e *memEndpoint) Send(to model.NodeID, f Frame) error {
+	if e.closed {
+		return ErrClosed
+	}
 	if int(to) < 0 || int(to) >= e.m.n || to == e.self {
 		return fmt.Errorf("transport: cannot unicast to node %s", to)
 	}
@@ -364,12 +383,20 @@ func (e *memEndpoint) Send(to model.NodeID, f Frame) error {
 }
 
 // Flush forces the pending batch into the network queues.
-func (e *memEndpoint) Flush() error { return e.flush(trigExplicit, 0) }
+func (e *memEndpoint) Flush() error {
+	if e.closed {
+		return ErrClosed
+	}
+	return e.flush(trigExplicit, 0)
+}
 
 // Stats returns a snapshot of the endpoint's batching and IO counters.
 func (e *memEndpoint) Stats() Stats { return e.stats.clone() }
 
 func (e *memEndpoint) Recv(wait bool) (Frame, bool, error) {
+	if e.closed {
+		return Frame{}, false, ErrClosed
+	}
 	for {
 		var best memKey
 		found := false
@@ -388,8 +415,9 @@ func (e *memEndpoint) Recv(wait bool) (Frame, bool, error) {
 			q, _ := e.m.take(e.self, best)
 			from := q.Frame.From
 			if int(from) >= 0 && int(from) < e.m.n {
-				// Mem delivers frame-at-a-time: one batch per frame.
-				e.stats.noteRecv(from, 1, len(q.Frame.Payload), []ObjID{q.Frame.Obj})
+				// Mem delivers frame-at-a-time: one batch per frame, charged
+				// the nested envelope its send was, so the ledgers balance.
+				e.stats.noteRecv(from, 1, len(EncodeWire(q.Frame)), []ObjID{q.Frame.Obj})
 			}
 			return q.Frame, true, nil
 		}
@@ -407,5 +435,12 @@ func (e *memEndpoint) Recv(wait bool) (Frame, bool, error) {
 }
 
 // Close drains the pending batch into the network (the clean-hangup
-// semantics the socket transport has: no queued frame is lost).
-func (e *memEndpoint) Close() error { return e.flush(trigClose, 0) }
+// semantics the socket transport has: no queued frame is lost). Closing
+// twice is a no-op.
+func (e *memEndpoint) Close() error {
+	if e.closed {
+		return nil
+	}
+	e.closed = true
+	return e.flush(trigClose, 0)
+}

@@ -7,23 +7,23 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/crdt"
-	"repro/internal/model"
 )
 
-// Node multiplexes many replicated objects over one Transport endpoint: the
-// shared-mesh layer between the object-blind byte movers (Stream, Mem) and
-// the per-object replica logic (Peer). One socket pair per process pair
-// carries every object's traffic — effectors, snapshot requests and
-// responses, done announcements — and the Node demultiplexes inbound frames
-// to the Peer registered under each frame's object ID.
+// Node hosts replicated objects on one Transport endpoint and is their only
+// receiver: the shared-mesh layer between the object-blind byte movers
+// (Stream, Mem) and the per-object replica logic (Peer). One socket pair per
+// process pair carries every object's traffic — effectors, snapshot requests
+// and responses, done announcements — and the Node demultiplexes inbound
+// frames to the Peer registered under each frame's object ID. A single
+// object is object 0 of a Node without a manifest.
 //
-// Every registered Peer sees the shared endpoint through an object-scoped
-// view, so the peers also *share* the endpoint's BatchPolicy: broadcasts
-// from different objects coalesce into the same batch container, and one
-// flush pays one wire write for all of them. Because a view pumping the
-// shared Recv routes other objects' frames inline, progress is cross-object:
-// a late joiner can sit in object A's snapshot catch-up while object B's
-// live traffic keeps applying.
+// Every registered Peer sends through the shared endpoint itself, stamping
+// its object ID on each frame, so the peers also *share* the endpoint's
+// BatchPolicy: broadcasts from different objects coalesce into the same
+// batch container, and one flush pays one wire write for all of them.
+// Because the Node routes whatever frame surfaces, progress is
+// cross-object: a late joiner can sit in object A's snapshot catch-up while
+// object B's live traffic keeps applying.
 type Node struct {
 	t     Transport
 	man   Manifest
@@ -63,8 +63,8 @@ func (n *Node) Transport() Transport { return n.t }
 
 // Register creates the Peer replicating object id over the shared endpoint.
 // The id must be declared in the manifest (object 0 of an empty manifest is
-// the single-object degenerate case) and not yet registered. The peer is
-// built with WithObjectID(id) plus opts, exactly as NewPeer would.
+// the single-object case) and not yet registered. The peer is built with
+// opts, exactly as NewPeer would, and scoped to id.
 func (n *Node) Register(id ObjID, obj crdt.Object, dec crdt.EffectorDecoder, causal bool, opts ...PeerOption) (*Peer, error) {
 	if n.pipe != nil {
 		return nil, fmt.Errorf("transport: cannot register object %d after the receiver started", id)
@@ -79,7 +79,8 @@ func (n *Node) Register(id ObjID, obj crdt.Object, dec crdt.EffectorDecoder, cau
 	if _, dup := n.peers[id]; dup {
 		return nil, fmt.Errorf("transport: object %d registered twice", id)
 	}
-	p := NewPeer(obj, dec, &objView{n: n, id: id}, causal, append([]PeerOption{WithObjectID(id)}, opts...)...)
+	p := NewPeer(obj, dec, n.t, causal, opts...)
+	p.objID = id
 	n.peers[id] = p
 	n.order = append(n.order, id)
 	return p, nil
@@ -149,12 +150,7 @@ func (n *Node) Step(wait bool) (bool, error) {
 }
 
 // Flush forces any pending batch of the shared endpoint down to the wire.
-func (n *Node) Flush() error {
-	if fl, ok := n.t.(Flusher); ok {
-		return fl.Flush()
-	}
-	return nil
-}
+func (n *Node) Flush() error { return n.t.Flush() }
 
 // CatchUp broadcasts every registered late joiner's snapshot request (the
 // peers built with WithCatchUp), in registration order — one batched flush
@@ -169,12 +165,28 @@ func (n *Node) CatchUp() error {
 }
 
 // wait blocks until pred holds, whatever owns the receive side: with the
-// pipeline started it waits on applied frames, otherwise it pumps Step.
+// pipeline started it waits on applied frames, otherwise it pumps Step. A
+// step error returns as is, the deadline passing renders onTimeout, and a
+// blocking step that reports no frame — a deterministic endpoint drained for
+// good — renders onDrain.
 func (n *Node) wait(deadline time.Duration, pred func() bool, onTimeout, onDrain func() error) error {
 	if n.pipe != nil {
 		return n.pipe.await(deadline, pred, onTimeout, onDrain)
 	}
-	return pullUntil(deadline, pred, n.Step, onTimeout, onDrain)
+	limit := time.Now().Add(deadline)
+	for !pred() {
+		if time.Now().After(limit) {
+			return onTimeout()
+		}
+		ok, err := n.Step(true)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return onDrain()
+		}
+	}
+	return nil
 }
 
 // AwaitCatchUp pumps the shared endpoint until every requested catch-up has
@@ -214,8 +226,9 @@ func (n *Node) Quiesced() bool {
 }
 
 // RunToQuiescence pumps the shared endpoint until every registered object
-// quiesces or the deadline passes. The pending batch is flushed first, as
-// each Peer does before blocking on its peers.
+// quiesces or the deadline passes. The pending batch is flushed first: the
+// node is about to block on its peers, so holding its own broadcasts back
+// could deadlock the mesh.
 func (n *Node) RunToQuiescence(deadline time.Duration) error {
 	if err := n.Flush(); err != nil {
 		return err
@@ -257,79 +270,3 @@ func (n *Node) unquiesced() string {
 // Close closes the shared endpoint (flushing any pending batch first, per
 // the endpoint's own clean-hangup semantics).
 func (n *Node) Close() error { return n.t.Close() }
-
-// objView is one object's Transport view of the shared endpoint: sends are
-// stamped with the object ID, and receives route other objects' frames to
-// their own replicas inline, so any object pumping the endpoint makes
-// progress for all of them.
-type objView struct {
-	n  *Node
-	id ObjID
-}
-
-func (v *objView) Self() model.NodeID { return v.n.t.Self() }
-func (v *objView) N() int             { return v.n.t.N() }
-
-func (v *objView) Broadcast(f Frame) error {
-	f.Obj = v.id
-	return v.n.t.Broadcast(f)
-}
-
-// Send implements Unicaster over the shared endpoint (the snapshot response
-// channel). The endpoint must unicast; Stream and Mem endpoints both do.
-func (v *objView) Send(to model.NodeID, f Frame) error {
-	u, ok := v.n.t.(Unicaster)
-	if !ok {
-		return fmt.Errorf("transport: %T cannot unicast", v.n.t)
-	}
-	f.Obj = v.id
-	return u.Send(to, f)
-}
-
-// Recv returns the next frame scoped to this view's object, routing frames
-// of every other object to their replicas as they surface.
-func (v *objView) Recv(wait bool) (Frame, bool, error) {
-	for {
-		f, ok, err := v.n.t.Recv(wait)
-		if err != nil || !ok {
-			return Frame{}, ok, err
-		}
-		if f.Obj == v.id {
-			return f, true, nil
-		}
-		if err := v.n.route(f); err != nil {
-			return Frame{}, false, err
-		}
-	}
-}
-
-// Flush flushes the shared endpoint: one pending batch serves every object.
-func (v *objView) Flush() error { return v.n.Flush() }
-
-// Stats reports the shared endpoint's counters — the same snapshot for
-// every object view, including the per-object split.
-func (v *objView) Stats() Stats {
-	if sr, ok := v.n.t.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}
-
-// ConnectedPeers delegates to the shared endpoint, falling back to the full
-// group exactly as a Peer over a non-tracking transport assumes.
-func (v *objView) ConnectedPeers() []model.NodeID {
-	if pl, ok := v.n.t.(PeerLister); ok {
-		return pl.ConnectedPeers()
-	}
-	out := make([]model.NodeID, 0, v.n.t.N()-1)
-	for i := 0; i < v.n.t.N(); i++ {
-		if model.NodeID(i) != v.n.t.Self() {
-			out = append(out, model.NodeID(i))
-		}
-	}
-	return out
-}
-
-// Close is a no-op: the Node owns the shared endpoint, and one object
-// leaving must not hang up the others. Use Node.Close.
-func (v *objView) Close() error { return nil }

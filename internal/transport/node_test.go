@@ -136,7 +136,7 @@ func TestNodeMultiplexMem(t *testing.T) {
 	// Stats balance: the object split and the per-peer totals are two views
 	// of the same frames, updated together, so the sums must agree exactly.
 	for i, n := range ns {
-		st := n.Transport().(transport.StatsReporter).Stats()
+		st := n.Transport().Stats()
 		var sentObj, recvObj int
 		for _, io := range st.Objects {
 			sentObj += io.SentFrames

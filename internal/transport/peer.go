@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/crdt"
@@ -39,11 +38,11 @@ type Peer struct {
 	obj    crdt.Object
 	dec    crdt.EffectorDecoder
 	causal bool
-	// objID scopes every frame this replica sends and accepts. 0 for a
-	// single-object group; a Node demux registers each peer under its
-	// manifest ID (WithObjectID). Everything below — the Lamport mid space,
-	// dedup, hold-back, checkpointing — is per object by construction,
-	// because each object gets its own Peer.
+	// objID scopes every frame this replica sends and accepts: the ID
+	// Node.Register hosts it under (0 for the lone object of a group without
+	// a manifest). Everything below — the Lamport mid space, dedup,
+	// hold-back, checkpointing — is per object by construction, because each
+	// object gets its own Peer.
 	objID ObjID
 
 	state   crdt.State
@@ -111,13 +110,6 @@ func WithSnapshotPolicy(pol SnapshotPolicy) PeerOption {
 	}
 }
 
-// WithObjectID scopes the peer to one replicated object of a multiplexed
-// mesh: its frames are stamped with id, and frames for any other object are
-// rejected as corrupt (a demux routing them here is a bug, not traffic).
-func WithObjectID(id ObjID) PeerOption {
-	return func(p *Peer) { p.objID = id }
-}
-
 // WithCatchUp marks the peer a late joiner: CatchUp broadcasts a snapshot
 // request and the first response installs through dec (the algorithm's
 // registered StateDecoder) before the peer enters the normal hold-back loop.
@@ -128,9 +120,11 @@ func WithCatchUp(dec crdt.StateDecoder) PeerOption {
 	}
 }
 
-// NewPeer creates the replica layer for obj over t. dec must be the
-// algorithm's registered effector decoder; causal enables the causal
-// hold-back the X-wins algorithms require.
+// NewPeer creates the replica layer for obj over t, scoped to object 0. dec
+// must be the algorithm's registered effector decoder; causal enables the
+// causal hold-back the X-wins algorithms require. The peer only sends: frames
+// reach it through Handle, which a Node's receive loop calls (Node.Register
+// builds and hosts the peer).
 func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool, opts ...PeerOption) *Peer {
 	p := &Peer{
 		t: t, obj: obj, dec: dec, causal: causal,
@@ -182,10 +176,6 @@ func (p *Peer) Applied() int {
 	return p.remote
 }
 
-// ObjectID returns the object this replica is scoped to (0 for a
-// single-object group).
-func (p *Peer) ObjectID() ObjID { return p.objID }
-
 // nextMID allocates the next Lamport request ID.
 func (p *Peer) nextMID() model.MsgID {
 	mid := model.MsgID(int(p.seq)*p.t.N() + int(p.t.Self()) + 1)
@@ -193,17 +183,27 @@ func (p *Peer) nextMID() model.MsgID {
 	return mid
 }
 
-// observe bumps the Lamport sequence past a received mid.
+// observe bumps the Lamport sequence past a received mid. Only positive mids
+// have a sequence number; Handle rejects others, and a snapshot's covered
+// list must not wrap the sequence with them either.
 func (p *Peer) observe(mid model.MsgID) {
+	if mid <= 0 {
+		return
+	}
 	if s := uint64(int(mid)-1) / uint64(p.t.N()); s >= p.seq {
 		p.seq = s + 1
 	}
 }
 
 // origin returns the replica that allocated mid: (mid-1) mod N, by the
-// Lamport layout. Only positive mids have one; a corrupt peer may send
+// Lamport layout. Only positive mids have one; a corrupt snapshot may list
 // others, which callers skip.
 func (p *Peer) origin(mid model.MsgID) int { return int(mid-1) % p.t.N() }
+
+// isPeer reports whether id names another node of the group.
+func (p *Peer) isPeer(id model.NodeID) bool {
+	return id >= 0 && int(id) < p.t.N() && id != p.t.Self()
+}
 
 // raise lifts the per-origin watermark w to mid at mid's origin.
 func (p *Peer) raise(w []model.MsgID, mid model.MsgID) {
@@ -315,39 +315,24 @@ func (p *Peer) Done() error {
 	}); err != nil {
 		return err
 	}
-	return p.Flush()
+	return p.t.Flush()
 }
 
-// Flush forces any broadcasts a batching transport still holds down to the
-// wire; on an unbatched transport it is a no-op. The replica layer flushes
-// whenever it is about to block on its peers, so any BatchPolicy — even one
-// with a generous delay — preserves liveness.
-func (p *Peer) Flush() error {
-	if fl, ok := p.t.(Flusher); ok {
-		return fl.Flush()
-	}
-	return nil
-}
-
-// TransportStats returns the transport's batching/IO counters when the
-// transport keeps them (the socket Stream and batched Mem endpoints do).
-func (p *Peer) TransportStats() (Stats, bool) {
-	if sr, ok := p.t.(StatsReporter); ok {
-		return sr.Stats(), true
-	}
-	return Stats{}, false
-}
-
-// Handle processes one received frame: dedup by request ID before the
-// payload is even parsed, causal hold-back when enabled, decode through the
-// registered decoder (corruption never reaches Apply — the wire envelope
-// already rejected bit flips), then application and a retry of any held
-// frames the new delivery unblocked.
+// Handle processes one received frame: validation of its routing fields,
+// dedup by request ID before the payload is even parsed, causal hold-back
+// when enabled, decode through the registered decoder (corruption never
+// reaches Apply — the wire envelope already rejected bit flips), then
+// application and a retry of any held frames the new delivery unblocked.
 func (p *Peer) Handle(f Frame) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if f.Obj != p.objID {
+	switch {
+	case f.Obj != p.objID:
 		return fmt.Errorf("%w: object %d frame delivered to the object %d replica", codec.ErrCorrupt, f.Obj, p.objID)
+	case f.MID <= 0:
+		return fmt.Errorf("%w: %s frame from %s carries mid %d, not a positive request ID", codec.ErrCorrupt, KindName(f.Kind), f.From, f.MID)
+	case !p.isPeer(f.From):
+		return fmt.Errorf("%w: %s frame %s names sender %s, not a peer of %s in the %d-node group", codec.ErrCorrupt, KindName(f.Kind), f.MID, f.From, p.t.Self(), p.t.N())
 	}
 	switch f.Kind {
 	case KindDone:
@@ -520,20 +505,9 @@ func (p *Peer) retryHeld() error {
 	}
 }
 
-// Step receives and handles one frame. It reports whether a frame was
-// processed; with wait=true it blocks until one arrives or the transport's
-// receive deadline passes.
-func (p *Peer) Step(wait bool) (bool, error) {
-	f, ok, err := p.t.Recv(wait)
-	if err != nil || !ok {
-		return false, err
-	}
-	return true, p.Handle(f)
-}
-
 // CatchUp broadcasts a KindSnapshotRequest: every serving peer answers with
 // its checkpoint state plus retained suffix, and the first response installs
-// (AwaitCatchUp pumps until then). Until the install — or the fallback to
+// (Node.AwaitCatchUp waits until then). Until the install — or the fallback to
 // full replay if the response is corrupt — incoming effector frames buffer
 // and Invoke refuses. Call it right after Listen, before any operation.
 func (p *Peer) CatchUp() error {
@@ -552,7 +526,7 @@ func (p *Peer) CatchUp() error {
 	}); err != nil {
 		return err
 	}
-	return p.Flush()
+	return p.t.Flush()
 }
 
 // CaughtUp reports whether a requested catch-up has resolved (a snapshot
@@ -571,27 +545,6 @@ func (p *Peer) awaitingSnapshot() bool {
 	return p.requested && p.syncing
 }
 
-// syncingNow reads the syncing flag under the lock.
-func (p *Peer) syncingNow() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.syncing
-}
-
-// AwaitCatchUp pumps the transport until the catch-up resolves or the
-// deadline passes. A corrupt first response surfaces as an error wrapping
-// codec.ErrCorrupt; the peer is still usable afterwards — it has fallen back
-// to converging by full replay.
-func (p *Peer) AwaitCatchUp(deadline time.Duration) error {
-	return pullUntil(deadline, func() bool { return !p.syncingNow() }, p.Step,
-		func() error {
-			return fmt.Errorf("transport: %w: no snapshot response after %s", ErrTimeout, deadline)
-		},
-		func() error {
-			return fmt.Errorf("transport: network drained while awaiting a snapshot response")
-		})
-}
-
 // serveSnapshot answers one snapshot request: the checkpoint's covered set
 // and state (or the initial state before any checkpoint — then the whole
 // log rides as suffix, a full replay), the retained log, and the completion
@@ -606,10 +559,6 @@ func (p *Peer) serveSnapshot(to model.NodeID) error {
 	if p.served[to] {
 		p.snapStats.DupRequests++
 		return nil
-	}
-	u, ok := p.t.(Unicaster)
-	if !ok {
-		return fmt.Errorf("transport: %T cannot unicast a snapshot response", p.t)
 	}
 	p.served[to] = true
 	snap := Snapshot{Suffix: p.log}
@@ -626,7 +575,7 @@ func (p *Peer) serveSnapshot(to model.NodeID) error {
 		snap.Done = append(snap.Done, DoneCount{Node: p.t.Self(), Count: p.issued})
 	}
 	p.snapStats.Served++
-	if err := u.Send(to, Frame{
+	if err := p.t.Send(to, Frame{
 		Kind: KindSnapshot, Obj: p.objID, MID: p.nextMID(), From: p.t.Self(), Payload: EncodeSnapshot(snap),
 	}); err != nil {
 		// Best-effort: the requester may have resolved through another peer's
@@ -701,7 +650,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		}
 	}
 	for _, d := range snap.Done {
-		if _, known := p.done[d.Node]; !known && d.Node != p.t.Self() {
+		if _, known := p.done[d.Node]; !known && p.isPeer(d.Node) {
 			p.done[d.Node] = d.Count
 		}
 	}
@@ -742,7 +691,7 @@ func (p *Peer) compact() error {
 	if len(p.log) == 0 {
 		return nil
 	}
-	peers := p.connectedPeers()
+	peers := p.t.ConnectedPeers()
 	var stable []model.MsgID
 	for _, f := range p.log {
 		acked := true
@@ -797,22 +746,6 @@ func (p *Peer) compact() error {
 	return nil
 }
 
-// connectedPeers returns the peers the compaction frontier must wait for:
-// what the transport reports as connected, or every other group member when
-// the transport does not track connections.
-func (p *Peer) connectedPeers() []model.NodeID {
-	if pl, ok := p.t.(PeerLister); ok {
-		return pl.ConnectedPeers()
-	}
-	out := make([]model.NodeID, 0, p.t.N()-1)
-	for i := 0; i < p.t.N(); i++ {
-		if model.NodeID(i) != p.t.Self() {
-			out = append(out, model.NodeID(i))
-		}
-	}
-	return out
-}
-
 // SnapshotStats returns a snapshot of the peer's state-transfer counters.
 func (p *Peer) SnapshotStats() SnapStats {
 	p.mu.Lock()
@@ -859,20 +792,4 @@ func (p *Peer) Quiesced() bool {
 		want += n
 	}
 	return p.remote == want && len(p.held) == 0
-}
-
-// RunToQuiescence pumps the transport until Quiesced or the deadline. Any
-// pending batch is flushed first — the peer is about to block on the
-// others, so holding its own broadcasts back could deadlock the mesh.
-func (p *Peer) RunToQuiescence(deadline time.Duration) error {
-	if err := p.Flush(); err != nil {
-		return err
-	}
-	return pullUntil(deadline, p.Quiesced, p.Step,
-		func() error {
-			return fmt.Errorf("transport: %w: not quiescent after %s %s", ErrTimeout, deadline, p.progress())
-		},
-		func() error {
-			return fmt.Errorf("transport: network drained but peer not quiescent %s", p.progress())
-		})
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
@@ -16,16 +18,33 @@ import (
 	"repro/internal/transport"
 )
 
-// runPeersOverMem replicates one generated script across n Peer replicas on
-// a shared deterministic Mem: each peer invokes its own node's operations
+// hostSolo hosts alg as object 0 of a Node without a manifest over ep — how
+// a single object replicates — and returns the node and its peer. Neither
+// step can fail for the lone object 0, so an error panics: the helper also
+// runs on mesh goroutines and in child processes, where t.Fatal cannot.
+func hostSolo(ep transport.Transport, alg registry.Algorithm, opts ...transport.PeerOption) (*transport.Node, *transport.Peer) {
+	n, err := transport.NewNode(ep, nil)
+	if err != nil {
+		panic(err)
+	}
+	p, err := n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, opts...)
+	if err != nil {
+		panic(err)
+	}
+	return n, p
+}
+
+// runPeersOverMem replicates one generated script across n replicas on a
+// shared deterministic Mem: each peer invokes its own node's operations
 // (interleaved with receive steps so visibility varies), announces Done, and
 // pumps to quiescence. Returns the peers for assertions.
 func runPeersOverMem(t *testing.T, alg registry.Algorithm, n, ops int, seed int64) []*transport.Peer {
 	t.Helper()
 	m := transport.NewMem(n)
+	nodes := make([]*transport.Node, n)
 	peers := make([]*transport.Peer, n)
 	for i := range peers {
-		peers[i] = transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(model.NodeID(i)), alg.NeedsCausal)
+		nodes[i], peers[i] = hostSolo(m.Endpoint(model.NodeID(i)), alg)
 	}
 	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), n, ops, seed, alg.NeedsCausal)
 	sched := rand.New(rand.NewSource(seed))
@@ -37,7 +56,7 @@ func runPeersOverMem(t *testing.T, alg registry.Algorithm, n, ops int, seed int6
 		// Let a random peer make some receive progress, so interleavings vary
 		// with the seed.
 		for k := sched.Intn(3); k > 0; k-- {
-			if _, err := peers[sched.Intn(n)].Step(false); err != nil {
+			if _, err := nodes[sched.Intn(n)].Step(false); err != nil {
 				t.Fatalf("step: %v", err)
 			}
 		}
@@ -47,8 +66,8 @@ func runPeersOverMem(t *testing.T, alg registry.Algorithm, n, ops int, seed int6
 			t.Fatalf("done: %v", err)
 		}
 	}
-	for i, p := range peers {
-		if err := p.RunToQuiescence(5 * time.Second); err != nil {
+	for i, node := range nodes {
+		if err := node.RunToQuiescence(5 * time.Second); err != nil {
 			t.Fatalf("peer %d: %v", i, err)
 		}
 	}
@@ -170,18 +189,18 @@ func TestPeerCausalHoldBackTransitive(t *testing.T) {
 	}
 	const n = 3
 	m := transport.NewMem(n)
-	origin := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), true)
-	relay := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), true)
+	originNode, origin := hostSolo(m.Endpoint(0), alg)
+	relayNode, relay := hostSolo(m.Endpoint(1), alg)
 	for i := 1; i <= 4; i++ {
 		if _, err := origin.Invoke(model.Op{Name: spec.OpAdd, Arg: model.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pumpDrain(t, relay)
+	pumpDrain(t, relayNode)
 	if _, err := relay.Invoke(model.Op{Name: spec.OpRemove, Arg: model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	pumpDrain(t, origin)
+	pumpDrain(t, originNode)
 	var frames []transport.Frame
 	ep := m.Endpoint(2)
 	for {
@@ -252,7 +271,7 @@ func TestPeerLamportMIDsDisjoint(t *testing.T) {
 	}
 	m := transport.NewMem(2)
 	a := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), false)
-	b := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), false)
+	bn, b := hostSolo(m.Endpoint(1), alg)
 	inc := model.Op{Name: spec.OpInc}
 	for i := 0; i < 3; i++ {
 		if _, err := a.Invoke(inc); err != nil {
@@ -263,7 +282,7 @@ func TestPeerLamportMIDsDisjoint(t *testing.T) {
 	// after everything it has seen (Lamport order consistent with
 	// happens-before).
 	for i := 0; i < 3; i++ {
-		if ok, err := b.Step(true); err != nil || !ok {
+		if ok, err := bn.Step(true); err != nil || !ok {
 			t.Fatalf("step: ok=%v err=%v", ok, err)
 		}
 	}
@@ -278,5 +297,202 @@ func TestPeerLamportMIDsDisjoint(t *testing.T) {
 	// 2·seq+2 with seq ≥ 3 → at least 8 > 5.
 	if f.MID <= 5 {
 		t.Fatalf("b's mid %s does not sort after the 3 broadcasts it observed", f.MID)
+	}
+}
+
+// doneFrame is node from's completion announcement with no effectful
+// broadcasts, the frame a peer's quiescence counts.
+func doneFrame(from model.NodeID, mid model.MsgID) transport.Frame {
+	return transport.Frame{Kind: transport.KindDone, MID: mid, From: from, Payload: codec.AppendUvarint(nil, 0)}
+}
+
+// TestPeerHandleRejectsBadSender: a frame naming the receiving node itself,
+// or a node outside the group, as its sender is corrupt. Counting its Done
+// would let a phantom peer complete the receiver's quiescence while a real
+// peer never announced.
+func TestPeerHandleRejectsBadSender(t *testing.T) {
+	alg := algFor(t, "counter")
+	for _, from := range []model.NodeID{0, 3, 7, -1} {
+		m := transport.NewMem(3)
+		p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), false)
+		if err := p.Handle(doneFrame(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Handle(doneFrame(from, 5)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("done frame from %s at node 0 of 3: err = %v, want codec.ErrCorrupt", from, err)
+		}
+		if p.Quiesced() {
+			t.Fatalf("done frame from %s quiesced node 0 although node 2 never announced", from)
+		}
+		if got := p.DonePeers(); got != 1 {
+			t.Fatalf("done frame from %s: DonePeers = %d, want 1", from, got)
+		}
+	}
+
+	// A snapshot's done list is the other way completions arrive: an entry
+	// naming a node outside the group is not counted either.
+	p := transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(3).Endpoint(0), false, transport.WithCatchUp(alg.DecodeState))
+	if err := p.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	snap := transport.Snapshot{State: alg.New().Init().AppendBinary(nil), Done: []transport.DoneCount{{Node: 1}, {Node: 7}}}
+	if err := p.Handle(transport.Frame{Kind: transport.KindSnapshot, MID: 2, From: 1, Payload: transport.EncodeSnapshot(snap)}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Quiesced() || p.DonePeers() != 1 {
+		t.Fatalf("a snapshot listing node 7 as done: quiesced %t, DonePeers %d, want false and 1", p.Quiesced(), p.DonePeers())
+	}
+}
+
+// TestPeerNonPositiveMIDsKeepLamportOrder: request IDs are positive by the
+// Lamport layout. A frame carrying another mid is rejected before the
+// sequence observes it, and a snapshot listing one as covered is not
+// observed either. Observing it would wrap the sequence: the peer's next mid
+// would reuse m1, replacing the queued m1 on Mem and reading as a duplicate
+// on a socket.
+func TestPeerNonPositiveMIDsKeepLamportOrder(t *testing.T) {
+	alg := algFor(t, "counter")
+	inc := model.Op{Name: spec.OpInc}
+	mids := func(t *testing.T, ep transport.Transport) []model.MsgID {
+		t.Helper()
+		var out []model.MsgID
+		for {
+			f, ok, err := ep.Recv(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				return out
+			}
+			if f.Kind == transport.KindEffector {
+				out = append(out, f.MID)
+			}
+		}
+	}
+	for _, mid := range []model.MsgID{0, -4} {
+		m := transport.NewMem(2)
+		p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), false)
+		for i := 0; i < 3; i++ {
+			if _, err := p.Invoke(inc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Handle(doneFrame(1, mid)); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("done frame with mid %d: err = %v, want codec.ErrCorrupt", mid, err)
+		}
+		if _, err := p.Invoke(inc); err != nil {
+			t.Fatal(err)
+		}
+		got := mids(t, m.Endpoint(1))
+		if want := []model.MsgID{1, 3, 5, 7}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("after a mid %d frame node 1 received mids %v, want %v", mid, got, want)
+		}
+	}
+
+	// A snapshot covering mid 0 and m4 installs; the joiner's next mid must
+	// sort after m4.
+	m := transport.NewMem(2)
+	p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), false, transport.WithCatchUp(alg.DecodeState))
+	if err := p.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	snap := transport.Snapshot{Covered: []model.MsgID{0, 4}, State: alg.New().Init().AppendBinary(nil)}
+	if err := p.Handle(transport.Frame{Kind: transport.KindSnapshot, MID: 3, From: 0, Payload: transport.EncodeSnapshot(snap)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Invoke(inc); err != nil {
+		t.Fatal(err)
+	}
+	if got := mids(t, m.Endpoint(0)); len(got) != 1 || got[0] <= 4 {
+		t.Fatalf("after installing a snapshot covering mids 0 and 4 the joiner sent mids %v, want one above m4", got)
+	}
+}
+
+// TestReplicaErrorPaths drives each refusal of the replica layer once: what
+// it rejects, and whether the error wraps codec.ErrCorrupt (wire damage or a
+// routing bug) or reports a misuse.
+func TestReplicaErrorPaths(t *testing.T) {
+	alg := algFor(t, "counter")
+	inc := model.Op{Name: spec.OpInc}
+	effector := func(t *testing.T) []byte {
+		t.Helper()
+		_, eff, err := alg.New().Prepare(inc, alg.New().Init(), 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eff.AppendBinary(nil)
+	}
+	// joiner is node 1 of a 2-node Mem group with its snapshot request out.
+	joiner := func(t *testing.T) *transport.Peer {
+		t.Helper()
+		p := transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(2).Endpoint(1), false, transport.WithCatchUp(alg.DecodeState))
+		if err := p.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	snapshot := func(mid model.MsgID, s transport.Snapshot) transport.Frame {
+		s.State = alg.New().Init().AppendBinary(nil)
+		return transport.Frame{Kind: transport.KindSnapshot, MID: mid, From: 0, Payload: transport.EncodeSnapshot(s)}
+	}
+	cases := []struct {
+		name    string
+		run     func(t *testing.T) error
+		corrupt bool
+		want    string
+	}{
+		{"frame for another object", func(t *testing.T) error {
+			p := transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(2).Endpoint(1), false)
+			return p.Handle(transport.Frame{Kind: transport.KindEffector, Obj: 3, MID: 1, From: 0, Payload: effector(t)})
+		}, true, "object 3 frame delivered to the object 0 replica"},
+		{"effector the registered decoder rejects", func(t *testing.T) error {
+			m := transport.NewMem(2)
+			reject := func([]byte) (crdt.Effector, error) { return nil, errors.New("unknown tag") }
+			p := transport.NewPeer(alg.New(), reject, m.Endpoint(0), false)
+			_, err := p.Invoke(inc)
+			if p.Issued() != 0 || m.PendingTo(1) != 0 {
+				t.Fatalf("refused invoke issued %d and queued %d frames", p.Issued(), m.PendingTo(1))
+			}
+			return err
+		}, false, "does not decode with the registered codec: unknown tag"},
+		{"catch-up without WithCatchUp", func(t *testing.T) error {
+			return transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(2).Endpoint(1), false).CatchUp()
+		}, false, "not built with WithCatchUp"},
+		{"snapshot suffix frame for another object", func(t *testing.T) error {
+			p := joiner(t)
+			err := p.Handle(snapshot(2, transport.Snapshot{Suffix: []transport.Frame{
+				{Kind: transport.KindEffector, Obj: 2, MID: 1, From: 0, Payload: effector(t)},
+			}}))
+			if st := p.SnapshotStats(); !st.Installed || p.Applied() != 0 {
+				t.Fatalf("the state should install and the foreign suffix frame stay unapplied: %+v, applied %d", st, p.Applied())
+			}
+			return err
+		}, true, "snapshot suffix frame 0 is scoped to object 2, not 0"},
+		{"later response covers an unapplied mid", func(t *testing.T) error {
+			p := joiner(t)
+			if err := p.Handle(snapshot(2, transport.Snapshot{})); err != nil {
+				t.Fatal(err)
+			}
+			return p.Handle(snapshot(4, transport.Snapshot{Covered: []model.MsgID{9}}))
+		}, false, "covers unapplied frame m9 after install — compaction frontier violated"},
+		{"receiver started before any Register", func(t *testing.T) error {
+			n, err := transport.NewNode(transport.NewMem(2).Endpoint(0), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = n.StartReceiver()
+			return err
+		}, false, "register every object before starting the receiver"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run(t)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want it to contain %q", err, c.want)
+			}
+			if errors.Is(err, codec.ErrCorrupt) != c.corrupt {
+				t.Fatalf("errors.Is(%v, codec.ErrCorrupt) = %t, want %t", err, !c.corrupt, c.corrupt)
+			}
+		})
 	}
 }

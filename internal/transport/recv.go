@@ -244,13 +244,16 @@ func (r *Receiver) pump() {
 // worker applies one shard's frames in arrival order. The goroutine carries
 // pprof labels — the shard index, plus the object of the frame being applied,
 // updated only when it changes — so a CPU profile attributes apply time to
-// objects. After a failure the worker keeps draining (releasing buffers)
-// without applying, so the dispatcher can never deadlock on a dead shard.
+// objects. Each object's labelled context is built once per worker, so an
+// object switch costs no allocation. After a failure the worker keeps
+// draining (releasing buffers) without applying, so the dispatcher can never
+// deadlock on a dead shard.
 func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 	defer wg.Done()
 	shardCtx := pprof.WithLabels(context.Background(), pprof.Labels("transport-recv-shard", strconv.Itoa(i)))
 	pprof.SetGoroutineLabels(shardCtx)
 	defer pprof.SetGoroutineLabels(context.Background())
+	objCtx := map[ObjID]context.Context{}
 	var lastObj ObjID
 	haveObj := false
 	for pf := range r.shards[i] {
@@ -260,8 +263,12 @@ func (r *Receiver) worker(i int, wg *sync.WaitGroup) {
 		}
 		if !haveObj || pf.f.Obj != lastObj {
 			lastObj, haveObj = pf.f.Obj, true
-			pprof.SetGoroutineLabels(pprof.WithLabels(shardCtx,
-				pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10))))
+			ctx, ok := objCtx[lastObj]
+			if !ok {
+				ctx = pprof.WithLabels(shardCtx, pprof.Labels("transport-recv-obj", strconv.FormatUint(uint64(lastObj), 10)))
+				objCtx[lastObj] = ctx
+			}
+			pprof.SetGoroutineLabels(ctx)
 		}
 		err := r.handle(pf.f)
 		pf.release()
@@ -324,8 +331,8 @@ func (r *Receiver) Stats() RecvStats {
 
 // await blocks until pred holds, waking on every applied frame. onTimeout and
 // onDrain render the caller's failure messages: the deadline passing, and the
-// pipeline draining for good with pred still false. pullUntil is its twin
-// for a receive side nobody else drains.
+// pipeline draining for good with pred still false. Node.wait pumps Step
+// instead when no pipeline drains the receive side.
 func (r *Receiver) await(deadline time.Duration, pred func() bool, onTimeout, onDrain func() error) error {
 	timer := time.NewTimer(deadline)
 	defer timer.Stop()
@@ -352,25 +359,4 @@ func (r *Receiver) await(deadline time.Duration, pred func() bool, onTimeout, on
 			return onTimeout()
 		}
 	}
-}
-
-// pullUntil pumps step until pred holds: the await of a receive side the
-// caller drains itself (Node.Step, Peer.Step). A step error returns as is, the
-// deadline passing renders onTimeout, and a blocking step that reports no
-// frame — a deterministic endpoint drained for good — renders onDrain.
-func pullUntil(deadline time.Duration, pred func() bool, step func(wait bool) (bool, error), onTimeout, onDrain func() error) error {
-	limit := time.Now().Add(deadline)
-	for !pred() {
-		if time.Now().After(limit) {
-			return onTimeout()
-		}
-		ok, err := step(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return onDrain()
-		}
-	}
-	return nil
 }

@@ -277,7 +277,7 @@ func TestReceiverBackpressureMem(t *testing.T) {
 		if err := r.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return order, r.Stats(), e1.(transport.StatsReporter).Stats().TotalRecv().Frames
+		return order, r.Stats(), e1.Stats().TotalRecv().Frames
 	}
 
 	order1, st, recvFrames := run()
@@ -404,7 +404,7 @@ func TestNodePipelineMeshConverges(t *testing.T) {
 	// received frame dispatched to exactly one shard and applied.
 	for i, n := range ns {
 		st := n.Receiver().Stats()
-		wire := n.Transport().(transport.StatsReporter).Stats()
+		wire := n.Transport().Stats()
 		if err := st.Balance(wire.TotalRecv().Frames); err != nil {
 			t.Errorf("node %d: %v", i, err)
 		}

@@ -12,8 +12,8 @@ import (
 // queues into batch containers by deficit-weighted round-robin:
 //
 //   - Weights biases the drain: each round-robin visit grants an object a
-//     deficit of Weights[obj] frames (DefaultWeight for objects not listed,
-//     minimum 1), so an object with weight 8 lands roughly 8 frames in a
+//     deficit of Weights[obj] frames (at least 1, and 1 for objects not
+//     listed), so an object with weight 8 lands roughly 8 frames in a
 //     container for every 1 frame of a weight-1 competitor. Within one
 //     object, frames stay in FIFO order; across flushes, deficits reset once
 //     a queue drains empty. The zero policy weighs every object 1, and with
@@ -32,30 +32,22 @@ import (
 // The wire format is untouched — scheduling only reorders which frames land
 // in which container on the send side.
 type SchedPolicy struct {
-	Weights       map[ObjID]int
-	MaxDelay      map[ObjID]time.Duration
-	DefaultWeight int
-	ChunkFrames   int
+	Weights     map[ObjID]int
+	MaxDelay    map[ObjID]time.Duration
+	ChunkFrames int
 }
 
 // normalized clamps the policy to its documented contract: weights below 1
-// fall back to DefaultWeight (itself clamped to at least 1), non-positive
-// max-delay overrides are dropped, and a negative chunk size means no
-// chunking.
+// become 1, non-positive max-delay overrides are dropped, and a negative
+// chunk size means no chunking.
 func (p SchedPolicy) normalized() SchedPolicy {
-	if p.DefaultWeight < 1 {
-		p.DefaultWeight = 1
-	}
 	if p.ChunkFrames < 0 {
 		p.ChunkFrames = 0
 	}
 	if len(p.Weights) > 0 {
 		ws := make(map[ObjID]int, len(p.Weights))
 		for id, w := range p.Weights {
-			if w < 1 {
-				w = p.DefaultWeight
-			}
-			ws[id] = w
+			ws[id] = max(w, 1)
 		}
 		p.Weights = ws
 	}
@@ -72,12 +64,7 @@ func (p SchedPolicy) normalized() SchedPolicy {
 }
 
 // weight returns the drain quantum for one object.
-func (p SchedPolicy) weight(id ObjID) int {
-	if w, ok := p.Weights[id]; ok && w >= 1 {
-		return w
-	}
-	return p.DefaultWeight
-}
+func (p SchedPolicy) weight(id ObjID) int { return max(p.Weights[id], 1) }
 
 // delayFor returns the flush deadline delay for one object: the per-object
 // override when set, the shared policy delay otherwise (0 = no deadline).

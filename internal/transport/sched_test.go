@@ -53,7 +53,7 @@ func TestSchedDRRDrainOrder(t *testing.T) {
 // TestSchedDrainByteSplit pins the container byte cap: a drain splits before
 // exceeding the limit, and a single oversized item still ships alone.
 func TestSchedDrainByteSplit(t *testing.T) {
-	s := newSched(SchedPolicy{DefaultWeight: 1}, false)
+	s := newSched(SchedPolicy{}, false)
 	s.enqueue(item(1, 60))
 	s.enqueue(item(1, 60))
 	s.enqueue(item(1, 500)) // alone: larger than the whole limit
@@ -346,7 +346,7 @@ func TestMemSchedulerDeterminism(t *testing.T) {
 		for _, obj := range []ObjID{1, 2, 2, 1, 2, 1, 1, 2, 2, 1} {
 			send(obj)
 		}
-		if err := e.(Flusher).Flush(); err != nil {
+		if err := e.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		send(2)
@@ -363,7 +363,7 @@ func TestMemSchedulerDeterminism(t *testing.T) {
 			}
 			order = append(order, fmt.Sprintf("%d/%d", f.Obj, f.MID))
 		}
-		return order, e.(StatsReporter).Stats()
+		return order, e.Stats()
 	}
 	o1, s1 := run()
 	o2, s2 := run()

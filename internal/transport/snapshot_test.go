@@ -27,14 +27,6 @@ type listedTransport struct {
 
 func (l listedTransport) ConnectedPeers() []model.NodeID { return l.peers }
 
-func (l listedTransport) Send(to model.NodeID, f transport.Frame) error {
-	return l.Transport.(transport.Unicaster).Send(to, f)
-}
-
-func (l listedTransport) Flush() error {
-	return l.Transport.(transport.Flusher).Flush()
-}
-
 // sampleSnapshot builds a non-trivial snapshot from real counter effectors.
 func sampleSnapshot(t testing.TB) transport.Snapshot {
 	t.Helper()
@@ -207,14 +199,14 @@ func TestCheckpointAdvance(t *testing.T) {
 	}
 }
 
-// pumpDrain steps every peer until none makes progress: the deterministic
+// pumpDrain steps every node until none makes progress: the deterministic
 // Mem equivalent of letting the mesh go idle.
-func pumpDrain(t *testing.T, peers ...*transport.Peer) {
+func pumpDrain(t *testing.T, nodes ...*transport.Node) {
 	t.Helper()
 	for {
 		progress := false
-		for _, p := range peers {
-			ok, err := p.Step(false)
+		for _, n := range nodes {
+			ok, err := n.Step(false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,9 +220,10 @@ func pumpDrain(t *testing.T, peers ...*transport.Peer) {
 
 // TestSnapshotCatchUpOverMem runs the whole snapshot protocol on the
 // deterministic Mem: two serving peers replicate a prefix (compacting under
-// SnapshotPolicy), a fresh peer catches up via CatchUp/AwaitCatchUp, joins
-// the replication, and everyone converges byte-identically. The Every=0 leg
-// serves the full log as suffix — catch-up without a checkpoint.
+// SnapshotPolicy), a fresh peer catches up via CatchUp and
+// Node.AwaitCatchUp, joins the replication, and everyone converges
+// byte-identically. The Every=0 leg serves the full log as suffix —
+// catch-up without a checkpoint.
 func TestSnapshotCatchUpOverMem(t *testing.T) {
 	for _, name := range []string{"counter", "aw-set", "rga"} {
 		for _, every := range []int{2, 0} {
@@ -240,13 +233,9 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				m := transport.NewMem(3)
-				pol := transport.SnapshotPolicy{Every: every}
-				server := transport.NewPeer(alg.New(), alg.DecodeEffector,
-					listedTransport{m.Endpoint(0), []model.NodeID{1}}, alg.NeedsCausal,
-					transport.WithSnapshotPolicy(pol))
-				helper := transport.NewPeer(alg.New(), alg.DecodeEffector,
-					listedTransport{m.Endpoint(1), []model.NodeID{0}}, alg.NeedsCausal,
-					transport.WithSnapshotPolicy(pol))
+				pol := transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: every})
+				sn, server := hostSolo(listedTransport{m.Endpoint(0), []model.NodeID{1}}, alg, pol)
+				hn, helper := hostSolo(listedTransport{m.Endpoint(1), []model.NodeID{0}}, alg, pol)
 				early := []*transport.Peer{server, helper}
 				script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), 3, 18, 11, alg.NeedsCausal)
 				var lateOps []model.Op
@@ -258,20 +247,19 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 					if _, err := early[so.Node].Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
 						t.Fatalf("invoke %v at %s: %v", so.Op, so.Node, err)
 					}
-					pumpDrain(t, server, helper)
+					pumpDrain(t, sn, hn)
 				}
 				if every > 0 {
 					if st := server.SnapshotStats(); st.Checkpoints == 0 || st.LogTruncated == 0 {
 						t.Fatalf("server never compacted before the join: %+v", st)
 					}
 				}
-				joiner := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(2),
-					alg.NeedsCausal, transport.WithCatchUp(alg.DecodeState))
+				jn, joiner := hostSolo(m.Endpoint(2), alg, transport.WithCatchUp(alg.DecodeState))
 				if err := joiner.CatchUp(); err != nil {
 					t.Fatal(err)
 				}
-				pumpDrain(t, server, helper) // the servers answer the request
-				if err := joiner.AwaitCatchUp(5 * time.Second); err != nil {
+				pumpDrain(t, sn, hn) // the servers answer the request
+				if err := jn.AwaitCatchUp(5 * time.Second); err != nil {
 					t.Fatal(err)
 				}
 				st := joiner.SnapshotStats()
@@ -288,7 +276,7 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 					if _, err := joiner.Invoke(op); err != nil && !errors.Is(err, crdt.ErrAssume) {
 						t.Fatalf("late invoke %v: %v", op, err)
 					}
-					pumpDrain(t, server, helper, joiner)
+					pumpDrain(t, sn, hn, jn)
 				}
 				all := []*transport.Peer{server, helper, joiner}
 				for _, p := range all {
@@ -296,8 +284,8 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for i, p := range all {
-					if err := p.RunToQuiescence(5 * time.Second); err != nil {
+				for i, n := range []*transport.Node{sn, hn, jn} {
+					if err := n.RunToQuiescence(5 * time.Second); err != nil {
 						t.Fatalf("peer %d: %v", i, err)
 					}
 				}
@@ -336,38 +324,37 @@ func TestSnapshotAckWatermark(t *testing.T) {
 		t.Fatal("aw-set not registered")
 	}
 	m := transport.NewMem(2)
-	server := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), true,
-		transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1}))
-	q := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), true)
+	sn, server := hostSolo(m.Endpoint(0), alg, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1}))
+	qn, q := hostSolo(m.Endpoint(1), alg)
 	add := func(p *transport.Peer, v int64) {
 		t.Helper()
 		if _, err := p.Invoke(model.Op{Name: spec.OpAdd, Arg: model.Int(v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	step := func(p *transport.Peer) {
+	step := func(n *transport.Node) {
 		t.Helper()
-		if ok, err := p.Step(false); err != nil || !ok {
+		if ok, err := n.Step(false); err != nil || !ok {
 			t.Fatalf("step: ok=%v err=%v", ok, err)
 		}
 	}
 	add(server, 1) // mid 1
 	add(server, 2) // mid 3
-	step(q)
-	step(q)
+	step(qn)
+	step(qn)
 	add(server, 3) // mid 5, not yet seen by q
 	add(q, 4)      // mid 6, deps [3]: q's origin-0 watermark is 3
-	step(server)
+	step(sn)
 	// Mids 1 and 3 sit at or below the watermark and 6 is q's own; 5 is
 	// above it.
 	if st := server.SnapshotStats(); st.LogTruncated != 3 || st.LogRetained != 1 {
 		t.Fatalf("stats %+v, want 3 truncated and mid 5 retained", st)
 	}
-	step(q)
+	step(qn)
 	if err := q.Done(); err != nil {
 		t.Fatal(err)
 	}
-	step(server) // the done frame's deps [5 6] raise the watermark to 5
+	step(sn) // the done frame's deps [5 6] raise the watermark to 5
 	if st := server.SnapshotStats(); st.LogTruncated != 4 || st.LogRetained != 0 {
 		t.Fatalf("stats %+v, want all 4 frames truncated", st)
 	}
@@ -413,20 +400,18 @@ func TestSnapshotServeErrorPaths(t *testing.T) {
 
 	t.Run("no checkpoint yet serves the full log", func(t *testing.T) {
 		m := transport.NewMem(2)
-		server := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), false,
-			transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 100}))
+		sn, server := hostSolo(m.Endpoint(0), alg, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 100}))
 		if _, err := server.Invoke(model.Op{Name: spec.OpInc}); err != nil {
 			t.Fatal(err)
 		}
-		joiner := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), false,
-			transport.WithCatchUp(alg.DecodeState))
+		jn, joiner := hostSolo(m.Endpoint(1), alg, transport.WithCatchUp(alg.DecodeState))
 		if err := joiner.CatchUp(); err != nil {
 			t.Fatal(err)
 		}
-		if ok, err := server.Step(true); err != nil || !ok {
+		if ok, err := sn.Step(true); err != nil || !ok {
 			t.Fatalf("server step: ok=%v err=%v", ok, err)
 		}
-		if err := joiner.AwaitCatchUp(5 * time.Second); err != nil {
+		if err := jn.AwaitCatchUp(5 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		st := joiner.SnapshotStats()
@@ -466,8 +451,7 @@ func TestSnapshotCorruptFallback(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		joiner := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), false,
-			transport.WithCatchUp(alg.DecodeState))
+		jn, joiner := hostSolo(m.Endpoint(1), alg, transport.WithCatchUp(alg.DecodeState))
 		if err := joiner.CatchUp(); err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +468,7 @@ func TestSnapshotCorruptFallback(t *testing.T) {
 		}
 		// Full replay still converges: the server's broadcasts are queued.
 		for {
-			ok, err := joiner.Step(false)
+			ok, err := jn.Step(false)
 			if err != nil {
 				t.Fatal(err)
 			}

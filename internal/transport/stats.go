@@ -48,11 +48,6 @@ func (p BatchPolicy) normalized() BatchPolicy {
 	return p
 }
 
-// batching reports whether the policy ever holds a frame back.
-func (p BatchPolicy) batching() bool {
-	return p.MaxFrames > 1 || p.MaxBytes > 0 || p.MaxDelay > 0
-}
-
 // FlushStats counts batch flushes by the trigger that fired them.
 type FlushStats struct {
 	// Frames: the frame cap; Bytes: the byte cap; Delay: the flush timer;
@@ -229,16 +224,4 @@ func (s Stats) clone() Stats {
 	}
 	s.Sched = s.Sched.clone()
 	return s
-}
-
-// Flusher is implemented by transports that batch writes: Flush forces any
-// pending broadcasts down to the wire. The replica layer flushes before it
-// blocks waiting for peers, which keeps pipelining live under any policy.
-type Flusher interface {
-	Flush() error
-}
-
-// StatsReporter is implemented by transports that keep batch/IO counters.
-type StatsReporter interface {
-	Stats() Stats
 }

@@ -31,11 +31,6 @@ func TestBatchPolicyNormalized(t *testing.T) {
 			t.Errorf("%s: normalized() = %+v, want %+v", c.name, got, c.want)
 		}
 	}
-	// A policy whose every knob was nonsense must normalize to the unbatched
-	// default, and the unbatched default never holds a frame back.
-	if p := (BatchPolicy{MaxFrames: -5, MaxBytes: -1, MaxDelay: -time.Hour}).normalized(); p.batching() {
-		t.Errorf("all-negative policy normalized to a batching one: %+v", p)
-	}
 	// Normalization is idempotent.
 	for _, c := range cases {
 		once := c.in.normalized()
@@ -46,18 +41,14 @@ func TestBatchPolicyNormalized(t *testing.T) {
 }
 
 // TestSchedPolicyNormalized pins the scheduler policy contract: sub-1 weights
-// fall back to DefaultWeight (itself clamped to ≥ 1), non-positive max-delay
-// overrides are dropped, and a negative chunk size means no chunking.
+// become 1, as does every unlisted object's, non-positive max-delay overrides
+// are dropped, and a negative chunk size means no chunking.
 func TestSchedPolicyNormalized(t *testing.T) {
 	p := SchedPolicy{
-		Weights:       map[ObjID]int{1: 0, 2: -4, 3: 7},
-		MaxDelay:      map[ObjID]time.Duration{1: -time.Second, 2: 0, 3: 3 * time.Millisecond},
-		DefaultWeight: -2,
-		ChunkFrames:   -1,
+		Weights:     map[ObjID]int{1: 0, 2: -4, 3: 7},
+		MaxDelay:    map[ObjID]time.Duration{1: -time.Second, 2: 0, 3: 3 * time.Millisecond},
+		ChunkFrames: -1,
 	}.normalized()
-	if p.DefaultWeight != 1 {
-		t.Errorf("DefaultWeight = %d, want 1", p.DefaultWeight)
-	}
 	if p.ChunkFrames != 0 {
 		t.Errorf("ChunkFrames = %d, want 0", p.ChunkFrames)
 	}

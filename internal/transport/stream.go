@@ -1021,10 +1021,9 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 	return firstErr
 }
 
-// Send ships one frame to exactly one peer (the Unicaster interface): the
-// snapshot protocol's response channel. The pending broadcast batch is
-// flushed first so the unicast cannot overtake broadcasts queued before it
-// on the same connection.
+// Send ships one frame to exactly one peer: the snapshot protocol's response
+// channel. The pending broadcast batch is flushed first so the unicast
+// cannot overtake broadcasts queued before it on the same connection.
 func (s *Stream) Send(to model.NodeID, f Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

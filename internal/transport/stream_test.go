@@ -45,7 +45,7 @@ func runStreamPeer(alg registry.Algorithm, id model.NodeID, addrs []string, scri
 		return nil, err
 	}
 	defer st.Close()
-	p := transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal)
+	n, p := hostSolo(st, alg)
 	for _, so := range script {
 		if so.Node != id {
 			continue
@@ -54,14 +54,14 @@ func runStreamPeer(alg registry.Algorithm, id model.NodeID, addrs []string, scri
 			return nil, err
 		}
 		// Interleave receive progress so peers see each other's broadcasts.
-		if _, err := p.Step(false); err != nil {
+		if _, err := n.Step(false); err != nil {
 			return nil, err
 		}
 	}
 	if err := p.Done(); err != nil {
 		return nil, err
 	}
-	if err := p.RunToQuiescence(15 * time.Second); err != nil {
+	if err := n.RunToQuiescence(15 * time.Second); err != nil {
 		return nil, err
 	}
 	return p.CanonicalState(), nil
@@ -255,9 +255,9 @@ func snapScript(n int) sim.Script {
 // real unix sockets inside one process: two early peers (one batched)
 // replicate their script share and compact under a SnapshotPolicy; a third
 // peer joins late — admitted by the background acceptor — catches up via
-// CatchUp/AwaitCatchUp, replicates its own share, and everyone must converge
-// byte-identically. The Every=0 leg serves the full log as suffix instead of
-// a checkpoint, and must converge to the same bytes.
+// CatchUp and Node.AwaitCatchUp, replicates its own share, and everyone
+// must converge byte-identically. The Every=0 leg serves the full log as
+// suffix instead of a checkpoint, and must converge to the same bytes.
 func TestStreamLateJoinerCatchesUp(t *testing.T) {
 	alg, ok := registry.ByName("counter")
 	if !ok {
@@ -296,8 +296,7 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 					return
 				}
 				defer st.Close()
-				p := transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-					transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: leg.every}))
+				n, p := hostSolo(st, alg, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: leg.every}))
 				for _, so := range script {
 					if so.Node != id {
 						continue
@@ -306,7 +305,7 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 						res.err = err
 						return
 					}
-					if _, err := p.Step(false); err != nil {
+					if _, err := n.Step(false); err != nil {
 						res.err = err
 						return
 					}
@@ -316,13 +315,13 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 					return
 				}
 				for p.DonePeers() < 1 {
-					if _, err := p.Step(true); err != nil {
+					if _, err := n.Step(true); err != nil {
 						res.err = err
 						return
 					}
 				}
 				ready <- struct{}{}
-				if err := p.RunToQuiescence(20 * time.Second); err != nil {
+				if err := n.RunToQuiescence(20 * time.Second); err != nil {
 					res.err = err
 					return
 				}
@@ -343,13 +342,12 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 					return
 				}
 				defer st.Close()
-				p := transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-					transport.WithCatchUp(alg.DecodeState))
+				n, p := hostSolo(st, alg, transport.WithCatchUp(alg.DecodeState))
 				if err := p.CatchUp(); err != nil {
 					res.err = err
 					return
 				}
-				if err := p.AwaitCatchUp(10 * time.Second); err != nil {
+				if err := n.AwaitCatchUp(10 * time.Second); err != nil {
 					res.err = err
 					return
 				}
@@ -361,7 +359,7 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 						res.err = err
 						return
 					}
-					if _, err := p.Step(false); err != nil {
+					if _, err := n.Step(false); err != nil {
 						res.err = err
 						return
 					}
@@ -370,7 +368,7 @@ func TestStreamLateJoinerCatchesUp(t *testing.T) {
 					res.err = err
 					return
 				}
-				if err := p.RunToQuiescence(20 * time.Second); err != nil {
+				if err := n.RunToQuiescence(20 * time.Second); err != nil {
 					res.err = err
 					return
 				}
@@ -603,6 +601,7 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 	joiner := model.NodeID(len(addrs) - 1)
 
 	var st *transport.Stream
+	var n *transport.Node
 	var p *transport.Peer
 	var err error
 	if model.NodeID(id) == joiner {
@@ -627,12 +626,11 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		p = transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-			transport.WithCatchUp(alg.DecodeState))
+		n, p = hostSolo(st, alg, transport.WithCatchUp(alg.DecodeState))
 		if err := p.CatchUp(); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AwaitCatchUp(15 * time.Second); err != nil {
+		if err := n.AwaitCatchUp(15 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -647,8 +645,7 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		p = transport.NewPeer(alg.New(), alg.DecodeEffector, st, alg.NeedsCausal,
-			transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: every}))
+		n, p = hostSolo(st, alg, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: every}))
 	}
 	for _, so := range script {
 		if so.Node != model.NodeID(id) {
@@ -657,7 +654,7 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 		if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
 			t.Fatal(err)
 		}
-		if _, err := p.Step(false); err != nil {
+		if _, err := n.Step(false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -666,7 +663,7 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 	}
 	if model.NodeID(id) != joiner {
 		for p.DonePeers() < 1 {
-			if _, err := p.Step(true); err != nil {
+			if _, err := n.Step(true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -674,7 +671,7 @@ func TestStreamSnapProcessHelper(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := p.RunToQuiescence(30 * time.Second); err != nil {
+	if err := n.RunToQuiescence(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Println(peerHelperMark + hex.EncodeToString(p.CanonicalState()))
@@ -798,4 +795,51 @@ func TestStreamThreeOSProcessSnapshotCatchUp(t *testing.T) {
 		}
 	}
 	t.Logf("three processes converged to %s…; joiner stats %v", states[0][:min(16, len(states[0]))], js)
+}
+
+// TestSendRejectsBadDestination: a unicast goes to exactly one other node
+// of the group. Both endpoints refuse the sender itself and a node outside
+// the group; a Stream also refuses a declared late joiner it holds no
+// connection to yet.
+func TestSendRejectsBadDestination(t *testing.T) {
+	addrs := unixAddrs(t, 3)
+	streams := make([]*transport.Stream, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			streams[i], errs[i] = transport.Listen(model.NodeID(i), addrs, transport.WithLateJoiners(2))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("listen %d: %v", i, err)
+		}
+		defer streams[i].Close()
+	}
+	f := transport.Frame{Kind: transport.KindSnapshot, MID: 1, From: 0, Payload: []byte("state")}
+	cases := []struct {
+		name string
+		ep   transport.Transport
+		to   model.NodeID
+		want string
+	}{
+		{"mem to self", transport.NewMem(3).Endpoint(0), 0, "cannot unicast to node t0"},
+		{"mem out of range", transport.NewMem(3).Endpoint(0), 3, "cannot unicast to node t3"},
+		{"mem negative", transport.NewMem(3).Endpoint(0), -1, "cannot unicast to node t-1"},
+		{"stream to self", streams[0], 0, "cannot unicast to node t0"},
+		{"stream out of range", streams[0], 3, "cannot unicast to node t3"},
+		{"stream to an unadmitted joiner", streams[0], 2, "no connection to node t2"},
+	}
+	for _, c := range cases {
+		if err := c.ep.Send(c.to, f); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.want)
+		}
+		if sent := c.ep.Stats().TotalSent(); sent.Frames != 0 {
+			t.Errorf("%s: a refused unicast counted %+v sent", c.name, sent)
+		}
+	}
 }

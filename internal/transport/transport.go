@@ -102,10 +102,11 @@ var (
 	ErrExhausted = errors.New("transport: every peer hung up with the frame queue drained")
 )
 
-// Transport is one node's endpoint on the network of a replicated object.
-// Implementations must deliver each sent frame to its destination at most
-// once, unmodified (corruption is detected by the codec frame checksum and
-// surfaces as an error, never as a mangled Frame).
+// Transport is one node's endpoint on the network of a replicated object:
+// the whole contract the replica layer uses. Implementations must deliver
+// each sent frame to its destination at most once, unmodified (corruption is
+// detected by the codec frame checksum and surfaces as an error, never as a
+// mangled Frame).
 type Transport interface {
 	// Self is the node this endpoint belongs to.
 	Self() model.NodeID
@@ -113,28 +114,24 @@ type Transport interface {
 	N() int
 	// Broadcast ships one frame from Self to every other node.
 	Broadcast(f Frame) error
+	// Send ships one frame from Self to exactly one other node: the snapshot
+	// protocol's response channel. Pending broadcasts flush first, so the
+	// unicast cannot overtake them.
+	Send(to model.NodeID, f Frame) error
 	// Recv returns the next frame that has arrived for Self. With wait=false
 	// it never blocks and reports ok=false when nothing has arrived; with
 	// wait=true it blocks until a frame arrives, the endpoint closes, or the
 	// implementation's receive deadline passes.
 	Recv(wait bool) (f Frame, ok bool, err error)
+	// Flush forces any pending broadcasts down to the wire. The replica layer
+	// flushes before it blocks waiting for peers, which keeps pipelining live
+	// under any BatchPolicy.
+	Flush() error
+	// Stats returns a snapshot of the endpoint's batching and IO counters.
+	Stats() Stats
+	// ConnectedPeers lists the peers the endpoint is connected to: the set
+	// the compaction frontier waits for. A late joiner appears once admitted.
+	ConnectedPeers() []model.NodeID
 	// Close releases the endpoint. Further operations fail with ErrClosed.
 	Close() error
-}
-
-// Unicaster is implemented by transports that can address a single peer.
-// The snapshot protocol needs it: a served state goes to the requester
-// alone, not the whole group.
-type Unicaster interface {
-	// Send ships one frame from Self to exactly one peer.
-	Send(to model.NodeID, f Frame) error
-}
-
-// PeerLister is implemented by transports that know which peers are
-// currently connected (the socket Stream with late joiners admitted over
-// time). The compaction frontier only truncates frames every *connected*
-// peer has acknowledged; a transport without the interface is treated as
-// fully connected.
-type PeerLister interface {
-	ConnectedPeers() []model.NodeID
 }
