@@ -59,63 +59,16 @@ chaos:
 		go run ./cmd/crdt-sim -chaos -algo $$a -nodes 3 -ops 10 -seed 1 -seeds 3 | tail -1; done
 	go test -run '^$$' -fuzz '^FuzzClusterDelivery$$' -fuzztime 30s ./internal/sim/
 
-# Mirror of CI's socket-transport smoke: the in-repo two-OS-process test plus
-# the node/manifest multiplexing tests, the crdt-sim two-process unix demo,
-# a two-process multi-object demo (four mixed-kind objects over one socket
-# pair), checking byte-identical canonical states per object, a weighted
-# per-object scheduler demo (8:1 weights plus a 5ms delay override) whose
-# scheduler ledger the binary itself checks for balance, and a parallel
-# receive-pipeline demo (-recv-workers) whose receive ledger the binary
-# checks against the wire totals.
+# Mirror of CI's socket-transport smoke job: the in-repo two-OS-process test
+# plus the node/manifest multiplexing tests, then the crdt-sim socket meshes
+# of scripts/socket-smoke.sh — the script CI's job runs, so the two cannot
+# drift: unix and tcp pairs, a batched three-process mesh, late joiners with
+# snapshot catch-up (one object, and four mixed objects over tcp), the
+# parallel receive pipeline and the weighted scheduler, each checking
+# byte-identical canonical states and the ledgers the binary prints.
 sockets:
 	go test -run 'TestStream|TestNode|TestManifest' ./internal/transport/
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 -algo rga -ops 20 -seed 7 > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 -algo rga -ops 20 -seed 7 > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	s0=$$(awk '/canonical state/{print $$NF}' "$$D/p0.log"); \
-	s1=$$(awk '/canonical state/{print $$NF}' "$$D/p1.log"); \
-	[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "canonical states diverged"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 -objects 4 -mixed -ops 12 -seed 7 -batch-frames 4 -flush-every 3ms > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 -objects 4 -mixed -ops 12 -seed 7 > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged"; exit 1; }; \
-	done; \
-	grep -q 'over 1 connection(s)' "$$D/p0.log" || { echo "node 0 opened more than one socket pair"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	SCHED="-objects 4 -mixed -ops 12 -seed 7 -batch-frames 64 -weights 1:8,2:1 -obj-max-delay 2:5ms"; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 $$SCHED > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 $$SCHED > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged under the weighted scheduler"; exit 1; }; \
-	done; \
-	grep -q 'scheduler queued/drained' "$$D/p0.log" || { echo "node 0 printed no scheduler ledger"; exit 1; }
-	@D=$$(mktemp -d); \
-	go build -o "$$D/crdt-sim" ./cmd/crdt-sim; \
-	PIPED="-objects 4 -mixed -ops 12 -seed 7 -batch-frames 4 -flush-every 3ms -recv-workers 2"; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 0 $$PIPED > "$$D/p0.log" & \
-	sleep 0.2; \
-	"$$D/crdt-sim" -transport unix -addrs "$$D/a.sock,$$D/b.sock" -node 1 $$PIPED > "$$D/p1.log"; \
-	wait; cat "$$D/p0.log" "$$D/p1.log"; \
-	for o in 1 2 3 4; do \
-		s0=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p0.log"); \
-		s1=$$(awk -v o="$$o" '$$3=="obj" && $$4==o && /canonical state/{print $$NF}' "$$D/p1.log"); \
-		[ -n "$$s0" ] && [ "$$s0" = "$$s1" ] || { echo "object $$o diverged under the receive pipeline"; exit 1; }; \
-	done; \
-	grep -q 'receive pipeline workers=2' "$$D/p0.log" || { echo "node 0 printed no receive-pipeline ledger"; exit 1; }
+	bash scripts/socket-smoke.sh
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCheckACC$$' -fuzztime 30s ./internal/core/

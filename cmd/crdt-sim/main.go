@@ -32,12 +32,15 @@
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 0 -algo rga -ops 20 -seed 7 &
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 1 -algo rga -ops 20 -seed 7
 //
-// Both print the byte-identical canonical state. Write batching coalesces
+// Both print the byte-identical canonical state of object 0 — a single
+// object is object 0 of a mesh without a manifest — in a line of the form
+// "node I: obj 0 canonical state HEX". Write batching coalesces
 // queued broadcasts into one wire write per flush: -batch-frames N holds up
 // to N frames back, -batch-bytes B caps the pending container size, and
 // -flush-every D bounds how long the first queued frame waits. Batching is
 // pure wire plumbing — the canonical states still agree byte-for-byte, as
-// the printed per-peer transport stats show:
+// the printed transport stats (wire totals, flush triggers, connections)
+// show:
 //
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 0 -batch-frames 8 -flush-every 5ms ...
 //
@@ -56,21 +59,25 @@
 // All three print the byte-identical canonical state, and the early nodes'
 // snapshot stats show the log stayed bounded.
 //
-// With -objects N a socket process replicates N independent objects
-// multiplexed over the same mesh: one socket pair per process pair carries
-// every object's frames (object-scoped, coalescing into shared batches), and
-// the handshake exchanges a manifest both sides validate. By default every
-// object runs -algo; -mixed cycles the objects through different algorithms
-// and additionally prints a product state reassembled at read time from the
-// first two objects' independently replicated components. Late joiners
-// catch up per object through the one shared socket pair:
+// With -objects N > 1 a socket process replicates N independent objects,
+// manifest ids 1..N, multiplexed over the same mesh: one socket pair per
+// process pair carries every object's frames (object-scoped, coalescing into
+// shared batches), and the handshake exchanges a manifest both sides
+// validate. By default every object runs -algo; -mixed cycles the objects
+// through different algorithms and additionally prints a product state
+// reassembled at read time from the first two objects' independently
+// replicated components. Late joiners catch up per object through the one
+// shared socket pair:
 //
 //	crdt-sim -transport tcp -addrs h0:9000,h1:9001 -node 0 -objects 4 -mixed -ops 16 -seed 7 &
 //	crdt-sim -transport tcp -addrs h0:9000,h1:9001 -node 1 -objects 4 -mixed -ops 16 -seed 7
 //
-// Each process prints one per-object state line (byte-identical across
-// processes), a per-object transport-frame breakdown whose counters must sum
-// exactly to the per-peer wire totals, and the product state.
+// Every socket process, whatever -objects says, prints per object a
+// quiescence line and a canonical state line (byte-identical across
+// processes), then one transport line, a per-object frame breakdown whose
+// counters must sum exactly to the per-peer wire totals (the process exits
+// non-zero otherwise), the scheduler ledger, and with -mixed the product
+// state.
 //
 // With -weights the shared endpoint schedules sends per object: each object
 // gets its own send queue, drained into batch containers by deficit-weighted
@@ -157,7 +164,7 @@ func main() {
 		weights   = flag.String("weights", "", "socket transports: per-object send-queue weights as obj:w pairs (e.g. 1:8,2:1); queues drain into shared batches by deficit-weighted round-robin")
 		objDelays = flag.String("obj-max-delay", "", "socket transports: per-object flush-delay overrides as obj:dur pairs (e.g. 2:5ms); an override flushes only that object's queue, even while the others keep batching")
 
-		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (manifest object ids 1..N)")
+		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (N > 1 declares manifest object ids 1..N; one object is object 0 without a manifest)")
 		mixed   = flag.Bool("mixed", false, "socket transports: with -objects, cycle the objects through different algorithms and print a product reassembled from the first two")
 
 		recvWorkers = flag.Int("recv-workers", 0, "socket transports: apply received frames on N parallel per-object shards with bounded queues (0 = the pull loop)")
@@ -230,10 +237,7 @@ func main() {
 		if *recvWorkers < 0 {
 			fail("-recv-workers must be non-negative (got %d)", *recvWorkers)
 		}
-		if *objects > 1 {
-			os.Exit(runPeerMulti(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, schedPol, *snap, late, *catchUp, *objects, *mixed, *recvWorkers))
-		}
-		os.Exit(runPeer(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, schedPol, *snap, late, *catchUp, *recvWorkers))
+		os.Exit(runPeer(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, schedPol, *snap, late, *catchUp, *objects, *mixed, *recvWorkers))
 	default:
 		fail("unknown transport %q (have: mem, unix, tcp)", *trans)
 	}
@@ -367,138 +371,17 @@ func finishReceiver(node int, n *transport.Node, st *transport.Stream) int {
 	return 0
 }
 
-// runPeer runs one node of a socket mesh: it generates the shared script
-// from the seed, plays its own share over the stream transport (batching
-// writes per the policy), and prints the canonical state every process must
-// agree on byte-for-byte plus the transport's batching stats. With late
-// joiners declared (or as a -catch-up joiner itself) it runs the snapshot
-// protocol: early peers serve checkpoint-plus-suffix responses and compact
-// their logs every snapEvery applied frames; the joiner installs the first
-// response before playing its share. The object is object 0 of a Node
-// without a manifest. With recvWorkers > 0 the receive side runs as the
-// parallel pipeline (the single object pins to one shard, so delivery order
-// is unchanged) instead of the interleaved Step calls.
-func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, recvWorkers int) int {
-	if len(addrList) < 2 {
-		fmt.Fprintf(os.Stderr, "crdt-sim: -addrs lists %d address(es); a mesh needs at least 2\n", len(addrList))
-		return 2
-	}
-	if node < 0 || node >= len(addrList) {
-		fmt.Fprintf(os.Stderr, "crdt-sim: -node %d is not an index into the %d-entry -addrs table\n", node, len(addrList))
-		return 2
-	}
-	full := make([]string, len(addrList))
-	for i, a := range addrList {
-		full[i] = network + ":" + strings.TrimSpace(a)
-	}
-	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), len(addrList), ops, seed, alg.NeedsCausal)
-	sopts := []transport.StreamOption{transport.WithRecvTimeout(30 * time.Second), transport.WithBatching(policy)}
-	if len(schedPol.Weights) > 0 || len(schedPol.MaxDelay) > 0 {
-		sopts = append(sopts, transport.WithScheduler(schedPol))
-	}
-	if recvWorkers > 0 {
-		sopts = append(sopts, transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}))
-	}
-	switch {
-	case catchUp:
-		sopts = append(sopts, transport.AsLateJoiner())
-	case len(late) > 0:
-		sopts = append(sopts, transport.WithLateJoiners(late...))
-	}
-	st, err := transport.Listen(model.NodeID(node), full, sopts...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-		return 1
-	}
-	defer st.Close()
-	var popts []transport.PeerOption
-	if !catchUp && (snapEvery > 0 || len(late) > 0) {
-		popts = append(popts, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: snapEvery}))
-	}
-	if catchUp {
-		popts = append(popts, transport.WithCatchUp(alg.DecodeState))
-	}
-	n, err := transport.NewNode(st, nil)
-	var p *transport.Peer
-	if err == nil {
-		p, err = n.Register(0, alg.New(), alg.DecodeEffector, alg.NeedsCausal, popts...)
-	}
-	if err == nil && recvWorkers > 0 {
-		_, err = n.StartReceiver()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-		return 1
-	}
-	if catchUp {
-		if err := p.CatchUp(); err != nil {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-			return 1
-		}
-		if err := n.AwaitCatchUp(60 * time.Second); err != nil {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: catch-up: %v\n", node, err)
-			return 1
-		}
-	}
-	for _, so := range script {
-		if so.Node != model.NodeID(node) {
-			continue
-		}
-		if _, err := p.Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
-			fmt.Fprintf(os.Stderr, "crdt-sim: node %d: invoke %v: %v\n", node, so.Op, err)
-			return 1
-		}
-		if recvWorkers == 0 {
-			// Interleave receive progress so peers observe each other
-			// mid-script (the pipeline applies continuously on its own).
-			if _, err := n.Step(false); err != nil {
-				fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-				return 1
-			}
-		}
-	}
-	if err := p.Done(); err != nil {
-		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-		return 1
-	}
-	if err := n.RunToQuiescence(60 * time.Second); err != nil {
-		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-		return 1
-	}
-	if recvWorkers > 0 {
-		if code := finishReceiver(node, n, st); code != 0 {
-			return code
-		}
-	}
-	fmt.Printf("node %d: quiescent over %s (issued %d, applied %d remote), φ(state) = %s\n",
-		node, network, p.Issued(), p.Applied(), alg.Abs(p.State()))
-	ts := st.Stats()
-	sent, recv := ts.TotalSent(), ts.TotalRecv()
-	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
-		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes,
-		ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-	if err := ts.SchedBalance(); err != nil {
-		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
-		return 1
-	}
-	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
-	if catchUp || snapEvery > 0 || len(late) > 0 {
-		ss := p.SnapshotStats()
-		fmt.Printf("node %d: snapshots: checkpoints=%d truncated=%d retained=%d served=%d installed=%t covered=%d suffix=%d fellback=%t\n",
-			node, ss.Checkpoints, ss.LogTruncated, ss.LogRetained, ss.Served,
-			ss.Installed, ss.InstallCovered, ss.InstallSuffix, ss.FellBack)
-	}
-	fmt.Printf("node %d: canonical state %s\n", node, hex.EncodeToString(p.CanonicalState()))
-	return 0
-}
-
 // mixedKinds is the algorithm rotation -mixed assigns to objects 1..N.
 var mixedKinds = []string{"counter", "g-set", "lww-register", "rga"}
 
-// multiManifest builds the shared manifest for -objects N: object ids 1..N
-// (nonzero on purpose — the ids travel in every frame), each declaring the
-// algorithm the processes must agree on.
+// multiManifest builds the shared manifest for -objects N > 1: object ids
+// 1..N (nonzero on purpose — the ids travel in every frame), each declaring
+// the algorithm the processes must agree on. A single object needs none: it
+// is object 0 of a Node without a manifest.
 func multiManifest(alg registry.Algorithm, objects int, mixed bool) transport.Manifest {
+	if objects == 1 {
+		return nil
+	}
 	man := make(transport.Manifest, objects)
 	for i := 0; i < objects; i++ {
 		kind := alg.Name
@@ -510,15 +393,19 @@ func multiManifest(alg registry.Algorithm, objects int, mixed bool) transport.Ma
 	return man
 }
 
-// runPeerMulti runs one node of a multi-object socket mesh: N objects
-// multiplexed over one transport.Node demux on one shared endpoint, each
-// replicating its own deterministically generated script. Every process must
-// be started with the same -algo/-objects/-mixed/-ops/-seed/-addrs so the
-// handshake manifests agree. Prints one state line per object (byte-identical
-// across processes), the per-object transport-frame breakdown (whose sums
-// must balance the per-peer wire totals — checked here, not just printed),
-// and with -mixed a product state reassembled from the first two objects.
-func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, objects int, mixed bool, recvWorkers int) int {
+// runPeer runs one node of a socket mesh: every object is hosted on one
+// transport.Node over one shared endpoint and plays this node's share of its
+// own deterministically generated script, so every process must be started
+// with the same -algo/-objects/-mixed/-ops/-seed/-addrs. With late joiners
+// declared (or as a -catch-up joiner itself) it runs the snapshot protocol
+// on every object: early peers serve checkpoint-plus-suffix responses and
+// compact their logs every snapEvery applied frames; the joiner installs a
+// response for every object before playing its share. With recvWorkers > 0
+// the receive side runs as the parallel pipeline (each object pins to one
+// shard, so per-object delivery order is unchanged) instead of interleaved
+// Step calls. It prints the lines the package doc lists, and fails when the
+// per-object frame counters do not sum to the per-peer wire totals.
+func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, objects int, mixed bool, recvWorkers int) int {
 	if len(addrList) < 2 {
 		fmt.Fprintf(os.Stderr, "crdt-sim: -addrs lists %d address(es); a mesh needs at least 2\n", len(addrList))
 		return 2
@@ -536,9 +423,13 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 		full[i] = network + ":" + strings.TrimSpace(a)
 	}
 	man := multiManifest(alg, objects, mixed)
-	algs := make([]registry.Algorithm, objects)
-	scripts := make([]sim.Script, objects)
-	for oi, spec := range man {
+	specs := man
+	if len(specs) == 0 {
+		specs = transport.Manifest{{Kind: alg.Name}}
+	}
+	algs := make([]registry.Algorithm, len(specs))
+	scripts := make([]sim.Script, len(specs))
+	for oi, spec := range specs {
 		a, ok := registry.ByName(spec.Kind)
 		if !ok {
 			return fail("object %d: unknown algorithm %q", spec.ID, spec.Kind)
@@ -572,13 +463,13 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 	if err != nil {
 		return fail("%v", err)
 	}
-	for oi, spec := range man {
+	snapshots := catchUp || snapEvery > 0 || len(late) > 0
+	for oi, spec := range specs {
 		var popts []transport.PeerOption
-		if !catchUp && (snapEvery > 0 || len(late) > 0) {
-			popts = append(popts, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: snapEvery}))
-		}
 		if catchUp {
 			popts = append(popts, transport.WithCatchUp(algs[oi].DecodeState))
+		} else if snapshots {
+			popts = append(popts, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: snapEvery}))
 		}
 		if _, err := n.Register(spec.ID, algs[oi].New(), algs[oi].DecodeEffector, algs[oi].NeedsCausal, popts...); err != nil {
 			return fail("%v", err)
@@ -600,7 +491,7 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 	// Interleave the objects' shares so their frames coalesce into the same
 	// batches: operation k of every object before operation k+1 of any.
 	for so := 0; so < ops; so++ {
-		for oi, spec := range man {
+		for oi, spec := range specs {
 			if so >= len(scripts[oi]) {
 				continue
 			}
@@ -613,6 +504,8 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 				return fail("object %d: invoke %v: %v", spec.ID, sop.Op, err)
 			}
 			if recvWorkers == 0 {
+				// Interleave receive progress so peers observe each other
+				// mid-script (the pipeline applies continuously on its own).
 				if _, err := n.Step(false); err != nil {
 					return fail("%v", err)
 				}
@@ -633,11 +526,11 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 			return code
 		}
 	}
-	for oi, spec := range man {
+	for oi, spec := range specs {
 		p, _ := n.Peer(spec.ID)
 		fmt.Printf("node %d: obj %d (%s) quiescent over %s (issued %d, applied %d remote), φ(state) = %s\n",
 			node, spec.ID, spec.Kind, network, p.Issued(), p.Applied(), algs[oi].Abs(p.State()))
-		if catchUp || snapEvery > 0 || len(late) > 0 {
+		if snapshots {
 			ss := p.SnapshotStats()
 			fmt.Printf("node %d: obj %d snapshots: checkpoints=%d truncated=%d retained=%d served=%d installed=%t covered=%d suffix=%d fellback=%t\n",
 				node, spec.ID, ss.Checkpoints, ss.LogTruncated, ss.LogRetained, ss.Served,
@@ -647,11 +540,12 @@ func runPeerMulti(alg registry.Algorithm, network string, node int, addrList []s
 	}
 	ts := st.Stats()
 	sent, recv := ts.TotalSent(), ts.TotalRecv()
-	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B) over %d connection(s)\n",
-		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes, len(st.ConnectedPeers()))
+	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B) over %d connection(s), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
+		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes, len(st.ConnectedPeers()),
+		ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
 	var sentObj, recvObj int
-	parts := make([]string, 0, len(man))
-	for _, spec := range man {
+	parts := make([]string, 0, len(specs))
+	for _, spec := range specs {
 		io := ts.Objects[spec.ID]
 		sentObj += io.SentFrames
 		recvObj += io.RecvFrames

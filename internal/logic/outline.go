@@ -57,7 +57,7 @@ func (pf Proof) Check() error {
 // precondition (s = Init ∧ emp) and checks its postcondition under ⇛.
 func (pf Proof) checkThread(tp ThreadProof) error {
 	cur := pf.Ctx.Stabilize(Base{Init: pf.Init}, tp.R)
-	if err := pf.checkInvariant(tp, cur.Worlds(pf.Ctx.Conflict())); err != nil {
+	if err := checkInvariant(pf.Ctx.satWorld, tp, cur.Worlds(pf.Ctx.Conflict())); err != nil {
 		return fmt.Errorf("invariant at precondition: %w", err)
 	}
 	final, err := pf.execStmts(tp, cur.Worlds(pf.Ctx.Conflict()), tp.Thread.Body)
@@ -70,14 +70,15 @@ func (pf Proof) checkThread(tp ThreadProof) error {
 	return pf.Ctx.DeliverSat(Lit{Ws: final}, tp.Post)
 }
 
-// checkInvariant validates the object invariant over a world set (no-op when
-// the thread declares none).
-func (pf Proof) checkInvariant(tp ThreadProof, worlds []World) error {
+// checkInvariant validates the thread's object invariant over a world set
+// (no-op when the thread declares none) under sat, the world semantics of
+// the logic in use: Ctx.satWorld for Proof, XCtx.satWorld for XProof.
+func checkInvariant(sat func(World, lang.Expr, bool) error, tp ThreadProof, worlds []World) error {
 	if tp.Invariant == nil {
 		return nil
 	}
 	for _, w := range worlds {
-		if err := pf.Ctx.satWorld(w, tp.Invariant, false); err != nil {
+		if err := sat(w, tp.Invariant, false); err != nil {
 			return err
 		}
 	}
@@ -93,7 +94,7 @@ func (pf Proof) execStmts(tp ThreadProof, worlds []World, stmts []lang.Stmt) ([]
 		if err != nil {
 			return nil, fmt.Errorf("at %s: %w", s, err)
 		}
-		if err := pf.checkInvariant(tp, worlds); err != nil {
+		if err := checkInvariant(pf.Ctx.satWorld, tp, worlds); err != nil {
 			return nil, fmt.Errorf("invariant after %s: %w", s, err)
 		}
 	}

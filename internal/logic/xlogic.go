@@ -189,6 +189,9 @@ func (pf XProof) checkThread(tp ThreadProof) error {
 	init := NewWorld(pf.Init)
 	init.Seen = map[string]map[string]bool{}
 	worlds := pf.stabilize([]World{init}, tp.R)
+	if err := checkInvariant(pf.Ctx.satWorld, tp, worlds); err != nil {
+		return fmt.Errorf("invariant at precondition: %w", err)
+	}
 	final, err := pf.execStmts(tp, worlds, tp.Thread.Body)
 	if err != nil {
 		return err
@@ -333,12 +336,17 @@ func seenAcyclic(w World) bool {
 	return true
 }
 
+// execStmts executes a statement list over a world set, re-checking the
+// object invariant after every statement, as Proof does.
 func (pf XProof) execStmts(tp ThreadProof, worlds []World, stmts []lang.Stmt) ([]World, error) {
 	var err error
 	for _, s := range stmts {
 		worlds, err = pf.execStmt(tp, worlds, s)
 		if err != nil {
 			return nil, fmt.Errorf("at %s: %w", s, err)
+		}
+		if err := checkInvariant(pf.Ctx.satWorld, tp, worlds); err != nil {
+			return nil, fmt.Errorf("invariant after %s: %w", s, err)
 		}
 	}
 	return worlds, nil

@@ -164,6 +164,31 @@ func TestXLogicRejectsWrongPost(t *testing.T) {
 	}
 }
 
+// TestXLogicChecksInvariant: an object invariant is checked under the X-wins
+// world semantics at the precondition and after every statement, as Proof
+// checks it. A false invariant fails at the precondition, one that the
+// thread's own add("d1") breaks fails after that statement, and one that
+// every reachable state satisfies passes.
+func TestXLogicChecksInvariant(t *testing.T) {
+	for _, c := range []struct {
+		inv, want string // want: the error's invariant clause, "" to pass
+	}{
+		{`false`, "invariant at precondition"},
+		{`!("d1" in s)`, `invariant after add("d1")`},
+		{`!(1 in s)`, ""},
+	} {
+		pf := xSec25Proof(t, awCtx())
+		pf.Threads[0].Invariant = expr(t, c.inv)
+		err := pf.Check()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("invariant %s: %v", c.inv, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("invariant %s: err = %v, want %q", c.inv, err, c.want)
+		}
+	}
+}
+
 // TestXLogicConcurrentLookupUnconstrained: mid-execution, t1's read may or
 // may not contain 0 (Fig 5's add-wins survivals), so a post pinning x must
 // be rejected while the disjunction passes.

@@ -41,6 +41,45 @@ func (f Frame) Append(b []byte) []byte {
 	return codec.AppendBytes(b, f.Payload)
 }
 
+// innerLen returns the length of the frame's inner encoding without encoding
+// it. Sorting the deps does not change their encoded sizes, so hand-built
+// frames with unsorted deps measure the same as their canonical form.
+func (f Frame) innerLen() int {
+	n := 1 + uvarintLen(uint64(f.Obj)) + uvarintLen(uint64(f.MID)) + uvarintLen(uint64(f.From)) + uvarintLen(uint64(len(f.Deps)))
+	for _, d := range f.Deps {
+		n += uvarintLen(uint64(d))
+	}
+	return n + uvarintLen(uint64(len(f.Payload))) + len(f.Payload)
+}
+
+// wireLen returns the size of the frame's checksummed envelope — its cost
+// nested in a batch container — without encoding it.
+func (f Frame) wireLen() int {
+	n := f.innerLen()
+	return uvarintLen(uint64(n)) + n + 8
+}
+
+// appendWire appends the frame's checksummed envelope to b — the
+// codec.AppendFrame layout, with the inner encoding written in place. It is
+// the one envelope writer behind EncodeWire, AppendBatch and the Stream's
+// wire containers, so each frame is encoded once, into its destination.
+func (f Frame) appendWire(b []byte) []byte {
+	b = codec.AppendUvarint(b, uint64(f.innerLen()))
+	start := len(b)
+	b = f.Append(b)
+	return binary.BigEndian.AppendUint64(b, codec.Fingerprint(b[start:]))
+}
+
+// uvarintLen returns the encoded size of x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
+}
+
 // strictlySorted reports whether deps ascend with no repeats.
 func strictlySorted(deps []model.MsgID) bool {
 	for i := 1; i < len(deps); i++ {
@@ -121,9 +160,7 @@ func (f Frame) Retain() Frame {
 // EncodeWire renders the frame in its on-the-wire form: the inner encoding
 // wrapped in the checksummed codec frame envelope, so any bit flipped in
 // transit fails DecodeWire instead of reaching a replica.
-func EncodeWire(f Frame) []byte {
-	return codec.AppendFrame(nil, f.Append(nil))
-}
+func EncodeWire(f Frame) []byte { return f.appendWire(make([]byte, 0, f.wireLen())) }
 
 // DecodeWire inverts EncodeWire, verifying the checksum envelope and
 // requiring the input to hold exactly one frame.
@@ -152,7 +189,7 @@ func DecodeWire(b []byte) (Frame, error) {
 func AppendBatch(b []byte, frames []Frame) []byte {
 	b = codec.AppendUvarint(b, uint64(len(frames)))
 	for _, f := range frames {
-		b = codec.AppendFrame(b, f.Append(nil))
+		b = f.appendWire(b)
 	}
 	return b
 }

@@ -324,7 +324,7 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	}
 	// Byte accounting mirrors the socket wire: the nested checksummed
 	// envelope the frame would cost in a batch container.
-	e.sq.enqueue(schedItem{obj: f.Obj, frame: f, wire: len(EncodeWire(f))})
+	e.sq.enqueue(schedItem{frame: f, wire: f.wireLen()})
 	e.stats.noteQueued(f.Obj)
 	if trigger, full := e.sq.capTrigger(e.policy); full {
 		return e.flush(trigger, f.Obj)
@@ -349,8 +349,8 @@ func (e *memEndpoint) flush(trigger int, cause ObjID) error {
 		}
 		objs := make([]ObjID, len(items))
 		for i, it := range items {
-			objs[i] = it.obj
-			e.stats.Sched.noteDrained(it.obj, 0, false)
+			objs[i] = it.frame.Obj
+			e.stats.Sched.noteDrained(it.frame.Obj, 0, false)
 		}
 		for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
 			if dst == e.self {
@@ -378,7 +378,7 @@ func (e *memEndpoint) Send(to model.NodeID, f Frame) error {
 		return err
 	}
 	e.m.Put(to, &Queued{Frame: f, Copies: 1, ReadyAt: e.m.now})
-	e.stats.noteSent(to, 1, len(EncodeWire(f)), []ObjID{f.Obj})
+	e.stats.noteSent(to, 1, f.wireLen(), []ObjID{f.Obj})
 	return nil
 }
 
@@ -417,7 +417,7 @@ func (e *memEndpoint) Recv(wait bool) (Frame, bool, error) {
 			if int(from) >= 0 && int(from) < e.m.n {
 				// Mem delivers frame-at-a-time: one batch per frame, charged
 				// the nested envelope its send was, so the ledgers balance.
-				e.stats.noteRecv(from, 1, len(EncodeWire(q.Frame)), []ObjID{q.Frame.Obj})
+				e.stats.noteRecv(from, 1, q.Frame.wireLen(), []ObjID{q.Frame.Obj})
 			}
 			return q.Frame, true, nil
 		}

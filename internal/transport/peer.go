@@ -48,8 +48,8 @@ type Peer struct {
 	state   crdt.State
 	applied map[model.MsgID]bool
 	// front is the causal frontier of applied: front[o] is the highest mid
-	// from origin o applied here (0 for none). Causal frames carry it as
-	// their deps — at most N mids however long the history.
+	// from origin o applied here (0 for none). Frames that carry deps carry
+	// it — at most N mids however long the history.
 	front []model.MsgID
 	// held buffers effector frames whose dependencies are not yet applied
 	// (causal delivery only).
@@ -66,16 +66,13 @@ type Peer struct {
 	// Snapshot serving/compaction side (WithSnapshotPolicy). log retains
 	// every applied effector frame not yet folded into the checkpoint. The
 	// acknowledgements — what each peer is known to have applied, from its
-	// own broadcasts plus the deps it puts on the wire — are the input to
-	// the compaction frontier. A causal object keeps them as per-origin
-	// watermarks (ackFront[q][o]: q applied every origin-o mid up to it); a
-	// non-causal one, whose applied sets need not be per-origin prefixes,
-	// keeps the acknowledged mid set (acks).
+	// own broadcasts plus the frontier deps it puts on the wire — are the
+	// input to the compaction frontier, kept as per-origin watermarks
+	// (ackFront[q][o]: q applied every origin-o mid up to it).
 	snapServe    bool
 	pol          SnapshotPolicy
 	log          []Frame
 	ck           *Checkpoint
-	acks         map[model.NodeID]map[model.MsgID]bool
 	ackFront     map[model.NodeID][]model.MsgID
 	served       map[model.NodeID]bool
 	sinceCompact int
@@ -104,7 +101,6 @@ func WithSnapshotPolicy(pol SnapshotPolicy) PeerOption {
 	return func(p *Peer) {
 		p.snapServe = true
 		p.pol = pol
-		p.acks = map[model.NodeID]map[model.MsgID]bool{}
 		p.ackFront = map[model.NodeID][]model.MsgID{}
 		p.served = map[model.NodeID]bool{}
 	}
@@ -259,19 +255,16 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	return ret, p.t.Broadcast(f)
 }
 
-// wireDeps returns the dependency list a frame should carry. A causal object
-// sends its causal frontier: every origin's frames chain through that
-// origin's previous one, so a receiver that has applied each frontier mid
-// has applied the sender's whole causal past. A non-causal object sends its
-// applied set, and only when the mesh runs the snapshot protocol — there the
-// deps are acknowledgements that drive the compaction frontier, so serving
-// peers and catch-up joiners always attach them.
+// wireDeps returns the dependency list a frame should carry: the frontier,
+// or nothing. A causal object always sends it: every origin's frames chain
+// through that origin's previous one, so a receiver that has applied each
+// frontier mid has applied the sender's whole causal past. A non-causal
+// object sends it only when the mesh runs the snapshot protocol — there the
+// deps are acknowledgements that drive the compaction frontier, not delivery
+// gates, so serving peers and catch-up joiners always attach them.
 func (p *Peer) wireDeps() []model.MsgID {
-	switch {
-	case p.causal:
+	if p.causal || p.snapServe || p.catchUp {
 		return p.frontier()
-	case p.snapServe || p.catchUp:
-		return p.visible()
 	}
 	return nil
 }
@@ -285,16 +278,6 @@ func (p *Peer) frontier() []model.MsgID {
 		}
 	}
 	slices.Sort(deps)
-	return deps
-}
-
-// visible returns the applied set as a sorted dependency list.
-func (p *Peer) visible() []model.MsgID {
-	deps := make([]model.MsgID, 0, len(p.applied))
-	for mid := range p.applied {
-		deps = append(deps, mid)
-	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
 	return deps
 }
 
@@ -390,49 +373,33 @@ func (p *Peer) handleEffector(f Frame) error {
 }
 
 // ack records what frame f proves its sender has applied: its own broadcast
-// plus every dependency it attached. Acknowledgements are monotone facts
-// about the sender's applied set, the input to the compaction frontier. A
-// causal sender's applied set holds a prefix of every origin's frames, so
-// its highest acknowledged mid per origin stands for all that origin's
-// frames below it — whether the deps are a frontier or a full applied set.
+// plus every dependency it attached — monotone facts about the sender's
+// applied set, the input to the compaction frontier. Each origin's frames
+// reach a receiver in issue order, so the highest acknowledged mid per origin
+// stands for all of that origin's frames below it, whether the deps are a
+// frontier or a full applied set (DESIGN.md, "Causal frontier deps", covers
+// a catch-up joiner's gap).
 func (p *Peer) ack(f Frame) {
 	if !p.snapServe {
 		return
 	}
-	if p.causal {
-		w := p.ackFront[f.From]
-		if w == nil {
-			w = make([]model.MsgID, p.t.N())
-			p.ackFront[f.From] = w
-		}
-		if f.Kind == KindEffector {
-			p.raise(w, f.MID)
-		}
-		for _, d := range f.Deps {
-			p.raise(w, d)
-		}
-		return
-	}
-	set := p.acks[f.From]
-	if set == nil {
-		set = map[model.MsgID]bool{}
-		p.acks[f.From] = set
+	w := p.ackFront[f.From]
+	if w == nil {
+		w = make([]model.MsgID, p.t.N())
+		p.ackFront[f.From] = w
 	}
 	if f.Kind == KindEffector {
-		set[f.MID] = true
+		p.raise(w, f.MID)
 	}
 	for _, d := range f.Deps {
-		set[d] = true
+		p.raise(w, d)
 	}
 }
 
 // acked reports whether peer q is known to have applied the log frame mid.
 func (p *Peer) acked(q model.NodeID, mid model.MsgID) bool {
-	if p.causal {
-		w := p.ackFront[q]
-		return w != nil && mid > 0 && mid <= w[p.origin(mid)]
-	}
-	return p.acks[q][mid]
+	w := p.ackFront[q]
+	return w != nil && mid > 0 && mid <= w[p.origin(mid)]
 }
 
 // depsMet reports whether every causal dependency of f has been applied.

@@ -75,16 +75,12 @@ func (p SchedPolicy) delayFor(id ObjID, shared time.Duration) time.Duration {
 	return shared
 }
 
-// schedItem is one queued broadcast awaiting a flush. The socket Stream
-// stores the encoded nested envelope (env); the in-memory endpoint stores the
-// Frame itself. wire is the item's byte cost against caps and container
-// limits, and at stamps the enqueue time when delay sampling is on. pool,
-// when set, is the pooled buffer env was encoded into — handed back to the
-// buffer pool once the envelope has been copied into a wire container.
+// schedItem is one queued broadcast awaiting a flush: the frame itself, held
+// by value until a drain hands it to the wire (both endpoints queue the same
+// way). wire is the frame's envelope size (Frame.wireLen), its byte cost
+// against caps and container limits, and at stamps the enqueue time when
+// delay sampling is on.
 type schedItem struct {
-	obj   ObjID
-	env   []byte
-	pool  *[]byte
 	frame Frame
 	wire  int
 	at    time.Time
@@ -132,10 +128,11 @@ func newSched(pol SchedPolicy, sample bool) *sched {
 
 // enqueue appends one item to its object's queue.
 func (s *sched) enqueue(it schedItem) {
-	q := s.queues[it.obj]
+	id := it.frame.Obj
+	q := s.queues[id]
 	if q == nil {
-		q = &objQueue{id: it.obj}
-		s.queues[it.obj] = q
+		q = &objQueue{id: id}
+		s.queues[id] = q
 	}
 	if !q.active {
 		q.active = true

@@ -11,12 +11,12 @@ import (
 )
 
 // item builds one pending broadcast for the pure scheduler tests.
-func item(obj ObjID, wire int) schedItem { return schedItem{obj: obj, wire: wire} }
+func item(obj ObjID, wire int) schedItem { return schedItem{frame: Frame{Obj: obj}, wire: wire} }
 
 func drainObjs(items []schedItem) []ObjID {
 	out := make([]ObjID, len(items))
 	for i, it := range items {
-		out[i] = it.obj
+		out[i] = it.frame.Obj
 	}
 	return out
 }

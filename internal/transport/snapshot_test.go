@@ -300,7 +300,7 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 					if got := server.LogLen(); got >= total {
 						t.Fatalf("retained log %d not bounded below the %d applied frames", got, total)
 					}
-					// Causal legs acknowledge through per-origin watermarks
+					// Every leg acknowledges through per-origin watermarks
 					// of the frontier deps; both early peers still truncate.
 					for i, p := range early {
 						if st := p.SnapshotStats(); st.LogTruncated == 0 {
@@ -357,6 +357,189 @@ func TestSnapshotAckWatermark(t *testing.T) {
 	step(sn) // the done frame's deps [5 6] raise the watermark to 5
 	if st := server.SnapshotStats(); st.LogTruncated != 4 || st.LogRetained != 0 {
 		t.Fatalf("stats %+v, want all 4 frames truncated", st)
+	}
+}
+
+// recordingTransport records every frame its endpoint is asked to broadcast.
+type recordingTransport struct {
+	transport.Transport
+	sent *[]transport.Frame
+}
+
+func (r recordingTransport) Broadcast(f transport.Frame) error {
+	*r.sent = append(*r.sent, f)
+	return r.Transport.Broadcast(f)
+}
+
+// TestSnapshotDepsBounded pins the deps a non-causal object sends under the
+// snapshot protocol: three serving counter peers build history, then a
+// catch-up joiner arrives and plays its share. Every effector and Done frame
+// any of them broadcasts carries its sender's frontier — at most one mid per
+// origin, so at most N deps however long the history.
+func TestSnapshotDepsBounded(t *testing.T) {
+	alg, ok := registry.ByName("counter")
+	if !ok {
+		t.Fatal("counter not registered")
+	}
+	const n = 4
+	m := transport.NewMem(n)
+	var sent []transport.Frame
+	pol := transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 3})
+	nodes := make([]*transport.Node, n)
+	peers := make([]*transport.Peer, n)
+	for i := range n - 1 {
+		nodes[i], peers[i] = hostSolo(recordingTransport{m.Endpoint(model.NodeID(i)), &sent}, alg, pol)
+	}
+	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), n, 40, 3, alg.NeedsCausal)
+	var lateOps []model.Op
+	for _, so := range script {
+		if so.Node == n-1 {
+			lateOps = append(lateOps, so.Op)
+			continue
+		}
+		if _, err := peers[so.Node].Invoke(so.Op); err != nil && !errors.Is(err, crdt.ErrAssume) {
+			t.Fatalf("invoke %v at %s: %v", so.Op, so.Node, err)
+		}
+		pumpDrain(t, nodes[:n-1]...)
+	}
+	nodes[n-1], peers[n-1] = hostSolo(recordingTransport{m.Endpoint(n - 1), &sent}, alg, transport.WithCatchUp(alg.DecodeState))
+	if err := peers[n-1].CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	pumpDrain(t, nodes[:n-1]...) // the servers answer the request
+	if err := nodes[n-1].AwaitCatchUp(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range lateOps {
+		if _, err := peers[n-1].Invoke(op); err != nil && !errors.Is(err, crdt.ErrAssume) {
+			t.Fatalf("late invoke %v: %v", op, err)
+		}
+		pumpDrain(t, nodes...)
+	}
+	for _, p := range peers {
+		if err := p.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, node := range nodes {
+		if err := node.RunToQuiescence(5 * time.Second); err != nil {
+			t.Fatalf("peer %d: %v", i, err)
+		}
+	}
+	checked := 0
+	for _, f := range sent {
+		if f.Kind != transport.KindEffector && f.Kind != transport.KindDone {
+			continue
+		}
+		checked++
+		origins := map[int]bool{}
+		for _, d := range f.Deps {
+			origins[int(d-1)%n] = true
+		}
+		if len(f.Deps) > n || len(origins) != len(f.Deps) {
+			t.Fatalf("%s frame %s from %s carries deps %v: want at most one mid per origin", transport.KindName(f.Kind), f.MID, f.From, f.Deps)
+		}
+	}
+	if checked < 30 {
+		t.Fatalf("checked only %d effector and done frames", checked)
+	}
+	for i, p := range peers[1:] {
+		if !bytes.Equal(p.CanonicalState(), peers[0].CanonicalState()) {
+			t.Fatalf("peer %d diverged from peer 0", i+1)
+		}
+	}
+}
+
+// TestSnapshotJoinerGapConverges walks a non-causal catch-up joiner through
+// the one case where its applied set is not a per-origin prefix. Origin 0's
+// mid 1 never reaches the joiner live; node 1 answers the joiner's request
+// before applying it; the joiner applies origin 0's later mid 4 live, so the
+// frontier deps of its next frame over-acknowledge mid 1; node 1 compacts
+// mid 1 on that acknowledgement. The joiner still converges: node 0 answers
+// the same request — which it received before any frame carrying the
+// joiner's acknowledgements — with mid 1 in its retained suffix.
+func TestSnapshotJoinerGapConverges(t *testing.T) {
+	alg, ok := registry.ByName("counter")
+	if !ok {
+		t.Fatal("counter not registered")
+	}
+	m := transport.NewMem(3)
+	pol := transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1})
+	n0, origin := hostSolo(m.Endpoint(0), alg, pol)
+	n1, server := hostSolo(m.Endpoint(1), alg, pol)
+	n2, joiner := hostSolo(m.Endpoint(2), alg, transport.WithCatchUp(alg.DecodeState))
+	inc := func(p *transport.Peer) {
+		t.Helper()
+		if _, err := p.Invoke(model.Op{Name: spec.OpInc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver := func(dst model.NodeID, p *transport.Peer, mid model.MsgID) transport.Frame {
+		t.Helper()
+		q, ok := m.Take(dst, mid)
+		if !ok {
+			t.Fatalf("mid %s not queued for node %s (queued: %v)", mid, dst, m.Mids(dst))
+		}
+		if err := p.Handle(q.Frame); err != nil {
+			t.Fatalf("node %s handling mid %s: %v", dst, mid, err)
+		}
+		return q.Frame
+	}
+
+	inc(origin) // mid 1
+	if !m.Remove(2, 1) {
+		t.Fatal("mid 1 was not queued for the joiner")
+	}
+	if err := joiner.CatchUp(); err != nil { // request mid 3
+		t.Fatal(err)
+	}
+	deliver(1, server, 3) // node 1 serves without mid 1
+	deliver(2, joiner, 5) // and that response installs
+	if !joiner.CaughtUp() {
+		t.Fatal("node 1's response did not install")
+	}
+	inc(origin) // mid 4
+	deliver(2, joiner, 4)
+	inc(joiner) // mid 9
+	ackFrame, ok := m.Get(1, 9)
+	if !ok {
+		t.Fatal("the joiner's mid 9 is not queued for node 1")
+	}
+	if got := ackFrame.Frame.Deps; !reflect.DeepEqual(got, []model.MsgID{4}) || joiner.Applied() != 1 {
+		t.Fatalf("joiner applied %d remote frames and acknowledges %v: want the gap, mid 4 applied and acknowledged without mid 1", joiner.Applied(), got)
+	}
+	deliver(1, server, 1)
+	deliver(1, server, 4)
+	deliver(1, server, 9)
+	if st := server.SnapshotStats(); st.LogTruncated != 2 {
+		t.Fatalf("node 1 stats %+v: want mids 1 and 4 compacted on the joiner's acknowledgement", st)
+	}
+	deliver(0, origin, 3) // node 0 serves mids 1 and 4 as suffix
+	queued := m.Mids(2)
+	if len(queued) != 1 {
+		t.Fatalf("queued for the joiner: %v, want node 0's response alone", queued)
+	}
+	deliver(2, joiner, queued[0])
+	if st := joiner.SnapshotStats(); st.ResponsesIgnored != 1 || joiner.Applied() != 2 {
+		t.Fatalf("joiner stats %+v, applied %d: want mid 1 applied from node 0's suffix", st, joiner.Applied())
+	}
+	for _, p := range []*transport.Peer{origin, server, joiner} {
+		if err := p.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, node := range []*transport.Node{n0, n1, n2} {
+		if err := node.RunToQuiescence(5 * time.Second); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	for i, p := range []*transport.Peer{server, joiner} {
+		if !bytes.Equal(p.CanonicalState(), origin.CanonicalState()) {
+			t.Fatalf("node %d diverged from node 0", i+1)
+		}
+	}
+	if got := alg.Abs(joiner.State()); !got.Equal(model.Int(3)) {
+		t.Fatalf("joiner converged to %s, want 3 increments", got)
 	}
 }
 

@@ -617,29 +617,6 @@ func (b oneByteReader) ReadByte() (byte, error) {
 // against a corrupted length prefix allocating unboundedly).
 const maxWireFrame = 16 << 20
 
-// bufPool recycles the send side's scratch buffers: broadcast envelope
-// encodings, handed back once the envelope has been copied into a wire
-// container. Pointers to slices, so a Get/Put cycle does not allocate a slice
-// header.
-var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// poolGet returns a pooled buffer of length 0 and capacity ≥ n.
-func poolGet(n int) *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, 0, n)
-	}
-	return bp
-}
-
-// poolPut recycles bp, rebasing it onto grown so a buffer that was grown by
-// appends keeps its capacity across the pool round trip. Pass the latest
-// slice (or *bp itself when nothing grew).
-func poolPut(bp *[]byte, grown []byte) {
-	*bp = grown[:0]
-	bufPool.Put(bp)
-}
-
 // rxBuf is one received batch container: the frames decoded from it alias
 // buf, and refs counts those not yet released. The last release returns the
 // container to rxPool. Recv never releases, so a container served through it
@@ -757,16 +734,6 @@ func (s *Stream) recvLoop(peer model.NodeID, c net.Conn) {
 	}
 }
 
-// uvarintLen returns the encoded size of x.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
-
 // Self returns this endpoint's node ID.
 func (s *Stream) Self() model.NodeID { return s.self }
 
@@ -783,29 +750,17 @@ func (s *Stream) closedLocked() bool {
 	}
 }
 
-// encodeItem encodes f's nested envelope into pooled scratch: the inner
-// encoding is transient, the envelope lives in its send queue until the
-// container builder copies it out and hands the buffer back.
-func encodeItem(f Frame) schedItem {
-	ip := poolGet(0)
-	inner := f.Append((*ip)[:0])
-	ep := poolGet(len(inner) + 2*binary.MaxVarintLen64)
-	env := codec.AppendFrame((*ep)[:0], inner)
-	poolPut(ip, inner)
-	return schedItem{obj: f.Obj, env: env, pool: ep, wire: len(env)}
-}
-
-// Broadcast queues one frame for every peer: encoded once into its object's
-// send queue, drained when a policy trigger fires (frame cap, byte cap, a
-// flush deadline, an explicit Flush, or Close). With the default policy the
-// frame flushes immediately, one container per frame.
+// Broadcast queues one frame for every peer, encoded into a wire container
+// when a policy trigger fires (frame cap, byte cap, a flush deadline, an
+// explicit Flush, or Close). With the default policy the frame flushes
+// immediately, one container per frame.
 func (s *Stream) Broadcast(f Frame) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closedLocked() {
 		return ErrClosed
 	}
-	it := encodeItem(f)
+	it := schedItem{frame: f, wire: f.wireLen()}
 	if s.sq.sample {
 		it.at = time.Now()
 	}
@@ -943,9 +898,10 @@ func (s *Stream) writeDrainLocked(next func(frames, bytes int) []schedItem) erro
 }
 
 // containerLocked assembles items into one length-prefixed batch container
-// (uvarint count + the items' nested envelopes) in the reusable write buffer
-// and recycles the items' envelope buffers. It returns the wire image and
-// the items' objects, both valid until the next call. Called with mu held.
+// (uvarint count + the items' nested envelopes, each written in place by
+// Frame.appendWire) in the reusable write buffer. It returns the wire image
+// and the items' objects, both valid until the next call. Called with mu
+// held.
 func (s *Stream) containerLocked(items []schedItem) (wire []byte, objs []ObjID) {
 	size := 0
 	for _, it := range items {
@@ -960,23 +916,16 @@ func (s *Stream) containerLocked(items []schedItem) (wire []byte, objs []ObjID) 
 		wb = make([]byte, pfx, need)
 	}
 	body := codec.AppendUvarint(wb[:pfx], uint64(len(items)))
-	for i := range items {
-		it := &items[i]
-		body = append(body, it.env...)
-		if it.pool != nil {
-			poolPut(it.pool, it.env)
-			it.pool = nil
-		}
+	objs = s.objScratch[:0]
+	for _, it := range items {
+		body = it.frame.appendWire(body)
+		objs = append(objs, it.frame.Obj)
 	}
 	var lenBuf [pfx]byte
 	ln := binary.PutUvarint(lenBuf[:], uint64(len(body)-pfx))
 	start := pfx - ln
 	copy(body[start:pfx], lenBuf[:ln])
 	s.wbuf = body[:pfx]
-	objs = s.objScratch[:0]
-	for _, it := range items {
-		objs = append(objs, it.obj)
-	}
 	s.objScratch = objs[:0]
 	return body[start:], objs
 }
@@ -1015,7 +964,7 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 		if sampled {
 			delay = max(now.Sub(it.at), 0)
 		}
-		s.stats.Sched.noteDrained(it.obj, delay, sampled)
+		s.stats.Sched.noteDrained(it.frame.Obj, delay, sampled)
 	}
 	s.statsMu.Unlock()
 	return firstErr
@@ -1040,7 +989,7 @@ func (s *Stream) Send(to model.NodeID, f Frame) error {
 	if err := s.flushAllLocked(trigExplicit, 0); err != nil {
 		return err
 	}
-	items := [1]schedItem{encodeItem(f)}
+	items := [1]schedItem{{frame: f, wire: f.wireLen()}}
 	buf, objs := s.containerLocked(items[:])
 	if _, err := c.Write(buf); err != nil {
 		return fmt.Errorf("transport: sending to node %s: %w", to, err)

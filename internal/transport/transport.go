@@ -79,9 +79,9 @@ type ObjID uint64
 // Frame is one addressed wire message: routing metadata plus an opaque
 // canonical payload. Obj scopes the frame to one replicated object when many
 // share the transport (0 for a single-object group). Deps carries the
-// origin's causal dependency set (the MsgIDs visible when the operation was
-// issued, within the object's own mid space) for algorithms that require
-// causal delivery; it is empty otherwise.
+// sender's causal frontier (per origin, the highest mid it had applied, in
+// the object's own mid space) for algorithms that require causal delivery
+// and under the snapshot protocol; it is empty otherwise.
 type Frame struct {
 	Kind    byte
 	Obj     ObjID
@@ -112,7 +112,9 @@ type Transport interface {
 	Self() model.NodeID
 	// N is the number of nodes in the object's replication group.
 	N() int
-	// Broadcast ships one frame from Self to every other node.
+	// Broadcast ships one frame from Self to every other node. The endpoint
+	// may queue the frame itself until a flush, holding f's Deps and Payload
+	// slices until then, so callers must not modify them after the call.
 	Broadcast(f Frame) error
 	// Send ships one frame from Self to exactly one other node: the snapshot
 	// protocol's response channel. Pending broadcasts flush first, so the
