@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"repro/internal/codec"
+	"repro/internal/crdts/registry"
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/transport"
 )
 
@@ -378,4 +380,61 @@ func benchQuietTailLatency(b *testing.B, network string, quietWeight int) {
 	// The gated metric is the quiet tail, not throughput: override ns/op.
 	b.ReportMetric(float64(q.DelayQuantile(0.99)), "ns/op")
 	b.ReportMetric(float64(q.DelaySamples), "samples")
+}
+
+// BenchmarkPeerHandle prices the peer layer's receive path on its own: a
+// follower's Peer.Handle over Mem — dedup, the hold-back check, decode and
+// apply — fed in-order effector frames from one origin peer. counter frames
+// carry no deps; aw-set is causal, so its frames carry the origin's frontier,
+// and they alternate add and remove of one element. With the timer stopped,
+// each chunk of 128 frames comes from a fresh origin for a fresh follower,
+// so the state, and with it the apply cost, stays bounded whatever b.N.
+func BenchmarkPeerHandle(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		ops  []model.Op
+	}{
+		{"counter", []model.Op{{Name: spec.OpInc}}},
+		{"aw-set", []model.Op{{Name: spec.OpAdd, Arg: model.Int(1)}, {Name: spec.OpRemove, Arg: model.Int(1)}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			alg, ok := registry.ByName(c.name)
+			if !ok {
+				b.Fatalf("%s not registered", c.name)
+			}
+			frames := make([]transport.Frame, 0, 128)
+			applied := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; done += len(frames) {
+				b.StopTimer()
+				m := transport.NewMem(2)
+				origin := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), alg.NeedsCausal)
+				ep := m.Endpoint(1)
+				follower := transport.NewPeer(alg.New(), alg.DecodeEffector, ep, alg.NeedsCausal)
+				frames = frames[:0]
+				for len(frames) < min(cap(frames), b.N-done) {
+					if _, err := origin.Invoke(c.ops[len(frames)%len(c.ops)]); err != nil {
+						b.Fatal(err)
+					}
+					f, ok, err := ep.Recv(false)
+					if err != nil || !ok {
+						b.Fatalf("origin's frame not queued: ok=%v err=%v", ok, err)
+					}
+					frames = append(frames, f)
+				}
+				b.StartTimer()
+				for _, f := range frames {
+					if err := follower.Handle(f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				applied += follower.Applied()
+			}
+			b.StopTimer()
+			if applied != b.N {
+				b.Fatalf("followers applied %d of %d frames", applied, b.N)
+			}
+		})
+	}
 }

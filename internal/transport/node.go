@@ -207,11 +207,22 @@ func (n *Node) AwaitCatchUp(deadline time.Duration) error {
 	return n.wait(deadline,
 		func() bool { return len(stuck()) == 0 },
 		func() error {
-			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s", ErrTimeout, stuck(), deadline)
+			return fmt.Errorf("transport: %w: object(s) %v still awaiting a snapshot response after %s%s", ErrTimeout, stuck(), deadline, n.openGaps())
 		},
 		func() error {
-			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses", stuck())
+			return fmt.Errorf("transport: network drained while object(s) %v awaited snapshot responses%s", stuck(), n.openGaps())
 		})
+}
+
+// openGaps names each object whose applied prefix has an open gap, in order.
+func (n *Node) openGaps() string {
+	var out string
+	for _, id := range n.order {
+		if g := n.peers[id].openGaps(); g != "" {
+			out += fmt.Sprintf("; object %d%s", id, g)
+		}
+	}
+	return out
 }
 
 // Quiesced reports whether every registered object is stable from this

@@ -318,6 +318,95 @@ func TestNodeAwaitCatchUpNamesPendingObjects(t *testing.T) {
 	}
 }
 
+// TestNodeErrorsNameOpenGap: a joiner stuck on a gap says so. Object 0's
+// joiner installs node 1's response, which holds origin 0's mid 1 but not its
+// mid 4, then applies mid 7 live; origin 0 never answers, so the gap stays
+// open. Object 1's catch-up never resolves either. Both waits name origin 0's
+// gap; once mid 4 closes it, their messages are exactly those of a node
+// without gaps.
+func TestNodeErrorsNameOpenGap(t *testing.T) {
+	man := transport.Manifest{{ID: 0, Name: "accounts", Kind: "counter"}, {ID: 1, Name: "visits", Kind: "counter"}}
+	alg := algFor(t, "counter")
+	m := transport.NewMem(3)
+	peers := make([]*transport.Peer, 3) // object 0 at each node
+	var joiner *transport.Node
+	for i := range peers {
+		n, err := transport.NewNode(m.Endpoint(model.NodeID(i)), man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := transport.WithSnapshotPolicy(transport.SnapshotPolicy{})
+		if i == 2 {
+			opt, joiner = transport.WithCatchUp(alg.DecodeState), n
+		}
+		for _, obj := range man {
+			p, err := n.Register(obj.ID, alg.New(), alg.DecodeEffector, alg.NeedsCausal, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if obj.ID == 0 {
+				peers[i] = p
+			}
+		}
+	}
+	origin, server, stuck := peers[0], peers[1], peers[2]
+	deliver := memDeliver(t, m)
+	drop := func(dst model.NodeID, mid model.MsgID) {
+		t.Helper()
+		if !m.Remove(dst, mid) {
+			t.Fatalf("mid %s not queued for node %s", mid, dst)
+		}
+	}
+	inc := func() {
+		t.Helper()
+		if _, err := origin.Invoke(model.Op{Name: spec.OpInc}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inc() // mid 1
+	deliver(1, server, 1)
+	drop(2, 1) // the joiner has not connected yet
+	inc()      // mid 4
+	mid4, ok := m.Get(2, 4)
+	if !ok {
+		t.Fatal("mid 4 was not queued for the joiner")
+	}
+	drop(2, 4)
+	if err := joiner.CatchUp(); err != nil { // object 0's request is mid 3
+		t.Fatal(err)
+	}
+	drop(0, 3) // origin 0 never answers
+	deliver(1, server, 3)
+	deliver(2, stuck, 5) // node 1's response installs mid 1
+	inc()                // mid 7
+	deliver(2, stuck, 7)
+
+	check := func(catchUp, quiesce string) {
+		t.Helper()
+		if err := joiner.AwaitCatchUp(5 * time.Second); err == nil || err.Error() != catchUp {
+			t.Fatalf("AwaitCatchUp: %v\nwant %s", err, catchUp)
+		}
+		if err := joiner.RunToQuiescence(5 * time.Second); err == nil || err.Error() != quiesce {
+			t.Fatalf("RunToQuiescence: %v\nwant %s", err, quiesce)
+		}
+	}
+	check("transport: network drained while object(s) [1] awaited snapshot responses; object 0, gap: origin 0 above m1 (1 frame)",
+		"transport: network drained but 2 of 2 objects not quiescent: object 0 (done 0/2 peers, applied 2, held 0, gap: origin 0 above m1 (1 frame)), object 1 (done 0/2 peers, applied 0, held 0)")
+	// Past their deadline the waits time out instead, naming the gap too.
+	if err := joiner.AwaitCatchUp(-time.Nanosecond); !errors.Is(err, transport.ErrTimeout) || !strings.HasSuffix(err.Error(), "; object 0, gap: origin 0 above m1 (1 frame)") {
+		t.Fatalf("AwaitCatchUp past its deadline: %v", err)
+	}
+	if err := joiner.RunToQuiescence(-time.Nanosecond); !errors.Is(err, transport.ErrTimeout) || !strings.Contains(err.Error(), "held 0, gap: origin 0 above m1 (1 frame))") {
+		t.Fatalf("RunToQuiescence past its deadline: %v", err)
+	}
+	if err := stuck.Handle(mid4.Frame); err != nil {
+		t.Fatal(err)
+	}
+	check("transport: network drained while object(s) [1] awaited snapshot responses",
+		"transport: network drained but 2 of 2 objects not quiescent: object 0 (done 0/2 peers, applied 3, held 0), object 1 (done 0/2 peers, applied 0, held 0)")
+}
+
 // TestNodeQuiescenceErrorNamesStuckObjects: a node that cannot quiesce must
 // name each stuck object — in registration order, with its peer's progress —
 // and only those. Node 2 never announces Done for object 2, so node 0 can

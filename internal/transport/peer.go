@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -45,11 +44,15 @@ type Peer struct {
 	// object gets its own Peer.
 	objID ObjID
 
-	state   crdt.State
-	applied map[model.MsgID]bool
-	// front is the causal frontier of applied: front[o] is the highest mid
-	// from origin o applied here (0 for none). Frames that carry deps carry
-	// it — at most N mids however long the history.
+	state crdt.State
+	// The applied set, bounded by the frontier rather than the history:
+	// every origin-o effector up to base[o] is applied, and gaps maps each
+	// mid applied above its origin's base to its own-origin predecessor —
+	// empty except on a catch-up joiner with an open gap (DESIGN.md, "Causal
+	// frontier deps"). front[o] is the highest origin-o mid applied (0 for
+	// none), base[o] unless a gap is open: the frontier frames with deps carry.
+	base  []model.MsgID
+	gaps  map[model.MsgID]model.MsgID
 	front []model.MsgID
 	// held buffers effector frames whose dependencies are not yet applied
 	// (causal delivery only).
@@ -61,7 +64,6 @@ type Peer struct {
 	done     map[model.NodeID]int
 	doneSent bool
 	remote   int // effector frames applied from other peers
-	skipped  int // operations rejected by their assume precondition
 
 	// Snapshot serving/compaction side (WithSnapshotPolicy). log retains
 	// every applied effector frame not yet folded into the checkpoint. The
@@ -124,11 +126,12 @@ func WithCatchUp(dec crdt.StateDecoder) PeerOption {
 func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool, opts ...PeerOption) *Peer {
 	p := &Peer{
 		t: t, obj: obj, dec: dec, causal: causal,
-		state:   obj.Init(),
-		applied: map[model.MsgID]bool{},
-		front:   make([]model.MsgID, t.N()),
-		held:    map[model.MsgID]Frame{},
-		done:    map[model.NodeID]int{},
+		state: obj.Init(),
+		base:  make([]model.MsgID, t.N()),
+		gaps:  map[model.MsgID]model.MsgID{},
+		front: make([]model.MsgID, t.N()),
+		held:  map[model.MsgID]Frame{},
+		done:  map[model.NodeID]int{},
 	}
 	for _, o := range opts {
 		o(p)
@@ -156,13 +159,6 @@ func (p *Peer) Issued() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.issued
-}
-
-// Skipped returns the number of operations rejected by their precondition.
-func (p *Peer) Skipped() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.skipped
 }
 
 // Applied returns the number of remote effector frames applied.
@@ -208,10 +204,46 @@ func (p *Peer) raise(w []model.MsgID, mid model.MsgID) {
 	}
 }
 
-// markApplied records mid as applied, advancing the causal frontier.
-func (p *Peer) markApplied(mid model.MsgID) {
-	p.applied[mid] = true
+// applied reports whether the effector mid has been applied here.
+func (p *Peer) applied(mid model.MsgID) bool {
+	_, gap := p.gaps[mid]
+	return gap || mid > 0 && mid <= p.base[p.origin(mid)]
+}
+
+// pred returns f's own-origin predecessor: its largest dep from its own
+// origin below its mid, which every frame that carries deps names. 0 means f
+// is contiguous: its origin's first frame, or a deps-less mesh's frame, which
+// arrives in issue order and is never relayed.
+func (p *Peer) pred(f Frame) model.MsgID {
+	var pr model.MsgID
+	for _, d := range f.Deps {
+		if d > pr && d < f.MID && p.origin(d) == p.origin(f.MID) {
+			pr = d
+		}
+	}
+	return pr
+}
+
+// markApplied records the effector mid, with own-origin predecessor pred, as
+// applied. If pred is within its origin's base, mid extends the base and each
+// gap entry that then chains on is absorbed; otherwise mid waits in gaps.
+// Non-positive mids name no origin and are ignored, as observe ignores them.
+func (p *Peer) markApplied(mid, pred model.MsgID) {
+	if mid <= 0 {
+		return
+	}
 	p.raise(p.front, mid)
+	if pred > p.base[p.origin(mid)] {
+		p.gaps[mid] = pred
+		return
+	}
+	p.raise(p.base, mid)
+	for m, q := range p.gaps {
+		if q <= p.base[p.origin(m)] {
+			delete(p.gaps, m)
+			p.markApplied(m, q)
+		}
+	}
 }
 
 // Invoke runs op's two-phase execution at this replica: Prepare over the
@@ -227,9 +259,6 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	mid := p.nextMID()
 	ret, eff, err := p.obj.Prepare(op, p.state, p.t.Self(), mid)
 	if err != nil {
-		if errors.Is(err, crdt.ErrAssume) {
-			p.skipped++
-		}
 		return model.Nil(), err
 	}
 	if crdt.IsIdentity(eff) {
@@ -244,7 +273,7 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	}
 	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload, Deps: p.wireDeps()}
 	p.state = eff.Apply(p.state)
-	p.markApplied(mid)
+	p.markApplied(mid, p.pred(f))
 	p.issued++
 	if p.snapServe {
 		p.log = append(p.log, f)
@@ -356,7 +385,7 @@ func (p *Peer) Handle(f Frame) error {
 func (p *Peer) handleEffector(f Frame) error {
 	p.observe(f.MID)
 	p.ack(f)
-	if p.applied[f.MID] {
+	if p.applied(f.MID) {
 		return nil // at-most-once: duplicate suppressed
 	}
 	if p.syncing || (p.causal && !p.depsMet(f)) {
@@ -405,7 +434,7 @@ func (p *Peer) acked(q model.NodeID, mid model.MsgID) bool {
 // depsMet reports whether every causal dependency of f has been applied.
 func (p *Peer) depsMet(f Frame) bool {
 	for _, d := range f.Deps {
-		if !p.applied[d] {
+		if !p.applied(d) {
 			return false
 		}
 	}
@@ -420,7 +449,7 @@ func (p *Peer) apply(f Frame) error {
 		return fmt.Errorf("transport: frame %s from %s: %w", f.MID, f.From, err)
 	}
 	p.state = eff.Apply(p.state)
-	p.markApplied(f.MID)
+	p.markApplied(f.MID, p.pred(f))
 	p.remote++
 	if p.snapServe {
 		// The compaction log outlives the handler call: detach the payload
@@ -450,7 +479,7 @@ func (p *Peer) retryHeld() error {
 		sort.Slice(mids, func(i, j int) bool { return mids[i] < mids[j] })
 		for _, mid := range mids {
 			f := p.held[mid]
-			if p.applied[mid] {
+			if p.applied(mid) {
 				// A frame held during a catch-up sync can arrive again inside
 				// the installed snapshot (covered or suffix): at-most-once
 				// holds here too.
@@ -589,8 +618,10 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		p.state = st
 		for _, mid := range snap.Covered {
 			p.observe(mid)
-			if !p.applied[mid] {
-				p.markApplied(mid)
+			if !p.applied(mid) {
+				// A served Covered list is a per-origin prefix (compact), so
+				// the install raises the base over it.
+				p.markApplied(mid, 0)
 				p.remote++
 				p.snapStats.InstallCovered++
 			}
@@ -611,7 +642,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 	} else {
 		p.snapStats.ResponsesIgnored++
 		for _, mid := range snap.Covered {
-			if !p.applied[mid] {
+			if !p.applied(mid) {
 				return fmt.Errorf("transport: snapshot from %s covers unapplied frame %s after install — compaction frontier violated", f.From, mid)
 			}
 		}
@@ -653,7 +684,8 @@ func (p *Peer) tickCompaction() error {
 // request needs is either covered by the served checkpoint or still in the
 // retained suffix. A peer that has not acknowledged anything (a joiner whose
 // first frames have not arrived) blocks the frontier entirely, which is the
-// safe direction.
+// safe direction. Only frames within this peer's own base fold, so a served
+// Covered list stays a per-origin prefix a joiner may install as watermarks.
 func (p *Peer) compact() error {
 	if len(p.log) == 0 {
 		return nil
@@ -661,17 +693,13 @@ func (p *Peer) compact() error {
 	peers := p.t.ConnectedPeers()
 	var stable []model.MsgID
 	for _, f := range p.log {
-		acked := true
+		fold := f.MID > 0 && f.MID <= p.base[p.origin(f.MID)]
 		for _, q := range peers {
-			if q == p.t.Self() {
-				continue
-			}
-			if !p.acked(q, f.MID) {
-				acked = false
-				break
+			if fold && q != p.t.Self() {
+				fold = p.acked(q, f.MID)
 			}
 		}
-		if acked {
+		if fold {
 			stable = append(stable, f.MID)
 		}
 	}
@@ -738,11 +766,35 @@ func (p *Peer) DonePeers() int {
 	return len(p.done)
 }
 
-// progress renders the quiescence-relevant counters for diagnostics.
+// progress renders the quiescence-relevant counters and any open gap.
 func (p *Peer) progress() string {
+	gap := p.openGaps()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return fmt.Sprintf("(done %d/%d peers, applied %d, held %d)", len(p.done), p.t.N()-1, p.remote, len(p.held))
+	return fmt.Sprintf("(done %d/%d peers, applied %d, held %d%s)", len(p.done), p.t.N()-1, p.remote, len(p.held), gap)
+}
+
+// openGaps names each origin's open gap: its base and the frames above it.
+func (p *Peer) openGaps() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.gaps) == 0 {
+		return ""
+	}
+	above := make([]int, p.t.N())
+	for mid := range p.gaps {
+		above[p.origin(mid)]++
+	}
+	gap := ""
+	for o, n := range above {
+		switch {
+		case n == 1:
+			gap += fmt.Sprintf(", origin %d above %s (1 frame)", o, p.base[o])
+		case n > 1:
+			gap += fmt.Sprintf(", origin %d above %s (%d frames)", o, p.base[o], n)
+		}
+	}
+	return ", gap:" + gap[1:]
 }
 
 // Quiesced reports whether the object is stable from this peer's view:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -495,4 +496,51 @@ func TestReplicaErrorPaths(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPeerAppliedMemoryBounded pins the applied set to the frontier, not the
+// history: a counter replica that handles 200 000 in-order effector frames
+// from two origins retains less than 1 MB more heap afterwards, and no mid
+// waits above its origin's base. The mids are real Lamport mids whose
+// sequence skips ahead now and then, as an origin's does after it observes a
+// higher mid. A set of every applied mid grew by about 29 B a frame.
+func TestPeerAppliedMemoryBounded(t *testing.T) {
+	const n, frames = 3, 200_000
+	alg := algFor(t, "counter")
+	_, eff, err := alg.New().Prepare(model.Op{Name: spec.OpInc}, alg.New().Init(), 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := eff.AppendBinary(nil)
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	p := transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(n).Endpoint(0), false)
+	var seq [n]int
+	before := heap()
+	for i := 0; i < frames; i++ {
+		from := model.NodeID(1 + i%2)
+		seq[from]++
+		if i%5 == 4 {
+			seq[from]++ // a skipped sequence number, as after a higher mid
+		}
+		mid := model.MsgID(seq[from]*n + int(from) + 1)
+		if err := p.Handle(transport.Frame{Kind: transport.KindEffector, MID: mid, From: from, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := heap() - before
+	if p.Applied() != frames {
+		t.Fatalf("applied %d of %d frames", p.Applied(), frames)
+	}
+	if grown >= 1<<20 {
+		t.Fatalf("retained heap grew by %d B over %d frames (%.1f B a frame), want under 1 MB", grown, frames, float64(grown)/frames)
+	}
+	if g := transport.PeerGaps(p); g != 0 {
+		t.Fatalf("%d in-order mids wait above their origin's base", g)
+	}
+	runtime.KeepAlive(p)
 }

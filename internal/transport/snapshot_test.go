@@ -199,9 +199,25 @@ func TestCheckpointAdvance(t *testing.T) {
 	}
 }
 
+// memDeliver returns a function that hands peer p the copy of object 0's
+// mid queued for node dst on m, failing the test if none is queued or p
+// refuses it: a hand-picked delivery order on the deterministic Mem.
+func memDeliver(t *testing.T, m *transport.Mem) func(dst model.NodeID, p *transport.Peer, mid model.MsgID) {
+	return func(dst model.NodeID, p *transport.Peer, mid model.MsgID) {
+		t.Helper()
+		q, ok := m.Take(dst, mid)
+		if !ok {
+			t.Fatalf("mid %s not queued for node %s (queued: %v)", mid, dst, m.Mids(dst))
+		}
+		if err := p.Handle(q.Frame); err != nil {
+			t.Fatalf("node %s handling mid %s: %v", dst, mid, err)
+		}
+	}
+}
+
 // pumpDrain steps every node until none makes progress: the deterministic
 // Mem equivalent of letting the mesh go idle.
-func pumpDrain(t *testing.T, nodes ...*transport.Node) {
+func pumpDrain(t testing.TB, nodes ...*transport.Node) {
 	t.Helper()
 	for {
 		progress := false
@@ -474,17 +490,7 @@ func TestSnapshotJoinerGapConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deliver := func(dst model.NodeID, p *transport.Peer, mid model.MsgID) transport.Frame {
-		t.Helper()
-		q, ok := m.Take(dst, mid)
-		if !ok {
-			t.Fatalf("mid %s not queued for node %s (queued: %v)", mid, dst, m.Mids(dst))
-		}
-		if err := p.Handle(q.Frame); err != nil {
-			t.Fatalf("node %s handling mid %s: %v", dst, mid, err)
-		}
-		return q.Frame
-	}
+	deliver := memDeliver(t, m)
 
 	inc(origin) // mid 1
 	if !m.Remove(2, 1) {
@@ -540,6 +546,108 @@ func TestSnapshotJoinerGapConverges(t *testing.T) {
 	}
 	if got := alg.Abs(joiner.State()); !got.Equal(model.Int(3)) {
 		t.Fatalf("joiner converged to %s, want 3 increments", got)
+	}
+}
+
+// TestSnapshotServingJoinerGap gives TestSnapshotJoinerGapConverges's gap to
+// a joiner that also serves snapshots and compacts every frame. Node 1
+// answers node 2's request before applying origin 0's mid 1, so node 2 holds
+// mids 9 and 17 above a gap at origin 0 and folds only node 1's mid 14, which
+// both other peers acknowledged. Node 2 has not admitted node 3 yet, so its
+// compaction does not wait for it, and when node 3 asks, node 2 serves mids 9
+// and 17 as suffix, not covered: node 3 installs node 2's checkpoint as
+// per-origin watermarks, and had they covered mid 9, mid 1 would read as
+// applied. Node 3 takes mid 1 from origin 0's response and converges.
+func TestSnapshotServingJoinerGap(t *testing.T) {
+	alg, ok := registry.ByName("counter")
+	if !ok {
+		t.Fatal("counter not registered")
+	}
+	m := transport.NewMem(4)
+	pol := transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1})
+	catchUp := transport.WithCatchUp(alg.DecodeState)
+	n0, origin := hostSolo(m.Endpoint(0), alg, pol)
+	n1, server := hostSolo(listedTransport{m.Endpoint(1), []model.NodeID{0, 2}}, alg, pol)
+	n2, joiner := hostSolo(listedTransport{m.Endpoint(2), []model.NodeID{0, 1}}, alg, pol, catchUp)
+	n3, late := hostSolo(m.Endpoint(3), alg, catchUp)
+	inc := func(p *transport.Peer, mid model.MsgID) {
+		t.Helper()
+		if _, err := p.Invoke(model.Op{Name: spec.OpInc}); err != nil {
+			t.Fatal(err)
+		}
+		if !m.Remove(3, mid) { // node 3 has not joined yet
+			t.Fatalf("mid %s was not queued for node 3 (queued: %v)", mid, m.Mids(3))
+		}
+	}
+	deliver := memDeliver(t, m)
+
+	inc(origin, 1)
+	if !m.Remove(2, 1) {
+		t.Fatal("mid 1 was not queued for node 2")
+	}
+	if err := joiner.CatchUp(); err != nil { // request mid 3
+		t.Fatal(err)
+	}
+	m.Remove(3, 3)        // node 3 has not joined yet
+	deliver(1, server, 3) // node 1 serves without mid 1: response mid 6
+	deliver(0, origin, 3) // node 0 serves mid 1: response mid 5, still in flight
+	deliver(2, joiner, 6)
+	if !joiner.CaughtUp() {
+		t.Fatal("node 1's response did not install")
+	}
+	inc(origin, 9)
+	deliver(2, joiner, 9)
+	deliver(1, server, 1)
+	deliver(1, server, 9)
+	inc(server, 14) // deps [9]: node 1 acknowledges mid 9
+	deliver(2, joiner, 14)
+	deliver(0, origin, 14)
+	inc(origin, 17) // deps [9 14]: node 0 acknowledges mid 14
+	deliver(2, joiner, 17)
+	if st := joiner.SnapshotStats(); st.LogTruncated != 1 || st.LogRetained != 2 || transport.PeerGaps(joiner) != 2 {
+		t.Fatalf("node 2 stats %+v with %d mids above a gap: want mid 14 folded, mids 9 and 17 kept above the gap", st, transport.PeerGaps(joiner))
+	}
+
+	if err := late.CatchUp(); err != nil { // request mid 4
+		t.Fatal(err)
+	}
+	deliver(2, joiner, 4)
+	resp, ok := m.Get(3, 23)
+	if !ok {
+		t.Fatalf("node 2's response is not queued for node 3 (queued: %v)", m.Mids(3))
+	}
+	snap, err := transport.DecodeSnapshot(resp.Frame.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var suffix []model.MsgID
+	for _, f := range snap.Suffix {
+		suffix = append(suffix, f.MID)
+	}
+	if !reflect.DeepEqual(snap.Covered, []model.MsgID{14}) || !reflect.DeepEqual(suffix, []model.MsgID{9, 17}) {
+		t.Fatalf("node 2 served covered %v and suffix %v: want mid 14 covered, mids 9 and 17 above the gap as suffix", snap.Covered, suffix)
+	}
+	deliver(3, late, 23) // installs node 2's checkpoint
+	deliver(0, origin, 4)
+	deliver(3, late, 21) // origin 0's suffix fills the gap
+	if got := transport.PeerGaps(late); got != 0 || late.Applied() != 4 {
+		t.Fatalf("node 3 applied %d frames with %d above a gap: want all 4, the gap closed", late.Applied(), got)
+	}
+	peers := []*transport.Peer{origin, server, joiner, late}
+	for _, p := range peers {
+		if err := p.Done(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, node := range []*transport.Node{n0, n1, n2, n3} {
+		if err := node.RunToQuiescence(5 * time.Second); err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+	}
+	for i, p := range peers {
+		if got := alg.Abs(p.State()); !got.Equal(model.Int(4)) || transport.PeerGaps(p) != 0 {
+			t.Fatalf("node %d converged to %s with %d mids above a gap, want 4 increments and no gap", i, got, transport.PeerGaps(p))
+		}
 	}
 }
 
