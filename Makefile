@@ -92,18 +92,25 @@ bench-md:
 	go test -bench=. -benchmem . | go run ./cmd/bench-report
 
 # Mirror of CI's transport-bench job: the stream-throughput sweep (network ×
-# batch size × payload × receive-pipeline workers) run 3× and collapsed to
-# each case's fastest run (min-of-N damps scheduler noise), rendered to
-# bench-current.json and gated against the checked-in BENCH_transport.json —
-# any case more than 25% slower, or past +34% allocs/op, fails. The output
-# is deliberately NOT named like the baseline: bench-report refuses a -out
-# that shadows the baseline's filename outside its canonical path. To
-# regenerate the baseline after an intentional perf change, rerun the sweep
-# with `-worst -out BENCH_transport.json` (see EXPERIMENTS.md).
+# batch size × payload × receive-pipeline workers) and the peer layer's
+# Peer.Handle rows, run 3× and collapsed to each case's fastest run (min-of-N
+# damps scheduler noise). The sweep renders to bench-current.json, gated
+# against the checked-in BENCH_transport.json — any case more than 25%
+# slower, or past +34% allocs/op, fails. The peer rows render to
+# bench-peer-current.json, gated against BENCH_peer.json with the same two
+# tolerances plus B/op at +50% (EXPERIMENTS.md derives it), so a replica that
+# goes back to copying its state on every apply fails. Both gates run before
+# the target reports. The outputs are deliberately NOT named like the
+# baselines: bench-report refuses a -out that shadows the baseline's filename
+# outside its canonical path. To regenerate a baseline after an intentional
+# perf change, rerun the sweep with `-worst -out BENCH_transport.json` (or
+# `-group PeerHandle -worst -out BENCH_peer.json`; see EXPERIMENTS.md).
 bench-transport:
-	go test -run '^$$' -bench 'BenchmarkStreamThroughput' -benchtime=0.3s -count=3 -benchmem ./internal/transport/ > bench_transport.out || { s=$$?; cat bench_transport.out; rm -f bench_transport.out; exit $$s; }
+	go test -run '^$$' -bench 'BenchmarkStreamThroughput|BenchmarkPeerHandle' -benchtime=0.3s -count=3 -benchmem ./internal/transport/ > bench_transport.out || { s=$$?; cat bench_transport.out; rm -f bench_transport.out; exit $$s; }
 	cat bench_transport.out
-	go run ./cmd/bench-report -json -group StreamThroughput -best -out bench-current.json -baseline BENCH_transport.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_transport.out; s=$$?; rm -f bench_transport.out; exit $$s
+	go run ./cmd/bench-report -json -group StreamThroughput -best -out bench-current.json -baseline BENCH_transport.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_transport.out; s1=$$?; \
+	go run ./cmd/bench-report -json -group PeerHandle -best -out bench-peer-current.json -baseline BENCH_peer.json -tolerance 0.25 -alloc-tolerance 0.34 -bytes-tolerance 0.5 < bench_transport.out; s2=$$?; \
+	rm -f bench_transport.out; [ $$s1 -eq 0 ] && [ $$s2 -eq 0 ]
 
 # One-command reproduction of every paper experiment.
 repro:

@@ -526,17 +526,24 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 			return code
 		}
 	}
+	states := make([]crdt.State, len(specs))
 	for oi, spec := range specs {
 		p, _ := n.Peer(spec.ID)
+		canon := p.CanonicalState()
+		state, err := algs[oi].DecodeState(canon)
+		if err != nil {
+			return fail("object %d: canonical state: %v", spec.ID, err)
+		}
+		states[oi] = state
 		fmt.Printf("node %d: obj %d (%s) quiescent over %s (issued %d, applied %d remote), φ(state) = %s\n",
-			node, spec.ID, spec.Kind, network, p.Issued(), p.Applied(), algs[oi].Abs(p.State()))
+			node, spec.ID, spec.Kind, network, p.Issued(), p.Applied(), algs[oi].Abs(state))
 		if snapshots {
 			ss := p.SnapshotStats()
 			fmt.Printf("node %d: obj %d snapshots: checkpoints=%d truncated=%d retained=%d served=%d installed=%t covered=%d suffix=%d fellback=%t\n",
 				node, spec.ID, ss.Checkpoints, ss.LogTruncated, ss.LogRetained, ss.Served,
 				ss.Installed, ss.InstallCovered, ss.InstallSuffix, ss.FellBack)
 		}
-		fmt.Printf("node %d: obj %d canonical state %s\n", node, spec.ID, hex.EncodeToString(p.CanonicalState()))
+		fmt.Printf("node %d: obj %d canonical state %s\n", node, spec.ID, hex.EncodeToString(canon))
 	}
 	ts := st.Stats()
 	sent, recv := ts.TotalSent(), ts.TotalRecv()
@@ -561,9 +568,7 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 	}
 	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	if mixed {
-		p1, _ := n.Peer(man[0].ID)
-		p2, _ := n.Peer(man[1].ID)
-		prod := product.State{Parts: []crdt.State{p1.State(), p2.State()}}
+		prod := product.State{Parts: states[:2]}
 		fmt.Printf("node %d: product(%s×%s) canonical state %s\n",
 			node, man[0].Kind, man[1].Kind, hex.EncodeToString(prod.AppendBinary(nil)))
 	}

@@ -78,6 +78,27 @@ func TestApplyAll(t *testing.T) {
 	}
 }
 
+// inPlaceEff counts the calls ApplyOwned routes to its in-place form.
+type inPlaceEff struct {
+	stubEff
+	calls *int
+}
+
+func (e inPlaceEff) ApplyInPlace(s State) State {
+	*e.calls++
+	return e.stubEff.Apply(s)
+}
+
+func TestApplyOwned(t *testing.T) {
+	calls := 0
+	if got := ApplyOwned(inPlaceEff{stubEff{d: 2}, &calls}, stubState{n: 1}); got.(stubState).n != 3 || calls != 1 {
+		t.Errorf("in-place effector: n = %d after %d in-place calls, want 3 after 1", got.(stubState).n, calls)
+	}
+	if got := ApplyOwned(stubEff{d: 2}, stubState{n: 1}); got.(stubState).n != 3 {
+		t.Errorf("pure effector: n = %d, want 3", got.(stubState).n)
+	}
+}
+
 func TestMustPrepare(t *testing.T) {
 	o := stubObject{}
 	ret, eff := MustPrepare(o, model.Op{Name: "peek"}, stubState{n: 5}, 0, 1)

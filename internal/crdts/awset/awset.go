@@ -116,8 +116,11 @@ type AddEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d AddEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d AddEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	in := inst{E: d.E, T: d.T}
 	st.Adds[in.key()] = in
 	return st
@@ -134,8 +137,11 @@ type RmvEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d RmvEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d RmvEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	for _, in := range d.Insts {
 		st.Dead[in.key()] = true
 	}

@@ -28,10 +28,13 @@ type AddEff struct {
 
 // Apply implements crdt.Effector.
 func (d AddEff) Apply(s crdt.State) crdt.State {
-	st := s.(State)
-	out := st.Elems.Clone()
-	out.Add(d.E)
-	return State{Elems: out}
+	return d.ApplyInPlace(State{Elems: s.(State).Elems.Clone()})
+}
+
+// ApplyInPlace implements crdt.InPlace.
+func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
+	s.(State).Elems.Add(d.E)
+	return s
 }
 
 // String implements crdt.Effector.

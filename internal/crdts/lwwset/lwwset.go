@@ -76,8 +76,11 @@ type OpEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d OpEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d OpEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d OpEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	k := d.E.String()
 	if cur, ok := st.Entries[k]; !ok || cur.TS.Less(d.I) {
 		st.Entries[k] = entry{TS: d.I, Present: d.Present}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/crdt"
 	"repro/internal/model"
+	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
@@ -148,5 +150,75 @@ func TestExtensions(t *testing.T) {
 	}
 	if !alg.Abs(alg.New().Init()).Equal(alg.Spec.Init()) {
 		t.Error("φ(init) mismatch for the extension")
+	}
+}
+
+// collections names the algorithms whose states are collections: each of
+// their effectors must implement crdt.InPlace, or a replica host would copy
+// the whole state on every apply.
+var collections = map[string]bool{
+	"g-set": true, "2p-set": true, "lww-set": true, "cseq": true, "rga": true, "aw-set": true, "rw-set": true,
+}
+
+// TestInPlaceMatchesPure is the in-place counterpart of CRDT-TS's state
+// correspondence obligation. It replays each node of seeded 3-node simulator
+// workloads from Init() and, before every effector that implements
+// crdt.InPlace, checks on the reached state s that:
+//   - applying in place to an owned copy of s gives Apply(s)'s bytes;
+//   - Apply(s) leaves s's bytes unchanged;
+//   - two Init() states are independent: applying in place to one leaves
+//     the other's bytes unchanged.
+func TestInPlaceMatchesPure(t *testing.T) {
+	for _, a := range append(All(), Extensions()...) {
+		t.Run(a.Name, func(t *testing.T) {
+			obj := a.New()
+			w := sim.Workload{Object: obj, Abs: a.Abs, Gen: sim.GenFunc(a.GenOp), Nodes: 3, Causal: a.NeedsCausal, FinalDrain: true}
+			checked := 0
+			for seed := int64(1); seed <= 20; seed++ {
+				c := w.Run(seed)
+				tr := c.Trace()
+				for _, node := range tr.Nodes() {
+					s := obj.Init()
+					for _, e := range tr.Restrict(node) {
+						if _, ok := e.Eff.(crdt.InPlace); ok {
+							checkInPlace(t, a, e.Eff, s)
+							checked++
+						} else if collections[a.Name] && !crdt.IsIdentity(e.Eff) {
+							t.Fatalf("seed %d: effector %s (%T) does not implement crdt.InPlace", seed, e.Eff, e.Eff)
+						}
+						s = e.Eff.Apply(s)
+					}
+					if !bytes.Equal(s.AppendBinary(nil), c.StateOf(node).AppendBinary(nil)) {
+						t.Fatalf("seed %d: replaying %s's events does not reach its state", seed, node)
+					}
+				}
+			}
+			if collections[a.Name] && checked == 0 {
+				t.Fatal("the workloads applied no effector")
+			}
+		})
+	}
+}
+
+// checkInPlace checks one in-place effector at one reached state s.
+func checkInPlace(t *testing.T, a Algorithm, eff crdt.Effector, s crdt.State) {
+	t.Helper()
+	before := s.AppendBinary(nil)
+	owned, err := a.DecodeState(before)
+	if err != nil {
+		t.Fatalf("state %s does not decode: %v", s.Key(), err)
+	}
+	pure := eff.Apply(s).AppendBinary(nil)
+	if !bytes.Equal(s.AppendBinary(nil), before) {
+		t.Fatalf("%s.Apply mutated its input %x", eff, before)
+	}
+	if got := crdt.ApplyOwned(eff, owned).AppendBinary(nil); !bytes.Equal(got, pure) {
+		t.Fatalf("%s at %s: in place gives %x, Apply gives %x", eff, s.Key(), got, pure)
+	}
+	mutated, other := a.New().Init(), a.New().Init()
+	want := other.AppendBinary(nil)
+	crdt.ApplyOwned(eff, mutated)
+	if !bytes.Equal(other.AppendBinary(nil), want) {
+		t.Fatalf("applying %s in place to one Init() state changed another", eff)
 	}
 }

@@ -109,9 +109,13 @@ type AddAftEff struct {
 	B model.Value
 }
 
-// Apply implements crdt.Effector: N := N ∪ {(a,i,b)}; if ts < i then ts := i.
-func (d AddAftEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+// Apply implements crdt.Effector.
+func (d AddAftEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace: N := N ∪ {(a,i,b)}; if ts < i then
+// ts := i.
+func (d AddAftEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	st.N[d.B.String()] = Triple{A: d.A, I: d.I, B: d.B}
 	st.TS = st.TS.Max(d.I)
 	return st
@@ -126,8 +130,11 @@ type RmvEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d RmvEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d RmvEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	st.T.Add(d.A)
 	return st
 }

@@ -126,8 +126,11 @@ type AddEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d AddEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d AddEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	in := inst{E: d.E, T: d.T}
 	st.Adds[in.key()] = in
 	for _, r := range d.Cancels {
@@ -152,8 +155,11 @@ type RmvEff struct {
 }
 
 // Apply implements crdt.Effector.
-func (d RmvEff) Apply(s crdt.State) crdt.State {
-	st := s.(State).clone()
+func (d RmvEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
+
+// ApplyInPlace implements crdt.InPlace.
+func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
+	st := s.(State)
 	in := inst{E: d.E, T: d.T}
 	st.Rmvs[in.key()] = in
 	return st

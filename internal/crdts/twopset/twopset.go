@@ -35,12 +35,17 @@ type AddEff struct {
 	E model.Value
 }
 
-// Apply implements crdt.Effector.
+// Apply implements crdt.Effector: a copy of A, sharing R, which the effect
+// leaves alone.
 func (d AddEff) Apply(s crdt.State) crdt.State {
 	st := s.(State)
-	a := st.A.Clone()
-	a.Add(d.E)
-	return State{A: a, R: st.R}
+	return d.ApplyInPlace(State{A: st.A.Clone(), R: st.R})
+}
+
+// ApplyInPlace implements crdt.InPlace.
+func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
+	s.(State).A.Add(d.E)
+	return s
 }
 
 // String implements crdt.Effector.
@@ -51,12 +56,17 @@ type RmvEff struct {
 	E model.Value
 }
 
-// Apply implements crdt.Effector.
+// Apply implements crdt.Effector: a copy of R, sharing A, which the effect
+// leaves alone.
 func (d RmvEff) Apply(s crdt.State) crdt.State {
 	st := s.(State)
-	r := st.R.Clone()
-	r.Add(d.E)
-	return State{A: st.A, R: r}
+	return d.ApplyInPlace(State{A: st.A, R: st.R.Clone()})
+}
+
+// ApplyInPlace implements crdt.InPlace.
+func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
+	s.(State).R.Add(d.E)
+	return s
 }
 
 // String implements crdt.Effector.

@@ -386,22 +386,40 @@ func benchQuietTailLatency(b *testing.B, network string, quietWeight int) {
 // follower's Peer.Handle over Mem — dedup, the hold-back check, decode and
 // apply — fed in-order effector frames from one origin peer. counter frames
 // carry no deps; aw-set is causal, so its frames carry the origin's frontier,
-// and they alternate add and remove of one element. With the timer stopped,
+// and they alternate add and remove of one element; rga frames insert fresh
+// elements at the head of a follower that already holds 2000 elements,
+// read-heavy's preload, installed from a snapshot. With the timer stopped,
 // each chunk of 128 frames comes from a fresh origin for a fresh follower,
-// so the state, and with it the apply cost, stays bounded whatever b.N.
+// so the state, and with it the apply cost, stays at its starting size
+// whatever b.N.
 func BenchmarkPeerHandle(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		ops  []model.Op
+		name    string
+		preload int
+		op      func(i int) model.Op
 	}{
-		{"counter", []model.Op{{Name: spec.OpInc}}},
-		{"aw-set", []model.Op{{Name: spec.OpAdd, Arg: model.Int(1)}, {Name: spec.OpRemove, Arg: model.Int(1)}}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			alg, ok := registry.ByName(c.name)
-			if !ok {
-				b.Fatalf("%s not registered", c.name)
+		{"counter", 0, func(int) model.Op { return model.Op{Name: spec.OpInc} }},
+		{"aw-set", 0, func(i int) model.Op {
+			if i%2 == 1 {
+				return model.Op{Name: spec.OpRemove, Arg: model.Int(1)}
 			}
+			return model.Op{Name: spec.OpAdd, Arg: model.Int(1)}
+		}},
+		{"rga", 2000, func(i int) model.Op { return headInsert(fmt.Sprintf("x%d", i)) }},
+	} {
+		alg, ok := registry.ByName(c.name)
+		if !ok {
+			b.Fatalf("%s not registered", c.name)
+		}
+		var opts []transport.PeerOption
+		var install transport.Frame
+		if c.preload > 0 {
+			opts = append(opts, transport.WithCatchUp(alg.DecodeState))
+			install = transport.Frame{Kind: transport.KindSnapshot, MID: 1, From: 0, Payload: transport.EncodeSnapshot(transport.Snapshot{
+				State: preloaded(b, alg, c.preload),
+			})}
+		}
+		b.Run(c.name, func(b *testing.B) {
 			frames := make([]transport.Frame, 0, 128)
 			applied := 0
 			b.ReportAllocs()
@@ -411,10 +429,18 @@ func BenchmarkPeerHandle(b *testing.B) {
 				m := transport.NewMem(2)
 				origin := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(0), alg.NeedsCausal)
 				ep := m.Endpoint(1)
-				follower := transport.NewPeer(alg.New(), alg.DecodeEffector, ep, alg.NeedsCausal)
+				follower := transport.NewPeer(alg.New(), alg.DecodeEffector, ep, alg.NeedsCausal, opts...)
+				if c.preload > 0 {
+					if err := follower.CatchUp(); err != nil {
+						b.Fatal(err)
+					}
+					if err := follower.Handle(install); err != nil {
+						b.Fatal(err)
+					}
+				}
 				frames = frames[:0]
 				for len(frames) < min(cap(frames), b.N-done) {
-					if _, err := origin.Invoke(c.ops[len(frames)%len(c.ops)]); err != nil {
+					if _, err := origin.Invoke(c.op(len(frames))); err != nil {
 						b.Fatal(err)
 					}
 					f, ok, err := ep.Recv(false)
@@ -437,4 +463,26 @@ func BenchmarkPeerHandle(b *testing.B) {
 			}
 		})
 	}
+}
+
+// preloaded returns the canonical bytes of an rga state holding n elements,
+// inserted at the head as node 1's operations, so their stamps never
+// collide with the origin's (node 0's).
+func preloaded(b *testing.B, alg registry.Algorithm, n int) []byte {
+	b.Helper()
+	obj := alg.New()
+	s := obj.Init()
+	for i := 0; i < n; i++ {
+		_, eff, err := obj.Prepare(headInsert(fmt.Sprintf("p%d", i)), s, 1, model.MsgID(2*i+2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s = eff.Apply(s)
+	}
+	return s.AppendBinary(nil)
+}
+
+// headInsert is rga's addAfter(◦, e): e becomes the list's first element.
+func headInsert(e string) model.Op {
+	return model.Op{Name: spec.OpAddAfter, Arg: model.Pair(spec.Sentinel, model.Str(e))}
 }

@@ -44,6 +44,7 @@ type Peer struct {
 	// object gets its own Peer.
 	objID ObjID
 
+	// state is owned: applied in place (crdt.ApplyOwned), never handed out.
 	state crdt.State
 	// The applied set, bounded by the frontier rather than the history:
 	// every origin-o effector up to base[o] is applied, and gaps maps each
@@ -137,13 +138,6 @@ func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool
 		o(p)
 	}
 	return p
-}
-
-// State returns the current replica state.
-func (p *Peer) State() crdt.State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
 }
 
 // CanonicalState returns the replica state's canonical binary encoding —
@@ -272,7 +266,7 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 		return model.Nil(), fmt.Errorf("transport: effector %s does not decode with the registered codec: %v", eff, derr)
 	}
 	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload, Deps: p.wireDeps()}
-	p.state = eff.Apply(p.state)
+	p.state = crdt.ApplyOwned(eff, p.state)
 	p.markApplied(mid, p.pred(f))
 	p.issued++
 	if p.snapServe {
@@ -448,7 +442,7 @@ func (p *Peer) apply(f Frame) error {
 	if err != nil {
 		return fmt.Errorf("transport: frame %s from %s: %w", f.MID, f.From, err)
 	}
-	p.state = eff.Apply(p.state)
+	p.state = crdt.ApplyOwned(eff, p.state)
 	p.markApplied(f.MID, p.pred(f))
 	p.remote++
 	if p.snapServe {
@@ -598,9 +592,14 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		return fmt.Errorf("transport: unsolicited snapshot frame from %s", f.From)
 	}
 	snap, err := DecodeSnapshot(f.Payload)
-	var st crdt.State
+	var st, ckState crdt.State
 	if err == nil && p.syncing {
 		st, err = p.decState(snap.State)
+		if err == nil && p.snapServe {
+			// The checkpoint gets its own decode: the replica now applies
+			// in place, and a served snapshot must keep the installed state.
+			ckState, err = p.decState(snap.State)
+		}
 	}
 	if err != nil {
 		p.snapStats.CorruptResponses++
@@ -630,7 +629,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 			// Seed this peer's own checkpoint from the installed snapshot, so
 			// a peer that both catches up and serves can answer a still later
 			// joiner without the history the server compacted away.
-			p.ck = NewCheckpoint(st)
+			p.ck = NewCheckpoint(ckState)
 			for _, mid := range snap.Covered {
 				p.ck.Covered[mid] = true
 			}

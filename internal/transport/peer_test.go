@@ -91,7 +91,7 @@ func TestPeerConvergesAllAlgorithms(t *testing.T) {
 						t.Fatalf("seed %d: peer %d's canonical state differs from peer 0's", seed, i+1)
 					}
 				}
-				if _, ok := crdtConverged(alg, peers); !ok {
+				if _, ok := crdtConverged(t, alg, peers); !ok {
 					t.Fatalf("seed %d: abstract states diverged", seed)
 				}
 			}
@@ -99,14 +99,25 @@ func TestPeerConvergesAllAlgorithms(t *testing.T) {
 	}
 }
 
-func crdtConverged(alg registry.Algorithm, peers []*transport.Peer) (model.Value, bool) {
-	ref := alg.Abs(peers[0].State())
+func crdtConverged(t testing.TB, alg registry.Algorithm, peers []*transport.Peer) (model.Value, bool) {
+	ref := peerAbs(t, alg, peers[0])
 	for _, p := range peers[1:] {
-		if !alg.Abs(p.State()).Equal(ref) {
+		if !peerAbs(t, alg, p).Equal(ref) {
 			return model.Nil(), false
 		}
 	}
 	return ref, true
+}
+
+// peerAbs is φ of p's replica state, decoded from its canonical bytes: a
+// Peer applies in place and never hands out the state itself.
+func peerAbs(t testing.TB, alg registry.Algorithm, p *transport.Peer) model.Value {
+	t.Helper()
+	st, err := alg.DecodeState(p.CanonicalState())
+	if err != nil {
+		t.Fatalf("canonical state does not decode: %v", err)
+	}
+	return alg.Abs(st)
 }
 
 // TestPeerCausalHoldBack hand-delivers causally ordered frames out of order:

@@ -544,7 +544,7 @@ func TestSnapshotJoinerGapConverges(t *testing.T) {
 			t.Fatalf("node %d diverged from node 0", i+1)
 		}
 	}
-	if got := alg.Abs(joiner.State()); !got.Equal(model.Int(3)) {
+	if got := peerAbs(t, alg, joiner); !got.Equal(model.Int(3)) {
 		t.Fatalf("joiner converged to %s, want 3 increments", got)
 	}
 }
@@ -645,9 +645,94 @@ func TestSnapshotServingJoinerGap(t *testing.T) {
 		}
 	}
 	for i, p := range peers {
-		if got := alg.Abs(p.State()); !got.Equal(model.Int(4)) || transport.PeerGaps(p) != 0 {
+		if got := peerAbs(t, alg, p); !got.Equal(model.Int(4)) || transport.PeerGaps(p) != 0 {
 			t.Fatalf("node %d converged to %s with %d mids above a gap, want 4 increments and no gap", i, got, transport.PeerGaps(p))
 		}
+	}
+}
+
+// TestSnapshotServedCheckpointOwnsItsState: a catch-up joiner that also
+// serves, without compacting, seeds its checkpoint from the response it
+// installed and then applies more frames, its own and a peer's, in place.
+// The snapshot it serves a later joiner must still carry exactly the
+// installed state bytes, so the checkpoint must not share the replica's
+// state. Convergence alone cannot show such an alias: g-set adds are
+// idempotent, so the served suffix re-applied over a moved-on state would
+// still converge.
+func TestSnapshotServedCheckpointOwnsItsState(t *testing.T) {
+	alg, ok := registry.ByName("g-set")
+	if !ok {
+		t.Fatal("g-set not registered")
+	}
+	m := transport.NewMem(3)
+	catchUp := transport.WithCatchUp(alg.DecodeState)
+	// Node 0 lists no connected peer, so it folds every frame at once.
+	_, server := hostSolo(listedTransport{m.Endpoint(0), nil}, alg, transport.WithSnapshotPolicy(transport.SnapshotPolicy{Every: 1}))
+	_, joiner := hostSolo(m.Endpoint(1), alg, catchUp, transport.WithSnapshotPolicy(transport.SnapshotPolicy{}))
+	_, late := hostSolo(m.Endpoint(2), alg, catchUp)
+	add := func(p *transport.Peer, e int64) {
+		t.Helper()
+		if _, err := p.Invoke(model.Op{Name: spec.OpAdd, Arg: model.Int(e)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued := func(dst model.NodeID) model.MsgID {
+		t.Helper()
+		mids := m.Mids(dst)
+		if len(mids) != 1 {
+			t.Fatalf("queued for node %d: %v, want one frame", dst, mids)
+		}
+		return mids[0]
+	}
+	served := func(dst model.NodeID) ([]byte, model.MsgID) {
+		t.Helper()
+		mid := queued(dst)
+		q, _ := m.Get(dst, mid)
+		snap, err := transport.DecodeSnapshot(q.Frame.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.State, mid
+	}
+	deliver := memDeliver(t, m)
+
+	for e := int64(1); e <= 2; e++ {
+		add(server, e)
+		m.Remove(1, queued(1)) // neither joiner has joined yet
+		m.Remove(2, queued(2))
+	}
+	if err := joiner.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	m.Remove(2, queued(2))
+	deliver(0, server, queued(0))
+	installed, resp := served(1)
+	deliver(1, joiner, resp)
+	if st := joiner.SnapshotStats(); !st.Installed || st.InstallCovered != 2 {
+		t.Fatalf("joiner stats %+v: want node 0's checkpoint of both adds installed", st)
+	}
+	add(server, 3)
+	m.Remove(2, queued(2))
+	deliver(1, joiner, queued(1))
+	add(joiner, 4)
+	m.Remove(2, queued(2))
+	deliver(0, server, queued(0))
+	if bytes.Equal(joiner.CanonicalState(), installed) {
+		t.Fatal("the joiner's state did not move on after the install")
+	}
+
+	if err := late.CatchUp(); err != nil {
+		t.Fatal(err)
+	}
+	m.Remove(0, queued(0))
+	deliver(1, joiner, queued(1))
+	state, resp := served(2)
+	if !bytes.Equal(state, installed) {
+		t.Fatalf("the joiner serves checkpoint state %x, want the %x it installed", state, installed)
+	}
+	deliver(2, late, resp)
+	if !bytes.Equal(late.CanonicalState(), joiner.CanonicalState()) {
+		t.Fatal("the late joiner did not converge on the served checkpoint and suffix")
 	}
 }
 
