@@ -38,6 +38,9 @@ ci:
 	go test -race ./internal/transport/
 	go test -race ./internal/conformance/
 	go -C bench vet ./... && go -C bench test ./...
+	go run ./cmd/crdt-sim -chaos -algo rga -nodes 3 -ops 10 -seed 1 -seeds 5
+	go run ./cmd/crdt-sim -chaos -algo aw-set -nodes 3 -ops 10 -seed 1 -seeds 5
+	go run ./cmd/crdt-sim -chaos -algo rga -nodes 3 -ops 10 -seed 1 -seeds 5 -snapshot-every 4
 	@$(MAKE) --no-print-directory transport-loc
 
 # The transport's size, numbers ROADMAP.md tracks: non-test Go lines in
@@ -63,9 +66,9 @@ chaos:
 # plus the node/manifest multiplexing tests, then the crdt-sim socket meshes
 # of scripts/socket-smoke.sh — the script CI's job runs, so the two cannot
 # drift: unix and tcp pairs, a batched three-process mesh, late joiners with
-# snapshot catch-up (one object, and four mixed objects over tcp), the
-# parallel receive pipeline and the weighted scheduler, each checking
-# byte-identical canonical states and the ledgers the binary prints.
+# snapshot catch-up (one object, and four mixed objects over tcp) and the
+# parallel receive pipeline, each checking byte-identical canonical states
+# and the ledgers the binary prints.
 sockets:
 	go test -run 'TestStream|TestNode|TestManifest' ./internal/transport/
 	bash scripts/socket-smoke.sh
@@ -96,7 +99,8 @@ bench-md:
 # Peer.Handle rows, run 3× and collapsed to each case's fastest run (min-of-N
 # damps scheduler noise). The sweep renders to bench-current.json, gated
 # against the checked-in BENCH_transport.json — any case more than 25%
-# slower, or past +34% allocs/op, fails. The peer rows render to
+# slower, or past +34% allocs/op, fails, and so does a baseline case the
+# sweep no longer produces. The peer rows render to
 # bench-peer-current.json, gated against BENCH_peer.json with the same two
 # tolerances plus B/op at +50% (EXPERIMENTS.md derives it), so a replica that
 # goes back to copying its state on every apply fails. Both gates run before

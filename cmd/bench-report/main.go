@@ -9,7 +9,10 @@
 // With -baseline it also gates the parsed rows against a checked-in
 // BENCH_*.json: any case whose ns/op worsened by more than -tolerance exits
 // nonzero (after writing -out, so the artifact of a failing run survives for
-// inspection). -alloc-tolerance and -bytes-tolerance extend the gate to
+// inspection), and so does a baseline case of the -group (of every group
+// without one) that the run did not produce — a deleted or renamed benchmark
+// must leave the baseline in the same change. Cases new in the run stay
+// ungated. -alloc-tolerance and -bytes-tolerance extend the gate to
 // allocs/op and B/op (negative, the default, leaves each disabled):
 //
 //	go test -bench=StreamThroughput -benchmem ./internal/transport/ | go run ./cmd/bench-report -json -baseline BENCH_transport.json -tolerance 0.25 -alloc-tolerance 0.34
@@ -105,13 +108,22 @@ func main() {
 	}
 	tol := benchreport.Tolerance{NsPerOp: *tolerance, AllocsPerOp: *allocTol, BytesPerOp: *bytesTol}
 	regs := benchreport.Compare(rows, base, tol)
-	if len(regs) == 0 {
+	missing := benchreport.Missing(rows, base, *group)
+	if len(regs) == 0 && len(missing) == 0 {
 		fmt.Fprintf(os.Stderr, "bench-report: no case regressed more than %.0f%% vs %s\n", *tolerance*100, *baseline)
 		return
 	}
-	fmt.Fprintf(os.Stderr, "bench-report: %d regression(s) vs %s:\n", len(regs), *baseline)
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "  %s\n", r)
+	if len(missing) > 0 {
+		fmt.Fprintf(os.Stderr, "bench-report: %d baseline case(s) of %s missing from the run (drop them from the baseline if the benchmark is gone):\n", len(missing), *baseline)
+		for _, m := range missing {
+			fmt.Fprintf(os.Stderr, "  %s\n", m)
+		}
+	}
+	if len(regs) > 0 {
+		fmt.Fprintf(os.Stderr, "bench-report: %d regression(s) vs %s:\n", len(regs), *baseline)
+		for _, r := range regs {
+			fmt.Fprintf(os.Stderr, "  %s\n", r)
+		}
 	}
 	os.Exit(1)
 }

@@ -75,25 +75,12 @@
 // Every socket process, whatever -objects says, prints per object a
 // quiescence line and a canonical state line (byte-identical across
 // processes), then one transport line, a per-object frame breakdown whose
-// counters must sum exactly to the per-peer wire totals (the process exits
-// non-zero otherwise), the scheduler ledger, and with -mixed the product
-// state.
-//
-// With -weights the shared endpoint schedules sends per object: each object
-// gets its own send queue, drained into batch containers by deficit-weighted
-// round-robin (an object of weight 8 gets up to 8× the frames of a weight-1
-// object per scheduling round). -obj-max-delay gives named objects their own
-// flush deadline: when it expires, only that object's queue goes to the wire
-// while the others keep batching — a latency floor for quiet objects sharing
-// the endpoint with chatty ones. Scheduling reorders sends across objects
-// only, never within one, so convergence is untouched:
-//
-//	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 0 -objects 4 -mixed -batch-frames 64 -weights 1:8,2:1 -obj-max-delay 2:5ms -ops 16 -seed 7 &
-//	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 1 -objects 4 -mixed -batch-frames 64 -weights 1:8,2:1 -obj-max-delay 2:5ms -ops 16 -seed 7
-//
-// Each process prints the scheduler's per-object ledger (frames queued and
-// drained, cap- and deadline-attributed flushes, p99 enqueue→wire delay) and
-// exits non-zero if the ledger does not balance against the wire totals.
+// counters must sum exactly to the per-peer wire totals, the send queue's
+// per-object ledger (frames queued and drained, cap- and deadline-attributed
+// flushes), and with -mixed the product state. Every object's broadcasts
+// share one FIFO send queue, so the objects' frames coalesce into the same
+// containers in arrival order. The process exits non-zero when either
+// ledger does not balance against the wire totals.
 //
 // With -recv-workers N a socket process applies received frames on N
 // parallel per-object shards with bounded queues instead of the interleaved
@@ -161,9 +148,6 @@ func main() {
 		batchBytes  = flag.Int("batch-bytes", 0, "socket transports: flush the pending batch once it reaches B bytes of nested frames (0 = no byte cap)")
 		flushEvery  = flag.Duration("flush-every", 0, "socket transports: flush the pending batch at most this long after its first frame queued (0 = no delay timer)")
 
-		weights   = flag.String("weights", "", "socket transports: per-object send-queue weights as obj:w pairs (e.g. 1:8,2:1); queues drain into shared batches by deficit-weighted round-robin")
-		objDelays = flag.String("obj-max-delay", "", "socket transports: per-object flush-delay overrides as obj:dur pairs (e.g. 2:5ms); an override flushes only that object's queue, even while the others keep batching")
-
 		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (N > 1 declares manifest object ids 1..N; one object is object 0 without a manifest)")
 		mixed   = flag.Bool("mixed", false, "socket transports: with -objects, cycle the objects through different algorithms and print a product reassembled from the first two")
 
@@ -185,15 +169,6 @@ func main() {
 		fail("-batch-frames, -batch-bytes and -flush-every must be non-negative")
 	}
 	policy := transport.BatchPolicy{MaxFrames: *batchFrames, MaxBytes: *batchBytes, MaxDelay: *flushEvery}
-	weightTab, err := parseWeights(*weights)
-	if err != nil {
-		fail("%v", err)
-	}
-	delayTab, err := parseObjDelays(*objDelays)
-	if err != nil {
-		fail("%v", err)
-	}
-	schedPol := transport.SchedPolicy{Weights: weightTab, MaxDelay: delayTab}
 	switch *trans {
 	case "mem":
 		if *addrs != "" {
@@ -201,9 +176,6 @@ func main() {
 		}
 		if *batchFrames != 0 || *batchBytes != 0 || *flushEvery != 0 {
 			fail("write batching applies to socket transports: pass -transport unix or -transport tcp")
-		}
-		if *weights != "" || *objDelays != "" {
-			fail("-weights and -obj-max-delay apply to socket transports: pass -transport unix or -transport tcp")
 		}
 		if *latePeers != "" || *catchUp {
 			fail("-late-peers and -catch-up apply to socket transports: pass -transport unix or -transport tcp")
@@ -237,7 +209,7 @@ func main() {
 		if *recvWorkers < 0 {
 			fail("-recv-workers must be non-negative (got %d)", *recvWorkers)
 		}
-		os.Exit(runPeer(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, schedPol, *snap, late, *catchUp, *objects, *mixed, *recvWorkers))
+		os.Exit(runPeer(alg, *trans, *node, strings.Split(*addrs, ","), *ops, *seed, policy, *snap, late, *catchUp, *objects, *mixed, *recvWorkers))
 	default:
 		fail("unknown transport %q (have: mem, unix, tcp)", *trans)
 	}
@@ -266,57 +238,7 @@ func parseLatePeers(s string) ([]model.NodeID, error) {
 	return out, nil
 }
 
-// parseWeights turns the -weights flag value ("obj:w,obj:w") into the
-// scheduler's per-object weight table.
-func parseWeights(s string) (map[transport.ObjID]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[transport.ObjID]int{}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("-weights entry %q is not an obj:weight pair", part)
-		}
-		obj, err := strconv.Atoi(kv[0])
-		if err != nil || obj < 0 {
-			return nil, fmt.Errorf("-weights entry %q: %q is not an object id", part, kv[0])
-		}
-		w, err := strconv.Atoi(kv[1])
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("-weights entry %q: weight must be a positive integer", part)
-		}
-		out[transport.ObjID(obj)] = w
-	}
-	return out, nil
-}
-
-// parseObjDelays turns the -obj-max-delay flag value ("obj:dur,obj:dur") into
-// the scheduler's per-object flush-delay override table.
-func parseObjDelays(s string) (map[transport.ObjID]time.Duration, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[transport.ObjID]time.Duration{}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("-obj-max-delay entry %q is not an obj:duration pair", part)
-		}
-		obj, err := strconv.Atoi(kv[0])
-		if err != nil || obj < 0 {
-			return nil, fmt.Errorf("-obj-max-delay entry %q: %q is not an object id", part, kv[0])
-		}
-		d, err := time.ParseDuration(kv[1])
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("-obj-max-delay entry %q: %q is not a positive duration", part, kv[1])
-		}
-		out[transport.ObjID(obj)] = d
-	}
-	return out, nil
-}
-
-// schedStatsLine renders the scheduler's per-object ledger for printing, in
+// schedStatsLine renders the send queue's per-object ledger for printing, in
 // ascending object-id order.
 func schedStatsLine(ss transport.SchedStats) string {
 	ids := make([]int, 0, len(ss.Objects))
@@ -327,8 +249,8 @@ func schedStatsLine(ss transport.SchedStats) string {
 	parts := make([]string, 0, len(ids))
 	for _, id := range ids {
 		so := ss.Objects[transport.ObjID(id)]
-		parts = append(parts, fmt.Sprintf("%d:%d/%d cap=%d deadline=%d p99=%s",
-			id, so.Queued, so.Drained, so.CapFlushes, so.DeadlineFlushes, so.DelayQuantile(0.99)))
+		parts = append(parts, fmt.Sprintf("%d:%d/%d cap=%d deadline=%d",
+			id, so.Queued, so.Drained, so.CapFlushes, so.DeadlineFlushes))
 	}
 	return strings.Join(parts, " ")
 }
@@ -405,7 +327,7 @@ func multiManifest(alg registry.Algorithm, objects int, mixed bool) transport.Ma
 // shard, so per-object delivery order is unchanged) instead of interleaved
 // Step calls. It prints the lines the package doc lists, and fails when the
 // per-object frame counters do not sum to the per-peer wire totals.
-func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, schedPol transport.SchedPolicy, snapEvery int, late []model.NodeID, catchUp bool, objects int, mixed bool, recvWorkers int) int {
+func runPeer(alg registry.Algorithm, network string, node int, addrList []string, ops int, seed int64, policy transport.BatchPolicy, snapEvery int, late []model.NodeID, catchUp bool, objects int, mixed bool, recvWorkers int) int {
 	if len(addrList) < 2 {
 		fmt.Fprintf(os.Stderr, "crdt-sim: -addrs lists %d address(es); a mesh needs at least 2\n", len(addrList))
 		return 2
@@ -441,9 +363,6 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 		transport.WithRecvTimeout(30 * time.Second),
 		transport.WithBatching(policy),
 		transport.WithManifest(man),
-	}
-	if len(schedPol.Weights) > 0 || len(schedPol.MaxDelay) > 0 {
-		sopts = append(sopts, transport.WithScheduler(schedPol))
 	}
 	if recvWorkers > 0 {
 		sopts = append(sopts, transport.WithReceiver(transport.RecvPolicy{Workers: recvWorkers}))

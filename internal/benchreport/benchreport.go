@@ -179,8 +179,8 @@ func (r Regression) String() string {
 
 // Compare gates cur against base, one Regression per metric that grew past
 // its tolerance (ns/op first for a given case). Cases only in one input are
-// ignored — a renamed or new benchmark must not trip the gate — so callers
-// should separately ensure cur is non-empty. Integer metrics (allocs/op,
+// ignored here: a new benchmark stays ungated, and Missing reports the
+// baseline cases cur lost. Integer metrics (allocs/op,
 // B/op) gate against a zero baseline too: a zero-alloc case must stay
 // zero-alloc, modulo the absolute graces documented on Tolerance.
 func Compare(cur, base []Row, tol Tolerance) []Regression {
@@ -219,6 +219,24 @@ func Compare(cur, base []Row, tol Tolerance) []Regression {
 				Base: float64(b.BytesPerOp), Cur: float64(r.BytesPerOp),
 				Ratio: ratio(float64(r.BytesPerOp), float64(b.BytesPerOp)),
 			})
+		}
+	}
+	return out
+}
+
+// Missing returns, as "group/case" names in baseline order, the cases of
+// base in group (every group when group is empty) that cur does not contain:
+// a deleted or renamed benchmark, which would otherwise drop out of the gate
+// unnoticed.
+func Missing(cur, base []Row, group string) []string {
+	have := make(map[string]bool, len(cur))
+	for _, r := range cur {
+		have[r.Group+"/"+r.Case] = true
+	}
+	var out []string
+	for _, r := range base {
+		if key := r.Group + "/" + r.Case; (group == "" || r.Group == group) && !have[key] {
+			out = append(out, key)
 		}
 	}
 	return out

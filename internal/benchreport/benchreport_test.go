@@ -115,6 +115,32 @@ func TestCompare(t *testing.T) {
 	}
 }
 
+// TestMissing: a baseline case of the gated group that the run no longer
+// produces is reported, in baseline order; cases new in the run and baseline
+// cases of other groups are not.
+func TestMissing(t *testing.T) {
+	base := []Row{
+		{Group: "StreamThroughput", Case: "unix/batch=1/payload=64", NsPerOp: 800},
+		{Group: "StreamThroughput", Case: "unix/quiet-p99/weights=1:1", NsPerOp: 9e5},
+		{Group: "StreamThroughput", Case: "tcp/quiet-p99/weights=8:1", NsPerOp: 9e5},
+		{Group: "PeerHandle", Case: "rga", NsPerOp: 700},
+	}
+	cur := []Row{
+		{Group: "StreamThroughput", Case: "unix/batch=1/payload=64", NsPerOp: 810},
+		{Group: "StreamThroughput", Case: "unix/batch=8/payload=64", NsPerOp: 300}, // new: ungated
+	}
+	want := []string{"StreamThroughput/unix/quiet-p99/weights=1:1", "StreamThroughput/tcp/quiet-p99/weights=8:1"}
+	if got := Missing(cur, base, "StreamThroughput"); strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("Missing = %v, want %v", got, want)
+	}
+	if got := Missing(cur, base, ""); len(got) != 3 || got[2] != "PeerHandle/rga" {
+		t.Fatalf("Missing over every group = %v, want the two quiet rows and PeerHandle/rga", got)
+	}
+	if got := Missing(base, base, ""); len(got) != 0 {
+		t.Fatalf("a run with every baseline case reports %v missing", got)
+	}
+}
+
 func TestCompareMemoryMetrics(t *testing.T) {
 	base := []Row{
 		{Group: "G", Case: "pooled", NsPerOp: 100, AllocsPerOp: 0, BytesPerOp: 100},

@@ -35,22 +35,14 @@
 //     counters summing exactly to the per-peer wire totals, hold exactly one
 //     socket pair per process pair, and serve a late joiner a per-object
 //     snapshot catch-up over that one pair;
-//  11. per-object fairness: a chatty and a quiet object sharing scheduled
-//     endpoints (per-object send queues drained by deficit-weighted
-//     round-robin, per-object max-delay overrides) — a deterministic
-//     weighted Mem leg that must replay byte-for-byte, and a live
-//     unix-socket leg where the quiet object's max-delay override forces
-//     its frames onto the wire while the chatty backlog stays batched,
-//     with the scheduler ledger and the per-object frame counters balancing
-//     on every peer;
-//  12. codec round-trip: every op, return value, effector and replica state
+//  11. codec round-trip: every op, return value, effector and replica state
 //     reached by drained runs survives decode(encode(x)) == x through the
 //     canonical binary codec, and converged replicas encode byte-equal
 //     (the canonical-form guarantee);
-//  13. contextual refinement on a client program (the Abstraction Theorem's
+//  12. contextual refinement on a client program (the Abstraction Theorem's
 //     client-facing guarantee), when a client is supplied.
 //
-// Items 8–11 are built from legs: runs of the replica layer over a
+// Items 8–10 are built from legs: runs of the replica layer over a
 // three-node mesh, each run by runMem or runUnix (leg.go).
 //
 // A nil error from Run means the algorithm passed every applicable check.
@@ -61,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
@@ -223,13 +214,6 @@ func Run(alg registry.Algorithm, cfg Config) Report {
 	// over batched Mem endpoints and over a live unix-socket mesh whose third
 	// peer snapshot-catches-up on every object through one shared socket pair.
 	add("multi-object socket mesh", multiObjectChecks(alg, cfg))
-
-	// 6f. Per-object fairness: the delivery scheduler under a chatty/quiet
-	// mixed workload — weighted Mem endpoints replay deterministically, and
-	// on a live unix mesh the quiet object's max-delay override puts its
-	// frames on the wire while the chatty object's backlog stays batched,
-	// with the scheduler ledger balancing on every peer.
-	add("per-object fairness", fairnessChecks(alg, cfg))
 
 	// 7. Codec round-trip: the canonical binary encoding is lossless and
 	// canonical on everything drained runs reach — ops, return values,
@@ -709,124 +693,6 @@ func multiObjectChecks(alg registry.Algorithm, cfg Config) error {
 		} else if err := l.diff(&r, &pulled); err != nil {
 			return fmt.Errorf("unix leg (%s): canonical state diverges from the pull-loop leg: %w", name, err)
 		}
-	}
-	return nil
-}
-
-// fairnessChecks runs the per-object fairness battery item: a chatty object
-// (the bundle under test) and a quiet companion share scheduled endpoints —
-// per-object send queues drained by deficit-weighted round-robin, with
-// per-object max-delay overrides. Two legs:
-//
-// The Mem leg runs a different scheduler policy per node (8:1 weighted
-// chunked, evenly weighted, and default weights) under cap-forced flushes,
-// so the drain order genuinely reorders frames relative to arrival — and
-// weighted scheduling must not cost a Mem leg's deterministic replay.
-//
-// The unix leg's shared batch policy never flushes on its own (huge frame
-// cap, no shared delay): each node first invokes its chatty share, whose
-// frames must sit in the chatty send queue, then its quiet share, whose
-// 10ms max-delay override must force exactly the quiet queue onto the wire
-// (deadline-flush attribution on the quiet object, chatty backlog depth
-// unchanged) while the chatty frames keep waiting for the end-of-run flush.
-func fairnessChecks(alg registry.Algorithm, cfg Config) error {
-	const chatty, quiet = transport.ObjID(1), transport.ObjID(2)
-	companion := "counter"
-	if alg.Name == companion {
-		companion = "lww-register"
-	}
-	l, err := newLeg(alg, transport.Manifest{
-		{ID: chatty, Name: "chatty", Kind: alg.Name},
-		{ID: quiet, Name: "quiet", Kind: companion},
-	}, 30, min(max(cfg.Steps/4, 8), 12), 4)
-	if err != nil {
-		return err
-	}
-	scheduled := func(b transport.BatchPolicy, s transport.SchedPolicy) []transport.StreamOption {
-		return []transport.StreamOption{transport.WithBatching(b), transport.WithScheduler(s)}
-	}
-	l.seed = 33
-	l.opts = [legNodes][]transport.StreamOption{
-		scheduled(transport.BatchPolicy{MaxFrames: 3},
-			transport.SchedPolicy{Weights: map[transport.ObjID]int{chatty: 1, quiet: 8}, ChunkFrames: 2}),
-		scheduled(transport.BatchPolicy{MaxFrames: 64, MaxBytes: 96},
-			transport.SchedPolicy{Weights: map[transport.ObjID]int{chatty: 2, quiet: 2}, ChunkFrames: 1}),
-		scheduled(transport.BatchPolicy{MaxFrames: 2}, transport.SchedPolicy{}), // default weights
-	}
-	mem, err := runMem(l)
-	if err != nil {
-		return fmt.Errorf("mem leg: %w", err)
-	}
-	queued := 0
-	for _, nr := range mem {
-		queued += nr.stats.FramesQueued
-	}
-	if queued == 0 {
-		return fmt.Errorf("mem leg: no node queued a single frame — the scripts exercised nothing")
-	}
-
-	shared := scheduled(transport.BatchPolicy{MaxFrames: 1 << 20}, transport.SchedPolicy{
-		Weights:     map[transport.ObjID]int{chatty: 1, quiet: 8},
-		MaxDelay:    map[transport.ObjID]time.Duration{quiet: 10 * time.Millisecond},
-		ChunkFrames: 4,
-	})
-	l.opts = [legNodes][]transport.StreamOption{shared, shared, shared}
-	sched := func(n *transport.Node) map[transport.ObjID]*transport.SchedObj {
-		return n.Transport().Stats().Sched.Objects
-	}
-	depth := func(o *transport.SchedObj) int {
-		if o == nil {
-			return 0
-		}
-		return o.Depth
-	}
-	var chattyDepth [legNodes]int
-	l.afterShare = func(id model.NodeID, oi int, n *transport.Node) error {
-		p, _ := n.Peer(l.objs[oi].spec.ID)
-		issued := p.Issued()
-		if oi == 0 {
-			// Chatty first: its frames must sit in the chatty send queue
-			// (nothing in the shared policy can flush them).
-			chattyDepth[id] = depth(sched(n)[chatty])
-			if issued > 0 && chattyDepth[id] != issued {
-				return fmt.Errorf("chatty backlog depth %d after %d issued effectors — the shared policy flushed what only the scheduler may",
-					chattyDepth[id], issued)
-			}
-			return nil
-		}
-		// Quiet next: its 10ms max-delay override must drain exactly the
-		// quiet queue, leaving the chatty backlog untouched.
-		if issued == 0 {
-			return nil
-		}
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(2 * time.Millisecond) {
-			q := sched(n)[quiet]
-			if q != nil && q.Depth == 0 && q.Drained >= issued && q.DeadlineFlushes >= 1 {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("quiet object's max-delay override never flushed its queue: %+v", q)
-			}
-		}
-		after := sched(n)
-		if d := depth(after[chatty]); chattyDepth[id] > 0 && d != chattyDepth[id] {
-			return fmt.Errorf("chatty backlog depth changed from %d to %d while only the quiet deadline fired", chattyDepth[id], d)
-		}
-		if q := after[quiet]; q.DelaySamples > 0 && q.DelayMax > 5*time.Second {
-			return fmt.Errorf("quiet enqueue→wire delay %s wildly exceeds the 10ms override", q.DelayMax)
-		}
-		return nil
-	}
-	r, err := runUnix(l)
-	if err != nil {
-		return fmt.Errorf("unix leg: %w", err)
-	}
-	quietIssued := 0
-	for _, nr := range r {
-		quietIssued += nr.issued[1]
-	}
-	if quietIssued == 0 {
-		return fmt.Errorf("unix leg: no node issued a quiet effector — the override path went unexercised")
 	}
 	return nil
 }

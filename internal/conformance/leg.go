@@ -18,7 +18,7 @@ import (
 	"repro/internal/transport"
 )
 
-// Battery items 8–11 are built from legs. A leg is one run of the replica
+// Battery items 8–10 are built from legs. A leg is one run of the replica
 // layer over a three-node mesh, described as data — an object table,
 // per-node endpoint options and a few knobs — and run by runMem on the
 // deterministic shared-memory mesh or by runUnix on live unix sockets. Both
@@ -56,9 +56,6 @@ type leg struct {
 	// workers > 0 makes runUnix apply received frames on that many
 	// receive-pipeline shards instead of pulling them through Node.Step.
 	workers int
-	// afterShare, when set, runs on each runUnix node after it invoked its
-	// share of object oi's script.
-	afterShare func(id model.NodeID, oi int, n *transport.Node) error
 }
 
 // newLeg builds a leg's object table from man, or the lone object 0 when man
@@ -116,7 +113,7 @@ func (r *legRun) record(id model.NodeID, l *leg, n *transport.Node) {
 // check asserts what every leg owes on every node, whichever runner ran it:
 // each object's canonical state byte-identical to node 0's, the per-object
 // frame counters summing exactly to the per-peer wire totals (one helper
-// updates both views of the same frame), and a balanced scheduler ledger.
+// updates both views of the same frame), and a balanced send-queue ledger.
 func (l *leg) check(r *legRun) error {
 	for oi, o := range l.objs {
 		for id := 1; id < legNodes; id++ {
@@ -367,17 +364,12 @@ func runUnix(l leg) (legRun, error) {
 				return err
 			}
 		}
-		for oi, o := range l.objs {
+		for _, o := range l.objs {
 			for _, so := range o.script {
 				if so.Node != id {
 					continue
 				}
 				if err := invokeOp(n, o, so); err != nil {
-					return err
-				}
-			}
-			if l.afterShare != nil {
-				if err := l.afterShare(id, oi, n); err != nil {
 					return err
 				}
 			}

@@ -55,8 +55,8 @@ func envelopeOffsets(frames []Frame) ([]int, int) {
 }
 
 // TestStreamContainerIsEncodeBatch pins the encoder that ships to the one
-// the tests exercise: the container a Stream builds from a scheduler drain is
-// the length prefix plus EncodeBatch of the drained frames, byte for byte —
+// the tests exercise: the container a Stream builds from its send queue is
+// the length prefix plus EncodeBatch of the queued frames, byte for byte —
 // across objects, frontier deps, unsorted hand-built deps and empty
 // payloads, and again when the next container reuses the write buffer.
 func TestStreamContainerIsEncodeBatch(t *testing.T) {
@@ -64,26 +64,22 @@ func TestStreamContainerIsEncodeBatch(t *testing.T) {
 		Frame{Kind: KindEffector, Obj: 2, MID: 7, From: 1, Deps: []model.MsgID{6, 1, 300}, Payload: []byte("gamma")},
 		Frame{Kind: KindSnapshotRequest, Obj: 300, MID: 8, From: 1, Deps: []model.MsgID{7}},
 	)
-	s := &Stream{sq: newSched(SchedPolicy{}, false)}
+	s := &Stream{}
 	for _, n := range []int{len(frames), 1} {
-		for _, f := range frames[:n] {
-			s.sq.enqueue(schedItem{frame: f, wire: f.wireLen()})
-		}
-		items := s.sq.drainChunk(0, 0)
-		drained := make([]Frame, len(items))
 		var wantObjs []ObjID
-		for i, it := range items {
-			drained[i] = it.frame
-			wantObjs = append(wantObjs, it.frame.Obj)
+		for _, f := range frames[:n] {
+			s.sq.push(f)
+			wantObjs = append(wantObjs, f.Obj)
 		}
-		got, objs := s.containerLocked(items)
-		body := EncodeBatch(drained)
+		got, objs := s.containerLocked(s.sq.items)
+		body := EncodeBatch(frames[:n])
 		if want := append(binary.AppendUvarint(nil, uint64(len(body))), body...); !bytes.Equal(got, want) {
 			t.Fatalf("%d-frame container %x, want the length prefix plus EncodeBatch %x", n, got, want)
 		}
 		if !reflect.DeepEqual(objs, wantObjs) {
 			t.Fatalf("%d-frame container objects %v, want %v", n, objs, wantObjs)
 		}
+		s.sq.reset()
 	}
 }
 

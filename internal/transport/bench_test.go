@@ -88,19 +88,6 @@ func BenchmarkStreamThroughput(b *testing.B) {
 				benchStreamPipeline(b, network, 8, 64, 8, workers)
 			})
 		}
-		// Tail-latency dimension: a quiet object (every 9th frame) shares
-		// large cap-triggered flushes with a chatty one, and the reported
-		// ns/op is the quiet object's p99 enqueue→wire delay from the
-		// scheduler's histogram — not throughput. At weights 1:1 the quiet
-		// frames drain in fair rotation; at 8:1 the scheduler moves them into
-		// the flush's earliest containers, which must show up as a lower p99
-		// for free (same frames, same wire bytes, different drain order).
-		for _, w := range []int{1, 8} {
-			name := fmt.Sprintf("%s/quiet-p99/weights=%d:1", network, w)
-			b.Run(name, func(b *testing.B) {
-				benchQuietTailLatency(b, network, w)
-			})
-		}
 	}
 }
 
@@ -279,107 +266,6 @@ func benchStreamPipeline(b *testing.B, network string, batch, payload, objs, wor
 		b.Fatal(err)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// benchQuietTailLatency measures how long a quiet object's frames sit in the
-// shared pending backlog before reaching the wire, with the chatty/quiet
-// weight ratio as the swept dimension. Node 0 broadcasts b.N 64-byte frames
-// — every 9th on the quiet object, the rest on the chatty one — under a
-// 144-frame cap chunked into 8-frame containers. The benchmark's ns/op is
-// overridden with the quiet object's p99 enqueue→wire delay, so the CI gate
-// tracks the tail directly.
-func benchQuietTailLatency(b *testing.B, network string, quietWeight int) {
-	const (
-		chatty = transport.ObjID(1)
-		quiet  = transport.ObjID(2)
-	)
-	addrs := benchAddrs(b, network)
-	man := transport.Manifest{
-		{ID: chatty, Name: "chatty", Kind: "bench"},
-		{ID: quiet, Name: "quiet", Kind: "bench"},
-	}
-	ends := make([]*transport.Stream, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		opts := []transport.StreamOption{
-			transport.WithRecvTimeout(30 * time.Second),
-			transport.WithManifest(man),
-		}
-		if i == 0 {
-			opts = append(opts,
-				transport.WithBatching(transport.BatchPolicy{MaxFrames: 144}),
-				transport.WithScheduler(transport.SchedPolicy{
-					Weights:     map[transport.ObjID]int{chatty: 1, quiet: quietWeight},
-					ChunkFrames: 8,
-				}))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ends[i], errs[i] = transport.Listen(model.NodeID(i), addrs, opts...)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			b.Fatalf("listen %d: %v", i, err)
-		}
-	}
-	defer ends[0].Close()
-	defer ends[1].Close()
-
-	body := make([]byte, 64)
-	for i := range body {
-		body[i] = byte(i)
-	}
-	done := make(chan error, 1)
-	go func() {
-		for got := 0; got < b.N; {
-			_, ok, err := ends[1].Recv(true)
-			if err != nil {
-				done <- err
-				return
-			}
-			if !ok {
-				done <- fmt.Errorf("receiver drained after %d/%d frames", got, b.N)
-				return
-			}
-			got++
-		}
-		done <- nil
-	}()
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obj := chatty
-		if i%9 == 0 {
-			obj = quiet
-		}
-		f := transport.Frame{Kind: transport.KindEffector, Obj: obj, MID: model.MsgID(i + 1), From: 0, Payload: body}
-		if err := ends[0].Broadcast(f); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := ends[0].Flush(); err != nil {
-		b.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	st := ends[0].Stats()
-	if err := st.SchedBalance(); err != nil {
-		b.Fatal(err)
-	}
-	q := st.Sched.Objects[quiet]
-	if q == nil || q.DelaySamples == 0 {
-		b.Fatal("no quiet delay samples recorded")
-	}
-	// The gated metric is the quiet tail, not throughput: override ns/op.
-	b.ReportMetric(float64(q.DelayQuantile(0.99)), "ns/op")
-	b.ReportMetric(float64(q.DelaySamples), "samples")
 }
 
 // BenchmarkPeerHandle prices the peer layer's receive path on its own: a

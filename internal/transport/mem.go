@@ -272,9 +272,6 @@ func (m *Mem) Clone() *Mem {
 //   - WithBatching: the socket Stream's cap triggers and Stats accounting;
 //     BatchPolicy.MaxDelay does not apply. Flushed frames all arrive at the
 //     flush tick, so batched executions replay byte-for-byte.
-//   - WithScheduler: flushes drain the per-object queues by deficit-weighted
-//     round-robin, a pure function of the broadcast sequence; the
-//     SchedPolicy.MaxDelay overrides do not apply.
 //   - WithReceiver: the QueueFrames of Node.StartReceiver's pipeline, which
 //     on Mem always runs one deterministic shard. Mem endpoints are not
 //     goroutine-safe: drive the phases sequentially (broadcast, then let the
@@ -287,7 +284,6 @@ func (m *Mem) Endpoint(id model.NodeID, opts ...StreamOption) Transport {
 		panic(fmt.Sprintf("transport: no such node %s", id))
 	}
 	e := &memEndpoint{endpointConfig: newEndpointConfig(opts), m: m, self: id}
-	e.sq = newSched(e.schedPol, false)
 	e.stats.Sent = make([]PeerIO, m.n)
 	e.stats.Recv = make([]PeerIO, m.n)
 	return e
@@ -298,7 +294,7 @@ type memEndpoint struct {
 
 	m      *Mem
 	self   model.NodeID
-	sq     *sched
+	sq     sendQueue
 	stats  Stats
 	closed bool
 }
@@ -324,7 +320,7 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	}
 	// Byte accounting mirrors the socket wire: the nested checksummed
 	// envelope the frame would cost in a batch container.
-	e.sq.enqueue(schedItem{frame: f, wire: f.wireLen()})
+	e.sq.push(f)
 	e.stats.noteQueued(f.Obj)
 	if trigger, full := e.sq.capTrigger(e.policy); full {
 		return e.flush(trigger, f.Obj)
@@ -332,36 +328,31 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	return nil
 }
 
-// flush drains every pending queue into the network at the current tick —
-// scheduler drain order, one noteSent container per drained chunk, the
-// trigger counted once however many containers the backlog needs. Every
-// flushed frame arrives at the flush tick, so batched executions replay
-// byte-for-byte whatever the drain order.
+// flush writes the whole pending batch into the network at the current
+// tick, one container per peer in arrival order. Every flushed frame arrives
+// at the flush tick, so batched executions replay byte-for-byte.
 func (e *memEndpoint) flush(trigger int, cause ObjID) error {
-	if e.sq.pendN == 0 {
+	items := e.sq.items
+	if len(items) == 0 {
 		return nil
 	}
 	e.stats.noteFlush(trigger, cause)
-	for {
-		items := e.sq.drainChunk(e.sq.pol.ChunkFrames, 0)
-		if len(items) == 0 {
-			return nil
-		}
-		objs := make([]ObjID, len(items))
-		for i, it := range items {
-			objs[i] = it.frame.Obj
-			e.stats.Sched.noteDrained(it.frame.Obj, 0, false)
-		}
-		for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
-			if dst == e.self {
-				continue
-			}
-			for _, it := range items {
-				e.m.Put(dst, &Queued{Frame: it.frame, Copies: 1, ReadyAt: e.m.now})
-			}
-			e.stats.noteSent(dst, 1, e.sq.outBytes, objs)
-		}
+	objs := make([]ObjID, len(items))
+	for i, it := range items {
+		objs[i] = it.frame.Obj
+		e.stats.Sched.noteDrained(it.frame.Obj)
 	}
+	for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
+		if dst == e.self {
+			continue
+		}
+		for _, it := range items {
+			e.m.Put(dst, &Queued{Frame: it.frame, Copies: 1, ReadyAt: e.m.now})
+		}
+		e.stats.noteSent(dst, 1, e.sq.bytes, objs)
+	}
+	e.sq.reset()
+	return nil
 }
 
 // Send queues one frame for exactly one peer: the snapshot protocol's

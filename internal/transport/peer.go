@@ -613,6 +613,8 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		}
 		return fmt.Errorf("transport: snapshot from %s rejected, falling back to full log replay: %w", f.From, err)
 	}
+	// A covered mid that is not positive names no frame (see origin).
+	snap.Covered = slices.DeleteFunc(snap.Covered, func(mid model.MsgID) bool { return mid <= 0 })
 	if p.syncing {
 		p.state = st
 		for _, mid := range snap.Covered {
@@ -652,8 +654,15 @@ func (p *Peer) handleSnapshot(f Frame) error {
 		}
 	}
 	for i, sf := range snap.Suffix {
-		if sf.Obj != p.objID {
+		// Handle's routing checks, except that the sender may be this peer:
+		// a later response can carry its own frames.
+		switch {
+		case sf.Obj != p.objID:
 			return fmt.Errorf("%w: snapshot suffix frame %d is scoped to object %d, not %d", codec.ErrCorrupt, i, sf.Obj, p.objID)
+		case sf.MID <= 0:
+			return fmt.Errorf("%w: snapshot suffix frame %d carries mid %d, not a positive request ID", codec.ErrCorrupt, i, sf.MID)
+		case sf.From < 0 || int(sf.From) >= p.t.N():
+			return fmt.Errorf("%w: snapshot suffix frame %s names sender %s outside the %d-node group", codec.ErrCorrupt, sf.MID, sf.From, p.t.N())
 		}
 		if err := p.handleEffector(sf); err != nil {
 			return err

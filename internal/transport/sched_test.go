@@ -4,112 +4,77 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 )
 
-// item builds one pending broadcast for the pure scheduler tests.
-func item(obj ObjID, wire int) schedItem { return schedItem{frame: Frame{Obj: obj}, wire: wire} }
-
-func drainObjs(items []schedItem) []ObjID {
-	out := make([]ObjID, len(items))
-	for i, it := range items {
-		out[i] = it.frame.Obj
-	}
-	return out
-}
-
-// TestSchedDRRDrainOrder pins the deficit-weighted round-robin drain: with
-// weights 1:3, every visit grants object 1 one frame and object 2 three, in
-// ring order (first activation first), FIFO within each object, deficits
-// resuming across container boundaries within one flush.
-func TestSchedDRRDrainOrder(t *testing.T) {
-	s := newSched(SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}}, false)
-	for i := 0; i < 6; i++ {
-		s.enqueue(item(1, 10))
-	}
-	for i := 0; i < 6; i++ {
-		s.enqueue(item(2, 10))
-	}
-	var got [][]ObjID
-	for s.pendN > 0 {
-		got = append(got, drainObjs(s.drainChunk(4, 0)))
-	}
-	want := [][]ObjID{
-		{1, 2, 2, 2}, // round 1: deficit 1 for obj 1, 3 for obj 2
-		{1, 2, 2, 2}, // round 2 resumes cleanly at the container boundary
-		{1, 1, 1, 1}, // obj 2 drained empty; obj 1 finishes FIFO
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("drain order %v, want %v", got, want)
-	}
-	if s.pendBytes != 0 {
-		t.Fatalf("pendBytes = %d after a full drain", s.pendBytes)
-	}
-}
-
-// TestSchedDrainByteSplit pins the container byte cap: a drain splits before
-// exceeding the limit, and a single oversized item still ships alone.
+// TestSchedDrainByteSplit pins the container byte limit: a flush splits the
+// queue before a container would exceed the limit, and a single oversized
+// frame still ships alone.
 func TestSchedDrainByteSplit(t *testing.T) {
-	s := newSched(SchedPolicy{}, false)
-	s.enqueue(item(1, 60))
-	s.enqueue(item(1, 60))
-	s.enqueue(item(1, 500)) // alone: larger than the whole limit
-	s.enqueue(item(1, 10))
+	var items []sendItem
+	for _, wire := range []int{60, 60, 500, 10} {
+		items = append(items, sendItem{frame: Frame{Obj: 1}, wire: wire})
+	}
 	var sizes []int
-	for s.pendN > 0 {
-		items := s.drainChunk(0, 128)
+	for len(items) > 0 {
+		n := containerLen(items, 128)
 		total := 0
-		for _, it := range items {
+		for _, it := range items[:n] {
 			total += it.wire
 		}
 		sizes = append(sizes, total)
+		items = items[n:]
 	}
 	if want := []int{120, 500, 10}; !reflect.DeepEqual(sizes, want) {
 		t.Fatalf("container sizes %v, want %v", sizes, want)
 	}
 }
 
-// TestSchedOneObjectArrivalOrder pins the single-object drain: with one
-// object the round-robin has nothing to interleave, so under any weight the
-// frames leave in arrival order, in one container when no chunk limit
-// applies, and across containers when one does.
+// TestSchedOneObjectArrivalOrder pins the drain order of one object's
+// frames, the per-object FIFO the replica layer relies on: the queue hands
+// them to the wire in arrival order whether they fit one container or the
+// byte limit splits them, and a reset leaves nothing pending.
 func TestSchedOneObjectArrivalOrder(t *testing.T) {
-	for _, pol := range []SchedPolicy{{}, {Weights: map[ObjID]int{7: 3}}} {
-		s := newSched(pol, false)
+	var q sendQueue
+	for _, split := range []bool{false, true} {
+		var want []model.MsgID
 		for i := 0; i < 5; i++ {
-			s.enqueue(item(7, 10+i))
+			q.push(Frame{Kind: KindEffector, Obj: 7, MID: model.MsgID(i + 1), Payload: make([]byte, i)})
+			want = append(want, model.MsgID(i+1))
 		}
-		var wires []int
-		for _, it := range s.drainChunk(0, 0) {
-			wires = append(wires, it.wire)
+		limit := maxWireFrame
+		if split {
+			limit = 2 * q.items[len(q.items)-1].wire
 		}
-		if want := []int{10, 11, 12, 13, 14}; !reflect.DeepEqual(wires, want) {
-			t.Fatalf("%+v: drain order %v, want arrival order %v", pol, wires, want)
-		}
-		if s.pendN != 0 || s.pendBytes != 0 {
-			t.Fatalf("%+v: pendN = %d, pendBytes = %d after a full drain", pol, s.pendN, s.pendBytes)
-		}
-		for i := 0; i < 5; i++ {
-			s.enqueue(item(7, 20+i))
-		}
-		wires = wires[:0]
-		for s.pendN > 0 {
-			for _, it := range s.drainChunk(2, 0) {
-				wires = append(wires, it.wire)
+		var got []model.MsgID
+		containers := 0
+		for items := q.items; len(items) > 0; containers++ {
+			n := containerLen(items, limit)
+			for _, it := range items[:n] {
+				got = append(got, it.frame.MID)
 			}
+			items = items[n:]
 		}
-		if want := []int{20, 21, 22, 23, 24}; !reflect.DeepEqual(wires, want) {
-			t.Fatalf("%+v: chunked drain order %v, want arrival order %v", pol, wires, want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split=%v: drain order %v, want arrival order %v", split, got, want)
+		}
+		if split != (containers > 1) {
+			t.Fatalf("split=%v: %d containers", split, containers)
+		}
+		q.reset()
+		if len(q.items) != 0 || q.bytes != 0 {
+			t.Fatalf("split=%v: %d items, %d bytes pending after a reset", split, len(q.items), q.bytes)
 		}
 	}
 }
 
-// schedPair spins up a 2-node unix mesh: node 0 batched + scheduled with the
-// given policies, node 1 a plain receiver.
-func schedPair(t *testing.T, bp BatchPolicy, sp SchedPolicy) (sender, receiver *Stream) {
+// schedPair spins up a 2-node unix mesh: node 0 batched under bp, node 1 a
+// plain receiver.
+func schedPair(t *testing.T, bp BatchPolicy) (sender, receiver *Stream) {
 	t.Helper()
 	dir := t.TempDir()
 	addrs := []string{
@@ -119,7 +84,7 @@ func schedPair(t *testing.T, bp BatchPolicy, sp SchedPolicy) (sender, receiver *
 	errs := make(chan error, 2)
 	go func() {
 		var err error
-		sender, err = Listen(0, addrs, WithBatching(bp), WithScheduler(sp))
+		sender, err = Listen(0, addrs, WithBatching(bp))
 		errs <- err
 	}()
 	go func() {
@@ -135,23 +100,22 @@ func schedPair(t *testing.T, bp BatchPolicy, sp SchedPolicy) (sender, receiver *
 	return sender, receiver
 }
 
-// TestStreamSchedulerBalance drives mixed-weight traffic through a forced
-// flush and a Close drain and checks the two balance invariants on both
-// endpoints: Σ_obj ObjIO frames == per-peer totals, and the scheduler ledger
-// (Queued == Drained + Depth per object, Σ_obj Queued == FramesQueued). Per
-// container, the chunked drain must still deliver each object's frames in
-// FIFO order.
+// TestStreamSchedulerBalance drives two objects' interleaved traffic through
+// a forced flush and a Close drain and checks the two balance invariants on
+// both endpoints: Σ_obj ObjIO frames == per-peer totals, and the send-queue
+// ledger (Queued == Drained + Depth per object, Σ_obj Queued ==
+// FramesQueued). Each flush writes its whole batch as one container, and the
+// receiver sees the frames in broadcast order.
 func TestStreamSchedulerBalance(t *testing.T) {
-	sender, receiver := schedPair(t,
-		BatchPolicy{MaxFrames: 100},
-		SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 4}, ChunkFrames: 2},
-	)
+	sender, receiver := schedPair(t, BatchPolicy{MaxFrames: 100})
 	defer receiver.Close()
+	var order []string
 	send := func(obj ObjID, mid model.MsgID) {
 		t.Helper()
 		if err := sender.Broadcast(Frame{Kind: KindEffector, Obj: obj, MID: mid, From: 0, Payload: []byte{byte(obj), byte(mid)}}); err != nil {
 			t.Fatal(err)
 		}
+		order = append(order, fmt.Sprintf("%d/%d", obj, mid))
 	}
 	for i := 0; i < 5; i++ {
 		send(1, model.MsgID(i+1))
@@ -174,9 +138,8 @@ func TestStreamSchedulerBalance(t *testing.T) {
 	if st.Flushes.Explicit != 1 || st.Flushes.Close != 1 || st.Flushes.Total() != 2 {
 		t.Fatalf("flushes %+v, want exactly one explicit and one close", st.Flushes)
 	}
-	// 10 frames at chunk 2 = 5 containers, then 3 frames = 2 containers.
-	if st.Sent[1].Frames != 13 || st.Sent[1].Batches != 7 {
-		t.Fatalf("sent %+v, want 13 frames in 7 containers", st.Sent[1])
+	if st.Sent[1].Frames != 13 || st.Sent[1].Batches != 2 {
+		t.Fatalf("sent %+v, want 13 frames in 2 containers", st.Sent[1])
 	}
 	sum := 0
 	for _, io := range st.Objects {
@@ -195,17 +158,14 @@ func TestStreamSchedulerBalance(t *testing.T) {
 		}
 	}
 
-	// The receiver sees every frame, FIFO within each object.
-	lastMID := map[ObjID]model.MsgID{}
-	for i := 0; i < 13; i++ {
+	for i, want := range order {
 		f, ok, err := receiver.Recv(true)
 		if err != nil || !ok {
 			t.Fatalf("recv %d: ok=%v err=%v", i, ok, err)
 		}
-		if f.MID <= lastMID[f.Obj] {
-			t.Fatalf("object %d delivered out of FIFO order: mid %d after %d", f.Obj, f.MID, lastMID[f.Obj])
+		if got := fmt.Sprintf("%d/%d", f.Obj, f.MID); got != want {
+			t.Fatalf("frame %d delivered as %s, want %s: the wire must keep broadcast order", i, got, want)
 		}
-		lastMID[f.Obj] = f.MID
 	}
 	rt := receiver.Stats()
 	rsum := 0
@@ -220,82 +180,13 @@ func TestStreamSchedulerBalance(t *testing.T) {
 	}
 }
 
-// TestStreamQuietDeadlineOverride is the starvation scenario at unit scale:
-// a chatty object batches under a shared policy with no delay trigger, and a
-// quiet object's per-object MaxDelay override must push its frame onto the
-// wire on its own — without flushing the chatty backlog.
-func TestStreamQuietDeadlineOverride(t *testing.T) {
-	const chatty, quiet = ObjID(1), ObjID(2)
-	sender, receiver := schedPair(t,
-		BatchPolicy{MaxFrames: 1000},
-		SchedPolicy{
-			Weights:  map[ObjID]int{chatty: 1, quiet: 1},
-			MaxDelay: map[ObjID]time.Duration{quiet: 15 * time.Millisecond},
-		},
-	)
-	defer sender.Close()
-	defer receiver.Close()
-	for i := 0; i < 3; i++ {
-		if err := sender.Broadcast(Frame{Kind: KindEffector, Obj: chatty, MID: model.MsgID(i + 1), From: 0, Payload: []byte("c")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := sender.Stats(); st.Flushes.Total() != 0 || st.Sched.Objects[chatty].Depth != 3 {
-		t.Fatalf("chatty backlog flushed prematurely: %+v", st.Flushes)
-	}
-	if err := sender.Broadcast(Frame{Kind: KindEffector, Obj: quiet, MID: 1, From: 0, Payload: []byte("q")}); err != nil {
-		t.Fatal(err)
-	}
-	// The quiet deadline (15ms) must fire and drain the quiet queue alone.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := sender.Stats()
-		q := st.Sched.Objects[quiet]
-		if q != nil && q.Depth == 0 && q.DeadlineFlushes == 1 {
-			if c := st.Sched.Objects[chatty]; c.Depth != 3 {
-				t.Fatalf("deadline flush drained the chatty backlog too: depth %d", c.Depth)
-			}
-			if st.Flushes.Delay != 1 || st.Flushes.Total() != 1 {
-				t.Fatalf("flushes %+v, want exactly one delay flush", st.Flushes)
-			}
-			if q.DelaySamples != 1 || q.DelayMax < 10*time.Millisecond {
-				t.Fatalf("quiet delay sample off: %d samples, max %s", q.DelaySamples, q.DelayMax)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("quiet deadline never fired: %+v", st.Sched.Objects[quiet])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// The quiet frame is on the wire before any chatty one.
-	f, ok, err := receiver.Recv(true)
-	if err != nil || !ok || f.Obj != quiet {
-		t.Fatalf("first delivered frame: obj=%d ok=%v err=%v, want the quiet object", f.Obj, ok, err)
-	}
-	if err := sender.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		f, ok, err := receiver.Recv(true)
-		if err != nil || !ok || f.Obj != chatty {
-			t.Fatalf("chatty frame %d: obj=%d ok=%v err=%v", i, f.Obj, ok, err)
-		}
-	}
-	if err := sender.Stats().SchedBalance(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamSharedDeadlineFlushesBacklog pins the shared deadline rule under
-// a scheduler: with weights but no per-object override, the first due
-// BatchPolicy.MaxDelay deadline flushes the whole backlog — both objects'
-// frames leave in exactly one delay flush, in one container.
+// TestStreamSharedDeadlineFlushesBacklog pins the deadline rule: the pending
+// batch's first frame arms the one BatchPolicy.MaxDelay deadline, which
+// flushes the whole backlog — both objects' frames leave in exactly one delay
+// flush, in one container, in broadcast order — and credits the flush to the
+// first frame's object.
 func TestStreamSharedDeadlineFlushesBacklog(t *testing.T) {
-	sender, receiver := schedPair(t,
-		BatchPolicy{MaxFrames: 1000, MaxDelay: 100 * time.Millisecond},
-		SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}},
-	)
+	sender, receiver := schedPair(t, BatchPolicy{MaxFrames: 1000, MaxDelay: 100 * time.Millisecond})
 	defer sender.Close()
 	defer receiver.Close()
 	objs := []ObjID{1, 2, 1, 2}
@@ -304,9 +195,13 @@ func TestStreamSharedDeadlineFlushesBacklog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for range objs {
-		if _, ok, err := receiver.Recv(true); err != nil || !ok {
+	for i, obj := range objs {
+		f, ok, err := receiver.Recv(true)
+		if err != nil || !ok {
 			t.Fatalf("recv: ok=%v err=%v", ok, err)
+		}
+		if f.Obj != obj || f.MID != model.MsgID(i+1) {
+			t.Fatalf("frame %d delivered as %d/%d, want %d/%d", i, f.Obj, f.MID, obj, i+1)
 		}
 	}
 	// The sender settles its ledger just after the write the receiver saw.
@@ -321,20 +216,72 @@ func TestStreamSharedDeadlineFlushesBacklog(t *testing.T) {
 	if st.Sent[1].Frames != len(objs) || st.Sent[1].Batches != 1 {
 		t.Fatalf("sent %+v, want %d frames in one container", st.Sent[1], len(objs))
 	}
+	if first, second := st.Sched.Objects[1].DeadlineFlushes, st.Sched.Objects[2].DeadlineFlushes; first != 1 || second != 0 {
+		t.Fatalf("deadline flushes credited %d to object 1 and %d to object 2, want the first frame's object 1 alone", first, second)
+	}
+	if err := st.SchedBalance(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamConcurrentBroadcastDeadline broadcasts from several goroutines
+// while cap flushes and the flush deadline race each other: every frame
+// reaches the receiver once, each object's frames in broadcast order, and
+// the ledger balances. Run it under -race.
+func TestStreamConcurrentBroadcastDeadline(t *testing.T) {
+	sender, receiver := schedPair(t, BatchPolicy{MaxFrames: 7, MaxDelay: time.Millisecond})
+	defer sender.Close()
+	defer receiver.Close()
+	const senders, each = 4, 50
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				if err := sender.Broadcast(Frame{Kind: KindEffector, Obj: ObjID(g), MID: model.MsgID(i), From: 0}); err != nil {
+					t.Error(err)
+					return
+				}
+				if i%10 == 0 {
+					time.Sleep(2 * time.Millisecond) // let the deadline fire mid-stream
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := sender.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	last := map[ObjID]model.MsgID{}
+	for n := 0; n < senders*each; n++ {
+		f, ok, err := receiver.Recv(true)
+		if err != nil || !ok {
+			t.Fatalf("recv %d: ok=%v err=%v", n, ok, err)
+		}
+		if f.MID != last[f.Obj]+1 {
+			t.Fatalf("object %d delivered mid %d after %d", f.Obj, f.MID, last[f.Obj])
+		}
+		last[f.Obj] = f.MID
+	}
+	st := sender.Stats()
+	if st.Sent[1].Frames != senders*each {
+		t.Fatalf("sent %d frames, want %d", st.Sent[1].Frames, senders*each)
+	}
 	if err := st.SchedBalance(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestMemSchedulerDeterminism runs the same broadcast schedule twice through
-// scheduled Mem endpoints and requires byte-identical outcomes: delivery
-// order, flush counters, per-peer and per-object IO, and the scheduler
-// ledger. The DRR ring order depends only on the broadcast sequence, so a
-// scheduled drain is as replayable as the FIFO one.
+// batched Mem endpoints and requires byte-identical outcomes: delivery
+// order, flush counters, per-peer and per-object IO, and the send-queue
+// ledger. A flush is a pure function of the broadcast sequence, so batched
+// runs replay.
 func TestMemSchedulerDeterminism(t *testing.T) {
 	run := func() (order []string, st Stats) {
 		m := NewMem(2)
-		e := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 4}), WithScheduler(SchedPolicy{Weights: map[ObjID]int{1: 1, 2: 3}, ChunkFrames: 2}))
+		e := m.Endpoint(0, WithBatching(BatchPolicy{MaxFrames: 4}))
 		r := m.Endpoint(1)
 		mids := map[ObjID]model.MsgID{}
 		send := func(obj ObjID) {

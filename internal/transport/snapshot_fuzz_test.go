@@ -62,6 +62,17 @@ func FuzzSnapshotInstall(f *testing.F) {
 		Covered: []model.MsgID{0, 4},
 		State:   alg.New().Init().AppendBinary(nil),
 	}))
+	// Suffix effectors Handle would refuse as routing damage: a mid that
+	// names no origin, and a sender outside the 2-node group.
+	for _, bad := range []transport.Frame{
+		{Kind: transport.KindEffector, MID: 0, From: 0, Payload: []byte("eff")},
+		{Kind: transport.KindEffector, MID: 3, From: 2, Payload: []byte("eff")},
+	} {
+		f.Add(transport.EncodeSnapshot(transport.Snapshot{
+			State:  alg.New().Init().AppendBinary(nil),
+			Suffix: []transport.Frame{bad},
+		}))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := transport.NewMem(2)
 		p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), alg.NeedsCausal,

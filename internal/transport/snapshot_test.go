@@ -863,6 +863,92 @@ func TestSnapshotCorruptFallback(t *testing.T) {
 	})
 }
 
+// TestSnapshotInstallRejectsBadMIDs: a snapshot response carries routing
+// input like any frame. A suffix effector whose mid is not positive, or whose
+// sender is outside the group, is corrupt: a mid that names no origin is
+// never marked applied, so each response carrying it would apply it again. A
+// suffix frame of the joiner's own stays legal, since a later response can
+// carry it. A covered mid that is not positive names no frame: the install
+// skips it, neither counting it nor serving it on from the joiner's own
+// checkpoint.
+func TestSnapshotInstallRejectsBadMIDs(t *testing.T) {
+	alg := algFor(t, "counter")
+	obj := alg.New()
+	eff := func(from model.NodeID, mid model.MsgID) transport.Frame {
+		t.Helper()
+		_, e, err := obj.Prepare(model.Op{Name: spec.OpInc}, obj.Init(), from, mid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.Frame{Kind: transport.KindEffector, MID: mid, From: from, Payload: e.AppendBinary(nil)}
+	}
+	// joiner is node 1 of a 3-node group: it awaits a catch-up and serves
+	// snapshots itself.
+	joiner := func() (*transport.Mem, *transport.Peer) {
+		m := transport.NewMem(3)
+		p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), false,
+			transport.WithCatchUp(alg.DecodeState), transport.WithSnapshotPolicy(transport.SnapshotPolicy{}))
+		if err := p.CatchUp(); err != nil {
+			t.Fatal(err)
+		}
+		return m, p
+	}
+	respond := func(p *transport.Peer, mid model.MsgID, snap transport.Snapshot) error {
+		snap.State = obj.Init().AppendBinary(nil)
+		return p.Handle(transport.Frame{Kind: transport.KindSnapshot, MID: mid, From: 0, Payload: transport.EncodeSnapshot(snap)})
+	}
+
+	_, p := joiner()
+	for _, mid := range []model.MsgID{4, 7} {
+		if err := respond(p, mid, transport.Snapshot{Suffix: []transport.Frame{eff(0, 0)}}); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("response %s with a mid-0 suffix effector: err = %v, want codec.ErrCorrupt", mid, err)
+		}
+	}
+	if got := p.Applied(); got != 0 {
+		t.Fatalf("two responses with the same mid-0 suffix effector applied %d frames, want none", got)
+	}
+	for _, from := range []model.NodeID{3, -1} {
+		_, p := joiner()
+		f := eff(0, 4)
+		f.From = from
+		if err := respond(p, 7, transport.Snapshot{Suffix: []transport.Frame{f}}); !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("suffix effector from node %s: err = %v, want codec.ErrCorrupt", from, err)
+		}
+	}
+	_, p = joiner()
+	if err := respond(p, 7, transport.Snapshot{Suffix: []transport.Frame{eff(1, 5)}}); err != nil || p.Applied() != 1 {
+		t.Fatalf("suffix effector of the joiner's own: err = %v, applied %d, want it applied", err, p.Applied())
+	}
+
+	m, p := joiner()
+	if err := respond(p, 7, transport.Snapshot{Covered: []model.MsgID{0, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.SnapshotStats(); st.InstallCovered != 1 || p.Applied() != 1 {
+		t.Fatalf("install of covered mids 0 and 4 counted %d covered, %d applied: want m4 alone", st.InstallCovered, p.Applied())
+	}
+	if err := p.Handle(transport.Frame{Kind: transport.KindSnapshotRequest, MID: 3, From: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for ep := m.Endpoint(2); ; {
+		f, ok, err := ep.Recv(false)
+		if err != nil || !ok {
+			t.Fatalf("no snapshot response reached node 2: ok=%v err=%v", ok, err)
+		}
+		if f.Kind != transport.KindSnapshot {
+			continue
+		}
+		served, err := transport.DecodeSnapshot(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(served.Covered, []model.MsgID{4}) {
+			t.Fatalf("the joiner served covered %v, want [4]", served.Covered)
+		}
+		break
+	}
+}
+
 // TestInvokeRefusedWhileSyncing: between the request and the install the
 // replica state is about to be replaced, so local operations must refuse
 // instead of issuing effectors from a state that is going away.

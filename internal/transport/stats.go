@@ -112,9 +112,8 @@ type Stats struct {
 	// Objects splits the frame counters by object ID (key 0 for a
 	// single-object group). Nil until the first frame moves.
 	Objects map[ObjID]ObjIO
-	// Sched is the per-object delivery scheduler ledger: queue depths, drain
-	// counts, flush-trigger attribution, and (on socket endpoints built
-	// WithScheduler) the enqueue→wire delay histogram. See SchedStats.
+	// Sched is the per-object send-queue ledger: queue depths, drain counts
+	// and flush-trigger attribution. See SchedStats.
 	Sched SchedStats
 }
 
@@ -126,7 +125,7 @@ func (s *Stats) noteQueued(obj ObjID) {
 
 // noteFlush counts one flush under its trigger, however many containers it
 // takes. A cap trigger is attributed to the object whose enqueue crossed the
-// cap, a delay trigger to the object whose deadline fired.
+// cap, a delay trigger to the object whose frame armed the deadline.
 func (s *Stats) noteFlush(trigger int, cause ObjID) {
 	switch trigger {
 	case trigFrames:

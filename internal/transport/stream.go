@@ -38,19 +38,17 @@ type Stream struct {
 	addrs []streamAddr
 	ln    net.Listener
 
-	mu    sync.Mutex // guards conns' write side, the pending queues and closing
+	mu    sync.Mutex // guards conns' write side, the send queue and closing
 	conns []net.Conn // indexed by peer node ID; nil at self
 
-	// Pending broadcasts: per-object send queues drained into batch
-	// containers by flushAllLocked / flushObjLocked. deadlines holds each
-	// object's armed flush deadline and flushTimer fires at the earliest of
-	// them (timerAt). Guarded by mu.
-	sq         *sched
-	deadlines  map[ObjID]time.Time
+	// Pending broadcasts: one FIFO send queue that flushLocked drains into
+	// batch containers. flushTimer, armed by the pending batch's first frame
+	// when BatchPolicy.MaxDelay is set, flushes the batch once the delay
+	// runs out. Guarded by mu.
+	sq         sendQueue
 	flushTimer *time.Timer
-	timerAt    time.Time
 
-	// Reusable send-side scratch, guarded by mu like the queues: wbuf holds
+	// Reusable send-side scratch, guarded by mu like the queue: wbuf holds
 	// one batch container per write (length prefix right-aligned before the
 	// body), objScratch the per-container object list for the ledgers.
 	wbuf       []byte
@@ -121,11 +119,7 @@ func parseAddr(s string) (streamAddr, error) {
 type endpointConfig struct {
 	recvTimeout time.Duration
 	policy      BatchPolicy
-	schedPol    SchedPolicy
-	// scheduled marks WithScheduler: only then does a socket endpoint sample
-	// enqueue→wire delays, which costs two clock reads per frame.
-	scheduled bool
-	recvPol   RecvPolicy
+	recvPol     RecvPolicy
 	// man is the object manifest this endpoint exchanges and validates
 	// during every handshake.
 	man Manifest
@@ -137,15 +131,13 @@ type endpointConfig struct {
 }
 
 // newEndpointConfig applies opts over the defaults (a 30s receive timeout,
-// no batching, equal weights, one receive shard) and normalizes the
-// policies.
+// no batching, one receive shard) and normalizes the policies.
 func newEndpointConfig(opts []StreamOption) endpointConfig {
 	c := endpointConfig{recvTimeout: 30 * time.Second}
 	for _, o := range opts {
 		o(&c)
 	}
 	c.policy = c.policy.normalized()
-	c.schedPol = c.schedPol.normalized()
 	c.recvPol = c.recvPol.normalized()
 	return c
 }
@@ -164,17 +156,6 @@ func WithRecvTimeout(d time.Duration) StreamOption {
 // flush triggers). The default policy flushes every frame immediately.
 func WithBatching(p BatchPolicy) StreamOption {
 	return func(c *endpointConfig) { c.policy = p }
-}
-
-// WithScheduler sets the per-object delivery scheduler's weights, chunking
-// and deadline overrides (see SchedPolicy): flushes drain the per-object
-// queues into batch containers by deficit-weighted round-robin, and
-// per-object MaxDelay overrides can force an object's frames onto the wire
-// earlier than the shared BatchPolicy.MaxDelay — without flushing anyone
-// else's pending batch. Without the option every object weighs 1. The option
-// also turns on the enqueue→wire delay histogram of socket endpoints.
-func WithScheduler(p SchedPolicy) StreamOption {
-	return func(c *endpointConfig) { c.schedPol, c.scheduled = p, true }
 }
 
 // WithReceiver sets the shard layout (see RecvPolicy) of the receive
@@ -256,7 +237,6 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		endpointConfig: newEndpointConfig(opts),
 		self:           self,
 		conns:          make([]net.Conn, len(addrs)),
-		deadlines:      map[ObjID]time.Time{},
 		errs:           make(chan error, len(addrs)),
 		closed:         make(chan struct{}),
 		startupDone:    make(chan struct{}),
@@ -264,7 +244,6 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		recvsDone:      make(chan struct{}),
 		hungCh:         make(chan struct{}, len(addrs)),
 	}
-	s.sq = newSched(s.schedPol, s.scheduled)
 	s.stats.Sent = make([]PeerIO, len(addrs))
 	s.stats.Recv = make([]PeerIO, len(addrs))
 	if err := s.man.Validate(); err != nil {
@@ -751,7 +730,7 @@ func (s *Stream) closedLocked() bool {
 }
 
 // Broadcast queues one frame for every peer, encoded into a wire container
-// when a policy trigger fires (frame cap, byte cap, a flush deadline, an
+// when a policy trigger fires (frame cap, byte cap, the flush deadline, an
 // explicit Flush, or Close). With the default policy the frame flushes
 // immediately, one container per frame.
 func (s *Stream) Broadcast(f Frame) error {
@@ -760,141 +739,63 @@ func (s *Stream) Broadcast(f Frame) error {
 	if s.closedLocked() {
 		return ErrClosed
 	}
-	it := schedItem{frame: f, wire: f.wireLen()}
-	if s.sq.sample {
-		it.at = time.Now()
-	}
-	s.sq.enqueue(it)
+	s.sq.push(f)
 	s.statsMu.Lock()
 	s.stats.noteQueued(f.Obj)
 	s.statsMu.Unlock()
 	if trigger, full := s.sq.capTrigger(s.policy); full {
-		return s.flushAllLocked(trigger, f.Obj)
+		return s.flushLocked(trigger, f.Obj)
 	}
-	s.armDeadlineLocked(f.Obj)
+	if s.policy.MaxDelay > 0 && s.flushTimer == nil {
+		s.armDeadlineLocked(f.Obj)
+	}
 	return nil
 }
 
-// armDeadlineLocked arms obj's flush deadline if it has none yet: the
-// per-object MaxDelay override when set, the shared policy delay otherwise.
-// The single timer always fires at the earliest armed deadline.
+// armDeadlineLocked starts the flush timer for the pending batch whose first
+// frame, of object obj, was just queued; obj gets the deadline flush's
+// credit. Called with mu held.
 func (s *Stream) armDeadlineLocked(obj ObjID) {
-	d := s.sq.pol.delayFor(obj, s.policy.MaxDelay)
-	if d <= 0 {
-		return
-	}
-	if _, armed := s.deadlines[obj]; armed {
-		return
-	}
-	dl := time.Now().Add(d)
-	s.deadlines[obj] = dl
-	if s.timerAt.IsZero() || dl.Before(s.timerAt) {
-		s.rearmTimerLocked(dl)
-	}
+	var t *time.Timer
+	t = time.AfterFunc(s.policy.MaxDelay, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		// A flush that stopped t too late to cancel this call has already
+		// taken the batch t was armed for.
+		if s.flushTimer == t {
+			s.flushLocked(trigDelay, obj)
+		}
+	})
+	s.flushTimer = t
 }
 
-// rearmTimerLocked points the flush timer at deadline dl.
-func (s *Stream) rearmTimerLocked(dl time.Time) {
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-	}
-	s.timerAt = dl
-	d := time.Until(dl)
-	if d < 0 {
-		d = 0
-	}
-	s.flushTimer = time.AfterFunc(d, s.onDeadline)
-}
-
-// stopTimerLocked disarms the flush timer (the armed deadlines are the
-// caller's to clear).
-func (s *Stream) stopTimerLocked() {
+// flushLocked drains the whole send queue to every peer connection in
+// arrival order and disarms the flush timer, counting the trigger once
+// however many containers the batch needs: the queue splits only where a
+// container would outgrow what a receiver accepts (the jumbo-snapshot
+// guard). Called with mu held.
+func (s *Stream) flushLocked(trigger int, cause ObjID) error {
 	if s.flushTimer != nil {
 		s.flushTimer.Stop()
 		s.flushTimer = nil
 	}
-	s.timerAt = time.Time{}
-}
-
-// onDeadline is the flush-timer callback. A due per-object MaxDelay override
-// drains only its own object's queue, so the other objects keep batching; a
-// due shared BatchPolicy.MaxDelay deadline flushes the whole backlog. It then
-// re-arms for the earliest deadline still pending. A cap-triggered flush in
-// between leaves it nothing to do.
-func (s *Stream) onDeadline() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closedLocked() {
-		return
-	}
-	s.timerAt = time.Time{}
-	now := time.Now()
-	// Flushes delete the deadlines they serve, which a range tolerates.
-	for obj, dl := range s.deadlines {
-		if dl.After(now) {
-			continue
-		}
-		if _, own := s.sq.pol.MaxDelay[obj]; own {
-			s.flushObjLocked(obj)
-		} else {
-			s.flushAllLocked(trigDelay, obj)
-		}
-	}
-	var next time.Time
-	for _, dl := range s.deadlines {
-		if next.IsZero() || dl.Before(next) {
-			next = dl
-		}
-	}
-	if !next.IsZero() {
-		s.rearmTimerLocked(next)
-	}
-}
-
-// flushAllLocked drains every pending queue to every peer connection and
-// disarms every deadline, counting the trigger once however many containers
-// the backlog needs. Called with mu held.
-func (s *Stream) flushAllLocked(trigger int, cause ObjID) error {
-	s.stopTimerLocked()
-	clear(s.deadlines)
-	if s.sq.pendN == 0 {
+	items := s.sq.items
+	if len(items) == 0 {
 		return nil
 	}
 	s.statsMu.Lock()
 	s.stats.noteFlush(trigger, cause)
 	s.statsMu.Unlock()
-	return s.writeDrainLocked(func(frames, bytes int) []schedItem { return s.sq.drainChunk(frames, bytes) })
-}
-
-// flushObjLocked drains one object's queue to every peer connection — the
-// per-object max-delay override path: the other objects' frames stay queued
-// under the shared policy. Called with mu held.
-func (s *Stream) flushObjLocked(obj ObjID) error {
-	delete(s.deadlines, obj)
-	if s.sq.objPending(obj) == 0 {
-		return nil
-	}
-	s.statsMu.Lock()
-	s.stats.noteFlush(trigDelay, obj)
-	s.statsMu.Unlock()
-	return s.writeDrainLocked(func(frames, bytes int) []schedItem { return s.sq.drainObj(obj, frames, bytes) })
-}
-
-// writeDrainLocked writes containers drained by next until it returns none.
-// ChunkFrames segments the drain so the weighted order reaches the wire
-// container by container; the byte cap keeps every container within what a
-// receiver accepts (the jumbo-snapshot guard). Called with mu held.
-func (s *Stream) writeDrainLocked(next func(frames, bytes int) []schedItem) error {
 	var firstErr error
-	for {
-		items := next(s.sq.pol.ChunkFrames, maxWireFrame-2*binary.MaxVarintLen64)
-		if len(items) == 0 {
-			return firstErr
-		}
-		if err := s.writeContainerLocked(items); err != nil && firstErr == nil {
+	for len(items) > 0 {
+		n := containerLen(items, maxWireFrame-2*binary.MaxVarintLen64)
+		if err := s.writeContainerLocked(items[:n]); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		items = items[n:]
 	}
+	s.sq.reset()
+	return firstErr
 }
 
 // containerLocked assembles items into one length-prefixed batch container
@@ -902,7 +803,7 @@ func (s *Stream) writeDrainLocked(next func(frames, bytes int) []schedItem) erro
 // Frame.appendWire) in the reusable write buffer. It returns the wire image
 // and the items' objects, both valid until the next call. Called with mu
 // held.
-func (s *Stream) containerLocked(items []schedItem) (wire []byte, objs []ObjID) {
+func (s *Stream) containerLocked(items []sendItem) (wire []byte, objs []ObjID) {
 	size := 0
 	for _, it := range items {
 		size += it.wire
@@ -930,10 +831,10 @@ func (s *Stream) containerLocked(items []schedItem) (wire []byte, objs []ObjID) 
 	return body[start:], objs
 }
 
-// writeContainerLocked writes one batch container of drained items to every
-// peer connection and settles the ledgers: per-peer/per-object IO, drained
-// counts, and the enqueue→wire delay samples. Called with mu held.
-func (s *Stream) writeContainerLocked(items []schedItem) error {
+// writeContainerLocked writes one batch container of queued items to every
+// peer connection and settles the ledgers: per-peer/per-object IO and the
+// drained counts. Called with mu held.
+func (s *Stream) writeContainerLocked(items []sendItem) error {
 	buf, objs := s.containerLocked(items)
 	// Write to every healthy conn before reporting a failure: aborting on the
 	// first dead peer would silently starve the remaining ones of frames they
@@ -953,18 +854,9 @@ func (s *Stream) writeContainerLocked(items []schedItem) error {
 		s.stats.noteSent(model.NodeID(peer), 1, len(buf), objs)
 		s.statsMu.Unlock()
 	}
-	now := time.Time{}
-	if s.sq.sample {
-		now = time.Now()
-	}
 	s.statsMu.Lock()
 	for _, it := range items {
-		sampled := !it.at.IsZero()
-		var delay time.Duration
-		if sampled {
-			delay = max(now.Sub(it.at), 0)
-		}
-		s.stats.Sched.noteDrained(it.frame.Obj, delay, sampled)
+		s.stats.Sched.noteDrained(it.frame.Obj)
 	}
 	s.statsMu.Unlock()
 	return firstErr
@@ -986,10 +878,10 @@ func (s *Stream) Send(to model.NodeID, f Frame) error {
 	if c == nil {
 		return fmt.Errorf("transport: no connection to node %s", to)
 	}
-	if err := s.flushAllLocked(trigExplicit, 0); err != nil {
+	if err := s.flushLocked(trigExplicit, 0); err != nil {
 		return err
 	}
-	items := [1]schedItem{{frame: f, wire: f.wireLen()}}
+	items := [1]sendItem{{frame: f, wire: f.wireLen()}}
 	buf, objs := s.containerLocked(items[:])
 	if _, err := c.Write(buf); err != nil {
 		return fmt.Errorf("transport: sending to node %s: %w", to, err)
@@ -1007,7 +899,7 @@ func (s *Stream) Flush() error {
 	if s.closedLocked() {
 		return ErrClosed
 	}
-	return s.flushAllLocked(trigExplicit, 0)
+	return s.flushLocked(trigExplicit, 0)
 }
 
 // Stats returns a snapshot of the endpoint's batching and IO counters.
@@ -1137,7 +1029,7 @@ func (s *Stream) closeDrain() (pipeFrame, bool, error) {
 func (s *Stream) Close() error {
 	s.once.Do(func() {
 		s.mu.Lock()
-		s.flushAllLocked(trigClose, 0)
+		s.flushLocked(trigClose, 0)
 		close(s.closed)
 		s.mu.Unlock()
 		if s.ln != nil {

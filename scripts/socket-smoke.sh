@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Socket-transport smoke: crdt-sim processes replicating over real unix and
 # tcp sockets — two- and three-process meshes, batching, late joiners with
-# snapshot catch-up, multiplexed objects, the receive pipeline and the
-# weighted scheduler. CI's socket-smoke job and `make sockets` both run this
-# script, so the two cannot drift. Every step starts its processes, waits for
-# them, prints their logs and checks them; a failed check exits non-zero.
+# snapshot catch-up, multiplexed objects and the receive pipeline. CI's
+# socket-smoke job and `make sockets` both run this script, so the two cannot
+# drift. Every step starts its processes, waits for them, prints their logs
+# and checks them; a failed check exits non-zero.
 #
 # Usage, from the repository root: bash scripts/socket-smoke.sh
 # The tcp steps listen on 127.0.0.1 ports 19701-19702 and 19711-19713.
@@ -160,33 +160,4 @@ for n in 0 1 2; do
     echo "node $n printed no receive-pipeline ledger"; exit 1; }
 done
 
-# Mixed-kind objects on one unix mesh under deficit-weighted round-robin:
-# object 1 gets 8x object 2's drain share and object 2 gets its own 5ms flush
-# deadline. Scheduling reorders sends across objects only, so every object
-# must still converge byte-identically, and each process must print a
-# balanced scheduler ledger (the binary exits non-zero if queued != drained +
-# depth or Σ_obj != totals).
-step "Weighted scheduler with per-object delay override"
-ADDRS="$D/a.sock,$D/b.sock,$D/c.sock"
-COMMON="-transport unix -addrs $ADDRS -objects 4 -mixed -ops 12 -seed 7 -batch-frames 64 -weights 1:8,2:1 -obj-max-delay 2:5ms"
-"$SIM" $COMMON -node 0 > "$D/p0.log" &
-sleep 0.2
-"$SIM" $COMMON -node 1 > "$D/p1.log" &
-sleep 0.2
-"$SIM" $COMMON -node 2 > "$D/p2.log"
-wait
-cat "$D/p0.log" "$D/p1.log" "$D/p2.log"
-for o in 1 2 3 4; do
-  s0=$(awk -v o="$o" '$2=="0:" && $3=="obj" && $4==o && /canonical state/{print $NF}' "$D/p0.log")
-  s1=$(awk -v o="$o" '$2=="1:" && $3=="obj" && $4==o && /canonical state/{print $NF}' "$D/p1.log")
-  s2=$(awk -v o="$o" '$2=="2:" && $3=="obj" && $4==o && /canonical state/{print $NF}' "$D/p2.log")
-  if [ -z "$s0" ] || [ "$s0" != "$s1" ] || [ "$s0" != "$s2" ]; then
-    echo "object $o diverged under the weighted scheduler"; exit 1
-  fi
-done
-for n in 0 1 2; do
-  grep -q 'scheduler queued/drained' "$D/p$n.log" || {
-    echo "node $n printed no scheduler ledger"; exit 1; }
-done
-
-echo "socket smoke: all 7 steps passed"
+echo "socket smoke: all 6 steps passed"
