@@ -62,13 +62,13 @@ chaos:
 		go run ./cmd/crdt-sim -chaos -algo $$a -nodes 3 -ops 10 -seed 1 -seeds 3 | tail -1; done
 	go test -run '^$$' -fuzz '^FuzzClusterDelivery$$' -fuzztime 30s ./internal/sim/
 
-# Mirror of CI's socket-transport smoke job: the in-repo two-OS-process test
-# plus the node/manifest multiplexing tests, then the crdt-sim socket meshes
-# of scripts/socket-smoke.sh — the script CI's job runs, so the two cannot
-# drift: unix and tcp pairs, a batched three-process mesh, late joiners with
-# snapshot catch-up (one object, and four mixed objects over tcp) and the
-# parallel receive pipeline, each checking byte-identical canonical states
-# and the ledgers the binary prints.
+# CI's socket-transport smoke job, which runs this target, so the job and
+# its local mirror are one definition: the in-repo two-OS-process tests plus
+# the node/manifest multiplexing tests, then the crdt-sim socket meshes of
+# scripts/socket-smoke.sh — unix and tcp pairs, a batched three-process mesh,
+# late joiners with snapshot catch-up (one object, and four mixed objects
+# over tcp) and the parallel receive pipeline, each checking byte-identical
+# canonical states and the ledgers the binary prints.
 sockets:
 	go test -run 'TestStream|TestNode|TestManifest' ./internal/transport/
 	bash scripts/socket-smoke.sh

@@ -3,14 +3,16 @@
 // UCR algorithms — via the ↣-derived witness or the complete bounded search —
 // and XACC (Def 9) for the X-wins sets.
 //
-// The explore mode instead decides SEC over *every* delivery interleaving of
-// short generated scripts, using the parallel schedule-exploration engine
-// (sim.ExploreSchedulesParallel) with its commutativity reduction.
+// The exhaustive mode caps traces at 8 steps, on -nodes nodes like the
+// witness mode. The explore mode instead decides SEC over *every* delivery
+// interleaving of short generated scripts, using the parallel
+// schedule-exploration engine (sim.ExploreSchedulesParallel) with its
+// commutativity reduction.
 //
 // Usage:
 //
-//	acc-check -algo rga -seeds 20 -steps 30 [-mode witness|exhaustive]
-//	acc-check -algo pn-counter -mode explore -workers 4 -stats
+//	acc-check -algo rga -seeds 20 -steps 30 [-nodes 3] [-mode witness|exhaustive]
+//	acc-check -algo counter -mode explore -workers 4 -stats
 //	acc-check -algo rga -save failing.json     # save the first failing schedule
 //	acc-check -replay failing.json             # re-check a saved schedule
 package main
@@ -19,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/crdts/registry"
@@ -44,7 +45,7 @@ func main() {
 	if *replay != "" {
 		os.Exit(replaySchedule(*replay, *mode))
 	}
-	savePath = *save
+	sv := &saver{path: *save}
 	algs := registry.All()
 	if *algo != "all" {
 		alg, ok := registry.ByName(*algo)
@@ -59,9 +60,10 @@ func main() {
 		if *mode == "explore" {
 			failures += explore(alg, *nodes, *steps, *seeds, *workers, *stats)
 		} else {
-			failures += check(alg, *nodes, *steps, *seeds, *mode)
+			failures += check(alg, *nodes, *steps, *seeds, *mode, sv)
 		}
 	}
+	sv.write()
 	if failures > 0 {
 		os.Exit(1)
 	}
@@ -112,18 +114,17 @@ func explore(alg registry.Algorithm, nodes, steps, seeds, workers int, showStats
 	return failures
 }
 
-func check(alg registry.Algorithm, nodes, steps, seeds int, mode string) int {
+// check decides alg's consistency condition and SEC on seeds generated
+// traces, offering each to sv, and returns the number of failures.
+func check(alg registry.Algorithm, nodes, steps, seeds int, mode string, sv *saver) int {
 	cond := "ACC"
 	if alg.IsX() {
 		cond = "XACC"
 	}
-	if mode == "exhaustive" {
-		nodes = 2
-		if steps > 8 {
-			steps = 8 // complete decisions need bounded traces
-		}
+	if mode == "exhaustive" && steps > 8 {
+		steps = 8 // complete decisions need bounded traces
 	}
-	fmt.Printf("%-14s %-5s mode=%-10s nodes=%d steps=%d: ", alg.Name, cond, modeName(alg, mode), nodes, steps)
+	fmt.Printf("%-14s %-5s mode=%-10s nodes=%d steps=%d: ", alg.Name, cond, mode, nodes, steps)
 	failures := 0
 	checked := 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
@@ -136,34 +137,20 @@ func check(alg registry.Algorithm, nodes, steps, seeds int, mode string) int {
 			Causal: alg.NeedsCausal,
 		}
 		tr := w.Run(seed).Trace()
-		if seed == 1 {
-			saveTrace(alg, tr, nodes)
+		before := failures
+		// A decider error means the trace exceeded the decidable bound: skip it.
+		if res, err := decide(alg, tr, mode); err == nil {
+			checked++
+			if !res.OK {
+				failures++
+				fmt.Printf("\n  seed %d: %s FAILS: %s\n", seed, cond, res.Reason)
+			}
+			if cvErr := core.CheckConvergenceFrom(tr, alg.New().Init(), alg.Abs); cvErr != nil {
+				failures++
+				fmt.Printf("\n  seed %d: SEC FAILS: %v\n", seed, cvErr)
+			}
 		}
-		p := core.Problem{Object: alg.New(), Spec: alg.Spec, Abs: alg.Abs}
-		var res core.Result
-		var err error
-		switch {
-		case alg.IsX() && mode == "exhaustive":
-			res, err = core.CheckXACC(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
-		case alg.IsX():
-			res, err = core.CheckXACCWitness(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
-		case mode == "exhaustive":
-			res, err = core.CheckACC(tr, p)
-		default:
-			res, err = core.CheckACCWitness(tr, p, alg.TSOrder)
-		}
-		if err != nil {
-			continue // trace exceeded the decidable bound; skip
-		}
-		checked++
-		if !res.OK {
-			failures++
-			fmt.Printf("\n  seed %d: %s FAILS: %s\n", seed, cond, res.Reason)
-		}
-		if cvErr := core.CheckConvergenceFrom(tr, alg.New().Init(), alg.Abs); cvErr != nil {
-			failures++
-			fmt.Printf("\n  seed %d: SEC FAILS: %v\n", seed, cvErr)
-		}
+		sv.offer(alg, tr, nodes, failures > before)
 	}
 	if failures == 0 {
 		fmt.Printf("%d/%d traces satisfy %s and SEC\n", checked, seeds, cond)
@@ -171,17 +158,35 @@ func check(alg registry.Algorithm, nodes, steps, seeds int, mode string) int {
 	return failures
 }
 
-func modeName(alg registry.Algorithm, mode string) string {
-	return strings.ToLower(mode)
+// decide runs mode's checker for alg's consistency condition on tr: XACC for
+// the X-wins sets, ACC otherwise, by the complete bounded search in
+// exhaustive mode and by the ↣-derived witness in any other.
+func decide(alg registry.Algorithm, tr trace.Trace, mode string) (core.Result, error) {
+	p := core.Problem{Object: alg.New(), Spec: alg.Spec, Abs: alg.Abs}
+	switch {
+	case alg.IsX() && mode == "exhaustive":
+		return core.CheckXACC(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
+	case alg.IsX():
+		return core.CheckXACCWitness(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
+	case mode == "exhaustive":
+		return core.CheckACC(tr, p)
+	default:
+		return core.CheckACCWitness(tr, p, alg.TSOrder)
+	}
 }
 
-// savePath, when non-empty, receives the first failing schedule (or the
-// first schedule overall if everything passes).
-var savePath string
+// saver keeps the schedule -save writes: the first failing one, or the first
+// one generated if none fails.
+type saver struct {
+	path   string
+	s      *sched.Schedule // nil until a schedule is kept
+	failed bool            // s drove a failing trace
+}
 
-// saveTrace writes the schedule driving tr to savePath once.
-func saveTrace(alg registry.Algorithm, tr trace.Trace, nodes int) {
-	if savePath == "" {
+// offer considers the schedule driving tr, whose check failed or not, for
+// saving.
+func (sv *saver) offer(alg registry.Algorithm, tr trace.Trace, nodes int, failed bool) {
+	if sv.path == "" || sv.failed || (sv.s != nil && !failed) {
 		return
 	}
 	s, err := sched.FromTrace(tr, nodes, alg.NeedsCausal, alg.Name)
@@ -189,20 +194,27 @@ func saveTrace(alg registry.Algorithm, tr trace.Trace, nodes int) {
 		fmt.Fprintf(os.Stderr, "acc-check: extracting schedule: %v\n", err)
 		return
 	}
-	data, err := s.Marshal()
+	sv.s, sv.failed = &s, failed
+}
+
+// write saves the kept schedule to sv.path, if there is one.
+func (sv *saver) write() {
+	if sv.s == nil {
+		return
+	}
+	data, err := sv.s.Marshal()
+	if err == nil {
+		err = os.WriteFile(sv.path, data, 0o644)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acc-check: %v\n", err)
 		return
 	}
-	if err := os.WriteFile(savePath, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "acc-check: %v\n", err)
-		return
-	}
-	fmt.Printf("schedule saved to %s\n", savePath)
-	savePath = ""
+	fmt.Printf("schedule saved to %s\n", sv.path)
 }
 
-// replaySchedule re-checks a saved schedule and returns the exit code.
+// replaySchedule re-checks the schedule saved at path on the registry bundle
+// it names and returns the exit code.
 func replaySchedule(path, mode string) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -219,6 +231,12 @@ func replaySchedule(path, mode string) int {
 		fmt.Fprintf(os.Stderr, "acc-check: schedule names unknown algorithm %q\n", s.Algorithm)
 		return 2
 	}
+	return replay(alg, s, mode)
+}
+
+// replay re-runs s on alg's bundle, decides the trace under mode and returns
+// the exit code.
+func replay(alg registry.Algorithm, s sched.Schedule, mode string) int {
 	c, err := s.Replay(alg.New())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acc-check: replay: %v\n", err)
@@ -226,18 +244,7 @@ func replaySchedule(path, mode string) int {
 	}
 	tr := c.Trace()
 	fmt.Printf("replayed %d events of %s:\n", len(tr), alg.Name)
-	p := core.Problem{Object: alg.New(), Spec: alg.Spec, Abs: alg.Abs}
-	var res core.Result
-	switch {
-	case alg.IsX() && mode == "exhaustive":
-		res, err = core.CheckXACC(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
-	case alg.IsX():
-		res, err = core.CheckXACCWitness(tr, core.XProblem{Problem: p, XSpec: alg.XSpec})
-	case mode == "exhaustive":
-		res, err = core.CheckACC(tr, p)
-	default:
-		res, err = core.CheckACCWitness(tr, p, alg.TSOrder)
-	}
+	res, err := decide(alg, tr, mode)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acc-check: %v\n", err)
 		return 2

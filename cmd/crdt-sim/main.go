@@ -36,11 +36,10 @@
 // object is object 0 of a mesh without a manifest — in a line of the form
 // "node I: obj 0 canonical state HEX". Write batching coalesces
 // queued broadcasts into one wire write per flush: -batch-frames N holds up
-// to N frames back, -batch-bytes B caps the pending container size, and
-// -flush-every D bounds how long the first queued frame waits. Batching is
-// pure wire plumbing — the canonical states still agree byte-for-byte, as
-// the printed transport stats (wire totals, flush triggers, connections)
-// show:
+// to N frames back, and -flush-every D bounds how long the first queued
+// frame waits. Batching is pure wire plumbing — the canonical states still
+// agree byte-for-byte, as the printed transport stats (wire totals, flush
+// triggers, connections) show:
 //
 //	crdt-sim -transport unix -addrs /tmp/a.sock,/tmp/b.sock -node 0 -batch-frames 8 -flush-every 5ms ...
 //
@@ -74,13 +73,13 @@
 //
 // Every socket process, whatever -objects says, prints per object a
 // quiescence line and a canonical state line (byte-identical across
-// processes), then one transport line, a per-object frame breakdown whose
-// counters must sum exactly to the per-peer wire totals, the send queue's
-// per-object ledger (frames queued and drained, cap- and deadline-attributed
-// flushes), and with -mixed the product state. Every object's broadcasts
+// processes), then one transport line, and two lines of the endpoint's
+// per-object ledger: the frames sent and received, and the send queue's
+// frames queued and drained with the cap- and deadline-attributed flushes;
+// with -mixed it also prints the product state. Every object's broadcasts
 // share one FIFO send queue, so the objects' frames coalesce into the same
-// containers in arrival order. The process exits non-zero when either
-// ledger does not balance against the wire totals.
+// containers in arrival order. The process exits non-zero when a per-object
+// counter does not sum to the endpoint total it splits.
 //
 // With -recv-workers N a socket process applies received frames on N
 // parallel per-object shards with bounded queues instead of the interleaved
@@ -104,7 +103,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -145,7 +143,6 @@ func main() {
 		catchUp   = flag.Bool("catch-up", false, "socket transports: this process joins an already-running mesh late and catches up via the snapshot protocol before playing its share")
 
 		batchFrames = flag.Int("batch-frames", 0, "socket transports: coalesce up to N queued broadcasts into one wire write (0 = unbatched)")
-		batchBytes  = flag.Int("batch-bytes", 0, "socket transports: flush the pending batch once it reaches B bytes of nested frames (0 = no byte cap)")
 		flushEvery  = flag.Duration("flush-every", 0, "socket transports: flush the pending batch at most this long after its first frame queued (0 = no delay timer)")
 
 		objects = flag.Int("objects", 1, "socket transports: replicate N independent objects multiplexed over the one socket mesh (N > 1 declares manifest object ids 1..N; one object is object 0 without a manifest)")
@@ -165,16 +162,16 @@ func main() {
 	if *snap < 0 {
 		fail("-snapshot-every must be positive (got %d)", *snap)
 	}
-	if *batchFrames < 0 || *batchBytes < 0 || *flushEvery < 0 {
-		fail("-batch-frames, -batch-bytes and -flush-every must be non-negative")
+	if *batchFrames < 0 || *flushEvery < 0 {
+		fail("-batch-frames and -flush-every must be non-negative")
 	}
-	policy := transport.BatchPolicy{MaxFrames: *batchFrames, MaxBytes: *batchBytes, MaxDelay: *flushEvery}
+	policy := transport.BatchPolicy{MaxFrames: *batchFrames, MaxDelay: *flushEvery}
 	switch *trans {
 	case "mem":
 		if *addrs != "" {
 			fail("-addrs only applies to socket transports: pass -transport unix or -transport tcp")
 		}
-		if *batchFrames != 0 || *batchBytes != 0 || *flushEvery != 0 {
+		if *batchFrames != 0 || *flushEvery != 0 {
 			fail("write batching applies to socket transports: pass -transport unix or -transport tcp")
 		}
 		if *latePeers != "" || *catchUp {
@@ -238,19 +235,12 @@ func parseLatePeers(s string) ([]model.NodeID, error) {
 	return out, nil
 }
 
-// schedStatsLine renders the send queue's per-object ledger for printing, in
-// ascending object-id order.
-func schedStatsLine(ss transport.SchedStats) string {
-	ids := make([]int, 0, len(ss.Objects))
-	for id := range ss.Objects {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	parts := make([]string, 0, len(ids))
-	for _, id := range ids {
-		so := ss.Objects[transport.ObjID(id)]
-		parts = append(parts, fmt.Sprintf("%d:%d/%d cap=%d deadline=%d",
-			id, so.Queued, so.Drained, so.CapFlushes, so.DeadlineFlushes))
+// objStatsLine renders one field group of the endpoint's per-object ledger
+// for printing, object by object in manifest order.
+func objStatsLine(specs transport.Manifest, objs map[transport.ObjID]transport.ObjStats, render func(transport.ObjStats) string) string {
+	parts := make([]string, len(specs))
+	for i, spec := range specs {
+		parts[i] = fmt.Sprintf("%d:%s", spec.ID, render(objs[spec.ID]))
 	}
 	return strings.Join(parts, " ")
 }
@@ -288,8 +278,8 @@ func finishReceiver(node int, n *transport.Node, st *transport.Stream) int {
 		fmt.Fprintf(os.Stderr, "crdt-sim: node %d: %v\n", node, err)
 		return 1
 	}
-	fmt.Printf("node %d: receive pipeline workers=%d queue=%d shard frames (dispatched/applied): %s\n",
-		node, rs.Workers, rs.QueueFrames, recvStatsLine(rs))
+	fmt.Printf("node %d: receive pipeline workers=%d shard frames (dispatched/applied): %s\n",
+		node, rs.Workers, recvStatsLine(rs))
 	return 0
 }
 
@@ -466,26 +456,18 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 	}
 	ts := st.Stats()
 	sent, recv := ts.TotalSent(), ts.TotalRecv()
-	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B) over %d connection(s), flushes frames=%d bytes=%d delay=%d explicit=%d close=%d\n",
+	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B) over %d connection(s), flushes frames=%d delay=%d explicit=%d close=%d\n",
 		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes, len(st.ConnectedPeers()),
-		ts.Flushes.Frames, ts.Flushes.Bytes, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-	var sentObj, recvObj int
-	parts := make([]string, 0, len(specs))
-	for _, spec := range specs {
-		io := ts.Objects[spec.ID]
-		sentObj += io.SentFrames
-		recvObj += io.RecvFrames
-		parts = append(parts, fmt.Sprintf("%d:%d/%d", spec.ID, io.SentFrames, io.RecvFrames))
-	}
-	fmt.Printf("node %d: per-object frames (sent/recv): %s\n", node, strings.Join(parts, " "))
-	if sentObj != sent.Frames || recvObj != recv.Frames {
-		return fail("per-object frame counters (sent %d, recv %d) do not sum to the per-peer totals (sent %d, recv %d)",
-			sentObj, recvObj, sent.Frames, recv.Frames)
-	}
+		ts.Flushes.Frames, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
+	fmt.Printf("node %d: per-object frames (sent/recv): %s\n", node, objStatsLine(specs, ts.Objects, func(o transport.ObjStats) string {
+		return fmt.Sprintf("%d/%d", o.SentFrames, o.RecvFrames)
+	}))
+	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, objStatsLine(specs, ts.Objects, func(o transport.ObjStats) string {
+		return fmt.Sprintf("%d/%d cap=%d deadline=%d", o.Queued, o.Drained, o.CapFlushes, o.DeadlineFlushes)
+	}))
 	if err := ts.SchedBalance(); err != nil {
 		return fail("%v", err)
 	}
-	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, schedStatsLine(ts.Sched))
 	if mixed {
 		prod := product.State{Parts: states[:2]}
 		fmt.Printf("node %d: product(%s×%s) canonical state %s\n",

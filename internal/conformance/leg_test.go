@@ -82,11 +82,10 @@ func TestLegCheckRejectsBadRuns(t *testing.T) {
 					FramesQueued: 2,
 					Sent:         peers,
 					Recv:         append([]transport.PeerIO(nil), peers...),
-					Objects:      map[transport.ObjID]transport.ObjIO{1: {SentFrames: 2, RecvFrames: 2}, 2: {SentFrames: 2, RecvFrames: 2}},
-					Sched: transport.SchedStats{Objects: map[transport.ObjID]*transport.SchedObj{
-						1: {Queued: 1, Drained: 1},
-						2: {Queued: 1, Drained: 1},
-					}},
+					Objects: map[transport.ObjID]transport.ObjStats{
+						1: {SentFrames: 2, RecvFrames: 2, Queued: 1, Drained: 1},
+						2: {SentFrames: 2, RecvFrames: 2, Queued: 1, Drained: 1},
+					},
 				},
 			}
 		}
@@ -102,10 +101,8 @@ func TestLegCheckRejectsBadRuns(t *testing.T) {
 		want   string
 	}{
 		{"state differs", func(r *legRun) { r[2].states[1] = []byte{9} }, "object 2 (g-set): node 2's canonical state differs"},
-		{"sent counters off", func(r *legRun) { r[1].stats.Objects[1] = transport.ObjIO{SentFrames: 1, RecvFrames: 2} },
-			"node 1: per-object frame counters (sent 3, recv 4) do not sum to the per-peer totals (sent 4, recv 4)"},
-		{"scheduler ledger off", func(r *legRun) { r[0].stats.Sched.Objects[2] = &transport.SchedObj{Queued: 1} },
-			"node 0: transport: scheduler ledger for object 2 out of balance"},
+		{"ledger off", func(r *legRun) { r[1].stats.FramesQueued++ },
+			"node 1: transport: ledger out of balance: Σ_obj queued frames 2 != endpoint total 3"},
 	}
 	for _, c := range cases {
 		r := good()

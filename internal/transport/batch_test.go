@@ -483,7 +483,7 @@ func TestStreamFlushTriggers(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() {
 		var err error
-		sender, err = Listen(0, addrs, WithBatching(BatchPolicy{MaxFrames: 3, MaxBytes: 64, MaxDelay: 40 * time.Millisecond}))
+		sender, err = Listen(0, addrs, WithBatching(BatchPolicy{MaxFrames: 3, MaxDelay: 40 * time.Millisecond}))
 		errs <- err
 	}()
 	go func() {
@@ -518,9 +518,6 @@ func TestStreamFlushTriggers(t *testing.T) {
 	send(4)
 	send(4)
 	recv(3)
-	// Byte cap: one frame bigger than MaxBytes flushes immediately.
-	send(100)
-	recv(1)
 	// Delay: a lone frame flushes once the timer fires.
 	send(4)
 	recv(1)
@@ -531,17 +528,20 @@ func TestStreamFlushTriggers(t *testing.T) {
 	}
 	recv(1)
 	st := sender.Stats()
-	if st.Flushes.Frames != 1 || st.Flushes.Bytes != 1 || st.Flushes.Delay != 1 || st.Flushes.Explicit != 1 {
-		t.Fatalf("flush triggers = %+v, want one each of frames/bytes/delay/explicit", st.Flushes)
+	if st.Flushes.Frames != 1 || st.Flushes.Delay != 1 || st.Flushes.Explicit != 1 {
+		t.Fatalf("flush triggers = %+v, want one each of frames/delay/explicit", st.Flushes)
 	}
-	if st.FramesQueued != 6 || st.Sent[1].Frames != 6 || st.Sent[1].Batches != 4 {
-		t.Fatalf("send stats = %+v, want 6 frames in 4 batches to peer 1", st)
+	if st.FramesQueued != 5 || st.Sent[1].Frames != 5 || st.Sent[1].Batches != 3 {
+		t.Fatalf("send stats = %+v, want 5 frames in 3 batches to peer 1", st)
+	}
+	if err := st.SchedBalance(); err != nil {
+		t.Fatal(err)
 	}
 	if st.Sent[1].Bytes == 0 {
 		t.Fatal("no wire bytes counted")
 	}
 	rst := receiver.Stats()
-	if rst.Recv[0].Frames != 6 || rst.Recv[0].Batches != 4 || rst.Recv[0].Bytes != st.Sent[1].Bytes {
+	if rst.Recv[0].Frames != 5 || rst.Recv[0].Batches != 3 || rst.Recv[0].Bytes != st.Sent[1].Bytes {
 		t.Fatalf("receiver stats = %+v, want mirror of sender's %+v", rst.Recv[0], st.Sent[1])
 	}
 }

@@ -265,20 +265,16 @@ func (m *Mem) Clone() *Mem {
 // the next arrival instead of blocking. Each call creates a fresh view with
 // its own pending batch and counters.
 //
-// Mem honours the options that shape what a flush sends, never when a timer
-// sends it — the clock is virtual, so a pending batch waits for a cap, an
-// explicit Flush, or Close:
+// Mem honours WithBatching, which shapes what a flush sends, but never when a
+// timer sends it — the clock is virtual, so a pending batch waits for the
+// frame cap, an explicit Flush, or Close, and BatchPolicy.MaxDelay does not
+// apply. Flushed frames all arrive at the flush tick, so batched executions
+// replay byte-for-byte.
 //
-//   - WithBatching: the socket Stream's cap triggers and Stats accounting;
-//     BatchPolicy.MaxDelay does not apply. Flushed frames all arrive at the
-//     flush tick, so batched executions replay byte-for-byte.
-//   - WithReceiver: the QueueFrames of Node.StartReceiver's pipeline, which
-//     on Mem always runs one deterministic shard. Mem endpoints are not
-//     goroutine-safe: drive the phases sequentially (broadcast, then let the
-//     pipeline drain).
-//
-// The socket-only options — WithRecvTimeout, WithManifest, WithLateJoiners
-// and AsLateJoiner — do nothing on Mem.
+// The other options do nothing on Mem. Node.StartReceiver's pipeline runs
+// one deterministic shard here, whatever WithReceiver asks, and Mem
+// endpoints are not goroutine-safe: drive the phases sequentially
+// (broadcast, then let the pipeline drain).
 func (m *Mem) Endpoint(id model.NodeID, opts ...StreamOption) Transport {
 	if int(id) < 0 || int(id) >= m.n {
 		panic(fmt.Sprintf("transport: no such node %s", id))
@@ -322,8 +318,8 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	// envelope the frame would cost in a batch container.
 	e.sq.push(f)
 	e.stats.noteQueued(f.Obj)
-	if trigger, full := e.sq.capTrigger(e.policy); full {
-		return e.flush(trigger, f.Obj)
+	if len(e.sq.items) >= e.policy.MaxFrames {
+		return e.flush(trigFrames, f.Obj)
 	}
 	return nil
 }
@@ -338,10 +334,12 @@ func (e *memEndpoint) flush(trigger int, cause ObjID) error {
 	}
 	e.stats.noteFlush(trigger, cause)
 	objs := make([]ObjID, len(items))
+	wire := 0
 	for i, it := range items {
 		objs[i] = it.frame.Obj
-		e.stats.Sched.noteDrained(it.frame.Obj)
+		wire += it.wire
 	}
+	e.stats.noteDrained(objs)
 	for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
 		if dst == e.self {
 			continue
@@ -349,7 +347,7 @@ func (e *memEndpoint) flush(trigger int, cause ObjID) error {
 		for _, it := range items {
 			e.m.Put(dst, &Queued{Frame: it.frame, Copies: 1, ReadyAt: e.m.now})
 		}
-		e.stats.noteSent(dst, 1, e.sq.bytes, objs)
+		e.stats.noteSent(dst, 1, wire, objs)
 	}
 	e.sq.reset()
 	return nil

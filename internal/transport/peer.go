@@ -519,14 +519,6 @@ func (p *Peer) CatchUp() error {
 	return p.t.Flush()
 }
 
-// CaughtUp reports whether a requested catch-up has resolved (a snapshot
-// installed, or the peer fell back to full replay).
-func (p *Peer) CaughtUp() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.requested && !p.syncing
-}
-
 // awaitingSnapshot reports whether a requested catch-up is still unresolved —
 // the per-object condition Node.AwaitCatchUp waits on.
 func (p *Peer) awaitingSnapshot() bool {
@@ -756,14 +748,6 @@ func (p *Peer) SnapshotStats() SnapStats {
 	s := p.snapStats
 	s.LogRetained = len(p.log)
 	return s
-}
-
-// LogLen returns the number of effector frames currently retained for
-// snapshot serving (0 without WithSnapshotPolicy).
-func (p *Peer) LogLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.log)
 }
 
 // DonePeers returns the number of peers whose completion announcement this

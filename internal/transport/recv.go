@@ -22,24 +22,22 @@ type RecvPolicy struct {
 	// pinned to shard obj mod Workers, so one object's frames always apply on
 	// one goroutine in arrival order. Workers < 1 means one shard.
 	Workers int
-	// QueueFrames bounds each shard's apply queue. A full queue blocks the
-	// dispatcher, which stops draining the endpoint — backpressure propagates
-	// into the reader (and, over sockets, the sender's TCP flow control)
-	// instead of buffering frames without bound. Defaults to 64.
-	QueueFrames int
 }
 
 // normalized clamps the policy to its documented contract: Workers < 1
-// becomes one shard, QueueFrames < 1 takes the default.
+// becomes one shard.
 func (p RecvPolicy) normalized() RecvPolicy {
-	if p.Workers < 1 {
-		p.Workers = 1
-	}
-	if p.QueueFrames < 1 {
-		p.QueueFrames = 64
-	}
+	p.Workers = max(p.Workers, 1)
 	return p
 }
+
+// recvQueueFrames bounds every receive queue: a Stream's frame queue and each
+// shard's apply queue. A full queue blocks whoever feeds it — a shard's
+// stalls the dispatcher, which stops draining the endpoint, and a Stream's
+// stalls its receive loops — so backpressure propagates into the reader
+// (and, over sockets, the sender's TCP flow control) instead of buffering
+// frames without bound.
+const recvQueueFrames = 64
 
 // recvPolicied is implemented by the endpoints that embed endpointConfig
 // (Stream and Mem endpoints). Node's StartReceiver reads the policy from the
@@ -76,8 +74,8 @@ type RecvShard struct {
 
 // RecvStats is a snapshot of the receive pipeline's ledgers.
 type RecvStats struct {
-	Workers, QueueFrames int
-	Shards               []RecvShard
+	Workers int
+	Shards  []RecvShard
 	// Exhausted reports that the endpoint can produce no more frames (every
 	// peer hung up, or the endpoint closed).
 	Exhausted bool
@@ -173,7 +171,7 @@ func NewReceiver(t Transport, pol RecvPolicy, handle func(Frame) error) *Receive
 	}
 	var wg sync.WaitGroup
 	for i := range r.shards {
-		r.shards[i] = make(chan pipeFrame, pol.QueueFrames)
+		r.shards[i] = make(chan pipeFrame, recvQueueFrames)
 		wg.Add(1)
 		go r.worker(i, &wg)
 	}
@@ -314,7 +312,7 @@ func (r *Receiver) Done() <-chan struct{} { return r.done }
 
 // Stats returns a snapshot of the pipeline ledgers.
 func (r *Receiver) Stats() RecvStats {
-	s := RecvStats{Workers: r.pol.Workers, QueueFrames: r.pol.QueueFrames}
+	s := RecvStats{Workers: r.pol.Workers}
 	s.Shards = make([]RecvShard, len(r.shards))
 	for i := range r.shards {
 		s.Shards[i] = RecvShard{

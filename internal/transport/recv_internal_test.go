@@ -13,10 +13,9 @@ func TestRecvPolicyNormalized(t *testing.T) {
 	cases := []struct {
 		in, want RecvPolicy
 	}{
-		{RecvPolicy{}, RecvPolicy{Workers: 1, QueueFrames: 64}},
-		{RecvPolicy{Workers: -3, QueueFrames: -1}, RecvPolicy{Workers: 1, QueueFrames: 64}},
-		{RecvPolicy{Workers: 4}, RecvPolicy{Workers: 4, QueueFrames: 64}},
-		{RecvPolicy{Workers: 1, QueueFrames: 7}, RecvPolicy{Workers: 1, QueueFrames: 7}},
+		{RecvPolicy{}, RecvPolicy{Workers: 1}},
+		{RecvPolicy{Workers: -3}, RecvPolicy{Workers: 1}},
+		{RecvPolicy{Workers: 4}, RecvPolicy{Workers: 4}},
 	}
 	for _, c := range cases {
 		if got := c.in.normalized(); got != c.want {

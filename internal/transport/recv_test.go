@@ -71,14 +71,14 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 	}
 	ends := listenMesh(t, addrs, [][]transport.StreamOption{
 		{transport.WithManifest(man), transport.WithBatching(transport.BatchPolicy{MaxFrames: 8})},
-		{transport.WithManifest(man), transport.WithReceiver(transport.RecvPolicy{Workers: shards, QueueFrames: 16})},
+		{transport.WithManifest(man), transport.WithReceiver(transport.RecvPolicy{Workers: shards})},
 	})
 	defer ends[0].Close()
 	defer ends[1].Close()
 
 	var mu sync.Mutex
 	seq := make(map[transport.ObjID][]model.MsgID)
-	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: shards, QueueFrames: 16}, func(f transport.Frame) error {
+	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: shards}, func(f transport.Frame) error {
 		for _, b := range f.Payload {
 			if b != byte(f.MID) {
 				return fmt.Errorf("frame %d: payload byte %d, want %d", f.MID, b, byte(f.MID))
@@ -141,8 +141,8 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 		t.Fatalf("handlers saw %d frames, want %d", got, total)
 	}
 	for i, sh := range st.Shards {
-		if sh.MaxQueue > 16+1 {
-			t.Errorf("shard %d: max queue depth %d exceeds the %d-frame bound", i, sh.MaxQueue, 16+1)
+		if sh.MaxQueue > transport.RecvQueueFrames+1 {
+			t.Errorf("shard %d: max queue depth %d exceeds the %d-frame bound", i, sh.MaxQueue, transport.RecvQueueFrames+1)
 		}
 	}
 }
@@ -153,8 +153,8 @@ func TestReceiverStreamOrderAndBalance(t *testing.T) {
 // long before the slow one.
 func TestReceiverBackpressureStream(t *testing.T) {
 	const (
-		perObj = 60
-		queue  = 4
+		queue  = transport.RecvQueueFrames
+		perObj = 3 * queue
 	)
 	addrs := testMeshAddrs(t, 2)
 	man := transport.Manifest{
@@ -163,7 +163,7 @@ func TestReceiverBackpressureStream(t *testing.T) {
 	}
 	ends := listenMesh(t, addrs, [][]transport.StreamOption{
 		{transport.WithManifest(man)},
-		{transport.WithManifest(man), transport.WithReceiver(transport.RecvPolicy{Workers: 2, QueueFrames: queue})},
+		{transport.WithManifest(man), transport.WithReceiver(transport.RecvPolicy{Workers: 2})},
 	})
 	defer ends[0].Close()
 	defer ends[1].Close()
@@ -171,7 +171,7 @@ func TestReceiverBackpressureStream(t *testing.T) {
 	var mu sync.Mutex
 	seq := make(map[transport.ObjID][]model.MsgID)
 	var slowDone, fastDone time.Time
-	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: 2, QueueFrames: queue}, func(f transport.Frame) error {
+	r := transport.NewReceiver(ends[1], transport.RecvPolicy{Workers: 2}, func(f transport.Frame) error {
 		if f.Obj == 0 {
 			time.Sleep(2 * time.Millisecond) // the slow apply
 		}
@@ -224,8 +224,9 @@ func TestReceiverBackpressureStream(t *testing.T) {
 			}
 		}
 	}
-	// Bounded memory: with 60 frames outstanding against a 4-frame queue, the
-	// high-water mark proves the dispatcher stalled instead of buffering.
+	// Bounded memory: with three queues' worth of frames outstanding per
+	// object, the high-water mark proves the dispatcher stalled instead of
+	// buffering.
 	for i, sh := range st.Shards {
 		if sh.MaxQueue > queue+1 {
 			t.Errorf("shard %d: max queue depth %d exceeds the bound %d — backpressure leaked", i, sh.MaxQueue, queue+1)
@@ -242,10 +243,10 @@ func TestReceiverBackpressureStream(t *testing.T) {
 // the identical sequence.
 func TestReceiverBackpressureMem(t *testing.T) {
 	run := func() ([]string, transport.RecvStats, int) {
-		const perObj = 20
+		const perObj = 2 * transport.RecvQueueFrames
 		m := transport.NewMem(2)
 		e0 := m.Endpoint(0)
-		e1 := m.Endpoint(1, transport.WithReceiver(transport.RecvPolicy{Workers: 4, QueueFrames: 4}))
+		e1 := m.Endpoint(1, transport.WithReceiver(transport.RecvPolicy{Workers: 4}))
 		for i := 0; i < perObj; i++ {
 			for o := transport.ObjID(0); o < 2; o++ {
 				f := transport.Frame{
@@ -260,7 +261,7 @@ func TestReceiverBackpressureMem(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var order []string
-		r := transport.NewReceiver(e1, transport.RecvPolicy{Workers: 4, QueueFrames: 4}, func(f transport.Frame) error {
+		r := transport.NewReceiver(e1, transport.RecvPolicy{Workers: 4}, func(f transport.Frame) error {
 			if f.Obj == 0 {
 				time.Sleep(time.Millisecond)
 			}
@@ -288,8 +289,8 @@ func TestReceiverBackpressureMem(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sh := range st.Shards {
-		if sh.MaxQueue > 4+1 {
-			t.Errorf("max queue depth %d exceeds the bound %d", sh.MaxQueue, 4+1)
+		if sh.MaxQueue > transport.RecvQueueFrames+1 {
+			t.Errorf("max queue depth %d exceeds the bound %d", sh.MaxQueue, transport.RecvQueueFrames+1)
 		}
 	}
 	order2, _, _ := run()
@@ -313,7 +314,7 @@ func TestNodePipelineMeshConverges(t *testing.T) {
 			transport.WithRecvTimeout(5 * time.Second),
 			transport.WithManifest(man),
 			transport.WithBatching(transport.BatchPolicy{MaxFrames: 4}),
-			transport.WithReceiver(transport.RecvPolicy{Workers: 3, QueueFrames: 8}),
+			transport.WithReceiver(transport.RecvPolicy{Workers: 3}),
 		}
 	}
 	ends := listenMesh(t, addrs, opts)

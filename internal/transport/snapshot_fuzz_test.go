@@ -84,12 +84,12 @@ func FuzzSnapshotInstall(f *testing.F) {
 		if err != nil && !errors.Is(err, codec.ErrCorrupt) {
 			t.Fatalf("rejection does not wrap codec.ErrCorrupt: %v", err)
 		}
-		if !p.CaughtUp() {
+		st := p.SnapshotStats()
+		if !st.Installed && !st.FellBack {
 			t.Fatal("catch-up unresolved after a response (neither install nor fallback)")
 		}
 		// A rejection resolved exactly one way: the pre-install fallback, or a
 		// post-install suffix frame whose payload the decoder refused.
-		st := p.SnapshotStats()
 		if err != nil && st.Installed == st.FellBack {
 			t.Fatalf("rejected response left inconsistent stats: %+v", st)
 		}

@@ -313,7 +313,7 @@ func TestSnapshotCatchUpOverMem(t *testing.T) {
 				}
 				if every > 0 {
 					total := server.Issued() + server.Applied()
-					if got := server.LogLen(); got >= total {
+					if got := server.SnapshotStats().LogRetained; got >= total {
 						t.Fatalf("retained log %d not bounded below the %d applied frames", got, total)
 					}
 					// Every leg acknowledges through per-origin watermarks
@@ -501,7 +501,7 @@ func TestSnapshotJoinerGapConverges(t *testing.T) {
 	}
 	deliver(1, server, 3) // node 1 serves without mid 1
 	deliver(2, joiner, 5) // and that response installs
-	if !joiner.CaughtUp() {
+	if !joiner.SnapshotStats().Installed {
 		t.Fatal("node 1's response did not install")
 	}
 	inc(origin) // mid 4
@@ -592,7 +592,7 @@ func TestSnapshotServingJoinerGap(t *testing.T) {
 	deliver(1, server, 3) // node 1 serves without mid 1: response mid 6
 	deliver(0, origin, 3) // node 0 serves mid 1: response mid 5, still in flight
 	deliver(2, joiner, 6)
-	if !joiner.CaughtUp() {
+	if !joiner.SnapshotStats().Installed {
 		t.Fatal("node 1's response did not install")
 	}
 	inc(origin, 9)
@@ -839,9 +839,6 @@ func TestSnapshotCorruptFallback(t *testing.T) {
 		if !st.FellBack || st.Installed || st.CorruptResponses != 1 {
 			t.Fatalf("stats %+v, want a recorded fallback", st)
 		}
-		if !joiner.CaughtUp() {
-			t.Fatal("fallback must resolve the catch-up")
-		}
 		// Full replay still converges: the server's broadcasts are queued.
 		for {
 			ok, err := jn.Step(false)
@@ -966,7 +963,7 @@ func TestInvokeRefusedWhileSyncing(t *testing.T) {
 	if _, err := p.Invoke(model.Op{Name: spec.OpInc}); err == nil {
 		t.Fatal("invoke during catch-up must refuse")
 	}
-	if p.CaughtUp() {
+	if st := p.SnapshotStats(); st.Installed || st.FellBack {
 		t.Fatal("catch-up cannot be resolved before a response")
 	}
 }

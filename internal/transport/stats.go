@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/model"
@@ -11,7 +14,6 @@ import (
 // one wire write per frame. A flush happens when any trigger fires:
 //
 //   - MaxFrames queued frames (≤1 disables batching: every frame flushes),
-//   - MaxBytes of pending nested envelopes (0 = no byte cap),
 //   - MaxDelay after the first frame of a pending batch was queued
 //     (0 = no timer; on the virtual-clock Mem transport the delay trigger
 //     does not apply and pending frames wait for a cap or explicit flush),
@@ -19,53 +21,36 @@ import (
 //     batch to the peers before hanging up, so no queued frame is lost).
 type BatchPolicy struct {
 	MaxFrames int
-	MaxBytes  int
 	MaxDelay  time.Duration
 }
 
 // normalized clamps the policy to its documented contract, which every
-// endpoint applies before use:
-//
-//   - MaxFrames < 1 (the zero value, or a nonsensical negative cap) becomes
-//     1: every frame flushes immediately, the unbatched default.
-//   - MaxBytes < 0 becomes 0: no byte cap. A negative cap is never a valid
-//     threshold, so it must not be distinguishable from "unset".
-//   - MaxDelay < 0 becomes 0: no flush timer, for the same reason.
-//
-// After normalization MaxFrames ≥ 1, MaxBytes ≥ 0, and MaxDelay ≥ 0 hold, so
-// downstream trigger checks may treat zero as "disabled" without re-guarding
-// against negatives.
+// endpoint applies before use: MaxFrames < 1 (the zero value, or a
+// nonsensical negative cap) becomes 1, so every frame flushes immediately,
+// the unbatched default; MaxDelay < 0 becomes 0, no flush timer, since a
+// negative delay must not be distinguishable from "unset".
 func (p BatchPolicy) normalized() BatchPolicy {
-	if p.MaxFrames < 1 {
-		p.MaxFrames = 1
-	}
-	if p.MaxBytes < 0 {
-		p.MaxBytes = 0
-	}
-	if p.MaxDelay < 0 {
-		p.MaxDelay = 0
-	}
+	p.MaxFrames = max(p.MaxFrames, 1)
+	p.MaxDelay = max(p.MaxDelay, 0)
 	return p
 }
 
 // FlushStats counts batch flushes by the trigger that fired them.
 type FlushStats struct {
-	// Frames: the frame cap; Bytes: the byte cap; Delay: the flush timer;
-	// Explicit: a Flush call; Close: the endpoint closing with frames
-	// pending.
-	Frames, Bytes, Delay, Explicit, Close int
+	// Frames: the frame cap; Delay: the flush timer; Explicit: a Flush call;
+	// Close: the endpoint closing with frames pending.
+	Frames, Delay, Explicit, Close int
 }
 
 // Total sums the flushes across triggers.
 func (f FlushStats) Total() int {
-	return f.Frames + f.Bytes + f.Delay + f.Explicit + f.Close
+	return f.Frames + f.Delay + f.Explicit + f.Close
 }
 
 // Flush triggers. trigClose doubles as the hangup drain: Close flushes the
 // pending batch before the connections go down.
 const (
 	trigFrames = iota
-	trigBytes
 	trigDelay
 	trigExplicit
 	trigClose
@@ -83,15 +68,25 @@ func (a PeerIO) add(b PeerIO) PeerIO {
 	return PeerIO{Frames: a.Frames + b.Frames, Batches: a.Batches + b.Batches, Bytes: a.Bytes + b.Bytes}
 }
 
-// ObjIO counts one endpoint's frame traffic for a single object. Only frames
+// ObjStats is one object's slice of an endpoint's ledger. Every counter
+// splits an endpoint total, and SchedBalance audits each split. Only frames
 // are split by object: batch containers and wire bytes are shared across the
 // objects coalesced into them and stay per-peer.
-type ObjIO struct {
+type ObjStats struct {
 	// SentFrames counts frame deliveries written (each broadcast frame once
-	// per peer it went to), RecvFrames the frames read. Summed over objects
-	// they equal the per-peer totals — the balance invariant noteSent and
-	// noteRecv maintain by construction.
+	// per peer it went to), RecvFrames the frames read: they split the
+	// per-peer Frames totals.
 	SentFrames, RecvFrames int
+	// Queued counts broadcasts accepted into the send queue (splitting
+	// FramesQueued), Drained the frames handed to wire containers, Depth the
+	// frames still pending, so Queued == Drained + Depth; MaxDepth is the
+	// high-water mark of Depth.
+	Queued, Drained, Depth, MaxDepth int
+	// CapFlushes counts frame-cap flushes tripped by this object's enqueue
+	// (splitting Flushes.Frames); DeadlineFlushes counts BatchPolicy.MaxDelay
+	// flushes of pending batches whose first frame was this object's
+	// (splitting Flushes.Delay).
+	CapFlushes, DeadlineFlushes int
 }
 
 // Stats is a snapshot of one endpoint's batching and IO counters: what the
@@ -109,34 +104,59 @@ type Stats struct {
 	// zero): Sent what this endpoint wrote to that peer, Recv what it read.
 	Sent []PeerIO
 	Recv []PeerIO
-	// Objects splits the frame counters by object ID (key 0 for a
-	// single-object group). Nil until the first frame moves.
-	Objects map[ObjID]ObjIO
-	// Sched is the per-object send-queue ledger: queue depths, drain counts
-	// and flush-trigger attribution. See SchedStats.
-	Sched SchedStats
+	// Objects is the per-object ledger, keyed by object ID (key 0 for a
+	// single-object group). Nil until the first frame is queued or moves.
+	Objects map[ObjID]ObjStats
 }
 
-// noteQueued records one broadcast accepted into obj's send queue.
-func (s *Stats) noteQueued(obj ObjID) {
+// The note helpers below are the ledger's only write paths. Each updates a
+// per-object split and the endpoint total it splits in the same call (on a
+// Stream, under its stats lock), so SchedBalance holds by construction.
+
+// setObj stores object id's ledger entry.
+func (s *Stats) setObj(id ObjID, o ObjStats) {
+	if s.Objects == nil {
+		s.Objects = map[ObjID]ObjStats{}
+	}
+	s.Objects[id] = o
+}
+
+// noteQueued records one broadcast accepted into the send queue.
+func (s *Stats) noteQueued(id ObjID) {
 	s.FramesQueued++
-	s.Sched.noteQueued(obj)
+	o := s.Objects[id]
+	o.Queued++
+	o.Depth++
+	o.MaxDepth = max(o.MaxDepth, o.Depth)
+	s.setObj(id, o)
+}
+
+// noteDrained records queued frames, of the listed objects, handed to a
+// wire container.
+func (s *Stats) noteDrained(objs []ObjID) {
+	for _, id := range objs {
+		o := s.Objects[id]
+		o.Drained++
+		o.Depth--
+		s.setObj(id, o)
+	}
 }
 
 // noteFlush counts one flush under its trigger, however many containers it
-// takes. A cap trigger is attributed to the object whose enqueue crossed the
+// takes. A cap trigger is credited to the object whose enqueue crossed the
 // cap, a delay trigger to the object whose frame armed the deadline.
 func (s *Stats) noteFlush(trigger int, cause ObjID) {
 	switch trigger {
 	case trigFrames:
 		s.Flushes.Frames++
-		s.Sched.noteCapFlush(cause)
-	case trigBytes:
-		s.Flushes.Bytes++
-		s.Sched.noteCapFlush(cause)
+		o := s.Objects[cause]
+		o.CapFlushes++
+		s.setObj(cause, o)
 	case trigDelay:
 		s.Flushes.Delay++
-		s.Sched.noteDeadlineFlush(cause)
+		o := s.Objects[cause]
+		o.DeadlineFlushes++
+		s.setObj(cause, o)
 	case trigExplicit:
 		s.Flushes.Explicit++
 	case trigClose:
@@ -145,21 +165,15 @@ func (s *Stats) noteFlush(trigger int, cause ObjID) {
 }
 
 // noteSent records one container write to peer carrying the listed frames'
-// objects: len(objs) frames, batches containers, wireBytes bytes. The
-// per-peer counters and the per-object split update in the same call — the
-// only write path either has — so sum-over-objects == per-peer totals can
-// never drift.
+// objects: len(objs) frames, batches containers, wireBytes bytes.
 func (s *Stats) noteSent(peer model.NodeID, batches, wireBytes int, objs []ObjID) {
 	s.Sent[peer].Frames += len(objs)
 	s.Sent[peer].Batches += batches
 	s.Sent[peer].Bytes += wireBytes
-	for _, o := range objs {
-		if s.Objects == nil {
-			s.Objects = map[ObjID]ObjIO{}
-		}
-		io := s.Objects[o]
-		io.SentFrames++
-		s.Objects[o] = io
+	for _, id := range objs {
+		o := s.Objects[id]
+		o.SentFrames++
+		s.setObj(id, o)
 	}
 }
 
@@ -168,13 +182,10 @@ func (s *Stats) noteRecv(peer model.NodeID, batches, wireBytes int, objs []ObjID
 	s.Recv[peer].Frames += len(objs)
 	s.Recv[peer].Batches += batches
 	s.Recv[peer].Bytes += wireBytes
-	for _, o := range objs {
-		if s.Objects == nil {
-			s.Objects = map[ObjID]ObjIO{}
-		}
-		io := s.Objects[o]
-		io.RecvFrames++
-		s.Objects[o] = io
+	for _, id := range objs {
+		o := s.Objects[id]
+		o.RecvFrames++
+		s.setObj(id, o)
 	}
 }
 
@@ -185,10 +196,10 @@ func (s *Stats) noteRecv(peer model.NodeID, batches, wireBytes int, objs []ObjID
 // container did cross the wire.
 func (s *Stats) noteRecvDropped(peer model.NodeID, objs []ObjID) {
 	s.Recv[peer].Frames -= len(objs)
-	for _, o := range objs {
-		io := s.Objects[o]
-		io.RecvFrames--
-		s.Objects[o] = io
+	for _, id := range objs {
+		o := s.Objects[id]
+		o.RecvFrames--
+		s.setObj(id, o)
 	}
 }
 
@@ -210,17 +221,46 @@ func (s Stats) TotalRecv() PeerIO {
 	return t
 }
 
+// SchedBalance audits every per-object split of the ledger against the
+// endpoint total it splits: Σ SentFrames and Σ RecvFrames against the
+// per-peer frame totals, Σ Queued against FramesQueued, Σ CapFlushes and
+// Σ DeadlineFlushes against Flushes.Frames and Flushes.Delay, and per object
+// Queued == Drained + Depth with Depth ≥ 0. The note helpers keep every split
+// by construction, so a non-nil return is an accounting bug.
+func (s Stats) SchedBalance() error {
+	var sum ObjStats
+	for id, o := range s.Objects {
+		if o.Depth < 0 || o.Queued != o.Drained+o.Depth {
+			return fmt.Errorf("transport: send-queue ledger for object %d out of balance: queued %d, drained %d, depth %d (want queued = drained + depth, depth ≥ 0)",
+				id, o.Queued, o.Drained, o.Depth)
+		}
+		sum.SentFrames += o.SentFrames
+		sum.RecvFrames += o.RecvFrames
+		sum.Queued += o.Queued
+		sum.CapFlushes += o.CapFlushes
+		sum.DeadlineFlushes += o.DeadlineFlushes
+	}
+	for _, c := range []struct {
+		split      string
+		sum, total int
+	}{
+		{"sent frames", sum.SentFrames, s.TotalSent().Frames},
+		{"received frames", sum.RecvFrames, s.TotalRecv().Frames},
+		{"queued frames", sum.Queued, s.FramesQueued},
+		{"cap flushes", sum.CapFlushes, s.Flushes.Frames},
+		{"deadline flushes", sum.DeadlineFlushes, s.Flushes.Delay},
+	} {
+		if c.sum != c.total {
+			return fmt.Errorf("transport: ledger out of balance: Σ_obj %s %d != endpoint total %d", c.split, c.sum, c.total)
+		}
+	}
+	return nil
+}
+
 // clone deep-copies the snapshot so callers can keep it across updates.
 func (s Stats) clone() Stats {
-	s.Sent = append([]PeerIO(nil), s.Sent...)
-	s.Recv = append([]PeerIO(nil), s.Recv...)
-	if s.Objects != nil {
-		objs := make(map[ObjID]ObjIO, len(s.Objects))
-		for k, v := range s.Objects {
-			objs[k] = v
-		}
-		s.Objects = objs
-	}
-	s.Sched = s.Sched.clone()
+	s.Sent = slices.Clone(s.Sent)
+	s.Recv = slices.Clone(s.Recv)
+	s.Objects = maps.Clone(s.Objects)
 	return s
 }

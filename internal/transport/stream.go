@@ -69,15 +69,14 @@ type Stream struct {
 	wg     sync.WaitGroup
 
 	// Receive queue: every receive loop decodes its containers into pooled
-	// buffers and pushes the zero-copy frames onto pframes, which recvPipe
-	// serves to Recv or to a Receiver's dispatcher; claimed marks the
-	// endpoint drained by a Receiver, after which Recv refuses. pframes holds
-	// 64 frames, the default depth of a shard queue: when it is full the
-	// receive loops block, the backpressure that reaches the sender. recvWG and
-	// recvsDone implement the close-drain handshake: recvPipe keeps consuming
-	// after Close until every receive loop has exited (each having handed over
-	// or retracted its in-flight batch), so the served frames match the wire
-	// ledger exactly and no frame is stranded in pframes.
+	// buffers and pushes the zero-copy frames onto pframes (bounded by
+	// recvQueueFrames), which recvPipe serves to Recv or to a Receiver's
+	// dispatcher; claimed marks the endpoint drained by a Receiver, after
+	// which Recv refuses. recvWG and recvsDone implement the close-drain
+	// handshake: recvPipe keeps consuming after Close until every receive
+	// loop has exited (each having handed over or retracted its in-flight
+	// batch), so the served frames match the wire ledger exactly and no frame
+	// is stranded in pframes.
 	pframes   chan pipeFrame
 	claimed   atomic.Bool
 	recvWG    sync.WaitGroup
@@ -240,7 +239,7 @@ func Listen(self model.NodeID, addrs []string, opts ...StreamOption) (*Stream, e
 		errs:           make(chan error, len(addrs)),
 		closed:         make(chan struct{}),
 		startupDone:    make(chan struct{}),
-		pframes:        make(chan pipeFrame, 64),
+		pframes:        make(chan pipeFrame, recvQueueFrames),
 		recvsDone:      make(chan struct{}),
 		hungCh:         make(chan struct{}, len(addrs)),
 	}
@@ -730,7 +729,7 @@ func (s *Stream) closedLocked() bool {
 }
 
 // Broadcast queues one frame for every peer, encoded into a wire container
-// when a policy trigger fires (frame cap, byte cap, the flush deadline, an
+// when a policy trigger fires (the frame cap, the flush deadline, an
 // explicit Flush, or Close). With the default policy the frame flushes
 // immediately, one container per frame.
 func (s *Stream) Broadcast(f Frame) error {
@@ -743,8 +742,8 @@ func (s *Stream) Broadcast(f Frame) error {
 	s.statsMu.Lock()
 	s.stats.noteQueued(f.Obj)
 	s.statsMu.Unlock()
-	if trigger, full := s.sq.capTrigger(s.policy); full {
-		return s.flushLocked(trigger, f.Obj)
+	if len(s.sq.items) >= s.policy.MaxFrames {
+		return s.flushLocked(trigFrames, f.Obj)
 	}
 	if s.policy.MaxDelay > 0 && s.flushTimer == nil {
 		s.armDeadlineLocked(f.Obj)
@@ -855,9 +854,7 @@ func (s *Stream) writeContainerLocked(items []sendItem) error {
 		s.statsMu.Unlock()
 	}
 	s.statsMu.Lock()
-	for _, it := range items {
-		s.stats.Sched.noteDrained(it.frame.Obj)
-	}
+	s.stats.noteDrained(objs)
 	s.statsMu.Unlock()
 	return firstErr
 }

@@ -104,8 +104,8 @@ func TestStreamMeshConverges(t *testing.T) {
 }
 
 // TestStreamMeshConvergesBatched reruns the unix mesh with a different batch
-// policy on every peer — a frame cap, a byte cap with a delay, and no
-// batching at all — and still demands byte-identical convergence: the
+// policy on every peer — an 8-frame cap, a 3-frame cap with a shorter delay,
+// and no batching at all — and still demands byte-identical convergence: the
 // batching layer is pure wire plumbing and must never change replication
 // semantics.
 func TestStreamMeshConvergesBatched(t *testing.T) {
@@ -118,7 +118,7 @@ func TestStreamMeshConvergesBatched(t *testing.T) {
 	addrs := unixAddrs(t, n)
 	policies := [n][]transport.StreamOption{
 		{transport.WithBatching(transport.BatchPolicy{MaxFrames: 8, MaxDelay: 5 * time.Millisecond})},
-		{transport.WithBatching(transport.BatchPolicy{MaxBytes: 256, MaxDelay: 2 * time.Millisecond})},
+		{transport.WithBatching(transport.BatchPolicy{MaxFrames: 3, MaxDelay: 2 * time.Millisecond})},
 		{}, // unbatched leg
 	}
 	results := make([][]byte, n)
@@ -417,30 +417,24 @@ const (
 )
 
 // helperBatchOpts turns the optional CRDT_STREAM_PEER_BATCH env value
-// ("maxFrames,maxBytes,maxDelay", e.g. "8,0,5ms") into stream options.
+// ("maxFrames,maxDelay", e.g. "8,5ms") into stream options.
 func helperBatchOpts(cfg string) ([]transport.StreamOption, error) {
 	if cfg == "" {
 		return nil, nil
 	}
 	parts := strings.Split(cfg, ",")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad batch config %q: want maxFrames,maxBytes,maxDelay", cfg)
+	if len(parts) != 2 {
+		return nil, fmt.Errorf("bad batch config %q: want maxFrames,maxDelay", cfg)
 	}
 	frames, err := strconv.Atoi(parts[0])
 	if err != nil {
 		return nil, fmt.Errorf("bad batch frame cap %q: %v", parts[0], err)
 	}
-	bytes, err := strconv.Atoi(parts[1])
+	delay, err := time.ParseDuration(parts[1])
 	if err != nil {
-		return nil, fmt.Errorf("bad batch byte cap %q: %v", parts[1], err)
+		return nil, fmt.Errorf("bad batch delay %q: %v", parts[1], err)
 	}
-	delay, err := time.ParseDuration(parts[2])
-	if err != nil {
-		return nil, fmt.Errorf("bad batch delay %q: %v", parts[2], err)
-	}
-	return []transport.StreamOption{transport.WithBatching(transport.BatchPolicy{
-		MaxFrames: frames, MaxBytes: bytes, MaxDelay: delay,
-	})}, nil
+	return []transport.StreamOption{transport.WithBatching(transport.BatchPolicy{MaxFrames: frames, MaxDelay: delay})}, nil
 }
 
 // TestStreamTwoProcessHelper is not a test on its own: re-executed as a
@@ -541,7 +535,7 @@ func TestStreamTwoOSProcessesConverge(t *testing.T) {
 	}
 	for _, leg := range []struct{ name, batch string }{
 		{"unbatched", ""},
-		{"batched", "8,0,5ms"},
+		{"batched", "8,5ms"},
 	} {
 		leg := leg
 		t.Run(leg.name, func(t *testing.T) {

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Socket-transport smoke: crdt-sim processes replicating over real unix and
 # tcp sockets — two- and three-process meshes, batching, late joiners with
-# snapshot catch-up, multiplexed objects and the receive pipeline. CI's
-# socket-smoke job and `make sockets` both run this script, so the two cannot
-# drift. Every step starts its processes, waits for them, prints their logs
-# and checks them; a failed check exits non-zero.
+# snapshot catch-up, multiplexed objects and the receive pipeline.
+# `make sockets` runs this script, and CI's socket-smoke job runs `make
+# sockets`, so the two cannot drift. Every step starts its processes, waits
+# for them, prints their logs and checks them; a failed check exits non-zero.
 #
 # Usage, from the repository root: bash scripts/socket-smoke.sh
 # The tcp steps listen on 127.0.0.1 ports 19701-19702 and 19711-19713.
