@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport transport-loc repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport bench-explore transport-loc repro examples fmt vet
 
 all: build vet test
 
@@ -83,12 +83,10 @@ fuzz:
 soak:
 	go test -run TestSoak ./internal/conformance/
 
-# Full benchmark sweep; also regenerates the checked-in machine-readable
-# explorer ablation (BENCH_explore.json) that the nightly CI job uploads.
+# Full benchmark sweep of the root package. It writes no checked-in file:
+# the explorer rows are gated by bench-explore against BENCH_explore.json.
 bench:
-	go test -bench=. -benchmem . > bench.out; status=$$?; cat bench.out; \
-	  [ $$status -eq 0 ] && go run ./cmd/bench-report -json -group ExploreParallel -out BENCH_explore.json < bench.out; \
-	  rm -f bench.out; exit $$status
+	go test -bench=. -benchmem .
 
 # Pipe benchmarks through the markdown renderer.
 bench-md:
@@ -115,6 +113,22 @@ bench-transport:
 	go run ./cmd/bench-report -json -group StreamThroughput -best -out bench-current.json -baseline BENCH_transport.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_transport.out; s1=$$?; \
 	go run ./cmd/bench-report -json -group PeerHandle -best -out bench-peer-current.json -baseline BENCH_peer.json -tolerance 0.25 -alloc-tolerance 0.34 -bytes-tolerance 0.5 < bench_transport.out; s2=$$?; \
 	rm -f bench_transport.out; [ $$s1 -eq 0 ] && [ $$s2 -eq 0 ]
+
+# Mirror of CI's explorer gate: BenchmarkExploreParallel's rows — the
+# sequential and parallel schedule explorers, which price Cluster.Clone and
+# Fingerprint on every expanded state, and the dedup-key ablation — run 3×
+# on one CPU, so the row names do not depend on the runner's core count,
+# collapsed to each case's fastest run and gated against the checked-in
+# BENCH_explore.json with the transport gate's tolerances (+25% ns/op, +34%
+# allocs/op). The output is bench-explore-current.json, not the baseline.
+# To re-record the baseline after an intentional change, rerun the benchmark
+# the same way and render it with `-worst -out BENCH_explore.json` (see
+# EXPERIMENTS.md).
+bench-explore:
+	go test -run '^$$' -bench 'BenchmarkExploreParallel' -cpu 1 -count 3 -benchmem . > bench_explore.out || { s=$$?; cat bench_explore.out; rm -f bench_explore.out; exit $$s; }
+	cat bench_explore.out
+	go run ./cmd/bench-report -json -group ExploreParallel -best -out bench-explore-current.json -baseline BENCH_explore.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_explore.out; s=$$?; \
+	rm -f bench_explore.out; exit $$s
 
 # One-command reproduction of every paper experiment.
 repro:
