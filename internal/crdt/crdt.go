@@ -19,11 +19,15 @@ import (
 )
 
 // State is a replica-local object state (the paper's LocalState). A state is
-// immutable to everyone but its owner: Effector.Apply returns a fresh state
-// and never mutates its argument, so traces, checkers and copy-on-write
-// clones may share states freely. The one exception is a caller that holds
-// the only reference to a state — a replica host that drops the old state
-// after every apply — which may hand it to ApplyOwned (see InPlace).
+// immutable to everyone but its owner: Effector.Apply never mutates its
+// argument and returns a fresh state sharing nothing mutable with it, so
+// traces, checkers and copy-on-write clones may share states freely. The
+// exception is a caller that holds the only reference to a state, which may
+// hand it to ApplyOwned (see InPlace). There are two such owners. A replica
+// host (transport.Peer) drops the old state after every apply and never
+// hands one out. A sim.Cluster owns each node's state until Clone shares it
+// or StateOf hands it out; its next apply at that node copies through Apply
+// and owns the fresh result.
 //
 // AppendBinary is the state's identity: it appends the canonical binary
 // encoding (package codec) to b and returns the extended slice. The encoding
@@ -61,7 +65,8 @@ type Effector interface {
 // the same result as Apply(s) but may mutate s and return it (or a value
 // sharing its maps), so s must be owned by the caller: no other state, trace,
 // checkpoint or clone may reach it, and only the returned state may be used
-// afterwards. The collection algorithms write each effector body once, here,
+// afterwards. A sim.Cluster whose state is shared by Clone or handed out by
+// StateOf copies it on its next apply instead. The collection algorithms write each effector body once, here,
 // and define Apply as ApplyInPlace on a copy. Callers go through ApplyOwned;
 // everything that shares states calls Apply.
 type InPlace interface {

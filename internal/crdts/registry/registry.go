@@ -28,7 +28,9 @@ import (
 // pool is a bag of candidate element values and fresh yields globally unique
 // new elements (for data types whose adds require uniqueness). The generated
 // operation may still be rejected by Prepare with ErrAssume; harnesses
-// resample in that case.
+// resample in that case. s is lent, not given: a harness may pass its own
+// replica state and mutate it in place afterwards, so a generator reads s
+// during the call only and keeps nothing that aliases it.
 type OpGen func(rng *rand.Rand, s crdt.State, abs crdt.Abstraction, pool []model.Value, fresh func() model.Value) model.Op
 
 // Algorithm bundles one implementation with everything the harnesses and the

@@ -35,11 +35,11 @@ type AddEff struct {
 	E model.Value
 }
 
-// Apply implements crdt.Effector: a copy of A, sharing R, which the effect
-// leaves alone.
+// Apply implements crdt.Effector: a copy of both sets, so the result shares
+// nothing with s (see crdt.State).
 func (d AddEff) Apply(s crdt.State) crdt.State {
 	st := s.(State)
-	return d.ApplyInPlace(State{A: st.A.Clone(), R: st.R})
+	return d.ApplyInPlace(State{A: st.A.Clone(), R: st.R.Clone()})
 }
 
 // ApplyInPlace implements crdt.InPlace.
@@ -56,11 +56,11 @@ type RmvEff struct {
 	E model.Value
 }
 
-// Apply implements crdt.Effector: a copy of R, sharing A, which the effect
-// leaves alone.
+// Apply implements crdt.Effector: a copy of both sets, so the result shares
+// nothing with s (see crdt.State).
 func (d RmvEff) Apply(s crdt.State) crdt.State {
 	st := s.(State)
-	return d.ApplyInPlace(State{A: st.A, R: st.R.Clone()})
+	return d.ApplyInPlace(State{A: st.A.Clone(), R: st.R.Clone()})
 }
 
 // ApplyInPlace implements crdt.InPlace.

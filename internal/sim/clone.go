@@ -1,17 +1,19 @@
 package sim
 
 import (
-	"sort"
+	"maps"
 
 	"repro/internal/codec"
 	"repro/internal/model"
+	"repro/internal/transport"
 )
 
 // Clone deep-copies the cluster so exhaustive explorers can branch. Replica
-// states, effectors and messages are immutable and therefore shared (the
-// transport replaces a partially consumed duplicate copy-on-write, so the
-// sharing stays safe). The link-fault RNG, when present, is shared too:
-// explorers operate on clean clusters, and chaos runs never branch.
+// states are shared, so both sides give up their ownership and copy on their
+// next apply at each node. Effectors and messages are immutable and shared
+// too (the transport replaces a partially consumed duplicate copy-on-write,
+// so the sharing stays safe). The link-fault RNG, when present, is shared
+// as well: explorers operate on clean clusters, and chaos runs never branch.
 func (c *Cluster) Clone() *Cluster {
 	cp := &Cluster{
 		obj: c.obj, causal: c.causal, nextMID: c.nextMID,
@@ -22,6 +24,8 @@ func (c *Cluster) Clone() *Cluster {
 		cp.linkBytes = append(cp.linkBytes, append([]int(nil), row...))
 	}
 	cp.states = append(cp.states, c.states...)
+	clear(c.owned)
+	cp.owned = make([]bool, len(c.owned))
 	cp.tr = append(cp.tr, c.tr...)
 	cp.down = append([]bool(nil), c.down...)
 	cp.msglog = append([]*message(nil), c.msglog...)
@@ -29,27 +33,21 @@ func (c *Cluster) Clone() *Cluster {
 	if c.snap != nil {
 		cp.snap = &snapshot{ck: c.snap.ck.Clone(), wire: c.snap.wire}
 	}
-	for _, a := range c.applied {
-		na := make(map[model.MsgID]bool, len(a))
-		for k := range a {
-			na[k] = true
-		}
-		cp.applied = append(cp.applied, na)
+	cp.applied = make([]transport.CausalContext, len(c.applied))
+	for t := range c.applied {
+		cp.applied[t] = c.applied[t].Clone()
 	}
-	for _, d := range c.dropped {
-		nd := make(map[model.MsgID]bool, len(d))
-		for k := range d {
-			nd[k] = true
-		}
-		cp.dropped = append(cp.dropped, nd)
+	cp.dropped = make([]map[model.MsgID]bool, len(c.dropped))
+	for t, d := range c.dropped {
+		cp.dropped[t] = maps.Clone(d)
 	}
 	return cp
 }
 
 // AppendBinary canonically renders the cluster's future-relevant state —
 // the virtual clock, each replica's state, crash flag, pending messages
-// (with their effectors, dependencies, remaining copies and arrival ticks)
-// and applied set — through the canonical codec. State and effector
+// (with their effectors, deps, remaining copies and arrival ticks)
+// and applied set (its causal context) — through the canonical codec. State and effector
 // encodings are length-prefixed so the stream parses unambiguously whatever
 // the algorithm, and every collection is emitted in sorted order, so equal
 // configurations produce byte-equal encodings. Message contents are
@@ -74,27 +72,11 @@ func (c *Cluster) AppendBinary(b []byte) []byte {
 			b = codec.AppendUvarint(b, uint64(mid))
 			scratch = msg.eff.AppendBinary(scratch[:0])
 			b = codec.AppendBytes(b, scratch)
-			deps := make([]int, 0, len(msg.deps))
-			for d := range msg.deps {
-				deps = append(deps, int(d))
-			}
-			sort.Ints(deps)
-			b = codec.AppendUvarint(b, uint64(len(deps)))
-			for _, d := range deps {
-				b = codec.AppendUvarint(b, uint64(d))
-			}
+			b = msg.deps.AppendBinary(b)
 			b = codec.AppendUvarint(b, uint64(q.Copies))
 			b = codec.AppendVarint(b, int64(q.ReadyAt))
 		}
-		app := make([]int, 0, len(c.applied[t]))
-		for mid := range c.applied[t] {
-			app = append(app, int(mid))
-		}
-		sort.Ints(app)
-		b = codec.AppendUvarint(b, uint64(len(app)))
-		for _, mid := range app {
-			b = codec.AppendUvarint(b, uint64(mid))
-		}
+		b = c.applied[t].AppendBinary(b)
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -100,4 +101,82 @@ func TestDropOtherDestinationUnaffected(t *testing.T) {
 	if err := c.Deliver(1, mid); !errors.Is(err, ErrAlreadyDropped) {
 		t.Fatalf("Deliver after drop = %v, want %v", err, ErrAlreadyDropped)
 	}
+}
+
+// TestCausalDrainAfterDrops: the paper's network may lose a message, and
+// under causal delivery everything downstream of a lost message waits at
+// that node forever. A final drain must stop at that quiescent state instead
+// of reporting broken dependency tracking, and the trace must still be
+// well-formed and convergent.
+func TestCausalDrainAfterDrops(t *testing.T) {
+	for _, alg := range []registry.Algorithm{registry.RWSet(), registry.AWSet()} {
+		alg := alg
+		t.Run(alg.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				w := Workload{
+					Object: alg.New(), Abs: alg.Abs, Gen: GenFunc(alg.GenOp),
+					Causal: true, DropProb: 0.2, FinalDrain: true,
+				}
+				tr := w.Run(seed).Trace()
+				if err := tr.CheckWellFormed(); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if err := core.CheckConvergenceFrom(tr, alg.New().Init(), alg.Abs); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+		})
+	}
+}
+
+// TestDeliverAllStopsOnlyAtLostDependencies: DeliverAll returns when every
+// queued message waits, directly or through another waiting message, on one
+// dropped at its destination, and still panics when a message waits on one
+// that was neither dropped nor queued there.
+func TestDeliverAllStopsOnlyAtLostDependencies(t *testing.T) {
+	add := func(c *Cluster, node model.NodeID, e string) model.MsgID {
+		t.Helper()
+		_, mid, err := c.Invoke(node, model.Op{Name: spec.OpAdd, Arg: model.Str(e)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mid
+	}
+	deliver := func(c *Cluster, dst model.NodeID, mid model.MsgID) {
+		t.Helper()
+		if err := c.Deliver(dst, mid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alg := registry.AWSet()
+	c := NewCluster(alg.New(), 3, WithCausalDelivery())
+	m1 := add(c, 0, "a")
+	if err := c.Drop(2, m1); err != nil {
+		t.Fatal(err)
+	}
+	deliver(c, 1, m1)
+	add(c, 1, "b")       // waits at node 2 on m1
+	m3 := add(c, 0, "c") // waits at node 2 on m1, its origin's previous broadcast
+	deliver(c, 1, m3)
+	add(c, 1, "d") // waits at node 2 on m2 and m3 only
+	c.DeliverAll()
+	if got := c.PendingTo(2); got != 3 || c.Pending() != 3 {
+		t.Fatalf("pending %d (node 2: %d), want node 2's 3 copies downstream of the lost m1", c.Pending(), got)
+	}
+	if _, ok := c.Converged(alg.Abs); ok {
+		t.Fatal("node 2 converged without the lost add")
+	}
+
+	// A message waiting on a broadcast that never reached its destination's
+	// queue, and was not dropped there either, is a tracking bug.
+	c = NewCluster(alg.New(), 2, WithCausalDelivery())
+	m1 = add(c, 0, "a")
+	c.net.Remove(1, m1)
+	add(c, 0, "b")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("DeliverAll returned on a dependency that was never dropped")
+		}
+	}()
+	c.DeliverAll()
 }

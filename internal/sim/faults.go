@@ -213,17 +213,18 @@ type FaultPlan struct {
 }
 
 // Horizon returns the tick by which every window has closed.
-func (p FaultPlan) Horizon() int {
+func (p FaultPlan) Horizon() int { return p.horizon(nil) }
+
+// horizon is Horizon without the partition windows closed marks.
+func (p FaultPlan) horizon(closed []bool) int {
 	h := 0
-	for _, w := range p.Partitions {
-		if w.To > h {
-			h = w.To
+	for i, w := range p.Partitions {
+		if i >= len(closed) || !closed[i] {
+			h = max(h, w.To)
 		}
 	}
 	for _, w := range p.Crashes {
-		if w.To > h {
-			h = w.To
-		}
+		h = max(h, w.To)
 	}
 	return h
 }
@@ -337,25 +338,11 @@ func (w Chaos) Run() (*ChaosReport, error) {
 	// closedEarly marks partition windows whose byte budget healed them
 	// before their scheduled end; they must not reopen.
 	closedEarly := make([]bool, len(w.Plan.Partitions))
-	// horizon is the tick by which every still-relevant window has closed. A
-	// partition window its byte budget closed early stops contributing, so a
-	// budget genuinely shortens the run; without budgets this equals the
-	// plan's static Horizon on every tick.
-	horizon := func() int {
-		h := 0
-		for i, pw := range w.Plan.Partitions {
-			if !closedEarly[i] && pw.To > h {
-				h = pw.To
-			}
-		}
-		for _, cw := range w.Plan.Crashes {
-			if cw.To > h {
-				h = cw.To
-			}
-		}
-		return h
-	}
-	for next < len(w.Script) || c.Now() < horizon() {
+	// The loop runs until every still-relevant window has closed. A partition
+	// window its byte budget closed early stops contributing, so a budget
+	// genuinely shortens the run; without budgets this is the plan's static
+	// Horizon on every tick.
+	for next < len(w.Script) || c.Now() < w.Plan.horizon(closedEarly) {
 		if c.Now() > maxTicks {
 			return nil, fmt.Errorf("sim: chaos run did not finish its script within %d ticks (%d/%d ops issued)",
 				maxTicks, next, len(w.Script))
@@ -461,24 +448,11 @@ func (w Chaos) Run() (*ChaosReport, error) {
 // past latency windows as needed (SyncInvokes mode; requires no partition or
 // crash blocking the node).
 func (c *Cluster) drainTo(dst model.NodeID, maxTicks int) error {
-	for c.PendingTo(dst) > 0 {
-		if c.Now() > maxTicks {
-			return fmt.Errorf("sim: draining node %s exceeded %d ticks", dst, maxTicks)
-		}
-		progress := false
-		for _, mid := range c.Deliverable(dst) {
-			if err := c.Deliver(dst, mid); err == nil {
-				progress = true
-			}
-		}
-		if progress {
-			continue
-		}
-		if next, ok := c.nextArrival(); ok && next > c.Now() {
-			c.net.AdvanceTo(next)
-			continue
-		}
+	if !c.drain(func() int { return c.PendingTo(dst) }, dst) {
 		return fmt.Errorf("sim: node %s cannot drain: %d copies blocked", dst, c.PendingTo(dst))
+	}
+	if c.Now() > maxTicks {
+		return fmt.Errorf("sim: draining node %s exceeded %d ticks", dst, maxTicks)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func GenScript(obj crdt.Object, abs crdt.Abstraction, gen GenFunc, nodes, ops in
 		t := model.NodeID(rng.Intn(nodes))
 		// Rejection-sample operations whose preconditions fail, as the
 		// randomized workloads do.
-		op := gen(rng, c.StateOf(t), abs, pool, fresh)
+		op := gen(rng, c.states[t], abs, pool, fresh)
 		if _, _, err := c.Invoke(t, op); err != nil {
 			if errors.Is(err, crdt.ErrAssume) {
 				continue

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -100,11 +101,4 @@ func (c *Cluster) Recover(t model.NodeID, fresh bool) error {
 func (c *Cluster) Down(t model.NodeID) bool { return c.down[t] }
 
 // anyDown reports whether any node is crashed.
-func (c *Cluster) anyDown() bool {
-	for _, d := range c.down {
-		if d {
-			return true
-		}
-	}
-	return false
-}
+func (c *Cluster) anyDown() bool { return slices.Contains(c.down, true) }

@@ -12,9 +12,12 @@
 //
 // Since the transport split, Cluster is a thin composition of layers:
 //
-//	replica layer      states, Prepare/Apply, the trace, the broadcast log
-//	                   and its snapshot checkpoints (snapshot.go)
-//	delivery layer     at-most-once dedup, causal gating, crash state
+//	replica layer      states, applied in place while the cluster owns them,
+//	                   Prepare, the trace, the broadcast log and its
+//	                   snapshot checkpoints (snapshot.go)
+//	delivery layer     one transport.CausalContext per node, the replica
+//	                   host's delivery rule: at-most-once dedup and causal
+//	                   gating on frontier deps; drops and crash state
 //	fault layer        seeded link perturbation and fault plans (faults.go,
 //	                   partition.go)
 //	transport layer    transport.Mem — per-destination frame queues over a
@@ -29,7 +32,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/crdt"
@@ -64,23 +69,34 @@ var (
 )
 
 // message is the delivery-layer view of one broadcast effector: the operation
-// it came from, the decoded effector, and the operations visible at the
-// origin when it was issued (its causal dependency set). It rides along each
-// queued transport copy as the opaque Item, and is what the broadcast log
-// stores.
+// it came from, the decoded effector, and its origin's causal context when
+// it was issued (deps: the effectors applied there). Under causal delivery
+// that context has no gaps, so it is the origin's frontier, at most one mid
+// per origin, and the deps test reads only that (CausalContext.Covers). It
+// rides along each queued transport copy as the opaque Item, and is what the
+// broadcast log stores.
 type message struct {
 	mid  model.MsgID
 	from model.NodeID
 	op   model.Op
 	eff  crdt.Effector
-	deps map[model.MsgID]bool
+	deps transport.CausalContext
 }
+
+// pred returns m's own-origin predecessor: its origin's previous broadcast,
+// the highest own mid in deps (0 for its first).
+func (m *message) pred() model.MsgID { return m.deps.Front(int(m.from)) }
 
 // Cluster is a simulated replicated system running one CRDT object.
 type Cluster struct {
 	// --- replica layer ---
-	obj     crdt.Object
-	states  []crdt.State
+	obj    crdt.Object
+	states []crdt.State
+	// owned[t] reports that no clone, caller or checkpoint can reach
+	// states[t], so apply may mutate it (crdt.ApplyOwned). Clone and StateOf
+	// clear it; the next apply copies through the pure Apply and owns the
+	// result.
+	owned   []bool
 	tr      trace.Trace
 	nextMID model.MsgID
 	// msglog is the durable broadcast log, in MsgID (hence happens-before
@@ -91,8 +107,8 @@ type Cluster struct {
 
 	// --- delivery layer ---
 	causal  bool
-	applied []map[model.MsgID]bool // effectors applied per node
-	dropped []map[model.MsgID]bool // messages discarded per node (Drop)
+	applied []transport.CausalContext // effectors applied per node
+	dropped []map[model.MsgID]bool    // messages discarded per node (Drop); nil until the first
 	// down marks crashed nodes: they accept no invocations and no
 	// deliveries until Recover (messages stay queued in the network).
 	down []bool
@@ -170,9 +186,10 @@ func NewCluster(obj crdt.Object, n int, opts ...Option) *Cluster {
 	c := &Cluster{obj: obj, nextMID: 1, net: transport.NewMem(n)}
 	for i := 0; i < n; i++ {
 		c.states = append(c.states, obj.Init())
-		c.applied = append(c.applied, map[model.MsgID]bool{})
-		c.dropped = append(c.dropped, map[model.MsgID]bool{})
+		c.applied = append(c.applied, transport.NewCausalContext(n))
+		c.owned = append(c.owned, true)
 	}
+	c.dropped = make([]map[model.MsgID]bool, n)
 	c.down = make([]bool, n)
 	for _, o := range opts {
 		o(c)
@@ -186,8 +203,22 @@ func (c *Cluster) N() int { return len(c.states) }
 // Object returns the CRDT implementation the cluster runs.
 func (c *Cluster) Object() crdt.Object { return c.obj }
 
-// StateOf returns the current replica state of a node.
-func (c *Cluster) StateOf(t model.NodeID) crdt.State { return c.states[t] }
+// StateOf returns the current replica state of a node. The caller may keep
+// it: the cluster gives up ownership, so its next apply at t copies.
+func (c *Cluster) StateOf(t model.NodeID) crdt.State {
+	c.owned[t] = false
+	return c.states[t]
+}
+
+// apply applies eff to node t's replica: in place while the cluster owns the
+// state, otherwise through the pure Apply, whose fresh result it then owns.
+func (c *Cluster) apply(t model.NodeID, eff crdt.Effector) {
+	if c.owned[t] {
+		c.states[t] = crdt.ApplyOwned(eff, c.states[t])
+		return
+	}
+	c.states[t], c.owned[t] = eff.Apply(c.states[t]), true
+}
 
 // Now returns the virtual-clock tick latency windows are measured against.
 func (c *Cluster) Now() int { return c.net.Now() }
@@ -200,11 +231,7 @@ func (c *Cluster) Tick() { c.net.Tick() }
 func (c *Cluster) FaultStats() FaultStats { return c.stats }
 
 // Trace returns a copy of the execution trace so far.
-func (c *Cluster) Trace() trace.Trace {
-	out := make(trace.Trace, len(c.tr))
-	copy(out, c.tr)
-	return out
-}
+func (c *Cluster) Trace() trace.Trace { return slices.Clone(c.tr) }
 
 // Invoke issues op at node t: the first phase (Prepare) runs over the local
 // replica, the effector is applied at t immediately and atomically, the
@@ -237,20 +264,16 @@ func (c *Cluster) Invoke(t model.NodeID, op model.Op) (model.Value, model.MsgID,
 		}
 	}
 	c.nextMID++
-	deps := make(map[model.MsgID]bool, len(c.applied[t]))
-	for m := range c.applied[t] {
-		deps[m] = true
-	}
-	c.states[t] = eff.Apply(c.states[t])
 	c.tr = append(c.tr, trace.Event{
 		MID: mid, Node: t, Origin: t, Op: op, Ret: ret, Eff: eff, IsOrigin: true,
 	})
 	if !crdt.IsIdentity(eff) {
-		// Identity effectors are never broadcast, so they must not enter
-		// anyone's causal dependency set either — they could never be
-		// satisfied at a remote node.
-		c.applied[t][mid] = true
-		m := &message{mid: mid, from: t, op: op, eff: eff, deps: deps}
+		// Identity effectors change no state and are never broadcast, so
+		// they must not enter anyone's causal context either — they could
+		// never be applied at a remote node.
+		c.apply(t, eff)
+		m := &message{mid: mid, from: t, op: op, eff: eff, deps: c.applied[t].Clone()}
+		c.applied[t].MarkApplied(int(t), mid, m.pred())
 		c.appendLog(m)
 		for dst := range c.states {
 			if model.NodeID(dst) == t {
@@ -281,15 +304,7 @@ func (c *Cluster) deliverable(dst model.NodeID, q *transport.Queued) bool {
 	if c.down[dst] || !c.net.Ready(dst, q) {
 		return false
 	}
-	if !c.causal {
-		return true
-	}
-	for dep := range q.Item.(*message).deps {
-		if !c.applied[dst][dep] {
-			return false
-		}
-	}
-	return true
+	return !c.causal || c.applied[dst].Covers(&q.Item.(*message).deps)
 }
 
 // Deliverable returns the request IDs currently deliverable to dst, sorted.
@@ -306,13 +321,25 @@ func (c *Cluster) Deliverable(dst model.NodeID) []model.MsgID {
 // missing classifies why mid is not in dst's queue.
 func (c *Cluster) missing(verb string, dst model.NodeID, mid model.MsgID) error {
 	switch {
-	case c.applied[dst][mid]:
+	case c.delivered(dst, mid):
 		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrAlreadyDelivered)
 	case c.dropped[dst][mid]:
 		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrAlreadyDropped)
 	default:
 		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrUnknownMessage)
 	}
+}
+
+// delivered reports whether the broadcast mid has been applied at dst: the
+// trace holds its origin or delivery event there. An error path, so it scans
+// the trace rather than asking dst's context, which needs mid's origin.
+func (c *Cluster) delivered(dst model.NodeID, mid model.MsgID) bool {
+	for i := len(c.tr) - 1; i >= 0; i-- {
+		if e := c.tr[i]; e.MID == mid && e.Node == dst && !e.IsQuery() {
+			return true
+		}
+	}
+	return false
 }
 
 // Deliver consumes one queued copy of message mid at node dst. The first
@@ -340,17 +367,13 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 		return fmt.Errorf("sim: deliver %s to %s: %w (arrives at tick %d, now %d)",
 			mid, dst, ErrInTransit, q.ReadyAt, c.net.Now())
 	}
-	if c.causal {
-		for dep := range msg.deps {
-			if !c.applied[dst][dep] {
-				return fmt.Errorf("sim: deliver %s to %s: %w", mid, dst, ErrCausalOrder)
-			}
-		}
+	if c.causal && !c.applied[dst].Covers(&msg.deps) {
+		return fmt.Errorf("sim: deliver %s to %s: %w", mid, dst, ErrCausalOrder)
 	}
 	// Consume one network copy (the transport replaces partially consumed
 	// duplicates copy-on-write, so Clones stay unaffected).
 	c.net.Take(dst, mid)
-	if c.applied[dst][mid] {
+	if c.applied[dst].Applied(int(msg.from), mid) {
 		// At-most-once: a duplicated copy arrives after the effector was
 		// applied; suppress it without reapplying or recording an event.
 		// Duplicates are deduplicated by request ID at the delivery layer,
@@ -383,8 +406,8 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 			return fmt.Errorf("sim: deliver %s to %s: %w: %v", mid, dst, ErrCorruptPayload, derr)
 		}
 	}
-	c.states[dst] = eff.Apply(c.states[dst])
-	c.applied[dst][mid] = true
+	c.apply(dst, eff)
+	c.applied[dst].MarkApplied(int(msg.from), mid, msg.pred())
 	c.tr = append(c.tr, trace.Event{
 		MID: mid, Node: dst, Origin: msg.from, Op: msg.op, Eff: eff, IsOrigin: false,
 	})
@@ -415,6 +438,9 @@ func (c *Cluster) Drop(dst model.NodeID, mid model.MsgID) error {
 	}
 	if !c.net.Remove(dst, mid) {
 		return c.missing("drop", dst, mid)
+	}
+	if c.dropped[dst] == nil {
+		c.dropped[dst] = map[model.MsgID]bool{}
 	}
 	c.dropped[dst][mid] = true
 	return nil
@@ -463,31 +489,67 @@ func (c *Cluster) nextArrival() (int, bool) {
 // DeliverAll drains every in-flight message copy (in causal mode, repeatedly
 // delivering whatever is deliverable until quiescent), advancing the virtual
 // clock past latency windows as needed. Messages blocked by a partition or a
-// crashed node legitimately wait for Heal/Recover; anything else left
-// undeliverable indicates a dependency-tracking bug and panics.
+// crashed node legitimately wait for Heal/Recover, and so, under causal
+// delivery, do messages that depend on one dropped at their destination
+// (see lost): they wait forever. Anything else left undeliverable indicates
+// a dependency-tracking bug and panics.
 func (c *Cluster) DeliverAll() {
-	for c.Pending() > 0 {
+	all := make([]model.NodeID, c.N())
+	for t := range all {
+		all[t] = model.NodeID(t)
+	}
+	if !c.drain(c.Pending, all...) && !c.Partitioned() && !c.anyDown() && !c.lost() {
+		panic("sim: undeliverable messages remain (broken causal dependencies)")
+	}
+}
+
+// drain delivers whatever is deliverable to dsts, in node order, until
+// pending reports nothing left. Copies still inside a latency window become
+// deliverable once the clock reaches their arrival tick, so when nothing can
+// move it jumps there and retries. It reports false when the copies left are
+// blocked.
+func (c *Cluster) drain(pending func() int, dsts ...model.NodeID) bool {
+	for pending() > 0 {
 		progress := false
-		for dst := 0; dst < c.N(); dst++ {
-			for _, mid := range c.Deliverable(model.NodeID(dst)) {
-				if err := c.Deliver(model.NodeID(dst), mid); err == nil {
-					progress = true
-				}
+		for _, dst := range dsts {
+			for _, mid := range c.Deliverable(dst) {
+				progress = c.Deliver(dst, mid) == nil || progress
 			}
 		}
 		if !progress {
-			// Copies still inside a latency window become deliverable once
-			// the clock reaches their arrival tick: jump there and retry.
-			if next, ok := c.nextArrival(); ok && next > c.net.Now() {
-				c.net.AdvanceTo(next)
-				continue
+			next, ok := c.nextArrival()
+			if !ok || next <= c.Now() {
+				return false
 			}
-			if c.Partitioned() || c.anyDown() {
-				return // blocked messages legitimately wait for Heal/Recover
-			}
-			panic("sim: undeliverable messages remain (broken causal dependencies)")
+			c.net.AdvanceTo(next)
 		}
 	}
+	return true
+}
+
+// lost reports whether every queued message is blocked, directly or through
+// other blocked messages, on a dependency dropped at its destination. The
+// paper's network may lose a message, and causal delivery then holds back
+// everything downstream of it at that node: a quiescent state, not a
+// tracking bug. A message's deps are older than it, so one pass in mid
+// order decides every queued message after its deps.
+func (c *Cluster) lost() bool {
+	for dst := range c.states {
+		stuck := maps.Clone(c.dropped[dst])
+		for _, mid := range c.net.Mids(model.NodeID(dst)) {
+			q, _ := c.net.Get(model.NodeID(dst), mid)
+			blocked := false
+			for o := range c.states {
+				d := q.Item.(*message).deps.Front(o)
+				blocked = blocked || stuck[d] && !c.applied[dst].Applied(o, d)
+			}
+			if !blocked {
+				return false
+			}
+			stuck[mid] = true
+		}
+	}
+	return true
 }
 
 // Converged reports whether all replicas map to the same abstract state

@@ -99,31 +99,19 @@ func (c *Cluster) tickCheckpoint() {
 // truncates the log up to it. A frontier that has not moved since the last
 // checkpoint leaves everything unchanged (and uncounted).
 func (c *Cluster) checkpoint() {
-	// The stable frontier: broadcasts applied by every node. Intersecting
-	// the applied sets starting from the smallest keeps this cheap.
-	smallest := 0
-	for t := range c.applied {
-		if len(c.applied[t]) < len(c.applied[smallest]) {
-			smallest = t
-		}
-	}
-	var fresh []model.MsgID
-	for mid := range c.applied[smallest] {
-		if c.snap != nil && c.snap.ck.Covered[mid] {
-			continue
-		}
+	// The stable frontier: broadcasts applied by every node. Every broadcast
+	// not yet covered is still in the retained log, so that is all to test.
+	stable := map[model.MsgID]crdt.Effector{}
+	for _, m := range c.msglog {
 		everywhere := true
 		for t := range c.applied {
-			if t != smallest && !c.applied[t][mid] {
-				everywhere = false
-				break
-			}
+			everywhere = everywhere && c.applied[t].Applied(int(m.from), m.mid)
 		}
 		if everywhere {
-			fresh = append(fresh, mid)
+			stable[m.mid] = m.eff
 		}
 	}
-	if len(fresh) == 0 {
+	if len(stable) == 0 {
 		return
 	}
 	if c.snap == nil {
@@ -131,21 +119,8 @@ func (c *Cluster) checkpoint() {
 	}
 	// Fold the newly stable broadcasts into the shadow replica (the shared
 	// transport.Checkpoint applies them in MsgID order — consistent with
-	// happens-before, hence a legal schedule). Every one of them is still in
-	// the retained log: only covered entries get truncated.
-	byMID := make(map[model.MsgID]*message, len(c.msglog))
-	for _, m := range c.msglog {
-		byMID[m.mid] = m
-	}
-	if err := c.snap.ck.Advance(fresh, func(mid model.MsgID) (crdt.Effector, bool) {
-		m, ok := byMID[mid]
-		if !ok {
-			return nil, false
-		}
-		return m.eff, true
-	}); err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
+	// happens-before, hence a legal schedule).
+	c.snap.ck.Advance(stable)
 	c.snap.wire = codec.AppendFrame(nil, c.snap.ck.State.AppendBinary(nil))
 	retained := c.msglog[:0]
 	truncated := 0
@@ -221,38 +196,28 @@ func (c *Cluster) resyncFresh(t model.NodeID) error {
 		if err != nil {
 			return fmt.Errorf("sim: resync %s: snapshot does not decode with the registered state decoder: %v", t, err)
 		}
-		// The snapshot covers exactly the checkpoint's covered set, all of which node t had
-		// applied before the crash (covered ⊆ every applied set — the
-		// truncation invariant). Replace the state and re-apply the whole
-		// retained suffix: entries t had applied are part of neither the
-		// snapshot nor the replaced state, but their trace events already
+		// The snapshot covers exactly the checkpoint's covered set, all of
+		// which node t had applied before the crash (covered ⊆ every applied
+		// set — the truncation invariant). Replace the state and re-apply the
+		// whole retained suffix: entries t had applied are part of neither
+		// the snapshot nor the replaced state, but their trace events already
 		// exist, so only previously unapplied ones get new events.
-		c.states[t] = st
+		c.states[t], c.owned[t] = st, true
 		note.FromSnapshot = true
 		note.SnapshotBytes = len(c.snap.wire)
 		c.stats.SnapshotResyncs++
-		for _, m := range c.msglog {
-			c.states[t] = m.eff.Apply(c.states[t])
-			note.Replayed++
-			if c.applied[t][m.mid] {
-				continue
-			}
-			c.applied[t][m.mid] = true
-			note.NewEvents++
-			c.tr = append(c.tr, trace.Event{
-				MID: m.mid, Node: t, Origin: m.from, Op: m.op, Eff: m.eff, IsOrigin: false,
-			})
-		}
-		c.recov = append(c.recov, note)
-		return nil
 	}
 	for _, m := range c.msglog {
-		if c.applied[t][m.mid] {
-			continue // already applied (or its own origin)
+		had := c.applied[t].Applied(int(m.from), m.mid) // before the crash, or its own
+		if had && !note.FromSnapshot {
+			continue
 		}
-		c.states[t] = m.eff.Apply(c.states[t])
-		c.applied[t][m.mid] = true
+		c.apply(t, m.eff)
 		note.Replayed++
+		if had {
+			continue
+		}
+		c.applied[t].MarkApplied(int(m.from), m.mid, m.pred())
 		note.NewEvents++
 		c.tr = append(c.tr, trace.Event{
 			MID: m.mid, Node: t, Origin: m.from, Op: m.op, Eff: m.eff, IsOrigin: false,

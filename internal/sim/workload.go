@@ -10,7 +10,9 @@ import (
 )
 
 // GenFunc generates a random operation plausibly applicable at replica state
-// s; see registry.OpGen, which has the identical signature.
+// s; see registry.OpGen, which has the identical signature. The state is
+// lent, not given: it is the replica's own, which the cluster may mutate in
+// place after the call, so the generator must neither modify it nor keep it.
 type GenFunc func(rng *rand.Rand, s crdt.State, abs crdt.Abstraction, pool []model.Value, fresh func() model.Value) model.Op
 
 // Workload describes a randomized cluster run.
@@ -26,9 +28,11 @@ type Workload struct {
 	// DeliverBias is the probability of preferring a delivery over an
 	// invocation when both are possible (default 0.5).
 	DeliverBias float64
-	// DropProb is the probability that an issued effector is dropped for a
-	// given destination instead of being queued (default 0). Not compatible
-	// with FinalDrain deadlocking: drops happen before queuing.
+	// DropProb is the probability that an issued effector is lost on its
+	// way to a given destination: it is dropped there right after the
+	// broadcast and never delivered (default 0). Under causal delivery
+	// everything that depends on it waits at that destination forever, and
+	// FinalDrain stops at that quiescent state.
 	DropProb float64
 	// Link, when active, applies seeded link faults (loss-with-retransmit,
 	// bounded duplication, reorder delays) to every broadcast copy; the
@@ -89,7 +93,7 @@ func (w Workload) Run(seed int64) *Cluster {
 		// Rejection-sample operations whose preconditions fail.
 		issued := false
 		for try := 0; try < 8; try++ {
-			op := w.Gen(rng, c.StateOf(t), w.Abs, pool, fresh)
+			op := w.Gen(rng, c.states[t], w.Abs, pool, fresh)
 			_, mid, err := c.Invoke(t, op)
 			if err == nil {
 				issued = true

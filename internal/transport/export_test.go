@@ -9,5 +9,5 @@ const RecvQueueFrames = recvQueueFrames
 func PeerGaps(p *Peer) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.gaps)
+	return len(p.cc.gaps)
 }

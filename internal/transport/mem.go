@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/model"
@@ -247,11 +248,7 @@ func (m *Mem) Clone() *Mem {
 	cp := &Mem{n: m.n, now: m.now}
 	cp.partition = append([]int(nil), m.partition...)
 	for _, box := range m.inbox {
-		nb := make(map[memKey]*Queued, len(box))
-		for k, v := range box {
-			nb[k] = v
-		}
-		cp.inbox = append(cp.inbox, nb)
+		cp.inbox = append(cp.inbox, maps.Clone(box))
 	}
 	return cp
 }

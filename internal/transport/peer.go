@@ -46,15 +46,9 @@ type Peer struct {
 
 	// state is owned: applied in place (crdt.ApplyOwned), never handed out.
 	state crdt.State
-	// The applied set, bounded by the frontier rather than the history:
-	// every origin-o effector up to base[o] is applied, and gaps maps each
-	// mid applied above its origin's base to its own-origin predecessor —
-	// empty except on a catch-up joiner with an open gap (DESIGN.md, "Causal
-	// frontier deps"). front[o] is the highest origin-o mid applied (0 for
-	// none), base[o] unless a gap is open: the frontier frames with deps carry.
-	base  []model.MsgID
-	gaps  map[model.MsgID]model.MsgID
-	front []model.MsgID
+	// cc is the applied set. Its gaps stay empty except on a catch-up joiner
+	// with an open gap (DESIGN.md, "Causal frontier deps").
+	cc CausalContext
 	// held buffers effector frames whose dependencies are not yet applied
 	// (causal delivery only).
 	held map[model.MsgID]Frame
@@ -128,9 +122,7 @@ func NewPeer(obj crdt.Object, dec crdt.EffectorDecoder, t Transport, causal bool
 	p := &Peer{
 		t: t, obj: obj, dec: dec, causal: causal,
 		state: obj.Init(),
-		base:  make([]model.MsgID, t.N()),
-		gaps:  map[model.MsgID]model.MsgID{},
-		front: make([]model.MsgID, t.N()),
+		cc:    NewCausalContext(t.N()),
 		held:  map[model.MsgID]Frame{},
 		done:  map[model.NodeID]int{},
 	}
@@ -199,10 +191,7 @@ func (p *Peer) raise(w []model.MsgID, mid model.MsgID) {
 }
 
 // applied reports whether the effector mid has been applied here.
-func (p *Peer) applied(mid model.MsgID) bool {
-	_, gap := p.gaps[mid]
-	return gap || mid > 0 && mid <= p.base[p.origin(mid)]
-}
+func (p *Peer) applied(mid model.MsgID) bool { return p.cc.Applied(p.origin(mid), mid) }
 
 // pred returns f's own-origin predecessor: its largest dep from its own
 // origin below its mid, which every frame that carries deps names. 0 means f
@@ -216,28 +205,6 @@ func (p *Peer) pred(f Frame) model.MsgID {
 		}
 	}
 	return pr
-}
-
-// markApplied records the effector mid, with own-origin predecessor pred, as
-// applied. If pred is within its origin's base, mid extends the base and each
-// gap entry that then chains on is absorbed; otherwise mid waits in gaps.
-// Non-positive mids name no origin and are ignored, as observe ignores them.
-func (p *Peer) markApplied(mid, pred model.MsgID) {
-	if mid <= 0 {
-		return
-	}
-	p.raise(p.front, mid)
-	if pred > p.base[p.origin(mid)] {
-		p.gaps[mid] = pred
-		return
-	}
-	p.raise(p.base, mid)
-	for m, q := range p.gaps {
-		if q <= p.base[p.origin(m)] {
-			delete(p.gaps, m)
-			p.markApplied(m, q)
-		}
-	}
 }
 
 // Invoke runs op's two-phase execution at this replica: Prepare over the
@@ -267,7 +234,7 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 	}
 	f := Frame{Kind: KindEffector, Obj: p.objID, MID: mid, From: p.t.Self(), Payload: payload, Deps: p.wireDeps()}
 	p.state = crdt.ApplyOwned(eff, p.state)
-	p.markApplied(mid, p.pred(f))
+	p.cc.MarkApplied(int(p.t.Self()), mid, p.pred(f))
 	p.issued++
 	if p.snapServe {
 		p.log = append(p.log, f)
@@ -287,21 +254,9 @@ func (p *Peer) Invoke(op model.Op) (model.Value, error) {
 // gates, so serving peers and catch-up joiners always attach them.
 func (p *Peer) wireDeps() []model.MsgID {
 	if p.causal || p.snapServe || p.catchUp {
-		return p.frontier()
+		return p.cc.Frontier()
 	}
 	return nil
-}
-
-// frontier returns the causal frontier as a sorted dependency list.
-func (p *Peer) frontier() []model.MsgID {
-	deps := make([]model.MsgID, 0, len(p.front))
-	for _, mid := range p.front {
-		if mid != 0 {
-			deps = append(deps, mid)
-		}
-	}
-	slices.Sort(deps)
-	return deps
 }
 
 // Done announces that this peer has finished issuing operations, carrying
@@ -382,7 +337,7 @@ func (p *Peer) handleEffector(f Frame) error {
 	if p.applied(f.MID) {
 		return nil // at-most-once: duplicate suppressed
 	}
-	if p.syncing || (p.causal && !p.depsMet(f)) {
+	if p.syncing || (p.causal && !p.cc.DepsMet(f.Deps, p.origin)) {
 		// The frame is stored past this handler call, so it must own its
 		// payload bytes — under a Receiver they alias a pooled receive
 		// buffer that is reclaimed once the handler returns.
@@ -425,16 +380,6 @@ func (p *Peer) acked(q model.NodeID, mid model.MsgID) bool {
 	return w != nil && mid > 0 && mid <= w[p.origin(mid)]
 }
 
-// depsMet reports whether every causal dependency of f has been applied.
-func (p *Peer) depsMet(f Frame) bool {
-	for _, d := range f.Deps {
-		if !p.applied(d) {
-			return false
-		}
-	}
-	return true
-}
-
 // apply decodes and applies one effector frame, retaining it in the
 // compaction log when the snapshot layer is on.
 func (p *Peer) apply(f Frame) error {
@@ -443,7 +388,7 @@ func (p *Peer) apply(f Frame) error {
 		return fmt.Errorf("transport: frame %s from %s: %w", f.MID, f.From, err)
 	}
 	p.state = crdt.ApplyOwned(eff, p.state)
-	p.markApplied(f.MID, p.pred(f))
+	p.cc.MarkApplied(p.origin(f.MID), f.MID, p.pred(f))
 	p.remote++
 	if p.snapServe {
 		// The compaction log outlives the handler call: detach the payload
@@ -480,7 +425,7 @@ func (p *Peer) retryHeld() error {
 				delete(p.held, mid)
 				continue
 			}
-			if p.causal && !p.depsMet(f) {
+			if p.causal && !p.cc.DepsMet(f.Deps, p.origin) {
 				continue
 			}
 			delete(p.held, mid)
@@ -614,7 +559,7 @@ func (p *Peer) handleSnapshot(f Frame) error {
 			if !p.applied(mid) {
 				// A served Covered list is a per-origin prefix (compact), so
 				// the install raises the base over it.
-				p.markApplied(mid, 0)
+				p.cc.MarkApplied(p.origin(mid), mid, 0)
 				p.remote++
 				p.snapStats.InstallCovered++
 			}
@@ -691,16 +636,20 @@ func (p *Peer) compact() error {
 		return nil
 	}
 	peers := p.t.ConnectedPeers()
-	var stable []model.MsgID
+	stable := map[model.MsgID]crdt.Effector{}
 	for _, f := range p.log {
-		fold := f.MID > 0 && f.MID <= p.base[p.origin(f.MID)]
+		fold := f.MID > 0 && f.MID <= p.cc.base[p.origin(f.MID)]
 		for _, q := range peers {
 			if fold && q != p.t.Self() {
 				fold = p.acked(q, f.MID)
 			}
 		}
 		if fold {
-			stable = append(stable, f.MID)
+			eff, err := p.dec(f.Payload)
+			if err != nil {
+				return fmt.Errorf("transport: retained frame %s: %w", f.MID, err)
+			}
+			stable[f.MID] = eff
 		}
 	}
 	if len(stable) == 0 {
@@ -709,23 +658,7 @@ func (p *Peer) compact() error {
 	if p.ck == nil {
 		p.ck = NewCheckpoint(p.obj.Init())
 	}
-	byMID := make(map[model.MsgID]Frame, len(p.log))
-	for _, f := range p.log {
-		byMID[f.MID] = f
-	}
-	if err := p.ck.Advance(stable, func(mid model.MsgID) (crdt.Effector, bool) {
-		f, ok := byMID[mid]
-		if !ok {
-			return nil, false
-		}
-		eff, err := p.dec(f.Payload)
-		if err != nil {
-			return nil, false
-		}
-		return eff, true
-	}); err != nil {
-		return err
-	}
+	p.ck.Advance(stable)
 	retained := p.log[:0]
 	truncated := 0
 	for _, f := range p.log {
@@ -760,33 +693,16 @@ func (p *Peer) DonePeers() int {
 
 // progress renders the quiescence-relevant counters and any open gap.
 func (p *Peer) progress() string {
-	gap := p.openGaps()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return fmt.Sprintf("(done %d/%d peers, applied %d, held %d%s)", len(p.done), p.t.N()-1, p.remote, len(p.held), gap)
+	return fmt.Sprintf("(done %d/%d peers, applied %d, held %d%s)", len(p.done), p.t.N()-1, p.remote, len(p.held), p.cc.openGaps())
 }
 
 // openGaps names each origin's open gap: its base and the frames above it.
 func (p *Peer) openGaps() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.gaps) == 0 {
-		return ""
-	}
-	above := make([]int, p.t.N())
-	for mid := range p.gaps {
-		above[p.origin(mid)]++
-	}
-	gap := ""
-	for o, n := range above {
-		switch {
-		case n == 1:
-			gap += fmt.Sprintf(", origin %d above %s (1 frame)", o, p.base[o])
-		case n > 1:
-			gap += fmt.Sprintf(", origin %d above %s (%d frames)", o, p.base[o], n)
-		}
-	}
-	return ", gap:" + gap[1:]
+	return p.cc.openGaps()
 }
 
 // Quiesced reports whether the object is stable from this peer's view:

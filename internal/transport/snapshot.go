@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/codec"
@@ -183,27 +184,21 @@ func NewCheckpoint(init crdt.State) *Checkpoint {
 	return &Checkpoint{State: init, Covered: map[model.MsgID]bool{}}
 }
 
-// Advance folds the newly stable broadcasts into the shadow state in MsgID
-// order, marking them covered. Already-covered mids are skipped; eff must
-// return the effector of every remaining mid (a miss means the caller's
-// retained log lost a frame that was never checkpointed — unrecoverable).
-func (c *Checkpoint) Advance(stable []model.MsgID, eff func(model.MsgID) (crdt.Effector, bool)) error {
+// Advance folds the newly stable broadcasts, each mid with its effector,
+// into the shadow state in MsgID order, marking them covered. Already-covered
+// mids are skipped.
+func (c *Checkpoint) Advance(stable map[model.MsgID]crdt.Effector) {
 	fresh := make([]model.MsgID, 0, len(stable))
-	for _, mid := range stable {
+	for mid := range stable {
 		if !c.Covered[mid] {
 			fresh = append(fresh, mid)
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i] < fresh[j] })
+	slices.Sort(fresh)
 	for _, mid := range fresh {
-		e, ok := eff(mid)
-		if !ok {
-			return fmt.Errorf("transport: stable broadcast %s missing from the retained log", mid)
-		}
-		c.State = e.Apply(c.State)
+		c.State = stable[mid].Apply(c.State)
 		c.Covered[mid] = true
 	}
-	return nil
 }
 
 // CoveredSorted returns the covered MsgIDs ascending.

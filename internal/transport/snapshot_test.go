@@ -155,8 +155,8 @@ func TestSnapshotDecodeMalformed(t *testing.T) {
 }
 
 // TestCheckpointAdvance exercises the shared shadow replica directly: mids
-// fold in ascending order whatever the call order, covered mids are skipped,
-// and a mid the retained log cannot supply fails loudly.
+// fold in ascending order whatever the call order, and covered mids are
+// skipped.
 func TestCheckpointAdvance(t *testing.T) {
 	alg, ok := registry.ByName("counter")
 	if !ok {
@@ -173,18 +173,20 @@ func TestCheckpointAdvance(t *testing.T) {
 		effs[mid] = eff
 		st = eff.Apply(st) // reference: all three applied
 	}
-	lookup := func(mid model.MsgID) (crdt.Effector, bool) { e, ok := effs[mid]; return e, ok }
-	ck := transport.NewCheckpoint(obj.Init())
-	if err := ck.Advance([]model.MsgID{8, 2}, lookup); err != nil {
-		t.Fatal(err)
+	subset := func(mids ...model.MsgID) map[model.MsgID]crdt.Effector {
+		out := map[model.MsgID]crdt.Effector{}
+		for _, mid := range mids {
+			out[mid] = effs[mid]
+		}
+		return out
 	}
+	ck := transport.NewCheckpoint(obj.Init())
+	ck.Advance(subset(8, 2))
 	if got := ck.CoveredSorted(); !reflect.DeepEqual(got, []model.MsgID{2, 8}) {
 		t.Fatalf("covered %v, want [2 8]", got)
 	}
 	// Re-advancing covered mids is a no-op; the fresh one still folds in.
-	if err := ck.Advance([]model.MsgID{2, 5, 8}, lookup); err != nil {
-		t.Fatal(err)
-	}
+	ck.Advance(subset(2, 5, 8))
 	if !bytes.Equal(ck.State.AppendBinary(nil), st.AppendBinary(nil)) {
 		t.Fatal("checkpoint state differs from applying the same set directly")
 	}
@@ -193,9 +195,6 @@ func TestCheckpointAdvance(t *testing.T) {
 	cp.Covered[99] = true
 	if ck.Covered[99] {
 		t.Fatal("clone shares the covered map")
-	}
-	if err := ck.Advance([]model.MsgID{42}, lookup); err == nil {
-		t.Fatal("advancing past the retained log did not fail")
 	}
 }
 
