@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport bench-explore transport-loc repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport bench-explore loc repro examples fmt vet
 
 all: build vet test
 
@@ -41,15 +41,20 @@ ci:
 	go run ./cmd/crdt-sim -chaos -algo rga -nodes 3 -ops 10 -seed 1 -seeds 5
 	go run ./cmd/crdt-sim -chaos -algo aw-set -nodes 3 -ops 10 -seed 1 -seeds 5
 	go run ./cmd/crdt-sim -chaos -algo rga -nodes 3 -ops 10 -seed 1 -seeds 5 -snapshot-every 4
-	@$(MAKE) --no-print-directory transport-loc
+	@$(MAKE) --no-print-directory loc
 
-# The transport's size, numbers ROADMAP.md tracks: non-test Go lines in
-# internal/transport, and the code lines among them — blank and comment-only
-# lines do not count, so deleting comments is not a reduction.
-transport-loc:
-	@src=$$(find internal/transport -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} +); \
-	echo "internal/transport non-test lines: $$(printf '%s\n' "$$src" | wc -l)"; \
-	echo "internal/transport code lines: $$(printf '%s\n' "$$src" | grep -vcE '^\s*(//.*)?$$')"
+# The sizes ROADMAP.md tracks: non-test Go lines, and the code lines among
+# them — blank and comment-only lines do not count, so deleting comments is
+# not a reduction — for internal/transport, for internal/sim plus
+# internal/transport (the two replica drivers and their shared delivery
+# rule), and for the whole root module. bench/ is a module of its own and is
+# not counted.
+loc:
+	@for scope in internal/transport "internal/sim internal/transport" .; do \
+		src=$$(find $$scope -path ./bench -prune -o -path ./.bench_build -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} +); \
+		name=$$scope; [ "$$scope" = . ] && name="root module"; \
+		echo "$$name: $$(printf '%s\n' "$$src" | wc -l) non-test lines, $$(printf '%s\n' "$$src" | grep -vcE '^\s*(//.*)?$$') code lines"; \
+	done
 
 # Mirror of CI's chaos + fuzz smoke: seeded fault-injection runs over every
 # registry algorithm, then a short coverage-guided pass over both fuzz

@@ -9,11 +9,11 @@ import (
 )
 
 // Clone deep-copies the cluster so exhaustive explorers can branch. Replica
-// states are shared, so both sides give up their ownership and copy on their
-// next apply at each node. Effectors and messages are immutable and shared
-// too (the transport replaces a partially consumed duplicate copy-on-write,
-// so the sharing stays safe). The link-fault RNG, when present, is shared
-// as well: explorers operate on clean clusters, and chaos runs never branch.
+// states are shared, so both sides give up owning them. Effectors and
+// messages are immutable and shared too (the transport replaces a partially
+// consumed duplicate copy-on-write, so the sharing stays safe), and so is
+// the link-fault RNG: explorers operate on clean clusters, and chaos runs
+// never branch.
 func (c *Cluster) Clone() *Cluster {
 	cp := &Cluster{
 		obj: c.obj, causal: c.causal, nextMID: c.nextMID,
@@ -46,8 +46,8 @@ func (c *Cluster) Clone() *Cluster {
 
 // AppendBinary canonically renders the cluster's future-relevant state —
 // the virtual clock, each replica's state, crash flag, pending messages
-// (with their effectors, deps, remaining copies and arrival ticks)
-// and applied set (its causal context) — through the canonical codec. State and effector
+// (with their effectors, deps, remaining copies and arrival ticks) and
+// causal context — through the canonical codec. State and effector
 // encodings are length-prefixed so the stream parses unambiguously whatever
 // the algorithm, and every collection is emitted in sorted order, so equal
 // configurations produce byte-equal encodings. Message contents are
@@ -55,8 +55,8 @@ func (c *Cluster) Clone() *Cluster {
 // different operations; copies and arrival ticks are included so faulty
 // schedules — where the same MsgID can still have duplicates queued or a
 // latency window pending — never collide with states whose futures differ.
-// The dropped sets are deliberately excluded: a dropped message can never
-// affect future behaviour, only Drop's error classification.
+// The dropped sets are excluded: a dropped message is never delivered, and
+// whatever waits on it stays queued, which the encoding shows.
 func (c *Cluster) AppendBinary(b []byte) []byte {
 	var scratch []byte
 	b = codec.AppendUvarint(b, uint64(c.net.Now()))

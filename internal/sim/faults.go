@@ -448,7 +448,7 @@ func (w Chaos) Run() (*ChaosReport, error) {
 // past latency windows as needed (SyncInvokes mode; requires no partition or
 // crash blocking the node).
 func (c *Cluster) drainTo(dst model.NodeID, maxTicks int) error {
-	if !c.drain(func() int { return c.PendingTo(dst) }, dst) {
+	if !c.drain(func() int { return c.PendingTo(dst) }, int(dst), int(dst)+1) {
 		return fmt.Errorf("sim: node %s cannot drain: %d copies blocked", dst, c.PendingTo(dst))
 	}
 	if c.Now() > maxTicks {

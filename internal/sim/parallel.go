@@ -30,10 +30,9 @@ import (
 // # Commutativity reduction
 //
 // In the op-based effector model of sim.go, a delivery (dst, mid) mutates
-// only node dst's slice of the cluster (states[dst], its causal context
+// only node dst's slice of the cluster (states[dst], causal context
 // applied[dst], inbox[dst]), and an invocation at node t mutates only node
-// t's slice plus the inboxes of the other nodes (by *adding* a fresh
-// message). Consequently
+// t's slice plus the inboxes of the other nodes (by *adding* a fresh message). Consequently
 // two deliveries to different destination nodes commute — executing them in
 // either order yields the same cluster state and neither enables nor
 // disables the other — and a delivery to dst commutes with the scripted

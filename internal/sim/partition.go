@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/model"
 )
@@ -99,6 +98,3 @@ func (c *Cluster) Recover(t model.NodeID, fresh bool) error {
 
 // Down reports whether node t is crashed.
 func (c *Cluster) Down(t model.NodeID) bool { return c.down[t] }
-
-// anyDown reports whether any node is crashed.
-func (c *Cluster) anyDown() bool { return slices.Contains(c.down, true) }

@@ -12,12 +12,11 @@
 //
 // Since the transport split, Cluster is a thin composition of layers:
 //
-//	replica layer      states, applied in place while the cluster owns them,
-//	                   Prepare, the trace, the broadcast log and its
-//	                   snapshot checkpoints (snapshot.go)
-//	delivery layer     one transport.CausalContext per node, the replica
-//	                   host's delivery rule: at-most-once dedup and causal
-//	                   gating on frontier deps; drops and crash state
+//	replica layer      states (applied in place while owned), Prepare, the
+//	                   trace, the broadcast log and its snapshot checkpoints
+//	                   (snapshot.go)
+//	delivery layer     at-most-once dedup and causal gating on Peer's rule
+//	                   (transport.CausalContext), drops, crash state
 //	fault layer        seeded link perturbation and fault plans (faults.go,
 //	                   partition.go)
 //	transport layer    transport.Mem — per-destination frame queues over a
@@ -69,11 +68,9 @@ var (
 )
 
 // message is the delivery-layer view of one broadcast effector: the operation
-// it came from, the decoded effector, and its origin's causal context when
-// it was issued (deps: the effectors applied there). Under causal delivery
-// that context has no gaps, so it is the origin's frontier, at most one mid
-// per origin, and the deps test reads only that (CausalContext.Covers). It
-// rides along each queued transport copy as the opaque Item, and is what the
+// it came from, the decoded effector, and deps, its origin's causal context
+// when it was issued, whose frontier the deps test reads (Covers). It rides
+// along each queued transport copy as the opaque Item, and is what the
 // broadcast log stores.
 type message struct {
 	mid  model.MsgID
@@ -83,8 +80,7 @@ type message struct {
 	deps transport.CausalContext
 }
 
-// pred returns m's own-origin predecessor: its origin's previous broadcast,
-// the highest own mid in deps (0 for its first).
+// pred returns m's origin's previous broadcast (0 for none).
 func (m *message) pred() model.MsgID { return m.deps.Front(int(m.from)) }
 
 // Cluster is a simulated replicated system running one CRDT object.
@@ -92,10 +88,8 @@ type Cluster struct {
 	// --- replica layer ---
 	obj    crdt.Object
 	states []crdt.State
-	// owned[t] reports that no clone, caller or checkpoint can reach
-	// states[t], so apply may mutate it (crdt.ApplyOwned). Clone and StateOf
-	// clear it; the next apply copies through the pure Apply and owns the
-	// result.
+	// owned[t] reports that only the cluster reaches states[t], so apply
+	// may mutate it (crdt.ApplyOwned); Clone and StateOf clear it.
 	owned   []bool
 	tr      trace.Trace
 	nextMID model.MsgID
@@ -170,11 +164,26 @@ func (c *Cluster) LinkBytes(from, to model.NodeID) int {
 	return c.linkBytes[from][to]
 }
 
-// countPayload charges one queued copy's payload to the link and the totals.
-func (c *Cluster) countPayload(from, to model.NodeID, n, copies int) {
-	c.linkBytes[from][to] += n * copies
-	c.stats.PayloadBytes += n * copies
-	c.stats.PayloadFrames += copies
+// send queues a copy of m carrying payload for dst, arriving at tick readyAt
+// (then perturbed by the link faults, if perturb), and charges its payload
+// bytes to the link and the totals.
+func (c *Cluster) send(dst model.NodeID, m *message, payload []byte, readyAt int, perturb bool) {
+	q := &transport.Queued{
+		Frame:   transport.Frame{Kind: transport.KindEffector, MID: m.mid, From: m.from, Payload: payload},
+		Item:    m,
+		Copies:  1,
+		ReadyAt: readyAt,
+	}
+	if perturb && c.faults != nil {
+		c.faults.perturb(c, q)
+	}
+	if payload != nil {
+		n := len(q.Frame.Payload) * q.Copies
+		c.linkBytes[m.from][dst] += n
+		c.stats.PayloadBytes += n
+		c.stats.PayloadFrames += q.Copies
+	}
+	c.net.Put(dst, q)
 }
 
 // NewCluster creates a cluster of n nodes (IDs 0..n-1), each starting from
@@ -276,22 +285,9 @@ func (c *Cluster) Invoke(t model.NodeID, op model.Op) (model.Value, model.MsgID,
 		c.applied[t].MarkApplied(int(t), mid, m.pred())
 		c.appendLog(m)
 		for dst := range c.states {
-			if model.NodeID(dst) == t {
-				continue
+			if model.NodeID(dst) != t {
+				c.send(model.NodeID(dst), m, wire, c.net.Now(), true)
 			}
-			q := &transport.Queued{
-				Frame:   transport.Frame{Kind: transport.KindEffector, MID: mid, From: t, Payload: wire},
-				Item:    m,
-				Copies:  1,
-				ReadyAt: c.net.Now(),
-			}
-			if c.faults != nil {
-				c.faults.perturb(c, q)
-			}
-			if wire != nil {
-				c.countPayload(t, model.NodeID(dst), len(q.Frame.Payload), q.Copies)
-			}
-			c.net.Put(model.NodeID(dst), q)
 		}
 	}
 	return ret, mid, nil
@@ -309,37 +305,25 @@ func (c *Cluster) deliverable(dst model.NodeID, q *transport.Queued) bool {
 
 // Deliverable returns the request IDs currently deliverable to dst, sorted.
 func (c *Cluster) Deliverable(dst model.NodeID) []model.MsgID {
-	var out []model.MsgID
-	for _, mid := range c.net.Mids(dst) {
-		if q, ok := c.net.Get(dst, mid); ok && c.deliverable(dst, q) {
-			out = append(out, mid)
-		}
-	}
-	return out
+	return slices.DeleteFunc(c.net.Mids(dst), func(mid model.MsgID) bool {
+		q, _ := c.net.Get(dst, mid)
+		return !c.deliverable(dst, q)
+	})
 }
 
-// missing classifies why mid is not in dst's queue.
+// missing classifies why mid is not in dst's queue. An error path, so it
+// scans the trace for mid's apply at dst rather than look up mid's origin.
 func (c *Cluster) missing(verb string, dst model.NodeID, mid model.MsgID) error {
-	switch {
-	case c.delivered(dst, mid):
-		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrAlreadyDelivered)
-	case c.dropped[dst][mid]:
-		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrAlreadyDropped)
-	default:
-		return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, ErrUnknownMessage)
+	err := ErrUnknownMessage
+	if c.dropped[dst][mid] {
+		err = ErrAlreadyDropped
 	}
-}
-
-// delivered reports whether the broadcast mid has been applied at dst: the
-// trace holds its origin or delivery event there. An error path, so it scans
-// the trace rather than asking dst's context, which needs mid's origin.
-func (c *Cluster) delivered(dst model.NodeID, mid model.MsgID) bool {
-	for i := len(c.tr) - 1; i >= 0; i-- {
-		if e := c.tr[i]; e.MID == mid && e.Node == dst && !e.IsQuery() {
-			return true
+	for _, e := range c.tr {
+		if e.MID == mid && e.Node == dst && !e.IsQuery() {
+			err = ErrAlreadyDelivered
 		}
 	}
-	return false
+	return fmt.Errorf("sim: %s %s at %s: %w", verb, mid, dst, err)
 }
 
 // Deliver consumes one queued copy of message mid at node dst. The first
@@ -393,15 +377,7 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 			if c.faults != nil {
 				delay = c.faults.cfg.DelayMax + 1
 			}
-			clean := codec.AppendFrame(nil, msg.eff.AppendBinary(nil))
-			re := &transport.Queued{
-				Frame:   transport.Frame{Kind: transport.KindEffector, MID: mid, From: msg.from, Payload: clean},
-				Item:    msg,
-				Copies:  1,
-				ReadyAt: c.net.Now() + delay,
-			}
-			c.net.Put(dst, re)
-			c.countPayload(msg.from, dst, len(clean), 1)
+			c.send(dst, msg, codec.AppendFrame(nil, msg.eff.AppendBinary(nil)), c.net.Now()+delay, false)
 			c.stats.CorruptRejected++
 			return fmt.Errorf("sim: deliver %s to %s: %w: %v", mid, dst, ErrCorruptPayload, derr)
 		}
@@ -455,21 +431,18 @@ func (c *Cluster) PendingTo(dst model.NodeID) int { return c.net.PendingTo(dst) 
 // DeliverRandom delivers one random deliverable message using rng. It
 // reports whether a delivery happened.
 func (c *Cluster) DeliverRandom(rng *rand.Rand) bool {
-	type slot struct {
-		dst model.NodeID
-		mid model.MsgID
-	}
-	var slots []slot
-	for dst := 0; dst < c.N(); dst++ {
-		for _, mid := range c.Deliverable(model.NodeID(dst)) {
-			slots = append(slots, slot{model.NodeID(dst), mid})
+	var dsts []model.NodeID
+	var mids []model.MsgID
+	for dst := model.NodeID(0); int(dst) < c.N(); dst++ {
+		for _, mid := range c.Deliverable(dst) {
+			dsts, mids = append(dsts, dst), append(mids, mid)
 		}
 	}
-	if len(slots) == 0 {
+	if len(mids) == 0 {
 		return false
 	}
-	s := slots[rng.Intn(len(slots))]
-	if err := c.Deliver(s.dst, s.mid); err != nil {
+	i := rng.Intn(len(mids))
+	if err := c.Deliver(dsts[i], mids[i]); err != nil {
 		if errors.Is(err, ErrCorruptPayload) {
 			// The attempt consumed the corrupt copy and a clean
 			// retransmission is queued; the scheduling slot is spent.
@@ -480,12 +453,6 @@ func (c *Cluster) DeliverRandom(rng *rand.Rand) bool {
 	return true
 }
 
-// nextArrival returns the earliest future arrival tick among queued messages
-// that are not blocked by a partition or a crashed destination.
-func (c *Cluster) nextArrival() (int, bool) {
-	return c.net.NextArrival(func(dst model.NodeID) bool { return c.down[dst] })
-}
-
 // DeliverAll drains every in-flight message copy (in causal mode, repeatedly
 // delivering whatever is deliverable until quiescent), advancing the virtual
 // clock past latency windows as needed. Messages blocked by a partition or a
@@ -494,30 +461,25 @@ func (c *Cluster) nextArrival() (int, bool) {
 // (see lost): they wait forever. Anything else left undeliverable indicates
 // a dependency-tracking bug and panics.
 func (c *Cluster) DeliverAll() {
-	all := make([]model.NodeID, c.N())
-	for t := range all {
-		all[t] = model.NodeID(t)
-	}
-	if !c.drain(c.Pending, all...) && !c.Partitioned() && !c.anyDown() && !c.lost() {
+	if !c.drain(c.Pending, 0, c.N()) && !c.Partitioned() && !slices.Contains(c.down, true) && !c.lost() {
 		panic("sim: undeliverable messages remain (broken causal dependencies)")
 	}
 }
 
-// drain delivers whatever is deliverable to dsts, in node order, until
-// pending reports nothing left. Copies still inside a latency window become
-// deliverable once the clock reaches their arrival tick, so when nothing can
-// move it jumps there and retries. It reports false when the copies left are
-// blocked.
-func (c *Cluster) drain(pending func() int, dsts ...model.NodeID) bool {
+// drain delivers whatever is deliverable to nodes lo..hi-1 until pending
+// reports nothing left, jumping the clock to the next arrival whenever
+// nothing can move. It reports false when the copies left are blocked.
+func (c *Cluster) drain(pending func() int, lo, hi int) bool {
 	for pending() > 0 {
 		progress := false
-		for _, dst := range dsts {
+		for dst := model.NodeID(lo); int(dst) < hi; dst++ {
 			for _, mid := range c.Deliverable(dst) {
 				progress = c.Deliver(dst, mid) == nil || progress
 			}
 		}
 		if !progress {
-			next, ok := c.nextArrival()
+			// The earliest arrival on a live link to a live node.
+			next, ok := c.net.NextArrival(func(dst model.NodeID) bool { return c.down[dst] })
 			if !ok || next <= c.Now() {
 				return false
 			}
@@ -527,12 +489,10 @@ func (c *Cluster) drain(pending func() int, dsts ...model.NodeID) bool {
 	return true
 }
 
-// lost reports whether every queued message is blocked, directly or through
-// other blocked messages, on a dependency dropped at its destination. The
-// paper's network may lose a message, and causal delivery then holds back
-// everything downstream of it at that node: a quiescent state, not a
-// tracking bug. A message's deps are older than it, so one pass in mid
-// order decides every queued message after its deps.
+// lost reports whether every queued message waits, directly or through other
+// waiting messages, on a dependency dropped at its destination: a quiescent
+// state of the paper's lossy network, not a tracking bug. Deps are older
+// than their message, so one pass in mid order decides each after its deps.
 func (c *Cluster) lost() bool {
 	for dst := range c.states {
 		stuck := maps.Clone(c.dropped[dst])

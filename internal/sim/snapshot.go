@@ -117,9 +117,6 @@ func (c *Cluster) checkpoint() {
 	if c.snap == nil {
 		c.snap = &snapshot{ck: transport.NewCheckpoint(c.obj.Init())}
 	}
-	// Fold the newly stable broadcasts into the shadow replica (the shared
-	// transport.Checkpoint applies them in MsgID order — consistent with
-	// happens-before, hence a legal schedule).
 	c.snap.ck.Advance(stable)
 	c.snap.wire = codec.AppendFrame(nil, c.snap.ck.State.AppendBinary(nil))
 	retained := c.msglog[:0]
@@ -196,12 +193,10 @@ func (c *Cluster) resyncFresh(t model.NodeID) error {
 		if err != nil {
 			return fmt.Errorf("sim: resync %s: snapshot does not decode with the registered state decoder: %v", t, err)
 		}
-		// The snapshot covers exactly the checkpoint's covered set, all of
-		// which node t had applied before the crash (covered ⊆ every applied
-		// set — the truncation invariant). Replace the state and re-apply the
-		// whole retained suffix: entries t had applied are part of neither
-		// the snapshot nor the replaced state, but their trace events already
-		// exist, so only previously unapplied ones get new events.
+		// Node t had applied everything covered (the truncation invariant).
+		// Replace the state and re-apply the whole retained suffix: entries t
+		// had applied are in neither the snapshot nor the replaced state, but
+		// only previously unapplied ones get new trace events.
 		c.states[t], c.owned[t] = st, true
 		note.FromSnapshot = true
 		note.SnapshotBytes = len(c.snap.wire)

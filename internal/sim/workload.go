@@ -10,9 +10,8 @@ import (
 )
 
 // GenFunc generates a random operation plausibly applicable at replica state
-// s; see registry.OpGen, which has the identical signature. The state is
-// lent, not given: it is the replica's own, which the cluster may mutate in
-// place after the call, so the generator must neither modify it nor keep it.
+// s; see registry.OpGen, which has the identical signature. s is lent: the
+// cluster may mutate it in place after the call, so Gen must not keep it.
 type GenFunc func(rng *rand.Rand, s crdt.State, abs crdt.Abstraction, pool []model.Value, fresh func() model.Value) model.Op
 
 // Workload describes a randomized cluster run.
@@ -29,9 +28,8 @@ type Workload struct {
 	// invocation when both are possible (default 0.5).
 	DeliverBias float64
 	// DropProb is the probability that an issued effector is lost on its
-	// way to a given destination: it is dropped there right after the
-	// broadcast and never delivered (default 0). Under causal delivery
-	// everything that depends on it waits at that destination forever, and
+	// way to a given destination, never to be delivered there (default 0).
+	// Under causal delivery whatever depends on it waits there forever, and
 	// FinalDrain stops at that quiescent state.
 	DropProb float64
 	// Link, when active, applies seeded link faults (loss-with-retransmit,

@@ -9,21 +9,16 @@ import (
 	"repro/internal/model"
 )
 
-// CausalContext is the delivery rule of Sec 3, which Peer and sim.Cluster
-// share: one replica's applied effectors and the deps-met test over them.
-// Peer holds a frame back until its deps are met; the simulator refuses an
-// early delivery with ErrCausalOrder. The predicate is shared, the policy
-// is not.
-//
-// The set is bounded by the frontier, not the history: the compact causal
-// context of Almeida (arXiv 2310.18220), a version vector plus a dot cloud.
-// Every origin-o effector up to base[o] is applied; gaps maps each mid
-// applied above its origin's base to its origin and own-origin predecessor,
-// and is empty unless effectors were applied out of their origin's order;
-// front[o] is the highest origin-o mid applied, 0 for none (DESIGN.md,
-// "Causal frontier deps"). Callers name each mid's origin and predecessor:
-// Peer from the Lamport layout, the simulator from a message's sender and
-// that sender's previous broadcast.
+// CausalContext is the delivery rule of Sec 3 that Peer and sim.Cluster
+// share: a replica's applied effectors and the deps-met test over them. Peer
+// holds a frame back until its deps are met; the simulator refuses an early
+// delivery. The set is bounded by the frontier, not the history: a version
+// vector plus a dot cloud (Almeida, arXiv 2310.18220). Every origin-o
+// effector up to base[o] is applied; gaps maps each mid applied above its
+// origin's base to its origin and own-origin predecessor; front[o] is the
+// highest origin-o mid applied (DESIGN.md, "Causal frontier deps"). Callers
+// name each mid's origin and predecessor: Peer from the Lamport layout, the
+// simulator from a message's sender and that sender's previous broadcast.
 type CausalContext struct {
 	base, front []model.MsgID
 	gaps        map[model.MsgID]dot
@@ -43,11 +38,8 @@ func NewCausalContext(n int) CausalContext {
 
 // Clone returns an independent copy.
 func (c *CausalContext) Clone() CausalContext {
-	cp := NewCausalContext(len(c.base))
-	copy(cp.base, c.base)
-	copy(cp.front, c.front)
-	cp.gaps = maps.Clone(c.gaps)
-	return cp
+	w, n := slices.Concat(c.base, c.front), len(c.base)
+	return CausalContext{base: w[:n:n], front: w[n:], gaps: maps.Clone(c.gaps)}
 }
 
 // Applied reports whether the effector mid, of origin o, has been applied.
