@@ -53,7 +53,7 @@ func (c *CausalContext) Applied(o int, mid model.MsgID) bool {
 }
 
 // DepsMet reports whether every dependency in deps has been applied; origin
-// names each one's origin. Peer's frames carry their sender's frontier so.
+// names each one's origin. Peer tests a frame's deps, its sender's frontier.
 func (c *CausalContext) DepsMet(deps []model.MsgID, origin func(model.MsgID) int) bool {
 	for _, d := range deps {
 		if !c.Applied(origin(d), d) {

@@ -3,7 +3,7 @@ package transport
 import (
 	"fmt"
 	"maps"
-	"sort"
+	"slices"
 
 	"repro/internal/model"
 )
@@ -146,7 +146,7 @@ func (m *Mem) Mids(dst model.NodeID) []model.MsgID {
 			out = append(out, k.mid)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
