@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction. Everything is plain `go` —
 # these just bundle the invocations the docs mention.
 
-.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport bench-explore loc repro examples fmt vet
+.PHONY: all build test short race ci chaos sockets fuzz soak bench bench-md bench-transport bench-explore bench-core loc repro examples fmt vet
 
 all: build vet test
 
@@ -134,6 +134,21 @@ bench-explore:
 	cat bench_explore.out
 	go run ./cmd/bench-report -json -group ExploreParallel -best -out bench-explore-current.json -baseline BENCH_explore.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_explore.out; s=$$?; \
 	rm -f bench_explore.out; exit $$s
+
+# Mirror of CI's checker gate: the Fig 2 RGA operations (prepare, apply and
+# read at the origin), the Fig 3 ACC decision and the ACC/XACC witness
+# trace-length sweeps — the rows that price RGA's trav, which is both its
+# read and its abstraction function φ — run 3× on one CPU, collapsed to each
+# case's fastest run and gated against the checked-in BENCH_core.json with
+# the transport gate's tolerances (+25% ns/op, +34% allocs/op). The output
+# is bench-core-current.json, not the baseline. To re-record the baseline
+# after an intentional change, rerun the benchmarks the same way and render
+# them with `-worst -out BENCH_core.json` (see EXPERIMENTS.md).
+bench-core:
+	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|ACCWitness_TraceLength|XACCWitness_TraceLength)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
+	cat bench_core.out
+	go run ./cmd/bench-report -json -best -out bench-core-current.json -baseline BENCH_core.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_core.out; s=$$?; \
+	rm -f bench_core.out; exit $$s
 
 # One-command reproduction of every paper experiment.
 repro:
