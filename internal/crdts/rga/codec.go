@@ -1,11 +1,13 @@
 package rga
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/model"
+	"repro/internal/spec"
 )
 
 // Effector tags (0 is crdt.IdEff).
@@ -45,7 +47,18 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 	return codec.AppendValue(append(b, tagRmv), d.A)
 }
 
-// DecodeState decodes an RGA state encoded by State.AppendBinary.
+// notSentinel rejects an element equal to ◦. Fig 2's assume keeps ◦ out of
+// N, and trav relies on it: every element has one parent, so a cycle that
+// trav could reach from ◦ must pass through an element equal to ◦.
+func notSentinel(b model.Value) error {
+	if b.Equal(spec.Sentinel) {
+		return fmt.Errorf("%w: rga element %s is the sentinel", codec.ErrCorrupt, b)
+	}
+	return nil
+}
+
+// DecodeState decodes an RGA state encoded by State.AppendBinary and
+// rebuilds its sibling index.
 func DecodeState(b []byte) (crdt.State, error) {
 	n, rest, err := codec.DecodeUvarint(b)
 	if err != nil {
@@ -66,6 +79,9 @@ func DecodeState(b []byte) (crdt.State, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := notSentinel(t.B); err != nil {
+			return nil, err
+		}
 		st.N[t.B.String()] = t
 	}
 	st.T, rest, err = codec.DecodeValueSet(rest)
@@ -79,6 +95,7 @@ func DecodeState(b []byte) (crdt.State, error) {
 	if err := codec.Done(rest); err != nil {
 		return nil, err
 	}
+	st.kids = index(st.N)
 	return st, nil
 }
 
@@ -106,6 +123,9 @@ func DecodeEffector(b []byte) (crdt.Effector, error) {
 		}
 		d.B, rest, err = codec.DecodeValue(rest)
 		if err != nil {
+			return nil, err
+		}
+		if err := notSentinel(d.B); err != nil {
 			return nil, err
 		}
 		if err := codec.Done(rest); err != nil {

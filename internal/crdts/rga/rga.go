@@ -17,6 +17,8 @@ package rga
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -40,6 +42,55 @@ type State struct {
 	N  map[string]Triple // keyed by element rendering of B (elements are unique)
 	T  *model.ValueSet   // tombstones
 	TS model.Stamp       // newest stamp at the replica
+
+	// kids is the sibling index, derived from N and never encoded: each
+	// parent's rendering (sentinelKey for ◦) maps to one entry per child of
+	// N, in the order the children were applied. A list is never written in
+	// place once another state may read it: clone shares the lists clipped
+	// to len == cap, so an append on either side copies, and unlink builds
+	// a new list.
+	kids map[string][]child
+}
+
+// child is one entry of the sibling index: what trav needs to order a child
+// and to reach its triple, its tombstone and its own children.
+type child struct {
+	I   model.Stamp
+	key string // the child's rendering: its key in N, in T and in kids
+}
+
+// sentinelKey is the rendering of ◦, the root of every tree.
+var sentinelKey = spec.Sentinel.String()
+
+// parentKey is a's rendering, without rendering the sentinel.
+func parentKey(a model.Value) string {
+	if a.Equal(spec.Sentinel) {
+		return sentinelKey
+	}
+	return a.String()
+}
+
+// cmpChild orders siblings by stamp, and by rendering on a stamp tie (no
+// Prepare issues two elements one stamp, but a tie must still read the same
+// on every replica).
+func cmpChild(a, b child) int {
+	if c := a.I.Compare(b.I); c != 0 {
+		return c
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// index builds the sibling index of n, each list in stamp order.
+func index(n map[string]Triple) map[string][]child {
+	kids := make(map[string][]child)
+	for k, t := range n {
+		pk := parentKey(t.A)
+		kids[pk] = append(kids[pk], child{I: t.I, key: k})
+	}
+	for _, cs := range kids {
+		slices.SortFunc(cs, cmpChild)
+	}
+	return kids
 }
 
 // Key implements crdt.State.
@@ -64,11 +115,11 @@ func (s State) Key() string {
 }
 
 func (s State) clone() State {
-	n := make(map[string]Triple, len(s.N))
-	for k, v := range s.N {
-		n[k] = v
+	kids := make(map[string][]child, len(s.kids))
+	for k, cs := range s.kids {
+		kids[k] = slices.Clip(cs)
 	}
-	return State{N: n, T: s.T.Clone(), TS: s.TS}
+	return State{N: maps.Clone(s.N), T: s.T.Clone(), TS: s.TS, kids: kids}
 }
 
 func (s State) inTree(e model.Value) bool {
@@ -79,26 +130,33 @@ func (s State) inTree(e model.Value) bool {
 // Trav is the trav(N, T) function of Fig 2: depth-first traversal from the
 // sentinel with siblings in decreasing stamp order, dropping tombstoned
 // elements. It returns the visible list.
+//
+// It walks the sibling index and renders nothing. Children are usually
+// applied in increasing stamp order, so each list is walked from its end; a
+// list found out of order is sorted into a scratch copy, never in the
+// state, which clones and concurrent readers may share.
 func (s State) Trav() []model.Value {
-	children := map[string][]Triple{}
-	for _, t := range s.N {
-		k := t.A.String()
-		children[k] = append(children[k], t)
+	var scratch []child
+	return s.trav(sentinelKey, make([]model.Value, 0, len(s.N)), &scratch)
+}
+
+// trav appends the visible elements of parent's subtrees to out.
+func (s State) trav(parent string, out []model.Value, scratch *[]child) []model.Value {
+	cs := s.kids[parent]
+	lo := len(*scratch)
+	if !slices.IsSortedFunc(cs, cmpChild) {
+		*scratch = append(*scratch, cs...)
+		cs = (*scratch)[lo:]
+		slices.SortFunc(cs, cmpChild)
 	}
-	for _, cs := range children {
-		sort.Slice(cs, func(i, j int) bool { return cs[j].I.Less(cs[i].I) }) // decreasing
-	}
-	var out []model.Value
-	var dfs func(elem model.Value)
-	dfs = func(elem model.Value) {
-		for _, t := range children[elem.String()] {
-			if !s.T.Has(t.B) {
-				out = append(out, t.B)
-			}
-			dfs(t.B)
+	for i := len(cs) - 1; i >= 0; i-- {
+		k := cs[i].key
+		if !s.T.HasKey(k) {
+			out = append(out, s.N[k].B)
 		}
+		out = s.trav(k, out, scratch)
 	}
-	dfs(spec.Sentinel)
+	*scratch = (*scratch)[:lo]
 	return out
 }
 
@@ -113,12 +171,36 @@ type AddAftEff struct {
 func (d AddAftEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State).clone()) }
 
 // ApplyInPlace implements crdt.InPlace: N := N ∪ {(a,i,b)}; if ts < i then
-// ts := i.
+// ts := i. N is keyed by b, so a different triple for an element already in
+// N replaces the old one, and the sibling index moves the element (with its
+// subtree, which hangs off its key) to its new parent. The same triple
+// again leaves N as it is.
 func (d AddAftEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
-	st.N[d.B.String()] = Triple{A: d.A, I: d.I, B: d.B}
 	st.TS = st.TS.Max(d.I)
+	k := d.B.String()
+	if old, ok := st.N[k]; ok {
+		if old.I == d.I && old.A.Equal(d.A) {
+			return st
+		}
+		st.unlink(old.A, k)
+	}
+	st.N[k] = Triple{A: d.A, I: d.I, B: d.B}
+	pk := parentKey(d.A)
+	st.kids[pk] = append(st.kids[pk], child{I: d.I, key: k})
 	return st
+}
+
+// unlink drops child k from a's list into a new list: the old one may be
+// shared with a clone.
+func (s State) unlink(a model.Value, k string) {
+	pk := parentKey(a)
+	cs := slices.DeleteFunc(slices.Clone(s.kids[pk]), func(c child) bool { return c.key == k })
+	if len(cs) == 0 {
+		delete(s.kids, pk)
+		return
+	}
+	s.kids[pk] = cs
 }
 
 // String implements crdt.Effector.
@@ -153,7 +235,7 @@ func (Object) Name() string { return "rga" }
 
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
-	return State{N: map[string]Triple{}, T: model.NewValueSet()}
+	return State{N: map[string]Triple{}, T: model.NewValueSet(), kids: map[string][]child{}}
 }
 
 // Ops implements crdt.Object.

@@ -1,9 +1,15 @@
 package rga
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -28,10 +34,39 @@ func apply(t *testing.T, o Object, s crdt.State, op model.Op, node model.NodeID,
 	return eff.Apply(s), ret, eff
 }
 
-// TestFig2Tree reproduces the timestamped tree of Sec 2.1: after inserting
-// a, e, b, c after a (in stamp order ts1 < ts2 < ts3 for e, b, c), d after c,
-// and removing e, read() returns acdb.
-func TestFig2Tree(t *testing.T) {
+// travReference is Fig 2's trav as written: it rebuilds the children of
+// every element from N, sorts each sibling list by decreasing stamp and
+// walks the tree depth-first from the sentinel, dropping tombstones. State
+// keeps the sibling index that makes this rebuild unnecessary; this is the
+// oracle the index is tested against.
+func travReference(s State) []model.Value {
+	children := map[string][]Triple{}
+	for _, t := range s.N {
+		k := t.A.String()
+		children[k] = append(children[k], t)
+	}
+	for _, cs := range children {
+		sort.Slice(cs, func(i, j int) bool { return cs[j].I.Less(cs[i].I) }) // decreasing
+	}
+	var out []model.Value
+	var dfs func(elem model.Value)
+	dfs = func(elem model.Value) {
+		for _, t := range children[elem.String()] {
+			if !s.T.Has(t.B) {
+				out = append(out, t.B)
+			}
+			dfs(t.B)
+		}
+	}
+	dfs(spec.Sentinel)
+	return out
+}
+
+// fig2Tree builds the timestamped tree of Sec 2.1: a after the sentinel;
+// e, b, c after a (in stamp order ts1 < ts2 < ts3); d after c; then e
+// removed.
+func fig2Tree(t *testing.T) crdt.State {
+	t.Helper()
 	o := New()
 	s := o.Init()
 	var mid model.MsgID
@@ -42,7 +77,15 @@ func TestFig2Tree(t *testing.T) {
 	s, _, _ = apply(t, o, s, addAfter(v("a"), v("c")), 0, next())
 	s, _, _ = apply(t, o, s, addAfter(v("c"), v("d")), 0, next())
 	s, _, _ = apply(t, o, s, remove(v("e")), 0, next())
-	_, ret, _ := apply(t, o, s, model.Op{Name: spec.OpRead}, 0, next())
+	return s
+}
+
+// TestFig2Tree reproduces the timestamped tree of Sec 2.1: read() returns
+// acdb.
+func TestFig2Tree(t *testing.T) {
+	o := New()
+	s := fig2Tree(t)
+	_, ret, _ := apply(t, o, s, model.Op{Name: spec.OpRead}, 0, 7)
 	want := model.List(v("a"), v("c"), v("d"), v("b"))
 	if !ret.Equal(want) {
 		t.Fatalf("read = %s, want %s (acdb)", ret, want)
@@ -206,5 +249,243 @@ func TestStateKeyDistinguishesStates(t *testing.T) {
 	s3, _, _ := apply(t, o, s2, remove(v("a")), 0, 2)
 	if s2.Key() == s3.Key() {
 		t.Error("tombstoning must change the key")
+	}
+}
+
+// TestFig2Golden pins the Fig 2 tree's identity to the bytes the state had
+// before it kept a sibling index: the index is derived data, and neither
+// Key nor AppendBinary may show it.
+func TestFig2Golden(t *testing.T) {
+	const (
+		key = `rga{N:("◦",(1,t0),"a") ("a",(3,t0),"b") ("a",(4,t0),"c") ("c",(5,t0),"d") ("a",(2,t0),"e"),T:{"e"},ts:(5,t0)}`
+		bin = "050303e297a60200030161030161060003016203016108000301630301630a000301640301610400030165010301650a00"
+	)
+	s := fig2Tree(t)
+	if s.Key() != key {
+		t.Errorf("Key = %s\nwant  %s", s.Key(), key)
+	}
+	if got := hex.EncodeToString(s.AppendBinary(nil)); got != bin {
+		t.Errorf("AppendBinary = %s\nwant            %s", got, bin)
+	}
+}
+
+// prepared returns the effectors of a random run at 3 nodes: each step
+// either prepares an addAfter or a remove at one node, applying it there,
+// or delivers one of the node's pending effectors, picked at random, so
+// nodes apply each other's effectors in different orders.
+func prepared(t *testing.T, rng *rand.Rand, n int) []crdt.Effector {
+	t.Helper()
+	const nodes = 3
+	o := New()
+	states := make([]crdt.State, nodes)
+	pending := make([][]crdt.Effector, nodes)
+	for i := range states {
+		states[i] = o.Init()
+	}
+	var effs []crdt.Effector
+	for mid := model.MsgID(1); len(effs) < n; mid++ {
+		node := rng.Intn(nodes)
+		if q := pending[node]; len(q) > 0 && rng.Intn(2) == 0 {
+			j := rng.Intn(len(q))
+			states[node] = q[j].Apply(states[node])
+			pending[node] = slices.Delete(q, j, j+1)
+			continue
+		}
+		live := travReference(states[node].(State))
+		op := addAfter(spec.Sentinel, v(fmt.Sprintf("x%d", mid)))
+		switch {
+		case len(live) > 0 && rng.Intn(4) == 0:
+			op = remove(live[rng.Intn(len(live))])
+		case len(live) > 0 && rng.Intn(3) != 0:
+			op = addAfter(live[rng.Intn(len(live))], v(fmt.Sprintf("x%d", mid)))
+		}
+		_, eff, err := o.Prepare(op, states[node], model.NodeID(node), mid)
+		if err != nil {
+			t.Fatalf("Prepare(%s): %v", op, err)
+		}
+		states[node] = eff.Apply(states[node])
+		effs = append(effs, eff)
+		for m := range pending {
+			if m != node {
+				pending[m] = append(pending[m], eff)
+			}
+		}
+	}
+	return effs
+}
+
+// schedule is the order one replica applies effs in: shuffled, so children
+// often arrive before their parents, with a quarter of the effectors
+// applied twice and one AddAft that gives an element already in effs a
+// different parent and stamp, replacing its triple.
+func schedule(rng *rand.Rand, effs []crdt.Effector) []crdt.Effector {
+	seq := slices.Clone(effs)
+	for range len(effs) / 4 {
+		seq = append(seq, effs[rng.Intn(len(effs))])
+	}
+	var elems []model.Value
+	for _, e := range effs {
+		if a, ok := e.(AddAftEff); ok {
+			elems = append(elems, a.B)
+		}
+	}
+	seq = append(seq, AddAftEff{
+		A: elems[rng.Intn(len(elems))],
+		I: model.Stamp{N: 1 << 20, Node: 9},
+		B: elems[rng.Intn(len(elems))],
+	})
+	rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
+	return seq
+}
+
+// TestTravMatchesReference checks the sibling index against Fig 2's trav
+// after every apply of a shuffled schedule, four ways: through the pure
+// Apply (whose input must keep reading the same), in place through
+// crdt.ApplyOwned, on a clone and its original that both keep applying, and
+// on a state rebuilt by DecodeState after every step.
+func TestTravMatchesReference(t *testing.T) {
+	check := func(t *testing.T, what string, step int, s crdt.State) {
+		t.Helper()
+		st := s.(State)
+		if got, want := model.List(st.Trav()...), model.List(travReference(st)...); !got.Equal(want) {
+			t.Fatalf("%s after step %d: Trav = %s, reference = %s\nstate %s", what, step, got, want, st.Key())
+		}
+	}
+	ways := []struct {
+		name string
+		run  func(t *testing.T, rng *rand.Rand, seq []crdt.Effector)
+	}{
+		{"Apply", func(t *testing.T, _ *rand.Rand, seq []crdt.Effector) {
+			s := New().Init()
+			for i, e := range seq {
+				prev := s
+				s = e.Apply(prev)
+				check(t, "input", i, prev)
+				check(t, "result", i, s)
+			}
+		}},
+		{"ApplyOwned", func(t *testing.T, _ *rand.Rand, seq []crdt.Effector) {
+			s := New().Init()
+			for i, e := range seq {
+				s = crdt.ApplyOwned(e, s)
+				check(t, "state", i, s)
+			}
+		}},
+		{"clone", func(t *testing.T, rng *rand.Rand, seq []crdt.Effector) {
+			s := New().Init()
+			half := len(seq) / 2
+			for _, e := range seq[:half] {
+				s = crdt.ApplyOwned(e, s)
+			}
+			var c crdt.State = s.(State).clone()
+			rest := slices.Clone(seq[half:])
+			other := slices.Clone(rest)
+			rng.Shuffle(len(other), func(i, j int) { other[i], other[j] = other[j], other[i] })
+			for i := range rest {
+				s = crdt.ApplyOwned(rest[i], s)
+				c = crdt.ApplyOwned(other[i], c)
+				check(t, "original", half+i, s)
+				check(t, "clone", half+i, c)
+			}
+		}},
+		{"DecodeState", func(t *testing.T, _ *rand.Rand, seq []crdt.Effector) {
+			s := New().Init()
+			for i, e := range seq {
+				dec, err := DecodeState(crdt.ApplyOwned(e, s).AppendBinary(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				s = dec
+				check(t, "decoded", i, s)
+			}
+		}},
+	}
+	for _, w := range ways {
+		t.Run(w.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 40; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				w.run(t, rng, schedule(rng, prepared(t, rng, 60)))
+			}
+		})
+	}
+}
+
+// TestAddAftReplacesTriple pins what an AddAft does for an element already
+// in N: the same triple again changes nothing, and a different triple
+// replaces the old one, so the element moves with its subtree.
+func TestAddAftReplacesTriple(t *testing.T) {
+	s := New().Init()
+	for _, e := range []AddAftEff{
+		{A: spec.Sentinel, I: model.Stamp{N: 1}, B: v("a")},
+		{A: spec.Sentinel, I: model.Stamp{N: 2}, B: v("b")},
+		{A: v("a"), I: model.Stamp{N: 3}, B: v("c")},
+	} {
+		s = crdt.ApplyOwned(e, s)
+	}
+	before := s.Key()
+	s = crdt.ApplyOwned(AddAftEff{A: v("a"), I: model.Stamp{N: 3}, B: v("c")}, s)
+	if s.Key() != before {
+		t.Fatalf("re-applying a triple changed the state:\n%s\n%s", before, s.Key())
+	}
+	s = crdt.ApplyOwned(AddAftEff{A: v("b"), I: model.Stamp{N: 4, Node: 2}, B: v("a")}, s)
+	want := model.List(v("b"), v("a"), v("c"))
+	if got := Abs(s); !got.Equal(want) {
+		t.Fatalf("after moving a under b: read = %s, want %s", got, want)
+	}
+	if got := model.List(travReference(s.(State))...); !got.Equal(want) {
+		t.Fatalf("reference read = %s, want %s", got, want)
+	}
+}
+
+// TestTravTieBreak: two siblings with one stamp, which no Prepare issues,
+// read in the same order whichever arrived first.
+func TestTravTieBreak(t *testing.T) {
+	x := AddAftEff{A: spec.Sentinel, I: model.Stamp{N: 1}, B: v("x")}
+	y := AddAftEff{A: spec.Sentinel, I: model.Stamp{N: 1}, B: v("y")}
+	xy := Abs(y.Apply(x.Apply(New().Init())))
+	yx := Abs(x.Apply(y.Apply(New().Init())))
+	if !xy.Equal(yx) {
+		t.Fatalf("read depends on apply order: %s vs %s", xy, yx)
+	}
+}
+
+// TestDecodersRejectSentinelElement: an element equal to ◦, which Fig 2's
+// assume rules out, is corrupt on the wire and in a snapshot. A state that
+// held one could make trav walk from ◦ back to ◦ forever.
+func TestDecodersRejectSentinelElement(t *testing.T) {
+	a := v("a")
+	root := Triple{A: spec.Sentinel, I: model.Stamp{N: 1}, B: a}
+	loop := Triple{A: a, I: model.Stamp{N: 2, Node: 1}, B: spec.Sentinel}
+	self := Triple{A: spec.Sentinel, I: model.Stamp{N: 1}, B: spec.Sentinel}
+	state := func(ts ...Triple) func() error {
+		return func() error {
+			st := State{N: map[string]Triple{}, T: model.NewValueSet()}
+			for _, t := range ts {
+				st.N[t.B.String()] = t
+				st.TS = st.TS.Max(t.I)
+			}
+			_, err := DecodeState(st.AppendBinary(nil))
+			return err
+		}
+	}
+	effector := func(t Triple) func() error {
+		return func() error {
+			_, err := DecodeEffector(AddAftEff{A: t.A, I: t.I, B: t.B}.AppendBinary(nil))
+			return err
+		}
+	}
+	cases := []struct {
+		name   string
+		decode func() error
+	}{
+		{"effector AddAft(a,(2,t1),◦)", effector(loop)},
+		{"effector AddAft(◦,(1,t0),◦)", effector(self)},
+		{"state with (◦,(1,t0),a) and (a,(2,t1),◦)", state(root, loop)},
+		{"state with (◦,(1,t0),◦)", state(self)},
+	}
+	for _, c := range cases {
+		if err := c.decode(); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want codec.ErrCorrupt", c.name, err)
+		}
 	}
 }

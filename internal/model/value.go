@@ -248,9 +248,23 @@ func (v Value) Less(w Value) bool { return v.Compare(w) < 0 }
 // double-quoted strings, (a, b) for pairs, and [e1 e2 ...] for lists. The
 // rendering is injective, so it doubles as a hash key.
 func (v Value) String() string {
+	if v.kind == KindString {
+		return quote(v.s)
+	}
 	var b strings.Builder
 	v.write(&b)
 	return b.String()
+}
+
+// quote is strconv.Quote in one allocation for the strings it would not
+// escape: printable ASCII other than the double quote and the backslash.
+func quote(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.Quote(s)
+		}
+	}
+	return `"` + s + `"`
 }
 
 func (v Value) write(b *strings.Builder) {
@@ -262,7 +276,7 @@ func (v Value) write(b *strings.Builder) {
 	case KindInt:
 		b.WriteString(strconv.FormatInt(v.i, 10))
 	case KindString:
-		b.WriteString(strconv.Quote(v.s))
+		b.WriteString(quote(v.s))
 	case KindPair:
 		b.WriteByte('(')
 		v.vs[0].write(b)
@@ -313,11 +327,14 @@ func (s *ValueSet) Add(v Value) bool {
 }
 
 // Has reports membership.
-func (s *ValueSet) Has(v Value) bool {
+func (s *ValueSet) Has(v Value) bool { return s.HasKey(v.String()) }
+
+// HasKey reports whether the set holds the value whose rendering is k.
+func (s *ValueSet) HasKey(k string) bool {
 	if s == nil || s.m == nil {
 		return false
 	}
-	_, ok := s.m[v.String()]
+	_, ok := s.m[k]
 	return ok
 }
 

@@ -3,6 +3,8 @@ package model
 import (
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -147,6 +149,33 @@ func TestStringInjectiveOnSamples(t *testing.T) {
 		return true
 	}, quickCfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStringQuotesLikeStrconv: a string value renders exactly as
+// strconv.Quote renders its payload, alone and inside a pair, for random
+// strings drawn from printable ASCII, the double quote, the backslash,
+// control bytes, invalid UTF-8 and non-ASCII runes such as ◦.
+func TestStringQuotesLikeStrconv(t *testing.T) {
+	pieces := []string{"a", "Z", "0", " ", "~", `"`, `\`, "\x00", "\n", "\t", "\x1f", "\x7f", "\xff", "\xe2\x97", "◦", "é", "\u2028", "😀"}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		var b strings.Builder
+		for n := r.Intn(8); n > 0; n-- {
+			if r.Intn(2) == 0 {
+				b.WriteByte(byte(' ' + r.Intn(95)))
+			} else {
+				b.WriteString(pieces[r.Intn(len(pieces))])
+			}
+		}
+		s := b.String()
+		want := strconv.Quote(s)
+		if got := Str(s).String(); got != want {
+			t.Fatalf("Str(%q).String() = %s, want %s", s, got, want)
+		}
+		if got := Pair(Str(s), Nil()).String(); got != "("+want+", nil)" {
+			t.Fatalf("Pair(Str(%q), nil).String() = %s", s, got)
+		}
 	}
 }
 

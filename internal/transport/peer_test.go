@@ -13,6 +13,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/crdts/registry"
+	"repro/internal/crdts/rga"
 	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/spec"
@@ -506,6 +507,35 @@ func TestReplicaErrorPaths(t *testing.T) {
 				t.Fatalf("errors.Is(%v, codec.ErrCorrupt) = %t, want %t", err, !c.corrupt, c.corrupt)
 			}
 		})
+	}
+}
+
+// TestPeerRejectsSentinelElement: an rga effector frame whose element is
+// the sentinel ◦ is corrupt. Fig 2's assume keeps ◦ out of the tree, and a
+// tree holding it under one of its own descendants would send every read
+// round forever. Handle refuses the frame with codec.ErrCorrupt, the state
+// stays as it was, and the replica still reads.
+func TestPeerRejectsSentinelElement(t *testing.T) {
+	alg := algFor(t, "rga")
+	p := transport.NewPeer(alg.New(), alg.DecodeEffector, transport.NewMem(2).Endpoint(1), alg.NeedsCausal)
+	a := model.Str("a")
+	frame := func(mid model.MsgID, eff crdt.Effector) transport.Frame {
+		return transport.Frame{Kind: transport.KindEffector, MID: mid, From: 0, Payload: eff.AppendBinary(nil)}
+	}
+	if err := p.Handle(frame(1, rga.AddAftEff{A: spec.Sentinel, I: model.Stamp{N: 1}, B: a})); err != nil {
+		t.Fatal(err)
+	}
+	before := p.CanonicalState()
+	err := p.Handle(frame(3, rga.AddAftEff{A: a, I: model.Stamp{N: 2, Node: 1}, B: spec.Sentinel}))
+	if !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("AddAft(a,(2,t1),◦): err = %v, want codec.ErrCorrupt", err)
+	}
+	if !bytes.Equal(p.CanonicalState(), before) || p.Applied() != 1 {
+		t.Fatalf("the refused frame changed the replica: applied %d", p.Applied())
+	}
+	got, err := p.Invoke(model.Op{Name: spec.OpRead})
+	if want := model.List(a); err != nil || !got.Equal(want) {
+		t.Fatalf("read = %s, %v; want %s", got, err, want)
 	}
 }
 

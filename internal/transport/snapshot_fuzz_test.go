@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/crdts/registry"
+	"repro/internal/crdts/rga"
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/transport"
 )
 
@@ -73,6 +75,19 @@ func FuzzSnapshotInstall(f *testing.F) {
 			Suffix: []transport.Frame{bad},
 		}))
 	}
+	// A state holding the sentinel ◦ as an element under a, which is under
+	// ◦: a read that walked it would go round ◦ → a → ◦ forever, so the
+	// state decoder must refuse it.
+	a := model.Str("a")
+	loop := rga.State{
+		N: map[string]rga.Triple{
+			a.String():             {A: spec.Sentinel, I: model.Stamp{N: 1}, B: a},
+			spec.Sentinel.String(): {A: a, I: model.Stamp{N: 2, Node: 1}, B: spec.Sentinel},
+		},
+		T:  model.NewValueSet(),
+		TS: model.Stamp{N: 2, Node: 1},
+	}
+	f.Add(transport.EncodeSnapshot(transport.Snapshot{State: loop.AppendBinary(nil)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := transport.NewMem(2)
 		p := transport.NewPeer(alg.New(), alg.DecodeEffector, m.Endpoint(1), alg.NeedsCausal,
@@ -93,7 +108,11 @@ func FuzzSnapshotInstall(f *testing.F) {
 		if err != nil && st.Installed == st.FellBack {
 			t.Fatalf("rejected response left inconsistent stats: %+v", st)
 		}
-		// The replica must stay usable whichever way it resolved.
+		// The replica must stay usable whichever way it resolved: it encodes
+		// its state and reads.
 		_ = p.CanonicalState()
+		if _, err := p.Invoke(model.Op{Name: spec.OpRead}); err != nil {
+			t.Fatalf("read after the response: %v", err)
+		}
 	})
 }
