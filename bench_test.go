@@ -468,40 +468,6 @@ func BenchmarkLogic_Judgments(b *testing.B) {
 	})
 }
 
-// BenchmarkExecRelated_Ablation compares the incremental ExecRelated (the
-// default) with the specification-literal full re-execution, on witness
-// orders over RGA traces — the "memoized vs naive prefix re-execution"
-// ablation from DESIGN.md.
-func BenchmarkExecRelated_Ablation(b *testing.B) {
-	alg := registry.RGA()
-	for _, steps := range []int{40, 120} {
-		steps := steps
-		w := sim.Workload{
-			Object: alg.New(), Abs: alg.Abs, Gen: sim.GenFunc(alg.GenOp),
-			Nodes: 3, Steps: steps,
-		}
-		tr := w.Run(1).Trace()
-		p := core.Problem{Object: alg.New(), Spec: alg.Spec, Abs: alg.Abs}
-		for _, mode := range []string{"incremental", "naive"} {
-			mode := mode
-			b.Run(fmt.Sprintf("%s/events=%d", mode, len(tr)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					var res core.Result
-					var err error
-					if mode == "incremental" {
-						res, err = core.CheckACCWitness(tr, p, alg.TSOrder)
-					} else {
-						res, err = core.CheckACCWitnessNaive(tr, p, alg.TSOrder)
-					}
-					if err != nil || !res.OK {
-						b.Fatalf("%v %v", err, res.Reason)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkExploreParallel compares the sequential schedule explorer against
 // the parallel engine on a 3-node, 8-op counter script. The three leading
 // reads produce identity effectors (never broadcast), which keeps the

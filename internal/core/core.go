@@ -247,8 +247,8 @@ func forEachLinearExtension(items []model.MsgID, before map[[2]model.MsgID]bool,
 // current serialization and, when a newly visible operation is inserted at
 // position i, re-executes only the suffix from i — most arrivals insert near
 // the end, so the common cost per event is O(1) abstract steps instead of
-// O(|visible|). execRelatedNaive is the specification-literal version kept
-// for the ablation benchmark and the agreement test.
+// O(|visible|). execRelatedNaive, in the tests, is the
+// specification-literal version it is checked and benchmarked against.
 func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 	pos := ar.positions()
 	s := p.initState()
@@ -285,48 +285,6 @@ func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 			states = append(states, st)
 		}
 		if !p.Abs(s).Equal(states[len(states)-1]) {
-			return false
-		}
-		if e.IsOrigin && !lastRet.Equal(e.Ret) {
-			return false
-		}
-	}
-	return true
-}
-
-// execRelatedNaive is the specification-literal ExecRelated: it re-executes
-// the whole serialization of the visible set at every prefix.
-func execRelatedNaive(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
-	pos := ar.positions()
-	s := p.initState()
-	absInit := p.Abs(s)
-	var visible []trace.Event // origin events visible so far, kept ar-sorted
-	insert := func(e trace.Event) bool {
-		at, ok := pos[e.MID]
-		if !ok {
-			return false
-		}
-		i := sort.Search(len(visible), func(i int) bool { return pos[visible[i].MID] >= at })
-		visible = append(visible, trace.Event{})
-		copy(visible[i+1:], visible[i:])
-		visible[i] = e
-		return true
-	}
-	for _, e := range tr {
-		if e.Node != t {
-			continue
-		}
-		s = e.Eff.Apply(s)
-		orig, ok := tr.OriginOf(e.MID)
-		if !ok || !insert(orig) {
-			return false // ar is not total over visible(E, t)
-		}
-		ops := make([]model.Op, len(visible))
-		for i, ve := range visible {
-			ops[i] = ve.Op
-		}
-		got, lastRet := spec.Exec(p.Spec, absInit, ops)
-		if !p.Abs(s).Equal(got) {
 			return false
 		}
 		if e.IsOrigin && !lastRet.Equal(e.Ret) {

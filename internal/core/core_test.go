@@ -650,7 +650,7 @@ func TestWitnessNaiveVariantAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := CheckACCWitnessNaive(tr, p, alg.TSOrder)
+		b, err := checkACCWitnessNaive(tr, p, alg.TSOrder)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,33 +113,3 @@ func witnessOrder(tr trace.Trace, t model.NodeID, ts TSOrder, p Problem) (Order,
 	}
 	return out, nil
 }
-
-// CheckACCWitnessNaive is CheckACCWitness with the specification-literal
-// ExecRelated (full re-execution per prefix); it exists for the ablation
-// benchmark.
-func CheckACCWitnessNaive(tr trace.Trace, p Problem, ts TSOrder) (Result, error) {
-	if err := tr.CheckWellFormed(); err != nil {
-		return Result{}, err
-	}
-	nodes := tr.Nodes()
-	orders := map[model.NodeID]Order{}
-	for _, t := range nodes {
-		ord, err := witnessOrder(tr, t, ts, p)
-		if err != nil {
-			return Result{Reason: fmt.Sprintf("node %s: %v", t, err)}, nil
-		}
-		if !execRelatedNaive(tr, t, ord, p) {
-			return Result{Reason: fmt.Sprintf("node %s: witness order %v fails ExecRelated", t, ord)}, nil
-		}
-		orders[t] = ord
-	}
-	ops := originOps(tr)
-	for i, t1 := range nodes {
-		for _, t2 := range nodes[i+1:] {
-			if !coherent(p.Spec, ops, orders[t1], orders[t2]) {
-				return Result{Reason: fmt.Sprintf("witness orders of %s and %s are incoherent on conflicting operations", t1, t2)}, nil
-			}
-		}
-	}
-	return Result{OK: true, Orders: orders}, nil
-}
