@@ -20,8 +20,10 @@ import (
 
 // State is a replica-local object state (the paper's LocalState). A state is
 // immutable to everyone but its owner: Effector.Apply never mutates its
-// argument and returns a fresh state sharing nothing mutable with it, so
-// traces, checkers and copy-on-write clones may share states freely. The
+// argument and returns a fresh state that shares with it only memory neither
+// state writes again (RGA's clones share sibling lists clipped to their
+// length, so an append on either side copies), so traces, checkers and
+// copy-on-write clones may share states freely. The
 // exception is a caller that holds the only reference to a state, which may
 // hand it to ApplyOwned (see InPlace). There are two such owners. A replica
 // host (transport.Peer) drops the old state after every apply and never
