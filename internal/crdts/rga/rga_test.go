@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/codec"
@@ -447,6 +448,35 @@ func TestTravTieBreak(t *testing.T) {
 	if !xy.Equal(yx) {
 		t.Fatalf("read depends on apply order: %s vs %s", xy, yx)
 	}
+}
+
+// TestTravConcurrentReaders: reads share a state whose sibling lists are out
+// of order, as checkers and explorer forks do, so trav must sort into
+// scratch and never write the state. Run under -race.
+func TestTravConcurrentReaders(t *testing.T) {
+	s := crdt.ApplyOwned(AddAftEff{A: spec.Sentinel, I: model.Stamp{N: 8}, B: v("x8")}, New().Init())
+	for i := 7; i >= 1; i-- { // decreasing stamps: both lists out of order
+		a := spec.Sentinel
+		if i%2 == 0 {
+			a = v("x8")
+		}
+		s = crdt.ApplyOwned(AddAftEff{A: a, I: model.Stamp{N: int64(i)}, B: v(fmt.Sprintf("x%d", i))}, s)
+	}
+	want := model.List(travReference(s.(State))...)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				if got := Abs(s); !got.Equal(want) {
+					t.Errorf("read = %s, want %s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDecodersRejectSentinelElement: an element equal to ◦, which Fig 2's
