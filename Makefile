@@ -138,14 +138,16 @@ bench-explore:
 # Mirror of CI's checker gate: the Fig 2 RGA operations (prepare, apply and
 # read at the origin), the Fig 3 ACC decision and the ACC/XACC witness
 # trace-length sweeps — the rows that price RGA's trav, which is both its
-# read and its abstraction function φ — run 3× on one CPU, collapsed to each
-# case's fastest run and gated against the checked-in BENCH_core.json with
+# read and its abstraction function φ — and the simulator's own rows
+# (Sim_Throughput: every registry algorithm on 3 nodes for 50 drained
+# steps, which prices the scheduler over transport.Mem) run 3× on one CPU,
+# collapsed to each case's fastest run and gated against the checked-in BENCH_core.json with
 # the transport gate's tolerances (+25% ns/op, +34% allocs/op). The output
 # is bench-core-current.json, not the baseline. To re-record the baseline
 # after an intentional change, rerun the benchmarks the same way and render
 # them with `-worst -out BENCH_core.json` (see EXPERIMENTS.md).
 bench-core:
-	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|ACCWitness_TraceLength|XACCWitness_TraceLength)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
+	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|ACCWitness_TraceLength|Sim_Throughput|XACCWitness_TraceLength)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
 	cat bench_core.out
 	go run ./cmd/bench-report -json -best -out bench-core-current.json -baseline BENCH_core.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_core.out; s=$$?; \
 	rm -f bench_core.out; exit $$s
