@@ -300,7 +300,9 @@ func AppendValueSet(b []byte, s *model.ValueSet) []byte {
 	return b
 }
 
-// DecodeValueSet reads one value set.
+// DecodeValueSet reads one value set, rejecting elements that are not in
+// strictly increasing order: AppendValueSet's canonical order admits no
+// other, and a repeated element would shrink the set.
 func DecodeValueSet(b []byte) (*model.ValueSet, []byte, error) {
 	n, rest, err := DecodeUvarint(b)
 	if err != nil {
@@ -310,13 +312,18 @@ func DecodeValueSet(b []byte) (*model.ValueSet, []byte, error) {
 		return nil, nil, corruptf("set length %d exceeds %d remaining bytes", n, len(rest))
 	}
 	s := model.NewValueSet()
+	var prev model.Value
 	for i := uint64(0); i < n; i++ {
 		var e model.Value
 		e, rest, err = DecodeValue(rest)
 		if err != nil {
 			return nil, nil, err
 		}
+		if i > 0 && e.Compare(prev) <= 0 {
+			return nil, nil, corruptf("set element %s after %s", e, prev)
+		}
 		s.Add(e)
+		prev = e
 	}
 	return s, rest, nil
 }

@@ -161,6 +161,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"op truncated", errOf3(DecodeOp(AppendOp(nil, model.Op{Name: "inc", Arg: model.Int(1)})[:3]))},
 		{"stamp truncated", errOf3(DecodeStamp(nil))},
 		{"set count overruns", errOf2(DecodeValueSet([]byte{200, 1}))},
+		{"set out of order", errOf2(DecodeValueSet(rawSet(model.Int(2), model.Int(1))))},
+		{"set element repeated", errOf2(DecodeValueSet(rawSet(model.Str("a"), model.Str("a"))))},
 		{"rat empty", errOf2(DecodeRat(nil))},
 		{"rat sign 3", errOf2(DecodeRat([]byte{3}))},
 		{"rat zero numerator", errOf2(DecodeRat([]byte{1, 0, 1, 2}))},
@@ -176,6 +178,15 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, c.err)
 		}
 	}
+}
+
+// rawSet encodes vs as a value set in the order given, canonical or not.
+func rawSet(vs ...model.Value) []byte {
+	b := AppendUvarint(nil, uint64(len(vs)))
+	for _, v := range vs {
+		b = AppendValue(b, v)
+	}
+	return b
 }
 
 // errOf2/errOf3 project the error out of 3- and 4-result decoders so the

@@ -65,6 +65,7 @@ func DecodeState(b []byte) (crdt.State, error) {
 		return nil, err
 	}
 	st := State{N: map[string]Triple{}}
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		var t Triple
 		t.A, rest, err = codec.DecodeValue(rest)
@@ -82,7 +83,13 @@ func DecodeState(b []byte) (crdt.State, error) {
 		if err := notSentinel(t.B); err != nil {
 			return nil, err
 		}
-		st.N[t.B.String()] = t
+		// AppendBinary writes the triples in increasing key order, so a key
+		// that does not exceed its predecessor is out of order or repeated.
+		k := t.B.String()
+		if i > 0 && k <= prev {
+			return nil, fmt.Errorf("%w: rga triple for %s after %s", codec.ErrCorrupt, k, prev)
+		}
+		st.N[k], prev = t, k
 	}
 	st.T, rest, err = codec.DecodeValueSet(rest)
 	if err != nil {

@@ -278,7 +278,7 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 
 // Abs is the abstraction function φ: the visible list produced by trav — the
 // timestamped tree and the tombstones are hidden.
-func Abs(s crdt.State) model.Value { return model.List(s.(State).Trav()...) }
+func Abs(s crdt.State) model.Value { return model.ListOf(s.(State).Trav()) }
 
 // Spec returns the abstract list specification shared with the continuous
 // sequence.

@@ -519,3 +519,54 @@ func TestDecodersRejectSentinelElement(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeStateRejectsNonCanonical: AppendBinary writes each triple once,
+// in increasing key order, and the tombstones in increasing order. Any other
+// encoding is corrupt — it would decode to a state that re-encodes to
+// different bytes.
+func TestDecodeStateRejectsNonCanonical(t *testing.T) {
+	a := Triple{A: spec.Sentinel, I: model.Stamp{N: 1}, B: v("a")}
+	b := Triple{A: spec.Sentinel, I: model.Stamp{N: 2}, B: v("b")}
+	b2 := Triple{A: v("a"), I: model.Stamp{N: 3}, B: v("b")}
+	encode := func(tombs []model.Value, ts ...Triple) []byte {
+		enc := codec.AppendUvarint(nil, uint64(len(ts)))
+		for _, t := range ts {
+			enc = codec.AppendValue(enc, t.A)
+			enc = codec.AppendStamp(enc, t.I)
+			enc = codec.AppendValue(enc, t.B)
+		}
+		enc = codec.AppendUvarint(enc, uint64(len(tombs)))
+		for _, e := range tombs {
+			enc = codec.AppendValue(enc, e)
+		}
+		return codec.AppendStamp(enc, model.Stamp{N: 3})
+	}
+	canonical := encode([]model.Value{v("a"), v("b")}, a, b)
+	if st, err := DecodeState(canonical); err != nil || !slices.Equal(st.AppendBinary(nil), canonical) {
+		t.Fatalf("canonical state: err %v", err)
+	}
+	cases := []struct {
+		name string
+		enc  []byte
+	}{
+		{"triples for b, a", encode(nil, b, a)},
+		{"two triples for b", encode(nil, a, b, b2)},
+		{"tombstones b, a", encode([]model.Value{v("b"), v("a")}, a, b)},
+		{"tombstone a twice", encode([]model.Value{v("a"), v("a")}, a, b)},
+	}
+	for _, c := range cases {
+		if _, err := DecodeState(c.enc); !errors.Is(err, codec.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want codec.ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// TestAbsAllocatesOnce: φ adopts the list trav builds rather than copying
+// it, so a one-element state costs one allocation.
+func TestAbsAllocatesOnce(t *testing.T) {
+	o := New()
+	s, _, _ := apply(t, o, o.Init(), addAfter(spec.Sentinel, v("a")), 0, 1)
+	if n := testing.AllocsPerRun(100, func() { Abs(s) }); n != 1 {
+		t.Fatalf("Abs allocates %v times, want 1", n)
+	}
+}

@@ -93,6 +93,12 @@ func List(vs ...Value) Value {
 	return Value{kind: KindList, vs: cp}
 }
 
+// ListOf returns a list value holding vs itself, without the copy List
+// makes: the caller gives the slice up and must not modify it afterwards.
+// Its capacity is clipped to its length, so an append to the list's
+// elements never writes into the adopted array.
+func ListOf(vs []Value) Value { return Value{kind: KindList, vs: vs[:len(vs):len(vs)]} }
+
 // Kind reports the variant of v.
 func (v Value) Kind() Kind { return v.kind }
 

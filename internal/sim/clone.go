@@ -64,12 +64,11 @@ func (c *Cluster) AppendBinary(b []byte) []byte {
 		scratch = s.AppendBinary(scratch[:0])
 		b = codec.AppendBytes(b, scratch)
 		b = codec.AppendBool(b, c.down[t])
-		pend := c.net.Mids(model.NodeID(t))
+		pend := c.net.Queue(model.NodeID(t))
 		b = codec.AppendUvarint(b, uint64(len(pend)))
-		for _, mid := range pend {
-			q, _ := c.net.Get(model.NodeID(t), mid)
+		for _, q := range pend {
 			msg := q.Item.(*message)
-			b = codec.AppendUvarint(b, uint64(mid))
+			b = codec.AppendUvarint(b, uint64(q.Frame.MID))
 			scratch = msg.eff.AppendBinary(scratch[:0])
 			b = codec.AppendBytes(b, scratch)
 			b = msg.deps.AppendBinary(b)

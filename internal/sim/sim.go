@@ -83,6 +83,12 @@ type message struct {
 // pred returns m's origin's previous broadcast (0 for none).
 func (m *message) pred() model.MsgID { return m.deps.Front(int(m.from)) }
 
+// delivery names one queued message at one destination.
+type delivery struct {
+	dst model.NodeID
+	mid model.MsgID
+}
+
 // Cluster is a simulated replicated system running one CRDT object.
 type Cluster struct {
 	// --- replica layer ---
@@ -116,6 +122,9 @@ type Cluster struct {
 	// dec, and linkBytes counts the payload bytes queued per link.
 	dec       crdt.EffectorDecoder
 	linkBytes [][]int // [from][to] payload bytes queued
+	// cand is DeliverRandom's candidate buffer, reused across calls; a
+	// Clone starts without one, so clones never share it.
+	cand []delivery
 
 	// --- fault layer ---
 	// faults, when non-nil, perturbs every queued copy with seeded link
@@ -305,10 +314,13 @@ func (c *Cluster) deliverable(dst model.NodeID, q *transport.Queued) bool {
 
 // Deliverable returns the request IDs currently deliverable to dst, sorted.
 func (c *Cluster) Deliverable(dst model.NodeID) []model.MsgID {
-	return slices.DeleteFunc(c.net.Mids(dst), func(mid model.MsgID) bool {
-		q, _ := c.net.Get(dst, mid)
-		return !c.deliverable(dst, q)
-	})
+	var out []model.MsgID
+	for _, q := range c.net.Queue(dst) {
+		if c.deliverable(dst, q) {
+			out = append(out, q.Frame.MID)
+		}
+	}
+	return out
 }
 
 // missing classifies why mid is not in dst's queue. An error path, so it
@@ -431,18 +443,19 @@ func (c *Cluster) PendingTo(dst model.NodeID) int { return c.net.PendingTo(dst) 
 // DeliverRandom delivers one random deliverable message using rng. It
 // reports whether a delivery happened.
 func (c *Cluster) DeliverRandom(rng *rand.Rand) bool {
-	var dsts []model.NodeID
-	var mids []model.MsgID
+	c.cand = c.cand[:0]
 	for dst := model.NodeID(0); int(dst) < c.N(); dst++ {
-		for _, mid := range c.Deliverable(dst) {
-			dsts, mids = append(dsts, dst), append(mids, mid)
+		for _, q := range c.net.Queue(dst) {
+			if c.deliverable(dst, q) {
+				c.cand = append(c.cand, delivery{dst, q.Frame.MID})
+			}
 		}
 	}
-	if len(mids) == 0 {
+	if len(c.cand) == 0 {
 		return false
 	}
-	i := rng.Intn(len(mids))
-	if err := c.Deliver(dsts[i], mids[i]); err != nil {
+	d := c.cand[rng.Intn(len(c.cand))]
+	if err := c.Deliver(d.dst, d.mid); err != nil {
 		if errors.Is(err, ErrCorruptPayload) {
 			// The attempt consumed the corrupt copy and a clean
 			// retransmission is queued; the scheduling slot is spent.
@@ -496,8 +509,7 @@ func (c *Cluster) drain(pending func() int, lo, hi int) bool {
 func (c *Cluster) lost() bool {
 	for dst := range c.states {
 		stuck := maps.Clone(c.dropped[dst])
-		for _, mid := range c.net.Mids(model.NodeID(dst)) {
-			q, _ := c.net.Get(model.NodeID(dst), mid)
+		for _, q := range c.net.Queue(model.NodeID(dst)) {
 			blocked := false
 			for o := range c.states {
 				d := q.Item.(*message).deps.Front(o)
@@ -506,7 +518,7 @@ func (c *Cluster) lost() bool {
 			if !blocked {
 				return false
 			}
-			stuck[mid] = true
+			stuck[q.Frame.MID] = true
 		}
 	}
 	return true

@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/model"
@@ -23,25 +23,20 @@ import (
 type Mem struct {
 	n   int
 	now int
-	// inbox holds the undelivered copies per destination, keyed by (object,
-	// mid) — mid spaces are per object, so two multiplexed objects may queue
-	// the same MsgID concurrently. Queued values are shared across Clones; a
-	// partially consumed duplicate is replaced copy-on-write, so the sharing
-	// stays safe.
-	inbox []map[memKey]*Queued
+	// inbox holds each destination's undelivered copy sets, sorted by
+	// (object, mid) — mid spaces are per object, so two multiplexed objects
+	// may queue the same MsgID concurrently. Mids grow with every broadcast,
+	// so a new copy set almost always appends. Queued values are shared
+	// across Clones; a partially consumed duplicate is replaced
+	// copy-on-write, so the sharing stays safe.
+	inbox [][]*Queued
+	// pending counts each destination's undelivered copies: the sum of
+	// Copies over its inbox.
+	pending []int
 	// partition, when non-nil, assigns each node to a link group; frames
 	// only flow within a group.
 	partition []int
 }
-
-// memKey addresses one queued copy set: the frame's object and its mid
-// within that object's space.
-type memKey struct {
-	obj ObjID
-	mid model.MsgID
-}
-
-func keyOf(f Frame) memKey { return memKey{obj: f.Obj, mid: f.MID} }
 
 // Queued is one in-flight frame addressed to a single destination, together
 // with its scheduling state: how many network copies remain (>1 after a
@@ -61,11 +56,7 @@ func NewMem(n int) *Mem {
 	if n < 1 {
 		panic("transport: network needs at least one node")
 	}
-	m := &Mem{n: n}
-	for i := 0; i < n; i++ {
-		m.inbox = append(m.inbox, map[memKey]*Queued{})
-	}
-	return m
+	return &Mem{n: n, inbox: make([][]*Queued, n), pending: make([]int, n)}
 }
 
 // N returns the number of nodes.
@@ -84,11 +75,26 @@ func (m *Mem) AdvanceTo(t int) {
 	}
 }
 
+// find binary-searches dst's inbox for the copy set of obj's mid, returning
+// its position, or where it would be inserted, and whether it is queued.
+func (m *Mem) find(dst model.NodeID, obj ObjID, mid model.MsgID) (int, bool) {
+	return slices.BinarySearchFunc(m.inbox[dst], mid, func(q *Queued, mid model.MsgID) int {
+		return cmp.Or(cmp.Compare(q.Frame.Obj, obj), cmp.Compare(q.Frame.MID, mid))
+	})
+}
+
 // Put queues q for dst, replacing any copy set already queued under the same
 // (object, MsgID) key (the corruption path uses this to swap a mangled copy
 // set for one clean retransmission).
 func (m *Mem) Put(dst model.NodeID, q *Queued) {
-	m.inbox[dst][keyOf(q.Frame)] = q
+	i, ok := m.find(dst, q.Frame.Obj, q.Frame.MID)
+	if ok {
+		m.pending[dst] -= m.inbox[dst][i].Copies
+		m.inbox[dst][i] = q
+	} else {
+		m.inbox[dst] = slices.Insert(m.inbox[dst], i, q)
+	}
+	m.pending[dst] += q.Copies
 }
 
 // Get returns object 0's queued copy set for mid at dst without consuming
@@ -96,8 +102,10 @@ func (m *Mem) Put(dst model.NodeID, q *Queued) {
 // simulator's single-object schedules and address object 0; multiplexed
 // traffic moves through Endpoint views, which handle every object.
 func (m *Mem) Get(dst model.NodeID, mid model.MsgID) (*Queued, bool) {
-	q, ok := m.inbox[dst][memKey{mid: mid}]
-	return q, ok
+	if i, ok := m.find(dst, 0, mid); ok {
+		return m.inbox[dst][i], true
+	}
+	return nil, false
 }
 
 // Take consumes one network copy of object 0's mid at dst. Queued values are
@@ -105,48 +113,59 @@ func (m *Mem) Get(dst model.NodeID, mid model.MsgID) (*Queued, bool) {
 // copy-on-write; the last copy removes the entry. It reports whether the mid
 // was queued.
 func (m *Mem) Take(dst model.NodeID, mid model.MsgID) (*Queued, bool) {
-	return m.take(dst, memKey{mid: mid})
-}
-
-func (m *Mem) take(dst model.NodeID, k memKey) (*Queued, bool) {
-	q, ok := m.inbox[dst][k]
+	i, ok := m.find(dst, 0, mid)
 	if !ok {
 		return nil, false
 	}
+	return m.take(dst, i), true
+}
+
+// take consumes one network copy of the copy set at position i of dst's
+// inbox.
+func (m *Mem) take(dst model.NodeID, i int) *Queued {
+	q := m.inbox[dst][i]
 	if q.Copies > 1 {
 		cp := *q
 		cp.Copies--
-		m.inbox[dst][k] = &cp
+		m.inbox[dst][i] = &cp
 	} else {
-		delete(m.inbox[dst], k)
+		m.inbox[dst] = slices.Delete(m.inbox[dst], i, i+1)
 	}
-	return q, true
+	m.pending[dst]--
+	return q
 }
 
 // Clear discards every queued copy addressed to dst (a replaced replica's
 // inbox: the fresh node resyncs from the durable log instead).
 func (m *Mem) Clear(dst model.NodeID) {
-	m.inbox[dst] = map[memKey]*Queued{}
+	m.inbox[dst], m.pending[dst] = nil, 0
 }
 
 // Remove discards every remaining queued copy of object 0's mid at dst.
 func (m *Mem) Remove(dst model.NodeID, mid model.MsgID) bool {
-	if _, ok := m.inbox[dst][memKey{mid: mid}]; !ok {
+	i, ok := m.find(dst, 0, mid)
+	if !ok {
 		return false
 	}
-	delete(m.inbox[dst], memKey{mid: mid})
+	m.pending[dst] -= m.inbox[dst][i].Copies
+	m.inbox[dst] = slices.Delete(m.inbox[dst], i, i+1)
 	return true
 }
+
+// Queue returns dst's queued copy sets, sorted by (object, mid). The slice
+// is the network's own: callers must not modify it, nor keep it across a
+// mutation of the network.
+func (m *Mem) Queue(dst model.NodeID) []*Queued { return m.inbox[dst] }
 
 // Mids returns object 0's MsgIDs queued for dst, sorted.
 func (m *Mem) Mids(dst model.NodeID) []model.MsgID {
 	out := make([]model.MsgID, 0, len(m.inbox[dst]))
-	for k := range m.inbox[dst] {
-		if k.obj == 0 {
-			out = append(out, k.mid)
+	for _, q := range m.inbox[dst] {
+		if q.Frame.Obj != 0 {
+			break
 		}
+		out = append(out, q.Frame.MID)
 	}
-	slices.Sort(out)
 	return out
 }
 
@@ -160,22 +179,14 @@ func (m *Mem) Ready(dst model.NodeID, q *Queued) bool {
 // Pending returns the total number of undelivered frame copies.
 func (m *Mem) Pending() int {
 	n := 0
-	for _, box := range m.inbox {
-		for _, q := range box {
-			n += q.Copies
-		}
+	for _, p := range m.pending {
+		n += p
 	}
 	return n
 }
 
 // PendingTo returns the number of undelivered frame copies addressed to dst.
-func (m *Mem) PendingTo(dst model.NodeID) int {
-	n := 0
-	for _, q := range m.inbox[dst] {
-		n += q.Copies
-	}
-	return n
-}
+func (m *Mem) PendingTo(dst model.NodeID) int { return m.pending[dst] }
 
 // NextArrival returns the earliest future arrival tick among queued copies
 // on live links, skipping destinations for which skip reports true (the
@@ -241,14 +252,15 @@ func (m *Mem) InFlightBytesAcross() int {
 	return total
 }
 
-// Clone deep-copies the network so exhaustive explorers can branch. Queued
-// values are shared (Take replaces partially consumed duplicates
-// copy-on-write, keeping the sharing safe).
+// Clone copies the network so exhaustive explorers can branch: each inbox
+// slice is copied and the Queued values in it are shared (nothing mutates a
+// queued value in place: a partially consumed duplicate is replaced
+// copy-on-write, so the sharing stays safe).
 func (m *Mem) Clone() *Mem {
-	cp := &Mem{n: m.n, now: m.now}
-	cp.partition = append([]int(nil), m.partition...)
-	for _, box := range m.inbox {
-		cp.inbox = append(cp.inbox, maps.Clone(box))
+	cp := &Mem{n: m.n, now: m.now, pending: slices.Clone(m.pending), partition: slices.Clone(m.partition)}
+	cp.inbox = make([][]*Queued, m.n)
+	for dst, box := range m.inbox {
+		cp.inbox[dst] = slices.Clone(box)
 	}
 	return cp
 }
@@ -384,21 +396,18 @@ func (e *memEndpoint) Recv(wait bool) (Frame, bool, error) {
 		return Frame{}, false, ErrClosed
 	}
 	for {
-		var best memKey
-		found := false
-		bestAt := 0
-		for k, q := range e.m.inbox[e.self] {
-			if !e.m.Ready(e.self, q) {
-				continue
-			}
-			// Deterministic order: smallest (arrival tick, object, mid).
-			if !found || q.ReadyAt < bestAt ||
-				(q.ReadyAt == bestAt && (k.obj < best.obj || (k.obj == best.obj && k.mid < best.mid))) {
-				best, bestAt, found = k, q.ReadyAt, true
+		// Deterministic order: smallest (arrival tick, object, mid). The
+		// inbox is sorted by (object, mid), so the first ready copy set of
+		// the earliest tick wins.
+		best := -1
+		box := e.m.inbox[e.self]
+		for i, q := range box {
+			if e.m.Ready(e.self, q) && (best < 0 || q.ReadyAt < box[best].ReadyAt) {
+				best = i
 			}
 		}
-		if found {
-			q, _ := e.m.take(e.self, best)
+		if best >= 0 {
+			q := e.m.take(e.self, best)
 			from := q.Frame.From
 			if int(from) >= 0 && int(from) < e.m.n {
 				// Mem delivers frame-at-a-time: one batch per frame, charged
