@@ -44,16 +44,16 @@ func TestXWonByArbitratesConcurrentPairs(t *testing.T) {
 	w, _, _ := concurrentAddRemoveWorld()
 	one := expr(t, `s == [1]`)
 	empty := expr(t, `s == []`)
-	if err := awCtx().satWorld(w, one, true); err != nil {
+	if err := satWorld(awCtx(), w, one, true); err != nil {
 		t.Errorf("aw-set: add must win: %v", err)
 	}
-	if err := awCtx().satWorld(w, empty, true); err == nil {
+	if err := satWorld(awCtx(), w, empty, true); err == nil {
 		t.Error("aw-set: empty state accepted for a concurrent pair")
 	}
-	if err := rwCtx().satWorld(w, empty, true); err != nil {
+	if err := satWorld(rwCtx(), w, empty, true); err != nil {
 		t.Errorf("rw-set: remove must win: %v", err)
 	}
-	if err := rwCtx().satWorld(w, one, true); err == nil {
+	if err := satWorld(rwCtx(), w, one, true); err == nil {
 		t.Error("rw-set: non-empty state accepted for a concurrent pair")
 	}
 }
@@ -65,10 +65,10 @@ func TestXVisibilityOverridesWonBy(t *testing.T) {
 	w, add, rmv := concurrentAddRemoveWorld()
 	w.SetSeen(rmv.ID, map[string]bool{add.ID: true})
 	empty := expr(t, `s == []`)
-	if err := awCtx().satWorld(w, empty, true); err != nil {
+	if err := satWorld(awCtx(), w, empty, true); err != nil {
 		t.Errorf("aw-set: a remove that saw the add cancels it: %v", err)
 	}
-	if err := rwCtx().satWorld(w, empty, true); err != nil {
+	if err := satWorld(rwCtx(), w, empty, true); err != nil {
 		t.Errorf("rw-set: %v", err)
 	}
 	// And the reverse causality: the add saw the remove — the element is
@@ -76,10 +76,10 @@ func TestXVisibilityOverridesWonBy(t *testing.T) {
 	w2, add2, rmv2 := concurrentAddRemoveWorld()
 	w2.SetSeen(add2.ID, map[string]bool{rmv2.ID: true})
 	one := expr(t, `s == [1]`)
-	if err := awCtx().satWorld(w2, one, true); err != nil {
+	if err := satWorld(awCtx(), w2, one, true); err != nil {
 		t.Errorf("aw-set: %v", err)
 	}
-	if err := rwCtx().satWorld(w2, one, true); err != nil {
+	if err := satWorld(rwCtx(), w2, one, true); err != nil {
 		t.Errorf("rw-set: a canceled remove no longer wins: %v", err)
 	}
 }
@@ -100,11 +100,11 @@ func TestXCausalArrivals(t *testing.T) {
 	// arrival set {rmv} alone is NOT, so "s==[] || s==[1]" covers everything
 	// and notably the remove-only state (which equals [] here anyway for a
 	// set) arises only through the empty set of arrivals.
-	if err := rwCtx().satWorld(w, expr(t, `s == [] || s == [1]`), false); err != nil {
+	if err := satWorld(rwCtx(), w, expr(t, `s == [] || s == [1]`), false); err != nil {
 		t.Errorf("%v", err)
 	}
 	// Under ⇛ both arrive: causally ordered add < rmv ⇒ empty.
-	if err := rwCtx().satWorld(w, expr(t, `s == []`), true); err != nil {
+	if err := satWorld(rwCtx(), w, expr(t, `s == []`), true); err != nil {
 		t.Errorf("⇛: %v", err)
 	}
 }
@@ -219,7 +219,7 @@ func TestXStabilizationPrunesCycles(t *testing.T) {
 	pf := xSec25Proof(t, rwCtx())
 	init := NewWorld(model.List())
 	init.Seen = map[string]map[string]bool{}
-	worlds := pf.stabilize([]World{init}, append(append(RG{}, pf.Threads[0].G...), pf.Threads[1].G...))
+	worlds := pf.Ctx.stabilize([]World{init}, append(append(RG{}, pf.Threads[0].G...), pf.Threads[1].G...))
 	if len(worlds) == 0 {
 		t.Fatal("no worlds")
 	}
