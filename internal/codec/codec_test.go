@@ -147,7 +147,11 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}{
 		{"uvarint empty", errOf2(DecodeUvarint(nil))},
 		{"uvarint overflow", errOf2(DecodeUvarint(overlong))},
+		{"uvarint over-long zero", errOf2(DecodeUvarint([]byte{0x80, 0x00}))},
+		{"uvarint over-long 1", errOf2(DecodeUvarint([]byte{0x81, 0x80, 0x00}))},
 		{"varint empty", errOf2(DecodeVarint(nil))},
+		{"varint over-long -1", errOf2(DecodeVarint([]byte{0x81, 0x00}))},
+		{"string length over-long", errOf2(DecodeString([]byte{0x81, 0x00, 'a'}))},
 		{"bool empty", errOf2(DecodeBool(nil))},
 		{"bool byte 2", errOf2(DecodeBool([]byte{2}))},
 		{"string truncated", errOf2(DecodeString([]byte{5, 'a'}))},

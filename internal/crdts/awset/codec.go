@@ -69,13 +69,18 @@ func decodeInstMap(b []byte) (map[string]inst, []byte, error) {
 		return nil, nil, err
 	}
 	m := map[string]inst{}
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		var in inst
 		in, rest, err = decodeInst(rest)
 		if err != nil {
 			return nil, nil, err
 		}
-		m[in.key()] = in
+		k := in.key()
+		if err := codec.Ascending(i, prev, k); err != nil {
+			return nil, nil, err
+		}
+		m[k], prev = in, k
 	}
 	return m, rest, nil
 }
@@ -102,13 +107,17 @@ func decodeKeySet(b []byte) (map[string]bool, []byte, error) {
 		return nil, nil, err
 	}
 	m := map[string]bool{}
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		var k string
 		k, rest, err = codec.DecodeString(rest)
 		if err != nil {
 			return nil, nil, err
 		}
-		m[k] = true
+		if err := codec.Ascending(i, prev, k); err != nil {
+			return nil, nil, err
+		}
+		m[k], prev = true, k
 	}
 	return m, rest, nil
 }

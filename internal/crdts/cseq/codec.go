@@ -106,6 +106,7 @@ func DecodeState(b []byte) (crdt.State, error) {
 		return nil, err
 	}
 	st := State{Added: map[string]rec{}}
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		var r rec
 		r.E, rest, err = codec.DecodeValue(rest)
@@ -120,7 +121,11 @@ func DecodeState(b []byte) (crdt.State, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.Added[r.E.String()] = r
+		k := r.E.String()
+		if err := codec.Ascending(i, prev, k); err != nil {
+			return nil, err
+		}
+		st.Added[k], prev = r, k
 	}
 	st.Dead, rest, err = codec.DecodeValueSet(rest)
 	if err != nil {

@@ -52,6 +52,7 @@ func DecodeState(b []byte) (crdt.State, error) {
 		return nil, err
 	}
 	st := State{Entries: map[string]entry{}, Elems: map[string]model.Value{}}
+	var prev string
 	for i := uint64(0); i < n; i++ {
 		var e model.Value
 		e, rest, err = codec.DecodeValue(rest)
@@ -69,8 +70,11 @@ func DecodeState(b []byte) (crdt.State, error) {
 			return nil, err
 		}
 		k := e.String()
+		if err := codec.Ascending(i, prev, k); err != nil {
+			return nil, err
+		}
 		st.Entries[k] = entry{TS: ts, Present: present}
-		st.Elems[k] = e
+		st.Elems[k], prev = e, k
 	}
 	st.TS, rest, err = codec.DecodeStamp(rest)
 	if err != nil {

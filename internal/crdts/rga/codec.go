@@ -83,11 +83,9 @@ func DecodeState(b []byte) (crdt.State, error) {
 		if err := notSentinel(t.B); err != nil {
 			return nil, err
 		}
-		// AppendBinary writes the triples in increasing key order, so a key
-		// that does not exceed its predecessor is out of order or repeated.
 		k := t.B.String()
-		if i > 0 && k <= prev {
-			return nil, fmt.Errorf("%w: rga triple for %s after %s", codec.ErrCorrupt, k, prev)
+		if err := codec.Ascending(i, prev, k); err != nil {
+			return nil, err
 		}
 		st.N[k], prev = t, k
 	}
