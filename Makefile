@@ -138,7 +138,10 @@ bench-explore:
 # Mirror of CI's checker gate: the Fig 2 RGA operations (prepare, apply and
 # read at the origin), the Fig 3 ACC decision and the ACC/XACC witness
 # trace-length sweeps — the rows that price RGA's trav, which is both its
-# read and its abstraction function φ — the simulator's own rows
+# read and its abstraction function φ — the exhaustive deciders on the
+# Fig 4 continuous-sequence and Fig 5 add-wins traces, the abstract
+# machine's coherent insertion (AbsMachine_CoherentInsert) and the Thm 7
+# refinement check, which drives that machine, the simulator's own rows
 # (Sim_Throughput: every registry algorithm on 3 nodes for 50 drained
 # steps, which prices the scheduler over transport.Mem) and the client
 # logic's rows (Fig12_LogicProof and FW1_XLogicProof, the UCR and X-wins
@@ -150,7 +153,7 @@ bench-explore:
 # after an intentional change, rerun the benchmarks the same way and render
 # them with `-worst -out BENCH_core.json` (see EXPERIMENTS.md).
 bench-core:
-	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|ACCWitness_TraceLength|Sim_Throughput|XACCWitness_TraceLength|Fig12_LogicProof|FW1_XLogicProof|Logic_Judgments)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
+	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|Fig4_CSeqACC|Fig5_XACCDecision|ACCWitness_TraceLength|Sim_Throughput|XACCWitness_TraceLength|AbsMachine_CoherentInsert|Thm7_Refinement|Fig12_LogicProof|FW1_XLogicProof|Logic_Judgments)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
 	cat bench_core.out
 	go run ./cmd/bench-report -json -best -out bench-core-current.json -baseline BENCH_core.json -tolerance 0.25 -alloc-tolerance 0.34 < bench_core.out; s=$$?; \
 	rm -f bench_core.out; exit $$s
