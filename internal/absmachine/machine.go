@@ -49,28 +49,43 @@ type Machine struct {
 	pend    []map[model.MsgID]bool
 	recs    map[model.MsgID]*OpRecord
 	nextMID model.MsgID
+	// hist reads recs for Sec 9's order predicates; its X is xsp, so in UCR
+	// mode its RCoh is Coh.
+	hist spec.History[model.MsgID]
 }
 
 // New creates a UCR-mode machine over (Γ, ⊲⊳) with n nodes starting from the
 // abstract state init. queries identifies read-only operations (never
 // broadcast); it may be nil if every operation is effectful.
 func New(sp spec.Spec, n int, init model.Value, queries func(model.Op) bool) *Machine {
-	if n < 1 {
-		panic("absmachine: need at least one node")
-	}
-	m := &Machine{sp: sp, queries: queries, init: init, nextMID: 1, recs: map[model.MsgID]*OpRecord{}}
-	for i := 0; i < n; i++ {
-		m.seqs = append(m.seqs, nil)
-		m.pend = append(m.pend, map[model.MsgID]bool{})
-	}
-	return m
+	return newMachine(sp, nil, n, init, queries)
 }
 
 // NewX creates an X-wins-mode machine over (Γ, ⊲⊳, ◀, ▷).
 func NewX(xsp spec.XSpec, n int, init model.Value, queries func(model.Op) bool) *Machine {
-	m := New(xsp, n, init, queries)
-	m.xsp = xsp
+	return newMachine(xsp, xsp, n, init, queries)
+}
+
+func newMachine(sp spec.Spec, xsp spec.XSpec, n int, init model.Value, queries func(model.Op) bool) *Machine {
+	if n < 1 {
+		panic("absmachine: need at least one node")
+	}
+	m := &Machine{sp: sp, xsp: xsp, queries: queries, init: init, nextMID: 1, recs: map[model.MsgID]*OpRecord{}}
+	for i := 0; i < n; i++ {
+		m.seqs = append(m.seqs, nil)
+		m.pend = append(m.pend, map[model.MsgID]bool{})
+	}
+	m.bind()
 	return m
+}
+
+// bind points hist at m's records.
+func (m *Machine) bind() {
+	recs := m.recs
+	m.hist = spec.History[model.MsgID]{Spec: m.sp, X: m.xsp,
+		Op:  func(mid model.MsgID) model.Op { return recs[mid].Op },
+		Saw: func(a, b model.MsgID) bool { return recs[a].Seen[b] },
+	}
 }
 
 // N returns the number of nodes.
@@ -83,6 +98,7 @@ func (m *Machine) Clone() *Machine {
 	for k, v := range m.recs {
 		cp.recs[k] = v
 	}
+	cp.bind()
 	for _, seq := range m.seqs {
 		cp.seqs = append(cp.seqs, append([]model.MsgID(nil), seq...))
 	}
@@ -256,146 +272,19 @@ func insertAt(seq []model.MsgID, mid model.MsgID, pos int) []model.MsgID {
 }
 
 // coherentEverywhere checks the candidate sequence for node t against every
-// other node's sequence (and, in X-wins mode, PresvCancel within itself).
+// other node's sequence: Coh in UCR mode, RCoh in X-wins mode, where the
+// candidate must also respect PresvCancel and ◀ within itself. Checking ◀
+// at insertion time (not only across sequences) keeps the machine from
+// entering states that every future insertion would make stuck.
 func (m *Machine) coherentEverywhere(t model.NodeID, cand []model.MsgID) bool {
-	if m.xsp != nil && (!m.presvCancel(cand) || !m.wonByOrdered(cand)) {
-		return false
-	}
-	for u, other := range m.seqs {
-		if model.NodeID(u) == t {
-			continue
-		}
-		if m.xsp != nil {
-			if !m.rcohSeqs(cand, other) {
-				return false
-			}
-		} else if !m.cohSeqs(cand, other) {
+	if m.xsp != nil {
+		if _, _, ok := m.hist.PresvCancel(cand); !ok || !m.hist.WonByOrdered(cand) {
 			return false
 		}
 	}
-	return true
-}
-
-// cohSeqs is the UCR coherence: conflicting operations present in both
-// sequences appear in the same order.
-func (m *Machine) cohSeqs(a, b []model.MsgID) bool {
-	posB := map[model.MsgID]int{}
-	for i, mid := range b {
-		posB[mid] = i
-	}
-	for i, x := range a {
-		bi, ok := posB[x]
-		if !ok {
-			continue
-		}
-		for _, y := range a[i+1:] {
-			bj, ok := posB[y]
-			if !ok {
-				continue
-			}
-			if bi > bj && m.sp.Conflict(m.recs[x].Op, m.recs[y].Op) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// canceledIn reports whether x is canceled in seq: some later-visible y in
-// seq cancels it (x ▷ y and x was seen by y).
-func (m *Machine) canceledIn(x model.MsgID, seq []model.MsgID) bool {
-	rx := m.recs[x]
-	for _, y := range seq {
-		if y == x {
-			continue
-		}
-		ry := m.recs[y]
-		if m.xsp.CanceledBy(rx.Op, ry.Op) && ry.Seen[x] {
-			return true
-		}
-	}
-	return false
-}
-
-// rcohSeqs is the relaxed coherence of Sec 9 between two sequences:
-// conflicting pairs that are non-canceled in both must agree on order, and
-// concurrent such pairs must order the ◀-loser first.
-func (m *Machine) rcohSeqs(a, b []model.MsgID) bool {
-	posB := map[model.MsgID]int{}
-	for i, mid := range b {
-		posB[mid] = i
-	}
-	for i, x := range a {
-		bi, ok := posB[x]
-		if !ok {
-			continue
-		}
-		for _, y := range a[i+1:] {
-			bj, ok := posB[y]
-			if !ok {
-				continue
-			}
-			rx, ry := m.recs[x], m.recs[y]
-			if !m.sp.Conflict(rx.Op, ry.Op) {
-				continue
-			}
-			if m.canceledIn(x, a) || m.canceledIn(y, a) || m.canceledIn(x, b) || m.canceledIn(y, b) {
-				continue
-			}
-			if bi > bj {
-				return false
-			}
-			// Concurrent pairs must respect ◀: x before y here, so y ◀ x is
-			// a violation.
-			if !rx.Seen[y] && !ry.Seen[x] && m.xsp.WonBy(ry.Op, rx.Op) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// wonByOrdered checks the ◀ discipline within one sequence: concurrent
-// conflicting operations that are both non-canceled must order the ◀-loser
-// first. Checking this at insertion time (not only across sequences) keeps
-// the machine from entering states that every future insertion would make
-// stuck.
-func (m *Machine) wonByOrdered(seq []model.MsgID) bool {
-	for i, x := range seq {
-		rx := m.recs[x]
-		for _, y := range seq[i+1:] {
-			ry := m.recs[y]
-			if !m.sp.Conflict(rx.Op, ry.Op) || rx.Seen[y] || ry.Seen[x] {
-				continue
-			}
-			if m.canceledIn(x, seq) || m.canceledIn(y, seq) {
-				continue
-			}
-			if m.xsp.WonBy(ry.Op, rx.Op) { // y ◀ x but x comes first
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// presvCancel checks PresvCancel within one sequence: if x ▷ y and y saw x,
-// x must precede y.
-func (m *Machine) presvCancel(seq []model.MsgID) bool {
-	pos := map[model.MsgID]int{}
-	for i, mid := range seq {
-		pos[mid] = i
-	}
-	for _, x := range seq {
-		rx := m.recs[x]
-		for _, y := range seq {
-			if x == y {
-				continue
-			}
-			ry := m.recs[y]
-			if m.xsp.CanceledBy(rx.Op, ry.Op) && ry.Seen[x] && pos[x] > pos[y] {
-				return false
-			}
+	for u, other := range m.seqs {
+		if model.NodeID(u) != t && !m.hist.RCoh(cand, other) {
+			return false
 		}
 	}
 	return true

@@ -9,19 +9,19 @@
 //     won-by (◀) and canceled-by (▷) relations, PresvCancel, nc-vis, and the
 //     causal-delivery precondition.
 //
-// Two checking modes are provided. The exhaustive mode enumerates, per node,
-// all arbitration orders that extend the visibility order and satisfy
-// ExecRelated, then searches for a coherent combination — a complete decision
-// procedure for bounded traces. The witness mode (witness.go) constructs a
-// single arbitration order per node from an algorithm's timestamp order ↣
-// and checks it directly; it scales to long randomized traces and doubles as
-// the executable content of Theorem 8.
+// Two checking modes are provided, each one function over both conditions
+// (decide.go): a UCR specification is the X-wins case with ◀ = ▷ = ∅. The
+// exhaustive mode enumerates, per node, all arbitration orders that extend
+// the visibility order and satisfy ExecRelated, then searches for a coherent
+// combination — a complete decision procedure for bounded traces. The
+// witness mode constructs a single arbitration order per node — from an
+// algorithm's timestamp order ↣, or from happens-before and ◀ — and checks
+// it directly; it scales to long randomized traces and doubles as the
+// executable content of Theorem 8.
 package core
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/crdt"
 	"repro/internal/model"
@@ -72,49 +72,78 @@ func (p Problem) initState() crdt.State {
 // witness mode for longer traces).
 const MaxVisible = 9
 
+// TSOrder is an algorithm's timestamp order ↣ lifted to effectors (Sec 8).
+type TSOrder func(d1, d2 crdt.Effector) bool
+
 // CheckACC decides ACT(E, S, (Γ, ⊲⊳)) (Def 3) for one trace: it searches for
 // per-node arbitration orders that are total over the node's visible events,
 // extend the node's visibility order, satisfy ExecRelated on every prefix,
 // and are pairwise coherent on conflicting operations.
 func CheckACC(tr trace.Trace, p Problem) (Result, error) {
-	if err := tr.CheckWellFormed(); err != nil {
-		return Result{}, err
-	}
-	nodes := tr.Nodes()
-	// The per-node candidate enumerations are independent (the trace and
-	// problem are only read), so run them concurrently; errors and empty
-	// candidate sets are reported in node order so the outcome is
-	// deterministic regardless of scheduling.
-	cands := make([][]Order, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, t := range nodes {
-		wg.Add(1)
-		go func(i int, t model.NodeID) {
-			defer wg.Done()
-			cands[i], errs[i] = candidateOrders(tr, t, p)
-		}(i, t)
-	}
-	wg.Wait()
-	for i, t := range nodes {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if len(cands[i]) == 0 {
-			return Result{Reason: fmt.Sprintf("node %s: no arbitration order extends visibility and satisfies ExecRelated", t)}, nil
-		}
-	}
-	ops := originOps(tr)
-	chosen := make([]Order, len(nodes))
-	if pickCoherent(tr, p, nodes, cands, ops, chosen, 0) {
-		out := map[model.NodeID]Order{}
-		for i, t := range nodes {
-			out[t] = chosen[i]
-		}
-		return Result{OK: true, Orders: out}, nil
-	}
-	return Result{Reason: "no coherent combination of per-node arbitration orders (Coh fails)"}, nil
+	return decide(tr, p, &acc{sp: p.Spec})
 }
+
+// CheckACCWitness decides ACT constructively, realizing the executable
+// content of Theorem 8 (CRDT-TS ⇒ ACC): instead of searching all arbitration
+// orders, it builds one per node as a topological order of the node's
+// visibility relation combined with the algorithm's timestamp order ↣, then
+// verifies ExecRelated and pairwise coherence directly. Unlike CheckACC this
+// scales to long randomized traces, but a failure only means the witness
+// failed, not that no arbitration order exists.
+func CheckACCWitness(tr trace.Trace, p Problem, ts TSOrder) (Result, error) {
+	return witness(tr, p, &acc{sp: p.Spec, ts: ts})
+}
+
+// acc is Def 3's condition: no premise, no ordering beyond visibility, and
+// Coh between nodes. Its witness orients a conflicting pair by ↣.
+type acc struct {
+	sp spec.Spec
+	ts TSOrder // nil in the exhaustive decider, which builds no witness
+	h  spec.History[model.MsgID]
+}
+
+var accTexts = texts{
+	bound:    " (use CheckACCWitness)",
+	noOrder:  "extends visibility and satisfies ExecRelated",
+	noCombo:  "no coherent combination of per-node arbitration orders (Coh fails)",
+	union:    "visibility ∪ ↣",
+	disagree: "are incoherent on conflicting operations",
+}
+
+func (c *acc) start(tr trace.Trace) error {
+	ops := originOps(tr)
+	c.h = spec.History[model.MsgID]{Spec: c.sp, Op: func(m model.MsgID) model.Op { return ops[m] }}
+	return nil
+}
+
+func (*acc) must([]trace.Event, map[[2]model.MsgID]bool) {}
+
+// orient restricts ↣ to conflicting pairs. That is sound and necessary:
+// arbitration orders only have to agree across nodes on conflicting
+// operations (Coh), and since non-conflicting operations commute (Def 1),
+// any two serializations with the same conflicting-pair orientation reach
+// the same states — the standard Mazurkiewicz-trace argument. Unrestricted,
+// the global stamp order between unrelated inserts can contradict a node's
+// visibility order (a node can issue a small-stamped insert after observing
+// a remove whose element was inserted elsewhere with a larger stamp) and
+// create spurious cycles.
+func (c *acc) orient(_ trace.Trace, _ model.NodeID, vis []trace.Event, edge func(i, j int, rel string)) {
+	for i, e1 := range vis {
+		for j, e2 := range vis {
+			if i != j && c.sp.Conflict(e1.Op, e2.Op) && c.ts(e1.Eff, e2.Eff) {
+				edge(i, j, "↣")
+			}
+		}
+	}
+}
+
+func (*acc) pairs(trace.Trace, model.NodeID) map[[2]model.MsgID]bool { return nil }
+func (*acc) check(Order) string                                      { return "" }
+
+// agree is Coh(ar, ar', (Γ, ⊲⊳)) (Fig 8), RCoh with ◀ = ▷ = ∅: two events
+// ordered oppositely by the two orders must not conflict.
+func (c *acc) agree(a, b Order, _, _ map[[2]model.MsgID]bool) bool { return c.h.RCoh(a, b) }
+func (*acc) texts() *texts                                         { return &accTexts }
 
 // originOps maps each MsgID to its operation.
 func originOps(tr trace.Trace) map[model.MsgID]model.Op {
@@ -123,80 +152,6 @@ func originOps(tr trace.Trace) map[model.MsgID]model.Op {
 		out[e.MID] = e.Op
 	}
 	return out
-}
-
-// pickCoherent backtracks over nodes, assigning one candidate order each and
-// checking Coh against all previously assigned nodes.
-func pickCoherent(tr trace.Trace, p Problem, nodes []model.NodeID, cands [][]Order, ops map[model.MsgID]model.Op, chosen []Order, i int) bool {
-	if i == len(nodes) {
-		return true
-	}
-	for _, c := range cands[i] {
-		ok := true
-		for j := 0; j < i; j++ {
-			if !coherent(p.Spec, ops, chosen[j], c) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			chosen[i] = c
-			if pickCoherent(tr, p, nodes, cands, ops, chosen, i+1) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// coherent implements Coh(ar, ar', (Γ, ⊲⊳)) (Fig 8): any two events ordered
-// oppositely by the two orders must not conflict.
-func coherent(sp spec.Spec, ops map[model.MsgID]model.Op, a, b Order) bool {
-	pa, pb := a.positions(), b.positions()
-	for _, m1 := range a {
-		j1, ok1 := pb[m1]
-		if !ok1 {
-			continue
-		}
-		for _, m2 := range a {
-			if m1 == m2 {
-				continue
-			}
-			j2, ok2 := pb[m2]
-			if !ok2 {
-				continue
-			}
-			if pa[m1] < pa[m2] && j1 > j2 && sp.Conflict(ops[m1], ops[m2]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// candidateOrders enumerates every total order over visible(E, t) that
-// extends the visibility order of node t and satisfies
-// ExecRelated_φ(t, (E, S), (Γ, ar)).
-func candidateOrders(tr trace.Trace, t model.NodeID, p Problem) ([]Order, error) {
-	visEvents := tr.VisibleEvents(t)
-	if len(visEvents) > MaxVisible {
-		return nil, fmt.Errorf("core: node %s sees %d operations, exceeding the exhaustive bound %d (use CheckACCWitness)",
-			t, len(visEvents), MaxVisible)
-	}
-	items := make([]model.MsgID, len(visEvents))
-	for i, e := range visEvents {
-		items[i] = e.MID
-	}
-	before := tr.VisPairs(t)
-	var out []Order
-	forEachLinearExtension(items, before, func(ord Order) {
-		if execRelated(tr, t, ord, p) {
-			cp := make(Order, len(ord))
-			copy(cp, ord)
-			out = append(out, cp)
-		}
-	})
-	return out, nil
 }
 
 // forEachLinearExtension enumerates all linear extensions of the strict

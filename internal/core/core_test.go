@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -609,8 +610,12 @@ func TestExecRelatedIncrementalAgreesWithNaive(t *testing.T) {
 					Nodes: 3, Steps: 25,
 				}
 				tr := w.Run(seed).Trace()
+				c := &acc{sp: p.Spec, ts: alg.TSOrder}
+				if err := c.start(tr); err != nil {
+					t.Fatal(err)
+				}
 				for _, node := range tr.Nodes() {
-					ord, err := witnessOrder(tr, node, alg.TSOrder, p)
+					ord, err := witnessOrder(tr, node, c)
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
@@ -632,6 +637,31 @@ func TestExecRelatedIncrementalAgreesWithNaive(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNcVisPairsIncrementalAgreesWithNaive: ncVisPairs, which updates
+// nc-vis per arrival, records the same pairs as the specification-literal
+// recomputation at every prefix, on causal traces of both X-wins sets.
+func TestNcVisPairsIncrementalAgreesWithNaive(t *testing.T) {
+	for _, alg := range registry.XWins() {
+		for seed := int64(1); seed <= 20; seed++ {
+			w := sim.Workload{
+				Object: alg.New(), Abs: alg.Abs, Gen: sim.GenFunc(alg.GenOp),
+				Nodes: 3, Steps: 40, Causal: true,
+			}
+			tr := w.Run(seed).Trace()
+			c := &xacc{x: alg.XSpec}
+			if err := c.start(tr); err != nil {
+				t.Fatal(err)
+			}
+			for _, node := range tr.Nodes() {
+				got, want := ncVisPairs(tr, node, c.h), ncVisPairsNaive(tr, node, c.h)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s seed %d node %s: incremental %v, naive %v", alg.Name, seed, node, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -657,5 +687,66 @@ func TestWitnessNaiveVariantAgrees(t *testing.T) {
 		if a.OK != b.OK {
 			t.Fatalf("seed %d: verdicts differ: %v vs %v", seed, a.OK, b.OK)
 		}
+	}
+}
+
+// noStrategy reads a UCR specification as an X-wins one with ◀ = ▷ = ∅.
+type noStrategy struct{ spec.Spec }
+
+func (noStrategy) WonBy(model.Op, model.Op) bool      { return false }
+func (noStrategy) CanceledBy(model.Op, model.Op) bool { return false }
+
+// TestUCRIsXWinsWithoutStrategy: a UCR specification is the X-wins case
+// with ◀ = ▷ = ∅ (Sec 2.4), where RCoh is Coh and PresvCancel holds
+// trivially. So on causal traces of every UCR algorithm, CheckXACC over the
+// specification with empty ◀ and ▷ reaches CheckACC's verdict and picks the
+// same arbitration orders.
+func TestUCRIsXWinsWithoutStrategy(t *testing.T) {
+	for _, alg := range registry.UCR() {
+		alg := alg
+		t.Run(alg.Name, func(t *testing.T) {
+			p := problem(alg)
+			xp := XProblem{Problem: p, XSpec: noStrategy{alg.Spec}}
+			for _, nodes := range []int{2, 3} {
+				for seed := int64(1); seed <= 300; seed++ {
+					w := sim.Workload{
+						Object: alg.New(), Abs: alg.Abs, Gen: sim.GenFunc(alg.GenOp),
+						Nodes: nodes, Steps: 8, Causal: true,
+					}
+					tr := w.Run(seed).Trace()
+					a, aerr := CheckACC(tr, p)
+					x, xerr := CheckXACC(tr, xp)
+					if aerr != nil || xerr != nil {
+						t.Fatalf("nodes %d seed %d: CheckACC error %v, CheckXACC error %v", nodes, seed, aerr, xerr)
+					}
+					if a.OK != x.OK || !reflect.DeepEqual(a.Orders, x.Orders) {
+						t.Fatalf("nodes %d seed %d: CheckACC ok=%v %v, CheckXACC ok=%v %v",
+							nodes, seed, a.OK, a.Orders, x.OK, x.Orders)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWitnessNamesCycle: when visibility ∪ ↣ is cyclic, the witness names
+// one cycle, each event with its operation and each edge with its
+// relation. This 3-node RGA trace without causal delivery is ROADMAP item
+// 1's pattern: t0 applies remove(x1) before x1's insert and then issues an
+// insert whose stamp does not dominate x1's.
+func TestWitnessNamesCycle(t *testing.T) {
+	alg := registry.RGA()
+	w := sim.Workload{
+		Object: alg.New(), Abs: alg.Abs, Gen: sim.GenFunc(alg.GenOp),
+		Nodes: 3, Steps: 30,
+	}
+	res, err := CheckACCWitness(w.Run(89).Trace(), problem(alg), alg.TSOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `node t0: visibility ∪ ↣ is cyclic over 7 visible operations: ` +
+		`m1 addAfter(("◦", "x1")) ─↣→ m3 remove("x1") ─vis→ m9 addAfter(("◦", "x5")) ─↣→ m1`
+	if res.OK || res.Reason != want {
+		t.Fatalf("ok=%v reason:\n%s\nwant:\n%s", res.OK, res.Reason, want)
 	}
 }

@@ -3,7 +3,9 @@ package core
 // The specification-literal ExecRelated and the witness checker built on it:
 // the oracles TestExecRelatedIncrementalAgreesWithNaive and
 // TestWitnessNaiveVariantAgrees hold the incremental checker to, and the
-// baseline of the "memoized vs naive prefix re-execution" ablation.
+// baseline of the "memoized vs naive prefix re-execution" ablation; and the
+// specification-literal nc-vis pairs, the oracle of
+// TestNcVisPairsIncrementalAgreesWithNaive.
 
 import (
 	"fmt"
@@ -65,10 +67,14 @@ func checkACCWitnessNaive(tr trace.Trace, p Problem, ts TSOrder) (Result, error)
 	if err := tr.CheckWellFormed(); err != nil {
 		return Result{}, err
 	}
+	c := &acc{sp: p.Spec, ts: ts}
+	if err := c.start(tr); err != nil {
+		return Result{}, err
+	}
 	nodes := tr.Nodes()
 	orders := map[model.NodeID]Order{}
 	for _, t := range nodes {
-		ord, err := witnessOrder(tr, t, ts, p)
+		ord, err := witnessOrder(tr, t, c)
 		if err != nil {
 			return Result{Reason: fmt.Sprintf("node %s: %v", t, err)}, nil
 		}
@@ -77,15 +83,42 @@ func checkACCWitnessNaive(tr trace.Trace, p Problem, ts TSOrder) (Result, error)
 		}
 		orders[t] = ord
 	}
-	ops := originOps(tr)
 	for i, t1 := range nodes {
 		for _, t2 := range nodes[i+1:] {
-			if !coherent(p.Spec, ops, orders[t1], orders[t2]) {
+			if !c.agree(orders[t1], orders[t2], nil, nil) {
 				return Result{Reason: fmt.Sprintf("witness orders of %s and %s are incoherent on conflicting operations", t1, t2)}, nil
 			}
 		}
 	}
 	return Result{OK: true, Orders: orders}, nil
+}
+
+// ncVisPairsNaive is the specification-literal ncVisPairs: at every prefix
+// it recomputes nc-vis(E', t) from scratch and records each conflicting pair
+// in it.
+func ncVisPairsNaive(tr trace.Trace, t model.NodeID, h spec.History[model.MsgID]) map[[2]model.MsgID]bool {
+	out := map[[2]model.MsgID]bool{}
+	var visible []model.MsgID
+	for _, e := range tr {
+		if e.Node != t {
+			continue
+		}
+		visible = append(visible, e.MID)
+		var nc []model.MsgID
+		for _, m := range visible {
+			if !h.CanceledIn(m, visible) {
+				nc = append(nc, m)
+			}
+		}
+		for i, a := range nc {
+			for _, b := range nc[i+1:] {
+				if h.Spec.Conflict(h.Op(a), h.Op(b)) {
+					out[[2]model.MsgID{min(a, b), max(a, b)}] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 // BenchmarkExecRelated_Ablation compares the incremental ExecRelated (the

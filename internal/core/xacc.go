@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -24,150 +23,162 @@ type XProblem struct {
 // PresvCancel, satisfy ExecRelated, and are pairwise related by the relaxed
 // coherence RCoh of Fig 13.
 func CheckXACC(tr trace.Trace, p XProblem) (Result, error) {
-	if err := tr.CheckWellFormed(); err != nil {
-		return Result{}, err
-	}
-	if !tr.CausalDelivery() {
-		return Result{}, ErrNotCausal
-	}
 	p.Spec = p.XSpec
-	hb := tr.HappensBefore()
-	nodes := tr.Nodes()
-	ops := originOps(tr)
-	// Candidate enumeration and nc-vis snapshots are per-node and read-only
-	// over the trace, so run the nodes concurrently; errors and empty
-	// candidate sets are reported in node order for determinism.
-	cands := make([][]Order, len(nodes))
-	ncp := make([]map[[2]model.MsgID]bool, len(nodes))
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i, t := range nodes {
-		wg.Add(1)
-		go func(i int, t model.NodeID) {
-			defer wg.Done()
-			cands[i], errs[i] = xCandidateOrders(tr, t, p, hb)
-			if errs[i] == nil {
-				ncp[i] = ncVisPairs(tr, t, p.XSpec, ops, hb)
-			}
-		}(i, t)
-	}
-	wg.Wait()
-	for i, t := range nodes {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		if len(cands[i]) == 0 {
-			return Result{Reason: fmt.Sprintf("node %s: no arbitration order extends visibility, respects PresvCancel and satisfies ExecRelated", t)}, nil
-		}
-	}
-	chosen := make([]Order, len(nodes))
-	var pick func(i int) bool
-	pick = func(i int) bool {
-		if i == len(nodes) {
-			return true
-		}
-		for _, c := range cands[i] {
-			ok := true
-			for j := 0; j < i; j++ {
-				if !rcoh(p.XSpec, ops, hb, chosen[j], c, ncp[j], ncp[i]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				chosen[i] = c
-				if pick(i + 1) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if pick(0) {
-		out := map[model.NodeID]Order{}
-		for i, t := range nodes {
-			out[t] = chosen[i]
-		}
-		return Result{OK: true, Orders: out}, nil
-	}
-	return Result{Reason: "no combination of per-node arbitration orders satisfies RCoh"}, nil
+	return decide(tr, p.Problem, &xacc{x: p.XSpec})
 }
 
-// xCandidateOrders enumerates the total orders over visible(E, t) that
-// extend the visibility order, respect PresvCancel (if e1 ▷ e2 and e1 is
-// visible to e2, then e1 precedes e2), and satisfy ExecRelated.
-func xCandidateOrders(tr trace.Trace, t model.NodeID, p XProblem, hb map[model.MsgID]map[model.MsgID]bool) ([]Order, error) {
-	visEvents := tr.VisibleEvents(t)
-	if len(visEvents) > MaxVisible {
-		return nil, fmt.Errorf("core: node %s sees %d operations, exceeding the exhaustive bound %d", t, len(visEvents), MaxVisible)
+// CheckXACCWitness decides XACT constructively, the X-wins analogue of
+// CheckACCWitness: per node it builds one arbitration order as a topological
+// sort of the visibility order together with the strategy edges
+//
+//   - e1 before e2 when they conflict and e1 happens before e2 (this also
+//     covers PresvCancel, since ▷ ⊆ ⊲⊳), and
+//   - loser before winner (◀) for concurrent conflicting pairs in which
+//     neither side has been canceled by something it is visible to
+//
+// then verifies ExecRelated, PresvCancel and pairwise RCoh directly. Unlike
+// CheckXACC it scales to long causal traces; a failure only means the
+// witness failed.
+func CheckXACCWitness(tr trace.Trace, p XProblem) (Result, error) {
+	p.Spec = p.XSpec
+	return witness(tr, p.Problem, &xacc{x: p.XSpec})
+}
+
+// xacc is Def 9's condition: causal delivery, PresvCancel, and RCoh between
+// nodes. Its witness orients a conflicting pair by happens-before, or by ◀
+// with the arrival-aware flip.
+type xacc struct {
+	x  spec.XSpec
+	hb map[model.MsgID]map[model.MsgID]bool
+	h  spec.History[model.MsgID]
+}
+
+var xaccTexts = texts{
+	noOrder:  "extends visibility, respects PresvCancel and satisfies ExecRelated",
+	noCombo:  "no combination of per-node arbitration orders satisfies RCoh",
+	union:    "visibility ∪ X-wins strategy",
+	disagree: "violate RCoh",
+}
+
+func (c *xacc) start(tr trace.Trace) error {
+	if !tr.CausalDelivery() {
+		return ErrNotCausal
 	}
-	items := make([]model.MsgID, len(visEvents))
-	byMID := map[model.MsgID]trace.Event{}
-	for i, e := range visEvents {
-		items[i] = e.MID
-		byMID[e.MID] = e
+	hb := tr.HappensBefore()
+	ops := originOps(tr)
+	c.hb = hb
+	c.h = spec.History[model.MsgID]{Spec: c.x, X: c.x,
+		Op:  func(m model.MsgID) model.Op { return ops[m] },
+		Saw: func(a, b model.MsgID) bool { return hb[a][b] },
 	}
-	before := tr.VisPairs(t)
-	// PresvCancel(ar, t, E, (Γ, ▷)): e1 ▷ e2 and e1 visible to e2 ⇒ e1 ar e2.
-	for _, e1 := range visEvents {
-		for _, e2 := range visEvents {
-			if e1.MID != e2.MID && p.XSpec.CanceledBy(e1.Op, e2.Op) && hb[e2.MID][e1.MID] {
+	return nil
+}
+
+// must adds PresvCancel(ar, t, E, (Γ, ▷)): if e2 cancels e1, e1 comes first.
+func (c *xacc) must(vis []trace.Event, before map[[2]model.MsgID]bool) {
+	for _, e1 := range vis {
+		for _, e2 := range vis {
+			if c.h.Cancels(e1.MID, e2.MID) {
 				before[[2]model.MsgID{e1.MID, e2.MID}] = true
 			}
 		}
 	}
-	var out []Order
-	forEachLinearExtension(items, before, func(ord Order) {
-		if execRelated(tr, t, ord, p.Problem) {
-			cp := make(Order, len(ord))
-			copy(cp, ord)
-			out = append(out, cp)
-		}
-	})
-	return out, nil
 }
+
+// orient puts e1 before a conflicting e2 that it happens before, and the
+// ◀-loser of a concurrent conflicting pair before its winner — the winner's
+// effect must prevail — unless the winner had already been canceled at t:
+// if some operation canceling the winner reached t before the loser did,
+// the winner's effect was gone when the loser arrived, and the loser is
+// serialized after it instead. This arrival-aware flip is exactly the
+// flexibility the relaxed coherence of Fig 13 grants for canceled actions,
+// resolved deterministically per node.
+func (c *xacc) orient(tr trace.Trace, t model.NodeID, vis []trace.Event, edge func(i, j int, rel string)) {
+	// arrival[mid] is the index in E|t at which mid's effector reached t.
+	arrival := map[model.MsgID]int{}
+	for i, e := range tr.Restrict(t) {
+		if _, seen := arrival[e.MID]; !seen {
+			arrival[e.MID] = i
+		}
+	}
+	canceledBefore := func(winner, loser model.MsgID) bool {
+		for _, e := range vis {
+			if c.h.Cancels(winner, e.MID) && arrival[e.MID] < arrival[loser] {
+				return true
+			}
+		}
+		return false
+	}
+	for i, e1 := range vis {
+		for j, e2 := range vis {
+			if i == j || !c.x.Conflict(e1.Op, e2.Op) {
+				continue
+			}
+			switch {
+			case c.hb[e2.MID][e1.MID]:
+				edge(i, j, "hb")
+			case c.hb[e1.MID][e2.MID]:
+				// covered by the symmetric iteration
+			case c.x.WonBy(e1.Op, e2.Op): // e1 is the loser
+				if canceledBefore(e2.MID, e1.MID) {
+					edge(j, i, "◀ after cancel")
+				} else {
+					edge(i, j, "◀")
+				}
+			}
+		}
+	}
+}
+
+func (c *xacc) pairs(tr trace.Trace, t model.NodeID) map[[2]model.MsgID]bool {
+	return ncVisPairs(tr, t, c.h)
+}
+
+func (c *xacc) check(ord Order) string {
+	if x, y, ok := c.h.PresvCancel(ord); !ok {
+		return fmt.Sprintf("PresvCancel violated: %s ▷ %s but ordered after it", c.h.Op(x), c.h.Op(y))
+	}
+	return ""
+}
+
+func (c *xacc) agree(a, b Order, pa, pb map[[2]model.MsgID]bool) bool {
+	return rcoh(c.h, a, b, pa, pb)
+}
+
+func (*xacc) texts() *texts { return &xaccTexts }
 
 // ncVisPairs computes the conflicting pairs {e0, e1} that are simultaneously
 // non-canceled-visible at node t for some prefix of the trace:
 // {e0, e1} ⊆ nc-vis(E', t) (Fig 13). Pairs are keyed with the smaller MsgID
 // first.
-func ncVisPairs(tr trace.Trace, t model.NodeID, sp spec.XSpec, ops map[model.MsgID]model.Op, hb map[model.MsgID]map[model.MsgID]bool) map[[2]model.MsgID]bool {
+//
+// Visibility only grows, so an operation once canceled stays canceled:
+// nc-vis changes at each arrival at t only by the arriving operation and by
+// what it cancels, and every pair it gains contains the arriving operation.
+func ncVisPairs(tr trace.Trace, t model.NodeID, h spec.History[model.MsgID]) map[[2]model.MsgID]bool {
 	out := map[[2]model.MsgID]bool{}
-	var visible []model.MsgID
-	snapshot := func() {
-		// nc-vis: drop events canceled by a visible event that they are
-		// visible to (e ▷ e' ∧ e ↦vis e').
-		var nc []model.MsgID
-		for _, m := range visible {
-			canceled := false
-			for _, m2 := range visible {
-				if m != m2 && sp.CanceledBy(ops[m], ops[m2]) && hb[m2][m] {
-					canceled = true
-					break
-				}
-			}
-			if !canceled {
-				nc = append(nc, m)
-			}
-		}
-		for i, a := range nc {
-			for _, b := range nc[i+1:] {
-				if sp.Conflict(ops[a], ops[b]) {
-					k := [2]model.MsgID{a, b}
-					if b < a {
-						k = [2]model.MsgID{b, a}
-					}
-					out[k] = true
-				}
-			}
-		}
-	}
+	var visible, nc []model.MsgID
 	for _, e := range tr {
 		if e.Node != t {
 			continue
 		}
 		visible = append(visible, e.MID)
-		snapshot()
+		kept := nc[:0]
+		for _, m := range nc {
+			if !h.Cancels(m, e.MID) {
+				kept = append(kept, m)
+			}
+		}
+		nc = kept
+		if h.CanceledIn(e.MID, visible) {
+			continue
+		}
+		for _, m := range nc {
+			if h.Spec.Conflict(h.Op(m), h.Op(e.MID)) {
+				out[[2]model.MsgID{min(m, e.MID), max(m, e.MID)}] = true
+			}
+		}
+		nc = append(nc, e.MID)
 	}
 	return out
 }
@@ -177,7 +188,7 @@ func ncVisPairs(tr trace.Trace, t model.NodeID, sp spec.XSpec, ops map[model.Msg
 // visible at both nodes (at some pair of prefixes) must be ordered the same
 // way by both, and concurrent pairs related by ◀ must be ordered loser
 // first.
-func rcoh(sp spec.XSpec, ops map[model.MsgID]model.Op, hb map[model.MsgID]map[model.MsgID]bool, ar1, ar2 Order, nc1, nc2 map[[2]model.MsgID]bool) bool {
+func rcoh(h spec.History[model.MsgID], ar1, ar2 Order, nc1, nc2 map[[2]model.MsgID]bool) bool {
 	p1 := ar1.positions()
 	p2 := ar2.positions()
 	for pair := range nc1 {
@@ -195,13 +206,11 @@ func rcoh(sp spec.XSpec, ops map[model.MsgID]model.Op, hb map[model.MsgID]map[mo
 		if (i1 < j1) != (i2 < j2) {
 			return false
 		}
-		if trace.Concurrent(hb, a, b) {
-			if sp.WonBy(ops[a], ops[b]) && i1 > j1 {
-				return false
-			}
-			if sp.WonBy(ops[b], ops[a]) && j1 > i1 {
-				return false
-			}
+		if i1 > j1 {
+			a, b = b, a
+		}
+		if h.Misordered(a, b) {
+			return false
 		}
 	}
 	return true

@@ -33,7 +33,7 @@ func (c Ctx) spec() spec.Spec                   { return c.Spec }
 func (c Ctx) isQuery(n model.OpName) bool       { return c.IsQuery != nil && c.IsQuery(n) }
 func (c Ctx) stateVar() string                  { return c.StateVar }
 func (Ctx) admitsArrivals(World, []string) bool { return true }
-func (Ctx) admitsLin(World, []string) bool      { return true }
+func (Ctx) admitsLin(World) func([]string) bool { return nil }
 func (Ctx) newWorld(init model.Value) World     { return NewWorld(init) }
 
 // issue appends α via (q, ⊲⊳) ⋉ ⌈α⌉: α is ordered after every arrived action

@@ -50,10 +50,11 @@ type semantics interface {
 	isQuery(model.OpName) bool
 	// stateVar names the object state in lifted assertions; empty means s.
 	stateVar() string
-	// admitsArrivals and admitsLin filter the arrival sets and the
-	// linearizations of a world that the semantics can reach.
+	// admitsArrivals filters the arrival sets of a world that the semantics
+	// can reach, and admitsLin returns the world's filter on their
+	// linearizations, nil if it admits every one.
 	admitsArrivals(w World, ids []string) bool
-	admitsLin(w World, lin []string) bool
+	admitsLin(w World) func(lin []string) bool
 	// newWorld is the empty-knowledge world over init.
 	newWorld(init model.Value) World
 	// issue records the thread's own action α in w, whose Arrived set is the
@@ -220,13 +221,14 @@ func (wk walker) execCall(worlds []World, call lang.Call) ([]World, error) {
 			}
 		}
 		// Split by arrival supersets; within each, collect possible returns.
+		admit := wk.sem.admitsLin(w)
 		w.arrivalSupersets(func(ids []string) bool {
 			if !wk.sem.admitsArrivals(w, ids) {
 				return true
 			}
 			rets := map[string]model.Value{}
 			w.linearize(ids, func(lin []string) bool {
-				if wk.sem.admitsLin(w, lin) {
+				if admit == nil || admit(lin) {
 					ret, _ := sp.Apply(op, w.run(sp, lin))
 					rets[ret.String()] = ret
 				}
@@ -279,12 +281,13 @@ func satWorld(sem semantics, w World, P lang.Expr, deliverAll bool) error {
 		x = "s"
 	}
 	var firstErr error
+	admit := sem.admitsLin(w)
 	ok := w.arrivalSupersets(func(ids []string) bool {
 		if !sem.admitsArrivals(w, ids) {
 			return true
 		}
 		return w.linearize(ids, func(lin []string) bool {
-			if !sem.admitsLin(w, lin) {
+			if admit != nil && !admit(lin) {
 				return true
 			}
 			s := w.run(sp, lin)

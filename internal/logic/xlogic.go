@@ -46,7 +46,6 @@ func (c XCtx) spec() spec.Spec                         { return c.XSpec }
 func (c XCtx) isQuery(n model.OpName) bool             { return c.IsQuery != nil && c.IsQuery(n) }
 func (c XCtx) stateVar() string                        { return c.StateVar }
 func (XCtx) admitsArrivals(w World, ids []string) bool { return w.causallyClosed(ids) }
-func (c XCtx) admitsLin(w World, lin []string) bool    { return c.validLin(w, lin) }
 
 // newWorld starts visibility tracking: every X-wins world carries Seen.
 func (XCtx) newWorld(init model.Value) World {
@@ -62,39 +61,24 @@ func (XCtx) issue(w *World, alpha Action) {
 	w.AddAction(alpha, true)
 }
 
-// canceledInLin reports whether x is canceled within the linearization:
-// some action in lin saw it and cancels it.
-func (c XCtx) canceledInLin(w World, lin []string, x string) bool {
-	for _, y := range lin {
-		if y != x && c.XSpec.CanceledBy(w.Actions[x].Op, w.Actions[y].Op) && w.SawBy(y, x) {
-			return true
-		}
+// admitsLin checks the X-wins linearization discipline: an action comes
+// after the conflicting actions it saw, and of two concurrent conflicting
+// actions that the linearization does not cancel, the ◀-loser comes first.
+func (c XCtx) admitsLin(w World) func(lin []string) bool {
+	h := spec.History[string]{Spec: c.XSpec, X: c.XSpec,
+		Op:  func(id string) model.Op { return w.Actions[id].Op },
+		Saw: w.SawBy,
 	}
-	return false
-}
-
-// validLin checks the X-wins linearization discipline.
-func (c XCtx) validLin(w World, lin []string) bool {
-	for i, x := range lin {
-		for _, y := range lin[i+1:] { // x before y
-			if !c.XSpec.Conflict(w.Actions[x].Op, w.Actions[y].Op) {
-				continue
-			}
-			if w.SawBy(x, y) {
-				return false // y visible to x must precede it
-			}
-			if w.SawBy(y, x) {
-				continue // causal order respected
-			}
-			// Concurrent: the ◀-loser must come first unless one side is
-			// canceled within this linearization.
-			if c.XSpec.WonBy(w.Actions[y].Op, w.Actions[x].Op) && // y ◀ x but x first
-				!c.canceledInLin(w, lin, x) && !c.canceledInLin(w, lin, y) {
-				return false
+	return func(lin []string) bool {
+		for i, x := range lin {
+			for _, y := range lin[i+1:] {
+				if w.SawBy(x, y) && c.XSpec.Conflict(h.Op(x), h.Op(y)) {
+					return false // y visible to x must precede it
+				}
 			}
 		}
+		return h.WonByOrdered(lin)
 	}
-	return true
 }
 
 // causallyClosed reports whether an arrival set respects causal delivery.
