@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/model"
-	"repro/internal/spec"
 )
 
 // Assn is an action assertion of Fig 10, denoting a finite set of worlds.
@@ -28,9 +27,6 @@ type Assn interface {
 
 // Conflict abstracts the ⊲⊳ relation over operations.
 type Conflict func(a, b model.Op) bool
-
-// ConflictOf extracts ⊲⊳ from a specification.
-func ConflictOf(sp spec.Spec) Conflict { return sp.Conflict }
 
 // Base is S0 ∧ emp.
 type Base struct{ Init model.Value }
