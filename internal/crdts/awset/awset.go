@@ -17,39 +17,22 @@ import (
 	"strings"
 
 	"repro/internal/crdt"
+	"repro/internal/crdts/tagged"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
 
 // Tag uniquely identifies one add instance: the origin node plus the unique
 // request ID of the add.
-type Tag struct {
-	Node model.NodeID
-	Seq  int64
-}
-
-// String renders the tag.
-func (t Tag) String() string { return fmt.Sprintf("%s#%d", t.Node, t.Seq) }
-
-func (t Tag) less(u Tag) bool {
-	if t.Node != u.Node {
-		return t.Node < u.Node
-	}
-	return t.Seq < u.Seq
-}
+type Tag = tagged.Tag
 
 // inst is one tagged instance of an element.
-type inst struct {
-	E model.Value
-	T Tag
-}
-
-func (i inst) key() string { return fmt.Sprintf("%s@%s", i.E, i.T) }
+type inst = tagged.Inst
 
 // State is the replica state: all add instances ever seen and the tombstoned
 // (deleted) instances. An instance is live iff added and not tombstoned.
 type State struct {
-	Adds map[string]inst // every instance ever added, keyed by inst.key
+	Adds map[string]inst // every instance ever added, keyed by inst.Key
 	Dead map[string]bool // tombstoned instance keys
 }
 
@@ -104,7 +87,7 @@ func (s State) liveInsts(e *model.Value) []inst {
 		if !out[i].E.Equal(out[j].E) {
 			return out[i].E.Less(out[j].E)
 		}
-		return out[i].T.less(out[j].T)
+		return out[i].T.Less(out[j].T)
 	})
 	return out
 }
@@ -122,7 +105,7 @@ func (d AddEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State)
 func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
 	in := inst{E: d.E, T: d.T}
-	st.Adds[in.key()] = in
+	st.Adds[in.Key()] = in
 	return st
 }
 
@@ -143,7 +126,7 @@ func (d RmvEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State)
 func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
 	for _, in := range d.Insts {
-		st.Dead[in.key()] = true
+		st.Dead[in.Key()] = true
 	}
 	return st
 }
@@ -152,7 +135,7 @@ func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
 func (d RmvEff) String() string {
 	parts := make([]string, len(d.Insts))
 	for i, in := range d.Insts {
-		parts[i] = in.key()
+		parts[i] = in.Key()
 	}
 	return fmt.Sprintf("Rmv(%s,{%s})", d.E, strings.Join(parts, " "))
 }

@@ -17,26 +17,16 @@ import (
 	"strings"
 
 	"repro/internal/crdt"
+	"repro/internal/crdts/tagged"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
 
 // Tag uniquely identifies one add or removal instance.
-type Tag struct {
-	Node model.NodeID
-	Seq  int64
-}
-
-// String renders the tag.
-func (t Tag) String() string { return fmt.Sprintf("%s#%d", t.Node, t.Seq) }
+type Tag = tagged.Tag
 
 // inst is a tagged instance of an element.
-type inst struct {
-	E model.Value
-	T Tag
-}
-
-func (i inst) key() string { return fmt.Sprintf("%s@%s", i.E, i.T) }
+type inst = tagged.Inst
 
 // State is the replica state: add instances, removal instances, and the keys
 // of removal instances that have been cancelled by later adds.
@@ -100,7 +90,7 @@ func (s State) liveRmvs(e model.Value) []inst {
 			out = append(out, in)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key() < out[j].key() })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
 	return out
 }
 
@@ -132,9 +122,9 @@ func (d AddEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State)
 func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
 	in := inst{E: d.E, T: d.T}
-	st.Adds[in.key()] = in
+	st.Adds[in.Key()] = in
 	for _, r := range d.Cancels {
-		st.Cancelled[r.key()] = true
+		st.Cancelled[r.Key()] = true
 	}
 	return st
 }
@@ -143,7 +133,7 @@ func (d AddEff) ApplyInPlace(s crdt.State) crdt.State {
 func (d AddEff) String() string {
 	parts := make([]string, len(d.Cancels))
 	for i, r := range d.Cancels {
-		parts[i] = r.key()
+		parts[i] = r.Key()
 	}
 	return fmt.Sprintf("AddR(%s,%s,cancel{%s})", d.E, d.T, strings.Join(parts, " "))
 }
@@ -161,7 +151,7 @@ func (d RmvEff) Apply(s crdt.State) crdt.State { return d.ApplyInPlace(s.(State)
 func (d RmvEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
 	in := inst{E: d.E, T: d.T}
-	st.Rmvs[in.key()] = in
+	st.Rmvs[in.Key()] = in
 	return st
 }
 
