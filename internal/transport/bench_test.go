@@ -1,8 +1,8 @@
 package transport_test
 
 import (
+	"errors"
 	"fmt"
-	"net"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -16,31 +16,40 @@ import (
 	"repro/internal/transport"
 )
 
-// benchAddrs builds a two-node address table for the given network flavour:
-// unix sockets in a fresh temp dir, or TCP loopback ports grabbed by binding
-// and releasing ephemeral listeners.
-func benchAddrs(b *testing.B, network string) []string {
+// benchPair opens a two-node mesh for the given network flavour, node i
+// with opts[i]: unix sockets in a fresh temp dir, or tcp loopback ports,
+// taken again when another process binds one first
+// (transport.OnLoopbackPorts).
+func benchPair(b *testing.B, network string, opts [2][]transport.StreamOption) [2]*transport.Stream {
 	b.Helper()
-	addrs := make([]string, 2)
+	var ends [2]*transport.Stream
+	listen := func(addrs []string) error {
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range ends {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ends[i], errs[i] = transport.Listen(model.NodeID(i), addrs, opts[i]...)
+			}()
+		}
+		wg.Wait()
+		return errors.Join(errs[0], errs[1])
+	}
+	var err error
 	switch network {
 	case "unix":
 		dir := b.TempDir()
-		for i := range addrs {
-			addrs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("n%d.sock", i))
-		}
+		err = listen([]string{"unix:" + filepath.Join(dir, "n0.sock"), "unix:" + filepath.Join(dir, "n1.sock")})
 	case "tcp":
-		for i := range addrs {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			addrs[i] = "tcp:" + ln.Addr().String()
-			ln.Close()
-		}
+		err = transport.OnLoopbackPorts(b, 2, listen)
 	default:
 		b.Fatalf("unknown network %q", network)
 	}
-	return addrs
+	if err != nil {
+		b.Fatalf("listen: %v", err)
+	}
+	return ends
 }
 
 // BenchmarkStreamThroughput measures one-way frame throughput over a real
@@ -92,7 +101,6 @@ func BenchmarkStreamThroughput(b *testing.B) {
 }
 
 func benchStreamThroughput(b *testing.B, network string, batch, payload, objs int) {
-	addrs := benchAddrs(b, network)
 	var man transport.Manifest
 	if objs > 1 {
 		for o := 0; o < objs; o++ {
@@ -101,33 +109,20 @@ func benchStreamThroughput(b *testing.B, network string, batch, payload, objs in
 			})
 		}
 	}
-	ends := make([]*transport.Stream, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		opts := []transport.StreamOption{transport.WithRecvTimeout(30 * time.Second)}
+	var opts [2][]transport.StreamOption
+	for i := range opts {
+		opts[i] = []transport.StreamOption{transport.WithRecvTimeout(30 * time.Second)}
 		// No delay timer: the sender saturates the frame cap, and the final
 		// Flush drains the tail, so a timer would only add scheduler noise to
 		// the measurement.
 		if i == 0 && batch > 1 {
-			opts = append(opts, transport.WithBatching(transport.BatchPolicy{MaxFrames: batch}))
+			opts[i] = append(opts[i], transport.WithBatching(transport.BatchPolicy{MaxFrames: batch}))
 		}
 		if man != nil {
-			opts = append(opts, transport.WithManifest(man))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ends[i], errs[i] = transport.Listen(model.NodeID(i), addrs, opts...)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			b.Fatalf("listen %d: %v", i, err)
+			opts[i] = append(opts[i], transport.WithManifest(man))
 		}
 	}
+	ends := benchPair(b, network, opts)
 	defer ends[0].Close()
 	defer ends[1].Close()
 
@@ -192,7 +187,6 @@ func benchApplyWork(payload []byte) uint64 {
 // been applied (not merely received). workers=1 serialises every object on
 // one shard; workers>1 lets distinct objects apply concurrently.
 func benchStreamPipeline(b *testing.B, network string, batch, payload, objs, workers int) {
-	addrs := benchAddrs(b, network)
 	var man transport.Manifest
 	for o := 0; o < objs; o++ {
 		man = append(man, transport.ObjectSpec{
@@ -200,32 +194,12 @@ func benchStreamPipeline(b *testing.B, network string, batch, payload, objs, wor
 		})
 	}
 	pol := transport.RecvPolicy{Workers: workers}
-	ends := make([]*transport.Stream, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		opts := []transport.StreamOption{
-			transport.WithRecvTimeout(30 * time.Second),
-			transport.WithManifest(man),
-		}
-		if i == 0 {
-			opts = append(opts, transport.WithBatching(transport.BatchPolicy{MaxFrames: batch}))
-		} else {
-			opts = append(opts, transport.WithReceiver(pol))
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ends[i], errs[i] = transport.Listen(model.NodeID(i), addrs, opts...)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			b.Fatalf("listen %d: %v", i, err)
-		}
-	}
+	ends := benchPair(b, network, [2][]transport.StreamOption{
+		{transport.WithRecvTimeout(30 * time.Second), transport.WithManifest(man),
+			transport.WithBatching(transport.BatchPolicy{MaxFrames: batch})},
+		{transport.WithRecvTimeout(30 * time.Second), transport.WithManifest(man),
+			transport.WithReceiver(pol)},
+	})
 	defer ends[0].Close()
 	defer ends[1].Close()
 

@@ -29,28 +29,20 @@ func TestRecvPolicyNormalized(t *testing.T) {
 // ECONNRESET like EOF — so the next blocking Recv reports ErrExhausted, not a
 // receive error, and the receive ledger keeps every frame it read.
 func TestStreamResetIsHangup(t *testing.T) {
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+	var ends [2]*Stream
+	err := OnLoopbackPorts(t, 2, func(addrs []string) error {
+		errs := make(chan error, 2)
+		for i := range ends {
+			go func() {
+				var err error
+				ends[i], err = Listen(model.NodeID(i), addrs, WithRecvTimeout(5*time.Second), WithBatching(BatchPolicy{MaxFrames: 8}))
+				errs <- err
+			}()
 		}
-		addrs[i] = "tcp:" + ln.Addr().String()
-		ln.Close()
-	}
-	ends := make([]*Stream, 2)
-	errs := make(chan error, 2)
-	for i := range ends {
-		go func() {
-			var err error
-			ends[i], err = Listen(model.NodeID(i), addrs, WithRecvTimeout(5*time.Second), WithBatching(BatchPolicy{MaxFrames: 8}))
-			errs <- err
-		}()
-	}
-	for range ends {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
+		return errors.Join(<-errs, <-errs)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	sender, receiver := ends[0], ends[1]
 	defer sender.Close()

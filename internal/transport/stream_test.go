@@ -152,35 +152,55 @@ func TestStreamTCPPair(t *testing.T) {
 	if !ok {
 		t.Fatal("counter not registered")
 	}
-	addrs := make([]string, 2)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = "tcp:" + ln.Addr().String()
-		ln.Close()
-	}
 	script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), 2, 10, 9, false)
 	results := make([][]byte, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = runStreamPeer(alg, model.NodeID(i), addrs, script)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("peer %d: %v", i, err)
+	err := transport.OnLoopbackPorts(t, 2, func(addrs []string) error {
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = runStreamPeer(alg, model.NodeID(i), addrs, script)
+			}()
 		}
+		wg.Wait()
+		return errors.Join(errs...)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !bytes.Equal(results[0], results[1]) {
 		t.Fatal("tcp peers did not converge to byte-identical state")
+	}
+}
+
+// TestOnLoopbackPortsRetriesTakenPort: when another process binds a
+// reserved port before the endpoint does, the endpoint's Listen fails with
+// EADDRINUSE and OnLoopbackPorts runs the attempt again on fresh ports; any
+// other error ends the attempts.
+func TestOnLoopbackPortsRetriesTakenPort(t *testing.T) {
+	attempts := 0
+	err := transport.OnLoopbackPorts(t, 2, func(addrs []string) error {
+		if attempts++; attempts > 1 {
+			return nil
+		}
+		ln, err := net.Listen("tcp", strings.TrimPrefix(addrs[0], "tcp:"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		_, err = transport.Listen(0, addrs)
+		return err
+	})
+	if err != nil || attempts != 2 {
+		t.Fatalf("err = %v after %d attempts, want nil after 2", err, attempts)
+	}
+	attempts = 0
+	other := errors.New("not a taken port")
+	err = transport.OnLoopbackPorts(t, 2, func([]string) error { attempts++; return other })
+	if err != other || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want %v after 1", err, attempts, other)
 	}
 }
 
