@@ -71,8 +71,9 @@ func (c XCtx) admitsLin(w World) func(lin []string) bool {
 	}
 	return func(lin []string) bool {
 		for i, x := range lin {
+			saw := w.Seen[x]
 			for _, y := range lin[i+1:] {
-				if w.SawBy(x, y) && c.XSpec.Conflict(h.Op(x), h.Op(y)) {
+				if saw[y] && c.XSpec.Conflict(h.Op(x), h.Op(y)) {
 					return false // y visible to x must precede it
 				}
 			}

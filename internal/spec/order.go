@@ -45,7 +45,7 @@ func (h History[K]) CanceledIn(x K, seq []K) bool {
 // Misordered reports that placing x before y breaks ◀: the two are
 // concurrent and y ◀ x, so the winner x would not prevail.
 func (h History[K]) Misordered(x, y K) bool {
-	return h.X != nil && !h.Saw(x, y) && !h.Saw(y, x) && h.X.WonBy(h.Op(y), h.Op(x))
+	return h.X != nil && h.X.WonBy(h.Op(y), h.Op(x)) && !h.Saw(x, y) && !h.Saw(y, x)
 }
 
 // PresvCancel checks PresvCancel within one sequence: when y cancels x, x

@@ -10,13 +10,13 @@ import (
 // history, once with MsgIDs and once with strings as ids:
 //
 //	a = add(1); r = remove(1), which saw a;
-//	b = add(1) and c = remove(1), concurrent with everything but e;
-//	e = remove(1), which saw b; d = add(2).
+//	b = add(1) and c = remove(1), concurrent with a and r;
+//	e = remove(1), which saw b; f = add(1), which saw c; d = add(2).
 //
 // Every case is also read through the same history with ◀ = ▷ = ∅, the UCR
 // reading, where nothing is canceled and RCoh is Coh.
 func TestHistoryPredicates(t *testing.T) {
-	ids := map[string]model.MsgID{"a": 1, "r": 2, "b": 3, "c": 4, "e": 5, "d": 6}
+	ids := map[string]model.MsgID{"a": 1, "r": 2, "b": 3, "c": 4, "e": 5, "f": 6, "d": 7}
 	t.Run("MsgID", func(t *testing.T) { testHistory(t, func(s string) model.MsgID { return ids[s] }) })
 	t.Run("string", func(t *testing.T) { testHistory(t, func(s string) string { return s }) })
 }
@@ -26,9 +26,10 @@ func testHistory[K comparable](t *testing.T, id func(string) K) {
 	set := func(name model.OpName, n int64) model.Op { return model.Op{Name: name, Arg: model.Int(n)} }
 	ops := map[K]model.Op{
 		id("a"): set(OpAdd, 1), id("r"): set(OpRemove, 1), id("b"): set(OpAdd, 1),
-		id("c"): set(OpRemove, 1), id("e"): set(OpRemove, 1), id("d"): set(OpAdd, 2),
+		id("c"): set(OpRemove, 1), id("e"): set(OpRemove, 1), id("f"): set(OpAdd, 1),
+		id("d"): set(OpAdd, 2),
 	}
-	saw := map[K]map[K]bool{id("r"): {id("a"): true}, id("e"): {id("b"): true}}
+	saw := map[K]map[K]bool{id("r"): {id("a"): true}, id("e"): {id("b"): true}, id("f"): {id("c"): true}}
 	x := History[K]{Spec: AWSetSpec{}, X: AWSetSpec{},
 		Op:  func(k K) model.Op { return ops[k] },
 		Saw: func(a, b K) bool { return saw[a][b] },
@@ -54,8 +55,8 @@ func testHistory[K comparable](t *testing.T, id func(string) K) {
 		{"b not canceled in a r c", func(h History[K]) bool { return h.CanceledIn(id("b"), seq("a", "r", "c")) }, false, false},
 		{"b before c breaks ◀", func(h History[K]) bool { return h.Misordered(id("b"), id("c")) }, true, false},
 		{"c before b keeps ◀", func(h History[K]) bool { return h.Misordered(id("c"), id("b")) }, false, false},
-		{"r saw a: not concurrent", func(h History[K]) bool { return h.Misordered(id("r"), id("a")) }, false, false},
-		{"a seen by r: not concurrent", func(h History[K]) bool { return h.Misordered(id("a"), id("r")) }, false, false},
+		{"f saw c: not concurrent", func(h History[K]) bool { return h.Misordered(id("f"), id("c")) }, false, false},
+		{"e saw b: not concurrent", func(h History[K]) bool { return h.Misordered(id("b"), id("e")) }, false, false},
 		{"◀ kept: c b", func(h History[K]) bool { return h.WonByOrdered(seq("c", "b", "d")) }, true, true},
 		{"◀ broken: b c", func(h History[K]) bool { return h.WonByOrdered(seq("d", "b", "c")) }, false, true},
 		{"◀ broken but b canceled: b c e", func(h History[K]) bool { return h.WonByOrdered(seq("b", "c", "e")) }, true, true},
