@@ -44,8 +44,11 @@ func (h History[K]) CanceledIn(x K, seq []K) bool {
 
 // Misordered reports that placing x before y breaks ◀: the two are
 // concurrent and y ◀ x, so the winner x would not prevail.
-func (h History[K]) Misordered(x, y K) bool {
-	return h.X != nil && h.X.WonBy(h.Op(y), h.Op(x)) && !h.Saw(x, y) && !h.Saw(y, x)
+func (h History[K]) Misordered(x, y K) bool { return h.misordered(x, y, h.Op(x), h.Op(y)) }
+
+// misordered is Misordered given the operations ox of x and oy of y.
+func (h History[K]) misordered(x, y K, ox, oy model.Op) bool {
+	return h.X != nil && h.X.WonBy(oy, ox) && !h.Saw(x, y) && !h.Saw(y, x)
 }
 
 // PresvCancel checks PresvCancel within one sequence: when y cancels x, x
@@ -69,8 +72,9 @@ func (h History[K]) WonByOrdered(seq []K) bool {
 		return true
 	}
 	for i, x := range seq {
+		ox := h.Op(x)
 		for _, y := range seq[i+1:] {
-			if h.Misordered(x, y) && h.Spec.Conflict(h.Op(x), h.Op(y)) &&
+			if oy := h.Op(y); h.misordered(x, y, ox, oy) && h.Spec.Conflict(ox, oy) &&
 				!h.CanceledIn(x, seq) && !h.CanceledIn(y, seq) {
 				return false
 			}
