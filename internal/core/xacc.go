@@ -48,9 +48,8 @@ func CheckXACCWitness(tr trace.Trace, p XProblem) (Result, error) {
 // nodes. Its witness orients a conflicting pair by happens-before, or by ◀
 // with the arrival-aware flip.
 type xacc struct {
-	x  spec.XSpec
-	hb map[model.MsgID]map[model.MsgID]bool
-	h  spec.History[model.MsgID]
+	x spec.XSpec
+	h spec.History[model.MsgID]
 }
 
 var xaccTexts = texts{
@@ -66,7 +65,6 @@ func (c *xacc) start(tr trace.Trace) error {
 	}
 	hb := tr.HappensBefore()
 	ops := originOps(tr)
-	c.hb = hb
 	c.h = spec.History[model.MsgID]{Spec: c.x, X: c.x,
 		Op:  func(m model.MsgID) model.Op { return ops[m] },
 		Saw: func(a, b model.MsgID) bool { return hb[a][b] },
@@ -115,9 +113,9 @@ func (c *xacc) orient(tr trace.Trace, t model.NodeID, vis []trace.Event, edge fu
 				continue
 			}
 			switch {
-			case c.hb[e2.MID][e1.MID]:
+			case c.h.Saw(e2.MID, e1.MID):
 				edge(i, j, "hb")
-			case c.hb[e1.MID][e2.MID]:
+			case c.h.Saw(e1.MID, e2.MID):
 				// covered by the symmetric iteration
 			case c.x.WonBy(e1.Op, e2.Op): // e1 is the loser
 				if canceledBefore(e2.MID, e1.MID) {
