@@ -731,9 +731,9 @@ func TestUCRIsXWinsWithoutStrategy(t *testing.T) {
 
 // TestWitnessNamesCycle: when visibility ∪ ↣ is cyclic, the witness names
 // one cycle, each event with its operation and each edge with its
-// relation. This 3-node RGA trace without causal delivery is ROADMAP item
-// 1's pattern: t0 applies remove(x1) before x1's insert and then issues an
-// insert whose stamp does not dominate x1's.
+// relation. In this 3-node RGA trace without causal delivery, t0 applies
+// remove(x1) before x1's insert and then issues an insert whose stamp does
+// not dominate x1's.
 func TestWitnessNamesCycle(t *testing.T) {
 	alg := registry.RGA()
 	w := sim.Workload{
