@@ -116,6 +116,102 @@ func TestValueListOps(t *testing.T) {
 	}
 }
 
+// TestValueLayout guards the three-word layout: every trace event carries
+// two Values (its argument and its return value), so a field added back to
+// Value grows every event, replica state and checker replay.
+func TestValueLayout(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 24 {
+		t.Errorf("Value is %d bytes, want 24 (kind, n, p)", got)
+	}
+	if got := reflect.TypeOf(Op{}).Size(); got != 40 {
+		t.Errorf("Op is %d bytes, want 40", got)
+	}
+}
+
+// TestAccessorsOnWrongKinds checks every accessor on every kind it does not
+// serve: the payload word n is shared by bools, ints and lengths, so a
+// missing kind guard would leak, say, a string's length through AsInt.
+func TestAccessorsOnWrongKinds(t *testing.T) {
+	all := []Value{Nil(), True, False, Int(7), Int(-1), Str("abc"),
+		Pair(Int(1), Str("x")), List(Int(1), Int(2), Int(3))}
+	for _, v := range all {
+		k := v.Kind()
+		if b, ok := v.AsBool(); k != KindBool && (b || ok) {
+			t.Errorf("%s.AsBool() = %v, %v", v, b, ok)
+		}
+		if n, ok := v.AsInt(); k != KindInt && (n != 0 || ok) {
+			t.Errorf("%s.AsInt() = %d, %v", v, n, ok)
+		}
+		if s, ok := v.AsString(); k != KindString && (s != "" || ok) {
+			t.Errorf("%s.AsString() = %q, %v", v, s, ok)
+		}
+		if a, b, ok := v.AsPair(); k != KindPair && (!a.IsNil() || !b.IsNil() || ok) {
+			t.Errorf("%s.AsPair() = %s, %s, %v", v, a, b, ok)
+		}
+		if vs, ok := v.AsList(); k != KindList && (vs != nil || ok) {
+			t.Errorf("%s.AsList() = %v, %v", v, vs, ok)
+		}
+		if k != KindPair && (!v.Fst().IsNil() || !v.Snd().IsNil()) {
+			t.Errorf("%s.Fst(), Snd() = %s, %s", v, v.Fst(), v.Snd())
+		}
+		if k != KindList && v.Len() != 0 {
+			t.Errorf("%s.Len() = %d", v, v.Len())
+		}
+	}
+}
+
+// TestEmptyAndAdoptedValues checks the values whose layout is special: an
+// empty string or list carries no pointer, and a list adopted by ListOf
+// from a slice with spare capacity must not let Append write into it.
+func TestEmptyAndAdoptedValues(t *testing.T) {
+	empties := []struct {
+		v    Value
+		str  string
+		next Value // the smallest non-empty value of the same kind
+	}{
+		{Str(""), `""`, Str("\x00")},
+		{List(), "[]", List(Nil())},
+		{ListOf(nil), "[]", List(Nil())},
+		{ListOf(make([]Value, 0, 4)), "[]", List(Nil())},
+	}
+	for _, c := range empties {
+		if c.v.p != nil {
+			t.Errorf("%s keeps a pointer", c.str)
+		}
+		if got := c.v.String(); got != c.str {
+			t.Errorf("String() = %q, want %q", got, c.str)
+		}
+		if c.v.Len() != 0 || c.v.Compare(c.v) != 0 || c.v.Compare(c.next) != -1 || c.next.Compare(c.v) != 1 {
+			t.Errorf("%s: Len %d, Compare with %s: %d", c.str, c.v.Len(), c.next, c.v.Compare(c.next))
+		}
+	}
+	if !List().Equal(ListOf(nil)) || !List().Equal(ListOf(make([]Value, 0, 4))) {
+		t.Error("empty lists differ")
+	}
+	if got := List().Append(Int(1)).String(); got != "[1]" {
+		t.Errorf("List().Append(1) = %s", got)
+	}
+	if s, ok := Str("").AsString(); !ok || s != "" {
+		t.Errorf(`Str("").AsString() = %q, %v`, s, ok)
+	}
+
+	backing := []Value{Int(1), Int(2), Str("spare")}
+	l := ListOf(backing[:2])
+	if vs, _ := l.AsList(); len(vs) != 2 || cap(vs) != 2 {
+		t.Fatalf("adopted list has len %d, cap %d; want 2, 2", len(vs), cap(vs))
+	}
+	l2 := l.Append(Int(9))
+	if !backing[2].Equal(Str("spare")) {
+		t.Fatalf("Append wrote %s into the adopted array", backing[2])
+	}
+	if l.String() != "[1 2]" || l2.String() != "[1 2 9]" || l.Len() != 2 || l2.Len() != 3 {
+		t.Errorf("adopted list %s (len %d), appended %s (len %d)", l, l.Len(), l2, l2.Len())
+	}
+	if l.Compare(List(Int(1), Int(2))) != 0 || l.Compare(l2) != -1 {
+		t.Error("adopted list compares wrong")
+	}
+}
+
 func TestCompareTotalOrderProperties(t *testing.T) {
 	// Reflexivity / antisymmetry / consistency with Equal.
 	if err := quick.Check(func(a, b Value) bool {
