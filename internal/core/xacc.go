@@ -60,10 +60,10 @@ var xaccTexts = texts{
 }
 
 func (c *xacc) start(tr trace.Trace) error {
-	if !tr.CausalDelivery() {
+	hb := tr.HappensBefore()
+	if !tr.CausalDeliveryOver(hb) {
 		return ErrNotCausal
 	}
-	hb := tr.HappensBefore()
 	ops := originOps(tr)
 	c.h = spec.History[model.MsgID]{Spec: c.x, X: c.x,
 		Op:  func(m model.MsgID) model.Op { return ops[m] },

@@ -52,7 +52,8 @@ func (s Stats) String() string {
 
 // Summarize computes the statistics of a trace.
 func Summarize(tr Trace) Stats {
-	s := Stats{PerNode: map[model.NodeID][2]int{}, Causal: tr.CausalDelivery()}
+	hb := tr.HappensBefore()
+	s := Stats{PerNode: map[model.NodeID][2]int{}, Causal: tr.CausalDeliveryOver(hb)}
 	s.Events = len(tr)
 	for _, e := range tr {
 		c := s.PerNode[e.Node]
@@ -68,7 +69,6 @@ func Summarize(tr Trace) Stats {
 		}
 		s.PerNode[e.Node] = c
 	}
-	hb := tr.HappensBefore()
 	origins := tr.Origins()
 	for i, a := range origins {
 		for _, b := range origins[i+1:] {

@@ -202,8 +202,11 @@ func Concurrent(hb map[model.MsgID]map[model.MsgID]bool, a, b model.MsgID) bool 
 // queries are exempt — their identity effectors never travel, so they impose
 // no delivery obligations (and are themselves only ever "applied" at their
 // origin).
-func (tr Trace) CausalDelivery() bool {
-	hb := tr.HappensBefore()
+func (tr Trace) CausalDelivery() bool { return tr.CausalDeliveryOver(tr.HappensBefore()) }
+
+// CausalDeliveryOver is CausalDelivery given the trace's happens-before
+// relation hb, as HappensBefore returns it, for callers that need hb too.
+func (tr Trace) CausalDeliveryOver(hb map[model.MsgID]map[model.MsgID]bool) bool {
 	isQuery := map[model.MsgID]bool{}
 	for _, e := range tr.Origins() {
 		isQuery[e.MID] = e.IsQuery()

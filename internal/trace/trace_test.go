@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -99,49 +100,56 @@ func TestHappensBeforeTransitive(t *testing.T) {
 }
 
 func TestCausalDelivery(t *testing.T) {
-	// Causal: 1 → 2 delivered in order everywhere.
-	ok := Trace{
-		origin(1, 0, "a"),
-		deliver(1, 1, 0, "a"),
-		origin(2, 1, "b"),
-		deliver(2, 0, 1, "b"),
-		deliver(1, 2, 0, "a"),
-		deliver(2, 2, 1, "b"),
+	cases := []struct {
+		name string
+		tr   Trace
+		want bool
+	}{
+		{"1 → 2 delivered in order everywhere", Trace{
+			origin(1, 0, "a"),
+			deliver(1, 1, 0, "a"),
+			origin(2, 1, "b"),
+			deliver(2, 0, 1, "b"),
+			deliver(1, 2, 0, "a"),
+			deliver(2, 2, 1, "b"),
+		}, true},
+		{"node 2 gets op 2 before its dependency op 1", Trace{
+			origin(1, 0, "a"),
+			deliver(1, 1, 0, "a"),
+			origin(2, 1, "b"),
+			deliver(2, 2, 1, "b"),
+			deliver(1, 2, 0, "a"),
+		}, false},
+		{"the dependency never reaches node 2", Trace{
+			origin(1, 0, "a"),
+			deliver(1, 1, 0, "a"),
+			origin(2, 1, "b"),
+			deliver(2, 2, 1, "b"),
+		}, false},
+		{"queries impose no delivery obligations", Trace{
+			origin(1, 0, "a"),
+			deliver(1, 1, 0, "a"),
+			queryEvent(2, 1),
+			origin(3, 1, "b"),
+			deliver(3, 0, 1, "b"),
+		}, true},
 	}
-	if !ok.CausalDelivery() {
-		t.Fatal("causal trace rejected")
+	for _, c := range cases {
+		if got := c.tr.CausalDelivery(); got != c.want {
+			t.Errorf("%s: CausalDelivery() = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.tr.CausalDeliveryOver(c.tr.HappensBefore()); got != c.want {
+			t.Errorf("%s: CausalDeliveryOver(hb) = %v, want %v", c.name, got, c.want)
+		}
 	}
-	// Violation: node 2 gets op 2 before its dependency op 1.
-	bad := Trace{
-		origin(1, 0, "a"),
-		deliver(1, 1, 0, "a"),
-		origin(2, 1, "b"),
-		deliver(2, 2, 1, "b"),
-		deliver(1, 2, 0, "a"),
-	}
-	if bad.CausalDelivery() {
-		t.Fatal("non-causal trace accepted")
-	}
-	// A missing delivery of the dependency also violates causal delivery.
-	missing := Trace{
-		origin(1, 0, "a"),
-		deliver(1, 1, 0, "a"),
-		origin(2, 1, "b"),
-		deliver(2, 2, 1, "b"),
-	}
-	if missing.CausalDelivery() {
-		t.Fatal("trace with missing dependency accepted")
-	}
-	// Queries impose no delivery obligations.
-	withQuery := Trace{
-		origin(1, 0, "a"),
-		deliver(1, 1, 0, "a"),
-		queryEvent(2, 1),
-		origin(3, 1, "b"),
-		deliver(3, 0, 1, "b"),
-	}
-	if !withQuery.CausalDelivery() {
-		t.Fatal("query treated as deliverable dependency")
+}
+
+// TestEventLayout guards the size of an event, which carries two
+// model.Values (its argument and its return value): the simulator's traces
+// and the checkers' corpora hold one per step.
+func TestEventLayout(t *testing.T) {
+	if got := reflect.TypeOf(Event{}).Size(); got != 112 {
+		t.Errorf("Event is %d bytes, want 112", got)
 	}
 }
 
