@@ -36,7 +36,6 @@ import (
 	"repro/internal/refine"
 	"repro/internal/sim"
 	"repro/internal/spec"
-	"repro/internal/statebased"
 	"repro/internal/trace"
 )
 
@@ -402,29 +401,6 @@ func BenchmarkProduct_Composition(b *testing.B) {
 		res, err := core.CheckACCWitness(tr, p, obj.TSOrder)
 		if err != nil || !res.OK {
 			b.Fatalf("%v %v", err, res.Reason)
-		}
-	}
-}
-
-// BenchmarkStateBased_Gossip measures the state-based PN-counter under
-// random updates and anti-entropy (the future-work substrate).
-func BenchmarkStateBased_Gossip(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		c := statebased.NewCluster(statebased.PNCounterObject{}, 3)
-		for j := 0; j < 60; j++ {
-			node := model.NodeID(rng.Intn(3))
-			if err := c.Update(node, model.Op{Name: "inc", Arg: model.Int(1)}); err != nil {
-				b.Fatal(err)
-			}
-			if rng.Intn(2) == 0 {
-				c.GossipRandom(rng)
-			}
-		}
-		c.GossipAll()
-		if _, ok := c.Converged(); !ok {
-			b.Fatal("diverged")
 		}
 	}
 }
