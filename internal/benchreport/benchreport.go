@@ -149,12 +149,6 @@ type Tolerance struct {
 	BytesPerOp float64
 }
 
-// NsOnly is the legacy gate shape: ns/op at the given tolerance, memory
-// metrics ungated.
-func NsOnly(tolerance float64) Tolerance {
-	return Tolerance{NsPerOp: tolerance, AllocsPerOp: -1, BytesPerOp: -1}
-}
-
 // Regression is one benchmark case where a metric worsened past its
 // tolerance against a baseline.
 type Regression struct {

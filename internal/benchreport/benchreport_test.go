@@ -96,7 +96,7 @@ func TestCompare(t *testing.T) {
 		{Group: "StreamThroughput", Case: "unix/batch=1/payload=64", NsPerOp: 400}, // improvement
 		{Group: "StreamThroughput", Case: "unix/batch=8/payload=64", NsPerOp: 9e9}, // new case: ignored
 	}
-	regs := Compare(cur, base, NsOnly(0.25))
+	regs := Compare(cur, base, Tolerance{NsPerOp: 0.25, AllocsPerOp: -1, BytesPerOp: -1})
 	if len(regs) != 1 {
 		t.Fatalf("regressions = %+v, want exactly the +40%% case", regs)
 	}
@@ -110,7 +110,7 @@ func TestCompare(t *testing.T) {
 	if s := r.String(); !strings.Contains(s, "tcp/batch=8/payload=64") || !strings.Contains(s, "1.40x") {
 		t.Fatalf("rendering = %q", s)
 	}
-	if regs := Compare(cur, base, NsOnly(0.5)); len(regs) != 0 {
+	if regs := Compare(cur, base, Tolerance{NsPerOp: 0.5, AllocsPerOp: -1, BytesPerOp: -1}); len(regs) != 0 {
 		t.Fatalf("tolerance 0.5 still flagged %+v", regs)
 	}
 }
@@ -170,8 +170,8 @@ func TestCompareMemoryMetrics(t *testing.T) {
 		t.Fatalf("rendering lost the metric: %q", regs[1].String())
 	}
 	// Negative tolerances disable the memory gates outright.
-	if regs := Compare(cur, base, NsOnly(0.25)); len(regs) != 0 {
-		t.Fatalf("NsOnly still flagged memory growth: %+v", regs)
+	if regs := Compare(cur, base, Tolerance{NsPerOp: 0.25, AllocsPerOp: -1, BytesPerOp: -1}); len(regs) != 0 {
+		t.Fatalf("negative memory tolerances still flagged memory growth: %+v", regs)
 	}
 }
 

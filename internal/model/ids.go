@@ -35,8 +35,5 @@ func (o Op) String() string {
 	return fmt.Sprintf("%s(%s)", o.Name, o.Arg)
 }
 
-// Key returns a canonical, injective rendering of the op usable as a map key.
-func (o Op) Key() string { return o.String() }
-
 // Equal reports whether two ops have the same name and argument.
 func (o Op) Equal(p Op) bool { return o.Name == p.Name && o.Arg.Equal(p.Arg) }

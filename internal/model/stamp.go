@@ -46,21 +46,3 @@ func (s Stamp) Max(u Stamp) Stamp {
 
 // String renders the stamp as (n,tK).
 func (s Stamp) String() string { return fmt.Sprintf("(%d,%s)", s.N, s.Node) }
-
-// Value encodes the stamp as a pair Value, so stamps can be embedded in
-// arguments, return values, and abstract states.
-func (s Stamp) Value() Value { return Pair(Int(s.N), Int(int64(s.Node))) }
-
-// StampFromValue decodes a stamp previously encoded with Stamp.Value.
-func StampFromValue(v Value) (Stamp, bool) {
-	a, b, ok := v.AsPair()
-	if !ok {
-		return Stamp{}, false
-	}
-	n, ok1 := a.AsInt()
-	t, ok2 := b.AsInt()
-	if !ok1 || !ok2 {
-		return Stamp{}, false
-	}
-	return Stamp{N: n, Node: NodeID(t)}, true
-}

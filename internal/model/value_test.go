@@ -344,23 +344,9 @@ func TestStampOrder(t *testing.T) {
 	}
 }
 
-func TestStampValueRoundTrip(t *testing.T) {
-	s := Stamp{N: 7, Node: 3}
-	got, ok := StampFromValue(s.Value())
-	if !ok || got != s {
-		t.Fatalf("round trip failed: %v %v", got, ok)
-	}
-	if _, ok := StampFromValue(Int(1)); ok {
-		t.Error("decoded stamp from non-pair")
-	}
-	if _, ok := StampFromValue(Pair(Str("x"), Int(1))); ok {
-		t.Error("decoded stamp from ill-typed pair")
-	}
-}
-
 func TestOpString(t *testing.T) {
 	op := Op{Name: "add", Arg: Int(1)}
-	if op.String() != "add(1)" || op.Key() != "add(1)" {
+	if op.String() != "add(1)" {
 		t.Errorf("op rendering: %q", op.String())
 	}
 	if (Op{Name: "read"}).String() != "read()" {

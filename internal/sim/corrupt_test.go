@@ -4,35 +4,31 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
 	"repro/internal/spec"
 )
 
 // TestWireCodecShipsBytes: with a wire codec installed, every broadcast
-// charges its encoded payload to the links, the totals agree with the per-link
-// counters, and delivery decodes back to an effector that applies identically.
+// charges its encoded payload once per destination to the totals, and
+// delivery decodes back to an effector that applies identically.
 func TestWireCodecShipsBytes(t *testing.T) {
 	alg := registry.Counter()
 	c := NewCluster(alg.New(), 3, WithWireCodec(alg.DecodeEffector))
-	if _, _, err := c.Invoke(0, model.Op{Name: spec.OpInc, Arg: model.Int(5)}); err != nil {
+	op := model.Op{Name: spec.OpInc, Arg: model.Int(5)}
+	_, eff, err := alg.New().Prepare(op, alg.New().Init(), 0, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sum := 0
-	for dst := 1; dst < 3; dst++ {
-		n := c.LinkBytes(0, model.NodeID(dst))
-		if n == 0 {
-			t.Fatalf("link 0→%d carried no payload bytes", dst)
-		}
-		sum += n
-	}
-	if c.LinkBytes(1, 2) != 0 {
-		t.Fatal("idle link 1→2 charged payload bytes")
-	}
-	if got := c.FaultStats().PayloadBytes; got != sum {
-		t.Fatalf("PayloadBytes = %d, want sum of links %d", got, sum)
+	frame := len(codec.AppendFrame(nil, eff.AppendBinary(nil)))
+	if _, _, err := c.Invoke(0, op); err != nil {
+		t.Fatal(err)
 	}
 	// One broadcast fans out to the two other nodes: one frame copy per link.
+	if got, want := c.FaultStats().PayloadBytes, 2*frame; got != want {
+		t.Fatalf("PayloadBytes = %d, want two %d-byte frames", got, frame)
+	}
 	if got := c.FaultStats().PayloadFrames; got != 2 {
 		t.Fatalf("PayloadFrames = %d, want 2", got)
 	}
@@ -50,7 +46,7 @@ func TestWireCodecWithoutOptionIsFree(t *testing.T) {
 	if _, _, err := c.Invoke(0, model.Op{Name: spec.OpInc, Arg: model.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if c.LinkBytes(0, 1) != 0 || c.FaultStats().PayloadBytes != 0 || c.FaultStats().PayloadFrames != 0 {
+	if c.FaultStats().PayloadBytes != 0 || c.FaultStats().PayloadFrames != 0 {
 		t.Fatal("cluster without a wire codec must not count payload bytes or frames")
 	}
 }

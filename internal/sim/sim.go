@@ -118,10 +118,9 @@ type Cluster struct {
 	// gates them on partitions; the delivery layer schedules consumption.
 	net *transport.Mem
 	// dec, when non-nil, makes the cluster ship bytes: Invoke encodes each
-	// broadcast effector into a framed payload, delivery decodes it with
-	// dec, and linkBytes counts the payload bytes queued per link.
-	dec       crdt.EffectorDecoder
-	linkBytes [][]int // [from][to] payload bytes queued
+	// broadcast effector into a framed payload, and delivery decodes it
+	// with dec.
+	dec crdt.EffectorDecoder
 	// cand is DeliverRandom's candidate buffer, reused across calls; a
 	// Clone starts without one, so clones never share it.
 	cand []delivery
@@ -151,31 +150,15 @@ func WithCausalDelivery() Option { return func(c *Cluster) { c.causal = true } }
 // WithWireCodec makes the cluster actually ship bytes: every broadcast
 // encodes the effector into a checksummed wire frame (codec.AppendFrame),
 // every delivery decodes the payload with dec before applying it, and
-// per-link payload-byte counters are maintained. Without it the cluster
+// FaultStats totals the payload bytes queued. Without it the cluster
 // passes effector values in memory, as the schedule explorers do.
 func WithWireCodec(dec crdt.EffectorDecoder) Option {
-	return func(c *Cluster) {
-		c.dec = dec
-		c.linkBytes = make([][]int, len(c.states))
-		for i := range c.linkBytes {
-			c.linkBytes[i] = make([]int, len(c.states))
-		}
-	}
-}
-
-// LinkBytes returns the payload bytes queued on the link from → to so far
-// (including duplicated copies and corruption retransmissions). It is zero
-// everywhere unless the cluster ships bytes (WithWireCodec).
-func (c *Cluster) LinkBytes(from, to model.NodeID) int {
-	if c.linkBytes == nil {
-		return 0
-	}
-	return c.linkBytes[from][to]
+	return func(c *Cluster) { c.dec = dec }
 }
 
 // send queues a copy of m carrying payload for dst, arriving at tick readyAt
 // (then perturbed by the link faults, if perturb), and charges its payload
-// bytes to the link and the totals.
+// bytes to the totals.
 func (c *Cluster) send(dst model.NodeID, m *message, payload []byte, readyAt int, perturb bool) {
 	q := &transport.Queued{
 		Frame:   transport.Frame{Kind: transport.KindEffector, MID: m.mid, From: m.from, Payload: payload},
@@ -188,7 +171,6 @@ func (c *Cluster) send(dst model.NodeID, m *message, payload []byte, readyAt int
 	}
 	if payload != nil {
 		n := len(q.Frame.Payload) * q.Copies
-		c.linkBytes[m.from][dst] += n
 		c.stats.PayloadBytes += n
 		c.stats.PayloadFrames += q.Copies
 	}

@@ -243,18 +243,6 @@ func (tr Trace) CausalDeliveryOver(hb map[model.MsgID]map[model.MsgID]bool) bool
 	return true
 }
 
-// Prefixes calls fn on every prefix of the trace, including the empty prefix
-// and the full trace. fn may return false to stop early; Prefixes reports
-// whether all calls returned true.
-func (tr Trace) Prefixes(fn func(Trace) bool) bool {
-	for i := 0; i <= len(tr); i++ {
-		if !fn(tr[:i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // ReplayLocal executes E|t concretely: it folds the effectors of node t's
 // events over the initial state and returns the final replica state. This is
 // the paper's exec_st(S, E|t).

@@ -183,26 +183,6 @@ func TestCheckWellFormed(t *testing.T) {
 	}
 }
 
-func TestPrefixes(t *testing.T) {
-	tr := Trace{origin(1, 0, "a"), origin(2, 0, "b")}
-	var lens []int
-	tr.Prefixes(func(p Trace) bool {
-		lens = append(lens, len(p))
-		return true
-	})
-	if len(lens) != 3 || lens[0] != 0 || lens[2] != 2 {
-		t.Fatalf("prefix lengths = %v", lens)
-	}
-	count := 0
-	tr.Prefixes(func(p Trace) bool {
-		count++
-		return false
-	})
-	if count != 1 {
-		t.Fatal("early stop failed")
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := origin(1, 0, "a")
 	if !strings.Contains(e.String(), "m1") || !strings.Contains(e.String(), "t0") {

@@ -59,9 +59,6 @@ func NewMem(n int) *Mem {
 	return &Mem{n: n, inbox: make([][]*Queued, n), pending: make([]int, n)}
 }
 
-// N returns the number of nodes.
-func (m *Mem) N() int { return m.n }
-
 // Now returns the virtual-clock tick arrival windows are measured against.
 func (m *Mem) Now() int { return m.now }
 

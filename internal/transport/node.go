@@ -55,9 +55,6 @@ func NewNode(t Transport, man Manifest) (*Node, error) {
 	return &Node{t: t, man: man, peers: map[ObjID]*Peer{}}, nil
 }
 
-// Manifest returns the manifest governing the demux.
-func (n *Node) Manifest() Manifest { return n.man }
-
 // Transport returns the shared endpoint (for stats and connection queries).
 func (n *Node) Transport() Transport { return n.t }
 
