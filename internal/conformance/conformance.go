@@ -72,10 +72,9 @@ type Config struct {
 	// Seeds is the number of randomized traces per trace-level check
 	// (default 8).
 	Seeds int
-	// Steps is the scheduler steps for long traces (default 40).
+	// Steps is the scheduler steps for long traces, which run on three
+	// nodes (default 40).
 	Steps int
-	// Nodes is the cluster size for long traces (default 3).
-	Nodes int
 	// Workers is the worker count for the parallel schedule-exploration
 	// check (default: sim picks GOMAXPROCS).
 	Workers int
@@ -93,9 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Steps == 0 {
 		c.Steps = 40
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 3
 	}
 	return c
 }
@@ -167,7 +163,7 @@ func Run(alg registry.Algorithm, cfg Config) Report {
 	if alg.IsX() {
 		skip("CRDT-TS obligations (Sec 8)", "applies to UCR algorithms; X-wins verified against XACC")
 	} else {
-		pm := proofmethod.Check(alg, proofmethod.Config{Seeds: cfg.Seeds, Steps: cfg.Steps, Nodes: cfg.Nodes})
+		pm := proofmethod.Check(alg, proofmethod.Config{Seeds: cfg.Seeds, Steps: cfg.Steps})
 		add("CRDT-TS obligations (Sec 8)", pm.Err())
 	}
 
@@ -230,10 +226,10 @@ func Run(alg registry.Algorithm, cfg Config) Report {
 	return rep
 }
 
-// traceChecks runs the per-trace conditions; exhaustive switches to the
-// complete deciders on short two-node traces.
+// traceChecks runs the per-trace conditions on three nodes; exhaustive
+// switches to the complete deciders on short two-node traces.
 func traceChecks(alg registry.Algorithm, cfg Config, exhaustive bool) error {
-	nodes, steps, seeds := cfg.Nodes, cfg.Steps, cfg.Seeds
+	nodes, steps, seeds := 3, cfg.Steps, cfg.Seeds
 	if exhaustive {
 		nodes, steps = 2, 8
 		if seeds > 4 {

@@ -23,7 +23,7 @@ import (
 // the whole serialization of the visible set at every prefix.
 func execRelatedNaive(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 	pos := ar.positions()
-	s := p.initState()
+	s := p.Object.Init()
 	absInit := p.Abs(s)
 	var visible []trace.Event // origin events visible so far, kept ar-sorted
 	insert := func(e trace.Event) bool {

@@ -9,13 +9,10 @@ import (
 	"repro/internal/spec"
 )
 
-// Ctx bundles the specification context of a logic judgment: Γ, ⊲⊳ and the
-// object-state variable name used by lifted state assertions.
+// Ctx bundles the specification context of a logic judgment: Γ and ⊲⊳, and
+// which operations are read-only.
 type Ctx struct {
 	Spec spec.Spec
-	// StateVar is the variable bound to the abstract object state when
-	// evaluating lifted state assertions (default "s").
-	StateVar string
 	// IsQuery identifies read-only operations, whose identity actions need
 	// no guarantee coverage and are not recorded in worlds. Nil treats every
 	// operation as effectful.
@@ -31,7 +28,6 @@ func (c Ctx) Conflict() Conflict { return c.Spec.Conflict }
 // have arrived.
 func (c Ctx) spec() spec.Spec                   { return c.Spec }
 func (c Ctx) isQuery(n model.OpName) bool       { return c.IsQuery != nil && c.IsQuery(n) }
-func (c Ctx) stateVar() string                  { return c.StateVar }
 func (Ctx) admitsArrivals(World, []string) bool { return true }
 func (Ctx) admitsLin(World) func([]string) bool { return nil }
 func (Ctx) newWorld(init model.Value) World     { return NewWorld(init) }
@@ -50,9 +46,9 @@ func (c Ctx) issue(w *World, alpha Action) {
 
 // Sat decides the lifted state assertion judgment p ⇒ P (Sec 7): for every
 // world of p, every arrival superset of its actions, and every linearization
-// consistent with the known order, the resulting object state (bound to the
-// state variable) together with the world's pinned client variables
-// satisfies the boolean expression P.
+// consistent with the known order, the resulting object state (bound to s)
+// together with the world's pinned client variables satisfies the boolean
+// expression P.
 func (c Ctx) Sat(p Assn, P lang.Expr) error {
 	return satAll(c, p.Worlds(c.Conflict()), P, false)
 }

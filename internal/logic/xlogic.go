@@ -33,9 +33,6 @@ import (
 // XCtx is the X-wins logic context over (Γ, ⊲⊳, ◀, ▷).
 type XCtx struct {
 	XSpec spec.XSpec
-	// StateVar is the object-state variable for lifted assertions
-	// (default "s").
-	StateVar string
 	// IsQuery identifies read-only operations.
 	IsQuery func(model.OpName) bool
 }
@@ -44,7 +41,6 @@ type XCtx struct {
 // causally closed and linearizations obey the ◀/▷ discipline.
 func (c XCtx) spec() spec.Spec                         { return c.XSpec }
 func (c XCtx) isQuery(n model.OpName) bool             { return c.IsQuery != nil && c.IsQuery(n) }
-func (c XCtx) stateVar() string                        { return c.StateVar }
 func (XCtx) admitsArrivals(w World, ids []string) bool { return w.causallyClosed(ids) }
 
 // newWorld starts visibility tracking: every X-wins world carries Seen.

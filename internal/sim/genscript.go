@@ -18,7 +18,6 @@ import (
 // explorer drops nothing, so generated scripts cannot deadlock a schedule.
 func GenScript(obj crdt.Object, abs crdt.Abstraction, gen GenFunc, nodes, ops int, seed int64, causal bool) Script {
 	rng := rand.New(rand.NewSource(seed))
-	pool := []model.Value{model.Str("a"), model.Str("b"), model.Str("c")}
 	var opts []Option
 	if causal {
 		opts = append(opts, WithCausalDelivery())

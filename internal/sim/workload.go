@@ -12,7 +12,15 @@ import (
 // GenFunc generates a random operation plausibly applicable at replica state
 // s; see registry.OpGen, which has the identical signature. s is lent: the
 // cluster may mutate it in place after the call, so Gen must not keep it.
+// pool is the shared element pool, which Gen must not modify.
 type GenFunc func(rng *rand.Rand, s crdt.State, abs crdt.Abstraction, pool []model.Value, fresh func() model.Value) model.Op
+
+// pool is the element pool every generated workload and script draws from.
+var pool = []model.Value{model.Str("a"), model.Str("b"), model.Str("c")}
+
+// deliverBias is the probability that a workload step prefers a delivery
+// over an invocation when both are possible.
+const deliverBias = 0.5
 
 // Workload describes a randomized cluster run.
 type Workload struct {
@@ -24,9 +32,6 @@ type Workload struct {
 	// Steps is the number of scheduler steps (default 40). Each step either
 	// issues an operation or delivers a pending effector.
 	Steps int
-	// DeliverBias is the probability of preferring a delivery over an
-	// invocation when both are possible (default 0.5).
-	DeliverBias float64
 	// DropProb is the probability that an issued effector is lost on its
 	// way to a given destination, never to be delivered there (default 0).
 	// Under causal delivery whatever depends on it waits there forever, and
@@ -44,8 +49,6 @@ type Workload struct {
 	// quiesces (default false: messages may stay in flight, as the paper's
 	// network model allows).
 	FinalDrain bool
-	// Pool is the element pool for Gen (default {"a","b","c"}).
-	Pool []model.Value
 }
 
 // Run executes the workload with the given seed and returns the cluster in
@@ -59,14 +62,6 @@ func (w Workload) Run(seed int64) *Cluster {
 	steps := w.Steps
 	if steps == 0 {
 		steps = 40
-	}
-	bias := w.DeliverBias
-	if bias == 0 {
-		bias = 0.5
-	}
-	pool := w.Pool
-	if pool == nil {
-		pool = []model.Value{model.Str("a"), model.Str("b"), model.Str("c")}
 	}
 	var opts []Option
 	if w.Causal {
@@ -82,7 +77,7 @@ func (w Workload) Run(seed int64) *Cluster {
 		return model.Str(fmt.Sprintf("x%d", freshID))
 	}
 	for i := 0; i < steps; i++ {
-		if c.Pending() > 0 && rng.Float64() < bias {
+		if c.Pending() > 0 && rng.Float64() < deliverBias {
 			if c.DeliverRandom(rng) {
 				continue
 			}
