@@ -357,3 +357,68 @@ func TestCloneKeyReflectsFaultState(t *testing.T) {
 		t.Fatal("Key must mark crashed nodes")
 	}
 }
+
+// TestChaosTickBound: a run that passes the tick bound says what was still
+// outstanding — the script, or, once the script is done, the plan window
+// that holds its horizon — and a SyncInvokes drain says why it stopped.
+func TestChaosTickBound(t *testing.T) {
+	alg := registry.Counter()
+	inc := model.Op{Name: spec.OpInc, Arg: model.Int(1)}
+	script := func(nodes ...model.NodeID) Script {
+		var s Script
+		for _, n := range nodes {
+			s = append(s, ScriptOp{Node: n, Op: inc})
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		script Script
+		plan   FaultPlan
+		sync   bool
+		want   string
+	}{
+		{
+			name:   "script waits on a crashed node",
+			script: script(1, 0),
+			plan:   FaultPlan{Crashes: []CrashWindow{{Node: 0, From: 0, To: 20000}}},
+			want:   "sim: chaos run did not finish its script within 10000 ticks (1/2 ops issued)",
+		},
+		{
+			name:   "crash window outlasts the script",
+			script: script(1, 2, 1, 2),
+			plan:   FaultPlan{Crashes: []CrashWindow{{Node: 0, From: 1, To: 20000}}},
+			want:   "sim: chaos run finished its script (4/4 ops issued), but its crash window [1,20000) of node t0 was still open after 10000 ticks",
+		},
+		{
+			name:   "partition window outlasts the script",
+			script: script(0, 1),
+			plan: FaultPlan{
+				Partitions: []PartitionWindow{{From: 0, To: 30000, Groups: [][]model.NodeID{{0}, {1, 2}}}},
+				Crashes:    []CrashWindow{{Node: 2, From: 5, To: 20000}},
+			},
+			want: "sim: chaos run finished its script (2/2 ops issued), but its partition window [0,30000) was still open after 10000 ticks",
+		},
+		{
+			name:   "drain blocked by a partition",
+			script: script(0, 1),
+			plan:   FaultPlan{Partitions: []PartitionWindow{{From: 0, To: 50, Groups: [][]model.NodeID{{0}, {1, 2}}}}},
+			sync:   true,
+			want:   "sim: node t1 cannot drain: 1 copies blocked",
+		},
+		{
+			name:   "drain past the bound",
+			script: script(0, 1),
+			plan:   FaultPlan{Link: LinkFaults{Loss: 1, DelayMax: 20000}},
+			sync:   true,
+			want:   "sim: draining node t1 exceeded 10000 ticks",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Chaos{Object: alg.New(), Abs: alg.Abs, Script: tc.script, Plan: tc.plan, Seed: 1, SyncInvokes: tc.sync}.Run()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
