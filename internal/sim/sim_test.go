@@ -197,6 +197,22 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneHasRoomForNextEvent: a clone's trace can take one more event
+// without growing, whatever the length, so the step an explorer takes on a
+// fresh clone does not copy the whole trace again.
+func TestCloneHasRoomForNextEvent(t *testing.T) {
+	alg := registry.Counter()
+	c := NewCluster(alg.New(), 2)
+	for n := 1; n <= 64; n++ {
+		if _, _, err := c.Invoke(model.NodeID(n%2), model.Op{Name: spec.OpInc, Arg: model.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if cp := c.Clone(); len(cp.tr) != n || cap(cp.tr) <= n {
+			t.Fatalf("clone of a %d-event trace has len %d, cap %d; want room for one more event", n, len(cp.tr), cap(cp.tr))
+		}
+	}
+}
+
 // TestPartitionAndHeal: during a partition both sides stay available and
 // progress independently; after healing, the backlog drains and the
 // replicas converge — the availability-plus-convergence story of Sec 1.
