@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/trace"
 )
 
@@ -129,10 +130,11 @@ func candidateOrders(tr trace.Trace, t model.NodeID, p Problem, c condition) ([]
 	before := tr.VisPairs(t)
 	c.must(vis, before)
 	var out []Order
-	forEachLinearExtension(items, before, func(ord Order) {
+	spec.LinearExtensions(items, before, func(ord []model.MsgID) bool {
 		if execRelated(tr, t, ord, p) {
 			out = append(out, append(Order(nil), ord...))
 		}
+		return true
 	})
 	return out, nil
 }

@@ -262,55 +262,6 @@ func coveredBy(w World, vs []World) bool {
 	return slices.ContainsFunc(vs, func(v World) bool { return covers(v, w) })
 }
 
-// linearize enumerates the linearizations of the given action IDs that
-// respect w.Before, invoking fn with each (the slice is reused). fn may
-// return false to stop; linearize reports whether enumeration completed.
-func (w World) linearize(ids []string, fn func([]string) bool) bool {
-	n := len(ids)
-	used := make([]bool, n)
-	cur := make([]string, 0, n)
-	stopped := false
-	var rec func() bool
-	rec = func() bool {
-		if stopped {
-			return false
-		}
-		if len(cur) == n {
-			if !fn(cur) {
-				stopped = true
-				return false
-			}
-			return true
-		}
-		for i, id := range ids {
-			if used[i] {
-				continue
-			}
-			ready := true
-			for j, other := range ids {
-				if i != j && !used[j] && w.Before[[2]string{other, id}] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			used[i] = true
-			cur = append(cur, id)
-			rec()
-			cur = cur[:len(cur)-1]
-			used[i] = false
-			if stopped {
-				return false
-			}
-		}
-		return true
-	}
-	rec()
-	return !stopped
-}
-
 // arrivalSupersets enumerates every subset of the world's actions that
 // contains all arrived ones (the paper's "actions that have arrived in the
 // current view" — bracketed actions may or may not have arrived yet).
@@ -355,7 +306,7 @@ func (w World) run(sp spec.Spec, lin []string) model.Value {
 func (w World) FinalStates(sp spec.Spec) []model.Value {
 	seen := map[string]model.Value{}
 	w.arrivalSupersets(func(ids []string) bool {
-		w.linearize(ids, func(lin []string) bool {
+		spec.LinearExtensions(ids, w.Before, func(lin []string) bool {
 			s := w.run(sp, lin)
 			seen[s.String()] = s
 			return true

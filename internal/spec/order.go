@@ -110,3 +110,44 @@ func (h History[K]) RCoh(a, b []K) bool {
 	}
 	return true
 }
+
+// LinearExtensions calls fn with every linear extension of the strict
+// partial order before over items, where before[[2]K{a, b}] puts a ahead of
+// b. Extensions come in the order that places the first ready item of items
+// first, and the slice fn receives is reused between calls. fn may return
+// false to stop; LinearExtensions reports whether the enumeration completed.
+func LinearExtensions[K comparable](items []K, before map[[2]K]bool, fn func([]K) bool) bool {
+	used := make([]bool, len(items))
+	cur := make([]K, 0, len(items))
+	var rec func() bool
+	rec = func() bool {
+		if len(cur) == len(items) {
+			return fn(cur)
+		}
+		for i, it := range items {
+			if used[i] {
+				continue
+			}
+			ready := true
+			for j, other := range items {
+				if i != j && !used[j] && before[[2]K{other, it}] {
+					ready = false
+					break
+				}
+			}
+			if !ready {
+				continue
+			}
+			used[i] = true
+			cur = append(cur, it)
+			ok := rec()
+			cur = cur[:len(cur)-1]
+			used[i] = false
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	return rec()
+}

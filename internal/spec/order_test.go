@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/model"
@@ -83,5 +84,48 @@ func testHistory[K comparable](t *testing.T, id func(string) K) {
 	}
 	if _, _, ok := u.PresvCancel(seq("r", "a")); !ok {
 		t.Error("PresvCancel fails with ▷ = ∅")
+	}
+}
+
+// TestLinearExtensions: every order that respects the partial order comes
+// once, in a fixed order, for either id type; fn can stop the enumeration.
+func TestLinearExtensions(t *testing.T) {
+	collect := func(items []string, before map[[2]string]bool, stopAfter int) ([]string, bool) {
+		var got []string
+		done := LinearExtensions(items, before, func(lin []string) bool {
+			got = append(got, strings.Join(lin, ""))
+			return len(got) != stopAfter
+		})
+		return got, done
+	}
+	abc := []string{"a", "b", "c"}
+	for _, tc := range []struct {
+		name      string
+		items     []string
+		before    map[[2]string]bool
+		stopAfter int
+		want      string
+		done      bool
+	}{
+		{"no items", nil, nil, 0, "", true},
+		{"unordered", abc, nil, 0, "abc acb bac bca cab cba", true},
+		{"a before b", abc, map[[2]string]bool{{"a", "b"}: true}, 0, "abc acb cab", true},
+		{"chain", abc, map[[2]string]bool{{"c", "b"}: true, {"b", "a"}: true}, 0, "cba", true},
+		{"stopped", abc, nil, 2, "abc acb", false},
+	} {
+		got, done := collect(tc.items, tc.before, tc.stopAfter)
+		if strings.Join(got, " ") != tc.want || done != tc.done {
+			t.Errorf("%s: got %q (done %v), want %q (done %v)", tc.name, got, done, tc.want, tc.done)
+		}
+	}
+	var n int
+	LinearExtensions([]model.MsgID{3, 1, 2}, map[[2]model.MsgID]bool{{2, 3}: true}, func(lin []model.MsgID) bool {
+		if n++; n == 1 && (lin[0] != 1 || lin[1] != 2 || lin[2] != 3) {
+			t.Errorf("first MsgID extension = %v, want [1 2 3]", lin)
+		}
+		return true
+	})
+	if n != 3 {
+		t.Errorf("MsgID extensions = %d, want 3", n)
 	}
 }
