@@ -12,7 +12,7 @@
 //	Lem 5  → BenchmarkLem5_Convergence
 //
 // Ablations: witness-mode vs exhaustive ACC, trace-length scaling of the
-// witness checker, and per-algorithm simulator throughput.
+// witness checker, and per-algorithm simulator throughput and codec cost.
 package repro_test
 
 import (
@@ -313,6 +313,43 @@ func BenchmarkSim_Throughput(b *testing.B) {
 				c := w.Run(int64(i + 1))
 				if _, ok := c.Converged(alg.Abs); !ok {
 					b.Fatal("diverged")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCodec prices each algorithm's wire codec: one op encodes and
+// decodes every broadcast effector of one fixed drained simulator trace (3
+// nodes, 50 steps, seed 1), then the final state of node 0.
+func BenchmarkCodec(b *testing.B) {
+	for _, alg := range registry.All() {
+		alg := alg
+		w := sim.Workload{
+			Object: alg.New(), Abs: alg.Abs, Gen: sim.GenFunc(alg.GenOp),
+			Nodes: 3, Steps: 50, Causal: alg.NeedsCausal, FinalDrain: true,
+		}
+		c := w.Run(1)
+		var effs []crdt.Effector
+		for _, ev := range c.Trace() {
+			if ev.IsOrigin && !ev.IsQuery() {
+				effs = append(effs, ev.Eff)
+			}
+		}
+		st := c.StateOf(0)
+		b.Run(alg.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var buf []byte
+			for i := 0; i < b.N; i++ {
+				for _, e := range effs {
+					buf = e.AppendBinary(buf[:0])
+					if _, err := alg.DecodeEffector(buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+				buf = st.AppendBinary(buf[:0])
+				if _, err := alg.DecodeState(buf); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
