@@ -32,8 +32,9 @@ import (
 
 // ErrCorrupt is the sentinel wrapped by every decoding failure: truncated
 // input, an unknown tag, a non-canonical bool byte or varint, an over-long
-// length prefix, collection entries out of key order or repeated, a
-// checksum mismatch, or trailing bytes after a complete decode.
+// length prefix, collection entries out of key order or repeated, values
+// nested too deep, a checksum mismatch, or trailing bytes after a complete
+// decode.
 // Callers test with errors.Is(err, codec.ErrCorrupt).
 var ErrCorrupt = fmt.Errorf("codec: corrupt encoding")
 
@@ -216,8 +217,19 @@ func AppendValue(b []byte, v model.Value) []byte {
 	return b
 }
 
-// DecodeValue reads one value, rejecting unknown kind tags.
-func DecodeValue(b []byte) (model.Value, []byte, error) {
+// maxValueDepth bounds how deep DecodeValue lets pairs and lists nest.
+// Effector decoders run it on peer payloads, and each level costs a stack
+// frame: without a bound a few megabytes of nested pair tags would grow the
+// receiver's stack past Go's limit, a fatal error and not a panic. A value
+// nested deeper encodes but does not decode; no algorithm builds one.
+const maxValueDepth = 1000
+
+// DecodeValue reads one value, rejecting unknown kind tags and pairs or
+// lists nested more than maxValueDepth deep.
+func DecodeValue(b []byte) (model.Value, []byte, error) { return decodeValue(b, 0) }
+
+// decodeValue reads one value inside depth enclosing pairs and lists.
+func decodeValue(b []byte, depth int) (model.Value, []byte, error) {
 	if len(b) == 0 {
 		return model.Nil(), nil, corruptf("truncated value")
 	}
@@ -244,16 +256,22 @@ func DecodeValue(b []byte) (model.Value, []byte, error) {
 		}
 		return model.Str(x), rest, nil
 	case model.KindPair:
-		a, rest, err := DecodeValue(b)
+		if depth == maxValueDepth {
+			return model.Nil(), nil, corruptf("values nested deeper than %d", maxValueDepth)
+		}
+		a, rest, err := decodeValue(b, depth+1)
 		if err != nil {
 			return model.Nil(), nil, err
 		}
-		c, rest, err := DecodeValue(rest)
+		c, rest, err := decodeValue(rest, depth+1)
 		if err != nil {
 			return model.Nil(), nil, err
 		}
 		return model.Pair(a, c), rest, nil
 	case model.KindList:
+		if depth == maxValueDepth {
+			return model.Nil(), nil, corruptf("values nested deeper than %d", maxValueDepth)
+		}
 		n, rest, err := DecodeUvarint(b)
 		if err != nil {
 			return model.Nil(), nil, err
@@ -264,13 +282,13 @@ func DecodeValue(b []byte) (model.Value, []byte, error) {
 		xs := make([]model.Value, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var x model.Value
-			x, rest, err = DecodeValue(rest)
+			x, rest, err = decodeValue(rest, depth+1)
 			if err != nil {
 				return model.Nil(), nil, err
 			}
 			xs = append(xs, x)
 		}
-		return model.List(xs...), rest, nil
+		return model.ListOf(xs), rest, nil
 	default:
 		return model.Nil(), nil, corruptf("value kind %d", byte(kind))
 	}

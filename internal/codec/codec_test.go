@@ -83,6 +83,44 @@ func TestValueRoundTrip(t *testing.T) {
 	}
 }
 
+// nested wraps Int(1) in depth pairs or lists, alternating when mixed.
+func nested(depth int, list, mixed bool) model.Value {
+	v := model.Int(1)
+	for i := 0; i < depth; i++ {
+		if list != (mixed && i%2 == 1) {
+			v = model.List(v)
+		} else {
+			v = model.Pair(model.Nil(), v)
+		}
+	}
+	return v
+}
+
+// TestDecodeValueDepthBound: pairs and lists nested maxValueDepth deep
+// decode and re-encode; one level more fails with ErrCorrupt, and so does a
+// run of pair tags far past the bound, which without it would grow the
+// decoder's stack by one frame per byte.
+func TestDecodeValueDepthBound(t *testing.T) {
+	for _, shape := range []struct {
+		name        string
+		list, mixed bool
+	}{{"pairs", false, false}, {"lists", true, false}, {"mixed", false, true}} {
+		enc := AppendValue(nil, nested(maxValueDepth, shape.list, shape.mixed))
+		got, rest, err := DecodeValue(enc)
+		if err != nil || len(rest) != 0 || !bytes.Equal(AppendValue(nil, got), enc) {
+			t.Fatalf("%s at depth %d: err %v, rest %d", shape.name, maxValueDepth, err, len(rest))
+		}
+		enc = AppendValue(nil, nested(maxValueDepth+1, shape.list, shape.mixed))
+		if _, _, err := DecodeValue(enc); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s at depth %d: err = %v, want ErrCorrupt", shape.name, maxValueDepth+1, err)
+		}
+	}
+	tags := bytes.Repeat([]byte{byte(model.KindPair)}, 200_000)
+	if _, _, err := DecodeValue(tags); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("200000 pair tags: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // TestOpStampSetRoundTrip: the composite model types invert.
 func TestOpStampSetRoundTrip(t *testing.T) {
 	op := model.Op{Name: "addAfter", Arg: model.Pair(model.Str("a"), model.Str("b"))}
@@ -244,5 +282,70 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	}
 	if Fingerprint(nil) == Fingerprint([]byte{0}) {
 		t.Fatal("fingerprint ignores a zero byte")
+	}
+}
+
+// FuzzValue decodes arbitrary bytes as up to two values. Each value that
+// decodes must re-encode to exactly the bytes it was read from, answer only
+// the accessor of its kind, and compare equal to itself; the two values
+// must compare antisymmetrically, and render equal exactly when they are
+// Equal. A failed decode must wrap ErrCorrupt.
+func FuzzValue(f *testing.F) {
+	for _, v := range []model.Value{model.Int(math.MinInt64), model.Int(-1), model.Str(""), model.List(),
+		model.Pair(model.Nil(), model.Nil()), nested(maxValueDepth, false, true)} {
+		f.Add(AppendValue(nil, v))
+	}
+	f.Add(AppendValue(AppendValue(nil, model.Int(-1)), model.Str("")))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var vs []model.Value
+		for rest := data; len(vs) < 2 && len(rest) > 0; {
+			v, next, err := DecodeValue(rest)
+			if err != nil {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%x: err = %v, want ErrCorrupt", rest, err)
+				}
+				break
+			}
+			if enc := AppendValue(nil, v); !bytes.Equal(enc, rest[:len(rest)-len(next)]) {
+				t.Fatalf("%x decoded to %s, which encodes as %x", rest[:len(rest)-len(next)], v, enc)
+			}
+			checkAccessors(t, v)
+			if v.Compare(v) != 0 || !v.Equal(v) {
+				t.Fatalf("%s does not equal itself", v)
+			}
+			vs, rest = append(vs, v), next
+		}
+		if len(vs) < 2 {
+			return
+		}
+		a, b := vs[0], vs[1]
+		if c := a.Compare(b); c != -b.Compare(a) || (c == 0) != a.Equal(b) || (a.String() == b.String()) != a.Equal(b) {
+			t.Fatalf("%s vs %s: Compare %d and %d, Equal %v", a, b, c, b.Compare(a), a.Equal(b))
+		}
+	})
+}
+
+// checkAccessors fails unless exactly the accessor of v's kind succeeds,
+// on v and on every value inside it.
+func checkAccessors(t *testing.T, v model.Value) {
+	t.Helper()
+	_, isBool := v.AsBool()
+	_, isInt := v.AsInt()
+	_, isStr := v.AsString()
+	a, b, isPair := v.AsPair()
+	xs, isList := v.AsList()
+	ok := [...]bool{model.KindNil: v.IsNil(), model.KindBool: isBool, model.KindInt: isInt,
+		model.KindString: isStr, model.KindPair: isPair, model.KindList: isList}
+	for k, got := range ok {
+		if got != (model.Kind(k) == v.Kind()) {
+			t.Fatalf("%s of kind %v: the %v accessor reports %v", v, v.Kind(), model.Kind(k), got)
+		}
+	}
+	if isPair {
+		checkAccessors(t, a)
+		checkAccessors(t, b)
+	}
+	for _, x := range xs {
+		checkAccessors(t, x)
 	}
 }

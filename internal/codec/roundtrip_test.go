@@ -15,6 +15,7 @@ import (
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
 
 func allAlgorithms() []registry.Algorithm {
@@ -153,6 +154,43 @@ func TestAlgorithmDecodersRejectCorruption(t *testing.T) {
 				t.Fatalf("identity tag: got %v, %v", eff, err)
 			}
 		})
+	}
+}
+
+// TestEffectorDecodersBoundDepth: an effector decoder that reads a value
+// from a peer's payload accepts one nested to the codec's bound and rejects
+// one level more with codec.ErrCorrupt.
+func TestEffectorDecodersBoundDepth(t *testing.T) {
+	deep := func(depth int) model.Value {
+		v := model.Int(1)
+		for i := 0; i < depth; i++ {
+			v = model.Pair(model.Nil(), v)
+		}
+		return v
+	}
+	for _, c := range []struct {
+		alg registry.Algorithm
+		op  model.OpName
+	}{
+		{registry.LWWRegister(), spec.OpWrite},
+		{registry.GSet(), spec.OpAdd},
+		{registry.AWSet(), spec.OpAdd},
+	} {
+		obj := c.alg.New()
+		for _, depth := range []int{codec.MaxValueDepth, codec.MaxValueDepth + 1} {
+			_, eff, err := obj.Prepare(model.Op{Name: c.op, Arg: deep(depth)}, obj.Init(), 0, 1)
+			if err != nil {
+				t.Fatalf("%s: %v", c.alg.Name, err)
+			}
+			enc := eff.AppendBinary(nil)
+			got, err := c.alg.DecodeEffector(enc)
+			switch {
+			case depth == codec.MaxValueDepth && (err != nil || !bytes.Equal(got.AppendBinary(nil), enc)):
+				t.Errorf("%s at depth %d: err %v", c.alg.Name, depth, err)
+			case depth > codec.MaxValueDepth && !errors.Is(err, codec.ErrCorrupt):
+				t.Errorf("%s at depth %d: err = %v, want codec.ErrCorrupt", c.alg.Name, depth, err)
+			}
+		}
 	}
 }
 

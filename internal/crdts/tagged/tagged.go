@@ -6,8 +6,8 @@
 package tagged
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/codec"
 	"repro/internal/model"
@@ -20,8 +20,8 @@ type Tag struct {
 	Seq  int64
 }
 
-// String renders the tag.
-func (t Tag) String() string { return fmt.Sprintf("%s#%d", t.Node, t.Seq) }
+// String renders the tag as its node, '#' and its sequence number.
+func (t Tag) String() string { return t.Node.String() + "#" + strconv.FormatInt(t.Seq, 10) }
 
 // Less orders tags by node, then by sequence number.
 func (t Tag) Less(u Tag) bool {
@@ -37,8 +37,9 @@ type Inst struct {
 	T Tag
 }
 
-// Key renders the instance; instance maps are keyed by it.
-func (i Inst) Key() string { return fmt.Sprintf("%s@%s", i.E, i.T) }
+// Key renders the instance as its element, '@' and its tag; instance maps
+// are keyed by it.
+func (i Inst) Key() string { return i.E.String() + "@" + i.T.String() }
 
 // AppendInst appends the element, then the tag.
 func AppendInst(b []byte, in Inst) []byte {

@@ -1,6 +1,9 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // NodeID identifies a node (replica) in the distributed system. Node IDs are
 // totally ordered; the order is used to break ties between timestamps, as in
@@ -8,7 +11,7 @@ import "fmt"
 type NodeID int
 
 // String renders the node ID as in the paper's figures: t1, t2, ...
-func (t NodeID) String() string { return fmt.Sprintf("t%d", int(t)) }
+func (t NodeID) String() string { return "t" + strconv.Itoa(int(t)) }
 
 // MsgID uniquely identifies an operation request: the paper's mid (Sec 3).
 // The origin event of an operation and every delivery of its effector share

@@ -58,22 +58,44 @@ func (k Kind) String() string {
 // of Values, or a finite list of Values. Values are immutable; treat them as
 // opaque after construction.
 //
-// A Value is three words: its kind, a number n and a pointer p. n is the
-// bool (0 or 1), the int, or the length of a string, pair or list; p points
-// at the string's bytes or at the first element of a pair or list, and is
-// nil when that length is 0. Only str and elems turn p back into a string
-// or a slice, and their callers check the kind first, since n means
-// something else in every kind. This file is the only one that reads the
-// fields, and the only one in the module that imports unsafe.
+// A Value is two words, a number n and a pointer p, and its kind is read off
+// them:
+//   - nil is the zero Value;
+//   - a bool or an int keeps its payload (0 or 1 for a bool) in n, and p
+//     points at boolTag or intTag;
+//   - a string, pair or list keeps its length in n's low 56 bits and its
+//     kind in n's top byte; p points at the string's bytes or at the first
+//     element of the pair or list, and is nil when the length is 0.
 //
-// The zero Value is Nil.
+// So Kind tests p against the two tags before it reads the top byte of n,
+// which means an int's top byte is never taken for a kind. Only str and
+// elems turn p back into a string or a slice, and their callers check the
+// kind first. This file is the only one that reads the fields, and the only
+// one in the module that imports unsafe.
 type Value struct {
 	// Keeps == on Values, and Values as map keys, a compile error. It is
 	// zero-sized and leads, since Go pads a trailing zero-sized field.
-	_    [0]func()
-	kind Kind
-	n    int64
-	p    unsafe.Pointer
+	_ [0]func()
+	n int64
+	p unsafe.Pointer
+}
+
+// boolTag and intTag are what a bool's and an int's p point at. They are
+// two variables of nonzero size, so their addresses differ from each other,
+// from nil and from every string's bytes and Value array.
+var boolTag, intTag byte
+
+// kindShift places a string's, pair's or list's kind in n's top byte, above
+// its length.
+const (
+	kindShift = 56
+	lenMask   = 1<<kindShift - 1
+)
+
+// sized is the string, pair or list of kind k whose n elements or bytes
+// start at p.
+func sized(k Kind, n int, p unsafe.Pointer) Value {
+	return Value{n: int64(k)<<kindShift | int64(n), p: p}
 }
 
 // Nil returns the nil value.
@@ -82,9 +104,9 @@ func Nil() Value { return Value{} }
 // Bool returns a boolean value.
 func Bool(b bool) Value {
 	if b {
-		return Value{kind: KindBool, n: 1}
+		return Value{n: 1, p: unsafe.Pointer(&boolTag)}
 	}
-	return Value{kind: KindBool}
+	return Value{p: unsafe.Pointer(&boolTag)}
 }
 
 // True and False are the boolean constants.
@@ -94,18 +116,18 @@ var (
 )
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, n: i} }
+func Int(i int64) Value { return Value{n: i, p: unsafe.Pointer(&intTag)} }
 
 // Str returns a string value.
 func Str(s string) Value {
 	if s == "" {
-		return Value{kind: KindString}
+		return sized(KindString, 0, nil)
 	}
-	return Value{kind: KindString, n: int64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
+	return sized(KindString, len(s), unsafe.Pointer(unsafe.StringData(s)))
 }
 
 // Pair returns the pair (a, b).
-func Pair(a, b Value) Value { return Value{kind: KindPair, n: 2, p: unsafe.Pointer(&[2]Value{a, b})} }
+func Pair(a, b Value) Value { return sized(KindPair, 2, unsafe.Pointer(&[2]Value{a, b})) }
 
 // List returns a list value holding the given elements. The slice is copied.
 func List(vs ...Value) Value {
@@ -120,27 +142,38 @@ func List(vs ...Value) Value {
 // them never writes into the adopted array.
 func ListOf(vs []Value) Value {
 	if len(vs) == 0 {
-		return Value{kind: KindList}
+		return sized(KindList, 0, nil)
 	}
-	return Value{kind: KindList, n: int64(len(vs)), p: unsafe.Pointer(unsafe.SliceData(vs))}
+	return sized(KindList, len(vs), unsafe.Pointer(unsafe.SliceData(vs)))
 }
 
+// len is the length of a string, pair or list.
+func (v Value) len() int { return int(v.n & lenMask) }
+
 // str is the payload of a string value.
-func (v Value) str() string { return unsafe.String((*byte)(v.p), int(v.n)) }
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.len()) }
 
 // elems is the components of a pair or the elements of a list, with their
 // length as capacity.
-func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), int(v.n)) }
+func (v Value) elems() []Value { return unsafe.Slice((*Value)(v.p), v.len()) }
 
 // Kind reports the variant of v.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	switch v.p {
+	case unsafe.Pointer(&intTag):
+		return KindInt
+	case unsafe.Pointer(&boolTag):
+		return KindBool
+	}
+	return Kind(v.n >> kindShift)
+}
 
 // IsNil reports whether v is the nil value.
-func (v Value) IsNil() bool { return v.kind == KindNil }
+func (v Value) IsNil() bool { return v.n == 0 && v.p == nil }
 
 // AsBool returns the boolean payload. It reports ok=false if v is not a bool.
 func (v Value) AsBool() (b, ok bool) {
-	if v.kind != KindBool {
+	if v.p != unsafe.Pointer(&boolTag) {
 		return false, false
 	}
 	return v.n != 0, true
@@ -148,7 +181,7 @@ func (v Value) AsBool() (b, ok bool) {
 
 // AsInt returns the integer payload. It reports ok=false if v is not an int.
 func (v Value) AsInt() (int64, bool) {
-	if v.kind != KindInt {
+	if v.p != unsafe.Pointer(&intTag) {
 		return 0, false
 	}
 	return v.n, true
@@ -156,7 +189,7 @@ func (v Value) AsInt() (int64, bool) {
 
 // AsString returns the string payload. It reports ok=false if v is not a string.
 func (v Value) AsString() (string, bool) {
-	if v.kind != KindString {
+	if v.Kind() != KindString {
 		return "", false
 	}
 	return v.str(), true
@@ -164,7 +197,7 @@ func (v Value) AsString() (string, bool) {
 
 // AsPair returns the two components of a pair. It reports ok=false otherwise.
 func (v Value) AsPair() (a, b Value, ok bool) {
-	if v.kind != KindPair {
+	if v.Kind() != KindPair {
 		return Nil(), Nil(), false
 	}
 	vs := v.elems()
@@ -174,7 +207,7 @@ func (v Value) AsPair() (a, b Value, ok bool) {
 // AsList returns the elements of a list. The returned slice must not be
 // mutated. It reports ok=false if v is not a list.
 func (v Value) AsList() ([]Value, bool) {
-	if v.kind != KindList {
+	if v.Kind() != KindList {
 		return nil, false
 	}
 	return v.elems(), true
@@ -182,7 +215,7 @@ func (v Value) AsList() ([]Value, bool) {
 
 // Fst returns the first component of a pair, or Nil if v is not a pair.
 func (v Value) Fst() Value {
-	if v.kind == KindPair {
+	if v.Kind() == KindPair {
 		return v.elems()[0]
 	}
 	return Nil()
@@ -190,7 +223,7 @@ func (v Value) Fst() Value {
 
 // Snd returns the second component of a pair, or Nil if v is not a pair.
 func (v Value) Snd() Value {
-	if v.kind == KindPair {
+	if v.Kind() == KindPair {
 		return v.elems()[1]
 	}
 	return Nil()
@@ -198,8 +231,8 @@ func (v Value) Snd() Value {
 
 // Len returns the number of elements of a list, or 0 for any other kind.
 func (v Value) Len() int {
-	if v.kind == KindList {
-		return int(v.n)
+	if v.Kind() == KindList {
+		return v.len()
 	}
 	return 0
 }
@@ -207,7 +240,7 @@ func (v Value) Len() int {
 // At returns the i-th element of a list. It panics if v is not a list or the
 // index is out of range; it is intended for callers that already validated.
 func (v Value) At(i int) Value {
-	if v.kind != KindList {
+	if v.Kind() != KindList {
 		panic("model: At on non-list Value")
 	}
 	return v.elems()[i]
@@ -215,7 +248,7 @@ func (v Value) At(i int) Value {
 
 // Append returns a new list with x appended. It panics if v is not a list.
 func (v Value) Append(x Value) Value {
-	if v.kind != KindList {
+	if v.Kind() != KindList {
 		panic("model: Append on non-list Value")
 	}
 	vs := v.elems()
@@ -228,7 +261,7 @@ func (v Value) Append(x Value) Value {
 // Contains reports whether a list value contains x (by Equal). It returns
 // false for non-lists.
 func (v Value) Contains(x Value) bool {
-	if v.kind != KindList {
+	if v.Kind() != KindList {
 		return false
 	}
 	for _, e := range v.elems() {
@@ -247,13 +280,14 @@ func (v Value) Equal(w Value) bool { return v.Compare(w) == 0 }
 // component/element order for pairs and lists, shorter lists first on ties).
 // It returns -1, 0, or +1.
 func (v Value) Compare(w Value) int {
-	if v.kind != w.kind {
-		if v.kind < w.kind {
+	vk, wk := v.Kind(), w.Kind()
+	if vk != wk {
+		if vk < wk {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch vk {
 	case KindNil:
 		return 0
 	case KindBool, KindInt: // a bool's n is 0 or 1, so false < true
@@ -278,7 +312,7 @@ func (v Value) Less(w Value) bool { return v.Compare(w) < 0 }
 // double-quoted strings, (a, b) for pairs, and [e1 e2 ...] for lists. The
 // rendering is injective, so it doubles as a hash key.
 func (v Value) String() string {
-	if v.kind == KindString {
+	if v.Kind() == KindString {
 		return quote(v.str())
 	}
 	var b strings.Builder
@@ -298,7 +332,7 @@ func quote(s string) string {
 }
 
 func (v Value) write(b *strings.Builder) {
-	switch v.kind {
+	switch v.Kind() {
 	case KindNil:
 		b.WriteString("nil")
 	case KindBool:

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -116,15 +117,50 @@ func TestValueListOps(t *testing.T) {
 	}
 }
 
-// TestValueLayout guards the three-word layout: every trace event carries
+// TestValueLayout guards the two-word layout: every trace event carries
 // two Values (its argument and its return value), so a field added back to
 // Value grows every event, replica state and checker replay.
 func TestValueLayout(t *testing.T) {
-	if got := reflect.TypeOf(Value{}).Size(); got != 24 {
-		t.Errorf("Value is %d bytes, want 24 (kind, n, p)", got)
+	if got := reflect.TypeOf(Value{}).Size(); got != 16 {
+		t.Errorf("Value is %d bytes, want 16 (n, p)", got)
 	}
-	if got := reflect.TypeOf(Op{}).Size(); got != 40 {
-		t.Errorf("Op is %d bytes, want 40", got)
+	if got := reflect.TypeOf(Op{}).Size(); got != 32 {
+		t.Errorf("Op is %d bytes, want 32", got)
+	}
+}
+
+// TestKindTags checks the tag rule on the values where n alone would be
+// misread: ints whose top byte is a string's, pair's or list's kind, and the
+// zero payloads, which must not read as nil.
+func TestKindTags(t *testing.T) {
+	cases := []struct {
+		v    Value
+		kind Kind
+		str  string
+	}{
+		{Int(0), KindInt, "0"},
+		{False, KindBool, "false"},
+		{Int(int64(KindString) << kindShift), KindInt, strconv.FormatInt(int64(KindString)<<kindShift, 10)},
+		{Int(int64(KindList)<<kindShift | 3), KindInt, strconv.FormatInt(int64(KindList)<<kindShift|3, 10)},
+		{Int(math.MinInt64), KindInt, "-9223372036854775808"},
+		{Int(math.MaxInt64), KindInt, "9223372036854775807"},
+		{Int(-1), KindInt, "-1"},
+		{Str(""), KindString, `""`},
+		{List(), KindList, "[]"},
+	}
+	for _, c := range cases {
+		if got := c.v.Kind(); got != c.kind {
+			t.Errorf("%s: Kind() = %v, want %v", c.str, got, c.kind)
+		}
+		if got := c.v.String(); got != c.str {
+			t.Errorf("String() = %q, want %q", got, c.str)
+		}
+		if c.v.IsNil() || c.v.Equal(Nil()) || c.v.Len() != 0 {
+			t.Errorf("%s: IsNil %v, Equal(nil) %v, Len %d", c.str, c.v.IsNil(), c.v.Equal(Nil()), c.v.Len())
+		}
+	}
+	if Int(math.MinInt64).Compare(Int(-1)) != -1 || Int(math.MaxInt64).Compare(Str("")) != -1 || True.Compare(Int(math.MinInt64)) != -1 {
+		t.Error("kinds or ints order wrong")
 	}
 }
 
@@ -132,8 +168,9 @@ func TestValueLayout(t *testing.T) {
 // serve: the payload word n is shared by bools, ints and lengths, so a
 // missing kind guard would leak, say, a string's length through AsInt.
 func TestAccessorsOnWrongKinds(t *testing.T) {
-	all := []Value{Nil(), True, False, Int(7), Int(-1), Str("abc"),
-		Pair(Int(1), Str("x")), List(Int(1), Int(2), Int(3))}
+	all := []Value{Nil(), True, False, Int(7), Int(-1), Int(0), Int(math.MinInt64),
+		Int(int64(KindPair)<<kindShift | 2), Str("abc"), Str(""),
+		Pair(Int(1), Str("x")), List(Int(1), Int(2), Int(3)), List()}
 	for _, v := range all {
 		k := v.Kind()
 		if b, ok := v.AsBool(); k != KindBool && (b || ok) {

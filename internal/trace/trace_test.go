@@ -148,8 +148,8 @@ func TestCausalDelivery(t *testing.T) {
 // model.Values (its argument and its return value): the simulator's traces
 // and the checkers' corpora hold one per step.
 func TestEventLayout(t *testing.T) {
-	if got := reflect.TypeOf(Event{}).Size(); got != 112 {
-		t.Errorf("Event is %d bytes, want 112", got)
+	if got := reflect.TypeOf(Event{}).Size(); got != 96 {
+		t.Errorf("Event is %d bytes, want 96", got)
 	}
 }
 
