@@ -221,7 +221,7 @@ func AppendValue(b []byte, v model.Value) []byte {
 // Effector decoders run it on peer payloads, and each level costs a stack
 // frame: without a bound a few megabytes of nested pair tags would grow the
 // receiver's stack past Go's limit, a fatal error and not a panic. A value
-// nested deeper encodes but does not decode; no algorithm builds one.
+// nested deeper still encodes, but no receiver accepts it.
 const maxValueDepth = 1000
 
 // DecodeValue reads one value, rejecting unknown kind tags and pairs or

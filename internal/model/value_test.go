@@ -47,6 +47,9 @@ var quickCfg = &quick.Config{
 	},
 }
 
+// TestValueKinds also covers the values where n alone would be misread:
+// ints whose top byte is a string's or list's kind, and the zero payloads,
+// which must not read as nil.
 func TestValueKinds(t *testing.T) {
 	cases := []struct {
 		v    Value
@@ -57,7 +60,12 @@ func TestValueKinds(t *testing.T) {
 		{Bool(true), KindBool, "true"},
 		{Bool(false), KindBool, "false"},
 		{Int(-7), KindInt, "-7"},
+		{Int(0), KindInt, "0"},
+		{Int(int64(KindString) << kindShift), KindInt, strconv.FormatInt(int64(KindString)<<kindShift, 10)},
+		{Int(int64(KindList)<<kindShift | 3), KindInt, strconv.FormatInt(int64(KindList)<<kindShift|3, 10)},
+		{Int(math.MinInt64), KindInt, "-9223372036854775808"},
 		{Str("ab"), KindString, `"ab"`},
+		{Str(""), KindString, `""`},
 		{Pair(Int(1), Str("x")), KindPair, `(1, "x")`},
 		{List(Int(1), Int(2)), KindList, "[1 2]"},
 		{List(), KindList, "[]"},
@@ -69,6 +77,12 @@ func TestValueKinds(t *testing.T) {
 		if got := c.v.String(); got != c.str {
 			t.Errorf("String() = %q, want %q", got, c.str)
 		}
+		if isNil := c.kind == KindNil; c.v.IsNil() != isNil || c.v.Equal(Nil()) != isNil {
+			t.Errorf("%s: IsNil %v, Equal(nil) %v", c.str, c.v.IsNil(), c.v.Equal(Nil()))
+		}
+	}
+	if Int(math.MinInt64).Compare(Int(-1)) != -1 || Int(math.MaxInt64).Compare(Str("")) != -1 || True.Compare(Int(math.MinInt64)) != -1 {
+		t.Error("kinds or ints order wrong")
 	}
 }
 
@@ -126,41 +140,6 @@ func TestValueLayout(t *testing.T) {
 	}
 	if got := reflect.TypeOf(Op{}).Size(); got != 32 {
 		t.Errorf("Op is %d bytes, want 32", got)
-	}
-}
-
-// TestKindTags checks the tag rule on the values where n alone would be
-// misread: ints whose top byte is a string's, pair's or list's kind, and the
-// zero payloads, which must not read as nil.
-func TestKindTags(t *testing.T) {
-	cases := []struct {
-		v    Value
-		kind Kind
-		str  string
-	}{
-		{Int(0), KindInt, "0"},
-		{False, KindBool, "false"},
-		{Int(int64(KindString) << kindShift), KindInt, strconv.FormatInt(int64(KindString)<<kindShift, 10)},
-		{Int(int64(KindList)<<kindShift | 3), KindInt, strconv.FormatInt(int64(KindList)<<kindShift|3, 10)},
-		{Int(math.MinInt64), KindInt, "-9223372036854775808"},
-		{Int(math.MaxInt64), KindInt, "9223372036854775807"},
-		{Int(-1), KindInt, "-1"},
-		{Str(""), KindString, `""`},
-		{List(), KindList, "[]"},
-	}
-	for _, c := range cases {
-		if got := c.v.Kind(); got != c.kind {
-			t.Errorf("%s: Kind() = %v, want %v", c.str, got, c.kind)
-		}
-		if got := c.v.String(); got != c.str {
-			t.Errorf("String() = %q, want %q", got, c.str)
-		}
-		if c.v.IsNil() || c.v.Equal(Nil()) || c.v.Len() != 0 {
-			t.Errorf("%s: IsNil %v, Equal(nil) %v, Len %d", c.str, c.v.IsNil(), c.v.Equal(Nil()), c.v.Len())
-		}
-	}
-	if Int(math.MinInt64).Compare(Int(-1)) != -1 || Int(math.MaxInt64).Compare(Str("")) != -1 || True.Compare(Int(math.MinInt64)) != -1 {
-		t.Error("kinds or ints order wrong")
 	}
 }
 
