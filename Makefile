@@ -146,10 +146,11 @@ bench-explore:
 # (Sim_Throughput: every registry algorithm on 3 nodes for 50 drained
 # steps, which prices the scheduler over transport.Mem), the codec rows
 # (Codec: every registry algorithm's effectors and final state from one such
-# trace, encoded and decoded) and the client
+# trace, encoded and decoded), the client
 # logic's rows (Fig12_LogicProof and FW1_XLogicProof, the UCR and X-wins
 # proof-outline checks, and Logic_Judgments: stabilization, Sat and
-# entailment) run 3× on one CPU, collapsed to each case's fastest run and
+# entailment) and the CRDT-TS obligation sweep (Sec8_ProofObligations, one
+# row per UCR algorithm) run 3× on one CPU, collapsed to each case's fastest run and
 # gated against the checked-in BENCH_core.json with the transport gate's
 # tolerances (+25% ns/op, +34% allocs/op) plus a general B/op regression
 # gate (+50%). That B/op tolerance is the peer rows' one, borrowed, not
@@ -160,7 +161,7 @@ bench-explore:
 # after an intentional change, rerun the benchmarks the same way and render
 # them with `-worst -out BENCH_core.json` (see EXPERIMENTS.md).
 bench-core:
-	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|Fig4_CSeqACC|Fig5_XACCDecision|ACCWitness_TraceLength|Sim_Throughput|Codec|XACCWitness_TraceLength|AbsMachine_CoherentInsert|Thm7_Refinement|Fig12_LogicProof|FW1_XLogicProof|Logic_Judgments)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
+	go test -run '^$$' -bench '^Benchmark(Fig2_RGAOperations|Fig3_ACCDecision|Fig4_CSeqACC|Fig5_XACCDecision|ACCWitness_TraceLength|Sim_Throughput|Codec|XACCWitness_TraceLength|AbsMachine_CoherentInsert|Thm7_Refinement|Fig12_LogicProof|FW1_XLogicProof|Logic_Judgments|Sec8_ProofObligations)$$' -cpu 1 -count 3 -benchmem . > bench_core.out || { s=$$?; cat bench_core.out; rm -f bench_core.out; exit $$s; }
 	cat bench_core.out
 	go run ./cmd/bench-report -json -best -out bench-core-current.json -baseline BENCH_core.json -tolerance 0.25 -alloc-tolerance 0.34 -bytes-tolerance 0.5 < bench_core.out; s=$$?; \
 	rm -f bench_core.out; exit $$s
