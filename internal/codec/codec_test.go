@@ -139,7 +139,7 @@ func TestOpStampSetRoundTrip(t *testing.T) {
 	s.Add(model.Int(5))
 	enc := AppendValueSet(nil, s)
 	gotSet, rest, err := DecodeValueSet(enc)
-	if err != nil || len(rest) != 0 || gotSet.Key() != s.Key() {
+	if err != nil || len(rest) != 0 || !model.List(gotSet.Elems()...).Equal(model.List(s.Elems()...)) {
 		t.Fatalf("set: got %v, err %v", gotSet, err)
 	}
 	if !bytes.Equal(AppendValueSet(nil, gotSet), enc) {

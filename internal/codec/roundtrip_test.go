@@ -81,7 +81,7 @@ func TestAlgorithmCodecsRoundTrip(t *testing.T) {
 						t.Fatalf("seed %d: state %x did not decode: %v", seed, enc, err)
 					}
 					if !bytes.Equal(st.AppendBinary(nil), enc) {
-						t.Fatalf("seed %d: state %s re-encoded differently", seed, st.Key())
+						t.Fatalf("seed %d: state %x re-encoded differently", seed, enc)
 					}
 				}
 				for _, enc := range effs {

@@ -71,9 +71,7 @@ func (d divergingEff) AppendBinary(b []byte) []byte { return append(b, d.String(
 
 type divState struct{ V int64 }
 
-func (s divState) Key() string { return fmt.Sprintf("div{%d}", s.V) }
-
-func (s divState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s divState) AppendBinary(b []byte) []byte { return fmt.Appendf(b, "div{%d}", s.V) }
 
 type divObject struct{}
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/crdts/cseq"
 	"repro/internal/crdts/registry"
@@ -422,9 +423,7 @@ type brokenSet struct{}
 
 type brokenState struct{ Elems *model.ValueSet }
 
-func (s brokenState) Key() string { return "broken" + s.Elems.Key() }
-
-func (s brokenState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s brokenState) AppendBinary(b []byte) []byte { return codec.AppendValueSet(b, s.Elems) }
 
 type brokenAdd struct{ E model.Value }
 

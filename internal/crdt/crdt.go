@@ -34,12 +34,9 @@ import (
 // encoding (package codec) to b and returns the extended slice. The encoding
 // is deterministic and injective — two states are equal iff their encodings
 // are byte-equal — so equality, hashing, dedup and convergence checks all
-// reduce to byte comparison. Key is the thin debug shim over the same
-// identity: a human-readable injective rendering for divergence reports and
-// trace dumps.
+// reduce to byte comparison.
 type State interface {
 	AppendBinary(b []byte) []byte
-	Key() string
 }
 
 // Effector is the paper's δ ∈ LocalState ⇀ LocalState: the replicated effect
@@ -57,8 +54,8 @@ type Effector interface {
 	// EffectorDecoder.
 	AppendBinary(b []byte) []byte
 	// String renders the effector as in the paper's figures, e.g.
-	// AddAft(a,(1,t1),b) or Rmv(a). The rendering is injective per object and
-	// is used as the effector's identity in the proof-method obligations.
+	// AddAft(a,(1,t1),b) or Rmv(a). It is a rendering only: the effector's
+	// identity is its encoding.
 	String() string
 }
 

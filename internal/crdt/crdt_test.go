@@ -1,13 +1,14 @@
 package crdt
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // stubState and stubEff exercise the package helpers without a full CRDT.
 type stubState struct{ n int }
 
-func (s stubState) Key() string { return string(rune('0' + s.n)) }
-
-func (s stubState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s stubState) AppendBinary(b []byte) []byte { return append(b, byte(s.n)) }
 
 type stubEff struct{ d int }
 
@@ -18,7 +19,7 @@ func (e stubEff) AppendBinary(b []byte) []byte { return append(b, e.String()...)
 
 func TestIdentityEffector(t *testing.T) {
 	s := stubState{n: 3}
-	if got := (IdEff{}).Apply(s); got.Key() != s.Key() {
+	if got := (IdEff{}).Apply(s); !bytes.Equal(got.AppendBinary(nil), s.AppendBinary(nil)) {
 		t.Error("IdEff changed the state")
 	}
 	if IdEff.String(IdEff{}) != "IdEff" {

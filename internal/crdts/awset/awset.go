@@ -36,28 +36,6 @@ type State struct {
 	Dead map[string]bool // tombstoned instance keys
 }
 
-// Key implements crdt.State.
-func (s State) Key() string {
-	keys := make([]string, 0, len(s.Adds))
-	for k := range s.Adds {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("aw{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(k)
-		if s.Dead[k] {
-			b.WriteByte('!')
-		}
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 func (s State) clone() State {
 	a := make(map[string]inst, len(s.Adds))
 	d := make(map[string]bool, len(s.Dead))

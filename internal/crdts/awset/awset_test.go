@@ -1,6 +1,7 @@
 package awset
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/crdt"
@@ -102,7 +103,7 @@ func TestEffectorsCommute(t *testing.T) {
 	rmv := RmvEff{E: model.Int(1), Insts: []inst{{E: model.Int(1), T: Tag{Node: 1, Seq: 10}}}}
 	s1 := rmv.Apply(add.Apply(base))
 	s2 := add.Apply(rmv.Apply(base))
-	if s1.(State).Key() != s2.(State).Key() {
+	if !bytes.Equal(s1.AppendBinary(nil), s2.AppendBinary(nil)) {
 		t.Fatal("effectors do not commute")
 	}
 	if !Abs(s1).Equal(model.List()) {

@@ -19,9 +19,6 @@ type State struct {
 	V int64
 }
 
-// Key implements crdt.State.
-func (s State) Key() string { return fmt.Sprintf("ctr{%d}", s.V) }
-
 // AddEff is the effector of inc/dec: add N (negative for dec).
 type AddEff struct {
 	N int64

@@ -151,28 +151,6 @@ type State struct {
 	Dead  *model.ValueSet
 }
 
-// Key implements crdt.State.
-func (s State) Key() string {
-	keys := make([]string, 0, len(s.Added))
-	for k := range s.Added {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("cseq{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		r := s.Added[k]
-		fmt.Fprintf(&b, "%s@%s", r.E, r.T)
-	}
-	b.WriteString(",D:")
-	b.WriteString(s.Dead.Key())
-	b.WriteByte('}')
-	return b.String()
-}
-
 func (s State) clone() State {
 	a := make(map[string]rec, len(s.Added))
 	for k, v := range s.Added {

@@ -18,9 +18,6 @@ type State struct {
 	Elems *model.ValueSet
 }
 
-// Key implements crdt.State.
-func (s State) Key() string { return "gset" + s.Elems.Key() }
-
 // AddEff is the effector of add(e): E := E ∪ {e}.
 type AddEff struct {
 	E model.Value

@@ -21,9 +21,6 @@ type State struct {
 	TS  model.Stamp
 }
 
-// Key implements crdt.State.
-func (s State) Key() string { return fmt.Sprintf("lwwreg{%s@%s}", s.Cur, s.TS) }
-
 // WrEff is the effector of write(v) with stamp I: install v if I is newer
 // than the replica's current stamp.
 type WrEff struct {

@@ -1,6 +1,7 @@
 package lwwreg
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/model"
@@ -55,8 +56,8 @@ func TestEffectorsCommute(t *testing.T) {
 	e2 := WrEff{V: model.Int(2), I: model.Stamp{N: 3, Node: 2}}
 	a := e2.Apply(e1.Apply(s))
 	b := e1.Apply(e2.Apply(s))
-	if a.(State).Key() != b.(State).Key() {
-		t.Fatalf("writes do not commute: %s vs %s", a.(State).Key(), b.(State).Key())
+	if !bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)) {
+		t.Fatalf("writes do not commute: %v vs %v", a, b)
 	}
 }
 

@@ -9,7 +9,6 @@ package lwwset
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/crdt"
 	"repro/internal/model"
@@ -28,26 +27,6 @@ type State struct {
 	Entries map[string]entry // keyed by element rendering
 	Elems   map[string]model.Value
 	TS      model.Stamp
-}
-
-// Key implements crdt.State.
-func (s State) Key() string {
-	keys := make([]string, 0, len(s.Entries))
-	for k := range s.Entries {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("lww{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		e := s.Entries[k]
-		fmt.Fprintf(&b, "%s:%v@%s", k, e.Present, e.TS)
-	}
-	fmt.Fprintf(&b, "|ts:%s}", s.TS)
-	return b.String()
 }
 
 func (s State) clone() State {

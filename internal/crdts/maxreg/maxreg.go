@@ -50,9 +50,6 @@ func (Spec) Conflict(a, b model.Op) bool { return false }
 // State is the replica state: the maximum seen.
 type State struct{ V int64 }
 
-// Key implements crdt.State.
-func (s State) Key() string { return fmt.Sprintf("max{%d}", s.V) }
-
 // WriteEff raises the replica to at least N.
 type WriteEff struct{ N int64 }
 

@@ -206,14 +206,14 @@ func checkInPlace(t *testing.T, a Algorithm, eff crdt.Effector, s crdt.State) {
 	before := s.AppendBinary(nil)
 	owned, err := a.DecodeState(before)
 	if err != nil {
-		t.Fatalf("state %s does not decode: %v", s.Key(), err)
+		t.Fatalf("state %x does not decode: %v", before, err)
 	}
 	pure := eff.Apply(s).AppendBinary(nil)
 	if !bytes.Equal(s.AppendBinary(nil), before) {
 		t.Fatalf("%s.Apply mutated its input %x", eff, before)
 	}
 	if got := crdt.ApplyOwned(eff, owned).AppendBinary(nil); !bytes.Equal(got, pure) {
-		t.Fatalf("%s at %s: in place gives %x, Apply gives %x", eff, s.Key(), got, pure)
+		t.Fatalf("%s at %x: in place gives %x, Apply gives %x", eff, before, got, pure)
 	}
 	mutated, other := a.New().Init(), a.New().Init()
 	want := other.AppendBinary(nil)

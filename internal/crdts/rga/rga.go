@@ -93,27 +93,6 @@ func index(n map[string]Triple) map[string][]child {
 	return kids
 }
 
-// Key implements crdt.State.
-func (s State) Key() string {
-	keys := make([]string, 0, len(s.N))
-	for k := range s.N {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("rga{N:")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(s.N[k].String())
-	}
-	b.WriteString(",T:")
-	b.WriteString(s.T.Key())
-	fmt.Fprintf(&b, ",ts:%s}", s.TS)
-	return b.String()
-}
-
 func (s State) clone() State {
 	kids := make(map[string][]child, len(s.kids))
 	for k, cs := range s.kids {

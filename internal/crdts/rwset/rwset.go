@@ -36,36 +36,6 @@ type State struct {
 	Cancelled map[string]bool // keys of cancelled removal instances
 }
 
-// Key implements crdt.State.
-func (s State) Key() string {
-	var b strings.Builder
-	b.WriteString("rw{A:")
-	b.WriteString(sortedKeys(s.Adds, nil))
-	b.WriteString(",R:")
-	b.WriteString(sortedKeys(s.Rmvs, s.Cancelled))
-	b.WriteByte('}')
-	return b.String()
-}
-
-func sortedKeys(m map[string]inst, marked map[string]bool) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(k)
-		if marked[k] {
-			b.WriteByte('!')
-		}
-	}
-	return b.String()
-}
-
 func (s State) clone() State {
 	a := make(map[string]inst, len(s.Adds))
 	r := make(map[string]inst, len(s.Rmvs))

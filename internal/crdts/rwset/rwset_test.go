@@ -1,6 +1,7 @@
 package rwset
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/crdt"
@@ -46,7 +47,7 @@ func TestRemoveWins(t *testing.T) {
 	}
 	s1 := rmv.Apply(add.Apply(base))
 	s2 := add.Apply(rmv.Apply(base))
-	if s1.(State).Key() != s2.(State).Key() {
+	if !bytes.Equal(s1.AppendBinary(nil), s2.AppendBinary(nil)) {
 		t.Fatal("effectors do not commute")
 	}
 	if lookup(t, o, s1, 0) {
@@ -118,7 +119,7 @@ func TestCommutativityTriple(t *testing.T) {
 	add := AddEff{E: model.Int(1), T: Tag{Node: 1, Seq: 9}, Cancels: []inst{{E: model.Int(1), T: Tag{Node: 2, Seq: 7}}}}
 	s1 := add.Apply(rmv.Apply(base))
 	s2 := rmv.Apply(add.Apply(base))
-	if s1.(State).Key() != s2.(State).Key() {
+	if !bytes.Equal(s1.AppendBinary(nil), s2.AppendBinary(nil)) {
 		t.Fatal("cancelling add does not commute with the removal")
 	}
 	if !Abs(s1).Equal(model.List(model.Int(1))) {

@@ -25,9 +25,6 @@ type State struct {
 	R *model.ValueSet
 }
 
-// Key implements crdt.State.
-func (s State) Key() string { return "2p{A:" + s.A.Key() + ",R:" + s.R.Key() + "}" }
-
 func (s State) has(e model.Value) bool { return s.A.Has(e) && !s.R.Has(e) }
 
 // AddEff is the effector of add(e): A := A ∪ {e}.

@@ -444,19 +444,3 @@ func (s *ValueSet) Clone() *ValueSet {
 	}
 	return c
 }
-
-// Key returns the canonical rendering of the set (sorted elements), suitable
-// for hashing and equality.
-func (s *ValueSet) Key() string {
-	elems := s.Elems()
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, v := range elems {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(v.String())
-	}
-	b.WriteByte('}')
-	return b.String()
-}

@@ -327,9 +327,6 @@ func TestValueSet(t *testing.T) {
 	if len(elems) != 3 || !elems[0].Equal(Int(1)) || !elems[2].Equal(Int(3)) {
 		t.Errorf("Elems = %v", elems)
 	}
-	if c.Key() != "{1 2 3}" {
-		t.Errorf("Key = %q", c.Key())
-	}
 	var nilSet *ValueSet
 	if nilSet.Has(Int(1)) || nilSet.Len() != 0 || nilSet.Elems() != nil {
 		t.Error("nil set accessors misbehaved")

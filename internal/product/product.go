@@ -50,15 +50,6 @@ type State struct {
 	Parts []crdt.State
 }
 
-// Key implements crdt.State.
-func (s State) Key() string {
-	parts := make([]string, len(s.Parts))
-	for i, p := range s.Parts {
-		parts[i] = p.Key()
-	}
-	return "×{" + strings.Join(parts, " ⊗ ") + "}"
-}
-
 // AppendBinary implements crdt.State: the component states in slot order,
 // each length-prefixed (components are different algorithms, so their
 // encodings must be framed to concatenate unambiguously).

@@ -184,9 +184,6 @@ func TestCompositionality(t *testing.T) {
 func TestProductStateAndEffectorRendering(t *testing.T) {
 	obj, _, _ := cartClock()
 	s := obj.Init()
-	if !strings.Contains(s.Key(), "⊗") {
-		t.Errorf("state key = %q", s.Key())
-	}
 	_, eff, err := obj.Prepare(op("clock.inc", model.Int(1)), s, 0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@
 package proofmethod
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -98,9 +99,10 @@ func (r Report) String() string {
 
 // sample is the execution evidence the obligations quantify over.
 type sample struct {
-	// states are reachable replica states, deduplicated by Key.
+	// states are reachable replica states, deduplicated by encoding.
 	states []crdt.State
-	// effs are the distinct effectors generated, with their operations.
+	// effs are the effectors generated, deduplicated by encoding, with their
+	// operations.
 	effs []effSample
 	// originPairs pairs each origin event's effector with the origin
 	// replica state immediately before the operation ran.
@@ -135,10 +137,11 @@ func collect(alg registry.Algorithm, seed int64, cfg Config) sample {
 	obj := alg.New()
 
 	var out sample
+	var enc []byte
 	seenState := map[string]bool{}
 	addState := func(s crdt.State) {
-		if k := s.Key(); !seenState[k] {
-			seenState[k] = true
+		if enc = s.AppendBinary(enc[:0]); !seenState[string(enc)] {
+			seenState[string(enc)] = true
 			out.states = append(out.states, s)
 		}
 	}
@@ -154,8 +157,8 @@ func collect(alg registry.Algorithm, seed int64, cfg Config) sample {
 			out.originPairs = append(out.originPairs, originSample{op: e.Op, eff: e.Eff, before: before, ret: e.Ret})
 		}
 		if !e.IsQuery() {
-			if k := e.Eff.String(); !seenEff[k] {
-				seenEff[k] = true
+			if enc = e.Eff.AppendBinary(enc[:0]); !seenEff[string(enc)] {
+				seenEff[string(enc)] = true
 				out.effs = append(out.effs, effSample{op: e.Op, eff: e.Eff})
 			}
 		}
@@ -163,6 +166,11 @@ func collect(alg registry.Algorithm, seed int64, cfg Config) sample {
 		addState(states[e.Node])
 	}
 	return out
+}
+
+// stateName names s in a failure message: its encoding in hex, and its φ.
+func stateName(alg registry.Algorithm, s crdt.State) string {
+	return fmt.Sprintf("%x (φ = %s)", s.AppendBinary(nil), alg.Abs(s))
 }
 
 // valid reports whether δ is valid at state S: ↣ does not order δ before any
@@ -216,6 +224,7 @@ func CheckAll(cfg Config) []Report {
 // commutes on every sampled state.
 func checkCommutativity(alg registry.Algorithm, samples []sample) (string, int, error) {
 	checked := 0
+	var a, b []byte
 	for _, sm := range samples {
 		pairs := 0
 		for i, d1 := range sm.effs {
@@ -226,11 +235,11 @@ func checkCommutativity(alg registry.Algorithm, samples []sample) (string, int, 
 				pairs++
 				for _, s := range sm.states {
 					checked++
-					a := d2.eff.Apply(d1.eff.Apply(s))
-					b := d1.eff.Apply(d2.eff.Apply(s))
-					if a.Key() != b.Key() {
+					a = d2.eff.Apply(d1.eff.Apply(s)).AppendBinary(a[:0])
+					b = d1.eff.Apply(d2.eff.Apply(s)).AppendBinary(b[:0])
+					if !bytes.Equal(a, b) {
 						return "commutative effectors", checked, fmt.Errorf(
-							"effectors %s and %s do not commute on state %s", d1.eff, d2.eff, s.Key())
+							"effectors %s and %s do not commute on state %s", d1.eff, d2.eff, stateName(alg, s))
 					}
 				}
 			}
@@ -256,7 +265,7 @@ func checkSameReturn(alg registry.Algorithm, samples []sample) (string, int, err
 				wantRet, _ := alg.Spec.Apply(os.op, alg.Abs(s))
 				if !ret.Equal(wantRet) {
 					return "same return value", checked, fmt.Errorf(
-						"%s at state %s returns %s concretely but %s abstractly", os.op, s.Key(), ret, wantRet)
+						"%s at state %s returns %s concretely but %s abstractly", os.op, stateName(alg, s), ret, wantRet)
 				}
 			}
 		}
@@ -285,7 +294,7 @@ func checkStateCorrespondence(alg registry.Algorithm, samples []sample) (string,
 				if !got.Equal(want) {
 					return "state correspondence", checked, fmt.Errorf(
 						"valid effector %s of %s at state %s yields %s, abstract op yields %s",
-						es.eff, es.op, s.Key(), got, want)
+						es.eff, es.op, stateName(alg, s), got, want)
 				}
 			}
 		}
@@ -385,6 +394,10 @@ func checkConflictCoverage(alg registry.Algorithm, samples []sample) (string, in
 
 // checkViewSound: well-formedness — V(init) is empty, and replaying any
 // local trace, V(S) only ever reports effectors that were actually applied.
+// V rebuilds effectors from what a state keeps, which need not be every
+// field the applied effector carried (a cseq record keeps its anchor but not
+// the anchor's tag), so V's effectors match the applied ones by rendering,
+// not by encoding.
 func checkViewSound(alg registry.Algorithm) (string, int, error) {
 	obj := alg.New()
 	if view := alg.View(obj.Init()); len(view) != 0 {
@@ -431,7 +444,7 @@ func checkFreshValid(alg registry.Algorithm, samples []sample) (string, int, err
 			checked++
 			if !valid(alg, os.eff, os.before) {
 				return "fresh effectors valid", checked, fmt.Errorf(
-					"fresh effector %s is invalid at its origin state %s", os.eff, os.before.Key())
+					"fresh effector %s is invalid at its origin state %s", os.eff, stateName(alg, os.before))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
@@ -75,9 +76,7 @@ type nonCommutingSet struct{ registry.Algorithm }
 
 type ncState struct{ E *model.ValueSet }
 
-func (s ncState) Key() string { return "nc" + s.E.Key() }
-
-func (s ncState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s ncState) AppendBinary(b []byte) []byte { return codec.AppendValueSet(b, s.E) }
 
 type ncAdd struct{ E model.Value }
 

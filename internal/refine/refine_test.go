@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/crdt"
 	"repro/internal/crdts/registry"
 	"repro/internal/lang"
@@ -103,9 +104,7 @@ func TestAbstractionIsProper(t *testing.T) {
 // produce.
 type brokenState struct{ E *model.ValueSet }
 
-func (s brokenState) Key() string { return "bk" + s.E.Key() }
-
-func (s brokenState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s brokenState) AppendBinary(b []byte) []byte { return codec.AppendValueSet(b, s.E) }
 
 type brokenAdd struct{ E model.Value }
 

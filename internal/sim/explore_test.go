@@ -109,9 +109,7 @@ func (d orderSensitiveEff) AppendBinary(b []byte) []byte { return append(b, d.St
 
 type orderState struct{ v int64 }
 
-func (s orderState) Key() string { return fmt.Sprintf("os{%d}", s.v) }
-
-func (s orderState) AppendBinary(b []byte) []byte { return append(b, s.Key()...) }
+func (s orderState) AppendBinary(b []byte) []byte { return fmt.Appendf(b, "os{%d}", s.v) }
 
 type orderSensitiveObj struct{}
 
