@@ -42,6 +42,10 @@ func main() {
 		replay  = flag.String("replay", "", "re-check a schedule saved with -save instead of generating traces")
 	)
 	flag.Parse()
+	if *nodes < 1 || *steps < 1 || *seeds < 0 {
+		fmt.Fprintf(os.Stderr, "acc-check: -nodes and -steps must be at least 1 and -seeds non-negative (got %d, %d, %d)\n", *nodes, *steps, *seeds)
+		os.Exit(2)
+	}
 	if *replay != "" {
 		os.Exit(replaySchedule(*replay, *mode))
 	}

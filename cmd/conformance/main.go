@@ -27,6 +27,10 @@ func main() {
 		client  = flag.String("client", "", "client program for the refinement check")
 	)
 	flag.Parse()
+	if *seeds < 0 || *steps < 0 || *chaos < 0 {
+		fmt.Fprintf(os.Stderr, "conformance: -seeds, -steps and -chaos-seeds must be non-negative (got %d, %d, %d)\n", *seeds, *steps, *chaos)
+		os.Exit(2)
+	}
 	cfg := conformance.Config{Seeds: *seeds, Steps: *steps, Workers: *workers, ChaosSeeds: *chaos, Client: *client}
 	var reports []conformance.Report
 	if *algo == "all" {

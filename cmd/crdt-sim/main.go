@@ -159,8 +159,11 @@ func main() {
 	if !ok {
 		fail("unknown algorithm %q (have: %s)", *algo, strings.Join(algoNames(), ", "))
 	}
-	if *snap < 0 {
-		fail("-snapshot-every must be positive (got %d)", *snap)
+	if *nodes < 1 || *steps < 1 {
+		fail("-nodes and -steps must be at least 1 (got %d, %d)", *nodes, *steps)
+	}
+	if *seeds < 0 || *ops < 0 || *snap < 0 {
+		fail("-seeds, -ops and -snapshot-every must be non-negative (got %d, %d, %d)", *seeds, *ops, *snap)
 	}
 	if *batchFrames < 0 || *flushEvery < 0 {
 		fail("-batch-frames and -flush-every must be non-negative")

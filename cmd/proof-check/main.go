@@ -23,6 +23,10 @@ func main() {
 		steps = flag.Int("steps", 40, "scheduler steps per execution")
 	)
 	flag.Parse()
+	if *seeds < 0 || *steps < 0 {
+		fmt.Fprintf(os.Stderr, "proof-check: -seeds and -steps must be non-negative (got %d, %d)\n", *seeds, *steps)
+		os.Exit(2)
+	}
 	cfg := proofmethod.Config{Seeds: *seeds, Steps: *steps}
 	var reports []proofmethod.Report
 	if *algo == "all" {
