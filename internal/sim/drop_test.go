@@ -2,9 +2,11 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crdt"
 	"repro/internal/crdts/registry"
 	"repro/internal/model"
 	"repro/internal/spec"
@@ -62,6 +64,95 @@ func TestDropErrorClassification(t *testing.T) {
 			err = c.Drop(1, tc.step.mid(mid))
 			if !errors.Is(err, tc.step.want) {
 				t.Fatalf("Drop error = %v, want %v", err, tc.step.want)
+			}
+		})
+	}
+}
+
+// TestRefusalClassification: Invoke, Deliver, Crash and Recover refuse what
+// the cluster cannot do with errors a harness can tell apart — a sentinel
+// matched with errors.Is where the package declares one, the message
+// otherwise.
+func TestRefusalClassification(t *testing.T) {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("setup: %v", err)
+		}
+	}
+	add := func(e string) model.Op { return model.Op{Name: spec.OpAdd, Arg: model.Str(e)} }
+	rejecting := func([]byte) (crdt.State, error) { return nil, errors.New("rejected") }
+	cases := []struct {
+		name string
+		opts []Option
+		// refuse runs once node 0 has broadcast mid to nodes 1 and 2, and
+		// returns the refusal under test.
+		refuse func(t *testing.T, c *Cluster, mid model.MsgID) error
+		want   error  // the sentinel, for refusals that have one
+		text   string // a fragment of the message, for those that do not
+	}{
+		{name: "invoke at a down node", want: ErrNodeDown,
+			refuse: func(t *testing.T, c *Cluster, _ model.MsgID) error {
+				must(t, c.Crash(0))
+				_, _, err := c.Invoke(0, add("b"))
+				return err
+			}},
+		{name: "deliver to a down node", want: ErrNodeDown,
+			refuse: func(t *testing.T, c *Cluster, mid model.MsgID) error {
+				must(t, c.Crash(1))
+				return c.Deliver(1, mid)
+			}},
+		{name: "deliver across a partition", want: ErrPartitioned,
+			refuse: func(t *testing.T, c *Cluster, mid model.MsgID) error {
+				must(t, c.Partition([]model.NodeID{0}, []model.NodeID{1, 2}))
+				return c.Deliver(1, mid)
+			}},
+		{name: "deliver in transit", want: ErrInTransit,
+			opts: []Option{WithLinkFaults(LinkFaults{Loss: 1}, 1)},
+			refuse: func(t *testing.T, c *Cluster, mid model.MsgID) error {
+				return c.Deliver(1, mid)
+			}},
+		{name: "deliver out of causal order", want: ErrCausalOrder,
+			opts: []Option{WithCausalDelivery()},
+			refuse: func(t *testing.T, c *Cluster, mid model.MsgID) error {
+				must(t, c.Deliver(1, mid))
+				_, next, err := c.Invoke(1, add("b"))
+				must(t, err)
+				return c.Deliver(2, next)
+			}},
+		{name: "crash a down node", want: ErrNodeDown,
+			refuse: func(t *testing.T, c *Cluster, _ model.MsgID) error {
+				must(t, c.Crash(1))
+				return c.Crash(1)
+			}},
+		{name: "recover a live node", text: "node is not crashed",
+			refuse: func(t *testing.T, c *Cluster, _ model.MsgID) error {
+				return c.Recover(1, false)
+			}},
+		{name: "fresh recover from a snapshot the decoder rejects",
+			text: "does not decode with the registered state decoder",
+			opts: []Option{WithSnapshots(1, rejecting)},
+			refuse: func(t *testing.T, c *Cluster, _ model.MsgID) error {
+				c.DeliverAll()
+				if c.SnapshotCovered() == 0 {
+					t.Fatal("setup: no snapshot was taken")
+				}
+				must(t, c.Crash(1))
+				return c.Recover(1, true)
+			}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(registry.GSet().New(), 3, tc.opts...)
+			_, mid, err := c.Invoke(0, add("a"))
+			must(t, err)
+			err = tc.refuse(t, c, mid)
+			switch {
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Fatalf("error = %v, want %v", err, tc.want)
+			case tc.want == nil && (err == nil || !strings.Contains(err.Error(), tc.text)):
+				t.Fatalf("error = %v, want one containing %q", err, tc.text)
 			}
 		})
 	}
