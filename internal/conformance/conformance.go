@@ -96,6 +96,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// shortOps is the length of the scripts the chaos, snapshot, codec, batched
+// and socket snapshot items run: a quarter of Steps, clamped to [6, 12].
+func (c Config) shortOps() int { return min(max(c.Steps/4, 6), 12) }
+
+// chaosSeeds is the number of fault plans the chaos and snapshot items run:
+// ChaosSeeds, or else Seeds capped at 4.
+func (c Config) chaosSeeds() int {
+	if c.ChaosSeeds != 0 {
+		return c.ChaosSeeds
+	}
+	return min(c.Seeds, 4)
+}
+
 // CheckResult is one battery item's outcome.
 type CheckResult struct {
 	Name string
@@ -324,20 +337,7 @@ func exploreChecks(alg registry.Algorithm, cfg Config) error {
 // duplicates escape the at-most-once delivery layer, diverges here.
 func chaosChecks(alg registry.Algorithm, cfg Config) error {
 	const nodes = 3
-	ops := cfg.Steps / 4
-	if ops < 6 {
-		ops = 6
-	}
-	if ops > 12 {
-		ops = 12
-	}
-	seeds := cfg.ChaosSeeds
-	if seeds == 0 {
-		seeds = cfg.Seeds
-		if seeds > 4 {
-			seeds = 4
-		}
-	}
+	ops, seeds := cfg.shortOps(), cfg.chaosSeeds()
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), nodes, ops, seed, alg.NeedsCausal)
 		plan := sim.GenFaultPlan(seed, nodes, 2*ops)
@@ -394,20 +394,7 @@ func snapshotChecks(alg registry.Algorithm, cfg Config) error {
 		return fmt.Errorf("algorithm bundle registers no state decoder")
 	}
 	const nodes = 3
-	ops := cfg.Steps / 4
-	if ops < 6 {
-		ops = 6
-	}
-	if ops > 12 {
-		ops = 12
-	}
-	seeds := cfg.ChaosSeeds
-	if seeds == 0 {
-		seeds = cfg.Seeds
-		if seeds > 4 {
-			seeds = 4
-		}
-	}
+	ops, seeds := cfg.shortOps(), cfg.chaosSeeds()
 	var checkpoints, truncated int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), nodes, ops, seed, alg.NeedsCausal)
@@ -550,7 +537,7 @@ func snapshotResyncScenario(alg registry.Algorithm) error {
 // frame-at-a-time writes.
 func batchedChecks(alg registry.Algorithm, cfg Config) error {
 	for seed := int64(1); seed <= int64(min(cfg.Seeds, 3)); seed++ {
-		l, err := newLeg(alg, nil, seed, min(max(cfg.Steps/4, 6), 12))
+		l, err := newLeg(alg, nil, seed, cfg.shortOps())
 		if err != nil {
 			return err
 		}
@@ -591,7 +578,7 @@ func socketSnapshotChecks(alg registry.Algorithm, cfg Config) error {
 	if alg.DecodeState == nil {
 		return fmt.Errorf("algorithm bundle registers no state decoder")
 	}
-	l, err := newLeg(alg, nil, 5, min(max(cfg.Steps/4, 6), 12))
+	l, err := newLeg(alg, nil, 5, cfg.shortOps())
 	if err != nil {
 		return err
 	}
@@ -721,17 +708,7 @@ func codecChecks(alg registry.Algorithm, cfg Config) error {
 		return fmt.Errorf("algorithm bundle registers no codec decoders")
 	}
 	const nodes = 3
-	ops := cfg.Steps / 4
-	if ops < 6 {
-		ops = 6
-	}
-	if ops > 12 {
-		ops = 12
-	}
-	seeds := cfg.Seeds
-	if seeds > 4 {
-		seeds = 4
-	}
+	ops, seeds := cfg.shortOps(), min(cfg.Seeds, 4)
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		script := sim.GenScript(alg.New(), alg.Abs, sim.GenFunc(alg.GenOp), nodes, ops, seed, alg.NeedsCausal)
 		opts := []sim.Option{sim.WithWireCodec(alg.DecodeEffector)}
