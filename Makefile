@@ -146,12 +146,11 @@ bench-explore:
 # (Sim_Throughput: every registry algorithm on 3 nodes for 50 drained
 # steps, which prices the scheduler over transport.Mem), the codec rows
 # (Codec: every registry algorithm's effectors and final state from one such
-# trace, encoded and decoded), the client
-# logic's rows (Fig12_LogicProof and FW1_XLogicProof, the UCR and X-wins
-# proof-outline checks, and Logic_Judgments: stabilization, Sat and
-# entailment) and the CRDT-TS obligation sweep (Sec8_ProofObligations, one
-# row per UCR algorithm) run 3× on one CPU, collapsed to each case's fastest run and
-# gated against the checked-in BENCH_core.json with the transport gate's
+# trace, encoded and decoded), the client logic's rows (Fig12_LogicProof
+# and FW1_XLogicProof, the UCR and X-wins proof-outline checks, and
+# Logic_Judgments: stabilization, Sat and entailment) and the CRDT-TS
+# obligation sweep (Sec8_ProofObligations, one row per UCR algorithm) run
+# 3× on one CPU, collapsed to each case's fastest run and gated against the checked-in BENCH_core.json with the transport gate's
 # tolerances (+25% ns/op, +34% allocs/op) plus a general B/op regression
 # gate (+50%). That B/op tolerance is the peer rows' one, borrowed, not
 # measured here: it has not been checked against CI's Go toolchain. The
