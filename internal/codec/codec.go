@@ -389,8 +389,12 @@ func AppendRat(b []byte, r *big.Rat) []byte {
 	return AppendBytes(b, r.Denom().Bytes())
 }
 
-// DecodeRat reads one rational, rejecting non-canonical forms (a zero with
-// payload bytes, a zero denominator, or a fraction not in lowest terms).
+// DecodeRat reads one rational, rejecting non-canonical forms: a magnitude
+// that is empty (zero) or starts with a zero byte, or a fraction not in
+// lowest terms. AppendRat writes the minimal big-endian bytes of non-zero
+// magnitudes, so neither form is its output; big.Int.SetBytes would read a
+// leading zero byte silently, and the rational would re-encode a byte
+// shorter.
 func DecodeRat(b []byte) (*big.Rat, []byte, error) {
 	if len(b) == 0 {
 		return nil, nil, corruptf("truncated rational")
@@ -410,11 +414,11 @@ func DecodeRat(b []byte) (*big.Rat, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if !minimal(numBytes) || !minimal(denBytes) {
+		return nil, nil, corruptf("rational magnitudes %x/%x are not minimal and non-zero", numBytes, denBytes)
+	}
 	num := new(big.Int).SetBytes(numBytes)
 	den := new(big.Int).SetBytes(denBytes)
-	if num.Sign() == 0 || den.Sign() == 0 {
-		return nil, nil, corruptf("rational with zero component")
-	}
 	if sign == 2 {
 		num.Neg(num)
 	}
@@ -425,6 +429,10 @@ func DecodeRat(b []byte) (*big.Rat, []byte, error) {
 	}
 	return r, rest, nil
 }
+
+// minimal reports whether m is the minimal big-endian form of a non-zero
+// magnitude: not empty, and no leading zero byte.
+func minimal(m []byte) bool { return len(m) > 0 && m[0] != 0 }
 
 // ---------------------------------------------------------------------------
 // Wire frames and fingerprints.

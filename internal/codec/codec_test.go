@@ -210,6 +210,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		{"rat zero numerator", errOf2(DecodeRat([]byte{1, 0, 1, 2}))},
 		{"rat zero denominator", errOf2(DecodeRat([]byte{1, 1, 2, 0}))},
 		{"rat not lowest terms", errOf2(DecodeRat([]byte{1, 1, 2, 1, 4}))},
+		{"rat numerator with a leading zero byte", errOf2(DecodeRat([]byte{1, 2, 0, 1, 1, 2}))},
+		{"rat denominator with a leading zero byte", errOf2(DecodeRat([]byte{2, 1, 1, 2, 0, 3}))},
+		{"rat zero magnitude byte", errOf2(DecodeRat([]byte{1, 1, 0, 1, 2}))},
 		{"rat zero with payload trailing", Done(mustRest(DecodeRat([]byte{0, 1, 2})))},
 		{"frame truncated checksum", errOf2(DecodeFrame(AppendFrame(nil, []byte("abc"))[:5]))},
 		{"done trailing", Done([]byte{1})},
