@@ -18,8 +18,9 @@
 //   - Composite encodings are self-delimiting: a decoder consumes exactly
 //     the bytes its encoder produced, so fields concatenate unambiguously.
 //
-// Decoders are strict: malformed input fails with an error wrapping
-// ErrCorrupt, never a panic and never a silently "repaired" value.
+// Every decoder reads through a Decoder, which is strict: malformed input
+// fails with an error wrapping ErrCorrupt, never a panic and never a
+// silently "repaired" value.
 package codec
 
 import (
@@ -31,26 +32,86 @@ import (
 )
 
 // ErrCorrupt is the sentinel wrapped by every decoding failure: truncated
-// input, an unknown tag, a non-canonical bool byte or varint, an over-long
-// length prefix, collection entries out of key order or repeated, values
-// nested too deep, a checksum mismatch, or trailing bytes after a complete
-// decode.
+// input, an unknown tag, a non-canonical bool byte, varint or rational, an
+// over-long length prefix, collection entries out of key order or repeated,
+// values nested too deep, a checksum mismatch, or trailing bytes after a
+// complete decode.
 // Callers test with errors.Is(err, codec.ErrCorrupt).
 var ErrCorrupt = fmt.Errorf("codec: corrupt encoding")
 
-// corruptf wraps ErrCorrupt with context.
-func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+// A Decoder reads one encoding front to back. It is the module's only way
+// to decode, and it keeps the strictness contract so that no decoder
+// restates it:
+//
+//   - The first failure sticks. It moves the read position to the end, so
+//     every later read returns its zero value and consumes nothing: a
+//     decoder reads its fields unconditionally and checks once, at Done.
+//   - Count bounds a collection's element count by the bytes left, since
+//     every element takes at least one byte, so a corrupt count fails at
+//     once and cannot spin a loop.
+//   - Done rejects trailing bytes.
+//
+// The read position is an offset into the input, not a re-sliced []byte: a
+// read stores one int through the pointer receiver, where storing a slice
+// would pay a GC write barrier on every read. A Decoder lives on its
+// caller's stack; pass it by pointer, not inside a func value or interface,
+// either of which moves it to the heap.
+type Decoder struct {
+	b   []byte
+	off int
+	err error
 }
 
-// Done fails with ErrCorrupt when rest is non-empty. Per-algorithm decoders
-// call it last: an encoding with trailing bytes is not canonical.
-func Done(rest []byte) error {
-	if len(rest) != 0 {
-		return corruptf("%d trailing bytes", len(rest))
+// NewDecoder returns a Decoder reading b. Byte blobs it reads alias b.
+func NewDecoder(b []byte) Decoder { return Decoder{b: b} }
+
+// Err returns the first failure, or nil.
+func (d *Decoder) Err() error { return d.err }
+
+// Done returns the first failure, or, when there is none, fails if any bytes
+// are left: an encoding with trailing bytes is not canonical.
+func (d *Decoder) Done() error {
+	if d.err == nil && d.off != len(d.b) {
+		d.Fail("%d trailing bytes", len(d.b)-d.off)
 	}
-	return nil
+	return d.err
 }
+
+// Result ends a decoder: it returns v when d read its whole input without a
+// failure, and otherwise the zero T and Done's error.
+func Result[T any](d *Decoder, v T) (T, error) {
+	if err := d.Done(); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
+}
+
+// Fail records a failure wrapping ErrCorrupt, unless one is recorded
+// already, and moves the read position to the end. Per-algorithm decoders
+// call it for the checks of their own.
+func (d *Decoder) Fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+	}
+	d.off = len(d.b)
+}
+
+// errTruncated is the failure of a read that finds too few bytes left.
+var errTruncated = fmt.Errorf("%w: truncated input", ErrCorrupt)
+
+// truncated records errTruncated, unless a failure is recorded already,
+// and moves the read position to the end. It makes no call, so the reads
+// of one byte that use it stay small enough to inline.
+func (d *Decoder) truncated() {
+	if d.err == nil {
+		d.err = errTruncated
+	}
+	d.off = len(d.b)
+}
+
+// Len returns the number of unread bytes.
+func (d *Decoder) Len() int { return len(d.b) - d.off }
 
 // ---------------------------------------------------------------------------
 // Primitives.
@@ -58,31 +119,45 @@ func Done(rest []byte) error {
 // AppendUvarint appends x in uvarint form.
 func AppendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
 
-// DecodeUvarint reads a uvarint and returns it with the remaining bytes.
-func DecodeUvarint(b []byte) (uint64, []byte, error) {
-	x, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, corruptf("bad uvarint")
+// Uvarint reads a uvarint.
+func (d *Decoder) Uvarint() uint64 {
+	x, n := binary.Uvarint(d.b[d.off:])
+	if n == 0 {
+		d.truncated()
+		return 0
 	}
-	if overlong(b, n) {
-		return 0, nil, corruptf("over-long uvarint")
+	if n < 0 {
+		d.Fail("uvarint overflows 64 bits")
+		return 0
 	}
-	return x, b[n:], nil
+	if overlong(d.b[d.off:], n) {
+		d.Fail("over-long uvarint")
+		return 0
+	}
+	d.off += n
+	return x
 }
 
 // AppendVarint appends x in zig-zag varint form.
 func AppendVarint(b []byte, x int64) []byte { return binary.AppendVarint(b, x) }
 
-// DecodeVarint reads a varint and returns it with the remaining bytes.
-func DecodeVarint(b []byte) (int64, []byte, error) {
-	x, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, corruptf("bad varint")
+// Varint reads a varint.
+func (d *Decoder) Varint() int64 {
+	x, n := binary.Varint(d.b[d.off:])
+	if n == 0 {
+		d.truncated()
+		return 0
 	}
-	if overlong(b, n) {
-		return 0, nil, corruptf("over-long varint")
+	if n < 0 {
+		d.Fail("varint overflows 64 bits")
+		return 0
 	}
-	return x, b[n:], nil
+	if overlong(d.b[d.off:], n) {
+		d.Fail("over-long varint")
+		return 0
+	}
+	d.off += n
+	return x
 }
 
 // overlong reports whether the n-byte varint at the start of b has a longer
@@ -91,17 +166,27 @@ func DecodeVarint(b []byte) (int64, []byte, error) {
 // AppendVarint never write one, so it is not canonical.
 func overlong(b []byte, n int) bool { return n > 1 && b[n-1] == 0 }
 
-// Ascending fails with ErrCorrupt unless key exceeds prev, the key of the
-// entry before it. Encoders write a keyed collection's entries in strictly
+// Count reads a collection's element count, failing when it exceeds the
+// bytes left: every element takes at least one byte.
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
+	if n > uint64(d.Len()) {
+		d.Fail("count %d exceeds the %d bytes left", n, d.Len())
+		return 0
+	}
+	return int(n)
+}
+
+// Ascending fails the decoder unless key exceeds prev, the key of the entry
+// before it. Encoders write a keyed collection's entries in strictly
 // increasing key order, so its decoder calls Ascending for entry i: an
 // entry after the first (i > 0) that is out of order or repeated has no
 // canonical encoding, and the later of two entries for one key would
 // silently win.
-func Ascending(i uint64, prev, key string) error {
+func (d *Decoder) Ascending(i int, prev, key string) {
 	if i > 0 && key <= prev {
-		return corruptf("key %q after %q", key, prev)
+		d.Fail("key %q after %q", key, prev)
 	}
-	return nil
 }
 
 // AppendBool appends a strict boolean byte: 0 or 1.
@@ -112,19 +197,17 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// DecodeBool reads a boolean byte, rejecting anything but 0 and 1 so that a
-// bool has exactly one encoding.
-func DecodeBool(b []byte) (bool, []byte, error) {
-	if len(b) == 0 {
-		return false, nil, corruptf("truncated bool")
-	}
-	switch b[0] {
+// Bool reads a boolean byte, rejecting anything but 0 and 1 so that a bool
+// has exactly one encoding.
+func (d *Decoder) Bool() bool {
+	switch b := d.Tag(); b {
 	case 0:
-		return false, b[1:], nil
+		return false
 	case 1:
-		return true, b[1:], nil
+		return true
 	default:
-		return false, nil, corruptf("bool byte %d", b[0])
+		d.Fail("bool byte %d", b)
+		return false
 	}
 }
 
@@ -134,17 +217,8 @@ func AppendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// DecodeString reads a length-prefixed string.
-func DecodeString(b []byte) (string, []byte, error) {
-	n, rest, err := DecodeUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, corruptf("string length %d exceeds %d remaining bytes", n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
-}
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string { return string(d.Bytes()) }
 
 // AppendBytes appends a length-prefixed byte blob.
 func AppendBytes(b, blob []byte) []byte {
@@ -152,34 +226,33 @@ func AppendBytes(b, blob []byte) []byte {
 	return append(b, blob...)
 }
 
-// DecodeBytes reads a length-prefixed byte blob (aliasing the input).
-func DecodeBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
+// Bytes reads a length-prefixed byte blob, aliasing the input.
+func (d *Decoder) Bytes() []byte {
+	n := d.Uvarint()
+	if n > uint64(d.Len()) {
+		d.truncated()
+		return nil
 	}
-	if n > uint64(len(rest)) {
-		return nil, nil, corruptf("blob length %d exceeds %d remaining bytes", n, len(rest))
-	}
-	return rest[:n], rest[n:], nil
+	blob := d.b[d.off : d.off+int(n)]
+	d.off += int(n)
+	return blob
 }
 
-// DecodeTag reads a one-byte effector tag. Tag 0 is reserved for
-// crdt.IdEff across all algorithms; each algorithm numbers its own
-// effectors from 1.
-func DecodeTag(b []byte) (byte, []byte, error) {
-	if len(b) == 0 {
-		return 0, nil, corruptf("truncated effector tag")
+// Tag reads one byte: an effector tag, a frame kind or a sign. Tag 0 is
+// reserved for crdt.IdEff across all algorithms; each algorithm numbers its
+// own effectors from 1.
+func (d *Decoder) Tag() byte {
+	if d.off == len(d.b) {
+		d.truncated()
+		return 0
 	}
-	return b[0], b[1:], nil
+	c := d.b[d.off]
+	d.off++
+	return c
 }
 
 // TagIdentity is the effector tag shared by crdt.IdEff in every algorithm.
 const TagIdentity byte = 0
-
-// BadTag is the error every effector decoder returns for a tag outside its
-// algorithm's range.
-func BadTag(tag byte) error { return corruptf("unknown effector tag %d", tag) }
 
 // ---------------------------------------------------------------------------
 // Model types.
@@ -217,80 +290,47 @@ func AppendValue(b []byte, v model.Value) []byte {
 	return b
 }
 
-// maxValueDepth bounds how deep DecodeValue lets pairs and lists nest.
-// Effector decoders run it on peer payloads, and each level costs a stack
-// frame: without a bound a few megabytes of nested pair tags would grow the
+// maxValueDepth bounds how deep Value lets pairs and lists nest. Effector
+// decoders run it on peer payloads, and each level costs a stack frame:
+// without a bound a few megabytes of nested pair tags would grow the
 // receiver's stack past Go's limit, a fatal error and not a panic. A value
 // nested deeper still encodes, but no receiver accepts it.
 const maxValueDepth = 1000
 
-// DecodeValue reads one value, rejecting unknown kind tags and pairs or
-// lists nested more than maxValueDepth deep.
-func DecodeValue(b []byte) (model.Value, []byte, error) { return decodeValue(b, 0) }
+// Value reads one value, rejecting unknown kind tags and pairs or lists
+// nested more than maxValueDepth deep.
+func (d *Decoder) Value() model.Value { return d.value(0) }
 
-// decodeValue reads one value inside depth enclosing pairs and lists.
-func decodeValue(b []byte, depth int) (model.Value, []byte, error) {
-	if len(b) == 0 {
-		return model.Nil(), nil, corruptf("truncated value")
-	}
-	kind, b := model.Kind(b[0]), b[1:]
-	switch kind {
+// value reads one value inside depth enclosing pairs and lists.
+func (d *Decoder) value(depth int) model.Value {
+	switch kind := model.Kind(d.Tag()); kind {
 	case model.KindNil:
-		return model.Nil(), b, nil
+		return model.Nil()
 	case model.KindBool:
-		x, rest, err := DecodeBool(b)
-		if err != nil {
-			return model.Nil(), nil, err
-		}
-		return model.Bool(x), rest, nil
+		return model.Bool(d.Bool())
 	case model.KindInt:
-		x, rest, err := DecodeVarint(b)
-		if err != nil {
-			return model.Nil(), nil, err
-		}
-		return model.Int(x), rest, nil
+		return model.Int(d.Varint())
 	case model.KindString:
-		x, rest, err := DecodeString(b)
-		if err != nil {
-			return model.Nil(), nil, err
-		}
-		return model.Str(x), rest, nil
-	case model.KindPair:
+		return model.Str(d.Str())
+	case model.KindPair, model.KindList:
 		if depth == maxValueDepth {
-			return model.Nil(), nil, corruptf("values nested deeper than %d", maxValueDepth)
+			d.Fail("values nested deeper than %d", maxValueDepth)
+			return model.Nil()
 		}
-		a, rest, err := decodeValue(b, depth+1)
-		if err != nil {
-			return model.Nil(), nil, err
+		if kind == model.KindPair {
+			return model.Pair(d.value(depth+1), d.value(depth+1))
 		}
-		c, rest, err := decodeValue(rest, depth+1)
-		if err != nil {
-			return model.Nil(), nil, err
-		}
-		return model.Pair(a, c), rest, nil
-	case model.KindList:
-		if depth == maxValueDepth {
-			return model.Nil(), nil, corruptf("values nested deeper than %d", maxValueDepth)
-		}
-		n, rest, err := DecodeUvarint(b)
-		if err != nil {
-			return model.Nil(), nil, err
-		}
-		if n > uint64(len(rest)) { // each element costs ≥ 1 byte
-			return model.Nil(), nil, corruptf("list length %d exceeds %d remaining bytes", n, len(rest))
-		}
+		n := d.Count()
 		xs := make([]model.Value, 0, n)
-		for i := uint64(0); i < n; i++ {
-			var x model.Value
-			x, rest, err = decodeValue(rest, depth+1)
-			if err != nil {
-				return model.Nil(), nil, err
-			}
-			xs = append(xs, x)
+		// Stop at the first failure: each enclosing list would otherwise
+		// run out its count, up to maxValueDepth counts in all.
+		for i := 0; i < n && d.err == nil; i++ {
+			xs = append(xs, d.value(depth+1))
 		}
-		return model.ListOf(xs), rest, nil
+		return model.ListOf(xs)
 	default:
-		return model.Nil(), nil, corruptf("value kind %d", byte(kind))
+		d.Fail("value kind %d", byte(kind))
+		return model.Nil()
 	}
 }
 
@@ -300,17 +340,9 @@ func AppendOp(b []byte, op model.Op) []byte {
 	return AppendValue(b, op.Arg)
 }
 
-// DecodeOp reads one operation.
-func DecodeOp(b []byte) (model.Op, []byte, error) {
-	name, rest, err := DecodeString(b)
-	if err != nil {
-		return model.Op{}, nil, err
-	}
-	arg, rest, err := DecodeValue(rest)
-	if err != nil {
-		return model.Op{}, nil, err
-	}
-	return model.Op{Name: model.OpName(name), Arg: arg}, rest, nil
+// Op reads one operation.
+func (d *Decoder) Op() model.Op {
+	return model.Op{Name: model.OpName(d.Str()), Arg: d.Value()}
 }
 
 // AppendStamp appends a Lamport-style timestamp: varint N, varint node.
@@ -319,17 +351,9 @@ func AppendStamp(b []byte, s model.Stamp) []byte {
 	return AppendVarint(b, int64(s.Node))
 }
 
-// DecodeStamp reads one timestamp.
-func DecodeStamp(b []byte) (model.Stamp, []byte, error) {
-	n, rest, err := DecodeVarint(b)
-	if err != nil {
-		return model.Stamp{}, nil, err
-	}
-	node, rest, err := DecodeVarint(rest)
-	if err != nil {
-		return model.Stamp{}, nil, err
-	}
-	return model.Stamp{N: n, Node: model.NodeID(node)}, rest, nil
+// Stamp reads one timestamp.
+func (d *Decoder) Stamp() model.Stamp {
+	return model.Stamp{N: d.Varint(), Node: model.NodeID(d.Varint())}
 }
 
 // AppendValueSet appends a value set: count, then the elements in the set's
@@ -344,32 +368,22 @@ func AppendValueSet(b []byte, s *model.ValueSet) []byte {
 	return b
 }
 
-// DecodeValueSet reads one value set, rejecting elements that are not in
-// strictly increasing order: AppendValueSet's canonical order admits no
-// other, and a repeated element would shrink the set.
-func DecodeValueSet(b []byte) (*model.ValueSet, []byte, error) {
-	n, rest, err := DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, corruptf("set length %d exceeds %d remaining bytes", n, len(rest))
-	}
+// ValueSet reads one value set, rejecting elements that are not in strictly
+// increasing order: AppendValueSet's canonical order admits no other, and a
+// repeated element would shrink the set.
+func (d *Decoder) ValueSet() *model.ValueSet {
+	n := d.Count()
 	s := model.NewValueSet()
 	var prev model.Value
-	for i := uint64(0); i < n; i++ {
-		var e model.Value
-		e, rest, err = DecodeValue(rest)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i := range n {
+		e := d.Value()
 		if i > 0 && e.Compare(prev) <= 0 {
-			return nil, nil, corruptf("set element %s after %s", e, prev)
+			d.Fail("set element %s after %s", e, prev)
 		}
 		s.Add(e)
 		prev = e
 	}
-	return s, rest, nil
+	return s
 }
 
 // AppendRat appends a rational: sign byte (0/1/2 for zero/positive/negative),
@@ -389,33 +403,29 @@ func AppendRat(b []byte, r *big.Rat) []byte {
 	return AppendBytes(b, r.Denom().Bytes())
 }
 
-// DecodeRat reads one rational, rejecting non-canonical forms: a magnitude
-// that is empty (zero) or starts with a zero byte, or a fraction not in
-// lowest terms. AppendRat writes the minimal big-endian bytes of non-zero
+// Rat reads one rational, rejecting non-canonical forms: a magnitude that is
+// empty (zero) or starts with a zero byte, or a fraction not in lowest
+// terms. AppendRat writes the minimal big-endian bytes of non-zero
 // magnitudes, so neither form is its output; big.Int.SetBytes would read a
 // leading zero byte silently, and the rational would re-encode a byte
 // shorter.
-func DecodeRat(b []byte) (*big.Rat, []byte, error) {
-	if len(b) == 0 {
-		return nil, nil, corruptf("truncated rational")
+func (d *Decoder) Rat() *big.Rat {
+	sign := d.Tag()
+	switch {
+	case d.err != nil:
+		return nil
+	case sign == 0:
+		return new(big.Rat)
+	case sign > 2:
+		d.Fail("rational sign byte %d", sign)
+		return nil
 	}
-	sign, b := b[0], b[1:]
-	if sign == 0 {
-		return new(big.Rat), b, nil
-	}
-	if sign > 2 {
-		return nil, nil, corruptf("rational sign byte %d", sign)
-	}
-	numBytes, rest, err := DecodeBytes(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	denBytes, rest, err := DecodeBytes(rest)
-	if err != nil {
-		return nil, nil, err
-	}
+	numBytes, denBytes := d.Bytes(), d.Bytes()
 	if !minimal(numBytes) || !minimal(denBytes) {
-		return nil, nil, corruptf("rational magnitudes %x/%x are not minimal and non-zero", numBytes, denBytes)
+		d.Fail("rational magnitudes %x/%x are not minimal and non-zero", numBytes, denBytes)
+	}
+	if d.err != nil {
+		return nil
 	}
 	num := new(big.Int).SetBytes(numBytes)
 	den := new(big.Int).SetBytes(denBytes)
@@ -425,9 +435,10 @@ func DecodeRat(b []byte) (*big.Rat, []byte, error) {
 	r := new(big.Rat).SetFrac(num, den)
 	// SetFrac reduces; a non-reduced input would re-encode differently.
 	if r.Num().CmpAbs(num) != 0 || r.Denom().Cmp(den) != 0 {
-		return nil, nil, corruptf("rational not in lowest terms")
+		d.Fail("rational not in lowest terms")
+		return nil
 	}
-	return r, rest, nil
+	return r
 }
 
 // minimal reports whether m is the minimal big-endian form of a non-zero
@@ -441,27 +452,27 @@ func minimal(m []byte) bool { return len(m) > 0 && m[0] != 0 }
 
 // AppendFrame appends a wire frame around payload: a length prefix and an
 // FNV-1a checksum. The checksum is what makes in-flight corruption
-// detectable — any bit flip in the frame fails DecodeFrame with ErrCorrupt
+// detectable — any bit flip in the frame fails Frame's checksum test
 // instead of handing garbage to an effector decoder.
 func AppendFrame(b, payload []byte) []byte {
 	b = AppendBytes(b, payload)
 	return binary.BigEndian.AppendUint64(b, Fingerprint(payload))
 }
 
-// DecodeFrame reads one frame, verifying length and checksum, and returns
-// the payload (aliasing the input) with the remaining bytes.
-func DecodeFrame(b []byte) ([]byte, []byte, error) {
-	payload, rest, err := DecodeBytes(b)
-	if err != nil {
-		return nil, nil, err
+// Frame reads one frame and returns its payload, aliasing the input, and
+// whether the payload matches its checksum. A frame cut short fails the
+// decoder. A mismatched checksum does not: the decoder stands past the
+// frame, so a container of frames can reject that frame alone and read on.
+// A caller that needs the frame intact fails the decoder itself.
+func (d *Decoder) Frame() (payload []byte, ok bool) {
+	payload = d.Bytes()
+	if d.Len() < 8 {
+		d.truncated()
+		return nil, false
 	}
-	if len(rest) < 8 {
-		return nil, nil, corruptf("truncated frame checksum")
-	}
-	if binary.BigEndian.Uint64(rest) != Fingerprint(payload) {
-		return nil, nil, corruptf("frame checksum mismatch")
-	}
-	return payload, rest[8:], nil
+	sum := binary.BigEndian.Uint64(d.b[d.off:])
+	d.off += 8
+	return payload, sum == Fingerprint(payload)
 }
 
 // Fingerprint hashes b to 64 bits with FNV-1a. On canonical encodings it is

@@ -10,18 +10,25 @@ import (
 	"repro/internal/model"
 )
 
+// decode reads b with read and requires every byte consumed: one complete
+// encoding, the contract each registry decoder keeps with Done.
+func decode[T any](b []byte, read func(*Decoder) T) (T, error) {
+	d := NewDecoder(b)
+	return Result(&d, read(&d))
+}
+
 // TestIntegerRoundTrip: varint/uvarint primitives invert over edge values.
 func TestIntegerRoundTrip(t *testing.T) {
 	for _, x := range []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64} {
-		v, rest, err := DecodeUvarint(AppendUvarint(nil, x))
-		if err != nil || len(rest) != 0 || v != x {
-			t.Fatalf("uvarint %d: got %d, rest %d, err %v", x, v, len(rest), err)
+		v, err := decode(AppendUvarint(nil, x), (*Decoder).Uvarint)
+		if err != nil || v != x {
+			t.Fatalf("uvarint %d: got %d, err %v", x, v, err)
 		}
 	}
 	for _, x := range []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64} {
-		v, rest, err := DecodeVarint(AppendVarint(nil, x))
-		if err != nil || len(rest) != 0 || v != x {
-			t.Fatalf("varint %d: got %d, rest %d, err %v", x, v, len(rest), err)
+		v, err := decode(AppendVarint(nil, x), (*Decoder).Varint)
+		if err != nil || v != x {
+			t.Fatalf("varint %d: got %d, err %v", x, v, err)
 		}
 	}
 }
@@ -30,20 +37,20 @@ func TestIntegerRoundTrip(t *testing.T) {
 // byte-equal.
 func TestPrimitiveRoundTrip(t *testing.T) {
 	for _, v := range []bool{false, true} {
-		got, rest, err := DecodeBool(AppendBool(nil, v))
-		if err != nil || len(rest) != 0 || got != v {
+		got, err := decode(AppendBool(nil, v), (*Decoder).Bool)
+		if err != nil || got != v {
 			t.Fatalf("bool %v: got %v, err %v", v, got, err)
 		}
 	}
 	for _, s := range []string{"", "a", "héllo wörld", string([]byte{0, 255, 1})} {
-		got, rest, err := DecodeString(AppendString(nil, s))
-		if err != nil || len(rest) != 0 || got != s {
+		got, err := decode(AppendString(nil, s), (*Decoder).Str)
+		if err != nil || got != s {
 			t.Fatalf("string %q: got %q, err %v", s, got, err)
 		}
 	}
 	blob := []byte{9, 8, 7, 0}
-	got, rest, err := DecodeBytes(AppendBytes(nil, blob))
-	if err != nil || len(rest) != 0 || !bytes.Equal(got, blob) {
+	got, err := decode(AppendBytes(nil, blob), (*Decoder).Bytes)
+	if err != nil || !bytes.Equal(got, blob) {
 		t.Fatalf("bytes: got %v, err %v", got, err)
 	}
 }
@@ -70,9 +77,9 @@ func values() []model.Value {
 func TestValueRoundTrip(t *testing.T) {
 	for _, v := range values() {
 		enc := AppendValue(nil, v)
-		got, rest, err := DecodeValue(enc)
-		if err != nil || len(rest) != 0 {
-			t.Fatalf("value %s: err %v, rest %d", v, err, len(rest))
+		got, err := decode(enc, (*Decoder).Value)
+		if err != nil {
+			t.Fatalf("value %s: err %v", v, err)
 		}
 		if !got.Equal(v) {
 			t.Fatalf("value %s decoded to %s", v, got)
@@ -106,17 +113,17 @@ func TestDecodeValueDepthBound(t *testing.T) {
 		list, mixed bool
 	}{{"pairs", false, false}, {"lists", true, false}, {"mixed", false, true}} {
 		enc := AppendValue(nil, nested(maxValueDepth, shape.list, shape.mixed))
-		got, rest, err := DecodeValue(enc)
-		if err != nil || len(rest) != 0 || !bytes.Equal(AppendValue(nil, got), enc) {
-			t.Fatalf("%s at depth %d: err %v, rest %d", shape.name, maxValueDepth, err, len(rest))
+		got, err := decode(enc, (*Decoder).Value)
+		if err != nil || !bytes.Equal(AppendValue(nil, got), enc) {
+			t.Fatalf("%s at depth %d: err %v", shape.name, maxValueDepth, err)
 		}
 		enc = AppendValue(nil, nested(maxValueDepth+1, shape.list, shape.mixed))
-		if _, _, err := DecodeValue(enc); !errors.Is(err, ErrCorrupt) {
+		if _, err := decode(enc, (*Decoder).Value); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s at depth %d: err = %v, want ErrCorrupt", shape.name, maxValueDepth+1, err)
 		}
 	}
 	tags := bytes.Repeat([]byte{byte(model.KindPair)}, 200_000)
-	if _, _, err := DecodeValue(tags); !errors.Is(err, ErrCorrupt) {
+	if _, err := decode(tags, (*Decoder).Value); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("200000 pair tags: err = %v, want ErrCorrupt", err)
 	}
 }
@@ -124,13 +131,13 @@ func TestDecodeValueDepthBound(t *testing.T) {
 // TestOpStampSetRoundTrip: the composite model types invert.
 func TestOpStampSetRoundTrip(t *testing.T) {
 	op := model.Op{Name: "addAfter", Arg: model.Pair(model.Str("a"), model.Str("b"))}
-	gotOp, rest, err := DecodeOp(AppendOp(nil, op))
-	if err != nil || len(rest) != 0 || gotOp.Name != op.Name || !gotOp.Arg.Equal(op.Arg) {
+	gotOp, err := decode(AppendOp(nil, op), (*Decoder).Op)
+	if err != nil || gotOp.Name != op.Name || !gotOp.Arg.Equal(op.Arg) {
 		t.Fatalf("op: got %v, err %v", gotOp, err)
 	}
 	st := model.Stamp{N: -3, Node: 7}
-	gotSt, rest, err := DecodeStamp(AppendStamp(nil, st))
-	if err != nil || len(rest) != 0 || gotSt != st {
+	gotSt, err := decode(AppendStamp(nil, st), (*Decoder).Stamp)
+	if err != nil || gotSt != st {
 		t.Fatalf("stamp: got %v, err %v", gotSt, err)
 	}
 	s := model.NewValueSet()
@@ -138,8 +145,8 @@ func TestOpStampSetRoundTrip(t *testing.T) {
 	s.Add(model.Str("a"))
 	s.Add(model.Int(5))
 	enc := AppendValueSet(nil, s)
-	gotSet, rest, err := DecodeValueSet(enc)
-	if err != nil || len(rest) != 0 || !model.List(gotSet.Elems()...).Equal(model.List(s.Elems()...)) {
+	gotSet, err := decode(enc, (*Decoder).ValueSet)
+	if err != nil || !model.List(gotSet.Elems()...).Equal(model.List(s.Elems()...)) {
 		t.Fatalf("set: got %v, err %v", gotSet, err)
 	}
 	if !bytes.Equal(AppendValueSet(nil, gotSet), enc) {
@@ -165,8 +172,8 @@ func TestRatRoundTrip(t *testing.T) {
 		new(big.Rat).SetFrac(new(big.Int).Lsh(big.NewInt(1), 100), big.NewInt(3)),
 	} {
 		enc := AppendRat(nil, r)
-		got, rest, err := DecodeRat(enc)
-		if err != nil || len(rest) != 0 || got.Cmp(r) != 0 {
+		got, err := decode(enc, (*Decoder).Rat)
+		if err != nil || got.Cmp(r) != 0 {
 			t.Fatalf("rat %s: got %s, err %v", r, got, err)
 		}
 		if !bytes.Equal(AppendRat(nil, got), enc) {
@@ -179,49 +186,89 @@ func TestRatRoundTrip(t *testing.T) {
 // wrapping ErrCorrupt — the sentinel contract the wire layer relies on.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	overlong := bytes.Repeat([]byte{0xff}, 11) // uvarint overflow
+	var (
+		uvarint  = (*Decoder).Uvarint
+		varint   = (*Decoder).Varint
+		str      = (*Decoder).Str
+		value    = (*Decoder).Value
+		valueSet = (*Decoder).ValueSet
+		rat      = (*Decoder).Rat
+	)
 	cases := []struct {
 		name string
 		err  error
 	}{
-		{"uvarint empty", errOf2(DecodeUvarint(nil))},
-		{"uvarint overflow", errOf2(DecodeUvarint(overlong))},
-		{"uvarint over-long zero", errOf2(DecodeUvarint([]byte{0x80, 0x00}))},
-		{"uvarint over-long 1", errOf2(DecodeUvarint([]byte{0x81, 0x80, 0x00}))},
-		{"varint empty", errOf2(DecodeVarint(nil))},
-		{"varint over-long -1", errOf2(DecodeVarint([]byte{0x81, 0x00}))},
-		{"string length over-long", errOf2(DecodeString([]byte{0x81, 0x00, 'a'}))},
-		{"bool empty", errOf2(DecodeBool(nil))},
-		{"bool byte 2", errOf2(DecodeBool([]byte{2}))},
-		{"string truncated", errOf2(DecodeString([]byte{5, 'a'}))},
-		{"bytes truncated", errOf2(DecodeBytes([]byte{200, 1}))},
-		{"tag empty", errOf2(DecodeTag(nil))},
-		{"value empty", errOf2(DecodeValue(nil))},
-		{"value unknown kind", errOf2(DecodeValue([]byte{0xee}))},
-		{"value bool byte 7", errOf2(DecodeValue(append(AppendValue(nil, model.Bool(true))[:1], 7)))},
-		{"list count overruns", errOf2(DecodeValue(append([]byte{AppendValue(nil, model.List())[0]}, 200, 1)))},
-		{"pair truncated", errOf2(DecodeValue(AppendValue(nil, model.Pair(model.Int(1), model.Int(2)))[:2]))},
-		{"op truncated", errOf3(DecodeOp(AppendOp(nil, model.Op{Name: "inc", Arg: model.Int(1)})[:3]))},
-		{"stamp truncated", errOf3(DecodeStamp(nil))},
-		{"set count overruns", errOf2(DecodeValueSet([]byte{200, 1}))},
-		{"set out of order", errOf2(DecodeValueSet(rawSet(model.Int(2), model.Int(1))))},
-		{"set element repeated", errOf2(DecodeValueSet(rawSet(model.Str("a"), model.Str("a"))))},
-		{"rat empty", errOf2(DecodeRat(nil))},
-		{"rat sign 3", errOf2(DecodeRat([]byte{3}))},
-		{"rat zero numerator", errOf2(DecodeRat([]byte{1, 0, 1, 2}))},
-		{"rat zero denominator", errOf2(DecodeRat([]byte{1, 1, 2, 0}))},
-		{"rat not lowest terms", errOf2(DecodeRat([]byte{1, 1, 2, 1, 4}))},
-		{"rat numerator with a leading zero byte", errOf2(DecodeRat([]byte{1, 2, 0, 1, 1, 2}))},
-		{"rat denominator with a leading zero byte", errOf2(DecodeRat([]byte{2, 1, 1, 2, 0, 3}))},
-		{"rat zero magnitude byte", errOf2(DecodeRat([]byte{1, 1, 0, 1, 2}))},
-		{"rat zero with payload trailing", Done(mustRest(DecodeRat([]byte{0, 1, 2})))},
-		{"frame truncated checksum", errOf2(DecodeFrame(AppendFrame(nil, []byte("abc"))[:5]))},
-		{"done trailing", Done([]byte{1})},
-		{"bad tag", BadTag(9)},
+		{"uvarint empty", errOf(decode(nil, uvarint))},
+		{"uvarint overflow", errOf(decode(overlong, uvarint))},
+		{"uvarint over-long zero", errOf(decode([]byte{0x80, 0x00}, uvarint))},
+		{"uvarint over-long 1", errOf(decode([]byte{0x81, 0x80, 0x00}, uvarint))},
+		{"varint empty", errOf(decode(nil, varint))},
+		{"varint over-long -1", errOf(decode([]byte{0x81, 0x00}, varint))},
+		{"string length over-long", errOf(decode([]byte{0x81, 0x00, 'a'}, str))},
+		{"bool empty", errOf(decode(nil, (*Decoder).Bool))},
+		{"bool byte 2", errOf(decode([]byte{2}, (*Decoder).Bool))},
+		{"string truncated", errOf(decode([]byte{5, 'a'}, str))},
+		{"bytes truncated", errOf(decode([]byte{200, 1}, (*Decoder).Bytes))},
+		{"count overruns", errOf(decode([]byte{3, 1, 2}, (*Decoder).Count))},
+		{"tag empty", errOf(decode(nil, (*Decoder).Tag))},
+		{"value empty", errOf(decode(nil, value))},
+		{"value unknown kind", errOf(decode([]byte{0xee}, value))},
+		{"value bool byte 7", errOf(decode(append(AppendValue(nil, model.Bool(true))[:1], 7), value))},
+		{"list count overruns", errOf(decode(append([]byte{AppendValue(nil, model.List())[0]}, 200, 1), value))},
+		{"pair truncated", errOf(decode(AppendValue(nil, model.Pair(model.Int(1), model.Int(2)))[:2], value))},
+		{"op truncated", errOf(decode(AppendOp(nil, model.Op{Name: "inc", Arg: model.Int(1)})[:3], (*Decoder).Op))},
+		{"stamp truncated", errOf(decode(nil, (*Decoder).Stamp))},
+		{"set count overruns", errOf(decode([]byte{200, 1}, valueSet))},
+		{"set out of order", errOf(decode(rawSet(model.Int(2), model.Int(1)), valueSet))},
+		{"set element repeated", errOf(decode(rawSet(model.Str("a"), model.Str("a")), valueSet))},
+		{"rat empty", errOf(decode(nil, rat))},
+		{"rat sign 3", errOf(decode([]byte{3}, rat))},
+		{"rat zero numerator", errOf(decode([]byte{1, 0, 1, 2}, rat))},
+		{"rat zero denominator", errOf(decode([]byte{1, 1, 2, 0}, rat))},
+		{"rat not lowest terms", errOf(decode([]byte{1, 1, 2, 1, 4}, rat))},
+		{"rat numerator with a leading zero byte", errOf(decode([]byte{1, 2, 0, 1, 1, 2}, rat))},
+		{"rat denominator with a leading zero byte", errOf(decode([]byte{2, 1, 1, 2, 0, 3}, rat))},
+		{"rat zero magnitude byte", errOf(decode([]byte{1, 1, 0, 1, 2}, rat))},
+		{"rat zero with payload trailing", errOf(decode([]byte{0, 1, 2}, rat))},
+		{"frame truncated checksum", errOf(decode(AppendFrame(nil, []byte("abc"))[:5], frame))},
+		{"done trailing", errOf(decode([]byte{1}, func(*Decoder) int { return 0 }))},
+		{"bad tag", errOf(decode([]byte{9}, func(d *Decoder) byte {
+			tag := d.Tag()
+			d.Fail("unknown effector tag %d", tag)
+			return tag
+		}))},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", c.name, c.err)
 		}
+	}
+}
+
+// TestDecoderFailureSticks: the first failure is the one Done reports, and
+// every read after it returns its zero value and consumes nothing, even
+// where bytes that would decode are left.
+func TestDecoderFailureSticks(t *testing.T) {
+	b := AppendBool(nil, true)
+	b = append(b, 7) // a bool byte that is neither 0 nor 1
+	b = AppendVarint(b, -5)
+	b = AppendString(b, "abc")
+	b = AppendValue(b, model.List(model.Int(1)))
+	d := NewDecoder(b)
+	if !d.Bool() || d.Err() != nil {
+		t.Fatalf("first bool: err %v", d.Err())
+	}
+	d.Bool()
+	first := d.Err()
+	if !errors.Is(first, ErrCorrupt) || d.Len() != 0 {
+		t.Fatalf("bool byte 7: err %v, %d bytes left", first, d.Len())
+	}
+	if x, s, v, n := d.Varint(), d.Str(), d.Value(), d.Count(); x != 0 || s != "" || !v.IsNil() || n != 0 {
+		t.Fatalf("reads after the failure returned %d, %q, %s, %d", x, s, v, n)
+	}
+	d.Fail("a later failure")
+	if err := d.Done(); err != first {
+		t.Fatalf("Done = %v, want the first failure %v", err, first)
 	}
 }
 
@@ -234,26 +281,34 @@ func rawSet(vs ...model.Value) []byte {
 	return b
 }
 
-// errOf2/errOf3 project the error out of 3- and 4-result decoders so the
-// table stays readable.
-func errOf2[A any](_ A, _ []byte, err error) error     { return err }
-func errOf3[A, B any](_ A, _ B, err error) error       { return err }
-func mustRest[A any](_ A, rest []byte, _ error) []byte { return rest }
+// errOf projects the error out of a decode so the table stays readable.
+func errOf[T any](_ T, err error) error { return err }
+
+// frame reads one frame and fails the decoder on a checksum mismatch, as
+// the wire decoders do.
+func frame(d *Decoder) []byte {
+	p, ok := d.Frame()
+	if !ok {
+		d.Fail("frame checksum mismatch")
+	}
+	return p
+}
 
 // TestFrameDetectsEveryBitFlip: any single-bit flip anywhere in a frame —
-// length prefix, payload or checksum — is rejected by DecodeFrame. This is
-// the property the simulator's corruption fault leans on.
+// length prefix, payload or checksum — is rejected by Frame, as a frame cut
+// short or a checksum mismatch. This is the property the simulator's
+// corruption fault leans on.
 func TestFrameDetectsEveryBitFlip(t *testing.T) {
 	payload := []byte("canonical payload \x00\x01\x02")
-	frame := AppendFrame(nil, payload)
-	if got, rest, err := DecodeFrame(frame); err != nil || len(rest) != 0 || !bytes.Equal(got, payload) {
+	enc := AppendFrame(nil, payload)
+	if got, err := decode(enc, frame); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("clean frame failed: %v", err)
 	}
-	for bit := 0; bit < len(frame)*8; bit++ {
-		mangled := append([]byte(nil), frame...)
+	for bit := 0; bit < len(enc)*8; bit++ {
+		mangled := append([]byte(nil), enc...)
 		mangled[bit/8] ^= 1 << (bit % 8)
-		got, rest, err := DecodeFrame(mangled)
-		if err == nil && len(rest) == 0 && bytes.Equal(got, payload) {
+		got, err := decode(mangled, frame)
+		if err == nil && bytes.Equal(got, payload) {
 			t.Fatalf("bit flip %d went undetected", bit)
 		}
 		if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -263,17 +318,18 @@ func TestFrameDetectsEveryBitFlip(t *testing.T) {
 }
 
 // TestFrameConcatenation: frames are self-delimiting — two frames decode in
-// sequence.
+// sequence, and a frame whose checksum does not match is reported without
+// failing the decoder, which stands past it.
 func TestFrameConcatenation(t *testing.T) {
 	b := AppendFrame(nil, []byte("one"))
+	b[len(b)-1] ^= 1
 	b = AppendFrame(b, []byte("two"))
-	p1, rest, err := DecodeFrame(b)
-	if err != nil || string(p1) != "one" {
-		t.Fatalf("first frame: %q, %v", p1, err)
+	d := NewDecoder(b)
+	if p1, ok := d.Frame(); ok || d.Err() != nil || string(p1) != "one" {
+		t.Fatalf("first frame: %q, checksum ok %v, err %v", p1, ok, d.Err())
 	}
-	p2, rest, err := DecodeFrame(rest)
-	if err != nil || string(p2) != "two" || len(rest) != 0 {
-		t.Fatalf("second frame: %q, %v, rest %d", p2, err, len(rest))
+	if p2, ok := d.Frame(); !ok || string(p2) != "two" || d.Done() != nil {
+		t.Fatalf("second frame: %q, checksum ok %v, err %v", p2, ok, d.Done())
 	}
 }
 
@@ -301,22 +357,25 @@ func FuzzValue(f *testing.F) {
 	f.Add(AppendValue(AppendValue(nil, model.Int(-1)), model.Str("")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var vs []model.Value
-		for rest := data; len(vs) < 2 && len(rest) > 0; {
-			v, next, err := DecodeValue(rest)
-			if err != nil {
+		d := NewDecoder(data)
+		for len(vs) < 2 && d.Len() > 0 {
+			start := len(data) - d.Len()
+			v := d.Value()
+			if err := d.Err(); err != nil {
 				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("%x: err = %v, want ErrCorrupt", rest, err)
+					t.Fatalf("%x: err = %v, want ErrCorrupt", data[start:], err)
 				}
 				break
 			}
-			if enc := AppendValue(nil, v); !bytes.Equal(enc, rest[:len(rest)-len(next)]) {
-				t.Fatalf("%x decoded to %s, which encodes as %x", rest[:len(rest)-len(next)], v, enc)
+			read := data[start : len(data)-d.Len()]
+			if enc := AppendValue(nil, v); !bytes.Equal(enc, read) {
+				t.Fatalf("%x decoded to %s, which encodes as %x", read, v, enc)
 			}
 			checkAccessors(t, v)
 			if v.Compare(v) != 0 || !v.Equal(v) {
 				t.Fatalf("%s does not equal itself", v)
 			}
-			vs, rest = append(vs, v), next
+			vs = append(vs, v)
 		}
 		if len(vs) < 2 {
 			return

@@ -695,8 +695,8 @@ func notes(c *sim.Cluster) []fmt.Stringer {
 // (WithWireCodec, so every broadcast already exercises encode→frame→decode in
 // transit), and then requires, for everything the run reached:
 //
-//   - ops and return values: DecodeOp/DecodeValue invert AppendOp/AppendValue
-//     and re-encoding reproduces the exact bytes;
+//   - ops and return values: Decoder.Op and Decoder.Value invert AppendOp
+//     and AppendValue, and re-encoding reproduces the exact bytes;
 //   - effectors: the registered EffectorDecoder inverts AppendBinary, the
 //     decoded effector re-encodes byte-equal and renders the same String;
 //   - replica states: the registered StateDecoder inverts AppendBinary and
@@ -724,16 +724,18 @@ func codecChecks(alg registry.Algorithm, cfg Config) error {
 		}
 		for i, ev := range c.Trace() {
 			enc := codec.AppendOp(nil, ev.Op)
-			op, rest, err := codec.DecodeOp(enc)
-			if err != nil || len(rest) != 0 {
+			d := codec.NewDecoder(enc)
+			op := d.Op()
+			if err := d.Done(); err != nil {
 				return fmt.Errorf("seed %d event %d: op %s did not round-trip: %v", seed, i, ev.Op, err)
 			}
 			if !bytes.Equal(codec.AppendOp(nil, op), enc) {
 				return fmt.Errorf("seed %d event %d: op %s re-encoded differently", seed, i, ev.Op)
 			}
 			enc = codec.AppendValue(nil, ev.Ret)
-			v, rest, err := codec.DecodeValue(enc)
-			if err != nil || len(rest) != 0 {
+			d = codec.NewDecoder(enc)
+			v := d.Value()
+			if err := d.Done(); err != nil {
 				return fmt.Errorf("seed %d event %d: value %s did not round-trip: %v", seed, i, ev.Ret, err)
 			}
 			if !bytes.Equal(codec.AppendValue(nil, v), enc) {

@@ -32,56 +32,23 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes an add-wins-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	adds, rest, err := tagged.DecodeMap(b)
-	if err != nil {
-		return nil, err
-	}
-	dead, rest, err := tagged.DecodeKeys(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{Adds: adds, Dead: dead}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{Adds: tagged.ReadMap(&d), Dead: tagged.ReadKeys(&d)})
 }
 
 // DecodeEffector decodes an add-wins-set effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAdd:
-		in, rest, err := tagged.DecodeInst(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return AddEff{E: in.E, T: in.T}, nil
+		in := tagged.ReadInst(&d)
+		eff = AddEff{E: in.E, T: in.T}
 	case tagRmv:
-		var d RmvEff
-		d.E, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		d.Insts, rest, err = tagged.DecodeInsts(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return d, nil
+		eff = RmvEff{E: d.Value(), Insts: tagged.ReadInsts(&d)}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

@@ -18,38 +18,20 @@ func (d AddEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes a counter state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	v, rest, err := codec.DecodeVarint(b)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{V: v}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{V: d.Varint()})
 }
 
 // DecodeEffector decodes a counter effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAdd:
-		n, rest, err := codec.DecodeVarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return AddEff{N: n}, nil
+		eff = AddEff{N: d.Varint()}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

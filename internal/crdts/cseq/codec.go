@@ -21,20 +21,9 @@ func appendComp(b []byte, c Comp) []byte {
 	return codec.AppendVarint(b, c.Seq)
 }
 
-func decodeComp(b []byte) (Comp, []byte, error) {
-	r, rest, err := codec.DecodeRat(b)
-	if err != nil {
-		return Comp{}, nil, err
-	}
-	node, rest, err := codec.DecodeVarint(rest)
-	if err != nil {
-		return Comp{}, nil, err
-	}
-	seq, rest, err := codec.DecodeVarint(rest)
-	if err != nil {
-		return Comp{}, nil, err
-	}
-	return Comp{R: r, Node: model.NodeID(node), Seq: seq}, rest, nil
+// readComp reads a component written by appendComp.
+func readComp(d *codec.Decoder) Comp {
+	return Comp{R: d.Rat(), Node: model.NodeID(d.Varint()), Seq: d.Varint()}
 }
 
 // appendTag appends a position tag: its component path, count-prefixed.
@@ -46,21 +35,13 @@ func appendTag(b []byte, t Tag) []byte {
 	return b
 }
 
-func decodeTag(b []byte) (Tag, []byte, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return Tag{}, nil, err
-	}
+// readTag reads a tag written by appendTag.
+func readTag(d *codec.Decoder) Tag {
 	var t Tag
-	for i := uint64(0); i < n; i++ {
-		var c Comp
-		c, rest, err = decodeComp(rest)
-		if err != nil {
-			return Tag{}, nil, err
-		}
-		t.Path = append(t.Path, c)
+	for range d.Count() {
+		t.Path = append(t.Path, readComp(d))
 	}
-	return t, rest, nil
+	return t
 }
 
 // AppendBinary implements crdt.State: the added records in sorted key order
@@ -101,97 +82,38 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 // DecodeState decodes a continuous-sequence state encoded by
 // State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
+	d := codec.NewDecoder(b)
 	st := State{Added: map[string]rec{}}
 	var prev string
-	for i := uint64(0); i < n; i++ {
-		var r rec
-		r.E, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		r.T, rest, err = decodeTag(rest)
-		if err != nil {
-			return nil, err
-		}
-		r.Anchor, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
+	for i := range d.Count() {
+		r := rec{E: d.Value(), T: readTag(&d), Anchor: d.Value()}
 		k := r.E.String()
-		if err := codec.Ascending(i, prev, k); err != nil {
-			return nil, err
-		}
+		d.Ascending(i, prev, k)
 		st.Added[k], prev = r, k
 	}
-	st.Dead, rest, err = codec.DecodeValueSet(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return st, nil
+	st.Dead = d.ValueSet()
+	return codec.Result[crdt.State](&d, st)
 }
 
 // DecodeEffector decodes a continuous-sequence effector encoded by
 // AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAdd:
-		var d AddEff
-		d.Anchor, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
+		a := AddEff{Anchor: d.Value()}
+		if d.Bool() {
+			at := readTag(&d)
+			a.ATag = &at
 		}
-		var hasATag bool
-		hasATag, rest, err = codec.DecodeBool(rest)
-		if err != nil {
-			return nil, err
-		}
-		if hasATag {
-			var at Tag
-			at, rest, err = decodeTag(rest)
-			if err != nil {
-				return nil, err
-			}
-			d.ATag = &at
-		}
-		d.T, rest, err = decodeTag(rest)
-		if err != nil {
-			return nil, err
-		}
-		d.B, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return d, nil
+		a.T, a.B = readTag(&d), d.Value()
+		eff = a
 	case tagRmv:
-		var e model.Value
-		e, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return RmvEff{E: e}, nil
+		eff = RmvEff{E: d.Value()}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

@@ -18,38 +18,20 @@ func (d AddEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes a g-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	elems, rest, err := codec.DecodeValueSet(b)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{Elems: elems}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{Elems: d.ValueSet()})
 }
 
 // DecodeEffector decodes a g-set effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAdd:
-		e, rest, err := codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return AddEff{E: e}, nil
+		eff = AddEff{E: d.Value()}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

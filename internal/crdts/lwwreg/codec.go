@@ -22,46 +22,20 @@ func (d WrEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes an LWW-register state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	cur, rest, err := codec.DecodeValue(b)
-	if err != nil {
-		return nil, err
-	}
-	ts, rest, err := codec.DecodeStamp(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{Cur: cur, TS: ts}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{Cur: d.Value(), TS: d.Stamp()})
 }
 
 // DecodeEffector decodes an LWW-register effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagWrite:
-		v, rest, err := codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		i, rest, err := codec.DecodeStamp(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return WrEff{V: v, I: i}, nil
+		eff = WrEff{V: d.Value(), I: d.Stamp()}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

@@ -47,70 +47,31 @@ func (d OpEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes an LWW-element-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
+	d := codec.NewDecoder(b)
 	st := State{Entries: map[string]entry{}, Elems: map[string]model.Value{}}
 	var prev string
-	for i := uint64(0); i < n; i++ {
-		var e model.Value
-		e, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		var ts model.Stamp
-		ts, rest, err = codec.DecodeStamp(rest)
-		if err != nil {
-			return nil, err
-		}
-		var present bool
-		present, rest, err = codec.DecodeBool(rest)
-		if err != nil {
-			return nil, err
-		}
+	for i := range d.Count() {
+		e := d.Value()
+		en := entry{TS: d.Stamp(), Present: d.Bool()}
 		k := e.String()
-		if err := codec.Ascending(i, prev, k); err != nil {
-			return nil, err
-		}
-		st.Entries[k] = entry{TS: ts, Present: present}
-		st.Elems[k], prev = e, k
+		d.Ascending(i, prev, k)
+		st.Entries[k], prev = en, k
+		st.Elems[k] = e
 	}
-	st.TS, rest, err = codec.DecodeStamp(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return st, nil
+	st.TS = d.Stamp()
+	return codec.Result[crdt.State](&d, st)
 }
 
 // DecodeEffector decodes an LWW-element-set effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
+	case codec.TagIdentity:
+	case tagAdd, tagRmv:
+		eff = OpEff{E: d.Value(), I: d.Stamp(), Present: tag == tagAdd}
+	default:
+		d.Fail("unknown effector tag %d", tag)
 	}
-	if tag == codec.TagIdentity {
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
-	}
-	if tag != tagAdd && tag != tagRmv {
-		return nil, codec.BadTag(tag)
-	}
-	e, rest, err := codec.DecodeValue(rest)
-	if err != nil {
-		return nil, err
-	}
-	i, rest, err := codec.DecodeStamp(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return OpEff{E: e, I: i, Present: tag == tagAdd}, nil
+	return codec.Result(&d, eff)
 }

@@ -1,7 +1,6 @@
 package rga
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/codec"
@@ -50,54 +49,27 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 // notSentinel rejects an element equal to ◦. Fig 2's assume keeps ◦ out of
 // N, and trav relies on it: every element has one parent, so a cycle that
 // trav could reach from ◦ must pass through an element equal to ◦.
-func notSentinel(b model.Value) error {
+func notSentinel(d *codec.Decoder, b model.Value) {
 	if b.Equal(spec.Sentinel) {
-		return fmt.Errorf("%w: rga element %s is the sentinel", codec.ErrCorrupt, b)
+		d.Fail("rga element %s is the sentinel", b)
 	}
-	return nil
 }
 
 // DecodeState decodes an RGA state encoded by State.AppendBinary and
 // rebuilds its sibling index.
 func DecodeState(b []byte) (crdt.State, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
+	d := codec.NewDecoder(b)
 	st := State{N: map[string]Triple{}}
 	var prev string
-	for i := uint64(0); i < n; i++ {
-		var t Triple
-		t.A, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		t.I, rest, err = codec.DecodeStamp(rest)
-		if err != nil {
-			return nil, err
-		}
-		t.B, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := notSentinel(t.B); err != nil {
-			return nil, err
-		}
+	for i := range d.Count() {
+		t := Triple{A: d.Value(), I: d.Stamp(), B: d.Value()}
+		notSentinel(&d, t.B)
 		k := t.B.String()
-		if err := codec.Ascending(i, prev, k); err != nil {
-			return nil, err
-		}
+		d.Ascending(i, prev, k)
 		st.N[k], prev = t, k
 	}
-	st.T, rest, err = codec.DecodeValueSet(rest)
-	if err != nil {
-		return nil, err
-	}
-	st.TS, rest, err = codec.DecodeStamp(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
+	st.T, st.TS = d.ValueSet(), d.Stamp()
+	if err := d.Done(); err != nil {
 		return nil, err
 	}
 	st.kids = index(st.N)
@@ -106,48 +78,18 @@ func DecodeState(b []byte) (crdt.State, error) {
 
 // DecodeEffector decodes an RGA effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAddAft:
-		var d AddAftEff
-		d.A, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		d.I, rest, err = codec.DecodeStamp(rest)
-		if err != nil {
-			return nil, err
-		}
-		d.B, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := notSentinel(d.B); err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return d, nil
+		a := AddAftEff{A: d.Value(), I: d.Stamp(), B: d.Value()}
+		notSentinel(&d, a.B)
+		eff = a
 	case tagRmv:
-		var a model.Value
-		a, rest, err = codec.DecodeValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return RmvEff{A: a}, nil
+		eff = RmvEff{A: d.Value()}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

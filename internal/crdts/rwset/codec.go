@@ -34,60 +34,24 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes a remove-wins-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	adds, rest, err := tagged.DecodeMap(b)
-	if err != nil {
-		return nil, err
-	}
-	rmvs, rest, err := tagged.DecodeMap(rest)
-	if err != nil {
-		return nil, err
-	}
-	cancelled, rest, err := tagged.DecodeKeys(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{Adds: adds, Rmvs: rmvs, Cancelled: cancelled}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{Adds: tagged.ReadMap(&d), Rmvs: tagged.ReadMap(&d), Cancelled: tagged.ReadKeys(&d)})
 }
 
 // DecodeEffector decodes a remove-wins-set effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
 	case codec.TagIdentity:
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
 	case tagAdd:
-		in, rest, err := tagged.DecodeInst(rest)
-		if err != nil {
-			return nil, err
-		}
-		d := AddEff{E: in.E, T: in.T}
-		d.Cancels, rest, err = tagged.DecodeInsts(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return d, nil
+		in := tagged.ReadInst(&d)
+		eff = AddEff{E: in.E, T: in.T, Cancels: tagged.ReadInsts(&d)}
 	case tagRmv:
-		in, rest, err := tagged.DecodeInst(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return RmvEff{E: in.E, T: in.T}, nil
+		in := tagged.ReadInst(&d)
+		eff = RmvEff{E: in.E, T: in.T}
 	default:
-		return nil, codec.BadTag(tag)
+		d.Fail("unknown effector tag %d", tag)
 	}
+	return codec.Result(&d, eff)
 }

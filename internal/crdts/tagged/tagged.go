@@ -48,21 +48,9 @@ func AppendInst(b []byte, in Inst) []byte {
 	return codec.AppendVarint(b, in.T.Seq)
 }
 
-// DecodeInst decodes an instance encoded by AppendInst.
-func DecodeInst(b []byte) (Inst, []byte, error) {
-	e, rest, err := codec.DecodeValue(b)
-	if err != nil {
-		return Inst{}, nil, err
-	}
-	node, rest, err := codec.DecodeVarint(rest)
-	if err != nil {
-		return Inst{}, nil, err
-	}
-	seq, rest, err := codec.DecodeVarint(rest)
-	if err != nil {
-		return Inst{}, nil, err
-	}
-	return Inst{E: e, T: Tag{Node: model.NodeID(node), Seq: seq}}, rest, nil
+// ReadInst reads an instance encoded by AppendInst.
+func ReadInst(d *codec.Decoder) Inst {
+	return Inst{E: d.Value(), T: Tag{Node: model.NodeID(d.Varint()), Seq: d.Varint()}}
 }
 
 // AppendInsts appends a count, then the instances in order.
@@ -74,22 +62,13 @@ func AppendInsts(b []byte, ins []Inst) []byte {
 	return b
 }
 
-// DecodeInsts decodes instances encoded by AppendInsts.
-func DecodeInsts(b []byte) ([]Inst, []byte, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
+// ReadInsts reads instances encoded by AppendInsts.
+func ReadInsts(d *codec.Decoder) []Inst {
 	var out []Inst
-	for i := uint64(0); i < n; i++ {
-		var in Inst
-		in, rest, err = DecodeInst(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		out = append(out, in)
+	for range d.Count() {
+		out = append(out, ReadInst(d))
 	}
-	return out, rest, nil
+	return out
 }
 
 // AppendMap appends an instance map keyed by Inst.Key, in key order.
@@ -102,27 +81,17 @@ func AppendMap(b []byte, m map[string]Inst) []byte {
 	return b
 }
 
-// DecodeMap decodes an instance map encoded by AppendMap.
-func DecodeMap(b []byte) (map[string]Inst, []byte, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
+// ReadMap reads an instance map encoded by AppendMap.
+func ReadMap(d *codec.Decoder) map[string]Inst {
 	m := map[string]Inst{}
 	var prev string
-	for i := uint64(0); i < n; i++ {
-		var in Inst
-		in, rest, err = DecodeInst(rest)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i := range d.Count() {
+		in := ReadInst(d)
 		k := in.Key()
-		if err := codec.Ascending(i, prev, k); err != nil {
-			return nil, nil, err
-		}
+		d.Ascending(i, prev, k)
 		m[k], prev = in, k
 	}
-	return m, rest, nil
+	return m
 }
 
 // AppendKeys appends a set of instance keys, in order. The keys travel as
@@ -137,26 +106,16 @@ func AppendKeys(b []byte, m map[string]bool) []byte {
 	return b
 }
 
-// DecodeKeys decodes a key set encoded by AppendKeys.
-func DecodeKeys(b []byte) (map[string]bool, []byte, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
+// ReadKeys reads a key set encoded by AppendKeys.
+func ReadKeys(d *codec.Decoder) map[string]bool {
 	m := map[string]bool{}
 	var prev string
-	for i := uint64(0); i < n; i++ {
-		var k string
-		k, rest, err = codec.DecodeString(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := codec.Ascending(i, prev, k); err != nil {
-			return nil, nil, err
-		}
+	for i := range d.Count() {
+		k := d.Str()
+		d.Ascending(i, prev, k)
 		m[k], prev = true, k
 	}
-	return m, rest, nil
+	return m
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -29,44 +29,22 @@ func (d RmvEff) AppendBinary(b []byte) []byte {
 
 // DecodeState decodes a 2P-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
-	a, rest, err := codec.DecodeValueSet(b)
-	if err != nil {
-		return nil, err
-	}
-	r, rest, err := codec.DecodeValueSet(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	return State{A: a, R: r}, nil
+	d := codec.NewDecoder(b)
+	return codec.Result[crdt.State](&d, State{A: d.ValueSet(), R: d.ValueSet()})
 }
 
 // DecodeEffector decodes a 2P-set effector encoded by AppendBinary.
 func DecodeEffector(b []byte) (crdt.Effector, error) {
-	tag, rest, err := codec.DecodeTag(b)
-	if err != nil {
-		return nil, err
+	d := codec.NewDecoder(b)
+	var eff crdt.Effector = crdt.IdEff{}
+	switch tag := d.Tag(); tag {
+	case codec.TagIdentity:
+	case tagAdd:
+		eff = AddEff{E: d.Value()}
+	case tagRmv:
+		eff = RmvEff{E: d.Value()}
+	default:
+		d.Fail("unknown effector tag %d", tag)
 	}
-	if tag == codec.TagIdentity {
-		if err := codec.Done(rest); err != nil {
-			return nil, err
-		}
-		return crdt.IdEff{}, nil
-	}
-	if tag != tagAdd && tag != tagRmv {
-		return nil, codec.BadTag(tag)
-	}
-	e, rest, err := codec.DecodeValue(rest)
-	if err != nil {
-		return nil, err
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
-	}
-	if tag == tagAdd {
-		return AddEff{E: e}, nil
-	}
-	return RmvEff{E: e}, nil
+	return codec.Result(&d, eff)
 }

@@ -387,12 +387,13 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 
 // decodeWire unwraps one framed payload and decodes the effector inside.
 func (c *Cluster) decodeWire(payload []byte) (crdt.Effector, error) {
-	inner, rest, err := codec.DecodeFrame(payload)
-	if err != nil {
-		return nil, err
+	d := codec.NewDecoder(payload)
+	inner, ok := d.Frame()
+	if !ok {
+		d.Fail("frame checksum mismatch")
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing frame bytes", codec.ErrCorrupt, len(rest))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return c.dec(inner)
 }

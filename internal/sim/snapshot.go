@@ -182,10 +182,12 @@ func (c *Cluster) resyncFresh(t model.NodeID) error {
 	c.net.Clear(t)
 	note := RecoveryNote{Node: t, Tick: c.Now()}
 	if c.snap != nil {
-		inner, rest, err := codec.DecodeFrame(c.snap.wire)
-		if err == nil && len(rest) != 0 {
-			err = fmt.Errorf("%w: %d trailing snapshot bytes", codec.ErrCorrupt, len(rest))
+		d := codec.NewDecoder(c.snap.wire)
+		inner, ok := d.Frame()
+		if !ok {
+			d.Fail("frame checksum mismatch")
 		}
+		err := d.Done()
 		var st crdt.State
 		if err == nil {
 			st, err = c.decState(inner)

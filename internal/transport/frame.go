@@ -93,55 +93,23 @@ func strictlySorted(deps []model.MsgID) bool {
 // Decode parses one inner frame encoding, requiring every byte to be
 // consumed. Malformed input fails with an error wrapping codec.ErrCorrupt.
 func Decode(b []byte) (Frame, error) {
-	var f Frame
-	if len(b) == 0 {
-		return f, fmt.Errorf("%w: empty frame", codec.ErrCorrupt)
-	}
-	f.Kind = b[0]
+	d := codec.NewDecoder(b)
+	f := Frame{Kind: d.Tag()}
 	if !KindValid(f.Kind) {
-		return f, fmt.Errorf("%w: unknown frame kind %d", codec.ErrCorrupt, f.Kind)
+		d.Fail("unknown frame kind %d", f.Kind)
 	}
-	rest := b[1:]
-	obj, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	f.Obj = ObjID(obj)
-	mid, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	f.MID = model.MsgID(mid)
-	from, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	f.From = model.NodeID(from)
-	ndeps, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	for i := uint64(0); i < ndeps; i++ {
-		var d uint64
-		if d, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return f, err
+	f.Obj, f.MID, f.From = ObjID(d.Uvarint()), model.MsgID(d.Uvarint()), model.NodeID(d.Uvarint())
+	for i := range d.Count() {
+		dep := model.MsgID(d.Uvarint())
+		if i > 0 && dep <= f.Deps[i-1] {
+			d.Fail("frame deps not strictly sorted")
 		}
-		if i > 0 && model.MsgID(d) <= f.Deps[len(f.Deps)-1] {
-			return f, fmt.Errorf("%w: frame deps not strictly sorted", codec.ErrCorrupt)
-		}
-		f.Deps = append(f.Deps, model.MsgID(d))
+		f.Deps = append(f.Deps, dep)
 	}
-	payload, rest, err := codec.DecodeBytes(rest)
-	if err != nil {
-		return f, err
+	if p := d.Bytes(); len(p) > 0 {
+		f.Payload = p
 	}
-	if len(payload) > 0 {
-		f.Payload = payload
-	}
-	if err := codec.Done(rest); err != nil {
-		return f, err
-	}
-	return f, nil
+	return codec.Result(&d, f)
 }
 
 // Retain returns a copy of the frame whose payload owns its bytes. Decode
@@ -165,11 +133,12 @@ func EncodeWire(f Frame) []byte { return f.appendWire(make([]byte, 0, f.wireLen(
 // DecodeWire inverts EncodeWire, verifying the checksum envelope and
 // requiring the input to hold exactly one frame.
 func DecodeWire(b []byte) (Frame, error) {
-	inner, rest, err := codec.DecodeFrame(b)
-	if err != nil {
-		return Frame{}, err
+	d := codec.NewDecoder(b)
+	inner, ok := d.Frame()
+	if !ok {
+		d.Fail("frame checksum mismatch")
 	}
-	if err := codec.Done(rest); err != nil {
+	if err := d.Done(); err != nil {
 		return Frame{}, err
 	}
 	return Decode(inner)
@@ -224,40 +193,35 @@ func DecodeBatch(b []byte) ([]Frame, error) { return appendBatch(nil, b) }
 // appendBatch is DecodeBatch appending the decoded frames to frames, so a
 // receive loop can reuse one slice across containers.
 func appendBatch(frames []Frame, b []byte) ([]Frame, error) {
-	count, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: batch count: %v", codec.ErrCorrupt, err)
+	d := codec.NewDecoder(b)
+	count := d.Uvarint()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("batch count: %w", err)
 	}
 	// Every nested envelope takes at least a length byte plus an 8-byte
 	// checksum, so a count beyond that bound is a mangled prefix, not a batch.
-	if count > uint64(len(rest)/9)+1 {
-		return nil, fmt.Errorf("%w: batch count %d exceeds what %d bytes can hold", codec.ErrCorrupt, count, len(rest))
+	if count > uint64(d.Len()/9)+1 {
+		return nil, fmt.Errorf("%w: batch count %d exceeds what %d bytes can hold", codec.ErrCorrupt, count, d.Len())
 	}
 	frames = slices.Grow(frames, int(count))
 	var bad *BatchError
-	reject := func(i uint64, err error) {
+	reject := func(i int, err error) {
 		if bad == nil {
 			bad = &BatchError{First: fmt.Errorf("batch frame %d of %d: %w", i, count, err)}
 		}
-		bad.Rejected = append(bad.Rejected, int(i))
+		bad.Rejected = append(bad.Rejected, i)
 	}
-	for i := uint64(0); i < count; i++ {
-		var inner []byte
-		inner, rest, err = codec.DecodeBytes(rest)
-		if err != nil {
-			// The envelope length prefix would not parse: without it the next
-			// boundary is unknowable, so the rest of the batch is lost, not
-			// just this frame.
-			return frames, fmt.Errorf("%w: batch frame %d of %d: envelope: %v", codec.ErrCorrupt, i, count, err)
+	for i := range int(count) {
+		inner, ok := d.Frame()
+		if err := d.Err(); err != nil {
+			// The envelope would not parse: without its length prefix and
+			// checksum the next boundary is unknowable, so the rest of the
+			// batch is lost, not just this frame.
+			return frames, fmt.Errorf("batch frame %d of %d: envelope: %w", i, count, err)
 		}
-		if len(rest) < 8 {
-			return frames, fmt.Errorf("%w: batch frame %d of %d: truncated checksum", codec.ErrCorrupt, i, count)
-		}
-		sum := binary.BigEndian.Uint64(rest)
-		rest = rest[8:]
 		// From here the boundary is secured by the length prefix just
 		// consumed: checksum or inner-decode failures reject this frame only.
-		if sum != codec.Fingerprint(inner) {
+		if !ok {
 			reject(i, fmt.Errorf("%w: frame checksum mismatch", codec.ErrCorrupt))
 			continue
 		}
@@ -268,7 +232,7 @@ func appendBatch(frames []Frame, b []byte) ([]Frame, error) {
 		}
 		frames = append(frames, f)
 	}
-	if err := codec.Done(rest); err != nil {
+	if err := d.Done(); err != nil {
 		return frames, fmt.Errorf("batch trailing bytes: %w", err)
 	}
 	if bad != nil {

@@ -89,35 +89,15 @@ func (m Manifest) Encode() []byte { return m.Append(nil) }
 // consumed and the entries valid. Malformed input fails with an error
 // wrapping codec.ErrCorrupt.
 func DecodeManifest(b []byte) (Manifest, error) {
-	n, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
+	d := codec.NewDecoder(b)
 	var m Manifest
-	for i := uint64(0); i < n; i++ {
-		var o ObjectSpec
-		var id uint64
-		if id, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return nil, err
-		}
-		o.ID = ObjID(id)
-		var name, kind []byte
-		if name, rest, err = codec.DecodeBytes(rest); err != nil {
-			return nil, err
-		}
-		if kind, rest, err = codec.DecodeBytes(rest); err != nil {
-			return nil, err
-		}
-		o.Name, o.Kind = string(name), string(kind)
-		m = append(m, o)
-	}
-	if err := codec.Done(rest); err != nil {
-		return nil, err
+	for range d.Count() {
+		m = append(m, ObjectSpec{ID: ObjID(d.Uvarint()), Name: d.Str(), Kind: d.Str()})
 	}
 	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
+		d.Fail("%v", err)
 	}
-	return m, nil
+	return codec.Result(&d, m)
 }
 
 // String renders the manifest for diagnostics: "1:accounts/counter,

@@ -299,11 +299,9 @@ func (p *Peer) Handle(f Frame) error {
 	case KindDone:
 		p.observe(f.MID)
 		p.ack(f)
-		n, rest, err := codec.DecodeUvarint(f.Payload)
-		if err == nil {
-			err = codec.Done(rest)
-		}
-		if err != nil {
+		d := codec.NewDecoder(f.Payload)
+		n := d.Uvarint()
+		if err := d.Done(); err != nil {
 			return fmt.Errorf("transport: done frame from %s: %w", f.From, err)
 		}
 		p.done[f.From] = int(n)

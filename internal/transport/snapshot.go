@@ -107,50 +107,24 @@ func EncodeSnapshot(s Snapshot) []byte { return AppendSnapshot(nil, s) }
 // error wrapping codec.ErrCorrupt.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
 	var s Snapshot
-	ncov, rest, err := codec.DecodeUvarint(b)
-	if err != nil {
-		return s, err
-	}
-	for i := uint64(0); i < ncov; i++ {
-		var mid uint64
-		if mid, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return s, err
+	d := codec.NewDecoder(b)
+	for i := range d.Count() {
+		mid := model.MsgID(d.Uvarint())
+		if i > 0 && mid <= s.Covered[i-1] {
+			d.Fail("snapshot covered mids not strictly sorted")
 		}
-		if i > 0 && model.MsgID(mid) <= s.Covered[len(s.Covered)-1] {
-			return s, fmt.Errorf("%w: snapshot covered mids not strictly sorted", codec.ErrCorrupt)
-		}
-		s.Covered = append(s.Covered, model.MsgID(mid))
+		s.Covered = append(s.Covered, mid)
 	}
-	if s.State, rest, err = codec.DecodeBytes(rest); err != nil {
-		return s, err
-	}
-	ndone, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return s, err
-	}
-	for i := uint64(0); i < ndone; i++ {
-		var node, count uint64
-		if node, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return s, err
+	s.State = d.Bytes()
+	for i := range d.Count() {
+		dc := DoneCount{Node: model.NodeID(d.Uvarint()), Count: int(d.Uvarint())}
+		if i > 0 && dc.Node <= s.Done[i-1].Node {
+			d.Fail("snapshot done entries not strictly sorted")
 		}
-		if count, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return s, err
-		}
-		if i > 0 && model.NodeID(node) <= s.Done[len(s.Done)-1].Node {
-			return s, fmt.Errorf("%w: snapshot done entries not strictly sorted", codec.ErrCorrupt)
-		}
-		s.Done = append(s.Done, DoneCount{Node: model.NodeID(node), Count: int(count)})
+		s.Done = append(s.Done, dc)
 	}
-	nsuf, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return s, err
-	}
-	for i := uint64(0); i < nsuf; i++ {
-		var inner []byte
-		if inner, rest, err = codec.DecodeBytes(rest); err != nil {
-			return s, err
-		}
-		f, err := Decode(inner)
+	for i := range d.Count() {
+		f, err := Decode(d.Bytes())
 		if err != nil {
 			return s, fmt.Errorf("snapshot suffix frame %d: %w", i, err)
 		}
@@ -159,10 +133,7 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 		}
 		s.Suffix = append(s.Suffix, f)
 	}
-	if err := codec.Done(rest); err != nil {
-		return s, err
-	}
-	return s, nil
+	return codec.Result(&d, s)
 }
 
 // Checkpoint is the shadow replica a compaction layer maintains: the state

@@ -31,43 +31,21 @@ func oldFrameAppend(f Frame, b []byte) []byte {
 // oldFrameDecode reproduces the pre-\x04 decoder: same strictness (every
 // byte consumed, kinds validated, deps sorted), no obj field.
 func oldFrameDecode(b []byte) (Frame, error) {
-	var f Frame
-	if len(b) == 0 {
-		return f, codec.ErrCorrupt
-	}
-	f.Kind = b[0]
+	d := codec.NewDecoder(b)
+	f := Frame{Kind: d.Tag()}
 	if !KindValid(f.Kind) {
-		return f, codec.ErrCorrupt
+		d.Fail("unknown frame kind %d", f.Kind)
 	}
-	rest := b[1:]
-	mid, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	f.MID = model.MsgID(mid)
-	from, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	f.From = model.NodeID(from)
-	ndeps, rest, err := codec.DecodeUvarint(rest)
-	if err != nil {
-		return f, err
-	}
-	for i := uint64(0); i < ndeps; i++ {
-		var d uint64
-		if d, rest, err = codec.DecodeUvarint(rest); err != nil {
-			return f, err
+	f.MID, f.From = model.MsgID(d.Uvarint()), model.NodeID(d.Uvarint())
+	for i := range d.Count() {
+		dep := model.MsgID(d.Uvarint())
+		if i > 0 && dep <= f.Deps[i-1] {
+			d.Fail("frame deps not strictly sorted")
 		}
-		if i > 0 && model.MsgID(d) <= f.Deps[len(f.Deps)-1] {
-			return f, codec.ErrCorrupt
-		}
-		f.Deps = append(f.Deps, model.MsgID(d))
+		f.Deps = append(f.Deps, dep)
 	}
-	if f.Payload, rest, err = codec.DecodeBytes(rest); err != nil {
-		return f, err
-	}
-	return f, codec.Done(rest)
+	f.Payload = d.Bytes()
+	return f, d.Done()
 }
 
 // TestFrameVersionCrossDecode pins the failure mode of a layout-version
