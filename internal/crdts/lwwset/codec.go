@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/crdt"
-	"repro/internal/model"
 )
 
 // Effector tags (0 is crdt.IdEff).
@@ -27,7 +26,7 @@ func (s State) AppendBinary(b []byte) []byte {
 	b = codec.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
 		e := s.Entries[k]
-		b = codec.AppendValue(b, s.Elems[k])
+		b = codec.AppendValue(b, e.E)
 		b = codec.AppendStamp(b, e.TS)
 		b = codec.AppendBool(b, e.Present)
 	}
@@ -48,15 +47,13 @@ func (d OpEff) AppendBinary(b []byte) []byte {
 // DecodeState decodes an LWW-element-set state encoded by State.AppendBinary.
 func DecodeState(b []byte) (crdt.State, error) {
 	d := codec.NewDecoder(b)
-	st := State{Entries: map[string]entry{}, Elems: map[string]model.Value{}}
+	st := State{Entries: map[string]entry{}}
 	var prev string
 	for i := range d.Count() {
-		e := d.Value()
-		en := entry{TS: d.Stamp(), Present: d.Bool()}
-		k := e.String()
+		e := entry{E: d.Value(), TS: d.Stamp(), Present: d.Bool()}
+		k := e.E.String()
 		d.Ascending(i, prev, k)
-		st.Entries[k], prev = en, k
-		st.Elems[k] = e
+		st.Entries[k], prev = e, k
 	}
 	st.TS = d.Stamp()
 	return codec.Result[crdt.State](&d, st)

@@ -8,6 +8,7 @@ package lwwset
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/crdt"
@@ -17,6 +18,7 @@ import (
 
 // entry is the latest stamped operation recorded for one element.
 type entry struct {
+	E       model.Value
 	TS      model.Stamp
 	Present bool // true if the latest operation was an add
 }
@@ -25,21 +27,10 @@ type entry struct {
 // add/remove, plus the largest stamp observed (used to stamp new operations).
 type State struct {
 	Entries map[string]entry // keyed by element rendering
-	Elems   map[string]model.Value
 	TS      model.Stamp
 }
 
-func (s State) clone() State {
-	entries := make(map[string]entry, len(s.Entries))
-	elems := make(map[string]model.Value, len(s.Elems))
-	for k, v := range s.Entries {
-		entries[k] = v
-	}
-	for k, v := range s.Elems {
-		elems[k] = v
-	}
-	return State{Entries: entries, Elems: elems, TS: s.TS}
-}
+func (s State) clone() State { return State{Entries: maps.Clone(s.Entries), TS: s.TS} }
 
 func (s State) has(e model.Value) bool {
 	en, ok := s.Entries[e.String()]
@@ -62,8 +53,7 @@ func (d OpEff) ApplyInPlace(s crdt.State) crdt.State {
 	st := s.(State)
 	k := d.E.String()
 	if cur, ok := st.Entries[k]; !ok || cur.TS.Less(d.I) {
-		st.Entries[k] = entry{TS: d.I, Present: d.Present}
-		st.Elems[k] = d.E
+		st.Entries[k] = entry{E: d.E, TS: d.I, Present: d.Present}
 	}
 	st.TS = st.TS.Max(d.I)
 	return st
@@ -88,7 +78,7 @@ func (Object) Name() string { return "lww-set" }
 
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
-	return State{Entries: map[string]entry{}, Elems: map[string]model.Value{}}
+	return State{Entries: map[string]entry{}}
 }
 
 // Ops implements crdt.Object.
@@ -117,9 +107,9 @@ func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.
 func Abs(s crdt.State) model.Value {
 	st := s.(State)
 	var out []model.Value
-	for k, en := range st.Entries {
+	for _, en := range st.Entries {
 		if en.Present {
-			out = append(out, st.Elems[k])
+			out = append(out, en.E)
 		}
 	}
 	model.SortValues(out)
@@ -149,7 +139,7 @@ func View(s crdt.State) []crdt.Effector {
 	out := make([]crdt.Effector, 0, len(keys))
 	for _, k := range keys {
 		en := st.Entries[k]
-		out = append(out, OpEff{E: st.Elems[k], I: en.TS, Present: en.Present})
+		out = append(out, OpEff{E: en.E, I: en.TS, Present: en.Present})
 	}
 	return out
 }
