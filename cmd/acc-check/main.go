@@ -42,8 +42,12 @@ func main() {
 		replay  = flag.String("replay", "", "re-check a schedule saved with -save instead of generating traces")
 	)
 	flag.Parse()
-	if *nodes < 1 || *steps < 1 || *seeds < 0 {
-		fmt.Fprintf(os.Stderr, "acc-check: -nodes and -steps must be at least 1 and -seeds non-negative (got %d, %d, %d)\n", *nodes, *steps, *seeds)
+	if *nodes < 1 || *steps < 1 {
+		fmt.Fprintf(os.Stderr, "acc-check: -nodes and -steps must be at least 1 (got %d, %d)\n", *nodes, *steps)
+		os.Exit(2)
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "acc-check: -seeds must be at least 1 (got %d)\n", *seeds)
 		os.Exit(2)
 	}
 	if *replay != "" {

@@ -162,8 +162,14 @@ func main() {
 	if *nodes < 1 || *steps < 1 {
 		fail("-nodes and -steps must be at least 1 (got %d, %d)", *nodes, *steps)
 	}
-	if *seeds < 0 || *ops < 0 || *snap < 0 {
-		fail("-seeds, -ops and -snapshot-every must be non-negative (got %d, %d, %d)", *seeds, *ops, *snap)
+	if *seeds < 1 {
+		fail("-seeds must be at least 1 (got %d)", *seeds)
+	}
+	if *ops < 0 || *snap < 0 {
+		fail("-ops and -snapshot-every must be non-negative (got %d, %d)", *ops, *snap)
+	}
+	if *chaos && *ops < 1 {
+		fail("chaos mode needs -ops of at least 1 (got %d)", *ops)
 	}
 	if *batchFrames < 0 || *flushEvery < 0 {
 		fail("-batch-frames and -flush-every must be non-negative")

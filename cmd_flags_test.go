@@ -15,8 +15,8 @@ import (
 // range. The command must refuse before running anything: exit status 2, a
 // message naming the flag on stderr and nothing on stdout. Before, some of
 // these panicked in the simulator, ran 3-node or 40-step traces while
-// printing 0, or reported checks "ok" that had checked nothing. Skipped
-// with -short (it compiles four commands).
+// printing 0, or reported checks "ok", or "0/0 runs consistent", that had
+// checked nothing. Skipped with -short (it compiles four commands).
 func TestCommandsRejectBadCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("command flag test skipped with -short")
@@ -36,13 +36,18 @@ func TestCommandsRejectBadCounts(t *testing.T) {
 		{"crdt-sim", []string{"-nodes", "0"}, "-nodes and -steps must be at least 1"},
 		{"crdt-sim", []string{"-chaos", "-nodes", "0"}, "-nodes and -steps must be at least 1"},
 		{"crdt-sim", []string{"-steps", "0"}, "-nodes and -steps must be at least 1"},
-		{"crdt-sim", []string{"-seeds", "-1"}, "must be non-negative"},
+		{"crdt-sim", []string{"-seeds", "-1"}, "-seeds must be at least 1"},
+		{"crdt-sim", []string{"-seeds", "0"}, "-seeds must be at least 1"},
+		{"crdt-sim", []string{"-chaos", "-seeds", "0"}, "-seeds must be at least 1"},
 		{"crdt-sim", []string{"-chaos", "-ops", "-1"}, "must be non-negative"},
+		{"crdt-sim", []string{"-chaos", "-ops", "0", "-seeds", "2"}, "chaos mode needs -ops of at least 1"},
 		{"crdt-sim", []string{"-chaos", "-snapshot-every", "-1"}, "must be non-negative"},
 		{"acc-check", []string{"-nodes", "0"}, "-nodes and -steps must be at least 1"},
 		{"acc-check", []string{"-mode", "explore", "-nodes", "0"}, "-nodes and -steps must be at least 1"},
 		{"acc-check", []string{"-mode", "exhaustive", "-steps", "0"}, "-nodes and -steps must be at least 1"},
-		{"acc-check", []string{"-seeds", "-1"}, "-seeds non-negative"},
+		{"acc-check", []string{"-seeds", "-1"}, "-seeds must be at least 1"},
+		{"acc-check", []string{"-algo", "counter", "-seeds", "0"}, "-seeds must be at least 1"},
+		{"acc-check", []string{"-mode", "explore", "-seeds", "0"}, "-seeds must be at least 1"},
 		{"proof-check", []string{"-algo", "counter", "-seeds", "-1"}, "must be non-negative"},
 		{"proof-check", []string{"-algo", "counter", "-steps", "-1"}, "must be non-negative"},
 		{"conformance", []string{"-algo", "counter", "-seeds", "-1"}, "must be non-negative"},

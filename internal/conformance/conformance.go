@@ -161,6 +161,10 @@ func Run(alg registry.Algorithm, cfg Config) Report {
 	skip := func(name, why string) {
 		rep.Checks = append(rep.Checks, CheckResult{Name: name, Skipped: why})
 	}
+	if cfg.Seeds < 0 || cfg.Steps < 0 || cfg.ChaosSeeds < 0 {
+		add("configuration", fmt.Errorf("conformance: Seeds, Steps and ChaosSeeds must be non-negative (got %d, %d, %d)", cfg.Seeds, cfg.Steps, cfg.ChaosSeeds))
+		return rep
+	}
 
 	// 1. Specification well-formedness.
 	u := alg.Universe()

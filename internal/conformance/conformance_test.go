@@ -106,6 +106,17 @@ func TestBatteryRejectsBrokenAlgorithm(t *testing.T) {
 	}
 }
 
+// TestBatteryRejectsNegativeCounts: a negative count is an error, not a
+// battery whose items pass because they checked nothing.
+func TestBatteryRejectsNegativeCounts(t *testing.T) {
+	for _, cfg := range []Config{{Seeds: -1}, {Steps: -1}, {ChaosSeeds: -1}} {
+		rep := Run(registry.Counter(), cfg)
+		if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "non-negative") {
+			t.Errorf("%+v: err = %v, want a refusal of the negative count", cfg, err)
+		}
+	}
+}
+
 func TestBatteryReportsClientParseError(t *testing.T) {
 	rep := Run(registry.Counter(), Config{Seeds: 1, Steps: 10, Client: "node {"})
 	if rep.Err() == nil || !strings.Contains(rep.Err().Error(), "refinement") {

@@ -186,6 +186,12 @@ func valid(alg registry.Algorithm, d crdt.Effector, s crdt.State) bool {
 
 // Check runs the CRDT-TS obligations for one UCR algorithm.
 func Check(alg registry.Algorithm, cfg Config) Report {
+	if cfg.Seeds < 0 || cfg.Steps < 0 {
+		return Report{Algorithm: alg.Name, Obligations: []Obligation{{
+			Name: "configuration",
+			Err:  fmt.Errorf("proofmethod: Seeds and Steps must be non-negative (got %d, %d)", cfg.Seeds, cfg.Steps),
+		}}}
+	}
 	cfg = cfg.withDefaults()
 	if alg.IsX() {
 		return Report{Algorithm: alg.Name, Obligations: []Obligation{{

@@ -12,6 +12,17 @@ import (
 	"repro/internal/spec"
 )
 
+// TestCheckRejectsNegativeCounts: a negative count is an error, not a
+// report whose obligations pass because no execution was sampled.
+func TestCheckRejectsNegativeCounts(t *testing.T) {
+	for _, cfg := range []Config{{Seeds: -1}, {Steps: -1}} {
+		rep := Check(registry.Counter(), cfg)
+		if err := rep.Err(); err == nil || !strings.Contains(err.Error(), "non-negative") {
+			t.Errorf("%+v: err = %v, want a refusal of the negative count", cfg, err)
+		}
+	}
+}
+
 // TestAllUCRAlgorithmsPass is the paper's Sec 8 "Examples" result: all seven
 // UCR algorithms discharge the CRDT-TS obligations.
 func TestAllUCRAlgorithmsPass(t *testing.T) {
