@@ -83,6 +83,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzClusterDelivery$$' -fuzztime 30s ./internal/sim/
 	go test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 30s ./internal/codec/
 	go test -run '^$$' -fuzz '^FuzzValue$$' -fuzztime 30s ./internal/codec/
+	go test -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 30s ./internal/transport/
 	go test -run '^$$' -fuzz '^FuzzSnapshotInstall$$' -fuzztime 30s ./internal/transport/
 	go test -run '^$$' -fuzz '^FuzzPeerDelivery$$' -fuzztime 30s ./internal/transport/
 
