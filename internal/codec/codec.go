@@ -44,8 +44,8 @@ var ErrCorrupt = fmt.Errorf("codec: corrupt encoding")
 // restates it:
 //
 //   - The first failure sticks. It moves the read position to the end, so
-//     every later read returns its zero value and consumes nothing: a
-//     decoder reads its fields unconditionally and checks once, at Done.
+//     every later read returns a zero or empty value and consumes nothing:
+//     a decoder reads its fields unconditionally and checks once, at Done.
 //   - Count bounds a collection's element count by the bytes left, since
 //     every element takes at least one byte, so a corrupt count fails at
 //     once and cannot spin a loop.
