@@ -260,7 +260,7 @@ func fig12() error {
 	g3 := logic.RG{{Requires: []logic.Action{alphaC}, Issues: alphaD}}
 	post := parseExpr(`!(s == ["a","c","d","b"]) || (y == s || y == ["a","c","d"])`)
 	pf := logic.Proof{
-		Ctx:  logic.Ctx{Spec: spec.ListSpec{}, IsQuery: func(n model.OpName) bool { return n == spec.OpRead }},
+		Ctx:  logic.Ctx{Spec: spec.ListSpec{}},
 		Init: model.List(model.Str("a")),
 		Threads: []logic.ThreadProof{
 			{Thread: prog.Threads[0], R: append(append(logic.RG{}, g2...), g3...), G: g1},
@@ -353,9 +353,7 @@ func fw1() error {
 	g2 := logic.RG{{Issues: add2}, {Requires: []logic.Action{add2}, Issues: rmv2}, {Requires: []logic.Action{rmv2}, Issues: d2}}
 	for _, xsp := range []spec.XSpec{spec.AWSetSpec{}, spec.RWSetSpec{}} {
 		pf := logic.XProof{
-			Ctx: logic.XCtx{XSpec: xsp, IsQuery: func(n model.OpName) bool {
-				return n == spec.OpRead || n == spec.OpLookup
-			}},
+			Ctx:  logic.XCtx{XSpec: xsp},
 			Init: model.List(),
 			Threads: []logic.ThreadProof{
 				{Thread: prog.Threads[0], R: g2, G: g1, Post: parseExpr(`!("d2" in s) || !(0 in s)`)},

@@ -41,10 +41,7 @@ func main() {
 	post3 := parseExpr(`!(s == ["a","c","d","b"]) || (y == s || y == ["a","c","d"])`)
 
 	pf := logic.Proof{
-		Ctx: logic.Ctx{
-			Spec:    spec.ListSpec{},
-			IsQuery: func(n model.OpName) bool { return n == spec.OpRead },
-		},
+		Ctx:  logic.Ctx{Spec: spec.ListSpec{}},
 		Init: model.List(model.Str("a")),
 		Threads: []logic.ThreadProof{
 			{Thread: prog.Threads[0], R: append(append(logic.RG{}, g2...), g3...), G: g1, Post: post1},

@@ -47,7 +47,6 @@ type OpRecord struct {
 type Machine struct {
 	sp      spec.Spec
 	xsp     spec.XSpec // non-nil in X-wins mode
-	queries func(model.Op) bool
 	init    model.Value
 	seqs    [][]model.MsgID // ξt per node
 	pend    []map[model.MsgID]bool
@@ -59,22 +58,22 @@ type Machine struct {
 }
 
 // New creates a UCR-mode machine over (Γ, ⊲⊳) with n nodes starting from the
-// abstract state init. queries identifies read-only operations (never
-// broadcast); it may be nil if every operation is effectful.
-func New(sp spec.Spec, n int, init model.Value, queries func(model.Op) bool) *Machine {
-	return newMachine(sp, nil, n, init, queries)
+// abstract state init. The operations sp declares queries are never
+// broadcast.
+func New(sp spec.Spec, n int, init model.Value) *Machine {
+	return newMachine(sp, nil, n, init)
 }
 
 // NewX creates an X-wins-mode machine over (Γ, ⊲⊳, ◀, ▷).
-func NewX(xsp spec.XSpec, n int, init model.Value, queries func(model.Op) bool) *Machine {
-	return newMachine(xsp, xsp, n, init, queries)
+func NewX(xsp spec.XSpec, n int, init model.Value) *Machine {
+	return newMachine(xsp, xsp, n, init)
 }
 
-func newMachine(sp spec.Spec, xsp spec.XSpec, n int, init model.Value, queries func(model.Op) bool) *Machine {
+func newMachine(sp spec.Spec, xsp spec.XSpec, n int, init model.Value) *Machine {
 	if n < 1 {
 		panic("absmachine: need at least one node")
 	}
-	m := &Machine{sp: sp, xsp: xsp, queries: queries, init: init, nextMID: 1, recs: map[model.MsgID]*OpRecord{}}
+	m := &Machine{sp: sp, xsp: xsp, init: init, nextMID: 1, recs: map[model.MsgID]*OpRecord{}}
 	for i := 0; i < n; i++ {
 		m.seqs = append(m.seqs, nil)
 		m.pend = append(m.pend, map[model.MsgID]bool{})
@@ -97,7 +96,7 @@ func (m *Machine) N() int { return len(m.seqs) }
 
 // Clone deep-copies the machine (records are immutable and shared).
 func (m *Machine) Clone() *Machine {
-	cp := &Machine{sp: m.sp, xsp: m.xsp, queries: m.queries, init: m.init, nextMID: m.nextMID,
+	cp := &Machine{sp: m.sp, xsp: m.xsp, init: m.init, nextMID: m.nextMID,
 		recs: make(map[model.MsgID]*OpRecord, len(m.recs))}
 	for k, v := range m.recs {
 		cp.recs[k] = v
@@ -198,8 +197,7 @@ func (m *Machine) Invoke(t model.NodeID, op model.Op) (model.Value, model.MsgID)
 	for _, prev := range m.seqs[t] {
 		seen[prev] = true
 	}
-	rec := &OpRecord{MID: mid, Op: op, Origin: t, Seen: seen,
-		Query: m.queries != nil && m.queries(op)}
+	rec := &OpRecord{MID: mid, Op: op, Origin: t, Seen: seen, Query: m.sp.IsQuery(op.Name)}
 	rec.key = recKey(rec)
 	m.recs[mid] = rec
 	m.seqs[t] = append(m.seqs[t], mid)

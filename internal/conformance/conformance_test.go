@@ -75,9 +75,7 @@ func (s divState) AppendBinary(b []byte) []byte { return fmt.Appendf(b, "div{%d}
 
 type divObject struct{}
 
-func (divObject) Name() string        { return "diverging-counter" }
-func (divObject) Init() crdt.State    { return divState{} }
-func (divObject) Ops() []model.OpName { return []model.OpName{spec.OpInc, spec.OpDec, spec.OpRead} }
+func (divObject) Init() crdt.State { return divState{} }
 
 func (divObject) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	switch op.Name {

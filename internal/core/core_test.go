@@ -449,11 +449,7 @@ func (d brokenRmv) String() string { return "BrokenRmv(" + d.E.String() + ")" }
 
 func (d brokenRmv) AppendBinary(b []byte) []byte { return append(b, d.String()...) }
 
-func (brokenSet) Name() string     { return "broken-set" }
 func (brokenSet) Init() crdt.State { return brokenState{Elems: model.NewValueSet()} }
-func (brokenSet) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpLookup}
-}
 
 func (brokenSet) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	st := s.(brokenState)

@@ -124,17 +124,9 @@ type Object struct{}
 // New returns the add-wins set object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "aw-set" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
 	return State{Adds: map[string]inst{}, Dead: map[string]bool{}}
-}
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpLookup, spec.OpRead}
 }
 
 // Prepare implements crdt.Object.

@@ -39,16 +39,8 @@ type Object struct{}
 // New returns the counter object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "counter" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State { return State{} }
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpInc, spec.OpDec, spec.OpRead}
-}
 
 // Prepare implements crdt.Object.
 func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {

@@ -43,16 +43,8 @@ type Object struct{}
 // New returns the grow-only set object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "g-set" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State { return State{Elems: model.NewValueSet()} }
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpLookup, spec.OpRead}
-}
 
 // Prepare implements crdt.Object.
 func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {

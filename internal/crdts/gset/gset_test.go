@@ -64,9 +64,6 @@ func TestApplyDoesNotMutate(t *testing.T) {
 
 func TestObjectMetadata(t *testing.T) {
 	o := New()
-	if o.Name() != "g-set" || len(o.Ops()) != 3 {
-		t.Errorf("metadata: %s %v", o.Name(), o.Ops())
-	}
 	if _, _, err := o.Prepare(model.Op{Name: "mystery"}, o.Init(), 0, 1); err == nil {
 		t.Error("unknown op accepted")
 	}

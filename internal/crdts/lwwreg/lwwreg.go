@@ -46,14 +46,8 @@ type Object struct{}
 // New returns the LWW register object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "lww-register" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State { return State{Cur: model.Nil()} }
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName { return []model.OpName{spec.OpWrite, spec.OpRead} }
 
 // Prepare implements crdt.Object.
 func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {

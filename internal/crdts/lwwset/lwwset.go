@@ -73,17 +73,9 @@ type Object struct{}
 // New returns the LWW-element set object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "lww-set" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
 	return State{Entries: map[string]entry{}}
-}
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpLookup, spec.OpRead}
 }
 
 // Prepare implements crdt.Object.

@@ -22,12 +22,6 @@ type Spec struct{}
 // Name implements spec.Spec.
 func (Spec) Name() string { return "max-register" }
 
-// Init returns 0 (the register holds naturals).
-func (Spec) Init() model.Value { return model.Int(0) }
-
-// Ops implements spec.Spec.
-func (Spec) Ops() []model.OpName { return []model.OpName{spec.OpWrite, spec.OpRead} }
-
 // Apply implements spec.Spec.
 func (Spec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
 	cur, _ := s.AsInt()
@@ -46,6 +40,9 @@ func (Spec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
 
 // Conflict implements spec.Spec: maxima commute, so ⊲⊳ is empty.
 func (Spec) Conflict(a, b model.Op) bool { return false }
+
+// IsQuery implements spec.Spec: read is the only query.
+func (Spec) IsQuery(n model.OpName) bool { return n == spec.OpRead }
 
 // State is the replica state: the maximum seen.
 type State struct{ V int64 }
@@ -71,14 +68,8 @@ type Object struct{}
 // New returns the max-register object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "max-register" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State { return State{} }
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName { return []model.OpName{spec.OpWrite, spec.OpRead} }
 
 // Prepare implements crdt.Object.
 func (Object) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/crdt"
@@ -40,14 +41,21 @@ func TestInventory(t *testing.T) {
 	}
 }
 
-// TestBundlesConsistent: every bundle's pieces agree — the object constructs,
-// its ops are non-empty, UCR bundles carry ↣/V, X-wins bundles carry the
+// TestBundlesConsistent: every bundle's pieces agree — the object constructs
+// with an initial state, UCR bundles carry ↣/V, X-wins bundles carry the
 // extended spec and the causal-delivery requirement.
 func TestBundlesConsistent(t *testing.T) {
+	// The empty abstract state of each specification, by spec name.
+	empty := map[string]model.Value{
+		"counter": model.Int(0), "max-register": model.Int(0), "register": model.Nil(),
+		"g-set": model.List(), "set": model.List(), "aw-set": model.List(), "rw-set": model.List(),
+		"list": model.List(),
+	}
 	for _, a := range append(All(), Extensions()...) {
 		obj := a.New()
-		if obj.Name() == "" || len(obj.Ops()) == 0 {
+		if obj == nil || obj.Init() == nil {
 			t.Errorf("%s: degenerate object", a.Name)
+			continue
 		}
 		if a.Abs == nil || a.Spec == nil || a.GenOp == nil || a.Universe == nil {
 			t.Errorf("%s: incomplete bundle", a.Name)
@@ -70,9 +78,9 @@ func TestBundlesConsistent(t *testing.T) {
 				t.Errorf("%s: V(init) must be empty", a.Name)
 			}
 		}
-		// φ(init) must equal the spec's initial abstract state.
-		if !a.Abs(obj.Init()).Equal(a.Spec.Init()) {
-			t.Errorf("%s: φ(init) = %s, spec init = %s", a.Name, a.Abs(obj.Init()), a.Spec.Init())
+		// φ(init) must be the spec's empty abstract state.
+		if want, ok := empty[a.Spec.Name()]; !ok || !a.Abs(obj.Init()).Equal(want) {
+			t.Errorf("%s: φ(init) = %s, want the empty %s state %s", a.Name, a.Abs(obj.Init()), a.Spec.Name(), want)
 		}
 	}
 }
@@ -148,7 +156,7 @@ func TestExtensions(t *testing.T) {
 	if !ok || alg.IsX() || alg.TSOrder == nil {
 		t.Fatalf("ByName extension lookup: %v %v", alg, ok)
 	}
-	if !alg.Abs(alg.New().Init()).Equal(alg.Spec.Init()) {
+	if !alg.Abs(alg.New().Init()).Equal(model.Int(0)) {
 		t.Error("φ(init) mismatch for the extension")
 	}
 }
@@ -158,6 +166,74 @@ func TestExtensions(t *testing.T) {
 // the whole state on every apply.
 var collections = map[string]bool{
 	"g-set": true, "2p-set": true, "lww-set": true, "cseq": true, "rga": true, "aw-set": true, "rw-set": true,
+}
+
+// TestDeclaredQueries checks, for every operation name of each bundle's
+// universe, that its spec declares it a query exactly when both sides treat
+// it as one:
+//   - Prepare returns the identity effector for a query, and another
+//     effector for any other operation, on every state that seeded 3-node
+//     simulator runs reach at any node, wherever it accepts the operation
+//     (the universe's instances and the runs' own);
+//   - the abstract Apply of every universe instance of a query leaves every
+//     universe state unchanged, and some instance of any other operation
+//     changes one.
+func TestDeclaredQueries(t *testing.T) {
+	for _, a := range append(All(), Extensions()...) {
+		t.Run(a.Name, func(t *testing.T) {
+			obj, u := a.New(), a.Universe()
+			w := sim.Workload{Object: obj, Abs: a.Abs, Gen: sim.GenFunc(a.GenOp), Nodes: 3, Causal: a.NeedsCausal, FinalDrain: true}
+			ops := slices.Clone(u.Ops)
+			var states []crdt.State
+			for seed := int64(1); seed <= 3; seed++ {
+				tr := w.Run(seed).Trace()
+				for _, node := range tr.Nodes() {
+					s := obj.Init()
+					states = append(states, s)
+					for _, e := range tr.Restrict(node) {
+						if e.IsOrigin {
+							ops = append(ops, e.Op)
+						}
+						s = e.Eff.Apply(s)
+						states = append(states, s)
+					}
+				}
+			}
+			accepted := map[model.OpName]bool{}
+			for _, op := range ops {
+				query := a.Spec.IsQuery(op.Name)
+				for _, s := range states {
+					_, eff, err := obj.Prepare(op, s, 0, 1)
+					if errors.Is(err, crdt.ErrAssume) {
+						continue
+					} else if err != nil {
+						t.Fatalf("%s: %v", op, err)
+					}
+					accepted[op.Name] = true
+					if crdt.IsIdentity(eff) != query {
+						t.Fatalf("%s: declared query %t, but Prepare generates %s", op, query, eff)
+					}
+				}
+			}
+			changes := map[model.OpName]bool{}
+			for _, op := range u.Ops {
+				for _, s := range u.States {
+					if _, out := a.Spec.Apply(op, s); !out.Equal(s) {
+						changes[op.Name] = true
+					}
+				}
+			}
+			for _, op := range u.Ops {
+				if !accepted[op.Name] {
+					t.Errorf("%s: no reached state accepts it", op.Name)
+				}
+				if a.Spec.IsQuery(op.Name) == changes[op.Name] {
+					t.Errorf("%s: declared query %t, but its abstract actions change a universe state: %t",
+						op.Name, a.Spec.IsQuery(op.Name), changes[op.Name])
+				}
+			}
+		})
+	}
 }
 
 // TestInPlaceMatchesPure is the in-place counterpart of CRDT-TS's state

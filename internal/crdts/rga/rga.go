@@ -209,17 +209,9 @@ type Object struct{}
 // New returns the RGA object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "rga" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
 	return State{N: map[string]Triple{}, T: model.NewValueSet(), kids: map[string][]child{}}
-}
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpAddAfter, spec.OpRemove, spec.OpRead}
 }
 
 // Prepare implements crdt.Object.

@@ -75,17 +75,9 @@ type Object struct{}
 // New returns the 2P-set object.
 func New() Object { return Object{} }
 
-// Name implements crdt.Object.
-func (Object) Name() string { return "2p-set" }
-
 // Init implements crdt.Object.
 func (Object) Init() crdt.State {
 	return State{A: model.NewValueSet(), R: model.NewValueSet()}
-}
-
-// Ops implements crdt.Object.
-func (Object) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpLookup, spec.OpRead}
 }
 
 // Prepare implements crdt.Object.

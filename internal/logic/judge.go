@@ -10,13 +10,10 @@ import (
 )
 
 // Ctx bundles the specification context of a logic judgment: Γ and ⊲⊳, and
-// which operations are read-only.
+// the queries Γ declares, whose identity actions need no guarantee coverage
+// and are not recorded in worlds.
 type Ctx struct {
 	Spec spec.Spec
-	// IsQuery identifies read-only operations, whose identity actions need
-	// no guarantee coverage and are not recorded in worlds. Nil treats every
-	// operation as effectful.
-	IsQuery func(model.OpName) bool
 }
 
 // Conflict returns the ⊲⊳ of the context.
@@ -27,7 +24,6 @@ func (c Ctx) Conflict() Conflict { return c.Spec.Conflict }
 // the thread's own action is ordered after the conflicting actions that
 // have arrived.
 func (c Ctx) spec() spec.Spec                   { return c.Spec }
-func (c Ctx) isQuery(n model.OpName) bool       { return c.IsQuery != nil && c.IsQuery(n) }
 func (Ctx) admitsArrivals(World, []string) bool { return true }
 func (Ctx) admitsLin(World) func([]string) bool { return nil }
 func (Ctx) newWorld(init model.Value) World     { return NewWorld(init) }

@@ -12,12 +12,7 @@ import (
 func v(s string) model.Value { return model.Str(s) }
 
 func listCtx() Ctx {
-	return Ctx{
-		Spec: spec.ListSpec{},
-		IsQuery: func(n model.OpName) bool {
-			return n == spec.OpRead || n == spec.OpLookup
-		},
-	}
+	return Ctx{Spec: spec.ListSpec{}}
 }
 
 func addAfterAct(node model.NodeID, a, b string) Action {
@@ -265,7 +260,7 @@ func TestCounterClientProof(t *testing.T) {
 		node t2 { dec(1); }`)
 	incAct := Act(0, spec.OpInc, model.Int(2))
 	decAct := Act(1, spec.OpDec, model.Int(1))
-	ctx := Ctx{Spec: spec.CounterSpec{}, IsQuery: func(n model.OpName) bool { return n == spec.OpRead }}
+	ctx := Ctx{Spec: spec.CounterSpec{}}
 	// A thread cannot know whether the other's operation was ever issued
 	// (no communication), so its strongest sound postcondition covers both
 	// cases — exactly what rely-guarantee reasoning forces.
@@ -332,7 +327,7 @@ func TestFinalStates(t *testing.T) {
 // of Sec 7: the counter stays non-negative when threads only increment, and
 // a decrementing thread violates the same invariant.
 func TestInvariantBasedReasoning(t *testing.T) {
-	ctx := Ctx{Spec: spec.CounterSpec{}, IsQuery: func(n model.OpName) bool { return n == spec.OpRead }}
+	ctx := Ctx{Spec: spec.CounterSpec{}}
 	inc1 := Act(0, spec.OpInc, model.Int(2))
 	inc2 := Act(1, spec.OpInc, model.Int(3))
 	prog := lang.MustParse(`
@@ -375,7 +370,7 @@ func TestInvariantBasedReasoning(t *testing.T) {
 // one node conflict and are ordered by issue order (stabilization step 3),
 // so the reader's post holds in every world.
 func TestRegisterMonotonicReadsProof(t *testing.T) {
-	ctx := Ctx{Spec: spec.RegisterSpec{}, IsQuery: func(n model.OpName) bool { return n == spec.OpRead }}
+	ctx := Ctx{Spec: spec.RegisterSpec{}}
 	w1 := Act(0, spec.OpWrite, model.Int(1))
 	w2 := Act(0, spec.OpWrite, model.Int(2))
 	prog := lang.MustParse(`
@@ -406,9 +401,7 @@ func TestRegisterMonotonicReadsProof(t *testing.T) {
 // everything commutes and the only facts a reader can establish are
 // monotone: once an element is observed, it stays observed.
 func TestGSetStabilityProof(t *testing.T) {
-	ctx := Ctx{Spec: spec.GSetSpec{}, IsQuery: func(n model.OpName) bool {
-		return n == spec.OpRead || n == spec.OpLookup
-	}}
+	ctx := Ctx{Spec: spec.GSetSpec{}}
 	addA := Act(0, spec.OpAdd, model.Str("a"))
 	prog := lang.MustParse(`
 		node t1 { add("a"); }
@@ -458,7 +451,7 @@ func TestWithEnvAndOrAssertions(t *testing.T) {
 // TestAssertStatementInProof: assert statements inside threads become proof
 // obligations checked in every world.
 func TestAssertStatementInProof(t *testing.T) {
-	ctx := Ctx{Spec: spec.CounterSpec{}, IsQuery: func(n model.OpName) bool { return n == spec.OpRead }}
+	ctx := Ctx{Spec: spec.CounterSpec{}}
 	inc := Act(0, spec.OpInc, model.Int(1))
 	good := lang.MustParse(`node t1 { inc(1); x := read(); assert(x >= 0); }`)
 	pf := Proof{
@@ -482,9 +475,7 @@ func TestAssertStatementInProof(t *testing.T) {
 // it reads it as absent afterwards — the remove is ordered after the add it
 // observed ((q,⊲⊳)⋉ in the call rule), and no other add exists.
 func TestSetRemoveObservedProof(t *testing.T) {
-	ctx := Ctx{Spec: spec.SetSpec{}, IsQuery: func(n model.OpName) bool {
-		return n == spec.OpRead || n == spec.OpLookup
-	}}
+	ctx := Ctx{Spec: spec.SetSpec{}}
 	addA := Act(0, spec.OpAdd, model.Str("a"))
 	rmvA := Act(1, spec.OpRemove, model.Str("a"))
 	prog := lang.MustParse(`
@@ -616,11 +607,10 @@ func TestCheckerErrorPaths(t *testing.T) {
 					threads[i].R = c.r[i]
 				}
 			}
-			isQuery := func(n model.OpName) bool { return n == spec.OpRead || n == spec.OpLookup }
 			for name, check := range map[string]func() error{
-				"Proof": Proof{Ctx: Ctx{Spec: spec.SetSpec{}, IsQuery: isQuery},
+				"Proof": Proof{Ctx: Ctx{Spec: spec.SetSpec{}},
 					Init: model.List(), Threads: threads}.Check,
-				"XProof": XProof{Ctx: XCtx{XSpec: spec.AWSetSpec{}, IsQuery: isQuery},
+				"XProof": XProof{Ctx: XCtx{XSpec: spec.AWSetSpec{}},
 					Init: model.List(), Threads: threads}.Check,
 			} {
 				if err := check(); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -43,11 +43,9 @@ func (pf Proof) Check() error { return check(pf.Ctx, pf.Init, pf.Threads) }
 // over Sec 9's relaxed machine. The proof-outline checker below runs over
 // either.
 type semantics interface {
-	// spec is the abstract specification worlds are executed against.
+	// spec is the abstract specification worlds are executed against. Its
+	// queries' identity actions need no guarantee and are not recorded.
 	spec() spec.Spec
-	// isQuery reports a read-only operation, whose identity action needs no
-	// guarantee and is not recorded.
-	isQuery(model.OpName) bool
 	// admitsArrivals filters the arrival sets of a world that the semantics
 	// can reach, and admitsLin returns the world's filter on their
 	// linearizations, nil if it admits every one.
@@ -201,7 +199,7 @@ func (wk walker) execCall(worlds []World, call lang.Call) ([]World, error) {
 		if err != nil {
 			return nil, err
 		}
-		query := wk.sem.isQuery(op.Name)
+		query := sp.IsQuery(op.Name)
 		var alpha Action
 		if !query {
 			rule, err := guaranteeRule(wk.tp, op)

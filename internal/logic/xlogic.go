@@ -33,14 +33,11 @@ import (
 // XCtx is the X-wins logic context over (Γ, ⊲⊳, ◀, ▷).
 type XCtx struct {
 	XSpec spec.XSpec
-	// IsQuery identifies read-only operations.
-	IsQuery func(model.OpName) bool
 }
 
 // The X-wins semantics of Fig 11's rules (see semantics): arrival sets are
 // causally closed and linearizations obey the ◀/▷ discipline.
 func (c XCtx) spec() spec.Spec                         { return c.XSpec }
-func (c XCtx) isQuery(n model.OpName) bool             { return c.IsQuery != nil && c.IsQuery(n) }
 func (XCtx) admitsArrivals(w World, ids []string) bool { return w.causallyClosed(ids) }
 
 // newWorld starts visibility tracking: every X-wins world carries Seen.

@@ -10,15 +10,11 @@ import (
 )
 
 func awCtx() XCtx {
-	return XCtx{XSpec: spec.AWSetSpec{}, IsQuery: func(n model.OpName) bool {
-		return n == spec.OpRead || n == spec.OpLookup
-	}}
+	return XCtx{XSpec: spec.AWSetSpec{}}
 }
 
 func rwCtx() XCtx {
-	return XCtx{XSpec: spec.RWSetSpec{}, IsQuery: func(n model.OpName) bool {
-		return n == spec.OpRead || n == spec.OpLookup
-	}}
+	return XCtx{XSpec: spec.RWSetSpec{}}
 }
 
 // concurrentAddRemoveWorld builds the world with one add(1) and one

@@ -123,15 +123,6 @@ func MustNew(comps ...Component) *Object {
 	return o
 }
 
-// Name implements crdt.Object.
-func (o *Object) Name() string {
-	names := make([]string, len(o.comps))
-	for i, c := range o.comps {
-		names[i] = c.Name + ":" + c.Object.Name()
-	}
-	return "product(" + strings.Join(names, ",") + ")"
-}
-
 // Init implements crdt.Object.
 func (o *Object) Init() crdt.State {
 	parts := make([]crdt.State, len(o.comps))
@@ -139,17 +130,6 @@ func (o *Object) Init() crdt.State {
 		parts[i] = c.Object.Init()
 	}
 	return State{Parts: parts}
-}
-
-// Ops implements crdt.Object.
-func (o *Object) Ops() []model.OpName {
-	var out []model.OpName
-	for _, c := range o.comps {
-		for _, op := range c.Object.Ops() {
-			out = append(out, model.OpName(c.Name+"."+string(op)))
-		}
-	}
-	return out
 }
 
 // Prepare implements crdt.Object.
@@ -203,26 +183,6 @@ func (s Spec) Name() string {
 	return "product(" + strings.Join(names, ",") + ")"
 }
 
-// Init implements spec.Spec.
-func (s Spec) Init() model.Value {
-	parts := make([]model.Value, len(s.comps))
-	for i, c := range s.comps {
-		parts[i] = c.Spec.Init()
-	}
-	return model.List(parts...)
-}
-
-// Ops implements spec.Spec.
-func (s Spec) Ops() []model.OpName {
-	var out []model.OpName
-	for _, c := range s.comps {
-		for _, op := range c.Spec.Ops() {
-			out = append(out, model.OpName(c.Name+"."+string(op)))
-		}
-	}
-	return out
-}
-
 // Apply implements spec.Spec (total: unknown operations are no-ops).
 func (s Spec) Apply(op model.Op, st model.Value) (model.Value, model.Value) {
 	name, inner, err := splitOp(op)
@@ -257,6 +217,17 @@ func (s Spec) Conflict(a, b model.Op) bool {
 		return false
 	}
 	return s.comps[slot].Spec.Conflict(ia, ib)
+}
+
+// IsQuery implements spec.Spec: an operation is a query iff its component
+// declares it one.
+func (s Spec) IsQuery(n model.OpName) bool {
+	name, inner, err := splitOp(model.Op{Name: n})
+	if err != nil {
+		return false
+	}
+	slot, ok := s.slots[name]
+	return ok && s.comps[slot].Spec.IsQuery(inner.Name)
 }
 
 // TSOrder is the product ↣: component orders, disjointly.

@@ -108,7 +108,7 @@ func TestProductNonComm(t *testing.T) {
 		op("cart.read", model.Nil()),
 	}
 	states := []model.Value{
-		sp.Init(),
+		obj.Abs(obj.Init()),
 		model.List(model.List(model.Str("x")), model.Int(5)),
 		model.List(model.List(model.Str("x"), model.Str("y")), model.Int(-1)),
 	}
@@ -191,13 +191,20 @@ func TestProductStateAndEffectorRendering(t *testing.T) {
 	if !strings.HasPrefix(eff.String(), "clock.") {
 		t.Errorf("effector = %q", eff)
 	}
-	if got := obj.Name(); !strings.Contains(got, "cart:lww-set") {
-		t.Errorf("name = %q", got)
-	}
-	if got := len(obj.Ops()); got != len(registry.LWWSet().New().Ops())+len(registry.Counter().New().Ops()) {
-		t.Errorf("ops = %d", got)
-	}
-	if got := len(obj.ProductSpec().Ops()); got == 0 {
-		t.Error("spec ops empty")
+}
+
+// TestProductQueries: the product declares a query exactly where the named
+// component's spec does; a name outside every component is no query.
+func TestProductQueries(t *testing.T) {
+	obj, _, _ := cartClock()
+	sp := obj.ProductSpec()
+	for name, want := range map[model.OpName]bool{
+		"clock.read": true, "cart.lookup": true, "cart.read": true,
+		"clock.inc": false, "cart.add": false, "cart.remove": false,
+		"read": false, "nope.read": false, "clock.lookup": false,
+	} {
+		if got := sp.IsQuery(name); got != want {
+			t.Errorf("IsQuery(%s) = %t, want %t", name, got, want)
+		}
 	}
 }

@@ -113,9 +113,7 @@ func (d ncRmv) AppendBinary(b []byte) []byte { return append(b, d.String()...) }
 
 type ncObject struct{}
 
-func (ncObject) Name() string        { return "nc-set" }
-func (ncObject) Init() crdt.State    { return ncState{E: model.NewValueSet()} }
-func (ncObject) Ops() []model.OpName { return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpRead} }
+func (ncObject) Init() crdt.State { return ncState{E: model.NewValueSet()} }
 
 func (ncObject) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	switch op.Name {
@@ -166,9 +164,7 @@ func TestNonCommutingSetFails(t *testing.T) {
 // counter value.
 type wrongReturnCounter struct{ inner crdt.Object }
 
-func (w wrongReturnCounter) Name() string        { return "wrong-counter" }
-func (w wrongReturnCounter) Init() crdt.State    { return w.inner.Init() }
-func (w wrongReturnCounter) Ops() []model.OpName { return w.inner.Ops() }
+func (w wrongReturnCounter) Init() crdt.State { return w.inner.Init() }
 
 func (w wrongReturnCounter) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	ret, eff, err := w.inner.Prepare(op, s, origin, mid)

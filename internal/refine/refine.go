@@ -23,7 +23,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/model"
 	"repro/internal/sim"
-	"repro/internal/spec"
 )
 
 // Runtime abstracts over the concrete cluster and the abstract machine for
@@ -105,28 +104,11 @@ type Abstract struct{ M *absmachine.Machine }
 // NewAbstract builds the abstract runtime for the algorithm with n nodes,
 // starting from φ(initial state). X-wins algorithms get the Sec 9 machine.
 func NewAbstract(alg registry.Algorithm, n int) *Abstract {
-	queries := queryPredicate(alg)
 	init := alg.Abs(alg.New().Init())
 	if alg.IsX() {
-		return &Abstract{M: absmachine.NewX(alg.XSpec, n, init, queries)}
+		return &Abstract{M: absmachine.NewX(alg.XSpec, n, init)}
 	}
-	return &Abstract{M: absmachine.New(alg.Spec, n, init, queries)}
-}
-
-// queryPredicate identifies read-only operations by probing the spec on its
-// sampling universe.
-func queryPredicate(alg registry.Algorithm) func(model.Op) bool {
-	states := alg.Universe().States
-	cache := map[string]bool{}
-	return func(op model.Op) bool {
-		k := string(op.Name)
-		if v, ok := cache[k]; ok {
-			return v
-		}
-		v := spec.IsQuery(alg.Spec, op, states)
-		cache[k] = v
-		return v
-	}
+	return &Abstract{M: absmachine.New(alg.Spec, n, init)}
 }
 
 // Invoke implements Runtime.

@@ -99,6 +99,40 @@ func TestAbstractionIsProper(t *testing.T) {
 	}
 }
 
+// TestOutOfUniverseClientsRefine: refinement does not depend on the
+// registry's sampling universe. Each client removes an element, d, that no
+// sampled state holds, while a second thread extends whatever it read. The
+// abstract machine must broadcast that remove like any other update:
+// otherwise the concrete behaviour in which t2 reads d, extends the state,
+// and then reads it without d has no abstract counterpart.
+func TestOutOfUniverseClientsRefine(t *testing.T) {
+	list := lang.MustParse(`
+		node t1 { addAfter(sentinel, "d"); remove("d"); }
+		node t2 { u := read(); if ("d" in u) { addAfter("d", "e"); } y := read(); }`)
+	set := lang.MustParse(`
+		node t1 { add("d"); remove("d"); }
+		node t2 { u := read(); if ("d" in u) { add("e"); } y := read(); }`)
+	for _, c := range []struct {
+		alg  registry.Algorithm
+		prog lang.Program
+	}{
+		{registry.RGA(), list}, {registry.CSeq(), list},
+		{registry.LWWSet(), set}, {registry.TwoPSet(), set},
+		{registry.AWSet(), set}, {registry.RWSet(), set},
+	} {
+		t.Run(c.alg.Name, func(t *testing.T) {
+			res, err := Check(c.alg, c.prog, Explorer{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.OK {
+				t.Fatalf("refinement violated; %d concrete vs %d abstract behaviours; extra:\n%s",
+					res.ConcreteCount, res.AbstractCount, res.Extra)
+			}
+		})
+	}
+}
+
 // brokenSet is the negative control for the ⇐ direction: an implementation
 // that violates ACC must leak behaviours the abstract machine cannot
 // produce.
@@ -130,11 +164,7 @@ func (d brokenRmv) AppendBinary(b []byte) []byte { return append(b, d.String()..
 
 type brokenObj struct{}
 
-func (brokenObj) Name() string     { return "broken-set" }
 func (brokenObj) Init() crdt.State { return brokenState{E: model.NewValueSet()} }
-func (brokenObj) Ops() []model.OpName {
-	return []model.OpName{spec.OpAdd, spec.OpRemove, spec.OpLookup}
-}
 
 func (brokenObj) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	switch op.Name {

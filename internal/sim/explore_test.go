@@ -113,9 +113,7 @@ func (s orderState) AppendBinary(b []byte) []byte { return fmt.Appendf(b, "os{%d
 
 type orderSensitiveObj struct{}
 
-func (orderSensitiveObj) Name() string        { return "order-sensitive" }
-func (orderSensitiveObj) Init() crdt.State    { return orderState{} }
-func (orderSensitiveObj) Ops() []model.OpName { return []model.OpName{spec.OpInc} }
+func (orderSensitiveObj) Init() crdt.State { return orderState{} }
 
 func (orderSensitiveObj) Prepare(op model.Op, s crdt.State, origin model.NodeID, mid model.MsgID) (model.Value, crdt.Effector, error) {
 	if op.Name != spec.OpInc {

@@ -31,7 +31,7 @@ func GenScript(obj crdt.Object, abs crdt.Abstraction, gen GenFunc, nodes, ops in
 	var script Script
 	for attempts := 0; len(script) < ops; attempts++ {
 		if attempts > 100*ops {
-			panic(fmt.Sprintf("sim: generator for %s cannot produce %d acceptable operations", obj.Name(), ops))
+			panic(fmt.Sprintf("sim: generator for %T cannot produce %d acceptable operations", obj, ops))
 		}
 		t := model.NodeID(rng.Intn(nodes))
 		// Rejection-sample operations whose preconditions fail, as the

@@ -26,7 +26,7 @@ import (
 // Spec is an abstract atomic object specification together with its conflict
 // relation: the pair (Γ, ⊲⊳) of the paper.
 //
-// Apply must be total and deterministic: for every operation in Ops and every
+// Apply must be total and deterministic: for every operation and every
 // abstract state, it returns the result value and the successor state.
 // Conflict must be symmetric and must relate (at least) all pairs of
 // non-commutative actions, as required by nonComm(Γ, ⊲⊳) (Def 1); package
@@ -34,14 +34,15 @@ import (
 type Spec interface {
 	// Name identifies the abstract data type, e.g. "set" or "list".
 	Name() string
-	// Init returns the default initial abstract state.
-	Init() model.Value
-	// Ops lists the operation names in dom(Γ), in a stable order.
-	Ops() []model.OpName
 	// Apply executes the abstract atomic operation op on state s.
 	Apply(op model.Op, s model.Value) (ret model.Value, out model.Value)
 	// Conflict is the ⊲⊳ relation over abstract operations.
 	Conflict(a, b model.Op) bool
+	// IsQuery reports whether the operation named n is a read-only query:
+	// its action is the identity on every state, so its implementation
+	// generates the identity effector, which is never broadcast (Sec 2.1),
+	// and the call rule asks no guarantee for it (Sec 7).
+	IsQuery(n model.OpName) bool
 }
 
 // XSpec extends a specification with the operation-dependent conflict
@@ -56,18 +57,6 @@ type XSpec interface {
 	// CanceledBy reports f ▷ f': f may win over others (per ◀) and f' nullifies
 	// f's effect, in the sense of Sec 2.4.
 	CanceledBy(f, fprime model.Op) bool
-}
-
-// IsQuery reports whether op leaves every sampled state unchanged, judging by
-// Apply over the given states. With a representative state sample this
-// identifies read-only operations (whose action is the identity).
-func IsQuery(sp Spec, op model.Op, states []model.Value) bool {
-	for _, s := range states {
-		if _, out := sp.Apply(op, s); !out.Equal(s) {
-			return false
-		}
-	}
-	return true
 }
 
 // Exec runs a sequence of abstract operations from state s and returns the

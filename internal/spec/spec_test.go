@@ -77,7 +77,7 @@ func (invalidCancelSpec) CanceledBy(f, fp model.Op) bool {
 
 func TestCounterSpec(t *testing.T) {
 	sp := CounterSpec{}
-	s := sp.Init()
+	s := model.Int(0)
 	_, s = sp.Apply(model.Op{Name: OpInc, Arg: model.Int(5)}, s)
 	_, s = sp.Apply(model.Op{Name: OpDec, Arg: model.Int(2)}, s)
 	_, s = sp.Apply(model.Op{Name: OpInc}, s) // default delta 1
@@ -92,7 +92,7 @@ func TestCounterSpec(t *testing.T) {
 
 func TestRegisterSpec(t *testing.T) {
 	sp := RegisterSpec{}
-	s := sp.Init()
+	s := model.Nil()
 	ret, _ := sp.Apply(model.Op{Name: OpRead}, s)
 	if !ret.IsNil() {
 		t.Error("initial read should be nil")
@@ -111,7 +111,7 @@ func TestRegisterSpec(t *testing.T) {
 
 func TestSetSpec(t *testing.T) {
 	sp := SetSpec{}
-	s := sp.Init()
+	s := model.List()
 	_, s = sp.Apply(model.Op{Name: OpAdd, Arg: model.Str("b")}, s)
 	_, s = sp.Apply(model.Op{Name: OpAdd, Arg: model.Str("a")}, s)
 	_, s = sp.Apply(model.Op{Name: OpAdd, Arg: model.Str("a")}, s) // idempotent
@@ -160,7 +160,7 @@ func addAfter(a, b model.Value) model.Op {
 
 func TestListSpecInsertions(t *testing.T) {
 	sp := ListSpec{}
-	s := sp.Init()
+	s := model.List()
 	_, s = sp.Apply(addAfter(Sentinel, model.Str("a")), s)
 	_, s = sp.Apply(addAfter(model.Str("a"), model.Str("c")), s)
 	_, s = sp.Apply(addAfter(model.Str("a"), model.Str("b")), s)
@@ -230,29 +230,15 @@ func TestExecReturnsLastValue(t *testing.T) {
 		{Name: OpAdd, Arg: model.Str("a")},
 		{Name: OpLookup, Arg: model.Str("a")},
 	}
-	final, ret := Exec(sp, sp.Init(), ops)
+	final, ret := Exec(sp, model.List(), ops)
 	if !ret.Equal(model.True) {
 		t.Errorf("last return = %s", ret)
 	}
 	if !final.Equal(model.List(model.Str("a"))) {
 		t.Errorf("final = %s", final)
 	}
-	if _, ret := Exec(sp, sp.Init(), nil); !ret.IsNil() {
+	if _, ret := Exec(sp, model.List(), nil); !ret.IsNil() {
 		t.Error("empty exec should return nil")
-	}
-}
-
-func TestIsQuery(t *testing.T) {
-	u := SetUniverse(true)
-	sp := SetSpec{}
-	if !IsQuery(sp, model.Op{Name: OpRead}, u.States) {
-		t.Error("read should be a query")
-	}
-	if !IsQuery(sp, model.Op{Name: OpLookup, Arg: model.Str("a")}, u.States) {
-		t.Error("lookup should be a query")
-	}
-	if IsQuery(sp, model.Op{Name: OpAdd, Arg: model.Str("a")}, u.States) {
-		t.Error("add should not be a query")
 	}
 }
 

@@ -35,12 +35,6 @@ type CounterSpec struct{}
 // Name implements Spec.
 func (CounterSpec) Name() string { return "counter" }
 
-// Init returns 0.
-func (CounterSpec) Init() model.Value { return model.Int(0) }
-
-// Ops implements Spec.
-func (CounterSpec) Ops() []model.OpName { return []model.OpName{OpInc, OpDec, OpRead} }
-
 func counterDelta(arg model.Value) int64 {
 	if n, ok := arg.AsInt(); ok {
 		return n
@@ -66,6 +60,9 @@ func (CounterSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) 
 // Conflict implements Spec: counters have no conflicting operations.
 func (CounterSpec) Conflict(a, b model.Op) bool { return false }
 
+// IsQuery implements Spec: read is the only query.
+func (CounterSpec) IsQuery(n model.OpName) bool { return n == OpRead }
+
 // ---------------------------------------------------------------------------
 // Register
 // ---------------------------------------------------------------------------
@@ -77,12 +74,6 @@ type RegisterSpec struct{}
 
 // Name implements Spec.
 func (RegisterSpec) Name() string { return "register" }
-
-// Init returns the empty register (Nil).
-func (RegisterSpec) Init() model.Value { return model.Nil() }
-
-// Ops implements Spec.
-func (RegisterSpec) Ops() []model.OpName { return []model.OpName{OpWrite, OpRead} }
 
 // Apply implements Spec.
 func (RegisterSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
@@ -101,6 +92,9 @@ func (RegisterSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value)
 func (RegisterSpec) Conflict(a, b model.Op) bool {
 	return a.Name == OpWrite && b.Name == OpWrite && !a.Arg.Equal(b.Arg)
 }
+
+// IsQuery implements Spec: read is the only query.
+func (RegisterSpec) IsQuery(n model.OpName) bool { return n == OpRead }
 
 // ---------------------------------------------------------------------------
 // Sets (grow-only and general)
@@ -140,12 +134,6 @@ type GSetSpec struct{}
 // Name implements Spec.
 func (GSetSpec) Name() string { return "g-set" }
 
-// Init returns the empty set.
-func (GSetSpec) Init() model.Value { return model.List() }
-
-// Ops implements Spec.
-func (GSetSpec) Ops() []model.OpName { return []model.OpName{OpAdd, OpLookup, OpRead} }
-
 // Apply implements Spec.
 func (GSetSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
 	switch op.Name {
@@ -163,6 +151,9 @@ func (GSetSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
 // Conflict implements Spec: grow-only sets have no conflicting operations.
 func (GSetSpec) Conflict(a, b model.Op) bool { return false }
 
+// IsQuery implements Spec: lookup and read are the queries.
+func (GSetSpec) IsQuery(n model.OpName) bool { return n == OpLookup || n == OpRead }
+
 // SetSpec is the abstract set with add(e), remove(e), lookup(e) and read().
 // It is the common specification of the LWW-element set, the 2P-set, the
 // add-wins set, and the remove-wins set. add(x) conflicts with remove(x) for
@@ -171,12 +162,6 @@ type SetSpec struct{}
 
 // Name implements Spec.
 func (SetSpec) Name() string { return "set" }
-
-// Init returns the empty set.
-func (SetSpec) Init() model.Value { return model.List() }
-
-// Ops implements Spec.
-func (SetSpec) Ops() []model.OpName { return []model.OpName{OpAdd, OpRemove, OpLookup, OpRead} }
 
 // Apply implements Spec.
 func (SetSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
@@ -201,6 +186,9 @@ func (SetSpec) Conflict(a, b model.Op) bool {
 	}
 	return (a.Name == OpAdd && b.Name == OpRemove) || (a.Name == OpRemove && b.Name == OpAdd)
 }
+
+// IsQuery implements Spec: lookup and read are the queries.
+func (SetSpec) IsQuery(n model.OpName) bool { return n == OpLookup || n == OpRead }
 
 // AWSetSpec is the set specification extended with the add-wins strategy
 // (Sec 9): remove(e) ◀ add(e) — a concurrent add wins over a remove of the
@@ -257,12 +245,6 @@ type ListSpec struct{}
 
 // Name implements Spec.
 func (ListSpec) Name() string { return "list" }
-
-// Init returns the empty list.
-func (ListSpec) Init() model.Value { return model.List() }
-
-// Ops implements Spec.
-func (ListSpec) Ops() []model.OpName { return []model.OpName{OpAddAfter, OpRemove, OpRead} }
 
 // Apply implements Spec.
 func (ListSpec) Apply(op model.Op, s model.Value) (model.Value, model.Value) {
@@ -327,6 +309,9 @@ func (ListSpec) Conflict(a, b model.Op) bool {
 		return false
 	}
 }
+
+// IsQuery implements Spec: read is the only query.
+func (ListSpec) IsQuery(n model.OpName) bool { return n == OpRead }
 
 // ---------------------------------------------------------------------------
 // Sampling universes for property tests and the proof method
