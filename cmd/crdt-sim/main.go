@@ -244,12 +244,13 @@ func parseLatePeers(s string) ([]model.NodeID, error) {
 	return out, nil
 }
 
-// objStatsLine renders one field group of the endpoint's per-object ledger
-// for printing, object by object in manifest order.
-func objStatsLine(specs transport.Manifest, objs map[transport.ObjID]transport.ObjStats, render func(transport.ObjStats) string) string {
+// objStatsLine renders the endpoint's per-object ledger, sent/received
+// frames, for printing, object by object in manifest order.
+func objStatsLine(specs transport.Manifest, objs map[transport.ObjID]transport.ObjStats) string {
 	parts := make([]string, len(specs))
 	for i, spec := range specs {
-		parts[i] = fmt.Sprintf("%d:%s", spec.ID, render(objs[spec.ID]))
+		o := objs[spec.ID]
+		parts[i] = fmt.Sprintf("%d:%d/%d", spec.ID, o.SentFrames, o.RecvFrames)
 	}
 	return strings.Join(parts, " ")
 }
@@ -468,12 +469,7 @@ func runPeer(alg registry.Algorithm, network string, node int, addrList []string
 	fmt.Printf("node %d: transport sent %d frames in %d batches (%d B), received %d frames in %d batches (%d B) over %d connection(s), flushes frames=%d delay=%d explicit=%d close=%d\n",
 		node, sent.Frames, sent.Batches, sent.Bytes, recv.Frames, recv.Batches, recv.Bytes, len(st.ConnectedPeers()),
 		ts.Flushes.Frames, ts.Flushes.Delay, ts.Flushes.Explicit, ts.Flushes.Close)
-	fmt.Printf("node %d: per-object frames (sent/recv): %s\n", node, objStatsLine(specs, ts.Objects, func(o transport.ObjStats) string {
-		return fmt.Sprintf("%d/%d", o.SentFrames, o.RecvFrames)
-	}))
-	fmt.Printf("node %d: scheduler queued/drained: %s\n", node, objStatsLine(specs, ts.Objects, func(o transport.ObjStats) string {
-		return fmt.Sprintf("%d/%d cap=%d deadline=%d", o.Queued, o.Drained, o.CapFlushes, o.DeadlineFlushes)
-	}))
+	fmt.Printf("node %d: per-object frames (sent/recv): %s\n", node, objStatsLine(specs, ts.Objects))
 	if err := ts.SchedBalance(); err != nil {
 		return fail("%v", err)
 	}

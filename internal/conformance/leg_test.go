@@ -83,8 +83,8 @@ func TestLegCheckRejectsBadRuns(t *testing.T) {
 					Sent:         peers,
 					Recv:         append([]transport.PeerIO(nil), peers...),
 					Objects: map[transport.ObjID]transport.ObjStats{
-						1: {SentFrames: 2, RecvFrames: 2, Queued: 1, Drained: 1},
-						2: {SentFrames: 2, RecvFrames: 2, Queued: 1, Drained: 1},
+						1: {SentFrames: 2, RecvFrames: 2},
+						2: {SentFrames: 2, RecvFrames: 2},
 					},
 				},
 			}
@@ -101,8 +101,8 @@ func TestLegCheckRejectsBadRuns(t *testing.T) {
 		want   string
 	}{
 		{"state differs", func(r *legRun) { r[2].states[1] = []byte{9} }, "object 2 (g-set): node 2's canonical state differs"},
-		{"ledger off", func(r *legRun) { r[1].stats.FramesQueued++ },
-			"node 1: transport: ledger out of balance: Σ_obj queued frames 2 != endpoint total 3"},
+		{"ledger off", func(r *legRun) { r[1].stats.Sent[0].Frames++ },
+			"node 1: transport: ledger out of balance: Σ_obj sent frames 4 != endpoint total 5"},
 	}
 	for _, c := range cases {
 		r := good()

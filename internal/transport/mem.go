@@ -323,9 +323,9 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 	// Byte accounting mirrors the socket wire: the nested checksummed
 	// envelope the frame would cost in a batch container.
 	e.sq.push(f)
-	e.stats.noteQueued(f.Obj)
+	e.stats.FramesQueued++
 	if len(e.sq.items) >= e.policy.MaxFrames {
-		return e.flush(trigFrames, f.Obj)
+		return e.flush(trigFrames)
 	}
 	return nil
 }
@@ -333,19 +333,18 @@ func (e *memEndpoint) Broadcast(f Frame) error {
 // flush writes the whole pending batch into the network at the current
 // tick, one container per peer in arrival order. Every flushed frame arrives
 // at the flush tick, so batched executions replay byte-for-byte.
-func (e *memEndpoint) flush(trigger int, cause ObjID) error {
+func (e *memEndpoint) flush(trigger int) error {
 	items := e.sq.items
 	if len(items) == 0 {
 		return nil
 	}
-	e.stats.noteFlush(trigger, cause)
+	e.stats.noteFlush(trigger)
 	objs := make([]ObjID, len(items))
 	wire := 0
 	for i, it := range items {
 		objs[i] = it.frame.Obj
 		wire += it.wire
 	}
-	e.stats.noteDrained(objs)
 	for dst := model.NodeID(0); int(dst) < e.m.n; dst++ {
 		if dst == e.self {
 			continue
@@ -369,7 +368,7 @@ func (e *memEndpoint) Send(to model.NodeID, f Frame) error {
 	if int(to) < 0 || int(to) >= e.m.n || to == e.self {
 		return fmt.Errorf("transport: cannot unicast to node %s", to)
 	}
-	if err := e.flush(trigExplicit, 0); err != nil {
+	if err := e.flush(trigExplicit); err != nil {
 		return err
 	}
 	e.m.Put(to, &Queued{Frame: f, Copies: 1, ReadyAt: e.m.now})
@@ -382,7 +381,7 @@ func (e *memEndpoint) Flush() error {
 	if e.closed {
 		return ErrClosed
 	}
-	return e.flush(trigExplicit, 0)
+	return e.flush(trigExplicit)
 }
 
 // Stats returns a snapshot of the endpoint's batching and IO counters.
@@ -434,5 +433,5 @@ func (e *memEndpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	return e.flush(trigClose, 0)
+	return e.flush(trigClose)
 }

@@ -77,16 +77,6 @@ type ObjStats struct {
 	// per peer it went to), RecvFrames the frames read: they split the
 	// per-peer Frames totals.
 	SentFrames, RecvFrames int
-	// Queued counts broadcasts accepted into the send queue (splitting
-	// FramesQueued), Drained the frames handed to wire containers, Depth the
-	// frames still pending, so Queued == Drained + Depth; MaxDepth is the
-	// high-water mark of Depth.
-	Queued, Drained, Depth, MaxDepth int
-	// CapFlushes counts frame-cap flushes tripped by this object's enqueue
-	// (splitting Flushes.Frames); DeadlineFlushes counts BatchPolicy.MaxDelay
-	// flushes of pending batches whose first frame was this object's
-	// (splitting Flushes.Delay).
-	CapFlushes, DeadlineFlushes int
 }
 
 // Stats is a snapshot of one endpoint's batching and IO counters: what the
@@ -105,13 +95,13 @@ type Stats struct {
 	Sent []PeerIO
 	Recv []PeerIO
 	// Objects is the per-object ledger, keyed by object ID (key 0 for a
-	// single-object group). Nil until the first frame is queued or moves.
+	// single-object group). Nil until the first frame is sent or received.
 	Objects map[ObjID]ObjStats
 }
 
-// The note helpers below are the ledger's only write paths. Each updates a
-// per-object split and the endpoint total it splits in the same call (on a
-// Stream, under its stats lock), so SchedBalance holds by construction.
+// The note helpers below are the only write paths of the per-object splits.
+// Each updates a split and the endpoint total it splits in the same call (on
+// a Stream, under its stats lock), so SchedBalance holds by construction.
 
 // setObj stores object id's ledger entry.
 func (s *Stats) setObj(id ObjID, o ObjStats) {
@@ -121,42 +111,14 @@ func (s *Stats) setObj(id ObjID, o ObjStats) {
 	s.Objects[id] = o
 }
 
-// noteQueued records one broadcast accepted into the send queue.
-func (s *Stats) noteQueued(id ObjID) {
-	s.FramesQueued++
-	o := s.Objects[id]
-	o.Queued++
-	o.Depth++
-	o.MaxDepth = max(o.MaxDepth, o.Depth)
-	s.setObj(id, o)
-}
-
-// noteDrained records queued frames, of the listed objects, handed to a
-// wire container.
-func (s *Stats) noteDrained(objs []ObjID) {
-	for _, id := range objs {
-		o := s.Objects[id]
-		o.Drained++
-		o.Depth--
-		s.setObj(id, o)
-	}
-}
-
 // noteFlush counts one flush under its trigger, however many containers it
-// takes. A cap trigger is credited to the object whose enqueue crossed the
-// cap, a delay trigger to the object whose frame armed the deadline.
-func (s *Stats) noteFlush(trigger int, cause ObjID) {
+// takes.
+func (s *Stats) noteFlush(trigger int) {
 	switch trigger {
 	case trigFrames:
 		s.Flushes.Frames++
-		o := s.Objects[cause]
-		o.CapFlushes++
-		s.setObj(cause, o)
 	case trigDelay:
 		s.Flushes.Delay++
-		o := s.Objects[cause]
-		o.DeadlineFlushes++
-		s.setObj(cause, o)
 	case trigExplicit:
 		s.Flushes.Explicit++
 	case trigClose:
@@ -223,22 +185,13 @@ func (s Stats) TotalRecv() PeerIO {
 
 // SchedBalance audits every per-object split of the ledger against the
 // endpoint total it splits: Σ SentFrames and Σ RecvFrames against the
-// per-peer frame totals, Σ Queued against FramesQueued, Σ CapFlushes and
-// Σ DeadlineFlushes against Flushes.Frames and Flushes.Delay, and per object
-// Queued == Drained + Depth with Depth ≥ 0. The note helpers keep every split
-// by construction, so a non-nil return is an accounting bug.
+// per-peer frame totals. The note helpers keep every split by construction,
+// so a non-nil return is an accounting bug.
 func (s Stats) SchedBalance() error {
 	var sum ObjStats
-	for id, o := range s.Objects {
-		if o.Depth < 0 || o.Queued != o.Drained+o.Depth {
-			return fmt.Errorf("transport: send-queue ledger for object %d out of balance: queued %d, drained %d, depth %d (want queued = drained + depth, depth ≥ 0)",
-				id, o.Queued, o.Drained, o.Depth)
-		}
+	for _, o := range s.Objects {
 		sum.SentFrames += o.SentFrames
 		sum.RecvFrames += o.RecvFrames
-		sum.Queued += o.Queued
-		sum.CapFlushes += o.CapFlushes
-		sum.DeadlineFlushes += o.DeadlineFlushes
 	}
 	for _, c := range []struct {
 		split      string
@@ -246,9 +199,6 @@ func (s Stats) SchedBalance() error {
 	}{
 		{"sent frames", sum.SentFrames, s.TotalSent().Frames},
 		{"received frames", sum.RecvFrames, s.TotalRecv().Frames},
-		{"queued frames", sum.Queued, s.FramesQueued},
-		{"cap flushes", sum.CapFlushes, s.Flushes.Frames},
-		{"deadline flushes", sum.DeadlineFlushes, s.Flushes.Delay},
 	} {
 		if c.sum != c.total {
 			return fmt.Errorf("transport: ledger out of balance: Σ_obj %s %d != endpoint total %d", c.split, c.sum, c.total)

@@ -46,17 +46,15 @@ func TestBatchPolicyNormalized(t *testing.T) {
 // TestSchedBalance hands SchedBalance a balanced ledger, then breaks one
 // split per case: each must be rejected with an error naming the split.
 func TestSchedBalance(t *testing.T) {
-	// Five frames queued (three of object 1, two of object 2), four drained
-	// to two peers by two cap flushes and one deadline flush, one pending.
+	// Four frames sent to each of two peers (three of object 1, one of
+	// object 2), four received from them.
 	good := func() Stats {
 		return Stats{
-			FramesQueued: 5,
-			Flushes:      FlushStats{Frames: 2, Delay: 1},
-			Sent:         []PeerIO{{}, {Frames: 4, Batches: 3}, {Frames: 4, Batches: 3}},
-			Recv:         []PeerIO{{}, {Frames: 3, Batches: 2}, {Frames: 1, Batches: 1}},
+			Sent: []PeerIO{{}, {Frames: 4, Batches: 3}, {Frames: 4, Batches: 3}},
+			Recv: []PeerIO{{}, {Frames: 3, Batches: 2}, {Frames: 1, Batches: 1}},
 			Objects: map[ObjID]ObjStats{
-				1: {SentFrames: 6, RecvFrames: 3, Queued: 3, Drained: 3, MaxDepth: 2, CapFlushes: 2},
-				2: {SentFrames: 2, RecvFrames: 1, Queued: 2, Drained: 1, Depth: 1, MaxDepth: 1, DeadlineFlushes: 1},
+				1: {SentFrames: 6, RecvFrames: 3},
+				2: {SentFrames: 2, RecvFrames: 1},
 			},
 		}
 	}
@@ -75,14 +73,6 @@ func TestSchedBalance(t *testing.T) {
 	}{
 		{"sent frames", func(s *Stats) { s.Sent[2].Frames++ }, "Σ_obj sent frames 8 != endpoint total 9"},
 		{"received frames", func(s *Stats) { obj(s, 2, func(o *ObjStats) { o.RecvFrames++ }) }, "Σ_obj received frames 5 != endpoint total 4"},
-		{"queued frames", func(s *Stats) { s.FramesQueued-- }, "Σ_obj queued frames 5 != endpoint total 4"},
-		{"queued != drained + depth", func(s *Stats) { obj(s, 1, func(o *ObjStats) { o.Drained-- }) },
-			"object 1 out of balance: queued 3, drained 2, depth 0"},
-		{"negative depth", func(s *Stats) { obj(s, 2, func(o *ObjStats) { o.Drained, o.Depth = 3, -1 }) },
-			"object 2 out of balance: queued 2, drained 3, depth -1"},
-		{"cap flushes", func(s *Stats) { s.Flushes.Frames++ }, "Σ_obj cap flushes 2 != endpoint total 3"},
-		{"deadline flushes", func(s *Stats) { obj(s, 1, func(o *ObjStats) { o.DeadlineFlushes++ }) },
-			"Σ_obj deadline flushes 2 != endpoint total 1"},
 	}
 	for _, c := range cases {
 		s := good()
@@ -127,15 +117,15 @@ func TestStatsSnapshotIsolated(t *testing.T) {
 		if got := fmt.Sprintf("%+v", snap); got != want {
 			t.Errorf("%s: snapshot changed by later traffic:\n got %s\nwant %s", end.name, got, want)
 		}
-		snap.Objects[1] = ObjStats{Queued: 99}
+		snap.Objects[1] = ObjStats{SentFrames: 99}
 		snap.Objects[2] = ObjStats{SentFrames: 1}
 		snap.Sent[1].Frames = 99
 		now := end.e.Stats()
 		if err := now.SchedBalance(); err != nil {
 			t.Errorf("%s: a write into a snapshot reached the endpoint: %v", end.name, err)
 		}
-		if o, other := now.Objects[1], len(now.Objects); o.Queued != 7 || o.Drained != 7 || o.SentFrames != 7 || other != 1 {
-			t.Errorf("%s: ledger %+v, want object 1 alone with 7 frames queued, drained and sent", end.name, now.Objects)
+		if o, other := now.Objects[1], len(now.Objects); now.FramesQueued != 7 || o.SentFrames != 7 || other != 1 {
+			t.Errorf("%s: %d frames queued, ledger %+v, want 7 queued and object 1 alone with 7 sent", end.name, now.FramesQueued, now.Objects)
 		}
 	}
 }

@@ -740,21 +740,20 @@ func (s *Stream) Broadcast(f Frame) error {
 	}
 	s.sq.push(f)
 	s.statsMu.Lock()
-	s.stats.noteQueued(f.Obj)
+	s.stats.FramesQueued++
 	s.statsMu.Unlock()
 	if len(s.sq.items) >= s.policy.MaxFrames {
-		return s.flushLocked(trigFrames, f.Obj)
+		return s.flushLocked(trigFrames)
 	}
 	if s.policy.MaxDelay > 0 && s.flushTimer == nil {
-		s.armDeadlineLocked(f.Obj)
+		s.armDeadlineLocked()
 	}
 	return nil
 }
 
 // armDeadlineLocked starts the flush timer for the pending batch whose first
-// frame, of object obj, was just queued; obj gets the deadline flush's
-// credit. Called with mu held.
-func (s *Stream) armDeadlineLocked(obj ObjID) {
+// frame was just queued. Called with mu held.
+func (s *Stream) armDeadlineLocked() {
 	var t *time.Timer
 	t = time.AfterFunc(s.policy.MaxDelay, func() {
 		s.mu.Lock()
@@ -762,7 +761,7 @@ func (s *Stream) armDeadlineLocked(obj ObjID) {
 		// A flush that stopped t too late to cancel this call has already
 		// taken the batch t was armed for.
 		if s.flushTimer == t {
-			s.flushLocked(trigDelay, obj)
+			s.flushLocked(trigDelay)
 		}
 	})
 	s.flushTimer = t
@@ -773,7 +772,7 @@ func (s *Stream) armDeadlineLocked(obj ObjID) {
 // however many containers the batch needs: the queue splits only where a
 // container would outgrow what a receiver accepts (the jumbo-snapshot
 // guard). Called with mu held.
-func (s *Stream) flushLocked(trigger int, cause ObjID) error {
+func (s *Stream) flushLocked(trigger int) error {
 	if s.flushTimer != nil {
 		s.flushTimer.Stop()
 		s.flushTimer = nil
@@ -783,7 +782,7 @@ func (s *Stream) flushLocked(trigger int, cause ObjID) error {
 		return nil
 	}
 	s.statsMu.Lock()
-	s.stats.noteFlush(trigger, cause)
+	s.stats.noteFlush(trigger)
 	s.statsMu.Unlock()
 	var firstErr error
 	for len(items) > 0 {
@@ -831,8 +830,8 @@ func (s *Stream) containerLocked(items []sendItem) (wire []byte, objs []ObjID) {
 }
 
 // writeContainerLocked writes one batch container of queued items to every
-// peer connection and settles the ledgers: per-peer/per-object IO and the
-// drained counts. Called with mu held.
+// peer connection and settles the per-peer/per-object IO ledger. Called with
+// mu held.
 func (s *Stream) writeContainerLocked(items []sendItem) error {
 	buf, objs := s.containerLocked(items)
 	// Write to every healthy conn before reporting a failure: aborting on the
@@ -853,9 +852,6 @@ func (s *Stream) writeContainerLocked(items []sendItem) error {
 		s.stats.noteSent(model.NodeID(peer), 1, len(buf), objs)
 		s.statsMu.Unlock()
 	}
-	s.statsMu.Lock()
-	s.stats.noteDrained(objs)
-	s.statsMu.Unlock()
 	return firstErr
 }
 
@@ -875,7 +871,7 @@ func (s *Stream) Send(to model.NodeID, f Frame) error {
 	if c == nil {
 		return fmt.Errorf("transport: no connection to node %s", to)
 	}
-	if err := s.flushLocked(trigExplicit, 0); err != nil {
+	if err := s.flushLocked(trigExplicit); err != nil {
 		return err
 	}
 	items := [1]sendItem{{frame: f, wire: f.wireLen()}}
@@ -896,7 +892,7 @@ func (s *Stream) Flush() error {
 	if s.closedLocked() {
 		return ErrClosed
 	}
-	return s.flushLocked(trigExplicit, 0)
+	return s.flushLocked(trigExplicit)
 }
 
 // Stats returns a snapshot of the endpoint's batching and IO counters.
@@ -1026,7 +1022,7 @@ func (s *Stream) closeDrain() (pipeFrame, bool, error) {
 func (s *Stream) Close() error {
 	s.once.Do(func() {
 		s.mu.Lock()
-		s.flushLocked(trigClose, 0)
+		s.flushLocked(trigClose)
 		close(s.closed)
 		s.mu.Unlock()
 		if s.ln != nil {
