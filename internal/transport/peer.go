@@ -440,9 +440,11 @@ func (p *Peer) retryHeld() error {
 
 // CatchUp broadcasts a KindSnapshotRequest: every serving peer answers with
 // its checkpoint state plus retained suffix, and the first response installs
-// (Node.AwaitCatchUp waits until then). Until the install — or the fallback to
-// full replay if the response is corrupt — incoming effector frames buffer
-// and Invoke refuses. Call it right after Listen, before any operation.
+// (Node.AwaitCatchUp waits until then). Until the install — or the rejection
+// of a corrupt response (see handleSnapshot) — incoming effector frames
+// buffer and Invoke refuses. Call it right after Listen, before any
+// operation. The request is sent once: later calls return at once, and
+// nothing resends it.
 func (p *Peer) CatchUp() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -504,9 +506,9 @@ func (p *Peer) serveSnapshot(to model.NodeID) error {
 		Kind: KindSnapshot, Obj: p.objID, MID: p.nextMID(), From: p.t.Self(), Payload: EncodeSnapshot(snap),
 	}); err != nil {
 		// Best-effort: the requester may have resolved through another peer's
-		// response and hung up before this one went out. A lost response never
-		// strands the joiner — it retries or falls back to full replay — so a
-		// refused write must not take this peer down.
+		// response and hung up before this one went out, so a refused write
+		// must not take this peer down. Nothing retries: a joiner whose every
+		// response is lost waits until its AwaitCatchUp times out.
 		p.snapStats.ServeFailed++
 	}
 	return nil
@@ -516,8 +518,12 @@ func (p *Peer) serveSnapshot(to model.NodeID) error {
 // syncing installs: the decoded checkpoint state replaces the (fresh)
 // replica state, the covered frames are marked applied without ever being
 // replayed, and the suffix runs through the ordinary dedup path. A corrupt
-// response falls back to full replay — the buffered frames release and the
-// mesh converges the pre-snapshot way. Later responses only contribute
+// response ends the sync without an install: the buffered frames release,
+// and the rejection returns as an error, which ends a pull loop
+// (Node.AwaitCatchUp, RunToQuiescence) and stops a Receiver's applies. There
+// is no full replay to fall back to on sockets, where a frame broadcast
+// before this peer's admission reaches it only inside a snapshot response.
+// Later responses only contribute
 // suffix frames the peer still misses: by the compaction frontier rule their
 // covered sets are always already applied here (a frame compacted anywhere
 // was acknowledged — hence applied — by every peer connected there, or is
