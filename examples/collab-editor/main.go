@@ -166,7 +166,10 @@ func fig4() {
 			if mid < p { // skip the shared prefix for readability
 				continue
 			}
-			orig, _ := tr.OriginOf(mid)
+			orig, ok := tr.OriginOf(mid)
+			if !ok {
+				log.Fatalf("the order names %s, which has no origin event", mid)
+			}
 			parts = append(parts, fmt.Sprintf("%s", orig.Op))
 		}
 		fmt.Printf("    %s: %s\n", node, strings.Join(parts, " < "))

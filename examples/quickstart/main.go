@@ -67,7 +67,10 @@ func main() {
 			if k > 0 {
 				fmt.Print(" < ")
 			}
-			orig, _ := tr.OriginOf(mid)
+			orig, ok := tr.OriginOf(mid)
+			if !ok {
+				log.Fatalf("the order names %s, which has no origin event", mid)
+			}
 			fmt.Print(orig.Op)
 		}
 		fmt.Println()

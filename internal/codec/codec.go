@@ -475,6 +475,19 @@ func (d *Decoder) Frame() (payload []byte, ok bool) {
 	return payload, sum == Fingerprint(payload)
 }
 
+// Unframe reads b as exactly one intact frame and returns its payload,
+// aliasing b. It fails on a mismatched checksum, a frame cut short and
+// trailing bytes: the unwrap before a single effector, state or transport
+// frame is decoded.
+func Unframe(b []byte) ([]byte, error) {
+	d := NewDecoder(b)
+	payload, ok := d.Frame()
+	if !ok {
+		d.Fail("frame checksum mismatch")
+	}
+	return Result(&d, payload)
+}
+
 // Fingerprint hashes b to 64 bits with FNV-1a. On canonical encodings it is
 // a content fingerprint: equal objects hash equal, distinct objects collide
 // with probability ~2⁻⁶⁴ per pair — negligible at the explorers' ≤ 2×10⁷

@@ -333,6 +333,32 @@ func TestFrameConcatenation(t *testing.T) {
 	}
 }
 
+// TestUnframe: Unframe returns the payload of exactly one intact frame and
+// fails, wrapping ErrCorrupt, on a checksum mismatch, a frame cut short and
+// trailing bytes, with the texts the single-frame callers always reported.
+func TestUnframe(t *testing.T) {
+	enc := AppendFrame(nil, []byte("payload"))
+	if got, err := Unframe(enc); err != nil || string(got) != "payload" {
+		t.Fatalf("intact frame: %q, %v", got, err)
+	}
+	flipped := append([]byte(nil), enc...)
+	flipped[len(flipped)-1] ^= 1
+	for _, c := range []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"checksum mismatch", flipped, "codec: corrupt encoding: frame checksum mismatch"},
+		{"cut short", enc[:len(enc)-1], "codec: corrupt encoding: truncated input"},
+		{"trailing bytes", append(append([]byte(nil), enc...), 0), "codec: corrupt encoding: 1 trailing bytes"},
+	} {
+		got, err := Unframe(c.b)
+		if got != nil || !errors.Is(err, ErrCorrupt) || err.Error() != c.want {
+			t.Errorf("%s: %q, %v; want %q", c.name, got, err, c.want)
+		}
+	}
+}
+
 // TestFingerprintDistinguishes: the fingerprint separates the cheap cases a
 // weaker hash might merge.
 func TestFingerprintDistinguishes(t *testing.T) {

@@ -159,10 +159,13 @@ func originOps(tr trace.Trace) map[model.MsgID]model.Op {
 // the end, so the common cost per event is O(1) abstract steps instead of
 // O(|visible|). execRelatedNaive, in the tests, is the
 // specification-literal version it is checked and benchmarked against.
+//
+// The concrete replay applies in place once its first non-identity step has
+// built it a state of its own (replay).
 func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 	pos := ar.positions()
-	s := p.Object.Init()
-	absInit := p.Abs(s)
+	s := replay{s: p.Object.Init()}
+	absInit := p.Abs(s.s)
 	var ops []model.Op               // current serialization
 	var mids []model.MsgID           // parallel MsgIDs
 	states := []model.Value{absInit} // states[i] = abstract state after ops[:i]
@@ -170,7 +173,7 @@ func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 		if e.Node != t {
 			continue
 		}
-		s = e.Eff.Apply(s)
+		s.apply(e.Eff)
 		orig, ok := tr.OriginOf(e.MID)
 		if !ok {
 			return false
@@ -194,7 +197,7 @@ func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 			lastRet, st = p.Spec.Apply(ops[j], states[j])
 			states = append(states, st)
 		}
-		if !p.Abs(s).Equal(states[len(states)-1]) {
+		if !p.Abs(s.s).Equal(states[len(states)-1]) {
 			return false
 		}
 		if e.IsOrigin && !lastRet.Equal(e.Ret) {
@@ -202,4 +205,30 @@ func execRelated(tr trace.Trace, t model.NodeID, ar Order, p Problem) bool {
 		}
 	}
 	return true
+}
+
+// replay is one node's concrete state as a checker replays it. It starts
+// from a state others may hold (the init state), so its first non-identity
+// step goes through the pure Apply, and every later step applies in place
+// (crdt.ApplyOwned) on the fresh result. That is safe because:
+//   - a pure Apply shares nothing that either state writes again with its
+//     argument (crdt.State), so the init state is never written;
+//   - every abstraction φ builds fresh immutable values, so no abstract
+//     state the checker keeps aliases the replayed one;
+//   - ApplyInPlace never writes the effector, which the trace shares.
+//
+// An identity step does not count: IdEff.Apply returns its argument.
+type replay struct {
+	s     crdt.State
+	owned bool
+}
+
+// apply applies eff to the replayed state.
+func (r *replay) apply(eff crdt.Effector) {
+	switch {
+	case r.owned:
+		r.s = crdt.ApplyOwned(eff, r.s)
+	case !crdt.IsIdentity(eff):
+		r.s, r.owned = eff.Apply(r.s), true
+	}
 }

@@ -505,8 +505,14 @@ func TestACCDetectsWrongReturnValue(t *testing.T) {
 	mustInvoke(t, c, 0, model.Op{Name: spec.OpInc, Arg: model.Int(2)})
 	mustInvoke(t, c, 0, model.Op{Name: spec.OpRead})
 	tr := c.Trace()
-	// Tamper with the read's return value.
-	tr[len(tr)-1].Ret = model.Int(99)
+	// Tamper with the read's return value. The copy shares its records with
+	// the cluster's trace, so replace the record instead of writing through
+	// it.
+	read := &tr[len(tr)-1]
+	read.Record = &trace.Record{Op: read.Op, Ret: model.Int(99), Eff: read.Eff}
+	if got := c.Trace()[len(tr)-1].Ret; !got.Equal(model.Int(2)) {
+		t.Fatalf("tampering with a copy changed the cluster's trace: read returns %s", got)
+	}
 	res, err := CheckACC(tr, problem(alg))
 	if err != nil {
 		t.Fatal(err)

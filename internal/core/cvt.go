@@ -21,7 +21,9 @@ func CheckConvergence(tr trace.Trace, obj crdt.Object, abs crdt.Abstraction) err
 	return CheckConvergenceFrom(tr, obj.Init(), abs)
 }
 
-// CheckConvergenceFrom is CheckConvergence with an explicit initial state.
+// CheckConvergenceFrom is CheckConvergence with an explicit initial state,
+// which every node starts from and none writes: each node's replay owns only
+// the states it built (see replay).
 func CheckConvergenceFrom(tr trace.Trace, init crdt.State, abs crdt.Abstraction) error {
 	type seenAt struct {
 		node   model.NodeID
@@ -29,15 +31,19 @@ func CheckConvergenceFrom(tr trace.Trace, init crdt.State, abs crdt.Abstraction)
 		abs    model.Value
 	}
 	byVisKey := map[string]seenAt{}
-	states := map[model.NodeID]crdt.State{}
+	states := map[model.NodeID]*replay{}
 	visible := map[model.NodeID][]model.MsgID{}
-	record := func(t model.NodeID, prefix int) error {
-		s, ok := states[t]
+	stateOf := func(t model.NodeID) *replay {
+		r, ok := states[t]
 		if !ok {
-			s = init
+			r = &replay{s: init}
+			states[t] = r
 		}
+		return r
+	}
+	record := func(t model.NodeID, prefix int) error {
 		key := visKey(visible[t])
-		a := abs(s)
+		a := abs(stateOf(t).s)
 		if prev, ok := byVisKey[key]; ok {
 			if !prev.abs.Equal(a) {
 				return fmt.Errorf(
@@ -55,11 +61,7 @@ func CheckConvergenceFrom(tr trace.Trace, init crdt.State, abs crdt.Abstraction)
 		}
 	}
 	for i, e := range tr {
-		s, ok := states[e.Node]
-		if !ok {
-			s = init
-		}
-		states[e.Node] = e.Eff.Apply(s)
+		stateOf(e.Node).apply(e.Eff)
 		if !e.IsQuery() {
 			visible[e.Node] = append(visible[e.Node], e.MID)
 		}

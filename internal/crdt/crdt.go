@@ -24,11 +24,15 @@ import (
 // length, so an append on either side copies), so traces, checkers and
 // copy-on-write clones may share states freely. The
 // exception is a caller that holds the only reference to a state, which may
-// hand it to ApplyOwned (see InPlace). There are two such owners. A replica
-// host (transport.Peer) drops the old state after every apply and never
-// hands one out. A sim.Cluster owns each node's state until Clone shares it
-// or StateOf hands it out; its next apply at that node copies through Apply
-// and owns the fresh result.
+// hand it to ApplyOwned (see InPlace). There are three such owners. A
+// replica host (transport.Peer) drops the old state after every apply and
+// never hands one out. A sim.Cluster owns each node's state until Clone
+// shares it or StateOf hands it out; its next apply at that node copies
+// through Apply and owns the fresh result. A checker's concrete replay
+// (package core) starts from a state it may share, takes the result of its
+// first non-identity Apply as its own, and keeps only the abstract values φ
+// builds fresh from it. IdEff.Apply returns its argument, so an identity
+// step gives no one a state of their own.
 //
 // AppendBinary is the state's identity: it appends the canonical binary
 // encoding (package codec) to b and returns the extended slice. The encoding

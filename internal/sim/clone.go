@@ -10,11 +10,11 @@ import (
 )
 
 // Clone deep-copies the cluster so exhaustive explorers can branch. Replica
-// states are shared, so both sides give up owning them. Effectors and
-// messages are immutable and shared too (the transport replaces a partially
-// consumed duplicate copy-on-write, so the sharing stays safe), and so is
-// the link-fault RNG: explorers operate on clean clusters, and chaos runs
-// never branch.
+// states are shared, so both sides give up owning them. Effectors, trace
+// records and messages are immutable and shared too (the transport replaces
+// a partially consumed duplicate copy-on-write, so the sharing stays safe),
+// and so is the link-fault RNG: explorers operate on clean clusters, and
+// chaos runs never branch.
 func (c *Cluster) Clone() *Cluster {
 	cp := &Cluster{
 		obj: c.obj, causal: c.causal, nextMID: c.nextMID,
@@ -69,7 +69,7 @@ func (c *Cluster) AppendBinary(b []byte) []byte {
 		for _, q := range pend {
 			msg := q.Item.(*message)
 			b = codec.AppendUvarint(b, uint64(q.Frame.MID))
-			scratch = msg.eff.AppendBinary(scratch[:0])
+			scratch = msg.rec.Eff.AppendBinary(scratch[:0])
 			b = codec.AppendBytes(b, scratch)
 			b = msg.deps.AppendBinary(b)
 			b = codec.AppendUvarint(b, uint64(q.Copies))

@@ -67,16 +67,15 @@ var (
 	ErrCorruptPayload = errors.New("sim: corrupt payload rejected")
 )
 
-// message is the delivery-layer view of one broadcast effector: the operation
-// it came from, the decoded effector, and deps, its origin's causal context
-// when it was issued, whose frontier the deps test reads (Covers). It rides
-// along each queued transport copy as the opaque Item, and is what the
-// broadcast log stores.
+// message is the delivery-layer view of one broadcast effector: rec, the
+// record its deliveries share (the operation and the effector, with a Nil
+// return value), and deps, its origin's causal context when it was issued,
+// whose frontier the deps test reads (Covers). It rides along each queued
+// transport copy as the opaque Item, and is what the broadcast log stores.
 type message struct {
 	mid  model.MsgID
 	from model.NodeID
-	op   model.Op
-	eff  crdt.Effector
+	rec  *trace.Record
 	deps transport.CausalContext
 }
 
@@ -264,15 +263,17 @@ func (c *Cluster) Invoke(t model.NodeID, op model.Op) (model.Value, model.MsgID,
 		}
 	}
 	c.nextMID++
-	c.tr = append(c.tr, trace.Event{
-		MID: mid, Node: t, Origin: t, Op: op, Ret: ret, Eff: eff, IsOrigin: true,
-	})
+	rec := &trace.Record{Op: op, Ret: ret, Eff: eff}
+	c.tr = append(c.tr, trace.Event{Record: rec, MID: mid, Node: t, Origin: t, IsOrigin: true})
 	if !crdt.IsIdentity(eff) {
 		// Identity effectors change no state and are never broadcast, so
 		// they must not enter anyone's causal context either — they could
 		// never be applied at a remote node.
 		c.apply(t, eff)
-		m := &message{mid: mid, from: t, op: op, eff: eff, deps: c.applied[t].Clone()}
+		if !ret.IsNil() {
+			rec = &trace.Record{Op: op, Eff: eff} // a delivery returns nothing
+		}
+		m := &message{mid: mid, from: t, rec: rec, deps: c.applied[t].Clone()}
 		c.applied[t].MarkApplied(int(t), mid, m.pred())
 		c.appendLog(m)
 		for dst := range c.states {
@@ -359,10 +360,10 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 		c.stats.DupSuppressed++
 		return nil
 	}
-	eff := msg.eff
+	rec := msg.rec
 	if c.dec != nil && q.Frame.Payload != nil {
-		var derr error
-		if eff, derr = c.decodeWire(q.Frame.Payload); derr != nil {
+		eff, derr := c.decodeWire(q.Frame.Payload)
+		if derr != nil {
 			// The payload was corrupted in transit and the decoder rejected
 			// it. Discard every remaining queued copy (they carry the same
 			// corrupt bytes) and queue one clean retransmission, delayed
@@ -371,28 +372,24 @@ func (c *Cluster) Deliver(dst model.NodeID, mid model.MsgID) error {
 			if c.faults != nil {
 				delay = c.faults.cfg.DelayMax + 1
 			}
-			c.send(dst, msg, codec.AppendFrame(nil, msg.eff.AppendBinary(nil)), c.net.Now()+delay, false)
+			c.send(dst, msg, codec.AppendFrame(nil, rec.Eff.AppendBinary(nil)), c.net.Now()+delay, false)
 			c.stats.CorruptRejected++
 			return fmt.Errorf("sim: deliver %s to %s: %w: %v", mid, dst, ErrCorruptPayload, derr)
 		}
+		// The trace names the effector this node decoded and applied.
+		rec = &trace.Record{Op: rec.Op, Eff: eff}
 	}
-	c.apply(dst, eff)
+	c.apply(dst, rec.Eff)
 	c.applied[dst].MarkApplied(int(msg.from), mid, msg.pred())
-	c.tr = append(c.tr, trace.Event{
-		MID: mid, Node: dst, Origin: msg.from, Op: msg.op, Eff: eff, IsOrigin: false,
-	})
+	c.tr = append(c.tr, trace.Event{Record: rec, MID: mid, Node: dst, Origin: msg.from})
 	c.tickCheckpoint()
 	return nil
 }
 
 // decodeWire unwraps one framed payload and decodes the effector inside.
 func (c *Cluster) decodeWire(payload []byte) (crdt.Effector, error) {
-	d := codec.NewDecoder(payload)
-	inner, ok := d.Frame()
-	if !ok {
-		d.Fail("frame checksum mismatch")
-	}
-	if err := d.Done(); err != nil {
+	inner, err := codec.Unframe(payload)
+	if err != nil {
 		return nil, err
 	}
 	return c.dec(inner)

@@ -108,7 +108,7 @@ func (c *Cluster) checkpoint() {
 			everywhere = everywhere && c.applied[t].Applied(int(m.from), m.mid)
 		}
 		if everywhere {
-			stable[m.mid] = m.eff
+			stable[m.mid] = m.rec.Eff
 		}
 	}
 	if len(stable) == 0 {
@@ -182,12 +182,7 @@ func (c *Cluster) resyncFresh(t model.NodeID) error {
 	c.net.Clear(t)
 	note := RecoveryNote{Node: t, Tick: c.Now()}
 	if c.snap != nil {
-		d := codec.NewDecoder(c.snap.wire)
-		inner, ok := d.Frame()
-		if !ok {
-			d.Fail("frame checksum mismatch")
-		}
-		err := d.Done()
+		inner, err := codec.Unframe(c.snap.wire)
 		var st crdt.State
 		if err == nil {
 			st, err = c.decState(inner)
@@ -209,16 +204,14 @@ func (c *Cluster) resyncFresh(t model.NodeID) error {
 		if had && !note.FromSnapshot {
 			continue
 		}
-		c.apply(t, m.eff)
+		c.apply(t, m.rec.Eff)
 		note.Replayed++
 		if had {
 			continue
 		}
 		c.applied[t].MarkApplied(int(m.from), m.mid, m.pred())
 		note.NewEvents++
-		c.tr = append(c.tr, trace.Event{
-			MID: m.mid, Node: t, Origin: m.from, Op: m.op, Eff: m.eff, IsOrigin: false,
-		})
+		c.tr = append(c.tr, trace.Event{Record: m.rec, MID: m.mid, Node: t, Origin: m.from})
 	}
 	c.recov = append(c.recov, note)
 	return nil

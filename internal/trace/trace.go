@@ -20,15 +20,27 @@ import (
 	"repro/internal/model"
 )
 
-// Event is one step of an execution trace.
+// Record is what an operation's origin produced: (f, n, n′, δ). An origin
+// event and its deliveries share one record, since a delivery adds only the
+// node it reached. A delivery's Ret is Nil, so an origin whose Ret is not
+// gives its deliveries a second record without it.
+type Record struct {
+	Op  model.Op      // operation name and argument
+	Ret model.Value   // return value; Nil on deliveries
+	Eff crdt.Effector // the effector (IdEff for read-only queries)
+}
+
+// Event is one step of an execution trace. Its record is read-only: traces,
+// their copies and their clones share records, so a write through a
+// promoted field (e.Ret = v) would change every trace that holds the event.
+// Replace the record instead (e.Record = &Record{...}). The zero Event has
+// no record.
 type Event struct {
-	MID      model.MsgID   // unique request ID of the operation
-	Node     model.NodeID  // node on which this event occurs
-	Origin   model.NodeID  // origin node of the operation (== Node for origin events)
-	Op       model.Op      // operation name and argument
-	Ret      model.Value   // return value; meaningful only for origin events
-	Eff      crdt.Effector // the effector (IdEff for read-only queries)
-	IsOrigin bool          // origin event vs delivery event
+	*Record
+	MID      model.MsgID  // unique request ID of the operation
+	Node     model.NodeID // node on which this event occurs
+	Origin   model.NodeID // origin node of the operation (== Node for origin events)
+	IsOrigin bool         // origin event vs delivery event
 }
 
 // String renders the event in the paper's notation.
@@ -83,7 +95,8 @@ func (tr Trace) Origins() []Event {
 	return out
 }
 
-// OriginOf returns the origin event with the given mid, if present.
+// OriginOf returns the origin event with the given mid, if present, and
+// otherwise the zero Event, which has no record.
 func (tr Trace) OriginOf(mid model.MsgID) (Event, bool) {
 	for _, e := range tr {
 		if e.IsOrigin && e.MID == mid {

@@ -17,18 +17,18 @@ func (e effNop) String() string                { return "Nop(" + e.tag + ")" }
 func (e effNop) AppendBinary(b []byte) []byte  { return append(b, e.String()...) }
 
 func origin(mid model.MsgID, node model.NodeID, op string) Event {
-	return Event{MID: mid, Node: node, Origin: node, Op: model.Op{Name: model.OpName(op)},
-		Eff: effNop{op}, IsOrigin: true}
+	return Event{MID: mid, Node: node, Origin: node, IsOrigin: true,
+		Record: &Record{Op: model.Op{Name: model.OpName(op)}, Eff: effNop{op}}}
 }
 
 func deliver(mid model.MsgID, to, from model.NodeID, op string) Event {
-	return Event{MID: mid, Node: to, Origin: from, Op: model.Op{Name: model.OpName(op)},
-		Eff: effNop{op}, IsOrigin: false}
+	return Event{MID: mid, Node: to, Origin: from, IsOrigin: false,
+		Record: &Record{Op: model.Op{Name: model.OpName(op)}, Eff: effNop{op}}}
 }
 
 func queryEvent(mid model.MsgID, node model.NodeID) Event {
-	return Event{MID: mid, Node: node, Origin: node, Op: model.Op{Name: "read"},
-		Eff: crdt.IdEff{}, IsOrigin: true}
+	return Event{MID: mid, Node: node, Origin: node, IsOrigin: true,
+		Record: &Record{Op: model.Op{Name: "read"}, Eff: crdt.IdEff{}}}
 }
 
 func TestRestrictAndOrigins(t *testing.T) {
@@ -144,12 +144,13 @@ func TestCausalDelivery(t *testing.T) {
 	}
 }
 
-// TestEventLayout guards the size of an event, which carries two
-// model.Values (its argument and its return value): the simulator's traces
-// and the checkers' corpora hold one per step.
+// TestEventLayout guards the size of an event, which points at its
+// operation's shared record instead of carrying the operation, return value
+// and effector: the simulator's traces and the checkers' corpora hold one
+// event per step, and deliveries outnumber origins.
 func TestEventLayout(t *testing.T) {
-	if got := reflect.TypeOf(Event{}).Size(); got != 96 {
-		t.Errorf("Event is %d bytes, want 96", got)
+	if got := reflect.TypeOf(Event{}).Size(); got != 40 {
+		t.Errorf("Event is %d bytes, want 40", got)
 	}
 }
 
@@ -168,7 +169,7 @@ func TestCheckWellFormed(t *testing.T) {
 		{"delivery to origin node", Trace{origin(1, 0, "a"), deliver(1, 0, 0, "a")}, "origin node"},
 		{"double delivery", Trace{origin(1, 0, "a"), deliver(1, 1, 0, "a"), deliver(1, 1, 0, "a")}, "twice"},
 		{"wrong origin recorded", Trace{origin(1, 0, "a"), deliver(1, 1, 2, "a")}, "wrong origin"},
-		{"identity delivered", Trace{queryEvent(1, 0), {MID: 1, Node: 1, Origin: 0, Op: model.Op{Name: "read"}, Eff: crdt.IdEff{}}}, "identity"},
+		{"identity delivered", Trace{queryEvent(1, 0), {MID: 1, Node: 1, Origin: 0, Record: queryEvent(1, 0).Record}}, "identity"},
 	}
 	for _, c := range cases {
 		err := c.tr.CheckWellFormed()
@@ -177,7 +178,7 @@ func TestCheckWellFormed(t *testing.T) {
 		}
 	}
 	// Mismatched origin-node field on an origin event.
-	bad := Trace{{MID: 1, Node: 0, Origin: 2, Op: model.Op{Name: "a"}, Eff: effNop{"a"}, IsOrigin: true}}
+	bad := Trace{{MID: 1, Node: 0, Origin: 2, IsOrigin: true, Record: origin(1, 0, "a").Record}}
 	if err := bad.CheckWellFormed(); err == nil {
 		t.Error("origin/node mismatch accepted")
 	}
@@ -219,7 +220,8 @@ func TestRender(t *testing.T) {
 		t.Error("empty trace rendering")
 	}
 	// Return values are shown on origin events.
-	withRet := Trace{{MID: 3, Node: 0, Origin: 0, Op: model.Op{Name: "read"}, Ret: model.Int(4), Eff: effNop{"read"}, IsOrigin: true}}
+	withRet := Trace{{MID: 3, Node: 0, Origin: 0, IsOrigin: true,
+		Record: &Record{Op: model.Op{Name: "read"}, Ret: model.Int(4), Eff: effNop{"read"}}}}
 	if !strings.Contains(Render(withRet), "=4") {
 		t.Errorf("return value missing: %s", Render(withRet))
 	}

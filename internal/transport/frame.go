@@ -133,12 +133,8 @@ func EncodeWire(f Frame) []byte { return f.appendWire(make([]byte, 0, f.wireLen(
 // DecodeWire inverts EncodeWire, verifying the checksum envelope and
 // requiring the input to hold exactly one frame.
 func DecodeWire(b []byte) (Frame, error) {
-	d := codec.NewDecoder(b)
-	inner, ok := d.Frame()
-	if !ok {
-		d.Fail("frame checksum mismatch")
-	}
-	if err := d.Done(); err != nil {
+	inner, err := codec.Unframe(b)
+	if err != nil {
 		return Frame{}, err
 	}
 	return Decode(inner)
